@@ -18,8 +18,9 @@ import (
 // --- Table 1 / Figure 6: the cpuid micro-benchmark ----------------------
 
 func BenchmarkTable1BaselineCPUIDBreakdown(b *testing.B) {
+	s := testSession(b)
 	for i := 0; i < b.N; i++ {
-		r := CPUIDNested(Baseline, 500)
+		r := s.CPUIDNested(Baseline, 500)
 		b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
 	}
 }
@@ -32,25 +33,30 @@ func benchCPUID(b *testing.B, run func() CPUIDResult) {
 }
 
 func BenchmarkFigure6NativeL0(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNative(500) })
+	s := testSession(b)
+	benchCPUID(b, func() CPUIDResult { return s.CPUIDNative(500) })
 }
 func BenchmarkFigure6SingleLevelL1(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDSingleLevel(500) })
+	s := testSession(b)
+	benchCPUID(b, func() CPUIDResult { return s.CPUIDSingleLevel(500) })
 }
 func BenchmarkFigure6NestedL2(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(Baseline, 500) })
+	s := testSession(b)
+	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(Baseline, 500) })
 }
 func BenchmarkFigure6SWSVt(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(SWSVt, 500) })
+	s := testSession(b)
+	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(SWSVt, 500) })
 }
 func BenchmarkFigure6HWSVt(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(HWSVt, 500) })
+	s := testSession(b)
+	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(HWSVt, 500) })
 }
 
 // --- Figure 7: I/O subsystems -------------------------------------------
 
 func benchModes(b *testing.B, run func(Mode) (metric float64, unit string)) {
-	for _, mode := range Modes {
+	for _, mode := range AllModes() {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m, unit := run(mode)
@@ -61,48 +67,55 @@ func benchModes(b *testing.B, run func(Mode) (metric float64, unit string)) {
 }
 
 func BenchmarkFigure7NetLatency(b *testing.B) {
+	s := testSession(b)
 	benchModes(b, func(m Mode) (float64, string) {
-		return NetLatency(m, 50).MeanUs, "virt-us/rtt"
+		return s.NetLatency(m, 50).MeanUs, "virt-us/rtt"
 	})
 }
 
 func BenchmarkFigure7NetBandwidth(b *testing.B) {
+	s := testSession(b)
 	benchModes(b, func(m Mode) (float64, string) {
-		return NetBandwidth(m, 20*Millisecond).Mbps, "virt-Mbps"
+		return s.NetBandwidth(m, 20*Millisecond).Mbps, "virt-Mbps"
 	})
 }
 
 func BenchmarkFigure7DiskReadLatency(b *testing.B) {
+	s := testSession(b)
 	benchModes(b, func(m Mode) (float64, string) {
-		return DiskLatency(m, false, 50).MeanUs, "virt-us/op"
+		return s.DiskLatency(m, false, 50).MeanUs, "virt-us/op"
 	})
 }
 
 func BenchmarkFigure7DiskWriteLatency(b *testing.B) {
+	s := testSession(b)
 	benchModes(b, func(m Mode) (float64, string) {
-		return DiskLatency(m, true, 50).MeanUs, "virt-us/op"
+		return s.DiskLatency(m, true, 50).MeanUs, "virt-us/op"
 	})
 }
 
 func BenchmarkFigure7DiskReadBandwidth(b *testing.B) {
+	s := testSession(b)
 	benchModes(b, func(m Mode) (float64, string) {
-		return DiskBandwidth(m, false, 80).KBs, "virt-KB/s"
+		return s.DiskBandwidth(m, false, 80).KBs, "virt-KB/s"
 	})
 }
 
 func BenchmarkFigure7DiskWriteBandwidth(b *testing.B) {
+	s := testSession(b)
 	benchModes(b, func(m Mode) (float64, string) {
-		return DiskBandwidth(m, true, 80).KBs, "virt-KB/s"
+		return s.DiskBandwidth(m, true, 80).KBs, "virt-KB/s"
 	})
 }
 
 // --- Figure 8: memcached --------------------------------------------------
 
 func BenchmarkFigure8Memcached(b *testing.B) {
+	s := testSession(b)
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := Memcached(mode, 12000, 100*Millisecond)
+				r := s.Memcached(mode, 12000, 100*Millisecond)
 				b.ReportMetric(r.P99Us, "virt-p99-us")
 				b.ReportMetric(r.AvgUs, "virt-avg-us")
 			}
@@ -113,10 +126,11 @@ func BenchmarkFigure8Memcached(b *testing.B) {
 // --- Figure 9: TPC-C -------------------------------------------------------
 
 func BenchmarkFigure9TPCC(b *testing.B) {
+	s := testSession(b)
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				b.ReportMetric(TPCC(mode, 200*Millisecond), "virt-ktpm")
+				b.ReportMetric(s.TPCC(mode, 200*Millisecond), "virt-ktpm")
 			}
 		})
 	}
@@ -125,10 +139,11 @@ func BenchmarkFigure9TPCC(b *testing.B) {
 // --- Figure 10: video playback --------------------------------------------
 
 func BenchmarkFigure10Video(b *testing.B) {
+	s := testSession(b)
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := VideoN(mode, 120, 6000)
+				r := s.VideoN(mode, 120, 6000)
 				b.ReportMetric(float64(r.Dropped), "virt-drops")
 			}
 		})
@@ -138,10 +153,11 @@ func BenchmarkFigure10Video(b *testing.B) {
 // --- §6.1: channel study (simulated) ---------------------------------------
 
 func BenchmarkChannelStudy(b *testing.B) {
+	s := testSession(b)
 	for _, pol := range []WaitPolicy{PolicyPoll, PolicyMwait, PolicyMutex} {
 		b.Run(pol.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pts := ChannelStudy(100, []Time{0})
+				pts := s.ChannelStudy(100, []Time{0})
 				for _, p := range pts {
 					if p.Policy == pol && p.Placement == PlaceSMT {
 						b.ReportMetric(p.PerOp.Microseconds(), "virt-us/cpuid")
@@ -250,14 +266,16 @@ func BenchmarkHandoffSpin(b *testing.B) {
 // BenchmarkAblationBypass measures the paper's §3.1 future-work extension:
 // delivering L1-owned exits straight to L1's context.
 func BenchmarkAblationBypass(b *testing.B) {
-	benchCPUID(b, func() CPUIDResult { return CPUIDNested(HWSVtBypass, 500) })
+	s := testSession(b)
+	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(HWSVtBypass, 500) })
 }
 
 // BenchmarkAblationNoShadowing quantifies hardware VMCS shadowing by
 // turning it off (every guest-hypervisor field access traps).
 func BenchmarkAblationNoShadowing(b *testing.B) {
+	s := testSession(b)
 	for i := 0; i < b.N; i++ {
-		r := CPUIDNestedNoShadowing(500)
+		r := s.CPUIDNestedNoShadowing(500)
 		b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
 	}
 }
@@ -265,10 +283,11 @@ func BenchmarkAblationNoShadowing(b *testing.B) {
 // BenchmarkAblationThunkRegs sweeps the number of registers the software
 // context-switch thunk moves ("dozens of registers", §1).
 func BenchmarkAblationThunkRegs(b *testing.B) {
+	s := testSession(b)
 	for _, regs := range []int{8, 15, 30, 60} {
 		b.Run(strconv.Itoa(regs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := CPUIDNestedWithThunkRegs(Baseline, regs, 300)
+				r := s.CPUIDNestedWithThunkRegs(Baseline, regs, 300)
 				b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
 			}
 		})

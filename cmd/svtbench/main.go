@@ -10,12 +10,12 @@
 //	svtbench -figure 7       one figure (6–10)
 //	svtbench -micro channels the §6.1 communication-channel study
 //	svtbench -profile        the §6.2/§6.3 exit-reason profiles
-//	svtbench -bench -o BENCH_2026-08-06.json  record the perf-regression baseline
 //	svtbench -trace trace.json  write a Perfetto timeline of a representative run
 //
 // Experiment cells are independent (each owns its engine and RNG
 // streams), so -parallel=N changes wall-clock time only: the output is
-// byte-identical for every N.
+// byte-identical for every N. The simulator's own speed is measured by
+// the benchmark under bench/ (see bench/README.md).
 package main
 
 import (
@@ -36,33 +36,34 @@ type section struct {
 	run  func(io.Writer)
 }
 
-// sections assembles the selected report sections in presentation order.
-func sections(all bool, table, figure int, micro string, profile bool, n int, quick bool, root string) []section {
+// sections assembles the selected report sections in presentation order,
+// all rendered from one session.
+func sections(sess *svtsim.Session, all bool, table, figure int, micro string, profile bool, n int, quick bool, root string) []section {
 	var secs []section
 	add := func(sel bool, name string, run func(io.Writer)) {
 		if sel {
 			secs = append(secs, section{name: name, run: run})
 		}
 	}
-	add(all || table == 1, "table1", func(w io.Writer) { svtsim.ReportTable1(w, n) })
-	add(all || table == 3, "table3", func(w io.Writer) { svtsim.ReportTable3(w, root) })
-	add(all || table == 4, "table4", func(w io.Writer) { svtsim.ReportTable4(w) })
-	add(all || figure == 6, "figure6", func(w io.Writer) { svtsim.ReportFigure6(w, n) })
-	add(all || figure == 7, "figure7", func(w io.Writer) { svtsim.ReportFigure7(w, quick) })
-	add(all || figure == 8, "figure8", func(w io.Writer) { svtsim.ReportFigure8(w, quick) })
-	add(all || figure == 9, "figure9", func(w io.Writer) { svtsim.ReportFigure9(w, quick) })
-	add(all || figure == 10, "figure10", func(w io.Writer) { svtsim.ReportFigure10(w, quick) })
-	add(all || micro == "channels", "channels", func(w io.Writer) { svtsim.ReportChannels(w, quick) })
-	add(all || profile, "profiles", func(w io.Writer) { svtsim.ReportProfiles(w) })
+	add(all || table == 1, "table1", func(w io.Writer) { sess.ReportTable1(w, n) })
+	add(all || table == 3, "table3", func(w io.Writer) { sess.ReportTable3(w, root) })
+	add(all || table == 4, "table4", func(w io.Writer) { sess.ReportTable4(w) })
+	add(all || figure == 6, "figure6", func(w io.Writer) { sess.ReportFigure6(w, n) })
+	add(all || figure == 7, "figure7", func(w io.Writer) { sess.ReportFigure7(w, quick) })
+	add(all || figure == 8, "figure8", func(w io.Writer) { sess.ReportFigure8(w, quick) })
+	add(all || figure == 9, "figure9", func(w io.Writer) { sess.ReportFigure9(w, quick) })
+	add(all || figure == 10, "figure10", func(w io.Writer) { sess.ReportFigure10(w, quick) })
+	add(all || micro == "channels", "channels", func(w io.Writer) { sess.ReportChannels(w, quick) })
+	add(all || profile, "profiles", func(w io.Writer) { sess.ReportProfiles(w) })
 	return secs
 }
 
-// renderAll renders every section concurrently into its own buffer on the
-// worker pool, then writes the buffers in presentation order. Sections
-// themselves fan their cells out on the same pool, so small sections do
-// not serialize behind big ones.
-func renderAll(w io.Writer, secs []section) {
-	bufs := parallel.Map(len(secs), func(i int) []byte {
+// renderAll renders every section concurrently into its own buffer on
+// the session's worker pool, then writes the buffers in presentation
+// order. Sections themselves fan their cells out on the same width, so
+// small sections do not serialize behind big ones.
+func renderAll(w io.Writer, sess *svtsim.Session, secs []section) {
+	bufs := parallel.MapN(sess.Parallelism(), len(secs), func(i int) []byte {
 		var b bytes.Buffer
 		secs[i].run(&b)
 		return b.Bytes()
@@ -82,13 +83,9 @@ func main() {
 		profile  = flag.Bool("profile", false, "exit-reason profiles (6.2/6.3)")
 		root     = flag.String("root", ".", "repository root (for Table 3 line counts)")
 		workers  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for independent experiment cells (1 = serial)")
-		bench    = flag.Bool("bench", false, "run the perf-regression benchmark suite")
-		benchOut = flag.String("o", "", "write -bench results as JSON to this file (default BENCH_<date>.json)")
 		traceOut = flag.String("trace", "", "write a Perfetto timeline of a representative SW-SVt run to this file")
 	)
 	flag.Parse()
-
-	parallel.SetWorkers(*workers)
 
 	w := os.Stdout
 	n := 2000
@@ -101,26 +98,23 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if !*all && *table == 0 && *figure == 0 && *micro == "" && !*profile && !*bench {
+		if !*all && *table == 0 && *figure == 0 && *micro == "" && !*profile {
 			return
 		}
 	}
 
-	if *bench {
-		if err := runBench(w, *benchOut, *quick, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	sess, err := svtsim.NewSession(svtsim.WithParallelism(*workers))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	secs := sections(*all, *table, *figure, *micro, *profile, n, *quick, *root)
+	secs := sections(sess, *all, *table, *figure, *micro, *profile, n, *quick, *root)
 	if len(secs) == 0 {
-		fmt.Fprintln(os.Stderr, "nothing selected; try -all, -table N, -figure N, -micro channels, -profile, -bench or -trace FILE")
+		fmt.Fprintln(os.Stderr, "nothing selected; try -all, -table N, -figure N, -micro channels, -profile or -trace FILE")
 		flag.Usage()
 		os.Exit(2)
 	}
-	renderAll(w, secs)
+	renderAll(w, sess, secs)
 }
 
 // writeTraceArtifact runs one representative experiment — SW-SVt netperf

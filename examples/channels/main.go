@@ -7,13 +7,20 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"svtsim"
 )
 
 func main() {
+	sess, err := svtsim.NewSession()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	workloads := []svtsim.Time{0, 5 * svtsim.Microsecond, 20 * svtsim.Microsecond}
-	pts := svtsim.ChannelStudy(300, workloads)
+	pts := sess.ChannelStudy(300, workloads)
 
 	fmt.Println("SW SVt channel study: nested cpuid per-op latency")
 	fmt.Printf("%-8s %-12s %14s %14s\n", "policy", "placement", "workload", "per-op")

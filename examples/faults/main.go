@@ -12,11 +12,18 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"svtsim"
 )
 
 func main() {
+	sess, err := svtsim.NewSession()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	rates := []float64{0, 0.01, 0.05, 0.10, 0.30, 0.60}
 
 	fmt.Println("SW SVt under injected faults: nested cpuid, 400 iterations")
@@ -39,7 +46,7 @@ func main() {
 		}
 		cells[i] = svtsim.FaultCell{Mode: svtsim.SWSVt, Spec: spec, N: 400}
 	}
-	for i, r := range svtsim.FaultSweepGrid(cells) {
+	for i, r := range sess.FaultSweepGrid(cells) {
 		fmt.Printf("%-6.2f %10v %8d %6d %10d %7d %7d %10v\n",
 			rates[i], r.PerOp, r.Reflections, r.WatchdogFires,
 			r.Fallbacks+r.FallbackReflections, r.BreakerTrips,
@@ -55,7 +62,7 @@ func main() {
 			{Site: svtsim.FaultSiteSVtWakeup, Every: 1, After: 50, Limit: 20, Drop: true},
 		},
 	}
-	r := svtsim.FaultSweep(svtsim.SWSVt, spec, 400)
+	r := sess.FaultSweep(svtsim.SWSVt, spec, 400)
 	fmt.Printf("per-op %v: %d watchdog fires, breaker tripped %d×, recovered %d×,\n",
 		r.PerOp, r.WatchdogFires, r.BreakerTrips, r.BreakerRecoveries)
 	fmt.Printf("%d reflections fell back to trap/resume while open, %d after retry exhaustion\n",

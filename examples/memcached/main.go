@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"svtsim"
 )
@@ -14,6 +15,12 @@ import (
 func main() {
 	dur := flag.Duration("dur", 0, "per-point virtual duration (default 300ms)")
 	flag.Parse()
+	sess, err := svtsim.NewSession()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	d := 300 * svtsim.Millisecond
 	if *dur > 0 {
 		d = svtsim.Time(dur.Nanoseconds())
@@ -23,8 +30,8 @@ func main() {
 	fmt.Println("memcached + ETC load sweep (99th percentile vs 500us SLA)")
 	fmt.Printf("%10s | %22s | %22s\n", "load (q/s)", "baseline p99 (us)", "SW SVt p99 (us)")
 	for _, rate := range []float64{4000, 8000, 12000, 16000, 20000} {
-		b := svtsim.Memcached(svtsim.Baseline, rate, d)
-		s := svtsim.Memcached(svtsim.SWSVt, rate, d)
+		b := sess.Memcached(svtsim.Baseline, rate, d)
+		s := sess.Memcached(svtsim.SWSVt, rate, d)
 		mark := func(p float64) string {
 			if p > sla {
 				return " (SLA VIOLATED)"

@@ -11,6 +11,12 @@ import (
 )
 
 func main() {
+	sess, err := svtsim.NewSession()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	const n = 1000
 
 	fmt.Println("svtsim quickstart: nested cpuid under three system variants")
@@ -18,14 +24,14 @@ func main() {
 
 	// The Figure 6 ladder: native, single-level, nested, and the two SVt
 	// variants.
-	native := svtsim.CPUIDNative(n)
-	single := svtsim.CPUIDSingleLevel(n)
+	native := sess.CPUIDNative(n)
+	single := sess.CPUIDSingleLevel(n)
 	fmt.Printf("  native (L0):        %v per cpuid\n", native.PerOp)
 	fmt.Printf("  single level (L1):  %v per cpuid\n", single.PerOp)
 
 	var base svtsim.CPUIDResult
 	for _, mode := range svtsim.AllModes() {
-		r := svtsim.CPUIDNested(mode, n)
+		r := sess.CPUIDNested(mode, n)
 		switch mode {
 		case svtsim.Baseline:
 			base = r
@@ -37,5 +43,5 @@ func main() {
 	}
 
 	// Where does the nested baseline's time go? (Table 1.)
-	svtsim.ReportTable1(os.Stdout, n)
+	sess.ReportTable1(os.Stdout, n)
 }

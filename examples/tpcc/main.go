@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"svtsim"
 )
@@ -14,17 +15,23 @@ import (
 func main() {
 	dur := flag.Duration("dur", 0, "virtual duration per run (default 2s)")
 	flag.Parse()
+	sess, err := svtsim.NewSession()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	d := 2 * svtsim.Second
 	if *dur > 0 {
 		d = svtsim.Time(dur.Nanoseconds())
 	}
 
 	fmt.Println("TPC-C transaction throughput in a nested VM")
-	base := svtsim.TPCC(svtsim.Baseline, d)
+	base := sess.TPCC(svtsim.Baseline, d)
 	fmt.Printf("  baseline: %6.2f ktpm\n", base)
-	svt := svtsim.TPCC(svtsim.SWSVt, d)
+	svt := sess.TPCC(svtsim.SWSVt, d)
 	fmt.Printf("  SW SVt:   %6.2f ktpm  (%.2fx)\n", svt, svt/base)
-	hw := svtsim.TPCC(svtsim.HWSVt, d)
+	hw := sess.TPCC(svtsim.HWSVt, d)
 	fmt.Printf("  HW SVt:   %6.2f ktpm  (%.2fx)\n", hw, hw/base)
 	fmt.Println("\npaper: baseline 6.37 ktpm, SVt speedup 1.18x")
 }

@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"svtsim"
 )
@@ -15,13 +16,18 @@ import (
 func main() {
 	seconds := flag.Int("seconds", 300, "seconds of playback per run")
 	flag.Parse()
+	sess, err := svtsim.NewSession()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("video playback, %d s per run, dropped frames:\n", *seconds)
 	fmt.Printf("%6s %12s %12s %10s\n", "FPS", "baseline", "SW SVt", "ratio")
 	for _, fps := range []int{24, 60, 120} {
 		frames := fps * *seconds
-		b := svtsim.VideoN(svtsim.Baseline, fps, frames)
-		s := svtsim.VideoN(svtsim.SWSVt, fps, frames)
+		b := sess.VideoN(svtsim.Baseline, fps, frames)
+		s := sess.VideoN(svtsim.SWSVt, fps, frames)
 		ratio := "-"
 		if b.Dropped > 0 {
 			ratio = fmt.Sprintf("%.2fx", float64(s.Dropped)/float64(b.Dropped))

@@ -19,14 +19,6 @@ import (
 	"svtsim/internal/workload"
 )
 
-// AllModes is the mode set the oracle compares, in comparison order: the
-// baseline trap/resume path is the reference, the SVt variants must be
-// indistinguishable from it.
-//
-// Deprecated: use hv.AllModes, which returns a fresh slice that cannot
-// be mutated out from under a concurrent check run.
-var AllModes = hv.AllModes()
-
 // ComparableExits are the exit reasons whose L1-visible multiset must
 // match across modes: the architecturally unconditional traps plus the
 // traps vmcs12 configures. Timing- and mode-owned reasons (HLT wakeups,
@@ -67,7 +59,7 @@ type Outcome struct {
 
 // RunOpts tweak a differential run.
 type RunOpts struct {
-	// Modes overrides AllModes.
+	// Modes overrides hv.AllModes().
 	Modes []hv.Mode
 	// Port selects the architecture backend (nil = the default x86
 	// port). Outcomes are only comparable within one port — ports

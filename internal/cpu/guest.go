@@ -192,17 +192,25 @@ func (g *NativeGuest) DeliverIRQ(vec int) {
 	}
 }
 
-// Kill unwinds a parked native guest's goroutine. It is a no-op for
-// guests that never started or already finished.
+// Kill unwinds a native guest's goroutine and waits until it is gone. It
+// accepts the guest at either side of its handoff: parked on resume, or
+// still blocked on yield with an exit nobody will take (which Kill takes
+// before delivering the kill). A guest that has finished, or is about to,
+// exits on its own. It is a no-op for guests that never started.
 func (g *NativeGuest) Kill() {
-	if !g.started || g.finished {
+	if !g.started {
 		return
 	}
 	select {
 	case g.resume <- resumeMsg{kill: true}:
-		<-g.port.dead
-	default:
+	case <-g.yield:
+		select {
+		case g.resume <- resumeMsg{kill: true}:
+		case <-g.port.dead: // that was its final exit
+		}
+	case <-g.port.dead:
 	}
+	<-g.port.dead
 }
 
 func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {

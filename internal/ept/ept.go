@@ -109,6 +109,12 @@ func (t *Table) Map(gpa, hpa, size uint64, perm Perm) error {
 	if gpa%mem.PageSize != 0 || hpa%mem.PageSize != 0 || size%mem.PageSize != 0 || size == 0 {
 		return fmt.Errorf("ept %s: unaligned map gpa=%#x hpa=%#x size=%#x", t.name, gpa, hpa, size)
 	}
+	if len(t.pages) == 0 {
+		// Size an empty table for the whole range at once: machines map
+		// their RAM in one call, and a growing map rehashes its way there
+		// through twice the final size in garbage.
+		t.pages = make(map[uint64]entry, size/mem.PageSize)
+	}
 	for off := uint64(0); off < size; off += mem.PageSize {
 		t.pages[(gpa+off)/mem.PageSize] = entry{hostPage: (hpa + off) / mem.PageSize, perm: perm}
 	}
@@ -174,7 +180,7 @@ func (t *Table) MappedPages() int { return len(t.pages) }
 // table), and inner pages that land on an outer device region become
 // device regions too.
 func Compose(name string, inner, outer *Table) (*Table, error) {
-	out := New(name)
+	out := &Table{name: name, pages: make(map[uint64]entry, len(inner.pages))}
 	for gfn, e := range inner.pages {
 		if dev, ok := outer.DeviceAt(e.hostPage * mem.PageSize); ok {
 			if err := out.MapMisconfig(gfn*mem.PageSize, mem.PageSize, dev); err != nil {

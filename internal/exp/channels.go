@@ -52,7 +52,7 @@ func (s *Session) ChannelStudy(n int, workloads []sim.Time) []ChannelPoint {
 	policies := []swsvt.Policy{swsvt.PolicyPoll, swsvt.PolicyMwait, swsvt.PolicyMutex}
 	places := []swsvt.Placement{swsvt.PlaceSMT, swsvt.PlaceCrossCore, swsvt.PlaceCrossNUMA}
 	cells := len(policies) * len(places) * len(workloads)
-	return parallel.MapN(s.Workers(), cells, func(i int) ChannelPoint {
+	return parallel.MapN(s.Parallelism(), cells, func(i int) ChannelPoint {
 		pol := policies[i/(len(places)*len(workloads))]
 		place := places[i/len(workloads)%len(places)]
 		wl := workloads[i%len(workloads)]

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -316,7 +317,7 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 	// Phase 1: uncontended per-VM runs, fanned out on the pool. Cache
 	// hits cost a COW fork of the warmed snapshot instead of a cold
 	// simulation.
-	runs := parallel.MapN(s.Workers(), k, func(i int) vmRun {
+	runs := parallel.MapN(s.Parallelism(), k, func(i int) vmRun {
 		return cache.get(s, mode, i, assigns[i].Place)
 	})
 
@@ -384,22 +385,40 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 // microseconds, judged against the worst per-VM p99). kmax <= 0 uses
 // the topology's context count.
 func (s *Session) DensitySweep(modes []hv.Mode, kmax int, sloUs float64) []DensityResult {
+	out, _ := s.DensitySweepContext(context.Background(), modes, kmax, sloUs, nil)
+	return out
+}
+
+// DensitySweepContext is DensitySweep with cancellation checked and
+// progress reported between packing levels. The levels of one mode run
+// in order, sharing the mode's phase-1 cache; each level fans its VMs
+// out on the session's pool.
+func (s *Session) DensitySweepContext(ctx context.Context, modes []hv.Mode, kmax int, sloUs float64, pr ProgressFunc) ([]DensityResult, error) {
 	topo := s.Topology()
 	if kmax <= 0 {
 		kmax = topo.Contexts()
 	}
+	total := len(modes) * kmax
+	done := 0
 	out := make([]DensityResult, len(modes))
 	for mi, mode := range modes {
 		res := DensityResult{Mode: mode, Topo: topo, SLOUs: sloUs}
 		cache := &vmCache{m: make(map[vmKey]vmRun)}
 		for k := 1; k <= kmax; k++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			pt := s.consolidate(mode, k, cache)
 			res.Points = append(res.Points, pt)
 			if pt.WorstP99Us <= sloUs {
 				res.MaxDensity = k
 			}
+			done++
+			if pr != nil {
+				pr.emit("density", done, total, fmt.Sprintf("mode=%s k=%d", mode, k))
+			}
 		}
 		out[mi] = res
 	}
-	return out
+	return out, nil
 }

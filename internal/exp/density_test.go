@@ -113,7 +113,7 @@ func TestSessionConfigRace(t *testing.T) {
 			}})
 			s.SetFaults(nil)
 			s.SetParallelism(4)
-			_ = s.Workers()
+			_ = s.Parallelism()
 		}
 	}()
 	cells := []FaultCell{

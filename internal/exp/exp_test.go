@@ -11,9 +11,10 @@ import (
 func speedup(base, x float64) float64 { return base / x }
 
 func TestFigure7NetLatency(t *testing.T) {
-	base := NetLatency(hv.ModeBaseline, 60)
-	sw := NetLatency(hv.ModeSWSVt, 60)
-	hw := NetLatency(hv.ModeHWSVt, 60)
+	s := NewSession()
+	base := s.NetLatency(hv.ModeBaseline, 60)
+	sw := s.NetLatency(hv.ModeSWSVt, 60)
+	hw := s.NetLatency(hv.ModeHWSVt, 60)
 	t.Logf("net lat: base=%.1fus sw=%.1f (%.2fx) hw=%.1f (%.2fx)",
 		base.MeanUs, sw.MeanUs, speedup(base.MeanUs, sw.MeanUs), hw.MeanUs, speedup(base.MeanUs, hw.MeanUs))
 	if !(hw.MeanUs < sw.MeanUs && sw.MeanUs < base.MeanUs) {
@@ -29,10 +30,11 @@ func TestFigure7NetLatency(t *testing.T) {
 }
 
 func TestFigure7NetBandwidth(t *testing.T) {
+	s := NewSession()
 	d := 50 * sim.Millisecond
-	base := NetBandwidth(hv.ModeBaseline, d)
-	sw := NetBandwidth(hv.ModeSWSVt, d)
-	hw := NetBandwidth(hv.ModeHWSVt, d)
+	base := s.NetBandwidth(hv.ModeBaseline, d)
+	sw := s.NetBandwidth(hv.ModeSWSVt, d)
+	hw := s.NetBandwidth(hv.ModeHWSVt, d)
 	t.Logf("net bw: base=%.0f Mbps sw=%.0f (%.2fx) hw=%.0f (%.2fx)",
 		base.Mbps, sw.Mbps, sw.Mbps/base.Mbps, hw.Mbps, hw.Mbps/base.Mbps)
 	// Paper: baseline ~9387 Mbps (near the physical 10 Gb/s limit),
@@ -52,10 +54,11 @@ func TestFigure7NetBandwidth(t *testing.T) {
 }
 
 func TestFigure7DiskLatency(t *testing.T) {
+	s := NewSession()
 	for _, write := range []bool{false, true} {
-		base := DiskLatency(hv.ModeBaseline, write, 60)
-		sw := DiskLatency(hv.ModeSWSVt, write, 60)
-		hw := DiskLatency(hv.ModeHWSVt, write, 60)
+		base := s.DiskLatency(hv.ModeBaseline, write, 60)
+		sw := s.DiskLatency(hv.ModeSWSVt, write, 60)
+		hw := s.DiskLatency(hv.ModeHWSVt, write, 60)
 		t.Logf("disk lat write=%v: base=%.1fus sw=%.1f (%.2fx) hw=%.1f (%.2fx)",
 			write, base.MeanUs, sw.MeanUs, speedup(base.MeanUs, sw.MeanUs), hw.MeanUs, speedup(base.MeanUs, hw.MeanUs))
 		if !(hw.MeanUs < sw.MeanUs && sw.MeanUs < base.MeanUs) {
@@ -65,10 +68,11 @@ func TestFigure7DiskLatency(t *testing.T) {
 }
 
 func TestFigure7DiskBandwidth(t *testing.T) {
+	s := NewSession()
 	for _, write := range []bool{false, true} {
-		base := DiskBandwidth(hv.ModeBaseline, write, 100)
-		sw := DiskBandwidth(hv.ModeSWSVt, write, 100)
-		hw := DiskBandwidth(hv.ModeHWSVt, write, 100)
+		base := s.DiskBandwidth(hv.ModeBaseline, write, 100)
+		sw := s.DiskBandwidth(hv.ModeSWSVt, write, 100)
+		hw := s.DiskBandwidth(hv.ModeHWSVt, write, 100)
 		t.Logf("disk bw write=%v: base=%.0f KB/s sw=%.0f (%.2fx) hw=%.0f (%.2fx)",
 			write, base.KBs, sw.KBs, sw.KBs/base.KBs, hw.KBs, hw.KBs/base.KBs)
 		if !(hw.KBs > sw.KBs && sw.KBs > base.KBs) {
@@ -78,17 +82,18 @@ func TestFigure7DiskBandwidth(t *testing.T) {
 }
 
 func TestFigure8MemcachedShape(t *testing.T) {
+	s := NewSession()
 	d := 300 * sim.Millisecond
 	// At low load both systems meet the SLA; at high load the baseline's
 	// 99th percentile blows past 500us while SVt still holds.
-	lowB := Memcached(hv.ModeBaseline, 4000, d)
-	lowS := Memcached(hv.ModeSWSVt, 4000, d)
+	lowB := s.Memcached(hv.ModeBaseline, 4000, d)
+	lowS := s.Memcached(hv.ModeSWSVt, 4000, d)
 	t.Logf("4k qps: base p99=%.0fus avg=%.0f | svt p99=%.0fus avg=%.0f", lowB.P99Us, lowB.AvgUs, lowS.P99Us, lowS.AvgUs)
 	if lowB.P99Us > 500 {
 		t.Errorf("baseline must meet the SLA at low load, p99=%.0fus", lowB.P99Us)
 	}
-	highB := Memcached(hv.ModeBaseline, 16000, d)
-	highS := Memcached(hv.ModeSWSVt, 16000, d)
+	highB := s.Memcached(hv.ModeBaseline, 16000, d)
+	highS := s.Memcached(hv.ModeSWSVt, 16000, d)
 	t.Logf("16k qps: base p99=%.0fus avg=%.0f | svt p99=%.0fus avg=%.0f", highB.P99Us, highB.AvgUs, highS.P99Us, highS.AvgUs)
 	if highB.P99Us < 500 {
 		t.Errorf("baseline should violate the SLA at high load, p99=%.0fus", highB.P99Us)
@@ -99,9 +104,10 @@ func TestFigure8MemcachedShape(t *testing.T) {
 }
 
 func TestFigure9TPCCShape(t *testing.T) {
+	s := NewSession()
 	d := 400 * sim.Millisecond
-	base := TPCC(hv.ModeBaseline, d)
-	sw := TPCC(hv.ModeSWSVt, d)
+	base := s.TPCC(hv.ModeBaseline, d)
+	sw := s.TPCC(hv.ModeSWSVt, d)
 	t.Logf("tpcc: base=%.2f ktpm svt=%.2f (%.2fx)", base, sw, sw/base)
 	if sw <= base {
 		t.Errorf("SVt must improve TPC-C throughput: %.2f vs %.2f", sw, base)
@@ -113,15 +119,16 @@ func TestFigure9TPCCShape(t *testing.T) {
 }
 
 func TestFigure10VideoShape(t *testing.T) {
+	s := NewSession()
 	// 24 FPS: nobody drops (shortened run). 120 FPS: the baseline drops
 	// more than SVt (Figure 10 reports 40 vs 0.65x at full length).
-	b24 := VideoN(hv.ModeBaseline, 24, 24*60)
+	b24 := s.VideoN(hv.ModeBaseline, 24, 24*60)
 	if b24.Dropped != 0 {
 		t.Errorf("24 FPS baseline dropped %d frames, want 0", b24.Dropped)
 	}
 	const frames = 12000 // 100 s of playback keeps the test quick
-	b120 := VideoN(hv.ModeBaseline, 120, frames)
-	s120 := VideoN(hv.ModeSWSVt, 120, frames)
+	b120 := s.VideoN(hv.ModeBaseline, 120, frames)
+	s120 := s.VideoN(hv.ModeSWSVt, 120, frames)
 	t.Logf("video 120fps (%d frames): base dropped=%d svt dropped=%d", frames, b120.Dropped, s120.Dropped)
 	if b120.Dropped == 0 {
 		t.Errorf("baseline at 120 FPS should drop frames")
@@ -132,11 +139,12 @@ func TestFigure10VideoShape(t *testing.T) {
 }
 
 func TestCPUIDFigure6(t *testing.T) {
-	l0 := CPUIDNative(200)
-	l1 := CPUIDSingleLevel(200)
-	l2 := CPUIDNested(hv.ModeBaseline, 500)
-	sw := CPUIDNested(hv.ModeSWSVt, 500)
-	hwr := CPUIDNested(hv.ModeHWSVt, 500)
+	s := NewSession()
+	l0 := s.CPUIDNative(200)
+	l1 := s.CPUIDSingleLevel(200)
+	l2 := s.CPUIDNested(hv.ModeBaseline, 500)
+	sw := s.CPUIDNested(hv.ModeSWSVt, 500)
+	hwr := s.CPUIDNested(hv.ModeHWSVt, 500)
 	t.Logf("fig6: L0=%v L1=%v L2=%v SW=%v HW=%v", l0.PerOp, l1.PerOp, l2.PerOp, sw.PerOp, hwr.PerOp)
 	if !(l0.PerOp < l1.PerOp && l1.PerOp < hwr.PerOp && hwr.PerOp < sw.PerOp && sw.PerOp < l2.PerOp) {
 		t.Error("Figure 6 ordering violated")
@@ -144,7 +152,8 @@ func TestCPUIDFigure6(t *testing.T) {
 }
 
 func TestChannelStudyShape(t *testing.T) {
-	pts := ChannelStudy(150, []sim.Time{0, 20 * sim.Microsecond})
+	s := NewSession()
+	pts := s.ChannelStudy(150, []sim.Time{0, 20 * sim.Microsecond})
 	get := func(pol swsvt.Policy, place swsvt.Placement, wl sim.Time) sim.Time {
 		for _, p := range pts {
 			if p.Policy == pol && p.Placement == place && p.Workload == wl {
@@ -164,7 +173,7 @@ func TestChannelStudyShape(t *testing.T) {
 	if !(mwaitSMT0 < pollSMT0) {
 		t.Errorf("mwait (%v) must beat polling (%v): polling steals sibling cycles", mwaitSMT0, pollSMT0)
 	}
-	base := CPUIDNested(hv.ModeBaseline, 150).PerOp
+	base := s.CPUIDNested(hv.ModeBaseline, 150).PerOp
 	if sp := float64(base) / float64(pollSMT0); sp > 1.12 {
 		t.Errorf("polling should offer very little acceleration, got %.2fx", sp)
 	}

@@ -1,13 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"svtsim/internal/cpu"
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -162,11 +162,20 @@ type FaultCell struct {
 // byte-identical to running the cells serially (pinned by
 // TestFaultSweepGridParallelDeterminism).
 func (s *Session) FaultSweepGrid(cells []FaultCell) []FaultSweepResult {
-	return parallel.MapN(s.Workers(), len(cells), func(i int) FaultSweepResult {
-		c := cells[i]
-		if c.Storms > 0 {
-			return s.FaultStormSweep(c.Mode, c.Spec, c.N, c.Storms, c.StormSeed)
-		}
-		return s.FaultSweep(c.Mode, c.Spec, c.N, nil)
-	})
+	out, _ := s.FaultSweepGridContext(context.Background(), cells, nil)
+	return out
+}
+
+// FaultSweepGridContext is FaultSweepGrid with cancellation checked
+// before each cell starts and progress reported in cell order.
+func (s *Session) FaultSweepGridContext(ctx context.Context, cells []FaultCell, pr ProgressFunc) ([]FaultSweepResult, error) {
+	return sweep(ctx, s, len(cells), pr, "faultgrid",
+		func(i int) string { return fmt.Sprintf("mode=%s", cells[i].Mode) },
+		func(i int) FaultSweepResult {
+			c := cells[i]
+			if c.Storms > 0 {
+				return s.FaultStormSweep(c.Mode, c.Spec, c.N, c.Storms, c.StormSeed)
+			}
+			return s.FaultSweep(c.Mode, c.Spec, c.N, nil)
+		})
 }

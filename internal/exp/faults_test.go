@@ -5,7 +5,6 @@ import (
 
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -14,6 +13,7 @@ import (
 // The run must complete — no hang — with the watchdog absorbing the lost
 // wakeups and virtual time advancing throughout.
 func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
+	s := NewSession()
 	spec := &fault.Spec{
 		Seed: 11,
 		Sites: []fault.SiteConfig{
@@ -21,7 +21,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 			{Site: fault.SiteIPI, Rate: 0.05, Drop: true},
 		},
 	}
-	r := FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := s.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("fault sweep did not complete")
@@ -40,7 +40,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 	}
 	// The healthy run of the same workload finishes in ~3.5ms; the faulty
 	// run must cost more (watchdog waits) but still terminate promptly.
-	healthy := FaultSweep(hv.ModeSWSVt, nil, 400, nil)
+	healthy := s.FaultSweep(hv.ModeSWSVt, nil, 400, nil)
 	if r.Total <= healthy.Total {
 		t.Fatalf("faulty run (%v) not slower than healthy run (%v)", r.Total, healthy.Total)
 	}
@@ -51,6 +51,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 // per-VCPU breaker must trip, route reflections to the baseline
 // trap/resume path while open, and re-arm once the burst ends.
 func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
+	s := NewSession()
 	spec := &fault.Spec{
 		Seed: 1,
 		Sites: []fault.SiteConfig{
@@ -61,7 +62,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 			{Site: fault.SiteSVtWakeup, Every: 1, After: 50, Limit: 20, Drop: true},
 		},
 	}
-	r := FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := s.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("run did not complete")
@@ -92,6 +93,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 // TestFaultSweepDeterminism pins the reproducibility contract: two runs
 // with the identical spec (same fault seed) produce byte-identical stats.
 func TestFaultSweepDeterminism(t *testing.T) {
+	s := NewSession()
 	mk := func() *fault.Spec {
 		return &fault.Spec{
 			Seed: 99,
@@ -102,8 +104,8 @@ func TestFaultSweepDeterminism(t *testing.T) {
 			},
 		}
 	}
-	a := FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
-	b := FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
+	a := s.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
+	b := s.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
 	if a.StatsLine() != b.StatsLine() {
 		t.Fatalf("same fault seed diverged:\n  %s\n  %s", a.StatsLine(), b.StatsLine())
 	}
@@ -111,7 +113,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	// or the determinism check above proves nothing.
 	c := mk()
 	c.Seed = 100
-	d := FaultSweep(hv.ModeSWSVt, c, 300, nil)
+	d := s.FaultSweep(hv.ModeSWSVt, c, 300, nil)
 	if d.StatsLine() == a.StatsLine() {
 		t.Fatal("changing the fault seed changed nothing; injection looks seed-independent")
 	}
@@ -120,9 +122,10 @@ func TestFaultSweepDeterminism(t *testing.T) {
 // TestFaultSweepDisabledMatchesBaseline: with no fault spec the sweep
 // harness must reproduce the plain experiment bit-for-bit.
 func TestFaultSweepDisabledMatchesBaseline(t *testing.T) {
+	s := NewSession()
 	for _, mode := range []hv.Mode{hv.ModeSWSVt, hv.ModeBaseline} {
-		r := FaultSweep(mode, nil, 200, nil)
-		plain := CPUIDNested(mode, 200)
+		r := s.FaultSweep(mode, nil, 200, nil)
+		plain := s.CPUIDNested(mode, 200)
 		if r.PerOp != plain.PerOp {
 			t.Fatalf("%v: fault harness perturbed a healthy run: %v != %v", mode, r.PerOp, plain.PerOp)
 		}
@@ -135,18 +138,17 @@ func TestFaultSweepDisabledMatchesBaseline(t *testing.T) {
 // TestFaultSweepDelayedIRQs: delayed (not dropped) host IRQ delivery must
 // slow the I/O path but never wedge it.
 func TestFaultSweepDelayedIRQs(t *testing.T) {
+	s := NewSession()
 	spec := &fault.Spec{
 		Seed: 5,
 		Sites: []fault.SiteConfig{
 			{Site: fault.SiteIRQ, Rate: 0.5, Delay: 20 * sim.Microsecond, Jitter: 10 * sim.Microsecond},
 		},
 	}
-	SetFaults(spec)
-	defer SetFaults(nil)
-	r := DiskLatency(hv.ModeSWSVt, false, 50)
-	healthySpec := (*fault.Spec)(nil)
-	SetFaults(healthySpec)
-	h := DiskLatency(hv.ModeSWSVt, false, 50)
+	s.SetFaults(spec)
+	r := s.DiskLatency(hv.ModeSWSVt, false, 50)
+	s.SetFaults(nil)
+	h := s.DiskLatency(hv.ModeSWSVt, false, 50)
 	if r.MeanUs <= h.MeanUs {
 		t.Fatalf("delayed IRQs did not slow disk reads: %0.1fus <= %0.1fus", r.MeanUs, h.MeanUs)
 	}
@@ -174,11 +176,8 @@ func TestFaultSweepGridParallelDeterminism(t *testing.T) {
 		}
 		return cells
 	}
-	defer parallel.SetWorkers(0)
-	parallel.SetWorkers(1)
-	serial := FaultSweepGrid(mkCells())
-	parallel.SetWorkers(8)
-	par := FaultSweepGrid(mkCells())
+	serial := widthSession(1).FaultSweepGrid(mkCells())
+	par := widthSession(8).FaultSweepGrid(mkCells())
 	if len(serial) != len(par) {
 		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(par))
 	}

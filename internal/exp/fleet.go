@@ -7,8 +7,8 @@ package exp
 // fleet away — a cross-socket hop, so on a sharded host the message
 // crosses shards with at least one lookahead of latency. The workload
 // is RNG-free and closed over virtual time only, so its digest must be
-// identical at every shard count; svtbench asserts exactly that while
-// measuring events/sec at shards = 1, 2, 4, 8.
+// identical at every shard count; the benchmark under bench/ asserts
+// exactly that while timing it at shards = 1 and 2.
 
 import (
 	"context"
@@ -35,7 +35,7 @@ type FleetReplaySpec struct {
 	CrossEvery int
 }
 
-// DefaultFleetReplaySpec is the svtbench configuration: the paper's
+// DefaultFleetReplaySpec is the benchmark configuration: the paper's
 // 2x8x2 testbed host, 20 simulated milliseconds of 250ns ticks, an IPI
 // across the fleet every 64th tick.
 func DefaultFleetReplaySpec() FleetReplaySpec {

@@ -58,7 +58,7 @@ func TestFleetReplayShardTransparent(t *testing.T) {
 }
 
 // TestFleetReplayDefaultSpecShardTransparent runs one quick pass of the
-// svtbench configuration (shortened) so the 2x8x2 shard map and its
+// benchmark configuration (shortened) so the 2x8x2 shard map and its
 // cross-shard IPI pattern are covered, not just the small topology.
 func TestFleetReplayDefaultSpecShardTransparent(t *testing.T) {
 	spec := DefaultFleetReplaySpec()

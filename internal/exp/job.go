@@ -1,21 +1,22 @@
 package exp
 
-// Job-shaped entry points: every long-running experiment, re-expressed
-// for a serving context. Each *Job method takes a context checked
-// between coarse simulation steps (points of a density sweep, cells of
-// a grid, windows of a fleet replay) and an optional ProgressFunc fed
-// after every completed step. Cancellation is cooperative at step
-// granularity — a single nested-VM simulation always runs to completion
-// — and a job that runs uninterrupted returns results byte-identical to
-// its plain counterpart (pinned by TestJobsMatchPlainCalls), which is
-// what lets svtsimd's content-addressed cache treat a job's rendered
-// output as a pure function of its request.
+// Cancellation and progress for the long-running experiments. Each sweep
+// has one body, named *Context, that takes a context checked between
+// coarse simulation steps (points of a density sweep, cells of a table
+// or grid, windows of a fleet replay) and an optional ProgressFunc fed
+// after every completed step; the plain name wraps it with
+// context.Background(). Cancellation is cooperative at step granularity
+// — a single nested-VM simulation always runs to completion — and the
+// results and progress sequence are byte-identical at any pool width
+// (pinned by TestSweepsWidthInvariant), which is what lets svtsimd's
+// content-addressed cache treat a job's rendered output as a pure
+// function of its request.
 
 import (
 	"context"
-	"fmt"
+	"sync"
 
-	"svtsim/internal/hv"
+	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -28,8 +29,9 @@ type ProgressEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// ProgressFunc receives progress events. It is called from the job's
-// goroutine, strictly ordered; nil is allowed and reports nothing.
+// ProgressFunc receives progress events. Calls never overlap and arrive
+// strictly ordered, though a pooled sweep may make them from its worker
+// goroutines; nil is allowed and reports nothing.
 type ProgressFunc func(ProgressEvent)
 
 func (pr ProgressFunc) emit(stage string, done, total int, detail string) {
@@ -38,82 +40,48 @@ func (pr ProgressFunc) emit(stage string, done, total int, detail string) {
 	}
 }
 
-// DensitySweepJob is DensitySweep with cancellation checked and
-// progress reported between packing levels. An uncancelled job returns
-// exactly DensitySweep's results.
-func (s *Session) DensitySweepJob(ctx context.Context, modes []hv.Mode, kmax int, sloUs float64, pr ProgressFunc) ([]DensityResult, error) {
-	topo := s.Topology()
-	if kmax <= 0 {
-		kmax = topo.Contexts()
+// sweep runs cell(0..n-1) on the session's worker pool and returns the
+// results in cell order. ctx is checked before each cell starts: once it
+// is cancelled no further cell starts, and the sweep returns ctx.Err().
+// Progress is reported in cell order — Done runs 1..n at any pool width —
+// with detail(i) naming cell i; with a nil pr nothing is tracked.
+func sweep[T any](ctx context.Context, s *Session, n int, pr ProgressFunc, stage string, detail func(int) string, cell func(int) T) ([]T, error) {
+	var (
+		mu       sync.Mutex
+		done     []bool
+		next     int
+		emitting bool // one worker at a time reports, outside mu
+	)
+	if pr != nil {
+		done = make([]bool, n)
 	}
-	total := len(modes) * kmax
-	done := 0
-	out := make([]DensityResult, len(modes))
-	for mi, mode := range modes {
-		res := DensityResult{Mode: mode, Topo: topo, SLOUs: sloUs}
-		cache := &vmCache{m: make(map[vmKey]vmRun)}
-		for k := 1; k <= kmax; k++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	out := parallel.MapN(s.Parallelism(), n, func(i int) T {
+		if ctx.Err() != nil {
+			var zero T
+			return zero
+		}
+		v := cell(i)
+		if pr == nil {
+			return v
+		}
+		mu.Lock()
+		done[i] = true
+		if !emitting {
+			emitting = true
+			for next < n && done[next] {
+				next++
+				k := next
+				mu.Unlock()
+				pr.emit(stage, k, n, detail(k-1))
+				mu.Lock()
 			}
-			pt := s.consolidate(mode, k, cache)
-			res.Points = append(res.Points, pt)
-			if pt.WorstP99Us <= sloUs {
-				res.MaxDensity = k
-			}
-			done++
-			pr.emit("density", done, total, fmt.Sprintf("mode=%s k=%d", mode, k))
+			emitting = false
 		}
-		out[mi] = res
-	}
-	return out, nil
-}
-
-// StormTableJob is StormTable with cancellation checked and progress
-// reported between modes. Each cell builds its own host and plan, so
-// the serial order here produces the same bytes as the pool fan-out.
-func (s *Session) StormTableJob(ctx context.Context, modes []hv.Mode, k, storms int, seed int64, pr ProgressFunc) ([]StormResult, error) {
-	out := make([]StormResult, len(modes))
-	for i, mode := range modes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = s.MigrationStorm(mode, k, storms, seed)
-		pr.emit("storm", i+1, len(modes), fmt.Sprintf("mode=%s", mode))
-	}
-	return out, nil
-}
-
-// LoadBalancerTableJob is LoadBalancerTable with cancellation checked
-// and progress reported between modes. Each cell owns its engines and
-// seeded streams, so the serial order here produces the same bytes as
-// the pool fan-out.
-func (s *Session) LoadBalancerTableJob(ctx context.Context, modes []hv.Mode, k int, scenario string, seed int64, sloUs float64, pr ProgressFunc) ([]LBResult, error) {
-	out := make([]LBResult, len(modes))
-	for i, mode := range modes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = s.LoadBalancer(mode, k, scenario, seed, sloUs)
-		pr.emit("lb", i+1, len(modes), fmt.Sprintf("mode=%s scen=%s", mode, scenario))
-	}
-	return out, nil
-}
-
-// FaultSweepGridJob is FaultSweepGrid with cancellation checked and
-// progress reported between cells.
-func (s *Session) FaultSweepGridJob(ctx context.Context, cells []FaultCell, pr ProgressFunc) ([]FaultSweepResult, error) {
-	out := make([]FaultSweepResult, len(cells))
-	for i, c := range cells {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if c.Storms > 0 {
-			out[i] = s.FaultStormSweep(c.Mode, c.Spec, c.N, c.Storms, c.StormSeed)
-		} else {
-			out[i] = s.FaultSweep(c.Mode, c.Spec, c.N, nil)
-		}
-		pr.emit("faultgrid", i+1, len(cells), fmt.Sprintf("mode=%s", c.Mode))
+		mu.Unlock()
+		return v
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -344,7 +345,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	for i := 0; i < k; i++ {
 		assigns[i] = h.Sched.Admit(i, nthreads)
 	}
-	runs := parallel.MapN(s.Workers(), k, func(i int) lbRun {
+	runs := parallel.MapN(s.Parallelism(), k, func(i int) lbRun {
 		return cache.get(s, mode, i, assigns[i].Place)
 	})
 
@@ -658,9 +659,17 @@ func lbStormPlan(k, storms int, seed int64) *host.StormPlan {
 // worker pool; cells are independent, so the table is byte-identical to
 // running them serially.
 func (s *Session) LoadBalancerTable(modes []hv.Mode, k int, scenario string, seed int64, sloUs float64) []LBResult {
-	return parallel.MapN(s.Workers(), len(modes), func(i int) LBResult {
-		return s.LoadBalancer(modes[i], k, scenario, seed, sloUs)
-	})
+	out, _ := s.LoadBalancerTableContext(context.Background(), modes, k, scenario, seed, sloUs, nil)
+	return out
+}
+
+// LoadBalancerTableContext is LoadBalancerTable with cancellation
+// checked before each mode's cell starts and progress reported in mode
+// order.
+func (s *Session) LoadBalancerTableContext(ctx context.Context, modes []hv.Mode, k int, scenario string, seed int64, sloUs float64, pr ProgressFunc) ([]LBResult, error) {
+	return sweep(ctx, s, len(modes), pr, "lb",
+		func(i int) string { return fmt.Sprintf("mode=%s scen=%s", modes[i], scenario) },
+		func(i int) LBResult { return s.LoadBalancer(modes[i], k, scenario, seed, sloUs) })
 }
 
 // LoadBalancerSweep runs every scenario for every mode (scenario-major

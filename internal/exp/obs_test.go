@@ -12,18 +12,18 @@ import (
 // (spec, seed) the result is byte-identical with tracing off, on, and on
 // with a pathologically small ring (which forces constant rotation).
 func TestObsNeverPerturbsResults(t *testing.T) {
-	defer SetObs(nil)
+	s := NewSession()
 	const n = 150
-	for _, mode := range Modes {
-		SetObs(nil)
-		off := CPUIDNested(mode, n)
-		SetObs(&obs.Options{})
-		on := CPUIDNested(mode, n)
-		if LastObs() == nil {
+	for _, mode := range AllModes() {
+		s.SetObs(nil)
+		off := s.CPUIDNested(mode, n)
+		s.SetObs(&obs.Options{})
+		on := s.CPUIDNested(mode, n)
+		if s.LastObs() == nil {
 			t.Fatalf("%v: armed run captured no plane", mode)
 		}
-		SetObs(&obs.Options{RingCap: 4, DispatchSample: 16})
-		small := CPUIDNested(mode, n)
+		s.SetObs(&obs.Options{RingCap: 4, DispatchSample: 16})
+		small := s.CPUIDNested(mode, n)
 
 		if on.PerOp != off.PerOp {
 			t.Errorf("%v: tracing on changed per-op: %v != %v", mode, on.PerOp, off.PerOp)
@@ -36,17 +36,18 @@ func TestObsNeverPerturbsResults(t *testing.T) {
 
 // Disarming clears the captured plane, and an unarmed run captures none.
 func TestObsDisarm(t *testing.T) {
-	SetObs(&obs.Options{})
-	CPUIDNested(hv.ModeBaseline, 20)
-	if LastObs() == nil {
+	s := NewSession()
+	s.SetObs(&obs.Options{})
+	s.CPUIDNested(hv.ModeBaseline, 20)
+	if s.LastObs() == nil {
 		t.Fatal("armed run captured no plane")
 	}
-	SetObs(nil)
-	if LastObs() != nil {
+	s.SetObs(nil)
+	if s.LastObs() != nil {
 		t.Fatal("SetObs(nil) must clear the captured plane")
 	}
-	CPUIDNested(hv.ModeBaseline, 20)
-	if LastObs() != nil {
+	s.CPUIDNested(hv.ModeBaseline, 20)
+	if s.LastObs() != nil {
 		t.Fatal("unarmed run captured a plane")
 	}
 }
@@ -54,11 +55,11 @@ func TestObsDisarm(t *testing.T) {
 // Two identical armed runs serialize byte-identical artifacts: the
 // Perfetto JSON timeline, the metrics CSV, and the span summary.
 func TestObsArtifactsAreByteStable(t *testing.T) {
-	defer SetObs(nil)
+	s := NewSession()
 	render := func() (trace, csv, sum string) {
-		SetObs(&obs.Options{})
-		NetLatency(hv.ModeSWSVt, 60)
-		plane := LastObs()
+		s.SetObs(&obs.Options{})
+		s.NetLatency(hv.ModeSWSVt, 60)
+		plane := s.LastObs()
 		if plane == nil {
 			t.Fatal("no plane captured")
 		}

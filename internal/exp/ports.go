@@ -68,7 +68,7 @@ func (s *Session) ComparePorts(portNames []string, n int) (*PortComparison, erro
 		resolved[i] = p
 	}
 	modes := hv.AllModes()
-	cells := parallel.MapN(s.Workers(), len(resolved)*len(modes), func(i int) PortCell {
+	cells := parallel.MapN(s.Parallelism(), len(resolved)*len(modes), func(i int) PortCell {
 		p := resolved[i/len(modes)]
 		mode := modes[i%len(modes)]
 		res := s.withPort(p).NetLatency(mode, n)

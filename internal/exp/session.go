@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"svtsim/internal/fault"
@@ -9,7 +10,6 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
 	"svtsim/internal/obs"
-	"svtsim/internal/parallel"
 	"svtsim/internal/ports"
 	x86port "svtsim/internal/ports/x86"
 
@@ -22,14 +22,11 @@ import (
 
 // Session carries one experiment campaign's configuration — fault spec,
 // observability options, worker-pool width, host topology — as instance
-// state instead of package globals. Every experiment is a method on
-// Session; the package-level functions are deprecated wrappers over
-// Default kept so existing callers compile unchanged.
+// state. Every experiment is a method on Session, and a Session is the
+// only way to run one.
 //
 // All accessors are safe to call concurrently with experiment runs on
-// the parallel pool: configuration reads and writes share one mutex
-// (the package-global era read faultSpec from worker goroutines with no
-// synchronization at all — the race the Session design retires).
+// the parallel pool: configuration reads and writes share one mutex.
 type Session struct {
 	mu      sync.Mutex
 	faults  *fault.Spec
@@ -42,12 +39,9 @@ type Session struct {
 	port    ports.Port
 }
 
-// Default is the session behind the deprecated package-level functions.
-var Default = NewSession()
-
 // NewSession returns a session with the calibrated defaults: no faults,
-// no observability, the global worker pool, the paper's 2x8x2 testbed
-// topology.
+// no observability, a GOMAXPROCS-wide worker pool, the paper's 2x8x2
+// testbed topology.
 func NewSession() *Session {
 	return &Session{topo: host.DefaultTopology, hostP: host.DefaultParams(),
 		port: x86port.Port()}
@@ -110,22 +104,23 @@ func (s *Session) LastObs() *obs.Plane {
 }
 
 // SetParallelism sets this session's worker-pool width for sweeps;
-// n <= 0 inherits the process-wide pool (parallel.SetWorkers).
+// n <= 0 restores the default, GOMAXPROCS.
 func (s *Session) SetParallelism(n int) {
 	s.mu.Lock()
 	s.workers = n
 	s.mu.Unlock()
 }
 
-// Workers reports the effective pool width for this session's sweeps.
-func (s *Session) Workers() int {
+// Parallelism reports the effective pool width for this session's
+// sweeps.
+func (s *Session) Parallelism() int {
 	s.mu.Lock()
 	n := s.workers
 	s.mu.Unlock()
 	if n > 0 {
 		return n
 	}
-	return parallel.Workers()
+	return runtime.GOMAXPROCS(0)
 }
 
 // SetTopology sets the host topology used by fleet-scale experiments

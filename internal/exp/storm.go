@@ -1,12 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"svtsim/internal/host"
 	"svtsim/internal/hv"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -112,7 +112,14 @@ func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormR
 // pool, in mode order. Each cell builds its own host and storm plan, so
 // the table is byte-identical to running the cells serially.
 func (s *Session) StormTable(modes []hv.Mode, k, storms int, seed int64) []StormResult {
-	return parallel.MapN(s.Workers(), len(modes), func(i int) StormResult {
-		return s.MigrationStorm(modes[i], k, storms, seed)
-	})
+	out, _ := s.StormTableContext(context.Background(), modes, k, storms, seed, nil)
+	return out
+}
+
+// StormTableContext is StormTable with cancellation checked before each
+// mode's cell starts and progress reported in mode order.
+func (s *Session) StormTableContext(ctx context.Context, modes []hv.Mode, k, storms int, seed int64, pr ProgressFunc) ([]StormResult, error) {
+	return sweep(ctx, s, len(modes), pr, "storm",
+		func(i int) string { return fmt.Sprintf("mode=%s", modes[i]) },
+		func(i int) StormResult { return s.MigrationStorm(modes[i], k, storms, seed) })
 }

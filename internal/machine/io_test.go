@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"svtsim/internal/guest"
 	"svtsim/internal/hv"
@@ -12,9 +15,9 @@ import (
 	"svtsim/internal/workload"
 )
 
-// netRRMachine runs netperf TCP_RR on the full nested stack.
-func netRRMachine(t *testing.T, mode hv.Mode, n int) (*workload.NetRR, *Machine) {
-	t.Helper()
+// runNetRR runs netperf TCP_RR on the full nested stack and shuts the
+// machine down.
+func runNetRR(mode hv.Mode, n int) (*workload.NetRR, *Machine) {
 	cfg := DefaultConfig(mode)
 	io := WireNestedIO(&cfg, DefaultIOParams())
 	m := NewNested(cfg)
@@ -30,6 +33,13 @@ func netRRMachine(t *testing.T, mode hv.Mode, n int) (*workload.NetRR, *Machine)
 	m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
 	m.Run()
 	m.Shutdown()
+	return w, m
+}
+
+// netRRMachine is runNetRR checked for completion.
+func netRRMachine(t *testing.T, mode hv.Mode, n int) (*workload.NetRR, *Machine) {
+	t.Helper()
+	w, m := runNetRR(mode, n)
 	if m.L0.DeadlockDetected {
 		t.Fatal("deadlock")
 	}
@@ -37,6 +47,37 @@ func netRRMachine(t *testing.T, mode hv.Mode, n int) (*workload.NetRR, *Machine)
 		t.Fatalf("completed %d/%d transactions", len(w.Lat), n)
 	}
 	return w, m
+}
+
+// TestShutdownReleasesGuestGoroutines: once a machine has run to
+// completion, Shutdown must unwind every native guest goroutine, wherever
+// it is parked, so a finished machine holds no goroutine (and no heap)
+// behind it. Machines run two at a time, as a width-2 sweep runs them:
+// a guest that has handed off its last exit but not yet parked on its
+// resume channel is then common at Shutdown.
+func TestShutdownReleasesGuestGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				runNetRR(hv.ModeSWSVt, 20)
+				runCPUID(hv.ModeBaseline, 50)
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines left after Shutdown, started with %d:\n%s",
+				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestNestedNetRR(t *testing.T) {

@@ -36,15 +36,21 @@ func (g *cpuidLoop) DeliverIRQ(int) {}
 // nestedCPUID runs n cpuid iterations on a nested stack and returns the
 // per-iteration latency, excluding the first (cold) iteration effects by
 // measuring a long run.
-func nestedCPUID(t *testing.T, mode hv.Mode, n int) (sim.Time, *Machine, *sim.Ledger) {
-	t.Helper()
-	cfg := DefaultConfig(mode)
-	m := NewNested(cfg)
+// runCPUID runs n nested cpuids under a ledger and shuts the machine
+// down.
+func runCPUID(mode hv.Mode, n int) (*Machine, *sim.Ledger) {
+	m := NewNested(DefaultConfig(mode))
 	led := &sim.Ledger{}
 	m.Eng.SetLedger(led)
 	m.SetL2Workload(&cpuidLoop{n: n})
 	m.Run()
-	defer m.Shutdown()
+	m.Shutdown()
+	return m, led
+}
+
+func nestedCPUID(t *testing.T, mode hv.Mode, n int) (sim.Time, *Machine, *sim.Ledger) {
+	t.Helper()
+	m, led := runCPUID(mode, n)
 	if m.L0.DeadlockDetected {
 		t.Fatal("simulation deadlocked")
 	}

@@ -6,40 +6,20 @@
 // Every experiment cell in this codebase owns its entire world — a fresh
 // sim.Engine, its own machine, and seeded RNG streams — so cells never
 // share mutable state and their results depend only on their inputs.
-// That makes the fan-out contract trivial to honor: Map indexes results
+// That makes the fan-out contract trivial to honor: MapN indexes results
 // by submission order, and with one worker it degenerates to a plain
 // in-order loop on the calling goroutine.
 package parallel
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// workers is the process-wide pool width; <= 0 means GOMAXPROCS. The CLIs
-// set it from -parallel=N before any sweep runs.
-var workers atomic.Int64
-
-// SetWorkers sets the pool width for subsequent Map calls. n <= 0 resets
-// to the default (GOMAXPROCS).
-func SetWorkers(n int) { workers.Store(int64(n)) }
-
-// Workers reports the effective pool width.
-func Workers() int {
-	if n := workers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Map runs fn(0..n-1) on up to Workers() goroutines and returns results
+// MapN runs fn(0..n-1) on up to workers goroutines and returns results
 // indexed by input: out[i] = fn(i). With one worker the calls run
 // sequentially, in index order, on the calling goroutine. A panic in any
 // cell is re-raised on the caller after the other workers finish.
-func Map[T any](n int, fn func(int) T) []T { return MapN(Workers(), n, fn) }
-
-// MapN is Map with an explicit worker count.
 func MapN[T any](workers, n int, fn func(int) T) []T {
 	out := make([]T, n)
 	if n == 0 {
@@ -82,9 +62,4 @@ func MapN[T any](workers, n int, fn func(int) T) []T {
 		panic(*p)
 	}
 	return out
-}
-
-// Do runs fn(0..n-1) on the pool for side effects only.
-func Do(n int, fn func(int)) {
-	Map(n, func(i int) struct{} { fn(i); return struct{}{} })
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,28 +97,8 @@ func TestMapPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers = %d, want 3", Workers())
-	}
-	SetWorkers(0)
-	if Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers = %d, want GOMAXPROCS", Workers())
-	}
-}
-
 func TestMapEmpty(t *testing.T) {
-	if out := Map(0, func(int) int { return 1 }); len(out) != 0 {
+	if out := MapN(4, 0, func(int) int { return 1 }); len(out) != 0 {
 		t.Fatalf("len = %d, want 0", len(out))
-	}
-}
-
-func TestDo(t *testing.T) {
-	var sum atomic.Int64
-	Do(100, func(i int) { sum.Add(int64(i)) })
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum.Load())
 	}
 }

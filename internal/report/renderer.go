@@ -1,10 +1,6 @@
 package report
 
-import (
-	"io"
-
-	"svtsim/internal/exp"
-)
+import "svtsim/internal/exp"
 
 // Renderer renders the paper's tables and figures from one experiment
 // session: every cell it computes runs through that session's worker
@@ -14,73 +10,5 @@ type Renderer struct {
 	s *exp.Session
 }
 
-// NewRenderer binds a renderer to a session. A nil session binds to
-// exp.Default, preserving the behaviour of the package-level functions.
-func NewRenderer(s *exp.Session) *Renderer {
-	if s == nil {
-		s = exp.Default
-	}
-	return &Renderer{s: s}
-}
-
-// Session returns the bound experiment session.
-func (rr *Renderer) Session() *exp.Session { return rr.s }
-
-// defaultRenderer backs the deprecated package-level functions.
-var defaultRenderer = NewRenderer(nil)
-
-// Table1 prints the baseline nested cpuid breakdown next to the paper's
-// Table 1 on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Table1.
-func Table1(w io.Writer, n int) { defaultRenderer.Table1(w, n) }
-
-// Table3 prints the code-change inventory (Table 3 analogue).
-//
-// Deprecated: use NewRenderer and (*Renderer).Table3.
-func Table3(w io.Writer, root string) { defaultRenderer.Table3(w, root) }
-
-// Table4 prints the modelled machine parameters.
-//
-// Deprecated: use NewRenderer and (*Renderer).Table4.
-func Table4(w io.Writer) { defaultRenderer.Table4(w) }
-
-// Figure6 prints the cpuid latency bars on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Figure6.
-func Figure6(w io.Writer, n int) { defaultRenderer.Figure6(w, n) }
-
-// Figure7 prints the I/O subsystem bars on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Figure7.
-func Figure7(w io.Writer, quick bool) { defaultRenderer.Figure7(w, quick) }
-
-// Figure8 prints the memcached load sweep on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Figure8.
-func Figure8(w io.Writer, quick bool) { defaultRenderer.Figure8(w, quick) }
-
-// Figure9 prints the TPC-C comparison on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Figure9.
-func Figure9(w io.Writer, quick bool) { defaultRenderer.Figure9(w, quick) }
-
-// Figure10 prints the video playback comparison on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Figure10.
-func Figure10(w io.Writer, quick bool) { defaultRenderer.Figure10(w, quick) }
-
-// Channels prints the §6.1 channel study on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Channels.
-func Channels(w io.Writer, quick bool) { defaultRenderer.Channels(w, quick) }
-
-// Profiles prints the §6.2/§6.3 exit profiles on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Profiles.
-func Profiles(w io.Writer) { defaultRenderer.Profiles(w) }
-
-// Density prints the fleet consolidation sweep on the default session.
-//
-// Deprecated: use NewRenderer and (*Renderer).Density.
-func Density(w io.Writer, kmax int, sloUs float64) { defaultRenderer.Density(w, kmax, sloUs) }
+// NewRenderer binds a renderer to a session.
+func NewRenderer(s *exp.Session) *Renderer { return &Renderer{s: s} }

@@ -17,7 +17,6 @@ import (
 	"svtsim/internal/parallel"
 	"svtsim/internal/ports"
 	"svtsim/internal/sim"
-	"svtsim/internal/swsvt"
 )
 
 // Every figure below computes its experiment cells through the parallel
@@ -117,7 +116,7 @@ func (rr *Renderer) Table4(w io.Writer) {
 // Figure6 renders the cpuid latency bars.
 func (rr *Renderer) Figure6(w io.Writer, n int) {
 	hr(w, "Figure 6: execution time of a cpuid instruction")
-	cells := parallel.MapN(rr.s.Workers(), 5, func(i int) exp.CPUIDResult {
+	cells := parallel.MapN(rr.s.Parallelism(), 5, func(i int) exp.CPUIDResult {
 		switch i {
 		case 0:
 			return rr.s.CPUIDNative(n)
@@ -188,7 +187,7 @@ func (rr *Renderer) Figure7(w io.Writer, quick bool) {
 		unit   string
 		higher bool
 	}
-	grid := parallel.MapN(rr.s.Workers(), len(benches)*len(modes), func(i int) cell {
+	grid := parallel.MapN(rr.s.Parallelism(), len(benches)*len(modes), func(i int) cell {
 		v, u, h := benches[i/len(modes)].run(modes[i%len(modes)])
 		return cell{val: v, unit: u, higher: h}
 	})
@@ -218,7 +217,7 @@ func (rr *Renderer) Figure8(w io.Writer, quick bool) {
 	}
 	fmt.Fprintf(w, "%-10s | %-26s | %-26s\n", "load", "baseline", "SW SVt")
 	fmt.Fprintf(w, "%-10s | %12s %12s | %12s %12s\n", "(q/s)", "avg(us)", "p99(us)", "avg(us)", "p99(us)")
-	grid := parallel.MapN(rr.s.Workers(), len(rates)*2, func(i int) exp.MemcachedResult {
+	grid := parallel.MapN(rr.s.Parallelism(), len(rates)*2, func(i int) exp.MemcachedResult {
 		mode := hv.ModeBaseline
 		if i%2 == 1 {
 			mode = hv.ModeSWSVt
@@ -247,7 +246,7 @@ func (rr *Renderer) Figure9(w io.Writer, quick bool) {
 	if quick {
 		d = 400 * sim.Millisecond
 	}
-	cells := parallel.MapN(rr.s.Workers(), 2, func(i int) float64 {
+	cells := parallel.MapN(rr.s.Parallelism(), 2, func(i int) float64 {
 		if i == 0 {
 			return rr.s.TPCC(hv.ModeBaseline, d)
 		}
@@ -269,7 +268,7 @@ func (rr *Renderer) Figure10(w io.Writer, quick bool) {
 	fmt.Fprintf(w, "%-8s %10s %10s %10s | %s\n", "FPS", "baseline", "SW SVt", "ratio", "paper")
 	paper := map[int]string{24: "0 / 0", 60: "3 / 0", 120: "40 / 0.65x"}
 	fpss := []int{24, 60, 120}
-	grid := parallel.MapN(rr.s.Workers(), len(fpss)*2, func(i int) exp.VideoResult {
+	grid := parallel.MapN(rr.s.Parallelism(), len(fpss)*2, func(i int) exp.VideoResult {
 		mode := hv.ModeBaseline
 		if i%2 == 1 {
 			mode = hv.ModeSWSVt
@@ -363,6 +362,3 @@ func (rr *Renderer) Ports(w io.Writer, portNames []string, n int) error {
 	}
 	return nil
 }
-
-// ChannelsRef quiets an unused-import edge when building subsets.
-var _ = swsvt.PolicyMwait

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"svtsim/internal/exp"
 )
 
 func TestTable1Renders(t *testing.T) {
+	rr := NewRenderer(exp.NewSession())
 	var b bytes.Buffer
-	Table1(&b, 300)
+	rr.Table1(&b, 300)
 	out := b.String()
 	for _, want := range []string{"Table 1", "L2", "Switch L2<->L0", "L0 handler", "total", "10.40"} {
 		if !strings.Contains(out, want) {
@@ -18,8 +21,9 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestTable3CountsRealSource(t *testing.T) {
+	rr := NewRenderer(exp.NewSession())
 	var b bytes.Buffer
-	Table3(&b, "../..")
+	rr.Table3(&b, "../..")
 	out := b.String()
 	if !strings.Contains(out, "KVM analogue") {
 		t.Fatal("table 3 rows missing")
@@ -31,13 +35,14 @@ func TestTable3CountsRealSource(t *testing.T) {
 }
 
 func TestTable4AndFigure6(t *testing.T) {
+	rr := NewRenderer(exp.NewSession())
 	var b bytes.Buffer
-	Table4(&b)
+	rr.Table4(&b)
 	if !strings.Contains(b.String(), "E5-2630v3") {
 		t.Fatal("table 4 content")
 	}
 	b.Reset()
-	Figure6(&b, 150)
+	rr.Figure6(&b, 150)
 	out := b.String()
 	for _, want := range []string{"L0", "SW SVt", "HW SVt", "1.23x"} {
 		if !strings.Contains(out, want) {
@@ -47,8 +52,9 @@ func TestTable4AndFigure6(t *testing.T) {
 }
 
 func TestChannelsRenders(t *testing.T) {
+	rr := NewRenderer(exp.NewSession())
 	var b bytes.Buffer
-	Channels(&b, true)
+	rr.Channels(&b, true)
 	out := b.String()
 	for _, want := range []string{"poll", "mwait", "mutex", "cross-numa"} {
 		if !strings.Contains(out, want) {
@@ -58,8 +64,9 @@ func TestChannelsRenders(t *testing.T) {
 }
 
 func TestProfilesRender(t *testing.T) {
+	rr := NewRenderer(exp.NewSession())
 	var b bytes.Buffer
-	Profiles(&b)
+	rr.Profiles(&b)
 	if !strings.Contains(b.String(), "EPT_MISCONFIG") {
 		t.Fatal("profiles must include EPT_MISCONFIG")
 	}

@@ -2,8 +2,9 @@ package server
 
 // Request execution: one canonical request, one fresh exp.Session, one
 // deterministic line-oriented result. Every branch funnels through the
-// job-shaped experiment entry points so cancellation (per-job timeout,
-// drain-deadline) and progress streaming work uniformly. Nothing here
+// context-aware experiment bodies so cancellation (per-job timeout,
+// drain-deadline) and progress streaming work uniformly, and sweeps fan
+// their cells out on the session's SimWorkers-wide pool. Nothing here
 // may read wall-clock time into the result — the output must be a pure
 // function of the canonical request, or the content-addressed cache
 // would lie.
@@ -69,7 +70,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 	var lines []string
 	switch req.Kind {
 	case KindDensity:
-		results, err := es.DensitySweepJob(ctx, req.parsedModes(), req.VMs, req.SLOUs, pr)
+		results, err := es.DensitySweepContext(ctx, req.parsedModes(), req.VMs, req.SLOUs, pr)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +83,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 			lines = append(lines, res.SummaryLine())
 		}
 	case KindStorm:
-		results, err := es.StormTableJob(ctx, req.parsedModes(), req.VMs, req.Storms, req.Seed, pr)
+		results, err := es.StormTableContext(ctx, req.parsedModes(), req.VMs, req.Storms, req.Seed, pr)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +106,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := es.FaultSweepGridJob(ctx, cells, pr)
+		results, err := es.FaultSweepGridContext(ctx, cells, pr)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +119,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 			return nil, err
 		}
 	case KindLB:
-		results, err := es.LoadBalancerTableJob(ctx, req.parsedModes(), req.VMs,
+		results, err := es.LoadBalancerTableContext(ctx, req.parsedModes(), req.VMs,
 			req.Scenario, req.Seed, req.SLOUs, pr)
 		if err != nil {
 			return nil, err

@@ -48,7 +48,7 @@ type Config struct {
 	// CacheBudget is the result cache's byte budget (<= 0 disables it).
 	CacheBudget int64
 	// SimWorkers is the in-job sweep parallelism handed to
-	// exp.Session.SetParallelism (0 inherits the process pool).
+	// exp.Session.SetParallelism (0 means GOMAXPROCS).
 	SimWorkers int
 }
 
@@ -163,15 +163,22 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	j.setRunning(cancel)
 
+	// A panic fails this job alone: the worker, the queue behind it and
+	// the process survive. Pooled sweep cells re-raise theirs here too,
+	// and a simulator panic already carries its replay seeds.
 	var entry *cacheEntry
-	err := func() error {
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("simulation panicked: %v", r)
+			}
+		}()
 		if s.runHook != nil {
 			if err := s.runHook(ctx, j.req); err != nil {
 				return err
 			}
 		}
-		e, err := s.execute(ctx, j)
-		entry = e
+		entry, err = s.execute(ctx, j)
 		return err
 	}()
 

@@ -298,6 +298,60 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestPanicFailsOnlyItsJob: a panic inside a job fails that job with
+// the panic text, the same worker then completes a normal job, and the
+// failed request is not cached — resubmitting it runs it again.
+func TestPanicFailsOnlyItsJob(t *testing.T) {
+	const replay = "exp: run failed (seed=7 faults=\"none\" fault-seed=0): boom"
+	s, c := newTestServer(t, Config{Workers: 1})
+	var mu sync.Mutex
+	runs := 0
+	s.runHook = func(ctx context.Context, req *Request) error {
+		if req.Kind == KindStorm {
+			mu.Lock()
+			runs++
+			mu.Unlock()
+			panic(replay)
+		}
+		return nil
+	}
+	ctx := context.Background()
+	finish := func(req *Request) *JobStatus {
+		t.Helper()
+		sub, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub.Cached {
+			t.Fatalf("%s request answered from the cache", req.Kind)
+		}
+		if err := c.Stream(ctx, sub.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Job(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	st := finish(smallStorm())
+	if st.State != StateFailed || !strings.Contains(st.Error, replay) {
+		t.Fatalf("panicking job: state %s, error %q; want failed with %q", st.State, st.Error, replay)
+	}
+	if st := finish(smallDensity()); st.State != StateDone {
+		t.Fatalf("job after the panic: state %s (%s), want done", st.State, st.Error)
+	}
+	if st := finish(smallStorm()); st.State != StateFailed {
+		t.Fatalf("resubmitted panicking job: state %s, want failed", st.State)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if runs != 2 {
+		t.Errorf("panicking request ran %d times, want 2 (a failure must not be cached)", runs)
+	}
+}
+
 // TestBadRequests: malformed submissions get structured 400 bodies the
 // client surfaces with field/reason/hint intact.
 func TestBadRequests(t *testing.T) {

@@ -4,9 +4,9 @@ import "testing"
 
 // The steady-state contract these benchmarks pin: once the arena and the
 // heap's backing array have reached their high-water mark, scheduling,
-// firing and canceling events perform zero heap allocations. The perf
-// baseline (svtbench -bench) records their ns/op and allocs/op into the
-// committed BENCH_*.json.
+// firing and canceling events perform zero heap allocations. The
+// benchmark under bench/ tracks the same path as its sim.schedule_ns
+// layer metric.
 
 // BenchmarkEngineSchedule measures the schedule→fire ping: one After plus
 // one Step per iteration, recycling a single arena slot forever.

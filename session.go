@@ -63,12 +63,9 @@ type PortComparison = exp.PortComparison
 
 // A Session carries one experiment campaign's configuration — fault
 // spec, observability, worker-pool width, host topology — as instance
-// state. Two sessions never share mutable state, so concurrent
-// campaigns (one traced, one not; different topologies) cannot race,
-// which the package-level setters (SetObs, SetFaults, SetParallelism)
-// could. Every package-level experiment function is also available as a
-// Session method; the package-level forms run on an internal default
-// session and remain supported for existing callers.
+// state, and every experiment and report is a Session method. Two
+// sessions never share mutable state, so concurrent campaigns (one
+// traced, one not; different topologies) cannot race.
 type Session struct {
 	exp *exp.Session
 	rep *report.Renderer
@@ -78,7 +75,7 @@ type Session struct {
 type Option func(*exp.Session) error
 
 // WithParallelism sets the session's worker-pool width for experiment
-// sweeps. n <= 0 inherits the process-wide pool. Results are
+// sweeps. n <= 0 uses GOMAXPROCS, the default. Results are
 // byte-identical at any width; only wall-clock time changes.
 func WithParallelism(n int) Option {
 	return func(s *exp.Session) error { s.SetParallelism(n); return nil }
@@ -159,7 +156,7 @@ func (s *Session) SetFaults(spec *FaultSpec) { s.exp.SetFaults(spec) }
 func (s *Session) SetParallelism(n int) { s.exp.SetParallelism(n) }
 
 // Parallelism reports the session's effective worker-pool width.
-func (s *Session) Parallelism() int { return s.exp.Workers() }
+func (s *Session) Parallelism() int { return s.exp.Parallelism() }
 
 // SetShards sets the engine shard count for fleet-scale experiments.
 func (s *Session) SetShards(n int) { s.exp.SetShards(n) }
@@ -351,6 +348,13 @@ func (s *Session) LoadBalancerSweep(modes []Mode, k int, seed int64, sloUs float
 
 // ReportTable1 prints the Table 1 breakdown next to the paper's numbers.
 func (s *Session) ReportTable1(w io.Writer, n int) { s.rep.Table1(w, n) }
+
+// ReportTable3 prints the code-change inventory (Table 3 analogue),
+// counting the source under root.
+func (s *Session) ReportTable3(w io.Writer, root string) { s.rep.Table3(w, root) }
+
+// ReportTable4 prints the modelled machine parameters (Table 4).
+func (s *Session) ReportTable4(w io.Writer) { s.rep.Table4(w) }
 
 // ReportFigure6 prints the cpuid latency comparison.
 func (s *Session) ReportFigure6(w io.Writer, n int) { s.rep.Figure6(w, n) }

@@ -5,15 +5,16 @@
 // and the complete evaluation harness that regenerates every table and
 // figure of the paper.
 //
-// The public API exposes three layers:
+// The public API exposes two layers:
 //
 //   - Machine construction (NewNestedMachine, DefaultConfig): assemble an
 //     L0/L1/L2 stack in baseline, SW SVt or HW SVt configuration and run
 //     your own guest workloads on it.
-//   - Workloads (the Workload* constructors): the paper's benchmark
-//     programs — cpuid, netperf, ioping/fio, memcached+ETC, TPC-C, video.
-//   - Experiments (CPUID*, NetLatency, Memcached, ...): one call per
-//     table/figure of the paper, returning structured results.
+//   - Experiments (NewSession): a Session carries one campaign's
+//     configuration — parallelism, faults, observability, host topology,
+//     architecture port — and has one method per table/figure of the
+//     paper, returning structured results, plus the paper-formatted
+//     Report* renderers. It is the only way to run an experiment.
 //
 // See examples/ for runnable entry points and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -31,28 +32,11 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
 	"svtsim/internal/obs"
-	"svtsim/internal/parallel"
 	"svtsim/internal/ports"
-	"svtsim/internal/report"
 	"svtsim/internal/sim"
 	"svtsim/internal/snapshot"
 	"svtsim/internal/swsvt"
 )
-
-// --- Parallel experiment fan-out ---------------------------------------
-
-// SetParallelism sets the worker-pool width used by every experiment
-// sweep (figure mode sweeps, the channel study, fault-sweep grids) and by
-// svtbench's section fan-out. n <= 0 restores the default, GOMAXPROCS.
-// Each experiment cell owns its own engine and seeded RNG streams, so
-// results are byte-identical at any width; only wall-clock time changes.
-//
-// Deprecated: this sets the process-wide pool. Use NewSession with
-// WithParallelism for per-campaign width.
-func SetParallelism(n int) { parallel.SetWorkers(n) }
-
-// Parallelism reports the effective worker-pool width.
-func Parallelism() int { return parallel.Workers() }
 
 // Mode selects the system variant under test.
 type Mode = hv.Mode
@@ -66,12 +50,6 @@ const (
 	// by the guest hypervisor are delivered straight to its context.
 	HWSVtBypass = hv.ModeHWSVtBypass
 )
-
-// Modes lists the variants in the paper's presentation order.
-//
-// Deprecated: use AllModes, which returns a fresh slice that cannot be
-// mutated out from under concurrent sweeps.
-var Modes = AllModes()
 
 // Time is virtual time in nanoseconds.
 type Time = sim.Time
@@ -130,80 +108,26 @@ func WireIO(cfg *Config) *IOStack {
 	return machine.WireNestedIO(cfg, machine.DefaultIOParams())
 }
 
-// --- Experiment layer: one call per paper table/figure -----------------
+// --- Experiment results (see Session for the experiments) ---------------
 
 // CPUIDResult is one Figure 6 bar (with the Table 1 breakdown attached
 // for nested runs).
 type CPUIDResult = exp.CPUIDResult
 
-// CPUIDNative measures native cpuid (Figure 6 "L0").
-func CPUIDNative(n int) CPUIDResult { return exp.CPUIDNative(n) }
-
-// CPUIDSingleLevel measures single-level guest cpuid (Figure 6 "L1").
-func CPUIDSingleLevel(n int) CPUIDResult { return exp.CPUIDSingleLevel(n) }
-
-// CPUIDNested measures nested cpuid under the given mode (Figure 6
-// "L2" / "SW SVt" / "HW SVt"; Table 1 for Baseline).
-func CPUIDNested(mode Mode, n int) CPUIDResult { return exp.CPUIDNested(mode, n) }
-
-// CPUIDNestedNoShadowing is the shadowing ablation: the baseline nested
-// cpuid with hardware VMCS shadowing disabled, so every guest-hypervisor
-// field access traps (§2.1).
-func CPUIDNestedNoShadowing(n int) CPUIDResult { return exp.CPUIDNestedNoShadowing(n) }
-
-// CPUIDNestedWithThunkRegs sweeps the context-switch thunk's register
-// count ("dozens of registers", §1).
-func CPUIDNestedWithThunkRegs(mode Mode, regs, n int) CPUIDResult {
-	return exp.CPUIDNestedWithThunkRegs(mode, regs, n)
-}
-
 // IOResult is one Figure 7 measurement.
 type IOResult = exp.IOResult
-
-// NetLatency runs netperf TCP_RR (Figure 7).
-func NetLatency(mode Mode, n int) IOResult { return exp.NetLatency(mode, n) }
-
-// NetBandwidth runs netperf TCP_STREAM (Figure 7).
-func NetBandwidth(mode Mode, d Time) IOResult { return exp.NetBandwidth(mode, d) }
-
-// DiskLatency runs ioping (Figure 7).
-func DiskLatency(mode Mode, write bool, n int) IOResult { return exp.DiskLatency(mode, write, n) }
-
-// DiskBandwidth runs fio (Figure 7).
-func DiskBandwidth(mode Mode, write bool, n int) IOResult { return exp.DiskBandwidth(mode, write, n) }
 
 // MemcachedResult is one Figure 8 sweep point.
 type MemcachedResult = exp.MemcachedResult
 
-// Memcached runs the §6.3.1 open-loop ETC experiment.
-func Memcached(mode Mode, rate float64, d Time) MemcachedResult { return exp.Memcached(mode, rate, d) }
-
-// TPCC runs the §6.3.2 experiment, returning ktpm (Figure 9).
-func TPCC(mode Mode, d Time) float64 { return exp.TPCC(mode, d) }
-
 // VideoResult is one Figure 10 bar.
 type VideoResult = exp.VideoResult
-
-// Video runs the §6.3.3 playback experiment (full five minutes).
-func Video(mode Mode, fps int) VideoResult { return exp.Video(mode, fps) }
-
-// VideoN runs the playback experiment over a chosen number of frames.
-func VideoN(mode Mode, fps, frames int) VideoResult { return exp.VideoN(mode, fps, frames) }
 
 // TraceEntry is one recorded VM exit (observability).
 type TraceEntry = hv.TraceEntry
 
-// TraceNestedCPUID runs a nested cpuid workload with exit tracing and
-// returns the most recent ring entries.
-func TraceNestedCPUID(mode Mode, n, ring int) []TraceEntry {
-	return exp.TraceNestedCPUID(mode, n, ring)
-}
-
 // ChannelPoint is one §6.1 channel-study cell.
 type ChannelPoint = exp.ChannelPoint
-
-// ChannelStudy sweeps the SW SVt wait policies and placements (§6.1).
-func ChannelStudy(n int, workloads []Time) []ChannelPoint { return exp.ChannelStudy(n, workloads) }
 
 // --- Observability plane -----------------------------------------------
 
@@ -216,22 +140,6 @@ type ObsOptions = obs.Options
 // chrome://tracing JSON), Tracer.WriteSummary (top-N span table) and
 // Metrics.WriteCSV / Metrics.WriteJSON.
 type ObsPlane = obs.Plane
-
-// SetObs arms (or, with nil, disarms) tracing and metrics for all
-// subsequent experiment runs. Arming never perturbs the simulation: the
-// plane only records over virtual time, so results are byte-identical
-// with tracing on or off.
-//
-// Deprecated: this mutates the default session shared by every
-// package-level experiment. Use NewSession(WithObs(...)) so concurrent
-// campaigns cannot race on one plane.
-func SetObs(o *ObsOptions) { exp.SetObs(o) }
-
-// LastObs returns the plane captured by the most recent experiment run
-// (nil when disarmed).
-//
-// Deprecated: use NewSession(WithObs(...)) and (*Session).LastObs.
-func LastObs() *ObsPlane { return exp.LastObs() }
 
 // --- Fault-injection plane ---------------------------------------------
 
@@ -263,62 +171,12 @@ func FaultSites() []string { return fault.Sites() }
 // ("site:rate=0.1,drop;site:delay=20us") into a spec with the given seed.
 func ParseFaultSpec(arg string, seed int64) (*FaultSpec, error) { return fault.ParseSpec(arg, seed) }
 
-// SetFaults arms (or, with nil, clears) fault injection for all
-// subsequent experiment runs.
-//
-// Deprecated: use NewSession(WithFaults(...)) so concurrent campaigns
-// cannot race on one spec.
-func SetFaults(spec *FaultSpec) { exp.SetFaults(spec) }
-
 // FaultSweepResult is one fault-injection run's outcome and recovery
 // counters (watchdog fires, breaker trips, fallbacks).
 type FaultSweepResult = exp.FaultSweepResult
 
-// FaultSweep runs the nested cpuid workload with the given fault spec
-// armed and reports how the recovery machinery coped.
-func FaultSweep(mode Mode, spec *FaultSpec, n int) FaultSweepResult {
-	return exp.FaultSweep(mode, spec, n, nil)
-}
-
 // FaultCell is one independent fault-sweep run in a grid.
 type FaultCell = exp.FaultCell
-
-// FaultSweepGrid runs every cell on the parallel worker pool (see
-// SetParallelism) and returns results in cell order; the grid is
-// byte-identical to running the cells serially.
-func FaultSweepGrid(cells []FaultCell) []FaultSweepResult { return exp.FaultSweepGrid(cells) }
-
-// --- Report layer: paper-formatted output ------------------------------
-
-// ReportTable1 prints the Table 1 breakdown next to the paper's numbers.
-func ReportTable1(w io.Writer, n int) { report.Table1(w, n) }
-
-// ReportTable3 prints the code-change inventory (Table 3 analogue).
-func ReportTable3(w io.Writer, root string) { report.Table3(w, root) }
-
-// ReportTable4 prints the modelled machine parameters (Table 4).
-func ReportTable4(w io.Writer) { report.Table4(w) }
-
-// ReportFigure6 prints the cpuid latency comparison.
-func ReportFigure6(w io.Writer, n int) { report.Figure6(w, n) }
-
-// ReportFigure7 prints the I/O subsystem comparison.
-func ReportFigure7(w io.Writer, quick bool) { report.Figure7(w, quick) }
-
-// ReportFigure8 prints the memcached load sweep.
-func ReportFigure8(w io.Writer, quick bool) { report.Figure8(w, quick) }
-
-// ReportFigure9 prints the TPC-C comparison.
-func ReportFigure9(w io.Writer, quick bool) { report.Figure9(w, quick) }
-
-// ReportFigure10 prints the video playback comparison.
-func ReportFigure10(w io.Writer, quick bool) { report.Figure10(w, quick) }
-
-// ReportChannels prints the §6.1 channel study.
-func ReportChannels(w io.Writer, quick bool) { report.Channels(w, quick) }
-
-// ReportProfiles prints the §6.2/§6.3 exit-reason profiles.
-func ReportProfiles(w io.Writer) { report.Profiles(w) }
 
 // --- Differential check layer: cross-mode equivalence ------------------
 

@@ -6,17 +6,28 @@ import (
 	"testing"
 )
 
+// testSession is a session with the calibrated defaults.
+func testSession(tb testing.TB) *Session {
+	tb.Helper()
+	s, err := NewSession()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestFacadeCPUIDLadder(t *testing.T) {
-	l0 := CPUIDNative(100)
-	l2 := CPUIDNested(Baseline, 100)
-	hw := CPUIDNested(HWSVt, 100)
+	s := testSession(t)
+	l0 := s.CPUIDNative(100)
+	l2 := s.CPUIDNested(Baseline, 100)
+	hw := s.CPUIDNested(HWSVt, 100)
 	if !(l0.PerOp < hw.PerOp && hw.PerOp < l2.PerOp) {
 		t.Fatalf("ladder violated: %v %v %v", l0.PerOp, hw.PerOp, l2.PerOp)
 	}
 }
 
 func TestFacadeMachineConstruction(t *testing.T) {
-	for _, mode := range Modes {
+	for _, mode := range AllModes() {
 		cfg := DefaultConfig(mode)
 		io := WireIO(&cfg)
 		m := NewNestedMachine(cfg)
@@ -35,18 +46,19 @@ func TestFacadeCostModel(t *testing.T) {
 }
 
 func TestReportsRender(t *testing.T) {
+	s := testSession(t)
 	var b bytes.Buffer
-	ReportTable4(&b)
+	s.ReportTable4(&b)
 	if !strings.Contains(b.String(), "Table 4") {
 		t.Fatal("table 4 render")
 	}
 	b.Reset()
-	ReportTable3(&b, ".")
+	s.ReportTable3(&b, ".")
 	if !strings.Contains(b.String(), "KVM analogue") {
 		t.Fatal("table 3 render")
 	}
 	b.Reset()
-	ReportTable1(&b, 200)
+	s.ReportTable1(&b, 200)
 	out := b.String()
 	for _, want := range []string{"Table 1", "L0 handler", "10.40"} {
 		if !strings.Contains(out, want) {
@@ -54,14 +66,15 @@ func TestReportsRender(t *testing.T) {
 		}
 	}
 	b.Reset()
-	ReportFigure6(&b, 100)
+	s.ReportFigure6(&b, 100)
 	if !strings.Contains(b.String(), "HW SVt") {
 		t.Fatal("figure 6 render")
 	}
 }
 
 func TestChannelStudyFacade(t *testing.T) {
-	pts := ChannelStudy(50, []Time{0})
+	s := testSession(t)
+	pts := s.ChannelStudy(50, []Time{0})
 	if len(pts) != 9 { // 3 policies x 3 placements
 		t.Fatalf("points = %d, want 9", len(pts))
 	}
