@@ -20,7 +20,7 @@ import (
 type remoteFlags struct {
 	mode, workload, hostStr string
 	port                    string
-	n, fps, vms, shards     int
+	n, fps, vms             int
 	dur                     time.Duration
 	rate, slo               float64
 	density                 bool
@@ -45,7 +45,6 @@ func remoteRequest(f remoteFlags) (*server.Request, error) {
 	req := &server.Request{
 		Topology:  f.hostStr,
 		Port:      f.port,
-		Shards:    f.shards,
 		Faults:    f.faults,
 		FaultSeed: f.faultSeed,
 		FaultRate: f.faultRate,

@@ -73,8 +73,7 @@ type DensityPoint struct {
 	IPIsCore     uint64
 	IPIsNUMA     uint64
 	// Events is the phase-2 replay's engine dispatch count — a pure
-	// simulation quantity, byte-identical at any shard count or pool
-	// width.
+	// simulation quantity, byte-identical at any pool width.
 	Events uint64
 }
 
@@ -292,19 +291,11 @@ func (s *Session) consolidate(mode hv.Mode, k int, cache *vmCache) DensityPoint 
 // plane so storm callers can read the gang and fire tallies.
 func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *host.StormPlan, spec *fault.Spec) (DensityPoint, host.ReplayResult, *fault.Plane) {
 	topo := s.Topology()
-	h, err := host.NewSharded(topo, s.HostParams(), s.Shards())
+	h, err := host.New(topo, s.HostParams())
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
-	var plane *fault.Plane
-	if spec != nil {
-		if plane = spec.Build(h.Eng); plane != nil {
-			// Arm every shard: LAPIC sites consult their own shard's
-			// injector, and a sharded host with faults armed runs the
-			// exact serial merge so consult order matches shards=1.
-			h.ArmFaults(plane)
-		}
-	}
+	plane := spec.Build(h.Eng)
 
 	// Admission: the L0 scheduler places each VM's gang; SW-SVt
 	// placement class falls out of the topology occupancy.

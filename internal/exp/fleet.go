@@ -1,14 +1,12 @@
 package exp
 
-// FleetReplay is the shard-scaling macrobenchmark: a pure event-engine
+// FleetReplay is the fleet-scale engine macro: a pure event-engine
 // workload at fleet-host scale. Every hardware context of the topology
-// runs a self-rearming tick train on its own engine shard, and every
+// runs a self-rearming tick train on the host engine, and every
 // CrossEvery-th tick fires a reschedule IPI at the context half the
-// fleet away — a cross-socket hop, so on a sharded host the message
-// crosses shards with at least one lookahead of latency. The workload
-// is RNG-free and closed over virtual time only, so its digest must be
-// identical at every shard count; the benchmark under bench/ asserts
-// exactly that while timing it at shards = 1 and 2.
+// fleet away — a cross-socket hop. The workload is RNG-free and closed
+// over virtual time only, so its digest is a pure function of the spec;
+// the benchmark under bench/ asserts exactly that while timing it.
 
 import (
 	"context"
@@ -24,12 +22,13 @@ import (
 type FleetReplaySpec struct {
 	Topo host.Topology
 	P    host.Params
-	// Shards is the engine shard count (<= 1 runs the single heap).
+	// Shards is ignored: the host has one engine. It stays until the
+	// benchmark under bench/ stops setting it.
 	Shards int
 	// Dur is the simulated duration.
 	Dur sim.Time
 	// Tick is the base per-context tick period; each context adds a
-	// small deterministic stagger so shards never run in lockstep.
+	// small deterministic stagger so contexts never run in lockstep.
 	Tick sim.Time
 	// CrossEvery sends a cross-socket IPI every Nth tick (0 disables).
 	CrossEvery int
@@ -49,10 +48,8 @@ func DefaultFleetReplaySpec() FleetReplaySpec {
 	}
 }
 
-// FleetReplayResult is one FleetReplay run's outcome. Everything but
-// Shards is invariant across shard counts.
+// FleetReplayResult is one FleetReplay run's outcome.
 type FleetReplayResult struct {
-	Shards int
 	// Events is the total engine dispatches (ticks + IPI deliveries).
 	Events uint64
 	// Ticks and IPIs break Events down by kind.
@@ -77,7 +74,7 @@ func FleetReplay(spec FleetReplaySpec) FleetReplayResult {
 // (events fire at their virtual times regardless of how the advance is
 // chopped), so the digest is independent of the window count.
 func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (FleetReplayResult, error) {
-	h, err := host.NewSharded(spec.Topo, spec.P, spec.Shards)
+	h, err := host.New(spec.Topo, spec.P)
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
@@ -85,9 +82,8 @@ func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (Fl
 	ticks := make([]uint64, nctx)
 	for c := 0; c < nctx; c++ {
 		c := host.CtxID(c)
-		eng := h.EngineFor(c)
 		// Deterministic heterogeneity: periods and phases differ per
-		// context so the shard heaps see realistic time diversity.
+		// context so the heap sees realistic time diversity.
 		period := spec.Tick + sim.Time(int(c)%7)*11
 		partner := host.CtxID((int(c) + nctx/2) % nctx)
 		var tick func()
@@ -96,22 +92,21 @@ func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (Fl
 			if spec.CrossEvery > 0 && ticks[c]%uint64(spec.CrossEvery) == 0 {
 				h.SendIPI(c, partner, ports.VecIPI)
 			}
-			eng.After(period, tick)
+			h.Eng.After(period, tick)
 		}
-		eng.At(period+sim.Time(c)*13, tick)
+		h.Eng.At(period+sim.Time(c)*13, tick)
 	}
 	for w := 1; w <= fleetReplayWindows; w++ {
 		if err := ctx.Err(); err != nil {
 			return FleetReplayResult{}, err
 		}
-		h.RunUntil(spec.Dur * sim.Time(w) / fleetReplayWindows)
+		h.Eng.RunUntil(spec.Dur * sim.Time(w) / fleetReplayWindows)
 		pr.emit("fleet-replay", w, fleetReplayWindows,
 			fmt.Sprintf("t=%v", spec.Dur*sim.Time(w)/fleetReplayWindows))
 	}
 
 	res := FleetReplayResult{
-		Shards:  h.Shards(),
-		Events:  h.Events(),
+		Events:  h.Eng.Dispatched(),
 		Elapsed: spec.Dur,
 	}
 	for _, n := range ticks {
@@ -143,8 +138,9 @@ func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (Fl
 	return res, nil
 }
 
-// FleetReplayLine renders a result as one deterministic line.
+// FleetReplayLine renders a result as one deterministic line. The
+// "shards=1" prefix is a literal: cached svtsimd result bodies carry it.
 func (r FleetReplayResult) FleetReplayLine() string {
-	return fmt.Sprintf("shards=%d events=%d ticks=%d ipis=%d elapsed=%v digest=%016x",
-		r.Shards, r.Events, r.Ticks, r.IPIs, r.Elapsed, r.Digest)
+	return fmt.Sprintf("shards=1 events=%d ticks=%d ipis=%d elapsed=%v digest=%016x",
+		r.Events, r.Ticks, r.IPIs, r.Elapsed, r.Digest)
 }

@@ -89,20 +89,20 @@ func sweep[T any](ctx context.Context, s *Session, n int, pr ProgressFunc, stage
 // fleetReplayWindows is the progress granularity of a fleet replay: the
 // simulated duration is covered in this many RunUntil windows, with the
 // context checked between them. RunUntil is exact and monotonic
-// (TestShardedRepeatedRunUntil), so windowing never changes the digest.
+// (TestRunUntilWindowedMatchesSingle in internal/sim), so windowing never
+// changes the digest.
 const fleetReplayWindows = 16
 
-// FleetReplayJob runs the shard-scaling fleet-replay macro on the
-// session's topology, host params, and shard count, with cancellation
-// and progress between simulated-time windows. dur and tick <= 0 keep
-// the DefaultFleetReplaySpec values; crossEvery < 0 keeps the default
+// FleetReplayJob runs the fleet-scale engine macro on the session's
+// topology and host params, with cancellation and progress between
+// simulated-time windows. dur and tick <= 0 keep the
+// DefaultFleetReplaySpec values; crossEvery < 0 keeps the default
 // (0 disables cross-socket IPIs). An uncancelled job's result is
 // byte-identical to FleetReplay on the same spec.
 func (s *Session) FleetReplayJob(ctx context.Context, dur, tick sim.Time, crossEvery int, pr ProgressFunc) (FleetReplayResult, error) {
 	spec := DefaultFleetReplaySpec()
 	spec.Topo = s.Topology()
 	spec.P = s.HostParams()
-	spec.Shards = s.Shards()
 	if dur > 0 {
 		spec.Dur = dur
 	}

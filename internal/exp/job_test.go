@@ -176,31 +176,27 @@ func TestProgressEventsOrdered(t *testing.T) {
 }
 
 // TestFleetReplayJobMatchesPlain: the windowed, cancellable replay must
-// produce the same digest as the monolithic one, at 1 shard and at 2.
+// produce the same digest as the monolithic one.
 func TestFleetReplayJobMatchesPlain(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		spec := DefaultFleetReplaySpec()
-		spec.Topo = host.Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
-		spec.Dur = spec.Dur / 10
-		spec.Shards = shards
-		plain := FleetReplay(spec)
+	spec := DefaultFleetReplaySpec()
+	spec.Topo = testTopo2x2x2()
+	spec.Dur = spec.Dur / 10
+	plain := FleetReplay(spec)
 
-		s := NewSession()
-		if err := s.SetTopology(spec.Topo); err != nil {
-			t.Fatal(err)
-		}
-		s.SetShards(shards)
-		var events int
-		job, err := s.FleetReplayJob(context.Background(), spec.Dur, spec.Tick, spec.CrossEvery,
-			func(ProgressEvent) { events++ })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job != plain {
-			t.Errorf("shards=%d: FleetReplayJob = %+v, plain = %+v", shards, job, plain)
-		}
-		if events != fleetReplayWindows {
-			t.Errorf("shards=%d: %d progress events, want %d", shards, events, fleetReplayWindows)
-		}
+	s := NewSession()
+	if err := s.SetTopology(spec.Topo); err != nil {
+		t.Fatal(err)
+	}
+	var events int
+	job, err := s.FleetReplayJob(context.Background(), spec.Dur, spec.Tick, spec.CrossEvery,
+		func(ProgressEvent) { events++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job != plain {
+		t.Errorf("FleetReplayJob = %+v, plain = %+v", job, plain)
+	}
+	if events != fleetReplayWindows {
+		t.Errorf("%d progress events, want %d", events, fleetReplayWindows)
 	}
 }

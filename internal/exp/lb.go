@@ -38,7 +38,7 @@ import (
 // an open-loop arrival trace from the balancer context across netstack
 // flows that ride the host's cross-core delivery fabric. Every stage is
 // engine-driven and RNG-seeded, so the scenario is byte-identical at
-// any worker-pool width and any shard count.
+// any worker-pool width.
 
 // Load-balancer wire constants: request/response framing and the
 // per-hop serialization charge on the host fabric.
@@ -96,12 +96,12 @@ type LBResult struct {
 	GangMigrations uint64
 	Downtime       sim.Time
 	// Events is the host engine's dispatch count across both phases —
-	// the determinism tripwire, byte-identical at any shard count.
+	// the determinism tripwire.
 	Events uint64
 }
 
 // StatsLine renders the cell as one deterministic line; the lb golden
-// test and the CI sharded-vs-single byte-compare pin it.
+// test and the CI serial-vs-parallel byte-compare pin it.
 func (r LBResult) StatsLine() string {
 	return fmt.Sprintf("lb mode=%s k=%d scen=%s seed=%d offered=%d completed=%d goodput=%.1f "+
 		"p50us=%.3f p99us=%.3f p999us=%.3f slo=%.0fus viol=%d/%d "+
@@ -271,7 +271,7 @@ func (c *hostConduit) Send(pkt []byte, done func()) {
 		}
 	})
 	if done != nil {
-		c.h.EngineFor(c.from).After(0, done)
+		c.h.Eng.After(0, done)
 	}
 }
 func (c *hostConduit) SetReceiver(fn func(pkt []byte)) { c.recv = fn }
@@ -305,25 +305,18 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		sloUs = 1000
 	}
 	topo := s.Topology()
-	h, err := host.NewSharded(topo, s.HostParams(), s.Shards())
+	h, err := host.New(topo, s.HostParams())
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
 
 	// Fault plane: the session's spec, or the scenario default for
-	// "faults". Arming forces the exact serial merge on a sharded host,
-	// keeping consult order — and therefore every outcome — identical
-	// to shards=1.
+	// "faults".
 	spec := s.faultSpec()
 	if scenario == "faults" && (spec == nil || len(spec.Sites) == 0) {
 		spec = lbFaultSpec(seed)
 	}
-	var plane *fault.Plane
-	if spec != nil {
-		if plane = spec.Build(h.Eng); plane != nil {
-			h.ArmFaults(plane)
-		}
-	}
+	plane := spec.Build(h.Eng)
 
 	// Observability: one track per host context; per-request spans land
 	// on the balancer's track and queue depths register as gauges.
@@ -413,7 +406,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		spec2.Rate = 0.55 * capRPS
 	}
 
-	// Phase 2b: the open-loop spray on the host engines.
+	// Phase 2b: the open-loop spray on the host engine.
 	sp := &lbSpray{
 		h: h, balCtx: balCtx, k: k, sloUs: sloUs,
 		slow:   make([]float64, k),
@@ -448,7 +441,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 
 		GangMigrations: res.GangMigrations,
 		Downtime:       res.MigrationDowntime,
-		Events:         h.Events(),
+		Events:         h.Eng.Dispatched(),
 	}
 	okCount := 0
 	viol := make(map[int]bool)
@@ -498,12 +491,11 @@ type lbSpray struct {
 
 func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
 	h := sp.h
-	balEng := h.EngineFor(sp.balCtx)
+	eng := h.Eng
 	k := sp.k
 
 	type backend struct {
 		ctx       host.CtxID
-		eng       *sim.Engine
 		fl        *netstack.Flow // backend-side flow (set on passive open)
 		rx        int
 		busyUntil sim.Time
@@ -543,11 +535,10 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 		for j := 0; j < k; j++ {
 			j := j
 			b := &backend{ctx: assigns[j].Ctxs[0]}
-			b.eng = h.EngineFor(b.ctx)
 			backends[j] = b
 
 			cBal, cBk := hostConduitPair(h, sp.balCtx, b.ctx, lbWireLat)
-			bkSt := netstack.New(b.eng, cBk, netstack.Params{})
+			bkSt := netstack.New(eng, cBk, netstack.Params{})
 			svc := runs[j].svcUs
 			bkSt.OnFlow = func(f *netstack.Flow) {
 				b.fl = f
@@ -558,7 +549,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 						// Fluid single-server queue: service time is the
 						// phase-1 sample dilated by the contention
 						// slowdown; storm pauses stall the clock.
-						start := b.eng.Now()
+						start := eng.Now()
 						if b.busyUntil > start {
 							start = b.busyUntil
 						}
@@ -572,7 +563,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 						b.qdepth++
 						qd[j] = b.qdepth
 						done := b.busyUntil
-						b.eng.At(done, func() {
+						eng.At(done, func() {
 							b.qdepth--
 							qd[j] = b.qdepth
 							b.fl.Write(make([]byte, lbRespSize))
@@ -581,7 +572,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 				}
 			}
 
-			balSt := netstack.New(balEng, cBal, netstack.Params{})
+			balSt := netstack.New(eng, cBal, netstack.Params{})
 			sp.stacks = append(sp.stacks, balSt, bkSt)
 			fl := balSt.Open(uint32(j + 1))
 			balFlows[j] = fl
@@ -592,7 +583,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 					sent := pending[j][0]
 					pending[j] = pending[j][1:]
 					outstanding[j]--
-					now := balEng.Now()
+					now := eng.Now()
 					lat := (now - sent).Microseconds()
 					sp.latUs = append(sp.latUs, lat)
 					sp.doneAt = append(sp.doneAt, now)
@@ -604,7 +595,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 			}
 		}
 
-		src := &traffic.Source{Eng: balEng, Spec: tspec, Fire: func(i uint64) {
+		src := &traffic.Source{Eng: eng, Spec: tspec, Fire: func(i uint64) {
 			sp.offered++
 			// Least-outstanding dispatch, lowest index on ties.
 			j := 0
@@ -614,18 +605,18 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 				}
 			}
 			outstanding[j]++
-			pending[j] = append(pending[j], balEng.Now())
+			pending[j] = append(pending[j], eng.Now())
 			balFlows[j].Write(make([]byte, lbReqSize))
 			// The dispatch kick crosses the apic plane like a resched.
 			h.SendIPI(sp.balCtx, backends[j].ctx, lbVector)
 		}}
-		src.Start(balEng.Now() + dur)
+		src.Start(eng.Now() + dur)
 	}
-	balEng.After(0, setup)
+	eng.After(0, setup)
 
 	// Drive traffic plus a drain tail; overloaded queues may still hold
 	// work at the horizon — that unfinished backlog is the measurement.
-	h.RunUntil(t0 + dur + 2*sim.Millisecond)
+	eng.RunUntil(t0 + dur + 2*sim.Millisecond)
 }
 
 // lbStormPlan is BuildStormPlan scaled to the LB replay horizon:

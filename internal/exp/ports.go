@@ -32,7 +32,7 @@ type PortComparison struct {
 }
 
 // withPort derives a session that shares this session's configuration
-// (faults, observability, pool width, topology, shards) but runs on the
+// (faults, observability, pool width, topology) but runs on the
 // given architecture port. The derived session is independent: runs on
 // it never publish observability planes or settings back to the parent.
 func (s *Session) withPort(p ports.Port) *Session {
@@ -44,7 +44,6 @@ func (s *Session) withPort(p ports.Port) *Session {
 		workers: s.workers,
 		topo:    s.topo,
 		hostP:   s.hostP,
-		shards:  s.shards,
 		port:    p,
 	}
 	ns.hostP.Port = p

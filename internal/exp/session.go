@@ -35,7 +35,6 @@ type Session struct {
 	workers int
 	topo    host.Topology
 	hostP   host.Params
-	shards  int
 	port    ports.Port
 }
 
@@ -140,26 +139,6 @@ func (s *Session) Topology() host.Topology {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.topo
-}
-
-// SetShards sets the engine shard count for fleet-scale experiments:
-// the host's virtual time is partitioned across n conservative-PDES
-// shards (host.NewSharded). Results are byte-identical at any count;
-// n <= 1 keeps the single-heap engine.
-func (s *Session) SetShards(n int) {
-	s.mu.Lock()
-	s.shards = n
-	s.mu.Unlock()
-}
-
-// Shards reports the session's engine shard count (minimum 1).
-func (s *Session) Shards() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shards < 1 {
-		return 1
-	}
-	return s.shards
 }
 
 // SetHostParams overrides the host-level cost model (IPI latencies,

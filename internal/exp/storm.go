@@ -38,14 +38,13 @@ type StormResult struct {
 	MigrationDowntime sim.Time
 
 	// Events is the replay's engine dispatch count — byte-identical at
-	// any shard count or pool width.
+	// any pool width.
 	Events uint64
 }
 
 // StatsLine renders the result as one deterministic line; two runs with
 // the same parameters must produce byte-identical lines (the contract
-// the storm determinism tests pin serial-vs-parallel and
-// sharded-vs-single-heap).
+// the storm determinism tests pin serial-vs-parallel).
 func (r StormResult) StatsLine() string {
 	return fmt.Sprintf("mode=%s k=%d storms=%d seed=%d elapsed=%v p99us=%.3f agg=%.3f slow=%.4f "+
 		"migrations=%d rollbacks=%d retries=%d skipped=%d downtime=%v events=%d",

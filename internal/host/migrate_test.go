@@ -241,3 +241,93 @@ func TestReplayStormMigratesAndRollsBack(t *testing.T) {
 		t.Fatal("storm replay is nondeterministic")
 	}
 }
+
+// TestCrossSocketMigrateGang: a gang moving between sockets commits,
+// and the reschedule kicks it sends land — the source pair's and the
+// destination pair's, attributed to their cores — while a forced
+// mid-transfer fault rolls the next gang back without sending any.
+func TestCrossSocketMigrateGang(t *testing.T) {
+	topo := Topology{2, 2, 2}
+	h := mustHost(t, topo)
+	p := DefaultMigrationParams()
+
+	a := h.Sched.Admit(0, 2)
+	src := append([]CtxID(nil), a.Ctxs...)
+	dst := []CtxID{topo.Ctx(1, 0, 0), topo.Ctx(1, 0, 1)}
+	clean := h.Sched.MigrateGang(&a, dst, 64<<10, 0, p)
+	if !clean.Completed {
+		t.Fatalf("clean cross-socket migration failed: %+v", clean)
+	}
+	kicks := h.Sched.ReschedIPIs()
+
+	b := h.Sched.Admit(1, 2)
+	rbDst := []CtxID{topo.Ctx(1, 1, 0), topo.Ctx(1, 1, 1)}
+	rb := h.Sched.MigrateGang(&b, rbDst, 32<<10, p.MaxAttempts, p)
+	if !rb.RolledBack || rb.Completed {
+		t.Fatalf("forced mid-transfer failure did not roll back: %+v", rb)
+	}
+	if got := h.Sched.ReschedIPIs() - kicks; got != 2 {
+		t.Fatalf("rollback sent %d IPIs beyond the second admission's 2", got)
+	}
+
+	h.Eng.RunUntil(1 * sim.Millisecond)
+	recv := h.IPIsReceived()
+	var total uint64
+	for _, n := range recv {
+		total += n
+	}
+	if total != h.Sched.ReschedIPIs() || h.Eng.Dispatched() != total {
+		t.Fatalf("%d IPIs received in %d events, %d sent", total, h.Eng.Dispatched(), h.Sched.ReschedIPIs())
+	}
+	for _, c := range append(src, dst...) {
+		if recv[c] == 0 {
+			t.Errorf("ctx%d never received its migration kick", c)
+		}
+	}
+	for _, c := range rbDst {
+		if recv[c] != 0 || h.Sched.Loads()[c] != 0 {
+			t.Errorf("rolled-back destination ctx%d touched: %d IPIs, load %d", c, recv[c], h.Sched.Loads()[c])
+		}
+	}
+	if core := topo.CoreOf(dst[0]); h.EventsByCore()[core] != 2 {
+		t.Errorf("destination core %d attributed %d events, want its 2 kicks", core, h.EventsByCore()[core])
+	}
+}
+
+// TestCrossSocketMigrateGangFaultPlane: with the seeded fault plane
+// armed at the migrate/transfer and apic/ipi sites, a cross-socket move
+// retries through drops, delayed kicks still land, and the whole
+// outcome replays identically from the seed.
+func TestCrossSocketMigrateGangFaultPlane(t *testing.T) {
+	topo := Topology{2, 2, 2}
+	type outcome struct {
+		Res   MigrationResult
+		Fires uint64
+		Recv  []uint64
+	}
+	run := func() outcome {
+		h := mustHost(t, topo)
+		spec := &fault.Spec{Seed: 11, Sites: []fault.SiteConfig{
+			{Site: fault.SiteMigrateTransfer, Rate: 0.5, Drop: true},
+			{Site: fault.SiteIPI, Rate: 0.2, Delay: 300},
+		}}
+		plane := spec.Build(h.Eng)
+		a := h.Sched.Admit(0, 2)
+		res := h.Sched.MigrateGang(&a, []CtxID{topo.Ctx(1, 0, 0), topo.Ctx(1, 0, 1)}, 16<<10, 0, DefaultMigrationParams())
+		h.Eng.RunUntil(1 * sim.Millisecond)
+		return outcome{Res: res, Fires: plane.Fires(), Recv: append([]uint64(nil), h.IPIsReceived()...)}
+	}
+	ref := run()
+	if ref.Fires == 0 {
+		t.Fatal("fault plane never fired")
+	}
+	if !ref.Res.Completed || ref.Res.Attempts < 2 {
+		t.Fatalf("want a completed move after at least one dropped transfer, got %+v", ref.Res)
+	}
+	if ref.Recv[topo.Ctx(1, 0, 0)] == 0 || ref.Recv[topo.Ctx(1, 0, 1)] == 0 {
+		t.Errorf("destination kicks lost: %v", ref.Recv)
+	}
+	if got := run(); !reflect.DeepEqual(got, ref) {
+		t.Errorf("fault-armed migration is not seed-deterministic:\n got %+v\nwant %+v", got, ref)
+	}
+}

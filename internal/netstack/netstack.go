@@ -5,7 +5,7 @@
 // go-back-N retransmission driven by virtual-time timers, and
 // flow-controlled sliding windows — everything the open-loop traffic
 // plane needs to look like production RPC traffic while staying
-// byte-identical at any parallelism or shard width.
+// byte-identical at any parallelism width.
 //
 // All state mutation happens inside engine event context, so a stack is
 // exactly as deterministic as the engine that drives it. Loss and delay

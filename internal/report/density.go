@@ -18,9 +18,9 @@ func (rr *Renderer) Density(w io.Writer, kmax int, sloUs float64) {
 	topo := rr.s.Topology()
 	hr(w, fmt.Sprintf("Fleet consolidation: nested-VM density on %s (p99 SLO %.0f us)", topo, sloUs))
 	results := rr.s.DensitySweep(exp.AllModes(), kmax, sloUs)
-	// Note: no shard-count column — the sweep's output is identical at
-	// any -shards setting (the CI determinism golden byte-compares it),
-	// and the events column is a simulation quantity, not a perf one.
+	// Note: the sweep's output is identical at any -parallel width (the
+	// CI determinism golden byte-compares it), and the events column is
+	// a simulation quantity, not a perf one.
 	fmt.Fprintf(w, "%-10s %4s %12s %12s %14s %10s %8s %8s %8s %8s\n",
 		"mode", "k", "worst-p50", "worst-p99", "agg-thruput", "core-util", "stolen", "migr", "ipis", "events")
 	for _, res := range results {

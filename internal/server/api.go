@@ -32,7 +32,7 @@ import (
 const (
 	KindDensity   = "density"   // fleet consolidation sweep (exp.DensitySweep)
 	KindStorm     = "storm"     // migration storm table (exp.StormTable)
-	KindFleet     = "fleet"     // shard-scaling fleet replay (exp.FleetReplay)
+	KindFleet     = "fleet"     // fleet-scale engine replay (exp.FleetReplay)
 	KindCheck     = "check"     // differential cross-mode check (internal/check)
 	KindFaultGrid = "faultgrid" // fault-injection sweep grid (exp.FaultSweepGrid)
 	KindWorkload  = "workload"  // one single-machine figure workload per mode
@@ -64,7 +64,7 @@ type Request struct {
 	Kind     string   `json:"kind"`
 	Modes    []string `json:"modes,omitempty"`
 	Topology string   `json:"topology,omitempty"`
-	Shards   int      `json:"shards,omitempty"`
+	Shards   int      `json:"shards,omitempty"` // ignored; always 1 once canonical
 	Seed     int64    `json:"seed,omitempty"`
 
 	// Port selects the architecture backend. Canonical form spells the
@@ -121,14 +121,11 @@ func (r *Request) Canonicalize() error {
 	}
 	r.Topology = topo.String()
 
-	if r.Shards <= 0 {
-		r.Shards = 1
-	}
-	if r.Shards > topo.Cores() {
-		return uerr.New("shards", fmt.Sprint(r.Shards),
-			fmt.Sprintf("host %s has only %d cores", topo, topo.Cores()),
-			"shards must not exceed the topology's core count")
-	}
+	// The host has one engine, so shards selects nothing. Pinning it to
+	// 1 keeps "shards":1 in every preimage: digests minted when it chose
+	// an engine shard count still address the same results, and requests
+	// that differ only in shards share one cache entry.
+	r.Shards = 1
 
 	if len(r.Modes) == 0 {
 		for _, m := range hv.AllModes() {

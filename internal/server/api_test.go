@@ -12,27 +12,35 @@ import (
 // one sparse, one explicit with shorthand modes and junk in ignored
 // fields — must digest identically after canonicalization.
 func TestCanonicalizeEquivalence(t *testing.T) {
-	sparse := &Request{Kind: KindStorm}
-	explicit := &Request{
-		Kind:     KindStorm,
-		Modes:    []string{"baseline", "sw", "hw", "bypass"},
-		Topology: "2x8x2",
-		Shards:   1,
-		Seed:     42, VMs: 8, Storms: 12,
-		// Fields the storm kind ignores must be zeroed away.
-		SLOUs: 999, DurMs: 77, Workload: "video", FPS: 30, Schedules: 9,
-		Scenario: "overload",
-	}
-	for _, r := range []*Request{sparse, explicit} {
-		if err := r.Canonicalize(); err != nil {
-			t.Fatalf("Canonicalize: %v", err)
+	for _, tc := range []struct {
+		name             string
+		sparse, explicit Request
+	}{
+		{"storm", Request{Kind: KindStorm}, Request{
+			Kind:     KindStorm,
+			Modes:    []string{"baseline", "sw", "hw", "bypass"},
+			Topology: "2x8x2",
+			Shards:   1,
+			Seed:     42, VMs: 8, Storms: 12,
+			// Fields the storm kind ignores must be zeroed away.
+			SLOUs: 999, DurMs: 77, Workload: "video", FPS: 30, Schedules: 9,
+			Scenario: "overload",
+		}},
+		// The host has one engine: a shard count selects nothing.
+		{"fleet-shards", Request{Kind: KindFleet}, Request{Kind: KindFleet, Shards: 4}},
+	} {
+		sparse, explicit := tc.sparse, tc.explicit
+		for _, r := range []*Request{&sparse, &explicit} {
+			if err := r.Canonicalize(); err != nil {
+				t.Fatalf("%s: Canonicalize: %v", tc.name, err)
+			}
 		}
-	}
-	if sparse.Digest() != explicit.Digest() {
-		t.Errorf("equivalent requests digest differently:\n  %+v\n  %+v", sparse, explicit)
-	}
-	if got, want := strings.Join(sparse.Modes, ","), "baseline,sw-svt,hw-svt,hw-svt-bypass"; got != want {
-		t.Errorf("canonical modes = %s, want %s", got, want)
+		if sparse.Digest() != explicit.Digest() {
+			t.Errorf("%s: equivalent requests digest differently:\n  %+v\n  %+v", tc.name, sparse, explicit)
+		}
+		if got, want := strings.Join(sparse.Modes, ","), "baseline,sw-svt,hw-svt,hw-svt-bypass"; tc.name == "storm" && got != want {
+			t.Errorf("canonical modes = %s, want %s", got, want)
+		}
 	}
 }
 
@@ -50,7 +58,6 @@ func TestCanonicalizeDistinct(t *testing.T) {
 		{"storm", Request{Kind: KindStorm}},
 		{"storm-seed", Request{Kind: KindStorm, Seed: 7}},
 		{"fleet", Request{Kind: KindFleet}},
-		{"fleet-shards", Request{Kind: KindFleet, Shards: 4}},
 		{"check", Request{Kind: KindCheck}},
 		{"workload", Request{Kind: KindWorkload}},
 		{"workload-netrr", Request{Kind: KindWorkload, Workload: "netrr"}},
@@ -99,7 +106,6 @@ func TestCanonicalizeErrors(t *testing.T) {
 		{"unknown kind", Request{Kind: "frobnicate"}, "kind"},
 		{"bad mode", Request{Kind: KindStorm, Modes: []string{"vmx"}}, "mode"},
 		{"bad topology", Request{Kind: KindStorm, Topology: "2x8x9"}, "topology"},
-		{"shards over cores", Request{Kind: KindFleet, Topology: "1x4x2", Shards: 5}, "shards"},
 		{"bad workload", Request{Kind: KindWorkload, Workload: "doom"}, "workload"},
 		{"faultgrid no spec", Request{Kind: KindFaultGrid}, "faults"},
 		{"bad fault rate", Request{Kind: KindStorm, FaultRate: 1.5}, "fault_rate"},

@@ -39,7 +39,6 @@ func sessionFor(req *Request, simWorkers int) (*exp.Session, error) {
 	if err := es.SetTopology(topo); err != nil {
 		return nil, err
 	}
-	es.SetShards(req.Shards)
 	workers := simWorkers
 	if req.Trace {
 		workers = 1

@@ -22,7 +22,7 @@ func smallStorm() *Request {
 	return &Request{Kind: KindStorm, Topology: "1x2x2", VMs: 4, Storms: 3}
 }
 func smallFleet() *Request {
-	return &Request{Kind: KindFleet, Topology: "1x2x2", DurMs: 2, Shards: 2}
+	return &Request{Kind: KindFleet, Topology: "1x2x2", DurMs: 2}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
@@ -89,6 +89,43 @@ func TestCacheHitByteIdentical(t *testing.T) {
 			t.Errorf("%s: cache hit not byte-identical to cold run:\n--- cold\n%s\n--- hit\n%s",
 				name, coldBytes, hitBytes)
 		}
+	}
+}
+
+// TestFleetShardCountIsACacheHit: the host has one engine, so a fleet
+// request that differs from a cached one only in its shard count is the
+// same experiment — served from the cache, byte for byte.
+func TestFleetShardCountIsACacheHit(t *testing.T) {
+	ctx := context.Background()
+	_, c := newTestServer(t, Config{Workers: 2})
+	plain := &Request{Kind: KindFleet, Topology: "2x2x2", DurMs: 2}
+	cold, err := c.Submit(ctx, plain)
+	if err != nil {
+		t.Fatalf("cold submit: %v", err)
+	}
+	if err := c.Stream(ctx, cold.ID, nil); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	coldBytes, err := c.ResultBytes(ctx, cold.ID)
+	if err != nil {
+		t.Fatalf("cold result: %v", err)
+	}
+
+	sharded := &Request{Kind: KindFleet, Topology: "2x2x2", DurMs: 2, Shards: 4}
+	hit, err := c.Submit(ctx, sharded)
+	if err != nil {
+		t.Fatalf("shards=4 submit: %v", err)
+	}
+	if !hit.Cached || hit.Digest != cold.Digest {
+		t.Fatalf("shards=4 request was not a cache hit on the default one: cached=%v digest %s vs %s",
+			hit.Cached, hit.Digest, cold.Digest)
+	}
+	hitBytes, err := c.ResultBytes(ctx, hit.ID)
+	if err != nil {
+		t.Fatalf("hit result: %v", err)
+	}
+	if !bytes.Equal(coldBytes, hitBytes) {
+		t.Errorf("shards=4 hit not byte-identical:\n--- cold\n%s\n--- hit\n%s", coldBytes, hitBytes)
 	}
 }
 

@@ -1,7 +1,5 @@
 package sim
 
-import "sync/atomic"
-
 // This file implements the simulator's hot path: a deterministic
 // discrete-event engine whose steady-state schedule/fire/cancel cycle
 // performs zero heap allocations.
@@ -34,7 +32,6 @@ const slabSize = 256
 // EventRef pins only the arena slot, never the callback's captures.
 type event struct {
 	at     Time
-	sched  Time // virtual time the event was scheduled at (see eventLess)
 	seq    uint64
 	fn     func()
 	index  int32 // heap index, -1 when not queued
@@ -86,10 +83,6 @@ type Engine struct {
 	now        Time
 	queue      []*event // 4-ary min-heap by (at, seq)
 	seq        uint64
-	// seqShared, when set, replaces the private seq counter with a
-	// counter shared across a ShardedEngine's shards, so (time, seq)
-	// stays a total order over the union of all shard heaps.
-	seqShared  *atomic.Uint64
 	dispatched uint64
 	wakeEpoch  uint64
 	ledger     *Ledger
@@ -206,25 +199,13 @@ func (e *Engine) release(ev *event) {
 // At schedules fn to run at absolute virtual time t. Times in the past are
 // clamped to "now" (they fire at the next dispatch point).
 func (e *Engine) At(t Time, fn func()) EventRef {
-	return e.atSched(t, e.now, fn)
-}
-
-// atSched is At with an explicit schedule-time tiebreak; the sharded
-// engine's window barrier uses it to stamp merged cross-shard messages
-// with the sender's clock rather than the barrier's.
-func (e *Engine) atSched(t, sched Time, fn func()) EventRef {
 	if t < e.now {
 		t = e.now
 	}
 	ev := e.alloc()
 	ev.at = t
-	ev.sched = sched
-	if e.seqShared != nil {
-		ev.seq = e.seqShared.Add(1) - 1
-	} else {
-		ev.seq = e.seq
-		e.seq++
-	}
+	ev.seq = e.seq
+	e.seq++
 	ev.fn = fn
 	ev.origin = e.origin
 	e.heapPush(ev)
@@ -288,41 +269,6 @@ func (e *Engine) DispatchDue() int {
 	return n
 }
 
-// peekMin reports the earliest pending event's slot. ShardedEngine's
-// exact-merge mode compares these across shards (with eventLess) to find
-// the global minimum. The pointer is only valid until the next dispatch
-// or cancel.
-func (e *Engine) peekMin() *event {
-	if len(e.queue) == 0 {
-		return nil
-	}
-	return e.queue[0]
-}
-
-// dispatchMin advances the clock to the earliest pending event and fires
-// exactly that event, mirroring DispatchDue's per-event sequence (origin
-// hand-off, recycle-before-run, dispatch accounting, observer hook).
-// ShardedEngine's exact-merge mode uses it to interleave dispatches from
-// several shards in the global (time, seq) order.
-func (e *Engine) dispatchMin() {
-	if len(e.queue) == 0 {
-		return
-	}
-	if e.queue[0].at > e.now {
-		e.now = e.queue[0].at
-	}
-	ev := e.heapPopMin()
-	fn := ev.fn
-	e.origin = ev.origin
-	e.release(ev)
-	e.dispatched++
-	e.noteDispatch()
-	if e.onDispatch != nil {
-		e.onDispatch(e.now)
-	}
-	fn()
-}
-
 // Step advances the clock to the next pending event and dispatches
 // everything due at that instant. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
@@ -363,24 +309,13 @@ func (e *Engine) Drain(maxEvents uint64) bool {
 
 // --- 4-ary min-heap over arena slots -----------------------------------
 //
-// The ordering predicate is (at, sched, seq): seq is unique per engine,
-// so the order is total and dispatch is FIFO within a timestamp — the
-// invariant every determinism guarantee in this codebase rests on.
-//
-// The sched refinement is vacuous on a lone engine: the clock never runs
-// backward, so seq is already monotone in schedule time and (at, sched,
-// seq) orders exactly like the historical (at, seq). It exists for the
-// sharded engine, whose window barriers schedule cross-shard messages
-// *after* the window that sent them: carrying the sender's clock in
-// sched restores the send-order tiebreak the single heap would have
-// applied at equal timestamps.
+// The ordering predicate is (at, seq): seq is unique per engine, so the
+// order is total and dispatch is FIFO within a timestamp — the invariant
+// every determinism guarantee in this codebase rests on.
 
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
 	}
 	return a.seq < b.seq
 }

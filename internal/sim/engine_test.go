@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -494,5 +495,63 @@ func TestDispatchOrderGolden(t *testing.T) {
 	const golden = uint64(0x84fb1f022122a9fa)
 	if h != golden {
 		t.Fatalf("dispatch-sequence fingerprint %#x, want %#x (dispatch order changed!)", h, golden)
+	}
+}
+
+// TestRunUntilWindowedMatchesSingle: RunUntil chopped into 16 windows
+// dispatches exactly the (time, origin) sequence of one RunUntil over the
+// whole horizon, including events that land on a window boundary. The
+// fleet replay's progress windows rely on this to keep its digest
+// independent of the window count.
+func TestRunUntilWindowedMatchesSingle(t *testing.T) {
+	type dispatch struct {
+		at     Time
+		origin int
+	}
+	const (
+		ctxs    = 8
+		windows = 16
+		horizon = Time(windows*1000 + 8) // window ends fall on and between ticks
+	)
+	run := func(n int) []dispatch {
+		e := New()
+		var log []dispatch
+		e.SetDispatchHook(func(now Time) { log = append(log, dispatch{now, e.Origin()}) })
+		for c := 0; c < ctxs; c++ {
+			c := c
+			period := Time(250 + 13*(c%5))
+			partner := (c + ctxs/2) % ctxs
+			ticks := 0
+			var tick func()
+			tick = func() {
+				ticks++
+				if ticks%3 == 0 {
+					// A cross-context hop, attributed to its target.
+					e.SetOrigin(partner)
+					e.After(Time(90+c), func() {})
+					e.SetOrigin(c)
+				}
+				e.After(period, tick)
+			}
+			e.SetOrigin(c)
+			e.At(period, tick)
+		}
+		e.SetOrigin(NoOrigin)
+		for w := 1; w <= n; w++ {
+			end := horizon * Time(w) / Time(n)
+			e.RunUntil(end)
+			if e.Now() != end {
+				t.Fatalf("window %d/%d ended at %v, want %v", w, n, e.Now(), end)
+			}
+		}
+		return log
+	}
+	want := run(1)
+	got := run(windows)
+	if len(want) == 0 {
+		t.Fatal("workload dispatched nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("windowed run dispatched %d events, single run %d; sequences differ", len(got), len(want))
 	}
 }

@@ -119,13 +119,6 @@ func WithPort(name string) Option {
 	}
 }
 
-// WithShards sets the virtual-time engine shard count used by the
-// fleet-scale experiments. n <= 1 runs the single-heap engine. Results
-// are byte-identical at any shard count; only wall-clock time changes.
-func WithShards(n int) Option {
-	return func(s *exp.Session) error { s.SetShards(n); return nil }
-}
-
 // NewSession constructs a session from the calibrated defaults plus the
 // given options.
 func NewSession(opts ...Option) (*Session, error) {
@@ -157,12 +150,6 @@ func (s *Session) SetParallelism(n int) { s.exp.SetParallelism(n) }
 
 // Parallelism reports the session's effective worker-pool width.
 func (s *Session) Parallelism() int { return s.exp.Parallelism() }
-
-// SetShards sets the engine shard count for fleet-scale experiments.
-func (s *Session) SetShards(n int) { s.exp.SetShards(n) }
-
-// Shards reports the session's effective engine shard count.
-func (s *Session) Shards() int { return s.exp.Shards() }
 
 // SetHostTopology sets the host topology for fleet-scale experiments.
 func (s *Session) SetHostTopology(t HostTopology) error { return s.exp.SetTopology(t) }
@@ -326,7 +313,7 @@ func LBScenarios() []string { return exp.LBScenarios() }
 // through the mode's full exit machinery; phase 2 replays fleet
 // contention (plus the storm or fault plane, per scenario) and drives
 // the seeded traffic trace across the host's topology-priced delivery
-// fabric. Byte-identical at any parallelism width and shard count.
+// fabric. Byte-identical at any parallelism width.
 func (s *Session) LoadBalancer(mode Mode, k int, scenario string, seed int64, sloUs float64) LBResult {
 	return s.exp.LoadBalancer(mode, k, scenario, seed, sloUs)
 }
