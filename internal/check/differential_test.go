@@ -54,7 +54,7 @@ func dropOneCPUID(target hv.Mode) func(hv.Mode, *machine.Machine) {
 			return
 		}
 		dropped := false
-		m.L0.DropOwnedExit = func(e *isa.Exit) bool {
+		m.L0.DropOwnedExit = func(e isa.Exit) bool {
 			if !dropped && e.Reason == isa.ExitCPUID {
 				dropped = true
 				return true

@@ -133,14 +133,14 @@ func TestCrossContextAccessThroughHierarchy(t *testing.T) {
 	c.WriteGPR(1, isa.RDX, 0x11)
 	c.WriteGPR(2, isa.RDX, 0x22)
 	got, exit := c.CtxtAccess(1, isa.RDX, false, 0)
-	if exit != nil || got != 0x11 {
+	if exit.Reason != isa.ExitNone || got != 0x11 {
 		t.Fatalf("lvl1 read = %#x / %v", got, exit)
 	}
 	got, exit = c.CtxtAccess(2, isa.RDX, false, 0)
-	if exit != nil || got != 0x22 {
+	if exit.Reason != isa.ExitNone || got != 0x22 {
 		t.Fatalf("lvl2 read = %#x / %v", got, exit)
 	}
-	if _, exit = c.CtxtAccess(1, isa.RDX, true, 0x99); exit != nil {
+	if _, exit = c.CtxtAccess(1, isa.RDX, true, 0x99); exit.Reason != isa.ExitNone {
 		t.Fatalf("lvl1 write trapped: %v", exit)
 	}
 	if c.ReadGPR(1, isa.RDX) != 0x99 {

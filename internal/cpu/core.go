@@ -236,7 +236,7 @@ func enterCat(v *vmcs.VMCS) sim.Category {
 	}
 }
 
-func exitCat(v *vmcs.VMCS, e *isa.Exit) sim.Category {
+func exitCat(v *vmcs.VMCS, e isa.Exit) sim.Category {
 	if v.VMLevel >= 2 {
 		return sim.CatSwitchL2L0
 	}
@@ -306,7 +306,7 @@ func (c *Core) enterGuest(ctx ContextID, v *vmcs.VMCS, g Guest) {
 
 // exitGuest performs the VM-exit transition from ctx under v, recording e
 // into the VMCS exit-information fields.
-func (c *Core) exitGuest(ctx ContextID, v *vmcs.VMCS, e *isa.Exit) *isa.Exit {
+func (c *Core) exitGuest(ctx ContextID, v *vmcs.VMCS, e isa.Exit) isa.Exit {
 	if e.Reason == isa.ExitVMCall && e.Qualification == QualSVtIdle {
 		// mwait park: the thread stays in guest mode; control returns to
 		// the simulation driver without an architectural VM exit.
@@ -340,10 +340,11 @@ func (c *Core) exitGuest(ctx ContextID, v *vmcs.VMCS, e *isa.Exit) *isa.Exit {
 // CtxtAccess performs a ctxtld (write=false) or ctxtst (write=true): the
 // SVt cross-context register access (§4). lvl selects the target context
 // indirectly through the µ-registers; invalid combinations return a trap
-// so software can emulate deeper hierarchies.
-func (c *Core) CtxtAccess(lvl int, r isa.Reg, write bool, val uint64) (uint64, *isa.Exit) {
+// so software can emulate deeper hierarchies. The exit is zero when the
+// access completed.
+func (c *Core) CtxtAccess(lvl int, r isa.Reg, write bool, val uint64) (uint64, isa.Exit) {
 	if !c.svtOn {
-		return 0, &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualBadCtxtAccess}
+		return 0, isa.Exit{Reason: isa.ExitVMCall, Qualification: QualBadCtxtAccess}
 	}
 	var target ContextID
 	switch {
@@ -357,15 +358,15 @@ func (c *Core) CtxtAccess(lvl int, r isa.Reg, write bool, val uint64) (uint64, *
 		target = NoContext
 	}
 	if target == NoContext {
-		return 0, &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualBadCtxtAccess}
+		return 0, isa.Exit{Reason: isa.ExitVMCall, Qualification: QualBadCtxtAccess}
 	}
 	c.Eng.Advance(c.Costs.CtxtAccess)
 	c.Stats.CtxtAccesses++
 	if write {
 		c.rf.Write(int(target), r, val)
-		return val, nil
+		return val, isa.Exit{}
 	}
-	return c.rf.Read(int(target), r), nil
+	return c.rf.Read(int(target), r), isa.Exit{}
 }
 
 // Entry interrupt-information encoding.

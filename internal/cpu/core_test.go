@@ -198,15 +198,15 @@ func TestCtxtAccessResolution(t *testing.T) {
 
 	// Host hypervisor (is_vm == 0): lvl 1 -> SVt_vm, lvl 2 -> SVt_nested.
 	got, e := c.CtxtAccess(1, isa.RBX, false, 0)
-	if e != nil || got != 11 {
+	if e.Reason != isa.ExitNone || got != 11 {
 		t.Fatalf("lvl1 = %d/%v", got, e)
 	}
 	got, e = c.CtxtAccess(2, isa.RBX, false, 0)
-	if e != nil || got != 22 {
+	if e.Reason != isa.ExitNone || got != 22 {
 		t.Fatalf("lvl2 = %d/%v", got, e)
 	}
 	// Write path.
-	if _, e = c.CtxtAccess(1, isa.RBX, true, 77); e != nil {
+	if _, e = c.CtxtAccess(1, isa.RBX, true, 77); e.Reason != isa.ExitNone {
 		t.Fatal(e)
 	}
 	if c.ReadGPR(1, isa.RBX) != 77 {
@@ -215,11 +215,11 @@ func TestCtxtAccessResolution(t *testing.T) {
 	// Guest mode (is_vm == 1): lvl 1 -> SVt_nested.
 	c.isVM = true
 	got, e = c.CtxtAccess(1, isa.RBX, false, 0)
-	if e != nil || got != 22 {
+	if e.Reason != isa.ExitNone || got != 22 {
 		t.Fatalf("guest lvl1 = %d/%v", got, e)
 	}
 	// Invalid combination traps.
-	if _, e = c.CtxtAccess(2, isa.RBX, false, 0); e == nil {
+	if _, e = c.CtxtAccess(2, isa.RBX, false, 0); e.Reason == isa.ExitNone {
 		t.Fatal("guest lvl2 must trap for emulation")
 	}
 	if c.Stats.CtxtAccesses != 4 {
@@ -229,7 +229,7 @@ func TestCtxtAccessResolution(t *testing.T) {
 
 func TestCtxtAccessWithoutSVtTraps(t *testing.T) {
 	c := testCore(1)
-	if _, e := c.CtxtAccess(1, isa.RAX, false, 0); e == nil {
+	if _, e := c.CtxtAccess(1, isa.RAX, false, 0); e.Reason == isa.ExitNone {
 		t.Fatal("ctxtld without SVt must trap")
 	}
 }

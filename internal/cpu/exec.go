@@ -13,8 +13,11 @@ import (
 // either a value (for reads) or a VM exit to be delivered.
 type ExecResult struct {
 	Value uint64
-	Exit  *isa.Exit
+	Exit  isa.Exit // zero when the instruction did not exit
 }
+
+// Exited reports whether the instruction raised a VM exit.
+func (r ExecResult) Exited() bool { return r.Exit.Reason != isa.ExitNone }
 
 // instruction lengths for RIP advancing after emulation.
 func instrLen(op isa.Op) uint64 {
@@ -53,7 +56,7 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 
 	case isa.OpCPUID:
 		eng.Advance(m.InstrCPUID)
-		return ExecResult{Exit: &isa.Exit{Reason: isa.ExitCPUID, Qualification: uint64(in.Leaf), InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitCPUID, Qualification: uint64(in.Leaf), InstrLen: instrLen(in.Op)}}
 
 	case isa.OpRDMSR, isa.OpWRMSR:
 		eng.Advance(m.InstrMSR)
@@ -65,7 +68,7 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 					reason = isa.ExitAPICWrite // virtualize-x2APIC bucket
 				}
 			}
-			return ExecResult{Exit: &isa.Exit{
+			return ExecResult{Exit: isa.Exit{
 				Reason:        reason,
 				Qualification: uint64(in.MSRAddr),
 				Value:         in.Val,
@@ -83,7 +86,7 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 		eptp := v.Read(vmcs.EPTPointer)
 		tbl := c.eptTables[eptp]
 		if tbl == nil {
-			return ExecResult{Exit: &isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
+			return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
 		}
 		need := ept.PermR
 		if in.Op == isa.OpMMIOWrite {
@@ -93,7 +96,7 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 		if err != nil {
 			var mis *ept.MisconfigError
 			if errors.As(err, &mis) {
-				return ExecResult{Exit: &isa.Exit{
+				return ExecResult{Exit: isa.Exit{
 					Reason:        isa.ExitEPTMisconfig,
 					GuestPA:       in.Addr,
 					Qualification: mis.Dev,
@@ -101,7 +104,7 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 					InstrLen:      instrLen(in.Op),
 				}}
 			}
-			return ExecResult{Exit: &isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
+			return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
 		}
 		if in.Op == isa.OpMMIOWrite {
 			if err := c.hostMem.WriteU64(hpa, in.Val); err != nil {
@@ -118,24 +121,24 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 	case isa.OpHLT:
 		eng.Advance(m.InstrBase)
 		if v.Read(vmcs.ProcControls)&vmcs.ProcCtlHLTExit != 0 {
-			return ExecResult{Exit: &isa.Exit{Reason: isa.ExitHLT, InstrLen: instrLen(in.Op)}}
+			return ExecResult{Exit: isa.Exit{Reason: isa.ExitHLT, InstrLen: instrLen(in.Op)}}
 		}
 		return ExecResult{}
 
 	case isa.OpPause:
 		eng.Advance(m.InstrBase)
 		if v.Read(vmcs.ProcControls)&vmcs.ProcCtlPauseExit != 0 {
-			return ExecResult{Exit: &isa.Exit{Reason: isa.ExitPause, InstrLen: instrLen(in.Op)}}
+			return ExecResult{Exit: isa.Exit{Reason: isa.ExitPause, InstrLen: instrLen(in.Op)}}
 		}
 		return ExecResult{}
 
 	case isa.OpVMCall:
 		eng.Advance(m.InstrBase)
-		return ExecResult{Exit: &isa.Exit{Reason: isa.ExitVMCall, Qualification: in.Val, InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMCall, Qualification: in.Val, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpVMPtrLd:
 		eng.Advance(m.InstrBase)
-		return ExecResult{Exit: &isa.Exit{Reason: isa.ExitVMPtrLd, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMPtrLd, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpVMLaunch, isa.OpVMResume:
 		eng.Advance(m.InstrBase)
@@ -143,11 +146,11 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 		if in.Op == isa.OpVMLaunch {
 			r = isa.ExitVMLaunch
 		}
-		return ExecResult{Exit: &isa.Exit{Reason: r, InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: r, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpINVEPT:
 		eng.Advance(m.InstrBase)
-		return ExecResult{Exit: &isa.Exit{Reason: isa.ExitINVEPT, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitINVEPT, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpVMRead:
 		f := vmcs.Field(in.Addr)
@@ -157,7 +160,7 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 			return ExecResult{Value: v.Shadow.Read(f)}
 		}
 		eng.Advance(m.InstrBase)
-		return ExecResult{Exit: &isa.Exit{Reason: isa.ExitVMRead, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMRead, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpVMWrite:
 		f := vmcs.Field(in.Addr)
@@ -167,7 +170,7 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 			return ExecResult{}
 		}
 		eng.Advance(m.InstrBase)
-		return ExecResult{Exit: &isa.Exit{Reason: isa.ExitVMWrite, Qualification: in.Addr, Value: in.Val, InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMWrite, Qualification: in.Addr, Value: in.Val, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpMonitor, isa.OpMwait:
 		// The SW SVt prototype configures mwait passthrough (§5.2); the

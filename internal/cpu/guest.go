@@ -48,8 +48,8 @@ type RunState struct {
 
 // physIRQExit builds the EXTERNAL_INTERRUPT exit if the context's
 // physical LAPIC has a pending vector and the VMCS asks for
-// external-interrupt exiting.
-func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) *isa.Exit {
+// external-interrupt exiting; ok reports whether it did.
+func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) (e isa.Exit, ok bool) {
 	// Under SVt, external interrupts are steered to the visor context
 	// (§3.1); otherwise each hardware thread takes its own.
 	irq := ctx
@@ -58,33 +58,33 @@ func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) *isa.Exit {
 	}
 	l := c.lapics[irq]
 	if l == nil || !l.HasPending() {
-		return nil
+		return e, false
 	}
 	if v.Read(vmcs.PinControls)&vmcs.PinCtlExtIntExit == 0 {
-		return nil
+		return e, false
 	}
 	vec, _ := l.PendingVector()
-	return &isa.Exit{Reason: isa.ExitExternalInterrupt, Vector: vec}
+	return isa.Exit{Reason: isa.ExitExternalInterrupt, Vector: vec}, true
 }
 
 // RunGuest enters the guest on ctx under v and executes it until a VM
 // exit, which it returns. This is the hardware side of VMRESUME: the
 // paper's hypervisors sit in a loop of RunGuest + handle.
-func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g Guest, rs *RunState) *isa.Exit {
+func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g Guest, rs *RunState) isa.Exit {
 	if ng, ok := g.(*NativeGuest); ok {
 		return c.runNative(ctx, v, ng)
 	}
 	return c.runProgram(ctx, v, g.(ProgramGuest), rs)
 }
 
-func (c *Core) runProgram(ctx ContextID, v *vmcs.VMCS, g ProgramGuest, rs *RunState) *isa.Exit {
+func (c *Core) runProgram(ctx ContextID, v *vmcs.VMCS, g ProgramGuest, rs *RunState) isa.Exit {
 	if rs == nil {
 		rs = &RunState{}
 	}
 	c.enterGuest(ctx, v, g)
 	for {
 		c.Eng.DispatchDue()
-		if e := c.physIRQExit(ctx, v); e != nil {
+		if e, ok := c.physIRQExit(ctx, v); ok {
 			return c.exitGuest(ctx, v, e)
 		}
 		if rs.ComputeLeft > 0 {
@@ -97,18 +97,18 @@ func (c *Core) runProgram(ctx ContextID, v *vmcs.VMCS, g ProgramGuest, rs *RunSt
 			rs.ComputeLeft = act.Dur
 		case ActHalt:
 			res := c.Exec(ctx, v, isa.HLT())
-			if res.Exit != nil {
+			if res.Exited() {
 				return c.exitGuest(ctx, v, res.Exit)
 			}
 			// HLT without HLT-exiting: idle in place until something happens.
 			if !c.Eng.Step() {
-				return c.exitGuest(ctx, v, &isa.Exit{Reason: isa.ExitHLT})
+				return c.exitGuest(ctx, v, isa.Exit{Reason: isa.ExitHLT})
 			}
 		case ActDone:
-			return c.exitGuest(ctx, v, &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone})
+			return c.exitGuest(ctx, v, isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone})
 		case ActInstr:
 			res := c.Exec(ctx, v, act.Instr)
-			if res.Exit != nil {
+			if res.Exited() {
 				return c.exitGuest(ctx, v, res.Exit)
 			}
 			if act.Dst != nil {
@@ -159,7 +159,7 @@ type NativeGuest struct {
 	parkedIdle bool
 
 	resume chan resumeMsg
-	yield  chan *isa.Exit
+	yield  chan isa.Exit
 }
 
 // NewNativeGuest creates a native guest bound to context ctx of core c.
@@ -170,7 +170,7 @@ func NewNativeGuest(name string, c *Core, ctx ContextID, body func(*Port)) *Nati
 		Name:   name,
 		body:   body,
 		resume: make(chan resumeMsg),
-		yield:  make(chan *isa.Exit),
+		yield:  make(chan isa.Exit),
 	}
 	g.port = &Port{core: c, guest: g, Ctx: ctx}
 	return g
@@ -213,7 +213,7 @@ func (g *NativeGuest) Kill() {
 	<-g.port.dead
 }
 
-func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit {
+func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) isa.Exit {
 	c.enterGuest(ctx, v, g)
 	g.port.VM = v
 	if !g.started {
@@ -232,7 +232,7 @@ func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) *isa.Exit 
 			}()
 			g.body(g.port)
 			g.finished = true
-			g.yield <- &isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
+			g.yield <- isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
 		}()
 	} else {
 		g.resume <- resumeMsg{}
@@ -268,7 +268,7 @@ type Port struct {
 // point of §6.1's channel study).
 func (p *Port) Park(qual uint64) {
 	p.guest.parkedIdle = true
-	p.trap(&isa.Exit{Reason: isa.ExitVMCall, Qualification: qual})
+	p.trap(isa.Exit{Reason: isa.ExitVMCall, Qualification: qual})
 	p.guest.parkedIdle = false
 }
 
@@ -327,7 +327,7 @@ func (p *Port) Compute(d sim.Time) {
 			eng.Advance(d)
 			return
 		}
-		if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
+		if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 			p.trap(e)
 		}
 		p.pollVirtIRQ()
@@ -341,14 +341,14 @@ func (p *Port) Compute(d sim.Time) {
 // halting.
 func (p *Port) ExecHLT() {
 	p.core.Eng.DispatchDue()
-	if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
+	if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 		p.trap(e)
 	}
 	if p.VirtLAPIC != nil && p.VirtLAPIC.HasPending() {
 		return
 	}
 	res := p.core.Exec(p.Ctx, p.VM, isa.HLT())
-	if res.Exit != nil {
+	if res.Exited() {
 		p.trap(res.Exit)
 	}
 }
@@ -356,11 +356,11 @@ func (p *Port) ExecHLT() {
 // ExecRaw executes one instruction without the virtual-IRQ poll prologue.
 func (p *Port) ExecRaw(in isa.Instr) uint64 {
 	p.core.Eng.DispatchDue()
-	if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
+	if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 		p.trap(e)
 	}
 	res := p.core.Exec(p.Ctx, p.VM, in)
-	if res.Exit != nil {
+	if res.Exited() {
 		p.trap(res.Exit)
 		return p.core.ReadGPR(p.Ctx, isa.RAX)
 	}
@@ -374,11 +374,11 @@ func (p *Port) ExecRaw(in isa.Instr) uint64 {
 func (p *Port) Exec(in isa.Instr) uint64 {
 	p.core.Eng.DispatchDue()
 	p.pollVirtIRQ()
-	if e := p.core.physIRQExit(p.Ctx, p.VM); e != nil {
+	if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 		p.trap(e)
 	}
 	res := p.core.Exec(p.Ctx, p.VM, in)
-	if res.Exit != nil {
+	if res.Exited() {
 		p.trap(res.Exit)
 		return p.core.ReadGPR(p.Ctx, isa.RAX)
 	}
@@ -387,7 +387,7 @@ func (p *Port) Exec(in isa.Instr) uint64 {
 
 // trap parks the goroutine, surfacing e as the VM exit of the current
 // RunGuest session.
-func (p *Port) trap(e *isa.Exit) {
+func (p *Port) trap(e isa.Exit) {
 	p.guest.yield <- e
 	msg := <-p.guest.resume
 	if msg.kill {

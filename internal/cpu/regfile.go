@@ -21,7 +21,11 @@ import (
 // file entry").
 type RegFile struct {
 	phys []uint64
+	// free is the rename free list as a FIFO ring. Every renaming write
+	// takes one register and returns one, so the ring is always full:
+	// the slot at head is the next to hand out and the one to refill.
 	free []int
+	head int
 	rmap [][]int // [context][gpr] -> physical register index
 }
 
@@ -29,7 +33,7 @@ type RegFile struct {
 // registers available for renaming.
 func NewRegFile(nCtx, spare int) *RegFile {
 	total := nCtx*int(isa.NumGPR) + spare
-	rf := &RegFile{phys: make([]uint64, total), rmap: make([][]int, nCtx)}
+	rf := &RegFile{phys: make([]uint64, total), free: make([]int, 0, spare), rmap: make([][]int, nCtx)}
 	next := 0
 	for c := 0; c < nCtx; c++ {
 		rf.rmap[c] = make([]int, isa.NumGPR)
@@ -69,10 +73,12 @@ func (rf *RegFile) Write(ctx int, r isa.Reg, val uint64) {
 		panic(fmt.Sprintf("cpu: %s is not a GPR", r))
 	}
 	if len(rf.free) > 0 {
-		p := rf.free[0]
-		rf.free = rf.free[1:]
-		rf.free = append(rf.free, rf.rmap[ctx][r])
+		p := rf.free[rf.head]
+		rf.free[rf.head] = rf.rmap[ctx][r]
 		rf.rmap[ctx][r] = p
+		if rf.head++; rf.head == len(rf.free) {
+			rf.head = 0
+		}
 	}
 	rf.phys[rf.rmap[ctx][r]] = val
 }

@@ -6,6 +6,7 @@ import (
 
 	"svtsim/internal/isa"
 	"svtsim/internal/qcheck"
+	"svtsim/internal/race"
 )
 
 func TestRegFileReadWrite(t *testing.T) {
@@ -107,5 +108,64 @@ func TestRegFileSemanticsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, qcheck.Config(t, 150)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// renameGolden is the physical register each write of
+// TestRegFileRenameOrderGolden lands in, recorded from the original
+// sliding free-list implementation. The free list is a FIFO: a write
+// takes the oldest free register and returns the one it replaces.
+var renameGolden = []int{
+	45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64,
+	65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 1, 11, 6, 4, 42, 14, 25, 47, 18, 15,
+	51, 35, 24, 17, 37, 28, 21, 56, 27, 59, 8, 23, 58, 52, 9, 19, 34, 55, 38, 66,
+	40, 39, 62, 30, 41, 2, 70, 0, 4, 20, 1, 36, 35, 46, 65, 3, 50, 16, 7, 29,
+	45, 5, 26, 44, 21, 74, 64, 37, 61, 72, 59, 33, 18, 32, 14, 55, 57, 23, 38, 27,
+	52, 51, 67, 9, 11, 73, 58, 71, 2, 56, 30, 49, 45, 40, 53, 12, 43, 65, 8, 10,
+	29, 60, 25, 5, 36, 54, 20, 18, 64, 47, 74, 46, 6, 39, 37, 9, 35, 17, 38, 73,
+	51, 27, 59, 24, 67, 40, 61, 34, 14, 52, 4, 72, 68, 22, 56, 60, 53, 5, 10, 0,
+	16, 71, 21, 49, 55, 64, 7, 35, 69, 2, 26, 43, 65, 23, 27, 39, 70, 19, 24, 33,
+	14, 51, 61, 47, 13, 29, 58, 48, 25, 72, 60, 12, 8, 52, 49, 0, 30, 3, 45, 34,
+}
+
+// The rename maps must evolve exactly as they always have: a machine's
+// register file is part of its state digest.
+func TestRegFileRenameOrderGolden(t *testing.T) {
+	rf := NewRegFile(3, 2*int(isa.NumGPR))
+	x := uint64(0x9E3779B97F4A7C15) // xorshift64 state
+	for i, want := range renameGolden {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		ctx := int(x % 3)
+		r := isa.Reg((x >> 8) % uint64(isa.NumGPR))
+		rf.Write(ctx, r, x)
+		if got := rf.rmap[ctx][r]; got != want {
+			t.Fatalf("write %d (ctx %d %s) renamed to p%d, want p%d", i, ctx, r, got, want)
+		}
+		if err := rf.CheckInvariants(); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if rf.Read(ctx, r) != x {
+			t.Fatalf("write %d: value lost", i)
+		}
+	}
+}
+
+func TestRegFileWriteAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	rf := NewRegFile(3, 2*int(isa.NumGPR))
+	// AllocsPerRun rounds its average down, so each run makes enough
+	// writes that even an amortized reallocation shows.
+	const writes = 1000
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := uint64(0); i < writes; i++ {
+			rf.Write(int(i%3), isa.Reg(i%uint64(isa.NumGPR)), i)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d RegFile.Writes allocate %.0f times, want 0", writes, allocs)
 	}
 }

@@ -68,10 +68,25 @@ func (e *ViolationError) Error() string {
 	return fmt.Sprintf("ept: violation at %#x (need %s)", e.GPA, e.Need)
 }
 
-type entry struct {
-	hostPage uint64
-	perm     Perm
+// entry is one guest frame's mapping packed into a word: the host frame
+// number above bit 8, a present bit, and the permissions in the low
+// byte. The zero entry is an unmapped frame.
+type entry uint64
+
+const entryPresent entry = 1 << 8
+
+func mkEntry(hostPage uint64, perm Perm) entry {
+	return entry(hostPage<<9) | entryPresent | entry(perm)
 }
+
+func (e entry) mapped() bool     { return e&entryPresent != 0 }
+func (e entry) hostPage() uint64 { return uint64(e >> 9) }
+func (e entry) perm() Perm       { return Perm(e) }
+
+// maxGPA bounds the guest-physical range a table can map (64 GB). A
+// table is a dense array indexed by guest frame number, so its highest
+// mapped frame sets its size.
+const maxGPA = 1 << 36
 
 type devRegion struct {
 	base, size uint64
@@ -82,7 +97,8 @@ type devRegion struct {
 // construct with New.
 type Table struct {
 	name    string
-	pages   map[uint64]entry // guest frame number -> entry
+	pages   []entry // indexed by guest frame number
+	mapped  int     // present entries in pages
 	devs    []devRegion
 	epoch   uint64 // bumped by Invalidate, lets cached walks detect staleness
 	walkCnt uint64
@@ -90,7 +106,7 @@ type Table struct {
 
 // New returns an empty table with a diagnostic name (e.g. "ept01").
 func New(name string) *Table {
-	return &Table{name: name, pages: make(map[uint64]entry)}
+	return &Table{name: name}
 }
 
 // Name returns the table's diagnostic name.
@@ -109,16 +125,42 @@ func (t *Table) Map(gpa, hpa, size uint64, perm Perm) error {
 	if gpa%mem.PageSize != 0 || hpa%mem.PageSize != 0 || size%mem.PageSize != 0 || size == 0 {
 		return fmt.Errorf("ept %s: unaligned map gpa=%#x hpa=%#x size=%#x", t.name, gpa, hpa, size)
 	}
-	if len(t.pages) == 0 {
-		// Size an empty table for the whole range at once: machines map
-		// their RAM in one call, and a growing map rehashes its way there
-		// through twice the final size in garbage.
-		t.pages = make(map[uint64]entry, size/mem.PageSize)
+	if gpa >= maxGPA || size > maxGPA-gpa {
+		return fmt.Errorf("ept %s: map gpa=%#x size=%#x beyond the %#x guest-physical range", t.name, gpa, size, uint64(maxGPA))
 	}
-	for off := uint64(0); off < size; off += mem.PageSize {
-		t.pages[(gpa+off)/mem.PageSize] = entry{hostPage: (hpa + off) / mem.PageSize, perm: perm}
+	gfn, hostPage, n := gpa/mem.PageSize, hpa/mem.PageSize, size/mem.PageSize
+	t.grow(gfn + n)
+	for i := uint64(0); i < n; i++ {
+		t.set(gfn+i, mkEntry(hostPage+i, perm))
 	}
 	return nil
+}
+
+// grow extends the page array to cover frames below end.
+func (t *Table) grow(end uint64) {
+	if end > uint64(len(t.pages)) {
+		t.pages = append(t.pages, make([]entry, end-uint64(len(t.pages)))...)
+	}
+}
+
+// set stores e at frame gfn (within the array), keeping the mapped count.
+func (t *Table) set(gfn uint64, e entry) {
+	if t.pages[gfn].mapped() {
+		t.mapped--
+	}
+	if e.mapped() {
+		t.mapped++
+	}
+	t.pages[gfn] = e
+}
+
+// lookup returns the entry for frame gfn; frames past the array are
+// unmapped.
+func (t *Table) lookup(gfn uint64) entry {
+	if gfn < uint64(len(t.pages)) {
+		return t.pages[gfn]
+	}
+	return 0
 }
 
 // Unmap removes mappings over [gpa, gpa+size).
@@ -126,8 +168,8 @@ func (t *Table) Unmap(gpa, size uint64) error {
 	if gpa%mem.PageSize != 0 || size%mem.PageSize != 0 {
 		return fmt.Errorf("ept %s: unaligned unmap", t.name)
 	}
-	for off := uint64(0); off < size; off += mem.PageSize {
-		delete(t.pages, (gpa+off)/mem.PageSize)
+	for gfn := gpa / mem.PageSize; gfn < (gpa+size)/mem.PageSize && gfn < uint64(len(t.pages)); gfn++ {
+		t.set(gfn, 0)
 	}
 	return nil
 }
@@ -159,11 +201,11 @@ func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
 	if dev, ok := t.DeviceAt(gpa); ok {
 		return 0, &MisconfigError{GPA: gpa, Dev: dev}
 	}
-	e, ok := t.pages[gpa/mem.PageSize]
-	if !ok || e.perm&need != need {
+	e := t.lookup(gpa / mem.PageSize)
+	if !e.mapped() || e.perm()&need != need {
 		return 0, &ViolationError{GPA: gpa, Need: need}
 	}
-	return e.hostPage*mem.PageSize + gpa%mem.PageSize, nil
+	return e.hostPage()*mem.PageSize + gpa%mem.PageSize, nil
 }
 
 // Invalidate models INVEPT: it bumps the epoch so that any cached
@@ -171,28 +213,32 @@ func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
 func (t *Table) Invalidate() { t.epoch++ }
 
 // MappedPages reports the number of mapped pages.
-func (t *Table) MappedPages() int { return len(t.pages) }
+func (t *Table) MappedPages() int { return t.mapped }
 
 // Compose builds the shadow table inner∘outer: for every page mapped by
 // inner (gpaInner→gpaOuter) it walks outer (gpaOuter→hpa) and installs
 // gpaInner→hpa with the intersection of permissions. Device regions of
 // the inner table are preserved (they must keep trapping in the composed
 // table), and inner pages that land on an outer device region become
-// device regions too.
+// device regions too, in guest-frame order.
 func Compose(name string, inner, outer *Table) (*Table, error) {
-	out := &Table{name: name, pages: make(map[uint64]entry, len(inner.pages))}
+	out := &Table{name: name, pages: make([]entry, len(inner.pages))}
 	for gfn, e := range inner.pages {
-		if dev, ok := outer.DeviceAt(e.hostPage * mem.PageSize); ok {
-			if err := out.MapMisconfig(gfn*mem.PageSize, mem.PageSize, dev); err != nil {
+		if !e.mapped() {
+			continue
+		}
+		gpa := uint64(gfn) * mem.PageSize
+		if dev, ok := outer.DeviceAt(e.hostPage() * mem.PageSize); ok {
+			if err := out.MapMisconfig(gpa, mem.PageSize, dev); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		oe, ok := outer.pages[e.hostPage]
-		if !ok {
-			return nil, &ViolationError{GPA: e.hostPage * mem.PageSize, Need: PermR}
+		oe := outer.lookup(e.hostPage())
+		if !oe.mapped() {
+			return nil, &ViolationError{GPA: e.hostPage() * mem.PageSize, Need: PermR}
 		}
-		out.pages[gfn] = entry{hostPage: oe.hostPage, perm: e.perm & oe.perm}
+		out.set(uint64(gfn), mkEntry(oe.hostPage(), e.perm()&oe.perm()))
 	}
 	for _, d := range inner.devs {
 		out.devs = append(out.devs, d)

@@ -2,6 +2,7 @@ package ept
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,75 @@ func TestComposeInnerPageOnOuterDevice(t *testing.T) {
 	var m *MisconfigError
 	if !errors.As(err, &m) || m.Dev != 3 {
 		t.Fatalf("inner RAM over outer device must trap as device %v", err)
+	}
+}
+
+// Inner pages that land on an outer device window become device regions
+// of the composed table. Compose walks the inner table in guest-frame
+// order, so those regions, and the snapshot state that lists them in
+// installation order, are the same on every run.
+func TestComposeDeviceOrderDeterministic(t *testing.T) {
+	inner := New("ept12")
+	outer := New("ept01")
+	const n = 8
+	for i := uint64(0); i < n; i++ {
+		if err := inner.Map(i*pg, 0xFE000000+i*pg, pg, PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := outer.MapMisconfig(0xFE000000, n*pg, 3); err != nil {
+		t.Fatal(err)
+	}
+	var first State
+	for run := 0; run < 20; run++ {
+		shadow, err := Compose("ept02", inner, outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := shadow.SaveState()
+		if run == 0 {
+			first = st
+			continue
+		}
+		if !reflect.DeepEqual(st, first) {
+			t.Fatalf("compose %d: state %+v differs from the first %+v", run, st, first)
+		}
+	}
+	if len(first.Devs) != n || len(first.Pages) != 0 {
+		t.Fatalf("want %d device regions and no pages, got %+v", n, first)
+	}
+	for i, d := range first.Devs {
+		if d.Base != uint64(i)*pg {
+			t.Fatalf("device region %d at %#x, want guest-frame order", i, d.Base)
+		}
+	}
+}
+
+func TestDenseStorageBounds(t *testing.T) {
+	e := New("t")
+	if err := e.Map(maxGPA-pg, 0, 2*pg, PermR); err == nil {
+		t.Fatal("a map past maxGPA must fail")
+	}
+	if err := e.Map(2*pg, 0x9000, pg, PermR); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Map(2*pg, 0xA000, pg, PermRW); err != nil { // remap in place
+		t.Fatal(err)
+	}
+	if e.MappedPages() != 1 {
+		t.Fatalf("mapped = %d after a remap, want 1", e.MappedPages())
+	}
+	if hpa, err := e.Translate(2*pg+8, PermW); err != nil || hpa != 0xA008 {
+		t.Fatalf("remapped translate = %#x, %v", hpa, err)
+	}
+	if _, err := e.Translate(1<<30, PermR); err == nil {
+		t.Fatal("a frame past the table must violate")
+	}
+	if err := e.Unmap(0, 1<<30); err != nil { // reaches past the table
+		t.Fatal(err)
+	}
+	if e.MappedPages() != 0 {
+		t.Fatalf("mapped = %d after unmapping everything", e.MappedPages())
 	}
 }
 

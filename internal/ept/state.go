@@ -1,7 +1,5 @@
 package ept
 
-import "sort"
-
 // PageState is one mapped page in canonical form.
 type PageState struct {
 	GFN      uint64
@@ -27,10 +25,14 @@ type State struct {
 // SaveState captures the table content.
 func (t *Table) SaveState() State {
 	s := State{Epoch: t.epoch}
-	for gfn, e := range t.pages {
-		s.Pages = append(s.Pages, PageState{GFN: gfn, HostPage: e.hostPage, Perm: e.perm})
+	if t.mapped > 0 {
+		s.Pages = make([]PageState, 0, t.mapped)
 	}
-	sort.Slice(s.Pages, func(i, j int) bool { return s.Pages[i].GFN < s.Pages[j].GFN })
+	for gfn, e := range t.pages {
+		if e.mapped() {
+			s.Pages = append(s.Pages, PageState{GFN: uint64(gfn), HostPage: e.hostPage(), Perm: e.perm()})
+		}
+	}
 	for _, d := range t.devs {
 		s.Devs = append(s.Devs, DevState{Base: d.base, Size: d.size, Dev: d.dev})
 	}
@@ -41,9 +43,15 @@ func (t *Table) SaveState() State {
 // installed after the capture are dropped, exactly as a restored EPT
 // must forget post-snapshot changes.
 func (t *Table) LoadState(s State) {
-	t.pages = make(map[uint64]entry, len(s.Pages))
+	clear(t.pages)
+	t.pages, t.mapped = t.pages[:0], 0
+	var end uint64
 	for _, p := range s.Pages {
-		t.pages[p.GFN] = entry{hostPage: p.HostPage, perm: p.Perm}
+		end = max(end, p.GFN+1)
+	}
+	t.grow(end)
+	for _, p := range s.Pages {
+		t.set(p.GFN, mkEntry(p.HostPage, p.Perm))
 	}
 	t.devs = t.devs[:0]
 	for _, d := range s.Devs {

@@ -95,7 +95,7 @@ type SWChannel interface {
 	// ReflectAndWait reports whether the exit was serviced over the
 	// channel; false degrades this exit to the baseline trap/resume path
 	// (the channel's watchdog gave up or its breaker is open).
-	ReflectAndWait(vc *VCPU, e *isa.Exit) bool
+	ReflectAndWait(vc *VCPU, e isa.Exit) bool
 	// PendingForL1 reports whether the SVt-thread has interrupts waiting,
 	// so external-interrupt exits get reflected even though the (blocked)
 	// L1 main vCPU shows nothing pending.
@@ -230,7 +230,7 @@ type Hypervisor struct {
 	// the exit itself instead of delivering it — a deliberately broken
 	// reflection the equivalence oracle must catch. Never set in
 	// production paths.
-	DropOwnedExit func(e *isa.Exit) bool
+	DropOwnedExit func(e isa.Exit) bool
 
 	Prof Profile
 	// NestedProf attributes L0 handling time to the nested guest's exit
@@ -323,14 +323,14 @@ func (h *Hypervisor) RunLoop(vc *VCPU) {
 
 // advanceRIP moves the guest's instruction pointer past the emulated
 // instruction. Under VMCS shadowing these accesses do not trap at L1.
-func (h *Hypervisor) advanceRIP(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) advanceRIP(vc *VCPU, e isa.Exit) {
 	rip := h.P.VMRead(vc.VMCS, vmcs.GuestRIP)
 	h.P.VMWrite(vc.VMCS, vmcs.GuestRIP, rip+e.InstrLen)
 }
 
 // Handle dispatches one VM exit. It reports whether the run loop should
 // stop.
-func (h *Hypervisor) Handle(vc *VCPU, e *isa.Exit) bool {
+func (h *Hypervisor) Handle(vc *VCPU, e isa.Exit) bool {
 	// Dispatch and lazy-switch costs (§2.3; Table 1 folds lazy context
 	// switching into the handler stages — SVt eliminates it).
 	if h.Level == 0 {
@@ -376,12 +376,12 @@ func (h *Hypervisor) Handle(vc *VCPU, e *isa.Exit) bool {
 	case isa.ExitPause, isa.ExitPreemptionTimer, isa.ExitSVTBlocked:
 		h.advanceRIP(vc, e)
 	default:
-		panic(fmt.Sprintf("%s: unhandled exit %v from %s", h.Name, e, vc.Name))
+		panic(fmt.Sprintf("%s: unhandled exit %s from %s", h.Name, e.String(), vc.Name))
 	}
 	return false
 }
 
-func (h *Hypervisor) emulCPUID(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulCPUID(vc *VCPU, e isa.Exit) {
 	leaf := h.P.ReadGuestGPR(vc, isa.RAX)
 	h.P.Charge(h.Costs.EmulCPUID)
 	// Deterministic synthetic leaf contents.
@@ -392,7 +392,7 @@ func (h *Hypervisor) emulCPUID(vc *VCPU, e *isa.Exit) {
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) emulMSRWrite(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulMSRWrite(vc *VCPU, e isa.Exit) {
 	addr := uint32(e.Qualification)
 	h.P.Charge(h.Costs.EmulMSR)
 	vc.msrStore[addr] = e.Value
@@ -405,14 +405,14 @@ func (h *Hypervisor) emulMSRWrite(vc *VCPU, e *isa.Exit) {
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) emulMSRRead(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulMSRRead(vc *VCPU, e isa.Exit) {
 	addr := uint32(e.Qualification)
 	h.P.Charge(h.Costs.EmulMSR)
 	h.P.WriteGuestGPR(vc, isa.RAX, vc.msrStore[addr])
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) emulMMIO(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) emulMMIO(vc *VCPU, e isa.Exit) {
 	dev := h.Devices[e.Qualification]
 	if dev == nil {
 		panic(fmt.Sprintf("%s: EPT misconfig for unknown device %d at %#x", h.Name, e.Qualification, e.GuestPA))
@@ -426,7 +426,7 @@ func (h *Hypervisor) emulMMIO(vc *VCPU, e *isa.Exit) {
 	h.advanceRIP(vc, e)
 }
 
-func (h *Hypervisor) handleHalt(vc *VCPU, e *isa.Exit) bool {
+func (h *Hypervisor) handleHalt(vc *VCPU, e isa.Exit) bool {
 	vc.Halted = true
 	defer func() { vc.Halted = false }()
 	h.P.Charge(h.Costs.EmulIRQWindow)
@@ -451,7 +451,7 @@ func (h *Hypervisor) handleHalt(vc *VCPU, e *isa.Exit) bool {
 // dispatch: device completion processing and routing to guest vCPUs. At
 // L1 the dispatch happens through the kernel IRQ poll instead, since the
 // vector already sits in L1's virtual LAPIC.
-func (h *Hypervisor) handleExtInt(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) handleExtInt(vc *VCPU, e isa.Exit) {
 	h.P.Charge(h.Costs.IRQAck)
 	h.P.AckIRQ(vc, e.Vector)
 	if h.Level == 0 {
@@ -461,7 +461,7 @@ func (h *Hypervisor) handleExtInt(vc *VCPU, e *isa.Exit) {
 	}
 }
 
-func (h *Hypervisor) handleVMCall(vc *VCPU, e *isa.Exit) bool {
+func (h *Hypervisor) handleVMCall(vc *VCPU, e isa.Exit) bool {
 	switch e.Qualification {
 	case cpu.QualGuestDone:
 		return true

@@ -158,7 +158,7 @@ func TestDeviceDispatchAndUnknownDevicePanics(t *testing.T) {
 		}
 	}()
 	vc := NewVCPU("g", 0, guestVMCS(), nil, 1)
-	h.Handle(vc, &isa.Exit{Reason: isa.ExitEPTMisconfig, Qualification: 99, GuestPA: 0xF000})
+	h.Handle(vc, isa.Exit{Reason: isa.ExitEPTMisconfig, Qualification: 99, GuestPA: 0xF000})
 }
 
 type fakeDev struct {

@@ -17,7 +17,7 @@ import (
 // handleVMPtrLd handles the guest hypervisor loading its VM state
 // descriptor: L0 starts "shadowing" it (step 1 of Figure 2) by linking
 // the shadow VMCS under the guest hypervisor's own VMCS.
-func (h *Hypervisor) handleVMPtrLd(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) handleVMPtrLd(vc *VCPU, e isa.Exit) {
 	ns := vc.Nested
 	if ns == nil || e.Qualification != ns.Vmcs12Addr {
 		panic(fmt.Sprintf("%s: VMPTRLD of unknown VMCS %#x by %s", h.Name, e.Qualification, vc.Name))
@@ -30,7 +30,7 @@ func (h *Hypervisor) handleVMPtrLd(vc *VCPU, e *isa.Exit) {
 }
 
 // handleVMRead emulates a trapped VMREAD against the shadow copy.
-func (h *Hypervisor) handleVMRead(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) handleVMRead(vc *VCPU, e isa.Exit) {
 	ns := h.activeNested(vc)
 	h.P.Charge(h.Costs.EmulVMCSAccess)
 	h.P.WriteGuestGPR(vc, isa.RAX, ns.Vmcs12.Read(vmcs.Field(e.Qualification)))
@@ -39,7 +39,7 @@ func (h *Hypervisor) handleVMRead(vc *VCPU, e *isa.Exit) {
 
 // handleVMWrite emulates a trapped VMWRITE, reflecting it into vmcs12 and
 // reacting to the fields that need L0-side work (EPT pointer).
-func (h *Hypervisor) handleVMWrite(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) handleVMWrite(vc *VCPU, e isa.Exit) {
 	ns := h.activeNested(vc)
 	h.P.Charge(h.Costs.EmulVMCSAccess)
 	f := vmcs.Field(e.Qualification)
@@ -52,7 +52,7 @@ func (h *Hypervisor) handleVMWrite(vc *VCPU, e *isa.Exit) {
 
 // handleINVEPT emulates the guest hypervisor's INVEPT against the shadow
 // EPT structures.
-func (h *Hypervisor) handleINVEPT(vc *VCPU, e *isa.Exit) {
+func (h *Hypervisor) handleINVEPT(vc *VCPU, e isa.Exit) {
 	ns := h.activeNested(vc)
 	h.P.Charge(h.Costs.EmulVMCSAccess)
 	if ns.OnINVEPT != nil {
@@ -111,7 +111,7 @@ func (h *Hypervisor) ledger() *sim.Ledger {
 	return nil
 }
 
-func (h *Hypervisor) reflectExit(ns *NestedState, e2 *isa.Exit) {
+func (h *Hypervisor) reflectExit(ns *NestedState, e2 isa.Exit) {
 	led := h.ledger()
 	var prev sim.Category
 	if led != nil {
@@ -140,7 +140,7 @@ func sTime(n int) sim.Time { return sim.Time(n) }
 // until an exit the guest hypervisor must see, reflects it, and — except
 // under SW SVt, where the SVt-thread answers over the command ring — lets
 // the run loop resume L1 with the injected exit.
-func (h *Hypervisor) handleVMResume(vc *VCPU, e *isa.Exit) bool {
+func (h *Hypervisor) handleVMResume(vc *VCPU, e isa.Exit) bool {
 	ns := h.activeNested(vc)
 	for {
 		h.nestedEntry(ns)
@@ -218,7 +218,7 @@ func (h *Hypervisor) handleVMResume(vc *VCPU, e *isa.Exit) bool {
 
 // recordNested attributes the handling time since start to the nested
 // exit reason (the measurement behind the paper's §6.2/§6.3 profiles).
-func (h *Hypervisor) recordNested(l2 *VCPU, e2 *isa.Exit, start sim.Time) {
+func (h *Hypervisor) recordNested(l2 *VCPU, e2 isa.Exit, start sim.Time) {
 	d := h.P.Now() - start
 	h.NestedProf.Time[e2.Reason] += d
 	h.NestedProf.Count[e2.Reason]++
@@ -248,7 +248,7 @@ func (h *Hypervisor) recordNested(l2 *VCPU, e2 *isa.Exit, start sim.Time) {
 // so the exit (already recorded in vmcs12 by reflectExit) is handled on
 // the baseline trap/resume path — either because this is baseline mode,
 // or because the channel degraded (watchdog exhausted, breaker open).
-func (h *Hypervisor) deliverToL1(vc *VCPU, ns *NestedState, e2 *isa.Exit) bool {
+func (h *Hypervisor) deliverToL1(vc *VCPU, ns *NestedState, e2 isa.Exit) bool {
 	h.reflectExit(ns, e2)
 	if h.Mode == ModeSWSVt {
 		if h.SW == nil {
@@ -267,13 +267,13 @@ func (h *Hypervisor) deliverToL1(vc *VCPU, ns *NestedState, e2 *isa.Exit) bool {
 // against vmcs02 and the guest hypervisor never sees it. The guest's
 // register results stay identical (the emulation code is shared), so only
 // a whole-machine equivalence check can notice the lost delivery.
-func (h *Hypervisor) dropOwned(e2 *isa.Exit) bool {
+func (h *Hypervisor) dropOwned(e2 isa.Exit) bool {
 	return h.DropOwnedExit != nil && h.DropOwnedExit(e2)
 }
 
 // ownedByL1 decides whether the guest hypervisor would have received this
 // exit had it controlled the hardware — i.e. whether vmcs12 asks for it.
-func (h *Hypervisor) ownedByL1(ns *NestedState, e2 *isa.Exit) bool {
+func (h *Hypervisor) ownedByL1(ns *NestedState, e2 isa.Exit) bool {
 	switch e2.Reason {
 	case isa.ExitCPUID, isa.ExitVMCall:
 		return true // architecturally unconditional

@@ -29,7 +29,7 @@ type Platform interface {
 
 	// Run enters the guest of vc until a VM exit and returns it
 	// (VMLAUNCH/VMRESUME + exit retrieval).
-	Run(vc *VCPU) *isa.Exit
+	Run(vc *VCPU) isa.Exit
 
 	// VMRead/VMWrite access a field of a VMCS this hypervisor manages.
 	VMRead(v *vmcs.VMCS, f vmcs.Field) uint64
@@ -98,7 +98,7 @@ func (p *RealPlatform) Charge(d sim.Time) { p.Core.Eng.Advance(d) }
 
 // Run implements Platform: load the vCPU's VMCS if it is not current and
 // enter the guest.
-func (p *RealPlatform) Run(vc *VCPU) *isa.Exit {
+func (p *RealPlatform) Run(vc *VCPU) isa.Exit {
 	if p.Core.SVtEnabled() {
 		// The SVt µ-registers are per-core and must describe the VM being
 		// entered, so the current-VMCS check is per-core too.
@@ -129,7 +129,7 @@ func (p *RealPlatform) VMWrite(v *vmcs.VMCS, f vmcs.Field, val uint64) {
 func (p *RealPlatform) ReadGuestGPR(vc *VCPU, r isa.Reg) uint64 {
 	if p.Core.SVtEnabled() {
 		val, exit := p.Core.CtxtAccess(vc.Lvl, r, false, 0)
-		if exit == nil {
+		if exit.Reason == isa.ExitNone {
 			return val
 		}
 	}
@@ -140,7 +140,7 @@ func (p *RealPlatform) ReadGuestGPR(vc *VCPU, r isa.Reg) uint64 {
 // WriteGuestGPR implements Platform.
 func (p *RealPlatform) WriteGuestGPR(vc *VCPU, r isa.Reg, val uint64) {
 	if p.Core.SVtEnabled() {
-		if _, exit := p.Core.CtxtAccess(vc.Lvl, r, true, val); exit == nil {
+		if _, exit := p.Core.CtxtAccess(vc.Lvl, r, true, val); exit.Reason == isa.ExitNone {
 			return
 		}
 	}

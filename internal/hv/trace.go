@@ -137,7 +137,7 @@ func (h *Hypervisor) SetObs(t *obs.Tracer) { h.obs = t }
 // Obs returns the attached tracer, if any.
 func (h *Hypervisor) Obs() *obs.Tracer { return h.obs }
 
-func (h *Hypervisor) traceExit(vc *VCPU, e *isa.Exit, nested bool, start sim.Time) {
+func (h *Hypervisor) traceExit(vc *VCPU, e isa.Exit, nested bool, start sim.Time) {
 	if h.trace != nil {
 		h.trace.add(TraceEntry{
 			At:       start,

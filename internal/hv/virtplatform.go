@@ -47,7 +47,7 @@ func (p *VirtualPlatform) Charge(d sim.Time) { p.Port.Charge(d) }
 // without traps; the interrupt-window check on the execution controls is
 // not shadowable and costs one genuine exit (the "L1 exits during VM-exit
 // handling" of §2.3).
-func (p *VirtualPlatform) Run(vc *VCPU) *isa.Exit {
+func (p *VirtualPlatform) Run(vc *VCPU) isa.Exit {
 	if p.loaded != vc.VMCS {
 		p.Port.Exec(isa.Instr{Op: isa.OpVMPtrLd, Addr: vc.VMCSAddr})
 		p.loaded = vc.VMCS
@@ -59,11 +59,11 @@ func (p *VirtualPlatform) Run(vc *VCPU) *isa.Exit {
 // ReadExitInfo retrieves the exit information of the most recent nested
 // VM exit from the loaded VMCS. The SW SVt SVt-thread uses it directly
 // when a CMD_VM_TRAP arrives.
-func (p *VirtualPlatform) ReadExitInfo() *isa.Exit {
+func (p *VirtualPlatform) ReadExitInfo() isa.Exit {
 	read := func(f vmcs.Field) uint64 {
 		return p.Port.Exec(isa.Instr{Op: isa.OpVMRead, Addr: uint64(f)})
 	}
-	e := &isa.Exit{
+	e := isa.Exit{
 		Reason:        isa.ExitReason(read(vmcs.ExitReasonF)),
 		Qualification: read(vmcs.ExitQualification),
 		InstrLen:      read(vmcs.ExitInstrLen),

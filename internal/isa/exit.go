@@ -55,6 +55,10 @@ func (r ExitReason) String() string {
 // them in one struct models the "minimal bootstrap state" the paper
 // describes, while field-level accesses (and their traps at L1) are still
 // performed through VMREAD/VMWRITE.
+//
+// Exits travel by value along the exit path, so delivering one
+// allocates nothing. The zero Exit (reason ExitNone) stands for "no
+// exit".
 type Exit struct {
 	Reason        ExitReason
 	Qualification uint64 // reason-specific (MSR address, port, CR number…)

@@ -108,7 +108,7 @@ func (ch *Channel) now() sim.Time { return ch.L0.P.Now() }
 // breaker is open) and the caller must service the exit on the baseline
 // trap/resume path instead — the paper's requirement that SVt never be
 // less live than vanilla nesting.
-func (ch *Channel) ReflectAndWait(vc *hv.VCPU, e *isa.Exit) bool {
+func (ch *Channel) ReflectAndWait(vc *hv.VCPU, e isa.Exit) bool {
 	br := ch.breakerFor(vc)
 	if br != nil && !br.Allow() {
 		ch.FallbackReflections.Inc()
@@ -165,7 +165,7 @@ func (ch *Channel) ProbeState() string {
 // run (no fault fires) its charges are byte-identical to the pre-fault-
 // plane implementation: every consult below returns the zero outcome for
 // free when no injector is registered.
-func (ch *Channel) reflect(e *isa.Exit) bool {
+func (ch *Channel) reflect(e isa.Exit) bool {
 	m := ch.Costs
 	reflStart := ch.now()
 
@@ -269,7 +269,7 @@ func (ch *Channel) reflect(e *isa.Exit) bool {
 // pushTrap pushes CMD_VM_TRAP with the register payload, retrying
 // stalled pushes (fault-injected or a genuinely full ring) under the
 // watchdog. It reports false when the retries are exhausted.
-func (ch *Channel) pushTrap(e *isa.Exit) bool {
+func (ch *Channel) pushTrap(e isa.Exit) bool {
 	m := ch.Costs
 	for attempt := 0; ; attempt++ {
 		stalled := false
@@ -396,7 +396,7 @@ func (ch *Channel) serviceBlockedL1() {
 	}
 	ch.BlockedEvents.Inc()
 	// Present the blocked trap through the shadow VMCS.
-	ch.Ns.Vmcs12.RecordExit(&isa.Exit{Reason: isa.ExitSVTBlocked})
+	ch.Ns.Vmcs12.RecordExit(isa.Exit{Reason: isa.ExitSVTBlocked})
 	ch.L0.P.Charge(ch.Costs.InjectExit)
 	for vc.VirtLAPIC.HasPending() {
 		ch.L0.PrepareResume(vc)
@@ -408,7 +408,7 @@ func (ch *Channel) serviceBlockedL1() {
 			if !vc.VirtLAPIC.HasPending() {
 				return
 			}
-			ch.Ns.Vmcs12.RecordExit(&isa.Exit{Reason: isa.ExitSVTBlocked})
+			ch.Ns.Vmcs12.RecordExit(isa.Exit{Reason: isa.ExitSVTBlocked})
 		case isa.ExitVMCall:
 			if e.Qualification == cpu.QualGuestDone {
 				ch.stopped = true

@@ -107,7 +107,7 @@ func (v *VMCS) ShadowedAccess(f Field) bool {
 
 // RecordExit fills the exit-information fields from e. The hardware does
 // this during a VM exit.
-func (v *VMCS) RecordExit(e *isa.Exit) {
+func (v *VMCS) RecordExit(e isa.Exit) {
 	v.Write(ExitReasonF, uint64(e.Reason))
 	v.Write(ExitQualification, e.Qualification)
 	v.Write(ExitInstrLen, e.InstrLen)
@@ -117,8 +117,8 @@ func (v *VMCS) RecordExit(e *isa.Exit) {
 }
 
 // LoadExit reconstructs an exit record from the exit-information fields.
-func (v *VMCS) LoadExit() *isa.Exit {
-	return &isa.Exit{
+func (v *VMCS) LoadExit() isa.Exit {
+	return isa.Exit{
 		Reason:        isa.ExitReason(v.Read(ExitReasonF)),
 		Qualification: v.Read(ExitQualification),
 		InstrLen:      v.Read(ExitInstrLen),

@@ -7,6 +7,7 @@ import (
 
 	"svtsim/internal/isa"
 	"svtsim/internal/qcheck"
+	"svtsim/internal/race"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -139,7 +140,7 @@ func TestMSRBitmap(t *testing.T) {
 
 func TestRecordLoadExitRoundTrip(t *testing.T) {
 	v := New("x")
-	e := &isa.Exit{
+	e := isa.Exit{
 		Reason:        isa.ExitMSRWrite,
 		Qualification: uint64(isa.MSRTSCDeadline),
 		InstrLen:      2,
@@ -251,7 +252,7 @@ func TestToPhysicalForcedControls(t *testing.T) {
 
 func TestToVirtualReflectsExitInfo(t *testing.T) {
 	v02, v12 := New("vmcs02"), New("vmcs12")
-	v02.RecordExit(&isa.Exit{Reason: isa.ExitCPUID, InstrLen: 2})
+	v02.RecordExit(isa.Exit{Reason: isa.ExitCPUID, InstrLen: 2})
 	v02.Write(GuestRIP, 0x999)
 	v12.Write(ProcControls, 0xDEAD) // L1's own controls must survive
 	st := ToVirtual(v12, v02)
@@ -295,5 +296,28 @@ func TestTransformRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, qcheck.Config(t, 100)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The transforms run on every nested exit; after the first call has
+// sized the destination's maps, they allocate nothing.
+func TestTransformsAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	v12, v02 := New("vmcs12"), New("vmcs02")
+	v12.Write(MSRBitmapAddr, 0x2000)
+	v12.Write(VirtualAPICPage, 0x3000)
+	v12.SetMSRExit(0x123, true)
+	forced := ForcedControls{Pin: PinCtlExtIntExit, ForceMSR: []uint32{isa.MSRTSCDeadline}}
+	xlat := xlatAdd(0x1000)
+	phys := testing.AllocsPerRun(200, func() {
+		if _, err := ToPhysical(v02, v12, xlat, forced); err != nil {
+			t.Fatal(err)
+		}
+	})
+	virt := testing.AllocsPerRun(200, func() { ToVirtual(v12, v02) })
+	if phys != 0 || virt != 0 {
+		t.Fatalf("allocs per call: ToPhysical %.2f, ToVirtual %.2f; want 0", phys, virt)
 	}
 }
