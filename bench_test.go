@@ -18,7 +18,7 @@ import (
 // --- Table 1 / Figure 6: the cpuid micro-benchmark ----------------------
 
 func BenchmarkTable1BaselineCPUIDBreakdown(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	for i := 0; i < b.N; i++ {
 		r := s.CPUIDNested(Baseline, 500)
 		b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
@@ -33,23 +33,23 @@ func benchCPUID(b *testing.B, run func() CPUIDResult) {
 }
 
 func BenchmarkFigure6NativeL0(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchCPUID(b, func() CPUIDResult { return s.CPUIDNative(500) })
 }
 func BenchmarkFigure6SingleLevelL1(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchCPUID(b, func() CPUIDResult { return s.CPUIDSingleLevel(500) })
 }
 func BenchmarkFigure6NestedL2(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(Baseline, 500) })
 }
 func BenchmarkFigure6SWSVt(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(SWSVt, 500) })
 }
 func BenchmarkFigure6HWSVt(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(HWSVt, 500) })
 }
 
@@ -67,42 +67,42 @@ func benchModes(b *testing.B, run func(Mode) (metric float64, unit string)) {
 }
 
 func BenchmarkFigure7NetLatency(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchModes(b, func(m Mode) (float64, string) {
 		return s.NetLatency(m, 50).MeanUs, "virt-us/rtt"
 	})
 }
 
 func BenchmarkFigure7NetBandwidth(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchModes(b, func(m Mode) (float64, string) {
 		return s.NetBandwidth(m, 20*Millisecond).Mbps, "virt-Mbps"
 	})
 }
 
 func BenchmarkFigure7DiskReadLatency(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchModes(b, func(m Mode) (float64, string) {
 		return s.DiskLatency(m, false, 50).MeanUs, "virt-us/op"
 	})
 }
 
 func BenchmarkFigure7DiskWriteLatency(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchModes(b, func(m Mode) (float64, string) {
 		return s.DiskLatency(m, true, 50).MeanUs, "virt-us/op"
 	})
 }
 
 func BenchmarkFigure7DiskReadBandwidth(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchModes(b, func(m Mode) (float64, string) {
 		return s.DiskBandwidth(m, false, 80).KBs, "virt-KB/s"
 	})
 }
 
 func BenchmarkFigure7DiskWriteBandwidth(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchModes(b, func(m Mode) (float64, string) {
 		return s.DiskBandwidth(m, true, 80).KBs, "virt-KB/s"
 	})
@@ -111,7 +111,7 @@ func BenchmarkFigure7DiskWriteBandwidth(b *testing.B) {
 // --- Figure 8: memcached --------------------------------------------------
 
 func BenchmarkFigure8Memcached(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -126,7 +126,7 @@ func BenchmarkFigure8Memcached(b *testing.B) {
 // --- Figure 9: TPC-C -------------------------------------------------------
 
 func BenchmarkFigure9TPCC(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -139,7 +139,7 @@ func BenchmarkFigure9TPCC(b *testing.B) {
 // --- Figure 10: video playback --------------------------------------------
 
 func BenchmarkFigure10Video(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	for _, mode := range []Mode{Baseline, SWSVt} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -153,7 +153,7 @@ func BenchmarkFigure10Video(b *testing.B) {
 // --- §6.1: channel study (simulated) ---------------------------------------
 
 func BenchmarkChannelStudy(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	for _, pol := range []WaitPolicy{PolicyPoll, PolicyMwait, PolicyMutex} {
 		b.Run(pol.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -266,14 +266,14 @@ func BenchmarkHandoffSpin(b *testing.B) {
 // BenchmarkAblationBypass measures the paper's §3.1 future-work extension:
 // delivering L1-owned exits straight to L1's context.
 func BenchmarkAblationBypass(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	benchCPUID(b, func() CPUIDResult { return s.CPUIDNested(HWSVtBypass, 500) })
 }
 
 // BenchmarkAblationNoShadowing quantifies hardware VMCS shadowing by
 // turning it off (every guest-hypervisor field access traps).
 func BenchmarkAblationNoShadowing(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	for i := 0; i < b.N; i++ {
 		r := s.CPUIDNestedNoShadowing(500)
 		b.ReportMetric(r.PerOp.Microseconds(), "virt-us/cpuid")
@@ -283,7 +283,7 @@ func BenchmarkAblationNoShadowing(b *testing.B) {
 // BenchmarkAblationThunkRegs sweeps the number of registers the software
 // context-switch thunk moves ("dozens of registers", §1).
 func BenchmarkAblationThunkRegs(b *testing.B) {
-	s := testSession(b)
+	s := NewSession()
 	for _, regs := range []int{8, 15, 30, 60} {
 		b.Run(strconv.Itoa(regs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -45,16 +45,16 @@ func sections(sess *svtsim.Session, all bool, table, figure int, micro string, p
 			secs = append(secs, section{name: name, run: run})
 		}
 	}
-	add(all || table == 1, "table1", func(w io.Writer) { sess.ReportTable1(w, n) })
-	add(all || table == 3, "table3", func(w io.Writer) { sess.ReportTable3(w, root) })
-	add(all || table == 4, "table4", func(w io.Writer) { sess.ReportTable4(w) })
-	add(all || figure == 6, "figure6", func(w io.Writer) { sess.ReportFigure6(w, n) })
-	add(all || figure == 7, "figure7", func(w io.Writer) { sess.ReportFigure7(w, quick) })
-	add(all || figure == 8, "figure8", func(w io.Writer) { sess.ReportFigure8(w, quick) })
-	add(all || figure == 9, "figure9", func(w io.Writer) { sess.ReportFigure9(w, quick) })
-	add(all || figure == 10, "figure10", func(w io.Writer) { sess.ReportFigure10(w, quick) })
-	add(all || micro == "channels", "channels", func(w io.Writer) { sess.ReportChannels(w, quick) })
-	add(all || profile, "profiles", func(w io.Writer) { sess.ReportProfiles(w) })
+	add(all || table == 1, "table1", func(w io.Writer) { sess.Table1(w, n) })
+	add(all || table == 3, "table3", func(w io.Writer) { sess.Table3(w, root) })
+	add(all || table == 4, "table4", func(w io.Writer) { sess.Table4(w) })
+	add(all || figure == 6, "figure6", func(w io.Writer) { sess.Figure6(w, n) })
+	add(all || figure == 7, "figure7", func(w io.Writer) { sess.Figure7(w, quick) })
+	add(all || figure == 8, "figure8", func(w io.Writer) { sess.Figure8(w, quick) })
+	add(all || figure == 9, "figure9", func(w io.Writer) { sess.Figure9(w, quick) })
+	add(all || figure == 10, "figure10", func(w io.Writer) { sess.Figure10(w, quick) })
+	add(all || micro == "channels", "channels", func(w io.Writer) { sess.Channels(w, quick) })
+	add(all || profile, "profiles", func(w io.Writer) { sess.Profiles(w) })
 	return secs
 }
 
@@ -103,11 +103,8 @@ func main() {
 		}
 	}
 
-	sess, err := svtsim.NewSession(svtsim.WithParallelism(*workers))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	sess := svtsim.NewSession()
+	sess.SetParallelism(*workers)
 	secs := sections(sess, *all, *table, *figure, *micro, *profile, n, *quick, *root)
 	if len(secs) == 0 {
 		fmt.Fprintln(os.Stderr, "nothing selected; try -all, -table N, -figure N, -micro channels, -profile or -trace FILE")
@@ -127,10 +124,8 @@ func writeTraceArtifact(path string, quick bool) error {
 	if quick {
 		n = 100
 	}
-	sess, err := svtsim.NewSession(svtsim.WithObs(&svtsim.ObsOptions{}))
-	if err != nil {
-		return err
-	}
+	sess := svtsim.NewSession()
+	sess.SetObs(&svtsim.ObsOptions{})
 	r := sess.NetLatency(svtsim.SWSVt, n)
 	plane := sess.LastObs()
 	if plane == nil {

@@ -77,34 +77,8 @@ import (
 	"time"
 
 	"svtsim"
+	"svtsim/internal/fault"
 )
-
-// buildFaultSpec combines the -faults spec syntax with the -fault-rate
-// shorthand (lost SW-SVt wakeups plus dropped IPIs, the acceptance
-// scenario) into one armed spec, or nil when both are unset.
-func buildFaultSpec(arg string, rate float64, seed int64) (*svtsim.FaultSpec, error) {
-	var spec *svtsim.FaultSpec
-	if arg != "" {
-		s, err := svtsim.ParseFaultSpec(arg, seed)
-		if err != nil {
-			return nil, err
-		}
-		spec = s
-	}
-	if rate > 0 {
-		if rate > 1 {
-			return nil, fmt.Errorf("-fault-rate %v: must be in (0, 1]", rate)
-		}
-		if spec == nil {
-			spec = &svtsim.FaultSpec{Seed: seed}
-		}
-		spec.Sites = append(spec.Sites,
-			svtsim.FaultSiteConfig{Site: svtsim.FaultSiteSVtWakeup, Rate: rate, Drop: true},
-			svtsim.FaultSiteConfig{Site: svtsim.FaultSiteIPI, Rate: rate, Drop: true},
-		)
-	}
-	return spec, nil
-}
 
 // lbScenarioKnown reports whether name is one of the -lb scenarios.
 func lbScenarioKnown(name string) bool {
@@ -151,7 +125,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "write the metrics registry to this file (.json extension selects JSON, CSV otherwise)")
 		summary   = flag.Int("summary", 0, "print the top-N trace span summary after the run")
 		obsRing   = flag.Int("obs-ring", 0, "per-track trace ring capacity (0 = default)")
-		dumpExits = flag.Int("dump-exits", 0, "dump the last N VM exits after a cpuid run")
+		dumpExits = flag.Int("dump-exits", 0, "after a cpuid run, list the N newest VM exits L0 handled, by start time")
 		faults    = flag.String("faults", "", "fault spec: site:key=val,...;... (sites: "+strings.Join(svtsim.FaultSites(), ", ")+")")
 		faultSeed = flag.Int64("fault-seed", 1, "fault plane RNG seed (replays are byte-identical per seed)")
 		faultRate = flag.Float64("fault-rate", 0, "shorthand: drop SW-SVt wakeups and IPIs at this probability")
@@ -198,13 +172,13 @@ func main() {
 		fmt.Printf("%s: equivalent across all modes\n", *replay)
 		return
 	}
+	port, err := svtsim.ParsePort(*portStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *checkN > 0 {
-		failures, err := svtsim.CheckSchedulesPort(os.Stdout, *checkN, *checkSeed, *checkDir, *portStr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if failures > 0 {
+		if svtsim.CheckSchedulesPort(os.Stdout, *checkN, *checkSeed, *checkDir, port) > 0 {
 			os.Exit(1)
 		}
 		return
@@ -227,23 +201,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	opts := []svtsim.Option{svtsim.WithHostTopology(topo), svtsim.WithParallelism(*par),
-		svtsim.WithPort(*portStr)}
-	if spec, err := buildFaultSpec(*faults, *faultRate, *faultSeed); err != nil {
+	sess := svtsim.NewSession()
+	sess.SetPort(port)
+	sess.SetParallelism(*par)
+	if err := sess.SetTopology(topo); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if spec, err := fault.BuildSpec(*faults, *faultRate, *faultSeed); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	} else if spec != nil {
 		fmt.Fprintf(os.Stderr, "fault plane armed: %s (seed %d)\n", spec, spec.Seed)
-		opts = append(opts, svtsim.WithFaults(spec))
+		sess.SetFaults(spec)
 	}
 	wantObs := *trace != "" || *metrics != "" || *summary > 0
 	if wantObs {
-		opts = append(opts, svtsim.WithObs(&svtsim.ObsOptions{RingCap: *obsRing}))
-	}
-	sess, err := svtsim.NewSession(opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		sess.SetObs(&svtsim.ObsOptions{RingCap: *obsRing})
 	}
 
 	if *storm > 0 {
@@ -277,7 +251,7 @@ func main() {
 	}
 
 	if *portCmp {
-		if err := sess.ReportPorts(os.Stdout, nil, *n); err != nil {
+		if err := sess.Ports(os.Stdout, nil, *n); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -285,7 +259,7 @@ func main() {
 	}
 
 	if *density {
-		sess.ReportDensity(os.Stdout, *vms, *slo)
+		sess.Density(os.Stdout, *vms, *slo)
 		return
 	}
 

@@ -7,17 +7,12 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"svtsim"
 )
 
 func main() {
-	sess, err := svtsim.NewSession()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	sess := svtsim.NewSession()
 
 	workloads := []svtsim.Time{0, 5 * svtsim.Microsecond, 20 * svtsim.Microsecond}
 	pts := sess.ChannelStudy(300, workloads)

@@ -30,11 +30,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	sess, err := svtsim.NewSession(
-		svtsim.WithHostTopology(topo),
-		svtsim.WithParallelism(4),
-	)
-	if err != nil {
+	sess := svtsim.NewSession()
+	sess.SetParallelism(4)
+	if err := sess.SetTopology(topo); err != nil {
 		fmt.Fprintln(os.Stderr, "density:", err)
 		os.Exit(1)
 	}
@@ -58,5 +56,5 @@ func main() {
 
 	// The full sweep: every packing level, every mode, plus the max
 	// density meeting the SLO. Byte-identical at any parallelism.
-	sess.ReportDensity(os.Stdout, *vms, *slo)
+	sess.Density(os.Stdout, *vms, *slo)
 }

@@ -12,17 +12,12 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"svtsim"
 )
 
 func main() {
-	sess, err := svtsim.NewSession()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	sess := svtsim.NewSession()
 
 	rates := []float64{0, 0.01, 0.05, 0.10, 0.30, 0.60}
 
@@ -62,7 +57,7 @@ func main() {
 			{Site: svtsim.FaultSiteSVtWakeup, Every: 1, After: 50, Limit: 20, Drop: true},
 		},
 	}
-	r := sess.FaultSweep(svtsim.SWSVt, spec, 400)
+	r := sess.FaultSweep(svtsim.SWSVt, spec, 400, nil)
 	fmt.Printf("per-op %v: %d watchdog fires, breaker tripped %d×, recovered %d×,\n",
 		r.PerOp, r.WatchdogFires, r.BreakerTrips, r.BreakerRecoveries)
 	fmt.Printf("%d reflections fell back to trap/resume while open, %d after retry exhaustion\n",

@@ -7,7 +7,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"svtsim"
 )
@@ -15,11 +14,7 @@ import (
 func main() {
 	dur := flag.Duration("dur", 0, "per-point virtual duration (default 300ms)")
 	flag.Parse()
-	sess, err := svtsim.NewSession()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	sess := svtsim.NewSession()
 
 	d := 300 * svtsim.Millisecond
 	if *dur > 0 {

@@ -74,11 +74,7 @@ func main() {
 
 	// --- Act 3: the storm --------------------------------------------------
 	fmt.Println("\nAct 3: 8 VMs per mode under a 24-event migration storm (seed 42)")
-	sess, err := svtsim.NewSession()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	sess := svtsim.NewSession()
 	for _, r := range sess.StormTable(svtsim.AllModes(), 8, 24, 42) {
 		fmt.Println(" ", r.StatsLine())
 	}

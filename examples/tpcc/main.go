@@ -7,7 +7,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"svtsim"
 )
@@ -15,11 +14,7 @@ import (
 func main() {
 	dur := flag.Duration("dur", 0, "virtual duration per run (default 2s)")
 	flag.Parse()
-	sess, err := svtsim.NewSession()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	sess := svtsim.NewSession()
 
 	d := 2 * svtsim.Second
 	if *dur > 0 {

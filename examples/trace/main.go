@@ -18,11 +18,8 @@ import (
 )
 
 func main() {
-	sess, err := svtsim.NewSession(svtsim.WithObs(&svtsim.ObsOptions{}))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	sess := svtsim.NewSession()
+	sess.SetObs(&svtsim.ObsOptions{})
 
 	r := sess.CPUIDNested(svtsim.SWSVt, 300)
 	fmt.Printf("nested cpuid (sw-svt): %v per instruction\n", r.PerOp)

@@ -8,7 +8,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"svtsim"
 )
@@ -16,11 +15,7 @@ import (
 func main() {
 	seconds := flag.Int("seconds", 300, "seconds of playback per run")
 	flag.Parse()
-	sess, err := svtsim.NewSession()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	sess := svtsim.NewSession()
 
 	fmt.Printf("video playback, %d s per run, dropped frames:\n", *seconds)
 	fmt.Printf("%6s %12s %12s %10s\n", "FPS", "baseline", "SW SVt", "ratio")

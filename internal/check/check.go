@@ -81,3 +81,34 @@ func ReplayFile(w io.Writer, path string) error {
 	}
 	return nil
 }
+
+// withMigrations generates the seeded schedule and overlays the given
+// live-migration points in place of the generator's own: a single-core
+// run moves to a four-core host (a migration needs a core to go to),
+// and each After wraps into the op range.
+func withMigrations(seed int64, pts []MigratePoint) *Schedule {
+	s := Generate(seed)
+	if s.Cores < 2 {
+		s.Cores = 4
+	}
+	s.Migrate = nil
+	for _, p := range pts {
+		p.After %= len(s.Ops)
+		s.Migrate = append(s.Migrate, p)
+	}
+	return s
+}
+
+// CheckMigrated runs the seeded schedule with the given live-migration
+// points overlaid through the differential oracle: the guest-visible
+// outcome must be invariant to when — and whether — the VM was migrated
+// or rolled back. The verdict is printed to w; a non-nil error reports
+// divergence.
+func CheckMigrated(w io.Writer, seed int64, pts []MigratePoint) error {
+	v := CheckSchedule(withMigrations(seed, pts), nil)
+	fmt.Fprintln(w, v.String())
+	if v.Failed() {
+		return fmt.Errorf("check: schedule %d not invariant under migration", seed)
+	}
+	return nil
+}

@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"testing"
 
 	"svtsim/internal/hv"
@@ -113,5 +114,50 @@ func TestMigrateInvarianceGolden(t *testing.T) {
 		if diffs := diffOutcomes(without, with); len(diffs) != 0 {
 			t.Errorf("%v: migrations leaked into guest-visible state: %v", mode, diffs)
 		}
+	}
+}
+
+// The overlay behind `svtsim -migrate`: a single-core seed moves to a
+// four-core host, a multi-core seed keeps its host, the generator's own
+// migration points are replaced, every After wraps into the op range,
+// and the ops are the generator's.
+func TestWithMigrationsOverlay(t *testing.T) {
+	for _, tc := range []struct {
+		seed      int64
+		genCores  int
+		wantCores int
+	}{
+		{seed: 7, genCores: 0, wantCores: 4},
+		{seed: 3, genCores: 3, wantCores: 3},
+	} {
+		gen := Generate(tc.seed)
+		if gen.Cores != tc.genCores {
+			t.Fatalf("seed %d: generator chose %d cores, test expects %d", tc.seed, gen.Cores, tc.genCores)
+		}
+		n := len(gen.Ops)
+		s := withMigrations(tc.seed, []MigratePoint{{After: 1}, {After: n + 2, Fails: 3}})
+		if s.Cores != tc.wantCores {
+			t.Errorf("seed %d: cores = %d, want %d", tc.seed, s.Cores, tc.wantCores)
+		}
+		want := []MigratePoint{{After: 1}, {After: 2, Fails: 3}}
+		if !reflect.DeepEqual(s.Migrate, want) {
+			t.Errorf("seed %d: migrate = %+v, want %+v", tc.seed, s.Migrate, want)
+		}
+		if !reflect.DeepEqual(s.Ops, gen.Ops) {
+			t.Errorf("seed %d: overlay changed the ops", tc.seed)
+		}
+	}
+}
+
+// CheckMigrated prints the oracle's verdict line, as `svtsim -migrate
+// 2:0,5:3 -check-seed 7` does.
+func TestCheckMigratedVerdict(t *testing.T) {
+	var b bytes.Buffer
+	if err := CheckMigrated(&b, 7, []MigratePoint{{After: 2}, {After: 5, Fails: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	want := "ok: seed 7, 18 ops [blkread compute cpuid hypercall ipi msr netping timer]\n"
+	if b.String() != want {
+		t.Fatalf("verdict = %q, want %q", b.String(), want)
 	}
 }

@@ -7,12 +7,16 @@
 package exp
 
 import (
+	"fmt"
+	"sort"
+
 	"svtsim/internal/cpu"
 	"svtsim/internal/guest"
 	"svtsim/internal/hv"
 	"svtsim/internal/isa"
 	"svtsim/internal/machine"
 	"svtsim/internal/netsim"
+	"svtsim/internal/obs"
 	"svtsim/internal/sim"
 	"svtsim/internal/stats"
 	"svtsim/internal/workload"
@@ -105,16 +109,68 @@ func (s *Session) CPUIDNestedWithThunkRegs(mode hv.Mode, regs, n int) CPUIDResul
 	return CPUIDResult{Label: "thunk-sweep", PerOp: m.Now() / sim.Time(n)}
 }
 
-// TraceNestedCPUID runs a nested cpuid workload with an exit trace
-// attached to L0 and returns the retained entries (newest-window).
-func (s *Session) TraceNestedCPUID(mode hv.Mode, n, ring int) []hv.TraceEntry {
-	m := machine.NewNested(s.config(mode))
-	tr := hv.NewTrace(ring)
-	m.L0.SetTrace(tr)
+// TraceEntry is one VM exit L0 handled, read back from the
+// observability plane.
+type TraceEntry struct {
+	At       sim.Time
+	VCPU     string
+	Reason   isa.ExitReason
+	Name     string // Reason in the port's vocabulary
+	Qual     uint64
+	Nested   bool // an L2 exit L0 handled on the nested flow
+	Duration sim.Time
+}
+
+func (e TraceEntry) String() string {
+	lvl := "direct"
+	if e.Nested {
+		lvl = "nested"
+	}
+	return fmt.Sprintf("%-10s %-8s %-6s %-20s qual=%#x took=%s",
+		e.At, e.VCPU, lvl, e.Name, e.Qual, e.Duration)
+}
+
+// TraceNestedCPUID runs a nested cpuid workload with an observability
+// plane armed on its own machine (the session's obs setting and LastObs
+// are untouched) and returns L0's exits: the L1 vCPUs' direct exits and
+// L2's nested exits, merged across context tracks, ordered by start
+// time, newest ring kept.
+func (s *Session) TraceNestedCPUID(mode hv.Mode, n, ring int) []TraceEntry {
+	cfg := s.config(mode)
+	// A nested cpuid puts at most four events on a track (under SW-SVt:
+	// the nested exit, its reflect span, a ring push and a ring pop), so
+	// eight slots per wanted exit keep the newest ring on every track.
+	cfg.Obs = &obs.Options{RingCap: 8 * ring}
+	m := machine.NewNested(cfg)
 	m.SetL2Workload(&cpuidLoop{n: n})
-	s.run(m)
+	func() {
+		defer annotatePanic(m)
+		m.Run()
+	}()
 	m.Shutdown()
-	return tr.Entries()
+
+	tr := m.Obs.Tracer
+	// Exit spans on L1's vCPU for L2 are the guest hypervisor's own
+	// handling of reflected exits, not L0's.
+	l1 := tr.Intern(m.VC12.Name)
+	var out []TraceEntry
+	for i := 0; i < tr.Contexts(); i++ {
+		tr.Ring(i).Do(func(ev obs.Event) {
+			if ev.Kind != obs.KindNestedExit && (ev.Kind != obs.KindVMExit || ev.Label == l1) {
+				return
+			}
+			r := isa.ExitReason(ev.Arg1)
+			out = append(out, TraceEntry{
+				At: ev.At, VCPU: tr.Lookup(ev.Label), Reason: r, Name: tr.ExitName(r),
+				Qual: ev.Arg2, Nested: ev.Kind == obs.KindNestedExit, Duration: ev.Dur,
+			})
+		})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	if len(out) > ring {
+		out = out[len(out)-ring:]
+	}
+	return out
 }
 
 // IOResult is one Figure 7 measurement.

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"svtsim/internal/hv"
 	"svtsim/internal/obs"
+	"svtsim/internal/ports"
 )
 
 // The observability plane must never perturb the simulation: for a fixed
@@ -91,5 +93,72 @@ func TestObsArtifactsAreByteStable(t *testing.T) {
 	}
 	if !strings.Contains(c1, "swsvt.reflections,") {
 		t.Error("metrics missing the reflection counter")
+	}
+}
+
+// TraceNestedCPUID reads L0's exits back from a plane armed on its own
+// machine. On every port the listing speaks the port's exit vocabulary
+// (armlike: TRAP_ERET, never an x86 spelling), repeats byte for byte,
+// holds at most ring entries in start-time order — the newest ring of
+// the full listing — and leaves the session's obs setting and LastObs
+// alone.
+func TestTraceNestedCPUIDPortVocabulary(t *testing.T) {
+	const n, ring = 40, 8
+	for _, name := range []string{"armlike", "x86"} {
+		p, err := ports.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession()
+		s.SetPort(p)
+		opts := &obs.Options{RingCap: 5}
+		s.SetObs(opts)
+		s.CPUIDNested(hv.ModeBaseline, 5)
+		plane := s.LastObs()
+
+		var sawERET bool
+		for _, mode := range []hv.Mode{hv.ModeBaseline, hv.ModeSWSVt, hv.ModeHWSVt} {
+			got := s.TraceNestedCPUID(mode, n, ring)
+			again := s.TraceNestedCPUID(mode, n, ring)
+			full := s.TraceNestedCPUID(mode, n, 1<<12)
+			if !reflect.DeepEqual(got, again) {
+				t.Errorf("%s/%v: two runs differ", name, mode)
+			}
+			if len(got) != ring || len(full) < n {
+				t.Fatalf("%s/%v: %d entries of %d, want %d of at least %d", name, mode, len(got), len(full), ring, n)
+			}
+			if !reflect.DeepEqual(got, full[len(full)-ring:]) {
+				t.Errorf("%s/%v: ring %d is not the newest of the full listing", name, mode, ring)
+			}
+			var nested, direct bool
+			for i, e := range full {
+				if i > 0 && e.At < full[i-1].At {
+					t.Fatalf("%s/%v: entry %d starts at %v, before %v", name, mode, i, e.At, full[i-1].At)
+				}
+				line, lvl := e.String(), "direct"
+				if e.Nested {
+					lvl = "nested"
+				}
+				if want := p.ExitName(e.Reason); !strings.Contains(line, want) ||
+					!strings.Contains(line, lvl) || !strings.Contains(line, e.VCPU) {
+					t.Fatalf("%s/%v: %q does not show %s %s %s", name, mode, line, e.VCPU, lvl, want)
+				}
+				if x86 := e.Reason.String(); x86 != p.ExitName(e.Reason) && strings.Contains(line, x86) {
+					t.Fatalf("%s/%v: %q uses the x86 spelling %s", name, mode, line, x86)
+				}
+				sawERET = sawERET || strings.Contains(line, "TRAP_ERET")
+				nested = nested || e.Nested
+				direct = direct || !e.Nested
+			}
+			if !nested || !direct {
+				t.Errorf("%s/%v: nested=%v direct=%v, want both", name, mode, nested, direct)
+			}
+		}
+		if name == "armlike" && !sawERET {
+			t.Error("armlike: no TRAP_ERET in the exit listing")
+		}
+		if s.LastObs() != plane || s.obsOpts != opts || opts.RingCap != 5 {
+			t.Errorf("%s: TraceNestedCPUID touched the session's obs plane or setting", name)
+		}
 	}
 }

@@ -224,6 +224,37 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+func TestBuildSpec(t *testing.T) {
+	wakeup := SiteConfig{Site: SiteSVtWakeup, Rate: 0.25, Drop: true}
+	ipi := SiteConfig{Site: SiteIPI, Rate: 0.25, Drop: true}
+	blk := SiteConfig{Site: SiteBlkComplete, Delay: 5 * sim.Microsecond}
+	for _, tc := range []struct {
+		name    string
+		arg     string
+		rate    float64
+		want    *Spec
+		wantErr bool
+	}{
+		{name: "neither", want: nil},
+		{name: "spec only", arg: "blk/complete:delay=5us", want: &Spec{Seed: 9, Sites: []SiteConfig{blk}}},
+		{name: "rate only", rate: 0.25, want: &Spec{Seed: 9, Sites: []SiteConfig{wakeup, ipi}}},
+		{name: "both", arg: "blk/complete:delay=5us", rate: 0.25, want: &Spec{Seed: 9, Sites: []SiteConfig{blk, wakeup, ipi}}},
+		{name: "rate above 1", rate: 1.5, wantErr: true},
+		{name: "bad spec", arg: "nosuch/site:drop", rate: 0.25, wantErr: true},
+	} {
+		got, err := BuildSpec(tc.arg, tc.rate, 9)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s: got %+v, want an error", tc.name, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+}
+
 func TestParseDuration(t *testing.T) {
 	cases := map[string]sim.Time{
 		"100":   100,

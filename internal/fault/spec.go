@@ -134,6 +134,34 @@ func ParseSpec(arg string, seed int64) (*Spec, error) {
 	return spec, nil
 }
 
+// BuildSpec combines a ParseSpec spec with the rate shorthand — drop
+// SW-SVt wakeups and IPIs at that probability, the acceptance scenario —
+// into one armed spec, or nil when arg is empty and rate <= 0. A rate
+// above 1 is an error.
+func BuildSpec(arg string, rate float64, seed int64) (*Spec, error) {
+	var spec *Spec
+	if arg != "" {
+		s, err := ParseSpec(arg, seed)
+		if err != nil {
+			return nil, err
+		}
+		spec = s
+	}
+	if rate > 0 {
+		if rate > 1 {
+			return nil, fmt.Errorf("fault rate %v: must be in (0, 1]", rate)
+		}
+		if spec == nil {
+			spec = &Spec{Seed: seed}
+		}
+		spec.Sites = append(spec.Sites,
+			SiteConfig{Site: SiteSVtWakeup, Rate: rate, Drop: true},
+			SiteConfig{Site: SiteIPI, Rate: rate, Drop: true},
+		)
+	}
+	return spec, nil
+}
+
 // ParseDuration parses a virtual duration with an optional ns/us/ms/s
 // suffix; a bare number is nanoseconds.
 func ParseDuration(s string) (sim.Time, error) {

@@ -237,8 +237,7 @@ type Hypervisor struct {
 	// reasons (the §6.2/§6.3 profiles: EPT_MISCONFIG, MSR_WRITE shares).
 	NestedProf Profile
 
-	trace *Trace
-	obs   *obs.Tracer
+	obs *obs.Tracer
 
 	// Stopped is set when the run loop ends (guest done or deadlock).
 	Stopped bool
@@ -319,6 +318,30 @@ func (h *Hypervisor) RunLoop(vc *VCPU) {
 			return
 		}
 	}
+}
+
+// SetObs attaches (or detaches, with nil) the observability tracer.
+// Exit spans land on the track of the exiting vCPU's hardware context.
+func (h *Hypervisor) SetObs(t *obs.Tracer) { h.obs = t }
+
+// Obs returns the attached tracer, if any.
+func (h *Hypervisor) Obs() *obs.Tracer { return h.obs }
+
+// traceExit records one handled exit as a span on the exiting vCPU's
+// hardware-context track.
+func (h *Hypervisor) traceExit(vc *VCPU, e isa.Exit, nested bool, start sim.Time) {
+	if h.obs == nil {
+		return
+	}
+	kind := obs.KindVMExit
+	if nested {
+		kind = obs.KindNestedExit
+	}
+	if vc.obsLabel == 0 {
+		vc.obsLabel = h.obs.Intern(vc.Name)
+	}
+	h.obs.Span(int(vc.Ctx), kind, uint8(vc.Lvl), vc.obsLabel,
+		start, h.P.Now(), uint64(e.Reason), e.Qualification)
 }
 
 // advanceRIP moves the guest's instruction pointer past the emulated

@@ -1,7 +1,6 @@
 package hv
 
 import (
-	"strings"
 	"testing"
 
 	"svtsim/internal/apic"
@@ -9,6 +8,7 @@ import (
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
 	"svtsim/internal/mem"
+	"svtsim/internal/obs"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
 )
@@ -225,8 +225,8 @@ func TestMaybeInjectOnlyOnce(t *testing.T) {
 
 func TestTraceRecordsExits(t *testing.T) {
 	h, _, _ := testStack()
-	tr := NewTrace(4)
-	h.SetTrace(tr)
+	tr := obs.NewTracer(1, 4)
+	h.SetObs(tr)
 	g := &scriptGuest{acts: []cpu.Action{
 		{Kind: cpu.ActInstr, Instr: isa.CPUID(1)},
 		{Kind: cpu.ActInstr, Instr: isa.CPUID(2)},
@@ -234,35 +234,38 @@ func TestTraceRecordsExits(t *testing.T) {
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
 	h.RunLoop(vc)
 	if tr.Total() < 3 { // 2 cpuids + the done vmcall
-		t.Fatalf("trace recorded %d exits", tr.Total())
+		t.Fatalf("tracer recorded %d exits", tr.Total())
 	}
-	entries := tr.Entries()
-	if len(entries) == 0 || entries[0].Reason == isa.ExitNone {
-		t.Fatal("entries malformed")
-	}
-	if tr.Summary() == "" {
-		t.Fatal("summary empty")
-	}
-	if h.GetTrace() != tr {
+	if h.Obs() != tr {
 		t.Fatal("accessor")
 	}
 }
 
-func TestTraceRingRotation(t *testing.T) {
-	tr := NewTrace(2)
-	for i := 0; i < 5; i++ {
-		tr.add(TraceEntry{Qual: uint64(i), Reason: isa.ExitCPUID})
-	}
-	if tr.Total() != 5 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	es := tr.Entries()
-	if len(es) != 2 || es[0].Qual != 3 || es[1].Qual != 4 {
-		t.Fatalf("retained = %+v", es)
-	}
-	var b strings.Builder
-	tr.Dump(&b)
-	if !strings.Contains(b.String(), "5 recorded") {
-		t.Fatal("dump header")
+// The exit span lands on the vCPU's hardware-context track with its
+// virtualization level and the vCPU's name as its label.
+func TestTraceExitEmitsToObs(t *testing.T) {
+	h, _, _ := testStack()
+	ot := obs.NewTracer(2, 16)
+	h.SetObs(ot)
+	g := &scriptGuest{acts: []cpu.Action{
+		{Kind: cpu.ActInstr, Instr: isa.CPUID(1)},
+	}}
+	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
+	h.RunLoop(vc)
+
+	var sawCPUID bool
+	ot.Ring(0).Do(func(e obs.Event) {
+		if e.Kind == obs.KindVMExit && isa.ExitReason(e.Arg1) == isa.ExitCPUID {
+			sawCPUID = true
+			if e.Level != 1 {
+				t.Errorf("CPUID exit at level %d, want 1", e.Level)
+			}
+			if ot.Lookup(e.Label) != "g" {
+				t.Errorf("label = %q, want vCPU name", ot.Lookup(e.Label))
+			}
+		}
+	})
+	if !sawCPUID {
+		t.Fatal("no CPUID vmexit span on the vCPU's context track")
 	}
 }

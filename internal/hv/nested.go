@@ -5,7 +5,6 @@ import (
 
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
-	"svtsim/internal/obs"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
 )
@@ -223,23 +222,7 @@ func (h *Hypervisor) recordNested(l2 *VCPU, e2 isa.Exit, start sim.Time) {
 	h.NestedProf.Time[e2.Reason] += d
 	h.NestedProf.Count[e2.Reason]++
 	h.NestedProf.Total += d
-	if h.trace != nil {
-		h.trace.add(TraceEntry{
-			At:       start,
-			VCPU:     "L2",
-			Reason:   e2.Reason,
-			Qual:     e2.Qualification,
-			Nested:   true,
-			Duration: d,
-		})
-	}
-	if h.obs != nil {
-		if l2.obsLabel == 0 {
-			l2.obsLabel = h.obs.Intern(l2.Name)
-		}
-		h.obs.Span(int(l2.Ctx), obs.KindNestedExit, uint8(l2.Lvl), l2.obsLabel,
-			start, h.P.Now(), uint64(e2.Reason), e2.Qualification)
-	}
+	h.traceExit(l2, e2, true, start)
 }
 
 // deliverToL1 reflects e2 and, under SW SVt, round-trips it through the

@@ -308,27 +308,9 @@ func (r *Request) canonFaults() error {
 }
 
 // buildFaultSpec assembles the armed fault spec from the canonical
-// fields (nil when no faults were requested). Mirrors the svtsim CLI's
-// -faults/-fault-rate combination.
+// fields (nil when no faults were requested), as the svtsim CLI does.
 func (r *Request) buildFaultSpec() (*fault.Spec, error) {
-	var spec *fault.Spec
-	if r.Faults != "" {
-		s, err := fault.ParseSpec(r.Faults, r.FaultSeed)
-		if err != nil {
-			return nil, err
-		}
-		spec = s
-	}
-	if r.FaultRate > 0 {
-		if spec == nil {
-			spec = &fault.Spec{Seed: r.FaultSeed}
-		}
-		spec.Sites = append(spec.Sites,
-			fault.SiteConfig{Site: fault.SiteSVtWakeup, Rate: r.FaultRate, Drop: true},
-			fault.SiteConfig{Site: fault.SiteIPI, Rate: r.FaultRate, Drop: true},
-		)
-	}
-	return spec, nil
+	return fault.BuildSpec(r.Faults, r.FaultRate, r.FaultSeed)
 }
 
 // parsedModes maps the canonical mode names back to hv.Mode values.

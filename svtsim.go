@@ -14,14 +14,14 @@
 //     configuration — parallelism, faults, observability, host topology,
 //     architecture port — and has one method per table/figure of the
 //     paper, returning structured results, plus the paper-formatted
-//     Report* renderers. It is the only way to run an experiment.
+//     renderers (Table1, Figure6, ...). It is the only way to run an
+//     experiment.
 //
 // See examples/ for runnable entry points and EXPERIMENTS.md for the
 // paper-vs-measured record.
 package svtsim
 
 import (
-	"fmt"
 	"io"
 
 	"svtsim/internal/check"
@@ -29,6 +29,7 @@ import (
 	"svtsim/internal/exp"
 	"svtsim/internal/fault"
 	"svtsim/internal/guest"
+	"svtsim/internal/host"
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
 	"svtsim/internal/obs"
@@ -50,6 +51,36 @@ const (
 	// by the guest hypervisor are delivered straight to its context.
 	HWSVtBypass = hv.ModeHWSVtBypass
 )
+
+// AllModes returns the system variants in the paper's presentation
+// order (Figure 6's bars). The result is a fresh slice each call —
+// callers may reorder or trim it without affecting anyone else.
+func AllModes() []Mode { return exp.AllModes() }
+
+// ParseMode parses a mode name as printed by Mode.String ("baseline",
+// "sw-svt", "hw-svt", "hw-svt-bypass"; "sw"/"hw"/"bypass" accepted as
+// shorthand).
+func ParseMode(s string) (Mode, error) { return hv.ParseMode(s) }
+
+// ParseHostTopology parses "SxCxT" ("2x8x2") or "CxT" ("8x2", one
+// socket) into a validated topology.
+func ParseHostTopology(s string) (HostTopology, error) { return host.ParseTopology(s) }
+
+// Port is an architecture backend: its calibrated cost model, exit
+// vocabulary and interrupt controller (Session.SetPort).
+type Port = ports.Port
+
+// ParsePort looks a port up by registry name ("" and "x86" select the
+// default VT-x/LAPIC model; "armlike" the EL2/vGIC-style one).
+func ParsePort(name string) (Port, error) { return ports.Parse(name) }
+
+// PortNames lists the registered architecture ports in sorted order
+// ("armlike", "x86").
+func PortNames() []string { return ports.Names() }
+
+// LBScenarios lists the supported load-balancer scenario names in
+// report order: steady, overload, burst, storm, faults.
+func LBScenarios() []string { return exp.LBScenarios() }
 
 // Time is virtual time in nanoseconds.
 type Time = sim.Time
@@ -108,27 +139,6 @@ func WireIO(cfg *Config) *IOStack {
 	return machine.WireNestedIO(cfg, machine.DefaultIOParams())
 }
 
-// --- Experiment results (see Session for the experiments) ---------------
-
-// CPUIDResult is one Figure 6 bar (with the Table 1 breakdown attached
-// for nested runs).
-type CPUIDResult = exp.CPUIDResult
-
-// IOResult is one Figure 7 measurement.
-type IOResult = exp.IOResult
-
-// MemcachedResult is one Figure 8 sweep point.
-type MemcachedResult = exp.MemcachedResult
-
-// VideoResult is one Figure 10 bar.
-type VideoResult = exp.VideoResult
-
-// TraceEntry is one recorded VM exit (observability).
-type TraceEntry = hv.TraceEntry
-
-// ChannelPoint is one §6.1 channel-study cell.
-type ChannelPoint = exp.ChannelPoint
-
 // --- Observability plane -----------------------------------------------
 
 // ObsOptions configures the observability plane: per-track trace ring
@@ -152,57 +162,29 @@ type FaultSiteConfig = fault.SiteConfig
 
 // Fault-injection site names.
 const (
-	FaultSiteSVtWakeup      = fault.SiteSVtWakeup
-	FaultSiteRingPush       = fault.SiteRingPush
-	FaultSiteRingPop        = fault.SiteRingPop
-	FaultSiteIRQ            = fault.SiteIRQ
-	FaultSiteIPI            = fault.SiteIPI
-	FaultSiteVirtioComplete = fault.SiteVirtioComplete
-	FaultSiteBlkComplete    = fault.SiteBlkComplete
-	FaultSiteMigrateCapture = fault.SiteMigrateCapture
-	FaultSiteMigrateXfer    = fault.SiteMigrateTransfer
-	FaultSiteMigrateRestore = fault.SiteMigrateRestore
+	FaultSiteSVtWakeup = fault.SiteSVtWakeup
+	FaultSiteIPI       = fault.SiteIPI
 )
 
 // FaultSites lists every known injection site.
 func FaultSites() []string { return fault.Sites() }
 
-// ParseFaultSpec parses the CLI fault syntax
-// ("site:rate=0.1,drop;site:delay=20us") into a spec with the given seed.
-func ParseFaultSpec(arg string, seed int64) (*FaultSpec, error) { return fault.ParseSpec(arg, seed) }
-
-// FaultSweepResult is one fault-injection run's outcome and recovery
-// counters (watchdog fires, breaker trips, fallbacks).
-type FaultSweepResult = exp.FaultSweepResult
-
-// FaultCell is one independent fault-sweep run in a grid.
-type FaultCell = exp.FaultCell
-
 // --- Differential check layer: cross-mode equivalence ------------------
 
-// CheckSchedules generates and differentially checks n schedules from
-// consecutive seeds starting at seed, running each under every mode and
-// comparing guest-visible outcomes. Failing schedules are shrunk and
-// written as replayable repro files under dir (when non-empty). It
-// returns the number of inequivalent schedules found.
-func CheckSchedules(w io.Writer, n int, seed int64, dir string) int {
-	return check.RunBudget(w, n, seed, dir)
-}
-
-// CheckSchedulesPort is CheckSchedules on a named architecture port
-// ("" or "x86" checks the default port): the oracle asserts
+// CheckSchedulesPort generates and differentially checks n schedules
+// from consecutive seeds starting at seed on the given architecture
+// port (nil checks the default x86 port), running each under every mode
+// and comparing guest-visible outcomes; the oracle asserts
 // mode-equivalence within that port. Ports are never compared against
-// each other — they charge different costs by design.
-func CheckSchedulesPort(w io.Writer, n int, seed int64, dir, port string) (int, error) {
-	p, err := ports.Parse(port)
-	if err != nil {
-		return 0, err
-	}
-	return check.RunBudgetOpts(w, n, seed, dir, &check.RunOpts{Port: p}), nil
+// each other — they charge different costs by design. Failing schedules
+// are shrunk and written as replayable repro files under dir (when
+// non-empty). It returns the number of inequivalent schedules found.
+func CheckSchedulesPort(w io.Writer, n int, seed int64, dir string, port Port) int {
+	return check.RunBudgetOpts(w, n, seed, dir, &check.RunOpts{Port: port})
 }
 
-// ReplaySchedule decodes a schedule file (as written by CheckSchedules
-// or shipped in the regression corpus) and re-runs the differential
+// ReplaySchedule decodes a schedule file (as written by
+// CheckSchedulesPort or shipped in the regression corpus) and re-runs the differential
 // check on it, reporting any divergence.
 func ReplaySchedule(w io.Writer, path string) error { return check.ReplayFile(w, path) }
 
@@ -221,21 +203,7 @@ type MigratePoint = check.MigratePoint
 // migrated or rolled back. The verdict is printed to w; a non-nil error
 // reports divergence.
 func CheckMigratedSchedule(w io.Writer, seed int64, pts []MigratePoint) error {
-	s := check.Generate(seed)
-	if s.Cores < 2 {
-		s.Cores = 4
-	}
-	s.Migrate = nil
-	for _, p := range pts {
-		p.After %= len(s.Ops)
-		s.Migrate = append(s.Migrate, p)
-	}
-	v := check.CheckSchedule(s, nil)
-	fmt.Fprintln(w, v.String())
-	if v.Failed() {
-		return fmt.Errorf("svtsim: schedule %d not invariant under migration", seed)
-	}
-	return nil
+	return check.CheckMigrated(w, seed, pts)
 }
 
 // --- Snapshot layer: canonical machine state ---------------------------
@@ -249,12 +217,6 @@ type Snapshot = snapshot.Snapshot
 // CaptureSnapshot serializes a machine's architectural state at a
 // quiescent boundary. io may be nil for machines without wired I/O.
 func CaptureSnapshot(m *Machine, io *IOStack) *Snapshot { return snapshot.Capture(m, io) }
-
-// RestoreSnapshot writes a snapshot back into a machine of identical
-// configuration (the one it came from, or a freshly built twin).
-func RestoreSnapshot(m *Machine, io *IOStack, snap *Snapshot) error {
-	return snapshot.Restore(m, io, snap)
-}
 
 // SnapshotRoundTrip captures, restores, and re-captures, returning both
 // digests; equal digests are the restore-fidelity guarantee live

@@ -6,18 +6,8 @@ import (
 	"testing"
 )
 
-// testSession is a session with the calibrated defaults.
-func testSession(tb testing.TB) *Session {
-	tb.Helper()
-	s, err := NewSession()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return s
-}
-
 func TestFacadeCPUIDLadder(t *testing.T) {
-	s := testSession(t)
+	s := NewSession()
 	l0 := s.CPUIDNative(100)
 	l2 := s.CPUIDNested(Baseline, 100)
 	hw := s.CPUIDNested(HWSVt, 100)
@@ -46,19 +36,19 @@ func TestFacadeCostModel(t *testing.T) {
 }
 
 func TestReportsRender(t *testing.T) {
-	s := testSession(t)
+	s := NewSession()
 	var b bytes.Buffer
-	s.ReportTable4(&b)
+	s.Table4(&b)
 	if !strings.Contains(b.String(), "Table 4") {
 		t.Fatal("table 4 render")
 	}
 	b.Reset()
-	s.ReportTable3(&b, ".")
+	s.Table3(&b, ".")
 	if !strings.Contains(b.String(), "KVM analogue") {
 		t.Fatal("table 3 render")
 	}
 	b.Reset()
-	s.ReportTable1(&b, 200)
+	s.Table1(&b, 200)
 	out := b.String()
 	for _, want := range []string{"Table 1", "L0 handler", "10.40"} {
 		if !strings.Contains(out, want) {
@@ -66,14 +56,14 @@ func TestReportsRender(t *testing.T) {
 		}
 	}
 	b.Reset()
-	s.ReportFigure6(&b, 100)
+	s.Figure6(&b, 100)
 	if !strings.Contains(b.String(), "HW SVt") {
 		t.Fatal("figure 6 render")
 	}
 }
 
 func TestChannelStudyFacade(t *testing.T) {
-	s := testSession(t)
+	s := NewSession()
 	pts := s.ChannelStudy(50, []Time{0})
 	if len(pts) != 9 { // 3 policies x 3 placements
 		t.Fatalf("points = %d, want 9", len(pts))
