@@ -70,6 +70,10 @@ func NewDisk(eng *sim.Engine, name string, capacity uint64) *Disk {
 // Capacity reports the disk size in bytes.
 func (d *Disk) Capacity() uint64 { return d.capacity }
 
+// PagesResident reports how many pages of the backing store have been
+// materialized.
+func (d *Disk) PagesResident() int { return d.store.PagesResident() }
+
 func (d *Disk) svc(write bool, n int) sim.Time {
 	base := d.ReadBase
 	if write {

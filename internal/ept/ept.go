@@ -215,6 +215,9 @@ func (t *Table) Invalidate() { t.epoch++ }
 // MappedPages reports the number of mapped pages.
 func (t *Table) MappedPages() int { return t.mapped }
 
+// DeviceRegions reports the number of device (misconfigured) regions.
+func (t *Table) DeviceRegions() int { return len(t.devs) }
+
 // Compose builds the shadow table inner∘outer: for every page mapped by
 // inner (gpaInner→gpaOuter) it walks outer (gpaOuter→hpa) and installs
 // gpaInner→hpa with the intersection of permissions. Device regions of

@@ -105,8 +105,9 @@ func (r DensityResult) SummaryLine() string {
 		r.Mode, r.Topo, r.SLOUs, r.MaxDensity)
 }
 
-// vmRun is one VM's phase-1 (uncontended) measurement, plus the warmed
-// snapshot its cache entry forks for every VM it serves.
+// vmRun is one VM's phase-1 (uncontended) measurement. It is immutable
+// once computed, so a cache hit hands the same value to every VM it
+// serves.
 type vmRun struct {
 	workload string
 	latUs    []float64
@@ -115,17 +116,15 @@ type vmRun struct {
 	total    sim.Time
 	poll     bool
 	frac     float64
-	// base is the VM's post-run snapshot image in canonical form.
-	// Cache hits hand out copy-on-write clones of it instead of
-	// resimulating, and its size prices storm-driven migrations.
-	base *snapshot.Snapshot
+	// imageBytes is the encoded size of the VM's post-run migration
+	// image (snapshot.Size); it prices storm-driven migrations.
+	imageBytes int
 }
 
 // vmKey identifies a cacheable phase-1 run. The cpuid and netrr
 // workloads depend on the VM index only through the size class (i%4),
 // so any two such VMs with equal class, size, and placement share one
-// run — and one warmed snapshot; memcached VMs draw per-index RNG
-// streams and stay keyed by index.
+// run; memcached VMs draw per-index RNG streams and stay keyed by index.
 type vmKey struct {
 	class string
 	size  int
@@ -143,10 +142,10 @@ func densityKey(i int, place swsvt.Placement) vmKey {
 
 // vmCache memoizes phase-1 runs across packing levels and VM indices:
 // a sweep over k simulates each distinct (class, size, placement) cell
-// once and forks COW clones of its warmed snapshot for every other VM,
-// instead of resimulating O(k²) machines. Duplicate concurrent computes
-// are harmless — both produce the identical value. The sims/reuses
-// counters are exact only under a serial pool.
+// once and reuses its vmRun for every other VM, instead of resimulating
+// O(k²) machines. Duplicate concurrent computes are harmless — both
+// produce the identical value. The sims/reuses counters are exact only
+// under a serial pool.
 type vmCache struct {
 	mu     sync.Mutex
 	m      map[vmKey]vmRun
@@ -187,44 +186,47 @@ func densityWorkloadName(i int) string {
 }
 
 // runDensityVM simulates VM i's workload uncontended with the given
-// SVt-thread placement class. Workload sizes vary deterministically
-// with the VM index so the fleet is heterogeneous.
+// SVt-thread placement class.
 func (s *Session) runDensityVM(mode hv.Mode, i int, place swsvt.Placement) vmRun {
 	cfg := s.config(mode)
 	cfg.Placement = place
-	cfg.Seed = int64(1000 + i)
 	led := &sim.Ledger{}
-	r := vmRun{workload: densityWorkloadName(i)}
-
-	var runIO *machine.IOStack
-	finish := func(m *machine.Machine) {
-		s.run(m)
-		// Capture the warmed image before teardown: cache hits fork COW
-		// clones of it, and migrations price their transfers from it.
-		r.base = snapshot.Capture(m, runIO)
-		m.Shutdown()
-		r.total = m.Now()
-		r.busy = led.Total()
-		if r.total > 0 {
-			r.frac = float64(led.T[sim.CatTransform]+led.T[sim.CatL1]) / float64(r.total)
-		}
-		r.poll = mode == hv.ModeSWSVt && cfg.WaitPolicy == swsvt.PolicyPoll
+	m, io, measure := buildDensityVM(cfg, i, led)
+	s.run(m)
+	// Size the migration image before teardown; storms price their
+	// transfers from it.
+	r := vmRun{workload: densityWorkloadName(i), imageBytes: snapshot.Size(m, io)}
+	m.Shutdown()
+	r.total = m.Now()
+	r.busy = led.Total()
+	if r.total > 0 {
+		r.frac = float64(led.T[sim.CatTransform]+led.T[sim.CatL1]) / float64(r.total)
 	}
+	r.poll = mode == hv.ModeSWSVt && cfg.WaitPolicy == swsvt.PolicyPoll
+	r.latUs, r.ops = measure(r.total)
+	return r
+}
 
+// buildDensityVM builds VM i's machine (and its I/O stack, nil for
+// cpuid VMs) with the workload installed and led attached, ready to
+// run. measure reads the workload's latencies (us) and operation count
+// once the machine has run for total. Workload sizes vary
+// deterministically with the VM index so the fleet is heterogeneous.
+func buildDensityVM(cfg machine.Config, i int, led *sim.Ledger) (m *machine.Machine, io *machine.IOStack, measure func(total sim.Time) ([]float64, float64)) {
+	cfg.Seed = int64(1000 + i)
 	switch i % 3 {
 	case 0: // nested cpuid (Figure 6's microbenchmark)
 		n := 300 + 25*(i%4)
-		m := machine.NewNested(cfg)
+		m = machine.NewNested(cfg)
 		m.Eng.SetLedger(led)
 		m.SetL2Workload(&cpuidLoop{n: n})
-		finish(m)
-		r.latUs = []float64{float64(r.total) / float64(n) / 1000}
-		r.ops = float64(n)
+		return m, nil, func(total sim.Time) ([]float64, float64) {
+			return []float64{float64(total) / float64(n) / 1000}, float64(n)
+		}
 	case 1: // netperf TCP_RR (Figure 7)
 		n := 60 + 5*(i%4)
-		io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
-		runIO = io
-		m := machine.NewNested(cfg)
+		io = machine.WireNestedIO(&cfg, machine.DefaultIOParams())
+		m = machine.NewNested(cfg)
 		m.Eng.SetLedger(led)
 		io.NIC.Peer = &netsim.EchoPeer{
 			Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
@@ -232,15 +234,14 @@ func (s *Session) runDensityVM(mode hv.Mode, i int, place swsvt.Placement) vmRun
 		}
 		w := &workload.NetRR{N: n, ReqSize: 1, TCPModel: true, SMP: true}
 		m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
-		finish(m)
-		r.latUs = append([]float64(nil), w.Lat...)
-		r.ops = float64(n)
+		return m, io, func(sim.Time) ([]float64, float64) {
+			return append([]float64(nil), w.Lat...), float64(n)
+		}
 	default: // memcached ETC (Figure 8)
 		rate := 20_000 + 2_500*float64(i%4)
 		d := 5 * sim.Millisecond
-		io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
-		runIO = io
-		m := machine.NewNested(cfg)
+		io = machine.WireNestedIO(&cfg, machine.DefaultIOParams())
+		m = machine.NewNested(cfg)
 		m.Eng.SetLedger(led)
 		srv := workload.DefaultMemcached(d + 100*sim.Millisecond)
 		m.InstallL2(io, true, false, func(env *guest.Env) { srv.Run(env) })
@@ -255,11 +256,10 @@ func (s *Session) runDensityVM(mode hv.Mode, i int, place swsvt.Placement) vmRun
 		}
 		io.NIC.Peer = client
 		client.Start(rate, m.Eng.Now()+d, rng.Float64)
-		finish(m)
-		r.latUs = append([]float64(nil), client.Lat...)
-		r.ops = float64(srv.Served)
+		return m, io, func(sim.Time) ([]float64, float64) {
+			return append([]float64(nil), client.Lat...), float64(srv.Served)
+		}
 	}
-	return r
 }
 
 // gangSize reports a mode's runnable-thread footprint: SW-SVt pairs a
@@ -305,23 +305,16 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 		assigns[i] = h.Sched.Admit(i, nthreads)
 	}
 
-	// Phase 1: uncontended per-VM runs, fanned out on the pool. Cache
-	// hits cost a COW fork of the warmed snapshot instead of a cold
-	// simulation.
+	// Phase 1: uncontended per-VM runs, fanned out on the pool. A cache
+	// hit reuses an earlier run instead of simulating again.
 	runs := parallel.MapN(s.Parallelism(), k, func(i int) vmRun {
 		return cache.get(s, mode, i, assigns[i].Place)
 	})
 
 	// Phase 2: contention replay on the shared host engine. Each VM's
-	// live image is a COW clone of its cache entry's base snapshot — the
-	// clone shares every word slab, so forking the fleet is O(k) section
-	// tables — and its encoded size prices storm migrations.
+	// phase-1 image size prices its storm migrations.
 	demands := make([]host.Demand, k)
 	for i, r := range runs {
-		var image *snapshot.Snapshot
-		if r.base != nil {
-			image = r.base.Clone()
-		}
 		demands[i] = host.Demand{
 			VM:         i,
 			Ctxs:       assigns[i].Ctxs,
@@ -330,9 +323,7 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 			HelperPoll: r.poll,
 			HelperFrac: r.frac,
 			Pinned:     nthreads == 2,
-		}
-		if image != nil {
-			demands[i].ImageBytes = image.Bytes()
+			ImageBytes: r.imageBytes,
 		}
 	}
 	res := h.Sched.ReplayStorm(demands, plan)

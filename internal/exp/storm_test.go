@@ -131,8 +131,8 @@ func containsStormCounters(line string) bool {
 }
 
 // TestDensityCacheForksSnapshots: a sweep over packing levels serves
-// most VMs from COW forks of warmed snapshots instead of cold
-// simulations — and the forked results are bit-identical to cold runs.
+// most VMs from cached phase-1 runs instead of cold simulations — and
+// the cached results are bit-identical to cold runs.
 func TestDensityCacheForksSnapshots(t *testing.T) {
 	s := NewSession()
 	s.SetParallelism(1) // sims/reuses are exact only under a serial pool
@@ -147,13 +147,13 @@ func TestDensityCacheForksSnapshots(t *testing.T) {
 		t.Fatalf("cache saw %d lookups, want %d", total, want)
 	}
 	if cache.reuses == 0 {
-		t.Fatal("sweep never reused a warmed snapshot")
+		t.Fatal("sweep never reused a cached run")
 	}
 	if cache.sims >= total {
 		t.Fatalf("every lookup cold-simulated (sims=%d of %d)", cache.sims, total)
 	}
 
-	// The cached/forked point must be indistinguishable from a cold one.
+	// The cache-served point must be indistinguishable from a cold one.
 	cold := s.Consolidation(hv.ModeSWSVt, kmax)
 	if !reflect.DeepEqual(cold, last) {
 		t.Fatalf("cache-served point diverges from cold run:\n%+v\nvs\n%+v", last, cold)
@@ -163,12 +163,12 @@ func TestDensityCacheForksSnapshots(t *testing.T) {
 	for _, key := range []string{"cpuid", "netrr", "memcached"} {
 		found := false
 		for k, r := range cache.m {
-			if k.class == key && r.base != nil && r.base.Bytes() > 0 {
+			if k.class == key && r.imageBytes > 0 {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("no warmed snapshot cached for %s VMs", key)
+			t.Errorf("no sized image cached for %s VMs", key)
 		}
 	}
 }

@@ -90,7 +90,11 @@ func plan(m *machine.Machine, io *machine.IOStack) []entry {
 	}
 
 	add("mem/host", func(w *writer) {
-		putPages(w, m.HostMem.SavePages())
+		var pages []mem.Page
+		if !w.sizing {
+			pages = m.HostMem.SavePages()
+		}
+		putPages(w, m.HostMem.PagesResident(), pages)
 	}, func(r *reader) {
 		if pages, ok := getPages(r); ok {
 			m.HostMem.LoadPages(pages)
@@ -99,8 +103,11 @@ func plan(m *machine.Machine, io *machine.IOStack) []entry {
 
 	if io != nil && io.Disk != nil {
 		add("blk/disk", func(w *writer) {
-			st := io.Disk.SaveState()
-			putPages(w, st.Pages)
+			var st blk.DiskState
+			if !w.sizing {
+				st = io.Disk.SaveState()
+			}
+			putPages(w, io.Disk.PagesResident(), st.Pages)
 			w.time(st.BusyUntil)
 		}, func(r *reader) {
 			pages, ok := getPages(r)
@@ -147,34 +154,63 @@ func plan(m *machine.Machine, io *machine.IOStack) []entry {
 	return es
 }
 
+// size runs the entry's save on a sizing writer and returns its word
+// count.
+func (e entry) size() int {
+	w := writer{sizing: true}
+	e.save(&w)
+	return w.n
+}
+
 // Capture serializes the machine's architectural state. io may be nil
-// (or an empty stack) for machines without wired I/O.
+// (or an empty stack) for machines without wired I/O. Each section is
+// sized first and filled into an exactly sized slab.
 func Capture(m *machine.Machine, io *machine.IOStack) *Snapshot {
-	snap := &Snapshot{}
-	for _, e := range plan(m, io) {
-		w := &writer{}
-		e.save(w)
+	es := plan(m, io)
+	snap := &Snapshot{Sections: make([]Section, 0, len(es))}
+	for _, e := range es {
+		n := e.size()
+		w := writer{words: make([]uint64, 0, n)}
+		e.save(&w)
+		if len(w.words) != n {
+			panic(fmt.Sprintf("snapshot: section %q sized %d words, wrote %d", e.name, n, len(w.words)))
+		}
 		snap.Sections = append(snap.Sections, Section{Name: e.name, Words: w.words})
 	}
 	return snap
 }
 
+// Size reports Capture(m, io).Bytes() without building the image: it
+// walks the same plan on sizing writers, and page and EPT sections count
+// themselves without copying state out. Migration prices its transfers
+// from this.
+func Size(m *machine.Machine, io *machine.IOStack) int {
+	n := 0
+	for _, e := range plan(m, io) {
+		n += sectionBytes(e.name, e.size())
+	}
+	return n
+}
+
 // Restore writes a snapshot's state back into the machine. The machine
-// must present the identical plan (same mode, same wired devices); a
-// structural mismatch or a malformed section is an error and the
-// machine may be partially restored — callers treat that as a failed
-// migration attempt.
+// must present the identical plan (same mode, same wired devices); the
+// section count and every section name are checked before anything is
+// loaded, so a structural mismatch leaves the machine untouched. A
+// malformed word inside a section is an error too, but sections before
+// it are already loaded — callers treat that as a failed migration
+// attempt.
 func Restore(m *machine.Machine, io *machine.IOStack, snap *Snapshot) error {
 	es := plan(m, io)
 	if len(es) != len(snap.Sections) {
 		return fmt.Errorf("snapshot: machine wants %d sections, snapshot has %d", len(es), len(snap.Sections))
 	}
 	for i, e := range es {
-		sec := snap.Sections[i]
-		if sec.Name != e.name {
-			return fmt.Errorf("snapshot: section %d is %q, machine wants %q", i, sec.Name, e.name)
+		if name := snap.Sections[i].Name; name != e.name {
+			return fmt.Errorf("snapshot: section %d is %q, machine wants %q", i, name, e.name)
 		}
-		r := &reader{name: e.name, sec: sec.Words}
+	}
+	for i, e := range es {
+		r := &reader{name: e.name, sec: snap.Sections[i].Words}
 		e.load(r)
 		if err := r.fin(); err != nil {
 			return err
@@ -377,26 +413,32 @@ func getVMCS(r *reader, v *vmcs.VMCS) {
 }
 
 func putEPT(w *writer, t *ept.Table) {
-	st := t.SaveState()
-	w.word(uint64(len(st.Pages)))
-	for _, p := range st.Pages {
+	var st ept.State
+	if !w.sizing {
+		st = t.SaveState()
+	}
+	w.table(t.MappedPages(), 3, func(i int) {
+		p := st.Pages[i]
 		w.word(p.GFN)
 		w.word(p.HostPage)
 		w.word(uint64(p.Perm))
-	}
-	w.word(uint64(len(st.Devs)))
-	for _, d := range st.Devs {
+	})
+	w.table(t.DeviceRegions(), 3, func(i int) {
+		d := st.Devs[i]
 		w.word(d.Base)
 		w.word(d.Size)
 		w.word(d.Dev)
-	}
+	})
 	w.word(st.Epoch)
 }
 
 func getEPT(r *reader, t *ept.Table) {
 	var st ept.State
-	for i, n := 0, r.count(3); i < n; i++ {
-		st.Pages = append(st.Pages, ept.PageState{GFN: r.word(), HostPage: r.word(), Perm: ept.Perm(r.word())})
+	if n := r.count(3); n > 0 {
+		st.Pages = make([]ept.PageState, n)
+		for i := range st.Pages {
+			st.Pages[i] = ept.PageState{GFN: r.word(), HostPage: r.word(), Perm: ept.Perm(r.word())}
+		}
 	}
 	for i, n := 0, r.count(3); i < n; i++ {
 		st.Devs = append(st.Devs, ept.DevState{Base: r.word(), Size: r.word(), Dev: r.word()})
@@ -411,7 +453,9 @@ func getEPT(r *reader, t *ept.Table) {
 // words (pending count, pending vectors ascending, deadline) and the
 // "lapic/..." section names are byte-identical to the pre-ports format.
 func putIRQ(w *writer, l ports.IRQController) {
-	w.words = append(w.words, l.SaveWords()...)
+	for _, x := range l.SaveWords() {
+		w.word(x)
+	}
 }
 
 func getIRQ(r *reader, l ports.IRQController) {
@@ -455,14 +499,15 @@ func getVCPU(r *reader, vc *hv.VCPU) {
 
 const wordsPerPage = mem.PageSize / 8
 
-func putPages(w *writer, pages []mem.Page) {
-	w.word(uint64(len(pages)))
-	for i := range pages {
+// putPages writes n resident pages, each its index and contents. pages
+// is read only when words are produced (it is nil on a sizing writer).
+func putPages(w *writer, n int, pages []mem.Page) {
+	w.table(n, 1+wordsPerPage, func(i int) {
 		w.word(pages[i].Index)
 		for off := 0; off < mem.PageSize; off += 8 {
 			w.word(binary.LittleEndian.Uint64(pages[i].Data[off : off+8]))
 		}
-	}
+	})
 }
 
 func getPages(r *reader) ([]mem.Page, bool) {

@@ -228,3 +228,24 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		t.Fatal("machine did not recover its original state")
 	}
 }
+
+// TestRestoreStructuralMismatchLeavesMachineUntouched: a snapshot whose
+// last section is renamed is rejected before any section loads, so the
+// twin it was restored into keeps its own state exactly.
+func TestRestoreStructuralMismatchLeavesMachineUntouched(t *testing.T) {
+	ma, ioa := diskMachine(t, hv.ModeSWSVt, 0x21, 2)
+	defer ma.Shutdown()
+	mb, iob := diskMachine(t, hv.ModeSWSVt, 0xd4, 2)
+	defer mb.Shutdown()
+
+	snap := snapshot.Capture(ma, ioa)
+	last := len(snap.Sections) - 1
+	snap.Sections[last].Name += "-renamed"
+	before := snapshot.Capture(mb, iob).Digest()
+	if err := snapshot.Restore(mb, iob, snap); err == nil {
+		t.Fatal("restore accepted a snapshot with a renamed last section")
+	}
+	if got := snapshot.Capture(mb, iob).Digest(); got != before {
+		t.Fatalf("rejected restore changed the machine: digest %#x, want %#x", got, before)
+	}
+}

@@ -15,8 +15,9 @@
 // the differential harness's broken-restore tests corrupt a clone and
 // watch the oracle catch the divergence downstream).
 //
-// Clones are copy-on-write: Clone shares the underlying word slabs, so
-// forking a warmed snapshot for a fleet of density-sweep VMs costs a
+// Size reports an image's encoded size without building it, which is
+// all a migration needs to price its transfer. Clones are copy-on-write:
+// Clone shares the underlying word slabs, so forking an image costs a
 // section table, not a memory image. Restore only ever reads from a
 // snapshot, and MutateWord (the corruption/testing hook) copies a
 // section's slab before writing, so clones never observe each other's
@@ -88,10 +89,14 @@ func (s *Snapshot) Digest() uint64 {
 func (s *Snapshot) Bytes() int {
 	n := 0
 	for _, sec := range s.Sections {
-		n += len(sec.Name) + 8 + 8*len(sec.Words)
+		n += sectionBytes(sec.Name, len(sec.Words))
 	}
 	return n
 }
+
+// sectionBytes is one section's encoded size: its name, an eight-byte
+// length header, and eight bytes per word.
+func sectionBytes(name string, words int) int { return len(name) + 8 + 8*words }
 
 // Clone returns a copy-on-write clone: the section table is copied, the
 // word slabs are shared. Restore never writes to a snapshot, and
@@ -110,7 +115,7 @@ func (s *Snapshot) DiffBytes(base *Snapshot) int {
 		if b != nil && wordsEqual(sec.Words, b.Words) {
 			continue
 		}
-		n += len(sec.Name) + 8 + 8*len(sec.Words)
+		n += sectionBytes(sec.Name, len(sec.Words))
 	}
 	return n
 }
@@ -149,12 +154,36 @@ func (s *Snapshot) MutateWord(name string, idx int, val uint64) error {
 	return nil
 }
 
-// writer builds one section's word stream.
+// writer builds one section's word stream. A sizing writer only counts
+// the words it is given, so Size and Capture's pre-sizing pass walk the
+// same save code as the capture itself; bulk sections (pages, EPT
+// mappings) write through table, which counts them in O(1).
 type writer struct {
-	words []uint64
+	words  []uint64
+	n      int  // words written
+	sizing bool // count only; words stays empty
 }
 
-func (w *writer) word(x uint64)   { w.words = append(w.words, x) }
+func (w *writer) word(x uint64) {
+	w.n++
+	if !w.sizing {
+		w.words = append(w.words, x)
+	}
+}
+
+// table writes a count word and then n rows of per words each, row(i)
+// producing row i. A sizing writer counts the rows without calling row.
+func (w *writer) table(n, per int, row func(i int)) {
+	w.word(uint64(n))
+	if w.sizing {
+		w.n += n * per
+		return
+	}
+	for i := 0; i < n; i++ {
+		row(i)
+	}
+}
+
 func (w *writer) time(t sim.Time) { w.word(uint64(t)) }
 func (w *writer) boolWord(b bool) { w.word(boolTo(b)) }
 func boolTo(b bool) uint64 {
