@@ -23,7 +23,9 @@
 // timeline of the run (one track per hardware context), -metrics out.csv
 // dumps every registered counter, and -summary N prints a top-N
 // "where did the cycles go" table. None of these perturb the simulated
-// results.
+// results. They force -parallel 1, so the exported plane is the same
+// machine's on every run; -portcmp, -check, -replay and -migrate
+// publish no plane and refuse them.
 //
 //	svtsim -mode sw-svt -workload netrr -n 200 -trace out.json -metrics out.csv -summary 10
 //
@@ -73,22 +75,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"svtsim"
 	"svtsim/internal/fault"
 )
-
-// lbScenarioKnown reports whether name is one of the -lb scenarios.
-func lbScenarioKnown(name string) bool {
-	for _, s := range svtsim.LBScenarios() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
 
 // parseMigratePoints parses the -migrate syntax "after:fails[,...]".
 func parseMigratePoints(arg string) ([]svtsim.MigratePoint, error) {
@@ -144,7 +137,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *lbScen != "all" && !lbScenarioKnown(*lbScen) {
+	if *lbScen != "all" && !slices.Contains(svtsim.LBScenarios(), *lbScen) {
 		fmt.Fprintf(os.Stderr, "-lb-scenario %q: want all or one of %s\n",
 			*lbScen, strings.Join(svtsim.LBScenarios(), ", "))
 		os.Exit(2)
@@ -159,9 +152,16 @@ func main() {
 			stormSeed: *stormSeed, checkSeed: *checkSeed,
 			lb: *lb, lbScen: *lbScen, lbSeed: *lbSeed, lbSLO: *lbSLO,
 			faults: *faults, faultSeed: *faultSeed, faultRate: *faultRate,
-			trace: *trace, metrics: *metrics,
+			trace: *trace, metrics: *metrics, summary: *summary,
 			replay: *replay, migrate: *migrate,
+			portCmp: *portCmp, dumpExits: *dumpExits,
 		}))
+	}
+
+	wantObs := *trace != "" || *metrics != "" || *summary > 0
+	if wantObs && (*portCmp || *checkN > 0 || *replay != "" || *migrate != "") {
+		fmt.Fprintln(os.Stderr, "-trace, -metrics and -summary: -portcmp, -check, -replay and -migrate publish no observability plane")
+		os.Exit(2)
 	}
 
 	if *replay != "" {
@@ -215,12 +215,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fault plane armed: %s (seed %d)\n", spec, spec.Seed)
 		sess.SetFaults(spec)
 	}
-	wantObs := *trace != "" || *metrics != "" || *summary > 0
 	if wantObs {
+		// One worker, so the published plane comes from the same
+		// machine on every run.
+		sess.SetParallelism(1)
 		sess.SetObs(&svtsim.ObsOptions{RingCap: *obsRing})
 	}
 
-	if *storm > 0 {
+	switch {
+	case *storm > 0:
 		k := *vms
 		if k <= 0 {
 			k = 8
@@ -229,10 +232,7 @@ func main() {
 		for _, r := range sess.StormTable(svtsim.AllModes(), k, *storm, *stormSeed) {
 			fmt.Println(r.StatsLine())
 		}
-		return
-	}
-
-	if *lb > 0 {
+	case *lb > 0:
 		fmt.Printf("load balancer: %d VMs, scenario %s, seed %d, slo %.0f us, host %s\n",
 			*lb, *lbScen, *lbSeed, *lbSLO, topo)
 		var rows []svtsim.LBResult
@@ -244,66 +244,56 @@ func main() {
 		for _, r := range rows {
 			fmt.Println(r.StatsLine())
 		}
-		if wantObs {
-			writeObs(sess, *trace, *metrics, *summary)
-		}
-		return
-	}
-
-	if *portCmp {
+	case *portCmp:
 		if err := sess.Ports(os.Stdout, nil, *n); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *density {
+	case *density:
 		sess.Density(os.Stdout, *vms, *slo)
-		return
-	}
-
-	mode, err := svtsim.ParseMode(*modeStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	d := svtsim.Time(dur.Nanoseconds())
-
-	switch *workload {
-	case "cpuid":
-		r := sess.CPUIDNested(mode, *n)
-		fmt.Printf("nested cpuid (%s): %v per instruction\n", mode, r.PerOp)
-		if *dumpExits > 0 {
-			for _, e := range sess.TraceNestedCPUID(mode, *n, *dumpExits) {
-				fmt.Println(" ", e.String())
-			}
-		}
-	case "netrr":
-		r := sess.NetLatency(mode, *n)
-		fmt.Printf("netperf TCP_RR (%s): mean %.1f us, p99 %.1f us\n", mode, r.MeanUs, r.P99Us)
-	case "stream":
-		r := sess.NetBandwidth(mode, d)
-		fmt.Printf("netperf TCP_STREAM (%s): %.0f Mbps\n", mode, r.Mbps)
-	case "diskrd":
-		r := sess.DiskLatency(mode, false, *n)
-		fmt.Printf("ioping randread (%s): mean %.1f us\n", mode, r.MeanUs)
-	case "diskwr":
-		r := sess.DiskLatency(mode, true, *n)
-		fmt.Printf("ioping randwrite (%s): mean %.1f us\n", mode, r.MeanUs)
-	case "memcached":
-		r := sess.Memcached(mode, *rate, d)
-		fmt.Printf("memcached ETC @%.0f q/s (%s): avg %.0f us, p99 %.0f us, served %d\n",
-			*rate, mode, r.AvgUs, r.P99Us, r.Served)
-	case "tpcc":
-		ktpm := sess.TPCC(mode, d)
-		fmt.Printf("TPC-C (%s): %.2f ktpm\n", mode, ktpm)
-	case "video":
-		r := sess.VideoN(mode, *fps, *fps*60)
-		fmt.Printf("video %d FPS (%s): %d dropped / %d played (60 s)\n", *fps, mode, r.Dropped, r.Played)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
+		mode, err := svtsim.ParseMode(*modeStr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		d := svtsim.Time(dur.Nanoseconds())
+
+		switch *workload {
+		case "cpuid":
+			r := sess.CPUIDNested(mode, *n)
+			fmt.Printf("nested cpuid (%s): %v per instruction\n", mode, r.PerOp)
+			if *dumpExits > 0 {
+				for _, e := range sess.TraceNestedCPUID(mode, *n, *dumpExits) {
+					fmt.Println(" ", e.String())
+				}
+			}
+		case "netrr":
+			r := sess.NetLatency(mode, *n)
+			fmt.Printf("netperf TCP_RR (%s): mean %.1f us, p99 %.1f us\n", mode, r.MeanUs, r.P99Us)
+		case "stream":
+			r := sess.NetBandwidth(mode, d)
+			fmt.Printf("netperf TCP_STREAM (%s): %.0f Mbps\n", mode, r.Mbps)
+		case "diskrd":
+			r := sess.DiskLatency(mode, false, *n)
+			fmt.Printf("ioping randread (%s): mean %.1f us\n", mode, r.MeanUs)
+		case "diskwr":
+			r := sess.DiskLatency(mode, true, *n)
+			fmt.Printf("ioping randwrite (%s): mean %.1f us\n", mode, r.MeanUs)
+		case "memcached":
+			r := sess.Memcached(mode, *rate, d)
+			fmt.Printf("memcached ETC @%.0f q/s (%s): avg %.0f us, p99 %.0f us, served %d\n",
+				*rate, mode, r.AvgUs, r.P99Us, r.Served)
+		case "tpcc":
+			ktpm := sess.TPCC(mode, d)
+			fmt.Printf("TPC-C (%s): %.2f ktpm\n", mode, ktpm)
+		case "video":
+			r := sess.VideoN(mode, *fps, *fps*60)
+			fmt.Printf("video %d FPS (%s): %d dropped / %d played (60 s)\n", *fps, mode, r.Dropped, r.Played)
+		default:
+			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
+			os.Exit(2)
+		}
 	}
 
 	if wantObs {

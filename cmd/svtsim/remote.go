@@ -34,13 +34,20 @@ type remoteFlags struct {
 	faultSeed               int64
 	faultRate               float64
 	trace, metrics          string
+	summary, dumpExits      int
 	replay, migrate         string
+	portCmp                 bool
 }
 
 // remoteRequest maps the CLI flag set onto one server request.
 func remoteRequest(f remoteFlags) (*server.Request, error) {
-	if f.replay != "" || f.migrate != "" {
+	switch {
+	case f.replay != "" || f.migrate != "":
 		return nil, fmt.Errorf("-replay and -migrate need local repro files; run them without -submit")
+	case f.portCmp:
+		return nil, fmt.Errorf("-portcmp has no served form; run it without -submit")
+	case f.summary > 0 || f.dumpExits > 0:
+		return nil, fmt.Errorf("-summary and -dump-exits print in-process results; run them without -submit (-trace and -metrics fetch the served artifacts)")
 	}
 	req := &server.Request{
 		Topology:  f.hostStr,

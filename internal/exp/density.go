@@ -6,17 +6,15 @@ import (
 	"sync"
 
 	"svtsim/internal/fault"
-	"svtsim/internal/guest"
 	"svtsim/internal/host"
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
-	"svtsim/internal/netsim"
+	"svtsim/internal/obs"
 	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 	"svtsim/internal/snapshot"
 	"svtsim/internal/stats"
 	"svtsim/internal/swsvt"
-	"svtsim/internal/workload"
 )
 
 // The density experiments are the fleet-level version of Figures 6–8:
@@ -25,18 +23,20 @@ import (
 // its placement class emerges from which contexts were free), and
 // measure per-VM latency and aggregate throughput under contention.
 //
-// The model runs in two phases. Phase 1 simulates each VM's workload
-// uncontended on its own machine, with the scheduler-chosen placement
-// class feeding the SW-SVt cost model; these runs are independent, so
-// they fan out on the worker pool and are cached per (VM, placement).
-// Phase 2 replays all VMs' execution demands on the shared host engine
-// (host.Scheduler.Replay): quantum-based CPU sharing, SMT sibling
-// interference, polling SVt-threads stealing sibling cycles, periodic
-// migrations with cross-core reschedule IPIs. The per-VM slowdown from
-// phase 2 dilates the phase-1 latency distribution — open-loop latency
-// under proportional-share slowdown scales with service time — and
-// deflates throughput. Both phases are RNG-free given the workload
-// seeds, so a sweep is byte-identical at any pool width.
+// The model runs in two phases, through the fleet pipeline (packFleet)
+// that storms and the load balancer share. Phase 1 simulates each VM's
+// workload uncontended on its own machine, with the scheduler-chosen
+// placement class feeding the SW-SVt cost model; these runs are
+// independent, so they fan out on the worker pool and are cached per
+// (workload class, size, placement). Phase 2 replays all VMs' execution
+// demands on the shared host engine (host.Scheduler.ReplayStorm):
+// quantum-based CPU sharing, SMT sibling interference, polling
+// SVt-threads stealing sibling cycles, periodic migrations with
+// cross-core reschedule IPIs. The per-VM slowdown from phase 2 dilates
+// the phase-1 latency distribution — open-loop latency under
+// proportional-share slowdown scales with service time — and deflates
+// throughput. Both phases are RNG-free given the workload seeds, so a
+// sweep is byte-identical at any pool width.
 
 // DensityVM is one VM's outcome at one packing level.
 type DensityVM struct {
@@ -105,23 +105,23 @@ func (r DensityResult) SummaryLine() string {
 		r.Mode, r.Topo, r.SLOUs, r.MaxDensity)
 }
 
-// vmRun is one VM's phase-1 (uncontended) measurement. It is immutable
-// once computed, so a cache hit hands the same value to every VM it
-// serves.
+// vmRun is one VM's phase-1 (uncontended) measurement; an lb backend's
+// latUs are its per-request service samples. It is immutable once
+// computed, so a cache hit hands the same value to every VM it serves.
 type vmRun struct {
-	workload string
-	latUs    []float64
-	ops      float64
-	busy     sim.Time
-	total    sim.Time
-	poll     bool
-	frac     float64
+	latUs []float64
+	ops   float64
+	busy  sim.Time
+	total sim.Time
+	poll  bool
+	frac  float64
 	// imageBytes is the encoded size of the VM's post-run migration
-	// image (snapshot.Size); it prices storm-driven migrations.
+	// image (snapshot.Size); it prices storm-driven migrations. lb
+	// backends are not sized and migrate as empty images.
 	imageBytes int
 }
 
-// vmKey identifies a cacheable phase-1 run. The cpuid and netrr
+// vmKey identifies a cacheable phase-1 run. The cpuid, netrr and lb
 // workloads depend on the VM index only through the size class (i%4),
 // so any two such VMs with equal class, size, and placement share one
 // run; memcached VMs draw per-index RNG streams and stay keyed by index.
@@ -141,11 +141,11 @@ func densityKey(i int, place swsvt.Placement) vmKey {
 }
 
 // vmCache memoizes phase-1 runs across packing levels and VM indices:
-// a sweep over k simulates each distinct (class, size, placement) cell
-// once and reuses its vmRun for every other VM, instead of resimulating
-// O(k²) machines. Duplicate concurrent computes are harmless — both
-// produce the identical value. The sims/reuses counters are exact only
-// under a serial pool.
+// a sweep over k simulates each distinct key once and reuses its vmRun
+// for every other VM, instead of resimulating O(k²) machines. Duplicate
+// concurrent computes are harmless — both produce the identical value.
+// The sims/reuses counters are exact only under a serial pool. The zero
+// value is an empty cache.
 type vmCache struct {
 	mu     sync.Mutex
 	m      map[vmKey]vmRun
@@ -153,8 +153,8 @@ type vmCache struct {
 	reuses uint64
 }
 
-func (c *vmCache) get(s *Session, mode hv.Mode, i int, place swsvt.Placement) vmRun {
-	key := densityKey(i, place)
+// get returns key's run, computing it with run on a miss.
+func (c *vmCache) get(key vmKey, run func() vmRun) vmRun {
 	c.mu.Lock()
 	r, ok := c.m[key]
 	if ok {
@@ -164,8 +164,11 @@ func (c *vmCache) get(s *Session, mode hv.Mode, i int, place swsvt.Placement) vm
 	if ok {
 		return r
 	}
-	r = s.runDensityVM(mode, i, place)
+	r = run()
 	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[vmKey]vmRun)
+	}
 	c.m[key] = r
 	c.sims++
 	c.mu.Unlock()
@@ -185,17 +188,25 @@ func densityWorkloadName(i int) string {
 	}
 }
 
-// runDensityVM simulates VM i's workload uncontended with the given
-// SVt-thread placement class.
-func (s *Session) runDensityVM(mode hv.Mode, i int, place swsvt.Placement) vmRun {
+// vmBuilder builds VM i's phase-1 machine (and its I/O stack, nil for
+// cpuid VMs) from cfg with the workload installed and led attached,
+// ready to run. measure reads the workload's latencies (us) and
+// operation count once the machine has run for total.
+type vmBuilder func(cfg machine.Config, i int, led *sim.Ledger) (m *machine.Machine, io *machine.IOStack, measure func(total sim.Time) ([]float64, float64))
+
+// runVM simulates VM i uncontended with the given SVt-thread placement
+// class and reads its demand off the ledger. A sized VM also measures
+// its migration image before teardown; storms price transfers from it.
+func (s *Session) runVM(mode hv.Mode, i int, place swsvt.Placement, build vmBuilder, sized bool) vmRun {
 	cfg := s.config(mode)
 	cfg.Placement = place
 	led := &sim.Ledger{}
-	m, io, measure := buildDensityVM(cfg, i, led)
+	m, io, measure := build(cfg, i, led)
 	s.run(m)
-	// Size the migration image before teardown; storms price their
-	// transfers from it.
-	r := vmRun{workload: densityWorkloadName(i), imageBytes: snapshot.Size(m, io)}
+	var r vmRun
+	if sized {
+		r.imageBytes = snapshot.Size(m, io)
+	}
 	m.Shutdown()
 	r.total = m.Now()
 	r.busy = led.Total()
@@ -207,17 +218,14 @@ func (s *Session) runDensityVM(mode hv.Mode, i int, place swsvt.Placement) vmRun
 	return r
 }
 
-// buildDensityVM builds VM i's machine (and its I/O stack, nil for
-// cpuid VMs) with the workload installed and led attached, ready to
-// run. measure reads the workload's latencies (us) and operation count
-// once the machine has run for total. Workload sizes vary
+// buildDensityVM is the density fleet's vmBuilder. Workload sizes vary
 // deterministically with the VM index so the fleet is heterogeneous.
-func buildDensityVM(cfg machine.Config, i int, led *sim.Ledger) (m *machine.Machine, io *machine.IOStack, measure func(total sim.Time) ([]float64, float64)) {
+func buildDensityVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *machine.IOStack, func(total sim.Time) ([]float64, float64)) {
 	cfg.Seed = int64(1000 + i)
 	switch i % 3 {
 	case 0: // nested cpuid (Figure 6's microbenchmark)
 		n := 300 + 25*(i%4)
-		m = machine.NewNested(cfg)
+		m := machine.NewNested(cfg)
 		m.Eng.SetLedger(led)
 		m.SetL2Workload(&cpuidLoop{n: n})
 		return m, nil, func(total sim.Time) ([]float64, float64) {
@@ -225,37 +233,12 @@ func buildDensityVM(cfg machine.Config, i int, led *sim.Ledger) (m *machine.Mach
 		}
 	case 1: // netperf TCP_RR (Figure 7)
 		n := 60 + 5*(i%4)
-		io = machine.WireNestedIO(&cfg, machine.DefaultIOParams())
-		m = machine.NewNested(cfg)
-		m.Eng.SetLedger(led)
-		io.NIC.Peer = &netsim.EchoPeer{
-			Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
-			ServiceTime: 5 * sim.Microsecond, RespSize: 1,
-		}
-		w := &workload.NetRR{N: n, ReqSize: 1, TCPModel: true, SMP: true}
-		m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
+		m, io, w := netRRMachine(cfg, led, n)
 		return m, io, func(sim.Time) ([]float64, float64) {
 			return append([]float64(nil), w.Lat...), float64(n)
 		}
 	default: // memcached ETC (Figure 8)
-		rate := 20_000 + 2_500*float64(i%4)
-		d := 5 * sim.Millisecond
-		io = machine.WireNestedIO(&cfg, machine.DefaultIOParams())
-		m = machine.NewNested(cfg)
-		m.Eng.SetLedger(led)
-		srv := workload.DefaultMemcached(d + 100*sim.Millisecond)
-		m.InstallL2(io, true, false, func(env *guest.Env) { srv.Run(env) })
-		rng := sim.NewRand(int64(7 + i))
-		etc := workload.NewETC(sim.SplitRand(rng))
-		keyRng := sim.SplitRand(rng)
-		client := &netsim.OpenLoopClient{
-			Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
-			Payload: func() []byte {
-				return workload.EncodeMemcachedReq(uint64(keyRng.Intn(100000)), etc.IsGet(), etc.ValueSize())
-			},
-		}
-		io.NIC.Peer = client
-		client.Start(rate, m.Eng.Now()+d, rng.Float64)
+		m, io, srv, client := memcachedMachine(cfg, led, 20_000+2_500*float64(i%4), 5*sim.Millisecond, int64(7+i))
 		return m, io, func(sim.Time) ([]float64, float64) {
 			return append([]float64(nil), client.Lat...), float64(srv.Served)
 		}
@@ -273,51 +256,49 @@ func gangSize(mode hv.Mode) int {
 	return 1
 }
 
-// Consolidation packs k nested VMs onto the session's topology in one
-// mode and measures them under contention (one DensitySweep point).
-func (s *Session) Consolidation(mode hv.Mode, k int) DensityPoint {
-	return s.consolidate(mode, k, &vmCache{m: make(map[vmKey]vmRun)})
+// fleet is one packed host after its contention replay: the admitted
+// gangs, each VM's phase-1 run, the replay's outcome and the fault
+// plane armed on the host engine (nil when none was).
+type fleet struct {
+	h       *host.Host
+	assigns []host.Assignment
+	runs    []vmRun
+	res     host.ReplayResult
+	faults  *fault.Plane
 }
 
-func (s *Session) consolidate(mode hv.Mode, k int, cache *vmCache) DensityPoint {
-	pt, _, _ := s.consolidateStorm(mode, k, cache, nil, nil)
-	return pt
-}
-
-// consolidateStorm is consolidate with an optional migration storm
-// overlaid on the phase-2 replay and an optional fault spec armed on
-// the host engine (so migrate/* and apic/ipi sites fire during the
-// storm); it additionally returns the raw replay result and the armed
-// plane so storm callers can read the gang and fire tallies.
-func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *host.StormPlan, spec *fault.Spec) (DensityPoint, host.ReplayResult, *fault.Plane) {
-	topo := s.Topology()
-	h, err := host.New(topo, s.HostParams())
+// packFleet is the pipeline density, storms and the load balancer
+// share. It builds the session's host and arms spec's fault plane on
+// its engine, plus oplane when non-nil — before admission, so the
+// reschedule IPIs Admit sends are traced. The L0 scheduler then places
+// k gangs of mode's footprint (SW-SVt placement class falls out of the
+// topology occupancy), phase 1 runs each VM uncontended through run
+// (fanned out on the pool), and phase 2 replays their demands on the
+// shared host engine with plan's storm (nil for none) overlaid.
+func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fault.Spec, oplane *obs.Plane, run func(i int, place swsvt.Placement) vmRun) fleet {
+	h, err := host.New(s.Topology(), s.HostParams())
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
-	plane := spec.Build(h.Eng)
-
-	// Admission: the L0 scheduler places each VM's gang; SW-SVt
-	// placement class falls out of the topology occupancy.
-	nthreads := gangSize(mode)
-	assigns := make([]host.Assignment, k)
-	for i := 0; i < k; i++ {
-		assigns[i] = h.Sched.Admit(i, nthreads)
+	f := fleet{h: h, faults: spec.Build(h.Eng), assigns: make([]host.Assignment, k)}
+	if oplane != nil {
+		h.SetObs(oplane)
+		if f.faults != nil {
+			f.faults.SetObs(oplane.Tracer, 0)
+		}
 	}
-
-	// Phase 1: uncontended per-VM runs, fanned out on the pool. A cache
-	// hit reuses an earlier run instead of simulating again.
-	runs := parallel.MapN(s.Parallelism(), k, func(i int) vmRun {
-		return cache.get(s, mode, i, assigns[i].Place)
+	nthreads := gangSize(mode)
+	for i := range f.assigns {
+		f.assigns[i] = h.Sched.Admit(i, nthreads)
+	}
+	f.runs = parallel.MapN(s.Parallelism(), k, func(i int) vmRun {
+		return run(i, f.assigns[i].Place)
 	})
-
-	// Phase 2: contention replay on the shared host engine. Each VM's
-	// phase-1 image size prices its storm migrations.
 	demands := make([]host.Demand, k)
-	for i, r := range runs {
+	for i, r := range f.runs {
 		demands[i] = host.Demand{
 			VM:         i,
-			Ctxs:       assigns[i].Ctxs,
+			Ctxs:       f.assigns[i].Ctxs,
 			Busy:       r.busy,
 			Total:      r.total,
 			HelperPoll: r.poll,
@@ -326,16 +307,39 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 			ImageBytes: r.imageBytes,
 		}
 	}
-	res := h.Sched.ReplayStorm(demands, plan)
+	f.res = h.Sched.ReplayStorm(demands, plan)
+	return f
+}
 
-	pt := DensityPoint{Mode: mode, K: k}
-	for i, r := range runs {
+// Consolidation packs k nested VMs onto the session's topology in one
+// mode and measures them under contention (one DensitySweep point).
+func (s *Session) Consolidation(mode hv.Mode, k int) DensityPoint {
+	return s.densityFleet(mode, k, &vmCache{}, nil, nil).point(mode)
+}
+
+// densityFleet packs k density VMs, serving phase 1 through cache, with
+// an optional migration storm and fault spec (armed on the host engine,
+// so migrate/* and apic/ipi sites fire during the storm).
+func (s *Session) densityFleet(mode hv.Mode, k int, cache *vmCache, plan *host.StormPlan, spec *fault.Spec) fleet {
+	return s.packFleet(mode, k, plan, spec, nil, func(i int, place swsvt.Placement) vmRun {
+		return cache.get(densityKey(i, place), func() vmRun {
+			return s.runVM(mode, i, place, buildDensityVM, true)
+		})
+	})
+}
+
+// point reads a density fleet's DensityPoint: each VM's phase-1
+// latencies dilated by its replay slowdown, throughput deflated by it.
+func (f fleet) point(mode hv.Mode) DensityPoint {
+	res := f.res
+	pt := DensityPoint{Mode: mode, K: len(f.runs)}
+	for i, r := range f.runs {
 		S := res.VMs[i].Slowdown
 		v := DensityVM{
 			VM:       i,
-			Workload: r.workload,
-			Ctxs:     assigns[i].Ctxs,
-			Place:    assigns[i].Place,
+			Workload: densityWorkloadName(i),
+			Ctxs:     f.assigns[i].Ctxs,
+			Place:    f.assigns[i].Place,
 			P50Us:    stats.Percentile(r.latUs, 50) * S,
 			P99Us:    stats.Percentile(r.latUs, 99) * S,
 			Slowdown: S,
@@ -357,9 +361,9 @@ func (s *Session) consolidateStorm(mode hv.Mode, k int, cache *vmCache, plan *ho
 	pt.Migrations = res.Migrations
 	pt.ReschedIPIs = res.ReschedIPIs
 	pt.Events = res.Events
-	_, smt, cc, numa := h.IPIsSent()
+	_, smt, cc, numa := f.h.IPIsSent()
 	pt.IPIsSMT, pt.IPIsCore, pt.IPIsNUMA = smt, cc, numa
-	return pt, res, plane
+	return pt
 }
 
 // DensitySweep packs k = 1..kmax nested VMs per mode and reports every
@@ -385,12 +389,12 @@ func (s *Session) DensitySweepContext(ctx context.Context, modes []hv.Mode, kmax
 	out := make([]DensityResult, len(modes))
 	for mi, mode := range modes {
 		res := DensityResult{Mode: mode, Topo: topo, SLOUs: sloUs}
-		cache := &vmCache{m: make(map[vmKey]vmRun)}
+		cache := &vmCache{}
 		for k := 1; k <= kmax; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			pt := s.consolidate(mode, k, cache)
+			pt := s.densityFleet(mode, k, cache, nil, nil).point(mode)
 			res.Points = append(res.Points, pt)
 			if pt.WorstP99Us <= sloUs {
 				res.MaxDensity = k

@@ -193,16 +193,26 @@ func (s *Session) netMachine(mode hv.Mode) (*machine.Machine, *machine.IOStack) 
 	return m, io
 }
 
-// NetLatency runs netperf TCP_RR (Figure 7 "Network latency"): n 1-byte
-// transactions against an echoing peer.
-func (s *Session) NetLatency(mode hv.Mode, n int) IOResult {
-	m, io := s.netMachine(mode)
+// netRRMachine builds a nested machine running n netperf TCP_RR
+// transactions (1-byte requests) against an echoing peer, with led
+// attached (nil for none).
+func netRRMachine(cfg machine.Config, led *sim.Ledger, n int) (*machine.Machine, *machine.IOStack, *workload.NetRR) {
+	io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
+	m := machine.NewNested(cfg)
+	m.Eng.SetLedger(led)
 	io.NIC.Peer = &netsim.EchoPeer{
 		Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
 		ServiceTime: 5 * sim.Microsecond, RespSize: 1,
 	}
 	w := &workload.NetRR{N: n, ReqSize: 1, TCPModel: true, SMP: true}
 	m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
+	return m, io, w
+}
+
+// NetLatency runs netperf TCP_RR (Figure 7 "Network latency"): n 1-byte
+// transactions against an echoing peer.
+func (s *Session) NetLatency(mode hv.Mode, n int) IOResult {
+	m, _, w := netRRMachine(s.config(mode), nil, n)
 	s.run(m)
 	m.Shutdown()
 	sum, _ := stats.Summarize(w.Lat)
@@ -266,14 +276,18 @@ type MemcachedResult struct {
 	Served    uint64
 }
 
-// Memcached runs the §6.3.1 experiment: an open-loop ETC load at rate
-// QPS against the in-guest memcached server for duration d.
-func (s *Session) Memcached(mode hv.Mode, rate float64, d sim.Time) MemcachedResult {
-	m, io := s.netMachine(mode)
+// memcachedMachine builds a nested machine serving memcached to an
+// open-loop ETC client offering rate QPS for d, with led attached (nil
+// for none). The client's arrival, key and request streams split from
+// one RNG seeded with seed.
+func memcachedMachine(cfg machine.Config, led *sim.Ledger, rate float64, d sim.Time, seed int64) (*machine.Machine, *machine.IOStack, *workload.MemcachedServer, *netsim.OpenLoopClient) {
+	io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
+	m := machine.NewNested(cfg)
+	m.Eng.SetLedger(led)
 	srv := workload.DefaultMemcached(d + 100*sim.Millisecond)
 	m.InstallL2(io, true, false, func(env *guest.Env) { srv.Run(env) })
 
-	rng := sim.NewRand(7)
+	rng := sim.NewRand(seed)
 	etc := workload.NewETC(sim.SplitRand(rng))
 	keyRng := sim.SplitRand(rng)
 	client := &netsim.OpenLoopClient{
@@ -284,6 +298,13 @@ func (s *Session) Memcached(mode hv.Mode, rate float64, d sim.Time) MemcachedRes
 	}
 	io.NIC.Peer = client
 	client.Start(rate, m.Eng.Now()+d, rng.Float64)
+	return m, io, srv, client
+}
+
+// Memcached runs the §6.3.1 experiment: an open-loop ETC load at rate
+// QPS against the in-guest memcached server for duration d.
+func (s *Session) Memcached(mode hv.Mode, rate float64, d sim.Time) MemcachedResult {
+	m, _, srv, client := memcachedMachine(s.config(mode), nil, rate, d, 7)
 	s.run(m)
 	m.Shutdown()
 	res := MemcachedResult{Mode: mode, TargetQPS: rate, Served: srv.Served}

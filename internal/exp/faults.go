@@ -116,8 +116,8 @@ func (s *Session) FaultSweep(mode hv.Mode, spec *fault.Spec, n int, mutate func(
 // migrations, retries, rollbacks, breaker-skips — into the usual sweep
 // row so grids can mix machine-level and placement-level fault rows.
 func (s *Session) FaultStormSweep(mode hv.Mode, spec *fault.Spec, k, storms int, stormSeed int64) FaultSweepResult {
-	cache := &vmCache{m: make(map[vmKey]vmRun)}
-	_, res, plane := s.consolidateStorm(mode, k, cache, BuildStormPlan(k, storms, stormSeed), spec)
+	f := s.stormFleet(mode, k, storms, stormSeed, spec)
+	res := f.res
 	r := FaultSweepResult{
 		Mode:      mode,
 		N:         k,
@@ -138,8 +138,8 @@ func (s *Session) FaultStormSweep(mode hv.Mode, spec *fault.Spec, k, storms int,
 		r.Spec = spec.String()
 		r.Seed = spec.Seed
 	}
-	if plane != nil {
-		r.FaultFires = plane.Fires()
+	if f.faults != nil {
+		r.FaultFires = f.faults.Fires()
 	}
 	return r
 }

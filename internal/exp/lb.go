@@ -3,8 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"svtsim/internal/fault"
 	"svtsim/internal/guest"
@@ -14,7 +13,6 @@ import (
 	"svtsim/internal/netsim"
 	"svtsim/internal/netstack"
 	"svtsim/internal/obs"
-	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 	"svtsim/internal/stats"
 	"svtsim/internal/swsvt"
@@ -28,17 +26,18 @@ import (
 // windows — under overload, bursts, migration storms, and injected
 // segment loss.
 //
-// Like the density experiments it runs in two phases. Phase 1 measures
-// each backend VM's request service distribution uncontended: a
-// netstack flow rides the real virtio-net path into the nested guest,
-// whose service loop charges per-request CPU through the mode's full
-// exit machinery (this is where baseline / HW-SVt / SW-SVt diverge).
-// Phase 2 packs the fleet, replays CPU contention (optionally under a
-// migration storm) for per-VM slowdowns and pause windows, then sprays
-// an open-loop arrival trace from the balancer context across netstack
-// flows that ride the host's cross-core delivery fabric. Every stage is
-// engine-driven and RNG-seeded, so the scenario is byte-identical at
-// any worker-pool width.
+// It runs through the same two-phase fleet pipeline as the density
+// experiments (packFleet). Phase 1 measures each backend VM's request
+// service distribution uncontended: a netstack flow rides the real
+// virtio-net path into the nested guest, whose service loop charges
+// per-request CPU through the mode's full exit machinery (this is where
+// baseline / HW-SVt / SW-SVt diverge). Phase 2a replays CPU contention
+// (optionally under a migration storm) for per-VM slowdowns and pause
+// windows; phase 2b then sprays an open-loop arrival trace from the
+// balancer context across netstack flows that ride the host's
+// cross-core delivery fabric. Every stage is engine-driven and
+// RNG-seeded, so the scenario is byte-identical at any worker-pool
+// width.
 
 // Load-balancer wire constants: request/response framing and the
 // per-hop serialization charge on the host fabric.
@@ -52,15 +51,6 @@ const (
 // LBScenarios lists the supported scenario names in report order.
 func LBScenarios() []string {
 	return []string{"steady", "overload", "burst", "storm", "faults"}
-}
-
-func lbScenarioKnown(name string) bool {
-	for _, s := range LBScenarios() {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // LBResult is one (mode, scenario) cell of the load-balancer figure.
@@ -111,42 +101,6 @@ func (r LBResult) StatsLine() string {
 		r.SegsSent, r.Retransmits, r.SegDrops, r.GangMigrations, r.Downtime, r.Events)
 }
 
-// lbRun is one backend class's phase-1 (uncontended) measurement.
-type lbRun struct {
-	svcUs []float64 // per-request service latency samples, arrival order
-	busy  sim.Time
-	total sim.Time
-	poll  bool
-	frac  float64
-}
-
-// lbKey caches phase-1 runs per (size class, placement): the backend
-// workload depends on the VM index only through i%4.
-type lbKey struct {
-	size  int
-	place swsvt.Placement
-}
-
-type lbCache struct {
-	mu sync.Mutex
-	m  map[lbKey]lbRun
-}
-
-func (c *lbCache) get(s *Session, mode hv.Mode, i int, place swsvt.Placement) lbRun {
-	key := lbKey{size: i % 4, place: place}
-	c.mu.Lock()
-	r, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
-		return r
-	}
-	r = s.runLBVM(mode, i%4, place)
-	c.mu.Lock()
-	c.m[key] = r
-	c.mu.Unlock()
-	return r
-}
-
 // l0Conduit adapts the L0 side of a nested machine's virtio-net wiring
 // (host link in, NIC peer out) to a netstack Conduit.
 type l0Conduit struct {
@@ -191,15 +145,14 @@ func lbServe(eng *sim.Engine, env *guest.Env, n int, svcCPU sim.Time) {
 	}
 }
 
-// runLBVM measures one backend size class uncontended: a closed-loop L0
-// client issues n requests over a netstack flow through the virtio path
-// into the nested guest's service loop.
-func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) lbRun {
-	cfg := s.config(mode)
-	cfg.Placement = place
+// buildLBVM is the load balancer's vmBuilder: a closed-loop L0 client
+// issues requests over a netstack flow through the virtio path into the
+// nested guest's service loop, and measure reads the per-request
+// service latencies. The backend depends on i only through its size
+// class i%4.
+func buildLBVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *machine.IOStack, func(sim.Time) ([]float64, float64)) {
+	size := i % 4
 	cfg.Seed = int64(3000 + size)
-	led := &sim.Ledger{}
-
 	n := 40 + 10*size
 	svcCPU := sim.Time(8+2*size) * sim.Microsecond
 
@@ -213,7 +166,7 @@ func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) lbRun {
 	st := netstack.New(m.Eng, cc, netstack.Params{})
 	fl := st.Open(1)
 
-	r := lbRun{}
+	var svcUs []float64
 	var t0 sim.Time
 	sent, rx := 0, 0
 	send := func() {
@@ -225,23 +178,14 @@ func (s *Session) runLBVM(mode hv.Mode, size int, place swsvt.Placement) lbRun {
 		rx += len(p)
 		for rx >= lbRespSize {
 			rx -= lbRespSize
-			r.svcUs = append(r.svcUs, (m.Eng.Now() - t0).Microseconds())
+			svcUs = append(svcUs, (m.Eng.Now() - t0).Microseconds())
 			if sent < n {
 				send()
 			}
 		}
 	}
 	m.Eng.After(0, func() { send() })
-
-	s.run(m)
-	m.Shutdown()
-	r.total = m.Now()
-	r.busy = led.Total()
-	if r.total > 0 {
-		r.frac = float64(led.T[sim.CatTransform]+led.T[sim.CatL1]) / float64(r.total)
-	}
-	r.poll = mode == hv.ModeSWSVt && cfg.WaitPolicy == swsvt.PolicyPoll
-	return r
+	return m, io, func(sim.Time) ([]float64, float64) { return svcUs, float64(len(svcUs)) }
 }
 
 // hostConduit carries packets between two host contexts over the
@@ -291,11 +235,11 @@ func lbFaultSpec(seed int64) *fault.Spec {
 // migration storm), faults (steady + net/segment loss). sloUs <= 0
 // defaults to 1000 µs.
 func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64) LBResult {
-	return s.loadBalancer(mode, k, scenario, seed, sloUs, &lbCache{m: make(map[lbKey]lbRun)})
+	return s.loadBalancer(mode, k, scenario, seed, sloUs, &vmCache{})
 }
 
-func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64, cache *lbCache) LBResult {
-	if !lbScenarioKnown(scenario) {
+func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64, cache *vmCache) LBResult {
+	if !slices.Contains(LBScenarios(), scenario) {
 		panic(fmt.Sprintf("exp: unknown lb scenario %q (want one of %v)", scenario, LBScenarios()))
 	}
 	if k < 1 {
@@ -304,19 +248,12 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	if sloUs <= 0 {
 		sloUs = 1000
 	}
-	topo := s.Topology()
-	h, err := host.New(topo, s.HostParams())
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-
 	// Fault plane: the session's spec, or the scenario default for
 	// "faults".
 	spec := s.faultSpec()
 	if scenario == "faults" && (spec == nil || len(spec.Sites) == 0) {
 		spec = lbFaultSpec(seed)
 	}
-	plane := spec.Build(h.Eng)
 
 	// Observability: one track per host context; per-request spans land
 	// on the balancer's track and queue depths register as gauges.
@@ -325,29 +262,31 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	obsOpts := s.obsOpts
 	s.mu.Unlock()
 	if obsOpts != nil {
-		oplane = obs.New(topo.Contexts(), *obsOpts)
-		h.SetObs(oplane)
-		if plane != nil {
-			plane.SetObs(oplane.Tracer, 0)
-		}
+		oplane = obs.New(s.Topology().Contexts(), *obsOpts)
 	}
 
-	// Admission + phase 1 (cached, fanned out on the pool).
-	nthreads := gangSize(mode)
-	assigns := make([]host.Assignment, k)
-	for i := 0; i < k; i++ {
-		assigns[i] = h.Sched.Admit(i, nthreads)
+	// Admission, phase 1 and the phase-2a contention replay (with the
+	// storm overlaid for the storm scenario) yield per-VM slowdowns and
+	// pause windows. Storm events land on early quanta so they reliably
+	// fire inside the shorter replay, and forced-failure counts stay
+	// below the rollback threshold often enough to mix outcomes.
+	var plan *host.StormPlan
+	if scenario == "storm" {
+		plan = BuildStormPlan(k, max(k, 3), seed, 5, 60, 4)
 	}
-	runs := parallel.MapN(s.Parallelism(), k, func(i int) lbRun {
-		return cache.get(s, mode, i, assigns[i].Place)
+	f := s.packFleet(mode, k, plan, spec, oplane, func(i int, place swsvt.Placement) vmRun {
+		return cache.get(vmKey{class: "lb", size: i % 4, vm: -1, place: place}, func() vmRun {
+			return s.runVM(mode, i, place, buildLBVM, false)
+		})
 	})
+	h, assigns, runs, res := f.h, f.assigns, f.runs, f.res
 
 	// Balancer placement: the context with the fewest admitted backend
 	// threads (lowest index breaks ties) — L0 keeps its spray loop off
 	// the busiest contexts.
-	occ := make([]int, topo.Contexts())
-	for i := 0; i < k; i++ {
-		for _, c := range assigns[i].Ctxs {
+	occ := make([]int, h.Topo.Contexts())
+	for _, a := range assigns {
+		for _, c := range a.Ctxs {
 			occ[c]++
 		}
 	}
@@ -358,37 +297,19 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		}
 	}
 
-	// Phase 2a: contention replay (with the storm overlaid for the
-	// storm scenario) yields per-VM slowdowns and pause windows.
-	var plan *host.StormPlan
-	if scenario == "storm" {
-		storms := 3
-		if k > storms {
-			storms = k
-		}
-		plan = lbStormPlan(k, storms, seed)
+	// Phase 2b: the open-loop spray on the host engine. Each backend's
+	// service is its phase-1 samples dilated by the replay's contention
+	// slowdown; the fleet capacity those imply sets the offered rates.
+	sp := &lbSpray{
+		h: h, balCtx: balCtx, k: k, sloUs: sloUs,
+		slow:   make([]float64, k),
+		pauses: make([][][2]sim.Time, k),
 	}
-	demands := make([]host.Demand, k)
-	for i, r := range runs {
-		demands[i] = host.Demand{
-			VM: i, Ctxs: assigns[i].Ctxs,
-			Busy: r.busy, Total: r.total,
-			HelperPoll: r.poll, HelperFrac: r.frac,
-			Pinned: nthreads == 2,
-		}
-	}
-	res := h.Sched.ReplayStorm(demands, plan)
-
-	// Fleet capacity estimate — uncontended service means dilated by
-	// the replay's contention slowdowns — sets the offered rates.
 	var capRPS float64
 	for i, r := range runs {
-		slow := res.VMs[i].Slowdown
-		if slow < 1 {
-			slow = 1
-		}
-		if m := stats.Mean(r.svcUs); m > 0 {
-			capRPS += 1e6 / (m * slow)
+		sp.slow[i] = max(res.VMs[i].Slowdown, 1)
+		if m := stats.Mean(r.latUs); m > 0 {
+			capRPS += 1e6 / (m * sp.slow[i])
 		}
 	}
 	dur := 4 * sim.Millisecond
@@ -404,19 +325,6 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		spec2.OffDur = 1500 * sim.Microsecond
 	default: // steady, storm, faults
 		spec2.Rate = 0.55 * capRPS
-	}
-
-	// Phase 2b: the open-loop spray on the host engine.
-	sp := &lbSpray{
-		h: h, balCtx: balCtx, k: k, sloUs: sloUs,
-		slow:   make([]float64, k),
-		pauses: make([][][2]sim.Time, k),
-	}
-	for i := range runs {
-		sp.slow[i] = res.VMs[i].Slowdown
-		if sp.slow[i] < 1 {
-			sp.slow[i] = 1
-		}
 	}
 	t0 := h.Eng.Now()
 	for _, rec := range res.StormLog {
@@ -465,11 +373,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		out.Retransmits += st.Retransmits
 		out.SegDrops += st.Dropped
 	}
-	if oplane != nil {
-		s.mu.Lock()
-		s.obsLast = oplane
-		s.mu.Unlock()
-	}
+	s.publishObs(oplane)
 	return out
 }
 
@@ -489,7 +393,7 @@ type lbSpray struct {
 	doneAt  []sim.Time
 }
 
-func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
+func (sp *lbSpray) run(assigns []host.Assignment, runs []vmRun, tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
 	h := sp.h
 	eng := h.Eng
 	k := sp.k
@@ -539,7 +443,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 
 			cBal, cBk := hostConduitPair(h, sp.balCtx, b.ctx, lbWireLat)
 			bkSt := netstack.New(eng, cBk, netstack.Params{})
-			svc := runs[j].svcUs
+			svc := runs[j].latUs
 			bkSt.OnFlow = func(f *netstack.Flow) {
 				b.fl = f
 				f.OnData = func(p []byte) {
@@ -617,33 +521,6 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []lbRun, tspec traffic.Sp
 	// Drive traffic plus a drain tail; overloaded queues may still hold
 	// work at the horizon — that unfinished backlog is the measurement.
 	eng.RunUntil(t0 + dur + 2*sim.Millisecond)
-}
-
-// lbStormPlan is BuildStormPlan scaled to the LB replay horizon:
-// events land on early quanta so they reliably fire inside phase 2a's
-// shorter contention replay, and forced-failure counts stay below the
-// rollback threshold often enough to mix outcomes.
-func lbStormPlan(k, storms int, seed int64) *host.StormPlan {
-	rng := sim.NewRand(seed)
-	plan := &host.StormPlan{P: host.DefaultMigrationParams()}
-	for i := 0; i < storms; i++ {
-		plan.Events = append(plan.Events, host.StormEvent{
-			Quantum: uint64(5 + rng.Intn(60)),
-			VM:      rng.Intn(k),
-			Fails:   rng.Intn(4),
-		})
-	}
-	sort.Slice(plan.Events, func(i, j int) bool {
-		a, b := plan.Events[i], plan.Events[j]
-		if a.Quantum != b.Quantum {
-			return a.Quantum < b.Quantum
-		}
-		if a.VM != b.VM {
-			return a.VM < b.VM
-		}
-		return a.Fails < b.Fails
-	})
-	return plan
 }
 
 // LoadBalancerTable runs every mode for one scenario on the session's

@@ -175,13 +175,13 @@ func (s *Session) config(mode hv.Mode) machine.Config {
 	return cfg
 }
 
-// captureObs publishes a machine's plane as the session's latest.
-func (s *Session) captureObs(m *machine.Machine) {
-	if m.Obs == nil {
+// publishObs makes p, when non-nil, the session's latest plane.
+func (s *Session) publishObs(p *obs.Plane) {
+	if p == nil {
 		return
 	}
 	s.mu.Lock()
-	s.obsLast = m.Obs
+	s.obsLast = p
 	s.mu.Unlock()
 }
 
@@ -190,7 +190,7 @@ func (s *Session) captureObs(m *machine.Machine) {
 func (s *Session) run(m *machine.Machine) *hv.Profile {
 	defer annotatePanic(m)
 	p := m.Run()
-	s.captureObs(m)
+	s.publishObs(m.Obs)
 	return p
 }
 
@@ -198,7 +198,7 @@ func (s *Session) run(m *machine.Machine) *hv.Profile {
 func (s *Session) runSingle(m *machine.Machine) *hv.Profile {
 	defer annotatePanic(m)
 	p := m.RunSingle()
-	s.captureObs(m)
+	s.publishObs(m.Obs)
 	return p
 }
 

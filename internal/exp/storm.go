@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"svtsim/internal/fault"
 	"svtsim/internal/host"
 	"svtsim/internal/hv"
 	"svtsim/internal/sim"
@@ -53,18 +54,18 @@ func (r StormResult) StatsLine() string {
 }
 
 // BuildStormPlan derives a deterministic storm from a seed: storms
-// events at quanta 50..2049, each targeting a VM in [0,k) with 0..4
-// forced failures (>= 3 forces a rollback under the default attempt
-// budget). Events are sorted by quantum then VM so the plan replays
-// identically regardless of how it was built.
-func BuildStormPlan(k, storms int, seed int64) *host.StormPlan {
+// events at quanta first..first+span-1, each targeting a VM in [0,k)
+// with 0..fails-1 forced failures (>= 3 forces a rollback under the
+// default attempt budget). Events are sorted by quantum then VM so the
+// plan replays identically regardless of how it was built.
+func BuildStormPlan(k, storms int, seed int64, first, span, fails int) *host.StormPlan {
 	rng := sim.NewRand(seed)
 	plan := &host.StormPlan{P: host.DefaultMigrationParams()}
 	for i := 0; i < storms; i++ {
 		plan.Events = append(plan.Events, host.StormEvent{
-			Quantum: uint64(50 + rng.Intn(2000)),
+			Quantum: uint64(first + rng.Intn(span)),
 			VM:      rng.Intn(k),
-			Fails:   rng.Intn(5),
+			Fails:   rng.Intn(fails),
 		})
 	}
 	sort.Slice(plan.Events, func(i, j int) bool {
@@ -83,8 +84,8 @@ func BuildStormPlan(k, storms int, seed int64) *host.StormPlan {
 // MigrationStorm packs k VMs in one mode and replays them under a
 // seeded storm of storms live migrations.
 func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormResult {
-	cache := &vmCache{m: make(map[vmKey]vmRun)}
-	pt, res, _ := s.consolidateStorm(mode, k, cache, BuildStormPlan(k, storms, seed), s.faultSpec())
+	f := s.stormFleet(mode, k, storms, seed, s.faultSpec())
+	pt, res := f.point(mode), f.res
 	r := StormResult{
 		Mode: mode, K: k, Storms: storms, Seed: seed,
 		Elapsed:           res.Elapsed,
@@ -105,6 +106,14 @@ func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormR
 		r.MeanSlowdown = slow / float64(len(pt.VMs))
 	}
 	return r
+}
+
+// stormFleet packs k density VMs with spec armed on the host engine
+// (so migrate/* and apic/ipi sites fire mid-storm) under a seeded storm
+// of storms migrations spread over quanta 50..2049, each with 0..4
+// forced failures.
+func (s *Session) stormFleet(mode hv.Mode, k, storms int, seed int64, spec *fault.Spec) fleet {
+	return s.densityFleet(mode, k, &vmCache{}, BuildStormPlan(k, storms, seed, 50, 2000, 5), spec)
 }
 
 // StormTable runs MigrationStorm for every mode on the session's worker

@@ -130,45 +130,63 @@ func containsStormCounters(line string) bool {
 	return strings.Contains(line, " storms=")
 }
 
-// TestDensityCacheForksSnapshots: a sweep over packing levels serves
-// most VMs from cached phase-1 runs instead of cold simulations — and
-// the cached results are bit-identical to cold runs.
-func TestDensityCacheForksSnapshots(t *testing.T) {
-	s := NewSession()
-	s.SetParallelism(1) // sims/reuses are exact only under a serial pool
-	cache := &vmCache{m: make(map[vmKey]vmRun)}
-	var last DensityPoint
-	const kmax = 8
-	for k := 1; k <= kmax; k++ {
-		last = s.consolidate(hv.ModeSWSVt, k, cache)
-	}
-	total := cache.sims + cache.reuses
-	if want := uint64(kmax * (kmax + 1) / 2); total != want {
-		t.Fatalf("cache saw %d lookups, want %d", total, want)
-	}
-	if cache.reuses == 0 {
-		t.Fatal("sweep never reused a cached run")
-	}
-	if cache.sims >= total {
-		t.Fatalf("every lookup cold-simulated (sims=%d of %d)", cache.sims, total)
-	}
-
-	// The cache-served point must be indistinguishable from a cold one.
-	cold := s.Consolidation(hv.ModeSWSVt, kmax)
-	if !reflect.DeepEqual(cold, last) {
-		t.Fatalf("cache-served point diverges from cold run:\n%+v\nvs\n%+v", last, cold)
-	}
-
-	// Every VM's demand was priced from a real image.
-	for _, key := range []string{"cpuid", "netrr", "memcached"} {
-		found := false
-		for k, r := range cache.m {
-			if k.class == key && r.imageBytes > 0 {
-				found = true
+// TestPhase1CacheReuse: density sweeps and load-balancer cells share
+// one phase-1 cache. Across repeated fleets it serves most VMs from
+// cached runs instead of cold simulations, and a cache-served result is
+// bit-identical to a cold one.
+func TestPhase1CacheReuse(t *testing.T) {
+	const k = 8
+	cases := []struct {
+		name    string
+		lookups uint64
+		// run drives the cached fleets and returns the last result
+		// alongside the same result computed cold.
+		run     func(s *Session, c *vmCache) (cached, cold any)
+		classes []string
+		sized   bool // whether runs carry a migration-image size
+	}{
+		{"density", k * (k + 1) / 2, func(s *Session, c *vmCache) (any, any) {
+			var last DensityPoint
+			for n := 1; n <= k; n++ {
+				last = s.densityFleet(hv.ModeSWSVt, n, c, nil, nil).point(hv.ModeSWSVt)
 			}
-		}
-		if !found {
-			t.Errorf("no sized image cached for %s VMs", key)
-		}
+			return last, s.Consolidation(hv.ModeSWSVt, k)
+		}, []string{"cpuid", "netrr", "memcached"}, true},
+		{"lb", 2 * k, func(s *Session, c *vmCache) (any, any) {
+			s.loadBalancer(hv.ModeSWSVt, k, "steady", 42, 1000, c)
+			last := s.loadBalancer(hv.ModeSWSVt, k, "storm", 42, 1000, c)
+			return last, s.LoadBalancer(hv.ModeSWSVt, k, "storm", 42, 1000)
+		}, []string{"lb"}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession()
+			s.SetParallelism(1) // sims/reuses are exact only under a serial pool
+			cache := &vmCache{}
+			cached, cold := tc.run(s, cache)
+			if total := cache.sims + cache.reuses; total != tc.lookups {
+				t.Fatalf("cache saw %d lookups, want %d", total, tc.lookups)
+			}
+			if cache.reuses == 0 {
+				t.Fatal("never reused a cached run")
+			}
+			if !reflect.DeepEqual(cold, cached) {
+				t.Fatalf("cache-served result diverges from cold run:\n%+v\nvs\n%+v", cached, cold)
+			}
+			for _, class := range tc.classes {
+				found := false
+				for key, r := range cache.m {
+					if key.class == class {
+						found = true
+						if sized := r.imageBytes > 0; sized != tc.sized {
+							t.Errorf("%s run has imageBytes %d, want sized=%v", class, r.imageBytes, tc.sized)
+						}
+					}
+				}
+				if !found {
+					t.Errorf("no %s run cached", class)
+				}
+			}
+		})
 	}
 }
