@@ -1,87 +1,186 @@
-// Command svtsim runs a single workload on the simulated nested
-// virtualization stack and reports its performance under one of the three
-// system variants.
+// Command svtsim runs the simulated nested virtualization stack's
+// experiments: the paper's single-machine workloads under one system
+// variant, and the fleet sweeps across all four.
 //
-// Usage:
+// Every workload and sweep is one svtsimd request (server.Request): the
+// command line maps onto it, server.Request.Canonicalize fills the
+// defaults, and the daemon's executor, server.Run, runs it — in-process,
+// or on a daemon with -submit. stdout carries the request's result
+// lines, byte for byte what svtsimd serves for it; headers go to stderr.
 //
-//	svtsim -mode baseline -workload cpuid -n 1000
-//	svtsim -mode sw-svt   -workload netrr -n 200
-//	svtsim -mode hw-svt   -workload diskrd -n 200
-//	svtsim -mode sw-svt   -workload tpcc -dur 1s
-//	svtsim -mode baseline -workload video -fps 120
-//
-// Fleet consolidation: -density packs k = 1..-vms nested VMs onto the
-// -host topology per mode, letting the simulated L0 scheduler place each
-// VM's threads, and reports per-VM latency under contention plus the max
-// density meeting the -slo p99 target. The sweep is byte-identical at
-// any -parallel width.
-//
-//	svtsim -host 2x8x2 -vms 16 -density
+//	svtsim -mode sw-svt -workload netrr -n 200
+//	svtsim -mode hw-svt -workload tpcc -dur 1s
 //	svtsim -host 1x4x2 -vms 8 -density -slo 250 -parallel 8
+//	svtsim -storm 24 -vms 8 -host 2x8x2 -storm-seed 42
+//	svtsim -lb 8 -lb-scenario all -parallel 2
+//	svtsim -port armlike -mode hw-svt -workload netrr -n 200
+//	svtsim -submit http://127.0.0.1:8080 -storm 12 -vms 6 -host 1x4x2
 //
-// Observability: -trace out.json writes a Perfetto / chrome://tracing
-// timeline of the run (one track per hardware context), -metrics out.csv
-// dumps every registered counter, and -summary N prints a top-N
-// "where did the cycles go" table. None of these perturb the simulated
-// results. They force -parallel 1, so the exported plane is the same
-// machine's on every run; -portcmp, -check, -replay and -migrate
-// publish no plane and refuse them.
+// -density packs k = 1..-vms nested VMs per mode onto the -host
+// topology and reports each packing level plus the max density meeting
+// the -slo p99 target; -storm batters a packed fleet with N seeded gang
+// migrations; -lb sprays open-loop traffic from an L0 balancer across N
+// nested backends under a scenario (steady, overload, burst, storm,
+// faults, or all). Sweeps are byte-identical at any -parallel width.
 //
-//	svtsim -mode sw-svt -workload netrr -n 200 -trace out.json -metrics out.csv -summary 10
+// -trace out.json writes a Perfetto / chrome://tracing timeline,
+// -metrics out.csv dumps every registered counter, and -summary N prints
+// a top-N "where did the cycles go" table. They never perturb the
+// result lines, and force -parallel 1 so the exported plane is the same
+// machine's on every run.
 //
-// Differential checking: -check N generates N seeded schedules and runs
-// each under every mode, comparing guest-visible outcomes; failures are
-// shrunk and written as repro files. -replay FILE re-runs one schedule
-// file (a repro or a corpus entry) through the same oracle.
+// Some paths run in-process only: -check N differentially checks N
+// generated schedules across all modes and writes shrunk repro files
+// (-submit -check reports verdicts only); -replay FILE re-runs one
+// schedule file; -migrate overlays live-migration points on a schedule;
+// -portcmp prints the per-port comparison table; -dump-exits lists the
+// newest exits of a cpuid run.
 //
 //	svtsim -check 25 -check-seed 1
 //	svtsim -replay repro-7.sched
-//
-// Live migration: -migrate overlays snapshot-backed live-migration
-// points on a generated schedule and requires the guest-visible outcome
-// to be invariant to them (fails>=3 forces a mid-migration rollback);
-// -storm packs -vms VMs per mode and batters them with a seeded storm
-// of N concurrent gang migrations, reporting per-mode tail latency and
-// the recovery counters. Both are byte-identical per seed.
-//
 //	svtsim -migrate 2:0,5:3 -check-seed 7
-//	svtsim -storm 24 -vms 8 -host 2x8x2 -storm-seed 42
-//
-// Load balancing: -lb sprays an open-loop arrival trace from an
-// L0-side balancer across N nested VMs per mode over reliable
-// netstack flows and reports goodput, p50/p99/p999 tail latency, and
-// SLO-violation windows. Scenarios: steady, overload, burst, storm
-// (concurrent gang migrations), faults (seeded segment loss), or all.
-// Byte-identical at any -parallel width.
-//
-//	svtsim -lb 4 -lb-scenario overload -host 1x4x2
-//	svtsim -lb 8 -lb-scenario all -parallel 2
-//
-// Architecture ports: -port selects the ISA backend — "x86" (default;
-// VT-x exits, LAPIC, paper Table 1 costs) or "armlike" (trap-to-EL2
-// costs, vGIC list registers, NV2-style memory-backed nested state).
-// Every experiment above honors it. -portcmp runs the net round-trip
-// workload across all registered ports and all four modes in one
-// invocation and prints the per-port Figure-6-style comparison table
-// (exit counts, mean/p50/p99, SVt speedup, exits by class).
-//
-//	svtsim -port armlike -mode hw-svt -workload netrr -n 200
-//	svtsim -port armlike -density -vms 8
-//	svtsim -port armlike -check 25
 //	svtsim -portcmp -n 400
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
 	"svtsim"
-	"svtsim/internal/fault"
+	"svtsim/internal/exp"
+	"svtsim/internal/obs"
+	"svtsim/internal/report"
+	"svtsim/internal/server"
 )
+
+// options is the parsed command line. A flag that only feeds a request
+// field defaults to zero, so server.Request.Canonicalize is the one
+// place its default is chosen.
+type options struct {
+	mode, port, workload, host, faults, lbScen              string
+	trace, metrics, checkDir, replay, migrate, submit       string
+	n, fps, vms, par, summary, dumpExits, checkN, storm, lb int
+	checkSeed, faultSeed, stormSeed, lbSeed                 int64
+	rate, slo, faultRate, lbSLO                             float64
+	dur                                                     time.Duration
+	density, portCmp                                        bool
+}
+
+// parseFlags registers svtsim's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.mode, "mode", "baseline", "system variant: baseline, sw-svt, hw-svt, hw-svt-bypass")
+	fs.StringVar(&o.port, "port", "", "architecture port: "+strings.Join(svtsim.PortNames(), ", ")+" (default x86)")
+	fs.BoolVar(&o.portCmp, "portcmp", false, "run the cross-ISA comparison (every port x every mode, netrr workload), then exit")
+	fs.StringVar(&o.workload, "workload", "", "workload: "+strings.Join(server.WorkloadNames(), ", ")+" (default cpuid)")
+	fs.IntVar(&o.n, "n", 0, "iterations for cpuid/netrr/diskrd/diskwr and -portcmp (0 = default 500)")
+	fs.DurationVar(&o.dur, "dur", 0, "duration for stream/memcached/tpcc, in whole milliseconds (0 = default 1s)")
+	fs.Float64Var(&o.rate, "rate", 0, "offered load in requests/s for memcached (0 = default 10000)")
+	fs.IntVar(&o.fps, "fps", 0, "frame rate for video (0 = default 120)")
+	fs.StringVar(&o.host, "host", "", "host topology for the fleet sweeps: sockets x cores x SMT contexts (default 2x8x2)")
+	fs.IntVar(&o.vms, "vms", 0, "VMs for -storm (0 = 8) and max packing level for -density (0 = the topology's context count)")
+	fs.BoolVar(&o.density, "density", false, "run the fleet consolidation sweep across all modes, then exit")
+	fs.Float64Var(&o.slo, "slo", 0, "p99 latency SLO in microseconds judged by -density (0 = default 500)")
+	fs.IntVar(&o.par, "parallel", 0, "worker-pool width for sweeps (0 = GOMAXPROCS; results identical at any width)")
+	fs.StringVar(&o.trace, "trace", "", "write a Perfetto/chrome://tracing JSON timeline of the run to this file")
+	fs.StringVar(&o.metrics, "metrics", "", "write the metrics registry to this file (.json extension selects JSON, CSV otherwise)")
+	fs.IntVar(&o.summary, "summary", 0, "print the top-N trace span summary after the run")
+	fs.IntVar(&o.dumpExits, "dump-exits", 0, "after a cpuid run, list the N newest VM exits L0 handled, by start time")
+	fs.StringVar(&o.faults, "faults", "", "fault spec: site:key=val,...;... (sites: "+strings.Join(svtsim.FaultSites(), ", ")+")")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 0, "fault plane RNG seed; replays are byte-identical per seed (0 = default 1)")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "shorthand: drop SW-SVt wakeups and IPIs at this probability")
+	fs.IntVar(&o.checkN, "check", 0, "differentially check N generated schedules across all modes, then exit")
+	fs.Int64Var(&o.checkSeed, "check-seed", 1, "first schedule seed for -check (seeds are consecutive)")
+	fs.StringVar(&o.checkDir, "check-dir", ".", "directory for shrunk repro files written by -check")
+	fs.StringVar(&o.replay, "replay", "", "replay a schedule file through the differential check, then exit")
+	fs.StringVar(&o.migrate, "migrate", "", "live-migration points after:fails[,after:fails...] overlaid on the -check-seed schedule, differentially checked, then exit (fails>=3 forces rollback)")
+	fs.IntVar(&o.storm, "storm", 0, "run a seeded storm of N live gang migrations over -vms packed VMs per mode, then exit")
+	fs.Int64Var(&o.stormSeed, "storm-seed", 0, "storm plan seed for -storm; runs are byte-identical per seed (0 = default 42)")
+	fs.IntVar(&o.lb, "lb", 0, "run the load-balancer scenario with N nested backend VMs per mode, then exit")
+	fs.StringVar(&o.lbScen, "lb-scenario", "", "lb scenario: "+strings.Join(svtsim.LBScenarios(), ", ")+", or all (default steady)")
+	fs.Int64Var(&o.lbSeed, "lb-seed", 0, "lb arrival/storm/loss seed; runs are byte-identical per seed (0 = default 42)")
+	fs.Float64Var(&o.lbSLO, "lb-slo", 0, "per-request latency SLO in microseconds judged by -lb (0 = default 1000)")
+	fs.StringVar(&o.submit, "submit", "", "run via a svtsimd daemon at this base URL (e.g. http://127.0.0.1:8080) instead of in-process")
+	return o, fs.Parse(args)
+}
+
+// wantObs reports whether the run must capture an observability plane.
+func (o *options) wantObs() bool { return o.trace != "" || o.metrics != "" || o.summary > 0 }
+
+// request returns a request carrying the fields every kind shares.
+func (o *options) request() *server.Request {
+	return &server.Request{
+		Topology: o.host, Port: o.port,
+		Faults: o.faults, FaultSeed: o.faultSeed, FaultRate: o.faultRate,
+		Trace: o.wantObs(),
+	}
+}
+
+// requests maps the command line onto the server requests that run it:
+// one per scenario, in report order, for -lb-scenario all, and one
+// otherwise. Sweeps leave Modes empty and so run every mode; workloads
+// run -mode. With -submit, flags that have no served form are refused.
+func requests(o *options) ([]*server.Request, error) {
+	if o.submit != "" {
+		switch {
+		case o.replay != "" || o.migrate != "":
+			return nil, errors.New("-replay and -migrate need local repro files; run them without -submit")
+		case o.portCmp:
+			return nil, errors.New("-portcmp has no served form; run it without -submit")
+		case o.summary > 0 || o.dumpExits > 0:
+			return nil, errors.New("-summary and -dump-exits print in-process results; run them without -submit (-trace and -metrics fetch the served artifacts)")
+		}
+	}
+	req := o.request()
+	switch {
+	case o.density:
+		req.Kind, req.VMs, req.SLOUs = server.KindDensity, o.vms, o.slo
+	case o.storm > 0:
+		req.Kind, req.VMs, req.Storms, req.Seed = server.KindStorm, o.vms, o.storm, o.stormSeed
+	case o.lb > 0:
+		req.Kind, req.VMs, req.Scenario, req.Seed, req.SLOUs = server.KindLB, o.lb, o.lbScen, o.lbSeed, o.lbSLO
+		if o.lbScen == "all" {
+			var reqs []*server.Request
+			for _, scen := range exp.LBScenarios() {
+				r := *req
+				r.Scenario = scen
+				reqs = append(reqs, &r)
+			}
+			return reqs, nil
+		}
+	case o.checkN > 0:
+		req.Kind, req.Schedules, req.Seed = server.KindCheck, o.checkN, o.checkSeed
+	default:
+		if o.dur%time.Millisecond != 0 {
+			return nil, fmt.Errorf("-dur %v: requests carry whole milliseconds", o.dur)
+		}
+		req.Kind, req.Workload, req.Modes = server.KindWorkload, o.workload, []string{o.mode}
+		req.N, req.DurMs, req.Rate, req.FPS = o.n, int(o.dur.Milliseconds()), o.rate, o.fps
+	}
+	return []*server.Request{req}, nil
+}
+
+// header describes a request on stderr; stdout carries only the result
+// lines, so it is the same for local and served runs.
+func header(req *server.Request) {
+	switch req.Kind {
+	case server.KindStorm:
+		fmt.Fprintf(os.Stderr, "migration storm: %d VMs, %d events, seed %d, host %s\n",
+			req.VMs, req.Storms, req.Seed, req.Topology)
+	case server.KindLB:
+		fmt.Fprintf(os.Stderr, "load balancer: %d VMs, scenario %s, seed %d, slo %.0f us, host %s\n",
+			req.VMs, req.Scenario, req.Seed, req.SLOUs, req.Topology)
+	}
+	if req.Faults != "" || req.FaultRate > 0 {
+		fmt.Fprintf(os.Stderr, "fault plane armed: faults=%q rate=%g (seed %d)\n", req.Faults, req.FaultRate, req.FaultSeed)
+	}
+}
 
 // parseMigratePoints parses the -migrate syntax "after:fails[,...]".
 func parseMigratePoints(arg string) ([]svtsim.MigratePoint, error) {
@@ -100,254 +199,146 @@ func parseMigratePoints(arg string) ([]svtsim.MigratePoint, error) {
 }
 
 func main() {
-	var (
-		modeStr   = flag.String("mode", "baseline", "system variant: baseline, sw-svt, hw-svt")
-		portStr   = flag.String("port", "x86", "architecture port: "+strings.Join(svtsim.PortNames(), ", "))
-		portCmp   = flag.Bool("portcmp", false, "run the cross-ISA comparison (every port x every mode, netrr workload), then exit")
-		workload  = flag.String("workload", "cpuid", "cpuid, netrr, stream, diskrd, diskwr, memcached, tpcc, video")
-		n         = flag.Int("n", 500, "iterations (cpuid/netrr/disk*)")
-		dur       = flag.Duration("dur", time.Second, "duration (stream/memcached/tpcc)")
-		rate      = flag.Float64("rate", 10000, "offered load in requests/s (memcached)")
-		fps       = flag.Int("fps", 120, "frame rate (video)")
-		hostStr   = flag.String("host", "2x8x2", "host topology for -density: sockets x cores x SMT contexts")
-		vms       = flag.Int("vms", 0, "max packing level for -density (0 = the topology's context count)")
-		density   = flag.Bool("density", false, "run the fleet consolidation sweep across all modes, then exit")
-		slo       = flag.Float64("slo", 500, "p99 latency SLO in microseconds judged by -density")
-		par       = flag.Int("parallel", 0, "worker-pool width for sweeps (0 = GOMAXPROCS; results identical at any width)")
-		trace     = flag.String("trace", "", "write a Perfetto/chrome://tracing JSON timeline of the run to this file")
-		metrics   = flag.String("metrics", "", "write the metrics registry to this file (.json extension selects JSON, CSV otherwise)")
-		summary   = flag.Int("summary", 0, "print the top-N trace span summary after the run")
-		obsRing   = flag.Int("obs-ring", 0, "per-track trace ring capacity (0 = default)")
-		dumpExits = flag.Int("dump-exits", 0, "after a cpuid run, list the N newest VM exits L0 handled, by start time")
-		faults    = flag.String("faults", "", "fault spec: site:key=val,...;... (sites: "+strings.Join(svtsim.FaultSites(), ", ")+")")
-		faultSeed = flag.Int64("fault-seed", 1, "fault plane RNG seed (replays are byte-identical per seed)")
-		faultRate = flag.Float64("fault-rate", 0, "shorthand: drop SW-SVt wakeups and IPIs at this probability")
-		checkN    = flag.Int("check", 0, "differentially check N generated schedules across all modes, then exit")
-		checkSeed = flag.Int64("check-seed", 1, "first schedule seed for -check (seeds are consecutive)")
-		checkDir  = flag.String("check-dir", ".", "directory for shrunk repro files written by -check")
-		replay    = flag.String("replay", "", "replay a schedule file through the differential check, then exit")
-		migrate   = flag.String("migrate", "", "live-migration points after:fails[,after:fails...] overlaid on the -check-seed schedule, differentially checked, then exit (fails>=3 forces rollback)")
-		storm     = flag.Int("storm", 0, "run a seeded storm of N live gang migrations over -vms packed VMs per mode, then exit")
-		stormSeed = flag.Int64("storm-seed", 42, "storm plan seed for -storm (runs are byte-identical per seed)")
-		lb        = flag.Int("lb", 0, "run the load-balancer scenario with N nested backend VMs per mode, then exit")
-		lbScen    = flag.String("lb-scenario", "steady", "lb scenario: "+strings.Join(svtsim.LBScenarios(), ", ")+", or all")
-		lbSeed    = flag.Int64("lb-seed", 42, "lb arrival/storm/loss seed (runs are byte-identical per seed)")
-		lbSLO     = flag.Float64("lb-slo", 1000, "per-request latency SLO in microseconds judged by -lb")
-		submit    = flag.String("submit", "", "run via a svtsimd daemon at this base URL (e.g. http://127.0.0.1:8080) instead of in-process")
-	)
-	flag.Parse()
-
-	if *lbScen != "all" && !slices.Contains(svtsim.LBScenarios(), *lbScen) {
-		fmt.Fprintf(os.Stderr, "-lb-scenario %q: want all or one of %s\n",
-			*lbScen, strings.Join(svtsim.LBScenarios(), ", "))
-		os.Exit(2)
-	}
-
-	if *submit != "" {
-		os.Exit(runRemote(*submit, remoteFlags{
-			mode: *modeStr, workload: *workload, hostStr: *hostStr, port: *portStr,
-			n: *n, fps: *fps, vms: *vms,
-			dur: *dur, rate: *rate, slo: *slo,
-			density: *density, storm: *storm, checkN: *checkN,
-			stormSeed: *stormSeed, checkSeed: *checkSeed,
-			lb: *lb, lbScen: *lbScen, lbSeed: *lbSeed, lbSLO: *lbSLO,
-			faults: *faults, faultSeed: *faultSeed, faultRate: *faultRate,
-			trace: *trace, metrics: *metrics, summary: *summary,
-			replay: *replay, migrate: *migrate,
-			portCmp: *portCmp, dumpExits: *dumpExits,
-		}))
-	}
-
-	wantObs := *trace != "" || *metrics != "" || *summary > 0
-	if wantObs && (*portCmp || *checkN > 0 || *replay != "" || *migrate != "") {
-		fmt.Fprintln(os.Stderr, "-trace, -metrics and -summary: -portcmp, -check, -replay and -migrate publish no observability plane")
-		os.Exit(2)
-	}
-
-	if *replay != "" {
-		if err := svtsim.ReplaySchedule(os.Stdout, *replay); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: equivalent across all modes\n", *replay)
-		return
-	}
-	port, err := svtsim.ParsePort(*portStr)
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // ExitOnError
+	code, err := run(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
-	if *checkN > 0 {
-		if svtsim.CheckSchedulesPort(os.Stdout, *checkN, *checkSeed, *checkDir, port) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-	if *migrate != "" {
-		pts, err := parseMigratePoints(*migrate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := svtsim.CheckMigratedSchedule(os.Stdout, *checkSeed, pts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	topo, err := svtsim.ParseHostTopology(*hostStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sess := svtsim.NewSession()
-	sess.SetPort(port)
-	sess.SetParallelism(*par)
-	if err := sess.SetTopology(topo); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if spec, err := fault.BuildSpec(*faults, *faultRate, *faultSeed); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	} else if spec != nil {
-		fmt.Fprintf(os.Stderr, "fault plane armed: %s (seed %d)\n", spec, spec.Seed)
-		sess.SetFaults(spec)
-	}
-	if wantObs {
-		// One worker, so the published plane comes from the same
-		// machine on every run.
-		sess.SetParallelism(1)
-		sess.SetObs(&svtsim.ObsOptions{RingCap: *obsRing})
-	}
-
-	switch {
-	case *storm > 0:
-		k := *vms
-		if k <= 0 {
-			k = 8
-		}
-		fmt.Printf("migration storm: %d VMs, %d events, seed %d, host %s\n", k, *storm, *stormSeed, topo)
-		for _, r := range sess.StormTable(svtsim.AllModes(), k, *storm, *stormSeed) {
-			fmt.Println(r.StatsLine())
-		}
-	case *lb > 0:
-		fmt.Printf("load balancer: %d VMs, scenario %s, seed %d, slo %.0f us, host %s\n",
-			*lb, *lbScen, *lbSeed, *lbSLO, topo)
-		var rows []svtsim.LBResult
-		if *lbScen == "all" {
-			rows = sess.LoadBalancerSweep(svtsim.AllModes(), *lb, *lbSeed, *lbSLO)
-		} else {
-			rows = sess.LoadBalancerTable(svtsim.AllModes(), *lb, *lbScen, *lbSeed, *lbSLO)
-		}
-		for _, r := range rows {
-			fmt.Println(r.StatsLine())
-		}
-	case *portCmp:
-		if err := sess.Ports(os.Stdout, nil, *n); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *density:
-		sess.Density(os.Stdout, *vms, *slo)
-	default:
-		mode, err := svtsim.ParseMode(*modeStr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		d := svtsim.Time(dur.Nanoseconds())
-
-		switch *workload {
-		case "cpuid":
-			r := sess.CPUIDNested(mode, *n)
-			fmt.Printf("nested cpuid (%s): %v per instruction\n", mode, r.PerOp)
-			if *dumpExits > 0 {
-				for _, e := range sess.TraceNestedCPUID(mode, *n, *dumpExits) {
-					fmt.Println(" ", e.String())
-				}
-			}
-		case "netrr":
-			r := sess.NetLatency(mode, *n)
-			fmt.Printf("netperf TCP_RR (%s): mean %.1f us, p99 %.1f us\n", mode, r.MeanUs, r.P99Us)
-		case "stream":
-			r := sess.NetBandwidth(mode, d)
-			fmt.Printf("netperf TCP_STREAM (%s): %.0f Mbps\n", mode, r.Mbps)
-		case "diskrd":
-			r := sess.DiskLatency(mode, false, *n)
-			fmt.Printf("ioping randread (%s): mean %.1f us\n", mode, r.MeanUs)
-		case "diskwr":
-			r := sess.DiskLatency(mode, true, *n)
-			fmt.Printf("ioping randwrite (%s): mean %.1f us\n", mode, r.MeanUs)
-		case "memcached":
-			r := sess.Memcached(mode, *rate, d)
-			fmt.Printf("memcached ETC @%.0f q/s (%s): avg %.0f us, p99 %.0f us, served %d\n",
-				*rate, mode, r.AvgUs, r.P99Us, r.Served)
-		case "tpcc":
-			ktpm := sess.TPCC(mode, d)
-			fmt.Printf("TPC-C (%s): %.2f ktpm\n", mode, ktpm)
-		case "video":
-			r := sess.VideoN(mode, *fps, *fps*60)
-			fmt.Printf("video %d FPS (%s): %d dropped / %d played (60 s)\n", *fps, mode, r.Dropped, r.Played)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-			os.Exit(2)
-		}
-	}
-
-	if wantObs {
-		writeObs(sess, *trace, *metrics, *summary)
-	}
+	os.Exit(code)
 }
 
-// writeObs exports the session's last observability plane.
-func writeObs(sess *svtsim.Session, tracePath, metricsPath string, summary int) {
-	plane := sess.LastObs()
+// run executes the command line and returns the process exit code: 2
+// for a command line that names no valid experiment, 1 for a failed
+// run.
+func run(o *options) (int, error) {
+	if o.submit == "" && (o.portCmp || o.checkN > 0 || o.replay != "" || o.migrate != "") {
+		return runLocalOnly(o)
+	}
+	reqs, err := requests(o)
+	if err != nil {
+		return 2, err
+	}
+	for _, req := range reqs {
+		if err := req.Canonicalize(); err != nil {
+			return 2, err
+		}
+	}
+	if o.submit != "" {
+		return runRemote(o, reqs)
+	}
+	var plane *obs.Plane
+	for _, req := range reqs {
+		header(req)
+		lines, p, err := server.Run(context.Background(), req, o.par, nil)
+		if err != nil {
+			return 1, err
+		}
+		for _, line := range lines {
+			fmt.Println(line)
+		}
+		plane = p
+		if o.dumpExits > 0 && req.Kind == server.KindWorkload && req.Workload == "cpuid" {
+			es, err := server.SessionFor(req, o.par)
+			if err != nil {
+				return 1, err
+			}
+			mode, _ := svtsim.ParseMode(req.Modes[0])
+			for _, e := range es.TraceNestedCPUID(mode, req.N, o.dumpExits) {
+				fmt.Println(" ", e.String())
+			}
+		}
+	}
+	if o.wantObs() {
+		if err := writeObs(plane, o); err != nil {
+			return 1, fmt.Errorf("observability: %w", err)
+		}
+	}
+	return 0, nil
+}
+
+// runLocalOnly runs the in-process paths that have no request form:
+// -replay, -migrate and -check, which read or write repro files, and
+// -portcmp.
+func runLocalOnly(o *options) (int, error) {
+	if o.wantObs() {
+		return 2, errors.New("-trace, -metrics and -summary: -portcmp, -check, -replay and -migrate publish no observability plane")
+	}
+	switch {
+	case o.replay != "":
+		if err := svtsim.ReplaySchedule(os.Stdout, o.replay); err != nil {
+			return 1, err
+		}
+		fmt.Printf("%s: equivalent across all modes\n", o.replay)
+	case o.checkN > 0:
+		port, err := svtsim.ParsePort(o.port)
+		if err != nil {
+			return 2, err
+		}
+		if svtsim.CheckSchedulesPort(os.Stdout, o.checkN, o.checkSeed, o.checkDir, port) > 0 {
+			return 1, nil
+		}
+	case o.migrate != "":
+		pts, err := parseMigratePoints(o.migrate)
+		if err != nil {
+			return 2, err
+		}
+		if err := svtsim.CheckMigratedSchedule(os.Stdout, o.checkSeed, pts); err != nil {
+			return 1, err
+		}
+	default: // -portcmp runs on the session of the netrr workload's request
+		req := o.request()
+		req.Kind, req.Workload, req.N = server.KindWorkload, "netrr", o.n
+		if err := req.Canonicalize(); err != nil {
+			return 2, err
+		}
+		es, err := server.SessionFor(req, o.par)
+		if err != nil {
+			return 2, err
+		}
+		if err := report.NewRenderer(es).Ports(os.Stdout, nil, req.N); err != nil {
+			return 1, err
+		}
+	}
+	return 0, nil
+}
+
+// writeObs exports a run's observability plane to the files and the
+// summary the flags ask for.
+func writeObs(plane *obs.Plane, o *options) error {
 	if plane == nil {
-		fmt.Fprintln(os.Stderr, "observability: no plane captured (workload did not run an instrumented machine)")
-		os.Exit(1)
+		return errors.New("no plane captured (workload did not run an instrumented machine)")
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "observability:", err)
-			os.Exit(1)
+	if o.trace != "" {
+		if err := writeFile(o.trace, plane.Tracer.WriteChromeTrace); err != nil {
+			return err
 		}
-		if err := plane.Tracer.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "observability:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", plane.Tracer.Total(), tracePath)
+		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", plane.Tracer.Total(), o.trace)
 	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "observability:", err)
-			os.Exit(1)
+	if o.metrics != "" {
+		write := plane.Metrics.WriteCSV
+		if strings.HasSuffix(o.metrics, ".json") {
+			write = plane.Metrics.WriteJSON
 		}
-		werr := error(nil)
-		if strings.HasSuffix(metricsPath, ".json") {
-			werr = plane.Metrics.WriteJSON(f)
-		} else {
-			werr = plane.Metrics.WriteCSV(f)
+		if err := writeFile(o.metrics, write); err != nil {
+			return err
 		}
-		if werr == nil {
-			werr = f.Close()
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "observability:", werr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", metricsPath)
+		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", o.metrics)
 	}
-	if summary > 0 {
-		if err := plane.Tracer.WriteSummary(os.Stdout, summary); err != nil {
-			fmt.Fprintln(os.Stderr, "observability:", err)
-			os.Exit(1)
-		}
+	if o.summary > 0 {
+		return plane.Tracer.WriteSummary(os.Stdout, o.summary)
 	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

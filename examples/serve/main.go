@@ -53,7 +53,7 @@ func main() {
 
 	fmt.Printf("\n=== density sweep (%s, up to %d VMs) ===\n", *topo, *vms)
 	density := &server.Request{Kind: server.KindDensity, Topology: *topo, VMs: *vms}
-	res, err := c.Run(ctx, density, show)
+	_, res, err := c.Run(ctx, density, show)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
@@ -64,7 +64,7 @@ func main() {
 
 	fmt.Printf("\n=== migration storm (%s, %d VMs) ===\n", *topo, *vms)
 	storm := &server.Request{Kind: server.KindStorm, Topology: *topo, VMs: *vms, Storms: 6}
-	res, err = c.Run(ctx, storm, show)
+	_, res, err = c.Run(ctx, storm, show)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)

@@ -1,49 +1,51 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+
+	"svtsim/internal/exp"
 )
 
-// RunBudget generates and checks n schedules from consecutive seeds
-// starting at seed, logging verdicts to w. Every failure is shrunk and
-// written as a repro file under dir (created if needed; skipped when dir
-// is empty). It returns the number of failing schedules.
-func RunBudget(w io.Writer, n int, seed int64, dir string) int {
-	return RunBudgetOpts(w, n, seed, dir, nil)
-}
-
-// RunBudgetOpts is RunBudget with run options — most usefully a
-// non-default architecture port, so the differential oracle checks
-// mode-equivalence on every port, not just x86. Shrinking runs under
-// the same options, so a repro minimized on one port stays failing on
-// that port.
-func RunBudgetOpts(w io.Writer, n int, seed int64, dir string, opts *RunOpts) int {
+// RunBudgetOpts generates and checks n schedules from consecutive seeds
+// starting at seed under opts (most usefully a non-default architecture
+// port, so the oracle checks mode-equivalence on every port), logging
+// verdicts and a summary line to w and reporting each verdict to pr
+// (nil for none). ctx is checked before each schedule. When dir is
+// non-empty, every failure is shrunk under the same options — so a
+// repro minimized on one port stays failing on that port — and written
+// as a repro file under dir (created if needed). It returns the number
+// of failing schedules.
+func RunBudgetOpts(ctx context.Context, w io.Writer, n int, seed int64, dir string, opts *RunOpts, pr exp.ProgressFunc) (int, error) {
 	failures := 0
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return failures, err
+		}
 		s := Generate(seed + int64(i))
 		v := CheckSchedule(s, opts)
-		if !v.Failed() {
-			fmt.Fprintf(w, "%s\n", v)
-			continue
-		}
-		failures++
 		fmt.Fprintf(w, "%s\n", v)
-		min := Shrink(s, opts)
-		fmt.Fprintf(w, "shrunk to %d ops\n", len(min.Ops))
-		if dir != "" {
-			path, err := WriteRepro(dir, min)
-			if err != nil {
-				fmt.Fprintf(w, "repro write failed: %v\n", err)
-			} else {
-				fmt.Fprintf(w, "repro: %s (replay with svtsim -replay %s)\n", path, path)
+		if v.Failed() {
+			failures++
+			if dir != "" {
+				min := Shrink(s, opts)
+				fmt.Fprintf(w, "shrunk to %d ops\n", len(min.Ops))
+				if path, err := WriteRepro(dir, min); err != nil {
+					fmt.Fprintf(w, "repro write failed: %v\n", err)
+				} else {
+					fmt.Fprintf(w, "repro: %s (replay with svtsim -replay %s)\n", path, path)
+				}
 			}
+		}
+		if pr != nil {
+			pr(exp.ProgressEvent{Stage: "check", Done: i + 1, Total: n, Detail: fmt.Sprintf("seed=%d", s.Seed)})
 		}
 	}
 	fmt.Fprintf(w, "checked %d schedules (seeds %d..%d): %d failing\n", n, seed, seed+int64(n)-1, failures)
-	return failures
+	return failures, nil
 }
 
 // WriteRepro stores the schedule's canonical encoding under dir and

@@ -39,13 +39,6 @@ type Core struct {
 	Eng   *sim.Engine
 	Costs *cost.Model
 
-	// ID and Socket give the core its identity on a multi-core host
-	// (global physical-core index and socket index); single-machine
-	// runs leave both 0. They feed event attribution and per-core
-	// accounting, never timing.
-	ID     int
-	Socket int
-
 	n        int
 	rf       *RegFile
 	hostSave [][isa.NumGPR]uint64 // per-context host registers during guest execution
@@ -384,9 +377,5 @@ const (
 )
 
 func (c *Core) String() string {
-	if c.ID != 0 || c.Socket != 0 {
-		return fmt.Sprintf("core(id=%d socket=%d n=%d current=%d svt=%v)",
-			c.ID, c.Socket, c.n, c.current, c.svtOn)
-	}
 	return fmt.Sprintf("core(n=%d current=%d svt=%v)", c.n, c.current, c.svtOn)
 }

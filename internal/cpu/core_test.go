@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"svtsim/internal/apic"
@@ -482,4 +484,59 @@ func TestNativeGuestPhysicalIRQExit(t *testing.T) {
 		t.Fatalf("exit = %v", e)
 	}
 	g.Kill()
+}
+
+// mustPanic runs fn and returns its panic message, failing the test if
+// it returns normally.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("want a panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	fn()
+	return ""
+}
+
+// TestNativeGuestTrapFromEngineContext: a guest action that traps while
+// the guest's body is parked — as from an engine timer callback —
+// panics naming the guest instead of waiting forever for a handoff.
+func TestNativeGuestTrapFromEngineContext(t *testing.T) {
+	c := testCore(1)
+	v := newVMCS("vmcs01", 1)
+	g := NewNativeGuest("l2", c, 0, func(p *Port) {
+		for {
+			p.Exec(isa.CPUID(0))
+		}
+	})
+	defer g.Kill()
+	if e := c.RunGuest(0, v, g, nil); e.Reason != isa.ExitCPUID {
+		t.Fatalf("exit = %v", e)
+	}
+	msg := mustPanic(t, func() { g.Port().Exec(isa.CPUID(1)) })
+	if !strings.Contains(msg, "l2") || !strings.Contains(msg, "engine context") {
+		t.Fatalf("panic %q must name the guest and the engine context", msg)
+	}
+}
+
+// TestNativeGuestPanicReachesRunGuest: a panic in a guest body is
+// re-raised to the caller of RunGuest, where one run can fail, instead
+// of crashing the process from the body's goroutine.
+func TestNativeGuestPanicReachesRunGuest(t *testing.T) {
+	c := testCore(1)
+	v := newVMCS("vmcs01", 1)
+	g := NewNativeGuest("l1", c, 0, func(p *Port) {
+		p.Exec(isa.CPUID(0))
+		panic("guest bug")
+	})
+	if e := c.RunGuest(0, v, g, nil); e.Reason != isa.ExitCPUID {
+		t.Fatalf("exit = %v", e)
+	}
+	if msg := mustPanic(t, func() { c.RunGuest(0, v, g, nil) }); msg != "guest bug" {
+		t.Fatalf("panic = %q", msg)
+	}
+	g.Kill() // the body is gone; Kill must not block
 }

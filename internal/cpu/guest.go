@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"svtsim/internal/isa"
 	"svtsim/internal/ports"
 	"svtsim/internal/sim"
@@ -157,6 +159,11 @@ type NativeGuest struct {
 	started    bool
 	finished   bool
 	parkedIdle bool
+	// running is true while the body holds the handoff: from RunGuest
+	// resuming it until it traps. Only the running body may trap.
+	running bool
+	// panicked carries a body panic over to the RunGuest caller.
+	panicked any
 
 	resume chan resumeMsg
 	yield  chan isa.Exit
@@ -216,6 +223,7 @@ func (g *NativeGuest) Kill() {
 func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) isa.Exit {
 	c.enterGuest(ctx, v, g)
 	g.port.VM = v
+	g.running = true
 	if !g.started {
 		g.started = true
 		g.port.dead = make(chan struct{})
@@ -227,7 +235,11 @@ func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) isa.Exit {
 						g.finished = true
 						return
 					}
-					panic(r)
+					// The caller of RunGuest is blocked on yield:
+					// re-raise there, so the panic fails one run
+					// instead of the process.
+					g.panicked = r
+					g.yield <- isa.Exit{}
 				}
 			}()
 			g.body(g.port)
@@ -238,6 +250,10 @@ func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) isa.Exit {
 		g.resume <- resumeMsg{}
 	}
 	e := <-g.yield
+	g.running = false
+	if g.panicked != nil {
+		panic(g.panicked)
+	}
 	return c.exitGuest(ctx, v, e)
 }
 
@@ -388,6 +404,12 @@ func (p *Port) Exec(in isa.Instr) uint64 {
 // trap parks the goroutine, surfacing e as the VM exit of the current
 // RunGuest session.
 func (p *Port) trap(e isa.Exit) {
+	if !p.guest.running {
+		// Nobody is waiting for this exit: blocking would hang the
+		// simulation, so fail loudly with the culprit named.
+		panic(fmt.Sprintf("cpu: %s traps (exit %v) while its body is not running: a guest-side action was called from engine context",
+			p.guest.Name, e.Reason))
+	}
 	p.guest.yield <- e
 	msg := <-p.guest.resume
 	if msg.kill {

@@ -153,6 +153,13 @@ func lbServe(eng *sim.Engine, env *guest.Env, n int, svcCPU sim.Time) {
 func buildLBVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *machine.IOStack, func(sim.Time) ([]float64, float64)) {
 	size := i % 4
 	cfg.Seed = int64(3000 + size)
+	// Segment loss is a phase-2b property. On the phase-1 machine a lost
+	// segment's retransmit fires from an engine timer, and the backend's
+	// stack would transmit from engine context, outside its guest body.
+	if f := cfg.Faults; f != nil {
+		cfg.Faults = &fault.Spec{Seed: f.Seed, Sites: slices.DeleteFunc(slices.Clone(f.Sites),
+			func(c fault.SiteConfig) bool { return c.Site == fault.SiteNetSegment })}
+	}
 	n := 40 + 10*size
 	svcCPU := sim.Time(8+2*size) * sim.Microsecond
 

@@ -3,7 +3,9 @@ package exp
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"svtsim/internal/fault"
 	"svtsim/internal/hv"
 	"svtsim/internal/obs"
 )
@@ -173,5 +175,37 @@ func TestLoadBalancerValidation(t *testing.T) {
 	r := s.LoadBalancer(hv.ModeSWSVt, 2, "steady", 7, 0)
 	if r.SLOUs != 1000 {
 		t.Errorf("default SLO = %vus, want 1000", r.SLOUs)
+	}
+}
+
+// TestLoadBalancerSegmentLossEnds: with the session arming net/segment
+// drops, the lb cell once hung forever — the backend's phase-1 stack
+// retransmitted a lost segment from an engine timer, outside its guest
+// body. Segment loss is now a phase-2b property only, so the cell ends
+// and its balancer-side flows still lose segments.
+func TestLoadBalancerSegmentLossEnds(t *testing.T) {
+	s := NewSession()
+	if err := s.SetTopology(testTopo2x2x2()); err != nil {
+		t.Fatal(err)
+	}
+	s.SetFaults(&fault.Spec{Seed: 1, Sites: []fault.SiteConfig{
+		{Site: fault.SiteNetSegment, Rate: 0.05, Drop: true},
+	}})
+	done := make(chan []LBResult, 1)
+	go func() { done <- s.LoadBalancerTable(hv.AllModes(), 3, "steady", 42, 1000) }()
+	select {
+	case rows := <-done:
+		var drops uint64
+		for _, r := range rows {
+			if r.Completed == 0 {
+				t.Errorf("%s: no request completed", r.StatsLine())
+			}
+			drops += r.SegDrops
+		}
+		if drops == 0 {
+			t.Error("armed net/segment drops lost no segment")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("lb cell with net/segment drops did not finish within 60s")
 	}
 }

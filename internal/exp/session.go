@@ -207,6 +207,7 @@ func annotatePanic(m *machine.Machine) {
 	if r == nil {
 		return
 	}
+	m.Shutdown() // release the guest bodies still parked mid-run
 	faults, fseed := "none", int64(0)
 	if m.Faults != nil {
 		faults = m.Cfg.Faults.String()

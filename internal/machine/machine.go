@@ -90,13 +90,6 @@ type Config struct {
 	// accesses the hardware absorbs.
 	DisableVMCSShadowing bool
 
-	// HostCoreID/HostSocketID give this machine's core its identity on
-	// a fleet-scale host (see internal/host): the core reports them in
-	// diagnostics, and every event the machine schedules carries the
-	// core as its attribution origin. Both zero for standalone runs.
-	HostCoreID   int
-	HostSocketID int
-
 	// Faults optionally arms the deterministic fault-injection plane.
 	// Nil (or a spec with no sites) registers no injector: the run is
 	// bit-identical to a build without the plane.
@@ -193,13 +186,6 @@ func newBase(cfg Config, nctx int) *Machine {
 	m.HostMem = mem.New(HostMemSize)
 	m.HostAlloc = mem.NewAllocator(HostMemSize)
 	m.Core = cpu.New(m.Eng, &m.Cfg.Costs, nctx, m.HostMem)
-	m.Core.ID = cfg.HostCoreID
-	m.Core.Socket = cfg.HostSocketID
-	if cfg.HostCoreID != 0 || cfg.HostSocketID != 0 {
-		// Fleet member: everything this machine schedules is attributed
-		// to its physical core.
-		m.Eng.SetOrigin(cfg.HostCoreID)
-	}
 	for i := 0; i < nctx; i++ {
 		l := cfg.Port.NewIRQ(i, m.Eng)
 		m.Core.SetLAPIC(cpu.ContextID(i), l)

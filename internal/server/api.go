@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"svtsim/internal/exp"
@@ -39,21 +40,12 @@ const (
 	KindLB        = "lb"        // load-balancer scenario table (exp.LoadBalancerTable)
 )
 
-// Workload names accepted by KindWorkload (the svtsim CLI set).
-var workloadNames = map[string]bool{
-	"cpuid": true, "netrr": true, "stream": true, "diskrd": true,
-	"diskwr": true, "memcached": true, "tpcc": true, "video": true,
-}
+// workloadNames lists the workloads KindWorkload accepts.
+var workloadNames = []string{"cpuid", "netrr", "stream", "diskrd", "diskwr", "memcached", "tpcc", "video"}
 
-// lbScenarioKnown reports whether name is a valid KindLB scenario.
-func lbScenarioKnown(name string) bool {
-	for _, s := range exp.LBScenarios() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
+// WorkloadNames returns the workloads KindWorkload accepts, in the
+// paper's figure order.
+func WorkloadNames() []string { return slices.Clone(workloadNames) }
 
 // Request is one experiment submission. The JSON shape doubles as the
 // canonical digest preimage: Canonicalize validates the fields, fills
@@ -222,9 +214,9 @@ func (r *Request) Canonicalize() error {
 		if r.Workload == "" {
 			r.Workload = "cpuid"
 		}
-		if !workloadNames[r.Workload] {
+		if !slices.Contains(workloadNames, r.Workload) {
 			return uerr.New("workload", r.Workload, "unknown workload",
-				"valid: cpuid, netrr, stream, diskrd, diskwr, memcached, tpcc, video")
+				"valid: "+strings.Join(workloadNames, ", "))
 		}
 		switch r.Workload {
 		case "cpuid", "netrr", "diskrd", "diskwr":
@@ -257,7 +249,7 @@ func (r *Request) Canonicalize() error {
 		if r.Scenario == "" {
 			r.Scenario = "steady"
 		}
-		if !lbScenarioKnown(r.Scenario) {
+		if !slices.Contains(exp.LBScenarios(), r.Scenario) {
 			return uerr.New("scenario", r.Scenario, "unknown lb scenario",
 				"valid: "+strings.Join(exp.LBScenarios(), ", "))
 		}

@@ -188,29 +188,30 @@ func (c *Client) CacheStats(ctx context.Context) (*CacheStats, error) {
 }
 
 // Run submits a request and follows it to completion: progress events
-// go to fn (may be nil), and the decoded result returns once the job is
-// done. Cache hits return immediately. A failed or canceled job returns
-// an error carrying the server's message.
-func (c *Client) Run(ctx context.Context, req *Request, fn func(ProgressEvent)) (*Result, error) {
+// go to fn (may be nil), and the submission and decoded result return
+// once the job is done. Cache hits return immediately. A failed or
+// canceled job returns an error carrying the server's message.
+func (c *Client) Run(ctx context.Context, req *Request, fn func(ProgressEvent)) (*SubmitResponse, *Result, error) {
 	sub, err := c.Submit(ctx, req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !sub.Cached {
 		if err := c.Stream(ctx, sub.ID, fn); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// The stream ends at the terminal event; confirm the state before
 	// fetching bytes so failures carry the job's error, not a 500 body.
 	st, err := c.Job(ctx, sub.ID)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if st.State != StateDone {
-		return nil, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
+		return nil, nil, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
 	}
-	return c.Result(ctx, sub.ID)
+	res, err := c.Result(ctx, sub.ID)
+	return sub, res, err
 }
 
 // WaitHealthy polls /v1/healthz until the daemon answers or the budget

@@ -12,6 +12,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"svtsim/internal/check"
 	"svtsim/internal/exp"
@@ -21,11 +22,11 @@ import (
 	"svtsim/internal/sim"
 )
 
-// sessionFor assembles the experiment session a canonical request runs
-// on. simWorkers is the server-wide pool width for in-job sweep fan-out
-// (traced jobs force 1 so the captured plane is the same machine's on
-// every run).
-func sessionFor(req *Request, simWorkers int) (*exp.Session, error) {
+// SessionFor assembles the experiment session a canonical request runs
+// on. simWorkers is the pool width for in-job sweep fan-out (0 =
+// GOMAXPROCS); traced requests force 1 so the captured plane is the
+// same machine's on every run.
+func SessionFor(req *Request, simWorkers int) (*exp.Session, error) {
 	es := exp.NewSession()
 	p, err := ports.Parse(req.Port)
 	if err != nil {
@@ -55,24 +56,22 @@ func sessionFor(req *Request, simWorkers int) (*exp.Session, error) {
 	return es, nil
 }
 
-// execute runs a canonical request to completion and returns the cache
-// entry its bytes live in. ctx cancellation (timeout, drain) surfaces
-// as an error between simulation steps.
-func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
-	req := j.req
-	es, err := sessionFor(req, s.cfg.SimWorkers)
+// Run executes a canonical request (see Canonicalize) and returns its
+// deterministic result lines and, for a traced request, the obs plane
+// of its last instrumented machine. svtsimd's workers and the svtsim
+// CLI both run requests through it. ctx cancellation (timeout, drain)
+// surfaces as an error between simulation steps; pr (nil for none)
+// receives a progress event after each step.
+func Run(ctx context.Context, req *Request, simWorkers int, pr exp.ProgressFunc) ([]string, *obs.Plane, error) {
+	es, err := SessionFor(req, simWorkers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pr := j.progressFunc()
-
 	var lines []string
 	switch req.Kind {
 	case KindDensity:
-		results, err := es.DensitySweepContext(ctx, req.parsedModes(), req.VMs, req.SLOUs, pr)
-		if err != nil {
-			return nil, err
-		}
+		var results []exp.DensityResult
+		results, err = es.DensitySweepContext(ctx, req.parsedModes(), req.VMs, req.SLOUs, pr)
 		for _, res := range results {
 			for _, pt := range res.Points {
 				lines = append(lines, pt.StatsLine())
@@ -82,59 +81,44 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 			lines = append(lines, res.SummaryLine())
 		}
 	case KindStorm:
-		results, err := es.StormTableContext(ctx, req.parsedModes(), req.VMs, req.Storms, req.Seed, pr)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			lines = append(lines, r.StatsLine())
-		}
+		lines, err = statsLines(es.StormTableContext(ctx, req.parsedModes(), req.VMs, req.Storms, req.Seed, pr))
 	case KindFleet:
-		r, err := es.FleetReplayJob(ctx, sim.Time(req.DurMs)*sim.Millisecond, 0, req.CrossEvery, pr)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, r.FleetReplayLine())
+		var r exp.FleetReplayResult
+		r, err = es.FleetReplayJob(ctx, sim.Time(req.DurMs)*sim.Millisecond, 0, req.CrossEvery, pr)
+		lines = []string{r.FleetReplayLine()}
 	case KindCheck:
-		lines, err = runCheck(ctx, req, pr)
-		if err != nil {
-			return nil, err
-		}
+		// The daemon reports verdicts; shrinking and repro files stay
+		// with the CLI, which owns a disk corpus.
+		var b strings.Builder
+		_, err = check.RunBudgetOpts(ctx, &b, req.Schedules, req.Seed, "", &check.RunOpts{Port: es.Port()}, pr)
+		lines = strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
 	case KindFaultGrid:
-		cells, err := req.faultCells()
-		if err != nil {
-			return nil, err
-		}
-		results, err := es.FaultSweepGridContext(ctx, cells, pr)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			lines = append(lines, r.StatsLine())
-		}
+		lines, err = statsLines(es.FaultSweepGridContext(ctx, req.faultCells(), pr))
 	case KindWorkload:
 		lines, err = runWorkload(ctx, es, req, pr)
-		if err != nil {
-			return nil, err
-		}
 	case KindLB:
-		results, err := es.LoadBalancerTableContext(ctx, req.parsedModes(), req.VMs,
-			req.Scenario, req.Seed, req.SLOUs, pr)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			lines = append(lines, r.StatsLine())
-		}
+		lines, err = statsLines(es.LoadBalancerTableContext(ctx, req.parsedModes(), req.VMs,
+			req.Scenario, req.Seed, req.SLOUs, pr))
 	default:
-		return nil, fmt.Errorf("server: unreachable kind %q", req.Kind)
+		err = fmt.Errorf("server: unreachable kind %q", req.Kind)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return lines, es.LastObs(), nil
+}
 
-	result := &Result{Digest: j.digest, Kind: req.Kind, Lines: lines}
-	body := result.Encode()
+// execute runs a job's request and returns the cache entry its bytes
+// live in.
+func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
+	lines, plane, err := Run(ctx, j.req, s.cfg.SimWorkers, j.progressFunc())
+	if err != nil {
+		return nil, err
+	}
+	body := (&Result{Digest: j.digest, Kind: j.req.Kind, Lines: lines}).Encode()
 	var artifacts map[string][]byte
-	if req.Trace {
-		artifacts, err = obs.RenderArtifacts(es.LastObs())
+	if j.req.Trace {
+		artifacts, err = obs.RenderArtifacts(plane)
 		if err != nil {
 			return nil, err
 		}
@@ -143,42 +127,9 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 		size: entrySize(body, artifacts)}, nil
 }
 
-// runCheck drives the differential oracle over consecutive seeds with
-// per-schedule progress and cancellation. Repro shrinking/writing stays
-// a CLI affair — the server reports verdicts, it does not own a disk
-// corpus.
-func runCheck(ctx context.Context, req *Request, pr exp.ProgressFunc) ([]string, error) {
-	p, err := ports.Parse(req.Port)
-	if err != nil {
-		return nil, err
-	}
-	var lines []string
-	failures := 0
-	for i := 0; i < req.Schedules; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		seed := req.Seed + int64(i)
-		v := check.CheckSchedule(check.Generate(seed), &check.RunOpts{Port: p})
-		if v.Failed() {
-			failures++
-		}
-		lines = append(lines, v.String())
-		pr(exp.ProgressEvent{Stage: "check", Done: i + 1, Total: req.Schedules,
-			Detail: fmt.Sprintf("seed=%d", seed)})
-	}
-	lines = append(lines, fmt.Sprintf(
-		"checked %d schedules (seeds %d..%d): %d failing",
-		req.Schedules, req.Seed, req.Seed+int64(req.Schedules)-1, failures))
-	return lines, nil
-}
-
 // faultCells expands a faultgrid request into one cell per mode.
-func (r *Request) faultCells() ([]exp.FaultCell, error) {
-	spec, err := r.buildFaultSpec()
-	if err != nil {
-		return nil, err
-	}
+func (r *Request) faultCells() []exp.FaultCell {
+	spec, _ := r.buildFaultSpec() // valid: SessionFor built it already
 	var cells []exp.FaultCell
 	for _, m := range r.parsedModes() {
 		cells = append(cells, exp.FaultCell{
@@ -186,7 +137,16 @@ func (r *Request) faultCells() ([]exp.FaultCell, error) {
 			Storms: r.Storms, StormSeed: r.Seed,
 		})
 	}
-	return cells, nil
+	return cells
+}
+
+// statsLines renders a sweep's rows, one StatsLine each.
+func statsLines[T interface{ StatsLine() string }](rows []T, err error) ([]string, error) {
+	lines := make([]string, len(rows))
+	for i, r := range rows {
+		lines[i] = r.StatsLine()
+	}
+	return lines, err
 }
 
 // runWorkload runs one single-machine figure workload under every
@@ -230,8 +190,10 @@ func runWorkload(ctx context.Context, es *exp.Session, req *Request, pr exp.Prog
 			return nil, fmt.Errorf("server: unreachable workload %q", req.Workload)
 		}
 		lines = append(lines, line)
-		pr(exp.ProgressEvent{Stage: "workload", Done: i + 1, Total: len(modes),
-			Detail: fmt.Sprintf("mode=%s", mode)})
+		if pr != nil {
+			pr(exp.ProgressEvent{Stage: "workload", Done: i + 1, Total: len(modes),
+				Detail: fmt.Sprintf("mode=%s", mode)})
+		}
 	}
 	return lines, nil
 }

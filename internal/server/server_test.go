@@ -559,7 +559,7 @@ func TestConcurrentDistinctRequests(t *testing.T) {
 			defer wg.Done()
 			r := smallStorm()
 			r.Seed = int64(100 + i)
-			res, err := c.Run(ctx, r, nil)
+			_, res, err := c.Run(ctx, r, nil)
 			if err != nil {
 				errs <- fmt.Errorf("seed %d: %w", 100+i, err)
 				return
@@ -590,7 +590,7 @@ func TestAllKindsServe(t *testing.T) {
 		"workload":  {Kind: KindWorkload, Workload: "netrr", N: 50, Topology: "1x2x2", Modes: []string{"sw", "hw"}},
 		"lb":        {Kind: KindLB, Topology: "1x2x2", VMs: 2, Modes: []string{"baseline", "hw"}},
 	} {
-		res, err := c.Run(ctx, req, nil)
+		_, res, err := c.Run(ctx, req, nil)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

@@ -27,10 +27,11 @@ func (v *VMCS) SaveState() State {
 		s.ExitingMSRs = append(s.ExitingMSRs, a)
 	}
 	sort.Slice(s.ExitingMSRs, func(i, j int) bool { return s.ExitingMSRs[i] < s.ExitingMSRs[j] })
-	for f := range v.dirty {
-		s.Dirty = append(s.Dirty, f)
+	for f := Field(0); f < NumFields; f++ {
+		if v.Dirty(f) {
+			s.Dirty = append(s.Dirty, f)
+		}
 	}
-	sort.Slice(s.Dirty, func(i, j int) bool { return s.Dirty[i] < s.Dirty[j] })
 	return s
 }
 
@@ -43,8 +44,10 @@ func (v *VMCS) LoadState(s State) {
 	for _, a := range s.ExitingMSRs {
 		v.ExitingMSRs[a] = true
 	}
-	clear(v.dirty)
+	clear(v.dirty[:])
 	for _, f := range s.Dirty {
-		v.dirty[f] = true
+		if f < NumFields {
+			v.dirty[f/64] |= 1 << (f % 64)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package vmcs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"svtsim/internal/isa"
 )
@@ -42,12 +43,12 @@ type VMCS struct {
 	// semantic content lives here for directness.
 	ExitingMSRs map[uint32]bool
 
-	dirty map[Field]bool
+	dirty [(NumFields + 63) / 64]uint64 // one bit per field
 }
 
 // New returns an empty VMCS with the given diagnostic name.
 func New(name string) *VMCS {
-	v := &VMCS{Name: name, ExitingMSRs: make(map[uint32]bool), dirty: make(map[Field]bool)}
+	v := &VMCS{Name: name, ExitingMSRs: make(map[uint32]bool)}
 	v.fields[SVtVisor] = InvalidContext
 	v.fields[SVtVM] = InvalidContext
 	v.fields[SVtNested] = InvalidContext
@@ -69,17 +70,22 @@ func (v *VMCS) Write(f Field, val uint64) {
 		panic(fmt.Sprintf("vmcs %s: write of unknown field %d", v.Name, f))
 	}
 	v.fields[f] = val
-	v.dirty[f] = true
+	v.dirty[f/64] |= 1 << (f % 64)
 }
 
 // Dirty reports whether f has been written since the last ClearDirty.
-func (v *VMCS) Dirty(f Field) bool { return v.dirty[f] }
+func (v *VMCS) Dirty(f Field) bool { return f < NumFields && v.dirty[f/64]&(1<<(f%64)) != 0 }
 
 // DirtyCount reports the number of dirty fields.
-func (v *VMCS) DirtyCount() int { return len(v.dirty) }
+func (v *VMCS) DirtyCount() (n int) {
+	for _, w := range v.dirty {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // ClearDirty resets dirtiness tracking (after a transform consumed it).
-func (v *VMCS) ClearDirty() { clear(v.dirty) }
+func (v *VMCS) ClearDirty() { clear(v.dirty[:]) }
 
 // MSRExits reports whether accessing MSR addr traps under this VMCS.
 func (v *VMCS) MSRExits(addr uint32) bool {

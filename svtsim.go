@@ -22,6 +22,7 @@
 package svtsim
 
 import (
+	"context"
 	"io"
 
 	"svtsim/internal/check"
@@ -180,7 +181,8 @@ func FaultSites() []string { return fault.Sites() }
 // are shrunk and written as replayable repro files under dir (when
 // non-empty). It returns the number of inequivalent schedules found.
 func CheckSchedulesPort(w io.Writer, n int, seed int64, dir string, port Port) int {
-	return check.RunBudgetOpts(w, n, seed, dir, &check.RunOpts{Port: port})
+	failures, _ := check.RunBudgetOpts(context.Background(), w, n, seed, dir, &check.RunOpts{Port: port}, nil)
+	return failures
 }
 
 // ReplaySchedule decodes a schedule file (as written by
