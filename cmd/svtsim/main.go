@@ -67,7 +67,7 @@ type options struct {
 	trace, metrics, checkDir, replay, migrate, submit       string
 	n, fps, vms, par, summary, dumpExits, checkN, storm, lb int
 	checkSeed, faultSeed, stormSeed, lbSeed                 int64
-	rate, slo, faultRate, lbSLO                             float64
+	rate, slo, lbSLO                                        float64
 	dur                                                     time.Duration
 	density, portCmp                                        bool
 }
@@ -94,7 +94,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.dumpExits, "dump-exits", 0, "after a cpuid run, list the N newest VM exits L0 handled, by start time")
 	fs.StringVar(&o.faults, "faults", "", "fault spec: site:key=val,...;... (sites: "+strings.Join(svtsim.FaultSites(), ", ")+")")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 0, "fault plane RNG seed; replays are byte-identical per seed (0 = default 1)")
-	fs.Float64Var(&o.faultRate, "fault-rate", 0, "shorthand: drop SW-SVt wakeups and IPIs at this probability")
 	fs.IntVar(&o.checkN, "check", 0, "differentially check N generated schedules across all modes, then exit")
 	fs.Int64Var(&o.checkSeed, "check-seed", 1, "first schedule seed for -check (seeds are consecutive)")
 	fs.StringVar(&o.checkDir, "check-dir", ".", "directory for shrunk repro files written by -check")
@@ -117,7 +116,7 @@ func (o *options) wantObs() bool { return o.trace != "" || o.metrics != "" || o.
 func (o *options) request() *server.Request {
 	return &server.Request{
 		Topology: o.host, Port: o.port,
-		Faults: o.faults, FaultSeed: o.faultSeed, FaultRate: o.faultRate,
+		Faults: o.faults, FaultSeed: o.faultSeed,
 		Trace: o.wantObs(),
 	}
 }
@@ -177,8 +176,8 @@ func header(req *server.Request) {
 		fmt.Fprintf(os.Stderr, "load balancer: %d VMs, scenario %s, seed %d, slo %.0f us, host %s\n",
 			req.VMs, req.Scenario, req.Seed, req.SLOUs, req.Topology)
 	}
-	if req.Faults != "" || req.FaultRate > 0 {
-		fmt.Fprintf(os.Stderr, "fault plane armed: faults=%q rate=%g (seed %d)\n", req.Faults, req.FaultRate, req.FaultSeed)
+	if req.Faults != "" {
+		fmt.Fprintf(os.Stderr, "fault plane armed: faults=%q (seed %d)\n", req.Faults, req.FaultSeed)
 	}
 }
 

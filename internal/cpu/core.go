@@ -103,9 +103,6 @@ func (c *Core) Contexts() int { return c.n }
 // Current reports the context instructions are fetched from.
 func (c *Core) Current() ContextID { return c.current }
 
-// InVM reports the is_vm µ-register.
-func (c *Core) InVM() bool { return c.isVM }
-
 // EnableSVt switches the core into SVt mode: transitions become
 // stall/resume events and registers stay resident per context.
 func (c *Core) EnableSVt(on bool) { c.svtOn = on }

@@ -369,20 +369,6 @@ func (p *Port) ExecHLT() {
 	}
 }
 
-// ExecRaw executes one instruction without the virtual-IRQ poll prologue.
-func (p *Port) ExecRaw(in isa.Instr) uint64 {
-	p.core.Eng.DispatchDue()
-	if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
-		p.trap(e)
-	}
-	res := p.core.Exec(p.Ctx, p.VM, in)
-	if res.Exited() {
-		p.trap(res.Exit)
-		return p.core.ReadGPR(p.Ctx, isa.RAX)
-	}
-	return res.Value
-}
-
 // Exec executes one instruction on behalf of the native guest. Trapping
 // instructions park the goroutine until the hypervisor resumes the guest;
 // the emulation result is then read from the guest's RAX per the

@@ -59,3 +59,24 @@ func TestFleetReplayDefaultSpecShardTransparent(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetReplayPinned pins the macro's full line — per-context ticks
+// and IPI arrivals, per-core attribution, total events — for the
+// benchmark configuration and the small spec, so a change to how the
+// host derives EventsByCore cannot move the digest unnoticed.
+func TestFleetReplayPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec FleetReplaySpec
+		want string
+	}{
+		{"default", DefaultFleetReplaySpec(),
+			"shards=1 events=2327455 ticks=2291674 ipis=35781 elapsed=20.00ms digest=6f48aac21af129a6"},
+		{"small", smallFleetSpec(1),
+			"shards=1 events=8038 ticks=7574 ipis=464 elapsed=500.00us digest=79319419f1941518"},
+	} {
+		if got := FleetReplay(tc.spec).FleetReplayLine(); got != tc.want {
+			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -195,38 +195,6 @@ func buildLBVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *m
 	return m, io, func(sim.Time) ([]float64, float64) { return svcUs, float64(len(svcUs)) }
 }
 
-// hostConduit carries packets between two host contexts over the
-// topology-priced delivery fabric (host.Deliver). One instance is one
-// direction; Pair wires both.
-type hostConduit struct {
-	h        *host.Host
-	from, to host.CtxID
-	extra    sim.Time
-	recv     func(pkt []byte)
-	peer     *hostConduit
-}
-
-func hostConduitPair(h *host.Host, a, b host.CtxID, extra sim.Time) (*hostConduit, *hostConduit) {
-	ca := &hostConduit{h: h, from: a, to: b, extra: extra}
-	cb := &hostConduit{h: h, from: b, to: a, extra: extra}
-	ca.peer, cb.peer = cb, ca
-	return ca, cb
-}
-
-func (c *hostConduit) Send(pkt []byte, done func()) {
-	cp := append([]byte(nil), pkt...)
-	peer := c.peer
-	c.h.Deliver(c.from, c.to, c.extra, func() {
-		if peer.recv != nil {
-			peer.recv(cp)
-		}
-	})
-	if done != nil {
-		c.h.Eng.After(0, done)
-	}
-}
-func (c *hostConduit) SetReceiver(fn func(pkt []byte)) { c.recv = fn }
-
 // lbFaultSpec is the default injection for the "faults" scenario when
 // the session has none armed: seeded segment loss on the wire.
 func lbFaultSpec(seed int64) *fault.Spec {
@@ -448,7 +416,7 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []vmRun, tspec traffic.Sp
 			b := &backend{ctx: assigns[j].Ctxs[0]}
 			backends[j] = b
 
-			cBal, cBk := hostConduitPair(h, sp.balCtx, b.ctx, lbWireLat)
+			cBal, cBk := netstack.NewPipe(eng, h.IPILatency(sp.balCtx, b.ctx)+lbWireLat)
 			bkSt := netstack.New(eng, cBk, netstack.Params{})
 			svc := runs[j].latUs
 			bkSt.OnFlow = func(f *netstack.Flow) {

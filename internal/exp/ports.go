@@ -38,16 +38,13 @@ type PortComparison struct {
 func (s *Session) withPort(p ports.Port) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ns := &Session{
+	return &Session{
 		faults:  s.faults,
 		obsOpts: s.obsOpts,
 		workers: s.workers,
 		topo:    s.topo,
-		hostP:   s.hostP,
 		port:    p,
 	}
-	ns.hostP.Port = p
-	return ns
 }
 
 // ComparePorts runs the nested TCP_RR latency workload (n transactions)

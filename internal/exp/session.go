@@ -34,7 +34,6 @@ type Session struct {
 	obsLast *obs.Plane
 	workers int
 	topo    host.Topology
-	hostP   host.Params
 	port    ports.Port
 }
 
@@ -42,8 +41,7 @@ type Session struct {
 // no observability, a GOMAXPROCS-wide worker pool, the paper's 2x8x2
 // testbed topology.
 func NewSession() *Session {
-	return &Session{topo: host.DefaultTopology, hostP: host.DefaultParams(),
-		port: x86port.Port()}
+	return &Session{topo: host.DefaultTopology, port: x86port.Port()}
 }
 
 // SetPort selects the architecture backend for this session's
@@ -55,7 +53,6 @@ func (s *Session) SetPort(p ports.Port) {
 	}
 	s.mu.Lock()
 	s.port = p
-	s.hostP.Port = p
 	s.mu.Unlock()
 }
 
@@ -141,21 +138,12 @@ func (s *Session) Topology() host.Topology {
 	return s.topo
 }
 
-// SetHostParams overrides the host-level cost model (IPI latencies,
-// scheduler quantum, SMT share).
-func (s *Session) SetHostParams(p host.Params) {
-	s.mu.Lock()
-	s.hostP = p
-	s.mu.Unlock()
-}
-
-// HostParams reports the session's host cost model, stamped with the
-// session's port so fleet-scale hosts build their controllers from it.
+// HostParams reports the host cost model, host.DefaultParams stamped
+// with the session's port so fleet-scale hosts build their controllers
+// from it.
 func (s *Session) HostParams() host.Params {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.hostP
-	p.Port = s.port
+	p := host.DefaultParams()
+	p.Port = s.Port()
 	return p
 }
 

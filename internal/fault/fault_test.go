@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"svtsim/internal/sim"
@@ -210,10 +211,16 @@ func TestParseSpecErrors(t *testing.T) {
 		"swsvt/wakeup:rate=0.1",      // no effect
 		"swsvt/wakeup",               // missing colon
 		"swsvt/wakeup:delay=abc",     // bad duration
+		"swsvt/wakeup:drop",          // never fires: no rate, no every
+		"swsvt/wakeup:rate=0,drop",   // never fires: zero rate
 	} {
 		if _, err := ParseSpec(bad, 0); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
 		}
+	}
+	// A site that can never fire is named in the error.
+	if _, err := ParseSpec("apic/ipi:drop", 0); err == nil || !strings.Contains(err.Error(), "site apic/ipi never fires") {
+		t.Errorf("never-firing site: err = %v, want it named", err)
 	}
 	spec, err := ParseSpec("", 5)
 	if err != nil || len(spec.Sites) != 0 || spec.Seed != 5 {
@@ -221,37 +228,6 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 	if spec.Build(sim.New()) != nil {
 		t.Fatal("empty spec built a plane")
-	}
-}
-
-func TestBuildSpec(t *testing.T) {
-	wakeup := SiteConfig{Site: SiteSVtWakeup, Rate: 0.25, Drop: true}
-	ipi := SiteConfig{Site: SiteIPI, Rate: 0.25, Drop: true}
-	blk := SiteConfig{Site: SiteBlkComplete, Delay: 5 * sim.Microsecond}
-	for _, tc := range []struct {
-		name    string
-		arg     string
-		rate    float64
-		want    *Spec
-		wantErr bool
-	}{
-		{name: "neither", want: nil},
-		{name: "spec only", arg: "blk/complete:delay=5us", want: &Spec{Seed: 9, Sites: []SiteConfig{blk}}},
-		{name: "rate only", rate: 0.25, want: &Spec{Seed: 9, Sites: []SiteConfig{wakeup, ipi}}},
-		{name: "both", arg: "blk/complete:delay=5us", rate: 0.25, want: &Spec{Seed: 9, Sites: []SiteConfig{blk, wakeup, ipi}}},
-		{name: "rate above 1", rate: 1.5, wantErr: true},
-		{name: "bad spec", arg: "nosuch/site:drop", rate: 0.25, wantErr: true},
-	} {
-		got, err := BuildSpec(tc.arg, tc.rate, 9)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("%s: got %+v, want an error", tc.name, got)
-			}
-			continue
-		}
-		if err != nil || !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: got %+v, %v; want %+v", tc.name, got, err, tc.want)
-		}
 	}
 }
 

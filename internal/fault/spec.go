@@ -72,7 +72,9 @@ func (s *Spec) String() string {
 // "blk/complete:rate=0.1,delay=50us,jitter=10us". Recognised keys:
 // rate, every, after, limit, drop, delay, jitter. Durations accept
 // ns/us/ms/s suffixes (bare numbers are nanoseconds). Unknown sites and
-// keys are errors so typos fail fast instead of silently never firing.
+// keys are errors so typos fail fast instead of silently never firing,
+// as are sites that can never fire (no rate or every) or have no
+// effect (no drop or delay).
 func ParseSpec(arg string, seed int64) (*Spec, error) {
 	spec := &Spec{Seed: seed}
 	arg = strings.TrimSpace(arg)
@@ -129,35 +131,10 @@ func ParseSpec(arg string, seed int64) (*Spec, error) {
 		if !cfg.Drop && cfg.Delay == 0 && cfg.Jitter == 0 {
 			return nil, fmt.Errorf("fault spec %q: no effect (want drop and/or delay)", part)
 		}
+		if cfg.Every == 0 && cfg.Rate == 0 {
+			return nil, fmt.Errorf("fault spec %q: site %s never fires (want rate=R>0 or every=N)", part, site)
+		}
 		spec.Sites = append(spec.Sites, cfg)
-	}
-	return spec, nil
-}
-
-// BuildSpec combines a ParseSpec spec with the rate shorthand — drop
-// SW-SVt wakeups and IPIs at that probability, the acceptance scenario —
-// into one armed spec, or nil when arg is empty and rate <= 0. A rate
-// above 1 is an error.
-func BuildSpec(arg string, rate float64, seed int64) (*Spec, error) {
-	var spec *Spec
-	if arg != "" {
-		s, err := ParseSpec(arg, seed)
-		if err != nil {
-			return nil, err
-		}
-		spec = s
-	}
-	if rate > 0 {
-		if rate > 1 {
-			return nil, fmt.Errorf("fault rate %v: must be in (0, 1]", rate)
-		}
-		if spec == nil {
-			spec = &Spec{Seed: seed}
-		}
-		spec.Sites = append(spec.Sites,
-			SiteConfig{Site: SiteSVtWakeup, Rate: rate, Drop: true},
-			SiteConfig{Site: SiteIPI, Rate: rate, Drop: true},
-		)
 	}
 	return spec, nil
 }

@@ -80,9 +80,6 @@ func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64, cfg NetCon
 	return d, nil
 }
 
-// Layouts reports the TX and RX layouts (for wiring the backend side).
-func (d *NetDriver) Layouts() (tx, rx virtio.Layout) { return d.TX.L, d.RX.L }
-
 func (d *NetDriver) postRXBuffer(size uint32) error {
 	gpa := d.Env.Alloc(uint64(size))
 	head, err := d.RX.Post([]virtio.Buf{{GPA: gpa, Len: size, DeviceWrite: true}})

@@ -67,9 +67,8 @@ type Host struct {
 	onIPI []func(vec int)
 
 	// Accounting.
-	ipiSent      [4]uint64 // by Distance
-	ipiRecv      []uint64  // per context
-	eventsByCore []uint64  // dispatches attributed to each core via engine origin
+	ipiSent [4]uint64 // by Distance
+	ipiRecv []uint64  // per context
 
 	tracer    *obs.Tracer
 	ctxTracks []int
@@ -93,13 +92,12 @@ func NewOn(eng *sim.Engine, t Topology, p Params) (*Host, error) {
 		p.Port = x86port.Port()
 	}
 	h := &Host{
-		Topo:         t,
-		P:            p,
-		Eng:          eng,
-		lapics:       make([]ports.IRQController, t.Contexts()),
-		onIPI:        make([]func(int), t.Contexts()),
-		ipiRecv:      make([]uint64, t.Contexts()),
-		eventsByCore: make([]uint64, t.Cores()),
+		Topo:    t,
+		P:       p,
+		Eng:     eng,
+		lapics:  make([]ports.IRQController, t.Contexts()),
+		onIPI:   make([]func(int), t.Contexts()),
+		ipiRecv: make([]uint64, t.Contexts()),
 	}
 	for c := range h.lapics {
 		c := CtxID(c)
@@ -119,12 +117,9 @@ func (h *Host) LAPIC(c CtxID) ports.IRQController { return h.lapics[c] }
 func (h *Host) OnIPI(c CtxID, fn func(vec int)) { h.onIPI[c] = fn }
 
 // ipiArrived runs in event context when a vector lands on context c's
-// LAPIC; the engine's origin tag attributes the dispatch to a core.
+// LAPIC.
 func (h *Host) ipiArrived(c CtxID, vec int) {
 	h.ipiRecv[c]++
-	if o := h.Eng.Origin(); o >= 0 && o < len(h.eventsByCore) {
-		h.eventsByCore[o]++
-	}
 	if fn := h.onIPI[c]; fn != nil {
 		fn(vec)
 		return
@@ -151,32 +146,15 @@ func (h *Host) IPILatency(from, to CtxID) sim.Time {
 // SendIPI routes a reschedule IPI from one context to another through
 // the apic plane: the vector crosses the interconnect with a
 // distance-dependent latency and lands on the target LAPIC (where the
-// fault plane, if armed, may still drop or delay it). The delivery
-// event is attributed to the target's core.
+// fault plane, if armed, may still drop or delay it).
 func (h *Host) SendIPI(from, to CtxID, vec int) {
 	h.ipiSent[h.Topo.DistanceOf(from, to)]++
 	target := h.lapics[to]
-	h.Deliver(from, to, 0, func() { target.Deliver(vec) })
+	h.Eng.After(h.IPILatency(from, to), func() { target.Deliver(vec) })
 	if h.tracer != nil {
 		h.tracer.Instant(h.ctxTracks[from], obs.KindIPI, obs.LevelNone,
 			h.ipiLabel, h.Eng.Now(), uint64(to), uint64(vec))
 	}
-}
-
-// Deliver runs fn on the target context's engine after the
-// interconnect crossing plus extra — the host's cross-core packet
-// fabric. It is SendIPI without the LAPIC hop: netstack conduits
-// between a balancer context and backend contexts ride it, so segment
-// delivery is priced by topology distance. The delivery event is
-// attributed to the target's core.
-func (h *Host) Deliver(from, to CtxID, extra sim.Time, fn func()) {
-	if extra < 0 {
-		extra = 0
-	}
-	prev := h.Eng.Origin()
-	h.Eng.SetOrigin(h.Topo.CoreOf(to))
-	h.Eng.After(h.IPILatency(from, to)+extra, fn)
-	h.Eng.SetOrigin(prev)
 }
 
 // IPIsSent reports how many IPIs were sent at each distance class.
@@ -188,9 +166,15 @@ func (h *Host) IPIsSent() (self, smt, crossCore, crossNUMA uint64) {
 // IPIsReceived reports per-context IPI arrivals.
 func (h *Host) IPIsReceived() []uint64 { return h.ipiRecv }
 
-// EventsByCore reports shared-engine event dispatches attributed (via
-// origin tags) to each physical core.
-func (h *Host) EventsByCore() []uint64 { return h.eventsByCore }
+// EventsByCore reports IPI arrivals per physical core: the sum of
+// IPIsReceived over each core's contexts.
+func (h *Host) EventsByCore() []uint64 {
+	ev := make([]uint64, h.Topo.Cores())
+	for c, n := range h.ipiRecv {
+		ev[h.Topo.CoreOf(CtxID(c))] += n
+	}
+	return ev
+}
 
 // SetObs attaches an observability plane built with one track per host
 // hardware context (obs.New(topo.Contexts(), opts)). Context tracks are

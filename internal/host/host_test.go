@@ -59,8 +59,8 @@ func TestIPILatencyByDistance(t *testing.T) {
 	}
 }
 
-// TestIPIOriginAttribution: the delivery event of a cross-core IPI is
-// attributed to the target's core via the engine origin tag.
+// TestIPIOriginAttribution: the delivery of a cross-core IPI is
+// attributed to the target's core.
 func TestIPIOriginAttribution(t *testing.T) {
 	h := mustHost(t, Topology{1, 4, 2})
 	h.SendIPI(0, 6, apic.VecIPI) // ctx 6 = core 3
@@ -70,27 +70,6 @@ func TestIPIOriginAttribution(t *testing.T) {
 	ev := h.EventsByCore()
 	if ev[3] != 1 || ev[1] != 2 || ev[0] != 0 || ev[2] != 0 {
 		t.Errorf("EventsByCore = %v, want [0 2 0 1]", ev)
-	}
-}
-
-// TestOriginInheritance: events scheduled from inside an attributed
-// callback inherit the ancestor's origin.
-func TestOriginInheritance(t *testing.T) {
-	eng := sim.New()
-	if got := eng.Origin(); got != sim.NoOrigin {
-		t.Fatalf("fresh engine origin = %d, want NoOrigin", got)
-	}
-	var seen []int
-	eng.SetOrigin(3)
-	eng.After(10, func() {
-		seen = append(seen, eng.Origin())
-		eng.After(5, func() { seen = append(seen, eng.Origin()) })
-	})
-	eng.SetOrigin(sim.NoOrigin)
-	eng.After(12, func() { seen = append(seen, eng.Origin()) })
-	eng.Drain(10)
-	if len(seen) != 3 || seen[0] != 3 || seen[2] != 3 || seen[1] != sim.NoOrigin {
-		t.Errorf("origins = %v, want [3 NoOrigin 3]", seen)
 	}
 }
 

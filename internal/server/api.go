@@ -84,9 +84,8 @@ type Request struct {
 	Schedules int `json:"schedules,omitempty"`
 
 	// Fault plane (workload, density, storm, faultgrid).
-	Faults    string  `json:"faults,omitempty"`
-	FaultSeed int64   `json:"fault_seed,omitempty"`
-	FaultRate float64 `json:"fault_rate,omitempty"`
+	Faults    string `json:"faults,omitempty"`
+	FaultSeed int64  `json:"fault_seed,omitempty"`
 
 	// Trace requests Perfetto/metrics artifacts rendered from the obs
 	// plane; it forces the sweep onto one worker so the captured plane
@@ -179,7 +178,7 @@ func (r *Request) Canonicalize() error {
 		r.Modes = nil // the replay is mode-free: pure engine + IPIs
 		r.Seed, r.VMs, r.SLOUs, r.Storms = 0, 0, 0, 0
 		r.Workload, r.N, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, 0, ""
-		r.Faults, r.FaultSeed, r.FaultRate, r.Trace = "", 0, 0, false
+		r.Faults, r.FaultSeed, r.Trace = "", 0, false
 	case KindCheck:
 		if r.Schedules <= 0 {
 			r.Schedules = 25
@@ -190,11 +189,11 @@ func (r *Request) Canonicalize() error {
 		r.Modes = nil // the oracle always runs the full mode set
 		r.VMs, r.SLOUs, r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0, 0, 0
 		r.Workload, r.N, r.Rate, r.FPS, r.Scenario = "", 0, 0, 0, ""
-		r.Faults, r.FaultSeed, r.FaultRate, r.Trace = "", 0, 0, false
+		r.Faults, r.FaultSeed, r.Trace = "", 0, false
 	case KindFaultGrid:
-		if r.Faults == "" && r.FaultRate == 0 {
+		if r.Faults == "" {
 			return uerr.New("faults", "", "a fault grid needs a fault spec",
-				"set faults (site:key=val,...) and/or fault_rate")
+				"set faults (site:key=val,...)")
 		}
 		if r.N <= 0 {
 			r.N = 200
@@ -276,25 +275,15 @@ func (r *Request) Canonicalize() error {
 
 // canonFaults validates the fault-plane fields shared by several kinds.
 func (r *Request) canonFaults() error {
-	if r.Faults != "" {
-		if r.FaultSeed == 0 {
-			r.FaultSeed = 1
-		}
-		if _, err := fault.ParseSpec(r.Faults, r.FaultSeed); err != nil {
-			return uerr.New("faults", r.Faults, err.Error(), "")
-		}
-	}
-	if r.FaultRate != 0 {
-		if r.FaultRate < 0 || r.FaultRate > 1 {
-			return uerr.New("fault_rate", fmt.Sprint(r.FaultRate),
-				"must be in (0, 1]", "the probability of dropping a wakeup/IPI")
-		}
-		if r.FaultSeed == 0 {
-			r.FaultSeed = 1
-		}
-	}
-	if r.Faults == "" && r.FaultRate == 0 {
+	if r.Faults == "" {
 		r.FaultSeed = 0
+		return nil
+	}
+	if r.FaultSeed == 0 {
+		r.FaultSeed = 1
+	}
+	if _, err := fault.ParseSpec(r.Faults, r.FaultSeed); err != nil {
+		return uerr.New("faults", r.Faults, err.Error(), "")
 	}
 	return nil
 }
@@ -302,7 +291,10 @@ func (r *Request) canonFaults() error {
 // buildFaultSpec assembles the armed fault spec from the canonical
 // fields (nil when no faults were requested), as the svtsim CLI does.
 func (r *Request) buildFaultSpec() (*fault.Spec, error) {
-	return fault.BuildSpec(r.Faults, r.FaultRate, r.FaultSeed)
+	if r.Faults == "" {
+		return nil, nil
+	}
+	return fault.ParseSpec(r.Faults, r.FaultSeed)
 }
 
 // parsedModes maps the canonical mode names back to hv.Mode values.

@@ -62,7 +62,7 @@ func TestCanonicalizeDistinct(t *testing.T) {
 		{"workload", Request{Kind: KindWorkload}},
 		{"workload-netrr", Request{Kind: KindWorkload, Workload: "netrr"}},
 		{"workload-trace", Request{Kind: KindWorkload, Trace: true}},
-		{"faultgrid", Request{Kind: KindFaultGrid, FaultRate: 0.1}},
+		{"faultgrid", Request{Kind: KindFaultGrid, Faults: "swsvt/wakeup:rate=0.1,drop;apic/ipi:rate=0.1,drop"}},
 		{"lb", Request{Kind: KindLB}},
 		{"lb-overload", Request{Kind: KindLB, Scenario: "overload"}},
 		{"lb-k", Request{Kind: KindLB, VMs: 8}},
@@ -108,7 +108,7 @@ func TestCanonicalizeErrors(t *testing.T) {
 		{"bad topology", Request{Kind: KindStorm, Topology: "2x8x9"}, "topology"},
 		{"bad workload", Request{Kind: KindWorkload, Workload: "doom"}, "workload"},
 		{"faultgrid no spec", Request{Kind: KindFaultGrid}, "faults"},
-		{"bad fault rate", Request{Kind: KindStorm, FaultRate: 1.5}, "fault_rate"},
+		{"bad fault rate", Request{Kind: KindStorm, Faults: "swsvt/wakeup:rate=1.5,drop"}, "faults"},
 		{"bad fault spec", Request{Kind: KindStorm, Faults: "nonsense"}, "faults"},
 		{"bad lb scenario", Request{Kind: KindLB, Scenario: "sinusoid"}, "scenario"},
 	} {

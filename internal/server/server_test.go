@@ -419,15 +419,20 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Unknown JSON fields are rejected, not silently dropped (they would
-	// otherwise canonicalize into a surprising digest).
-	resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"kind":"storm","smt":"on"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
+	// otherwise canonicalize into a surprising digest). fault_rate is
+	// one: the rate shorthand is spelled as a faults spec.
+	for _, body := range []string{
+		`{"kind":"storm","smt":"on"}`,
+		`{"kind":"faultgrid","fault_rate":0.1}`,
+	} {
+		resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field in %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 
@@ -586,7 +591,7 @@ func TestAllKindsServe(t *testing.T) {
 		"storm":     smallStorm(),
 		"fleet":     smallFleet(),
 		"check":     {Kind: KindCheck, Schedules: 2},
-		"faultgrid": {Kind: KindFaultGrid, Topology: "1x2x2", FaultRate: 0.05, N: 10, Modes: []string{"hw"}},
+		"faultgrid": {Kind: KindFaultGrid, Topology: "1x2x2", Faults: "swsvt/wakeup:rate=0.05,drop;apic/ipi:rate=0.05,drop", N: 10, Modes: []string{"hw"}},
 		"workload":  {Kind: KindWorkload, Workload: "netrr", N: 50, Topology: "1x2x2", Modes: []string{"sw", "hw"}},
 		"lb":        {Kind: KindLB, Topology: "1x2x2", VMs: 2, Modes: []string{"baseline", "hw"}},
 	} {

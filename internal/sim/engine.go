@@ -31,14 +31,13 @@ const slabSize = 256
 // (nilled) the moment the event fires or is canceled, so a retained
 // EventRef pins only the arena slot, never the callback's captures.
 type event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	index  int32 // heap index, -1 when not queued
-	gen    uint32
-	origin int32  // scheduling origin (multi-core attribution), -1 = none
-	next   *event // free-list link
-	eng    *Engine
+	at    Time
+	seq   uint64
+	fn    func()
+	index int32 // heap index, -1 when not queued
+	gen   uint32
+	next  *event // free-list link
+	eng   *Engine
 }
 
 // EventRef is a cheap, copyable handle to a scheduled event. The zero
@@ -101,9 +100,6 @@ type Engine struct {
 	// hot loop one predictable branch and nothing else.
 	onDispatch func(Time)
 
-	// origin is the current multi-core attribution tag (see SetOrigin).
-	origin int32
-
 	// Livelock/deadlock detection (see detect.go).
 	stallLimit uint64
 	stallCount uint64
@@ -113,25 +109,10 @@ type Engine struct {
 }
 
 // New returns an engine with the clock at zero and an empty queue.
-func New() *Engine { return &Engine{origin: NoOrigin} }
+func New() *Engine { return &Engine{} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// NoOrigin is the origin value of unattributed events.
-const NoOrigin = -1
-
-// SetOrigin tags subsequently scheduled events with origin o (a core
-// index on multi-core hosts; NoOrigin clears the tag). When a tagged
-// event fires, the engine's current origin becomes the event's tag for
-// the duration of its callback and until the next dispatch — so events
-// scheduled from inside a callback inherit their ancestor's origin, and
-// multi-core attribution follows causality without any per-site plumbing.
-func (e *Engine) SetOrigin(o int) { e.origin = int32(o) }
-
-// Origin reports the current attribution tag: inside an event callback,
-// the origin of the chain that scheduled it.
-func (e *Engine) Origin() int { return int(e.origin) }
 
 // Dispatched reports how many events have fired so far.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
@@ -207,7 +188,6 @@ func (e *Engine) At(t Time, fn func()) EventRef {
 	ev.seq = e.seq
 	e.seq++
 	ev.fn = fn
-	ev.origin = e.origin
 	e.heapPush(ev)
 	return EventRef{ev: ev, gen: ev.gen}
 }
@@ -252,9 +232,6 @@ func (e *Engine) DispatchDue() int {
 	for len(e.queue) > 0 && e.queue[0].at <= e.now {
 		ev := e.heapPopMin()
 		fn := ev.fn
-		// The firing event's origin becomes the engine's: work the
-		// callback schedules inherits the attribution of its cause.
-		e.origin = ev.origin
 		// Recycle before running: the callback may schedule follow-up
 		// events straight into the slot it just vacated.
 		e.release(ev)

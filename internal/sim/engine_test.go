@@ -499,14 +499,14 @@ func TestDispatchOrderGolden(t *testing.T) {
 }
 
 // TestRunUntilWindowedMatchesSingle: RunUntil chopped into 16 windows
-// dispatches exactly the (time, origin) sequence of one RunUntil over the
+// dispatches exactly the (time, event) sequence of one RunUntil over the
 // whole horizon, including events that land on a window boundary. The
 // fleet replay's progress windows rely on this to keep its digest
 // independent of the window count.
 func TestRunUntilWindowedMatchesSingle(t *testing.T) {
 	type dispatch struct {
-		at     Time
-		origin int
+		at Time
+		id int
 	}
 	const (
 		ctxs    = 8
@@ -516,27 +516,25 @@ func TestRunUntilWindowedMatchesSingle(t *testing.T) {
 	run := func(n int) []dispatch {
 		e := New()
 		var log []dispatch
-		e.SetDispatchHook(func(now Time) { log = append(log, dispatch{now, e.Origin()}) })
+		// Each callback logs its own id: c for context c's tick,
+		// ctxs+c for a hop sent by context c.
+		fire := func(id int) { log = append(log, dispatch{e.Now(), id}) }
 		for c := 0; c < ctxs; c++ {
 			c := c
 			period := Time(250 + 13*(c%5))
-			partner := (c + ctxs/2) % ctxs
 			ticks := 0
 			var tick func()
 			tick = func() {
+				fire(c)
 				ticks++
 				if ticks%3 == 0 {
-					// A cross-context hop, attributed to its target.
-					e.SetOrigin(partner)
-					e.After(Time(90+c), func() {})
-					e.SetOrigin(c)
+					// A cross-context hop.
+					e.After(Time(90+c), func() { fire(ctxs + c) })
 				}
 				e.After(period, tick)
 			}
-			e.SetOrigin(c)
 			e.At(period, tick)
 		}
-		e.SetOrigin(NoOrigin)
 		for w := 1; w <= n; w++ {
 			end := horizon * Time(w) / Time(n)
 			e.RunUntil(end)

@@ -1,9 +1,6 @@
-// Package stats implements the measurement methodology used throughout the
-// paper's evaluation: sample summaries (mean, standard deviation,
-// percentiles), outlier rejection at a sigma multiple, and the
-// "repeat until the standard deviation is below a fraction of the mean"
-// confidence loop (§6: std-dev and timing overheads below 1% of the mean
-// with 2σ confidence after removing outliers with 4σ confidence).
+// Package stats summarises sample sets: mean, standard deviation,
+// min/max and percentiles. Every experiment cell is one deterministic
+// run, so there is no repeat-until-stable loop and no outlier filter.
 package stats
 
 import (
@@ -93,30 +90,6 @@ func percentileSorted(s []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// RejectOutliers removes samples farther than sigma standard deviations
-// from the mean, as in the paper's 4σ outlier filter. The original slice
-// is not modified. If all samples would be rejected (pathological sigma),
-// the input is returned unchanged.
-func RejectOutliers(xs []float64, sigma float64) []float64 {
-	if len(xs) < 3 {
-		return append([]float64(nil), xs...)
-	}
-	m, sd := Mean(xs), Stddev(xs)
-	if sd == 0 {
-		return append([]float64(nil), xs...)
-	}
-	out := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if math.Abs(x-m) <= sigma*sd {
-			out = append(out, x)
-		}
-	}
-	if len(out) == 0 {
-		return append([]float64(nil), xs...)
-	}
-	return out
-}
-
 // Summary condenses a sample set.
 type Summary struct {
 	N      int
@@ -147,56 +120,4 @@ func Summarize(xs []float64) (Summary, error) {
 		P95:    percentileSorted(s, 95),
 		P99:    percentileSorted(s, 99),
 	}, nil
-}
-
-// RelStddev returns stddev/mean, or 0 when the mean is 0.
-func RelStddev(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return Stddev(xs) / math.Abs(m)
-}
-
-// ConfidenceOpts parameterizes MeasureUntilStable.
-type ConfidenceOpts struct {
-	RelTol       float64 // target stddev/mean after outlier removal (paper: 0.01)
-	OutlierSigma float64 // outlier rejection threshold (paper: 4)
-	MinSamples   int     // never conclude on fewer samples
-	MaxSamples   int     // hard cap to bound runtime
-	Batch        int     // samples collected between convergence checks
-}
-
-// DefaultConfidence mirrors the paper's methodology.
-func DefaultConfidence() ConfidenceOpts {
-	return ConfidenceOpts{RelTol: 0.01, OutlierSigma: 4, MinSamples: 16, MaxSamples: 4096, Batch: 8}
-}
-
-// MeasureUntilStable repeatedly calls sample() until the 4σ-filtered
-// sample set has a relative standard deviation below RelTol, then returns
-// the filtered samples. It always returns at least MinSamples samples and
-// gives up (returning what it has) at MaxSamples.
-func MeasureUntilStable(sample func() float64, o ConfidenceOpts) []float64 {
-	if o.Batch <= 0 {
-		o.Batch = 8
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 16
-	}
-	if o.MaxSamples < o.MinSamples {
-		o.MaxSamples = o.MinSamples
-	}
-	var xs []float64
-	for len(xs) < o.MinSamples {
-		xs = append(xs, sample())
-	}
-	for {
-		kept := RejectOutliers(xs, o.OutlierSigma)
-		if RelStddev(kept) <= o.RelTol || len(xs) >= o.MaxSamples {
-			return kept
-		}
-		for i := 0; i < o.Batch && len(xs) < o.MaxSamples; i++ {
-			xs = append(xs, sample())
-		}
-	}
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -61,44 +60,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestRejectOutliers(t *testing.T) {
-	xs := []float64{10, 10, 10, 10, 10, 10, 10, 10, 10, 1000}
-	kept := RejectOutliers(xs, 2)
-	if len(kept) != 9 {
-		t.Fatalf("kept %d, want 9", len(kept))
-	}
-	for _, x := range kept {
-		if x != 10 {
-			t.Fatalf("outlier survived: %v", x)
-		}
-	}
-}
-
-func TestRejectOutliersUniformKept(t *testing.T) {
-	xs := []float64{5, 5, 5, 5}
-	kept := RejectOutliers(xs, 4)
-	if len(kept) != 4 {
-		t.Fatalf("uniform data lost samples: %d", len(kept))
-	}
-}
-
-func TestRejectOutliersSmallInput(t *testing.T) {
-	xs := []float64{1, 100}
-	kept := RejectOutliers(xs, 0.1)
-	if len(kept) != 2 {
-		t.Fatal("inputs with <3 samples must be kept whole")
-	}
-}
-
-func TestRejectOutliersIdempotentOnClean(t *testing.T) {
-	xs := []float64{9.9, 10, 10.1, 10, 9.95, 10.05, 10, 10}
-	once := RejectOutliers(xs, 4)
-	twice := RejectOutliers(once, 4)
-	if len(once) != len(twice) {
-		t.Fatalf("second pass removed more: %d -> %d", len(once), len(twice))
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	if _, err := Summarize(nil); err != ErrNoSamples {
 		t.Fatal("expected ErrNoSamples")
@@ -109,56 +70,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.N != 4 || s.Min != 1 || s.Max != 4 || !almost(s.Mean, 2.5) || !almost(s.P50, 2.5) {
 		t.Fatalf("summary = %+v", s)
-	}
-}
-
-func TestRelStddev(t *testing.T) {
-	if RelStddev([]float64{0, 0, 0}) != 0 {
-		t.Fatal("zero-mean relstddev should be 0")
-	}
-	got := RelStddev([]float64{99, 100, 101})
-	if !almost(got, 1.0/100) {
-		t.Fatalf("relstddev = %v", got)
-	}
-}
-
-func TestMeasureUntilStableConverges(t *testing.T) {
-	i := 0
-	// A sequence with two gross outliers, then near-constant: the 4σ filter
-	// must discard the outliers and the loop must converge.
-	sample := func() float64 {
-		i++
-		if i <= 2 {
-			return 1e6
-		}
-		return 50 + float64(i%2) // 50 or 51: rel stddev ~1%
-	}
-	xs := MeasureUntilStable(sample, ConfidenceOpts{RelTol: 0.01, OutlierSigma: 4, MinSamples: 8, MaxSamples: 512, Batch: 8})
-	if len(xs) < 8 {
-		t.Fatalf("returned %d samples, want >= MinSamples", len(xs))
-	}
-	if RelStddev(xs) > 0.011 && len(xs) < 512 {
-		t.Fatalf("did not converge: rel=%v n=%d", RelStddev(xs), len(xs))
-	}
-}
-
-func TestMeasureUntilStableHitsCap(t *testing.T) {
-	i := 0
-	sample := func() float64 { i++; return float64(i % 7) } // never stable
-	xs := MeasureUntilStable(sample, ConfidenceOpts{RelTol: 0.0001, OutlierSigma: 4, MinSamples: 8, MaxSamples: 64, Batch: 8})
-	if i > 64 {
-		t.Fatalf("took %d raw samples, cap is 64", i)
-	}
-	if len(xs) == 0 {
-		t.Fatal("must return samples even at cap")
-	}
-}
-
-func TestMeasureUntilStableDefaults(t *testing.T) {
-	n := 0
-	xs := MeasureUntilStable(func() float64 { n++; return 42 }, ConfidenceOpts{})
-	if len(xs) < 16 {
-		t.Fatalf("defaults must enforce a sane MinSamples, got %d", len(xs))
 	}
 }
 
@@ -179,39 +90,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		}
 		v1, v2 := Percentile(xs, p1), Percentile(xs, p2)
 		return v1 <= v2+1e-9 && v1 >= Min(xs)-1e-9 && v2 <= Max(xs)+1e-9
-	}
-	if err := quick.Check(prop, qcheck.Config(t, 300)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: outlier rejection never increases the sample count and keeps a
-// subset of the original values.
-func TestRejectOutliersSubsetProperty(t *testing.T) {
-	prop := func(raw []int16) bool {
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		kept := RejectOutliers(xs, 4)
-		if len(kept) > len(xs) {
-			return false
-		}
-		// multiset subset check
-		remaining := append([]float64(nil), xs...)
-		sort.Float64s(remaining)
-		sort.Float64s(kept)
-		j := 0
-		for _, k := range kept {
-			for j < len(remaining) && remaining[j] < k {
-				j++
-			}
-			if j >= len(remaining) || remaining[j] != k {
-				return false
-			}
-			j++
-		}
-		return true
 	}
 	if err := quick.Check(prop, qcheck.Config(t, 300)); err != nil {
 		t.Fatal(err)

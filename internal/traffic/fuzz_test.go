@@ -21,15 +21,12 @@ func FuzzArrivalTrace(f *testing.F) {
 			return
 		}
 		spec := Spec{
-			Kind:      Kind(data[0] % 3),
+			Kind:      Kind(data[0] % 2),
 			Rate:      float64(data[1]) * 1000,
 			BurstRate: float64(data[2]) * 2000,
 			OnDur:     sim.Time(data[3]) * 10 * sim.Microsecond,
 			OffDur:    sim.Time(data[4]) * 10 * sim.Microsecond,
 			Seed:      int64(binary.LittleEndian.Uint32(data[5:9])),
-		}
-		for _, g := range data[9:] {
-			spec.Gaps = append(spec.Gaps, sim.Time(g))
 		}
 		const horizon = 200 * sim.Microsecond
 		a := spec.Arrivals(horizon)

@@ -1,9 +1,9 @@
 // Package traffic generates open-loop arrival processes for the load
-// plane: seeded Poisson streams, bursty on/off modulation, and
-// recorded-trace playback. An arrival schedule is a pure function of
-// its Spec — the same spec yields the same arrival instants on every
-// run, at any parallelism — which is what lets the load-balancer
-// scenario stay byte-identical while modelling production-shaped load.
+// plane: seeded Poisson streams and bursty on/off modulation. An
+// arrival schedule is a pure function of its Spec — the same spec
+// yields the same arrival instants on every run, at any parallelism —
+// which is what lets the load-balancer scenario stay byte-identical
+// while modelling production-shaped load.
 package traffic
 
 import (
@@ -23,9 +23,6 @@ const (
 	// phases at Rate (for OffDur). Rate zero makes the quiet phase
 	// silent.
 	OnOff
-	// Trace replays recorded inter-arrival gaps, cycling when the
-	// trace is shorter than the horizon.
-	Trace
 )
 
 func (k Kind) String() string {
@@ -34,23 +31,8 @@ func (k Kind) String() string {
 		return "poisson"
 	case OnOff:
 		return "burst"
-	case Trace:
-		return "trace"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// ParseKind maps a CLI token to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "poisson":
-		return Poisson, nil
-	case "burst", "onoff":
-		return OnOff, nil
-	case "trace":
-		return Trace, nil
-	}
-	return 0, fmt.Errorf("traffic: unknown kind %q (want poisson, burst, or trace)", s)
 }
 
 // Spec fully determines an arrival schedule.
@@ -66,8 +48,6 @@ type Spec struct {
 	OnDur, OffDur sim.Time
 	// Seed drives every random draw.
 	Seed int64
-	// Gaps is the recorded inter-arrival trace (Trace kind).
-	Gaps []sim.Time
 }
 
 func (s Spec) String() string {
@@ -75,8 +55,6 @@ func (s Spec) String() string {
 	case OnOff:
 		return fmt.Sprintf("burst(%.0f/%.0f req/s, on=%v off=%v, seed=%d)",
 			s.BurstRate, s.Rate, s.onDur(), s.offDur(), s.Seed)
-	case Trace:
-		return fmt.Sprintf("trace(%d gaps)", len(s.Gaps))
 	}
 	return fmt.Sprintf("poisson(%.0f req/s, seed=%d)", s.Rate, s.Seed)
 }
@@ -125,27 +103,15 @@ type gen struct {
 	spec Spec
 	rnd  func() float64
 	t    sim.Time
-	i    int // trace cursor
 
 	on       bool
 	phaseEnd sim.Time
 }
 
 // next produces the following arrival instant. ok=false means the
-// process is silent forever after (zero rates, empty trace).
+// process is silent forever after (zero rates).
 func (g *gen) next() (sim.Time, bool) {
 	switch g.spec.Kind {
-	case Trace:
-		if len(g.spec.Gaps) == 0 {
-			return 0, false
-		}
-		gap := g.spec.Gaps[g.i%len(g.spec.Gaps)]
-		g.i++
-		if gap < 1 {
-			gap = 1
-		}
-		g.t += gap
-		return g.t, true
 	case OnOff:
 		// Draw at the current phase's rate; a gap that crosses the
 		// phase boundary is re-drawn from the boundary (the exponential

@@ -70,23 +70,6 @@ func TestOnOffSilentQuietPhase(t *testing.T) {
 	}
 }
 
-func TestTracePlayback(t *testing.T) {
-	gaps := []sim.Time{10, 20, 30}
-	arr := Spec{Kind: Trace, Gaps: gaps}.Arrivals(150)
-	want := []sim.Time{10, 30, 60, 70, 90, 120, 130}
-	if len(arr) != len(want) {
-		t.Fatalf("got %d arrivals %v, want %v", len(arr), arr, want)
-	}
-	for i := range want {
-		if arr[i] != want[i] {
-			t.Fatalf("arrival %d = %v, want %v (trace must cycle)", i, arr[i], want[i])
-		}
-	}
-	if got := (Spec{Kind: Trace}).Arrivals(100); len(got) != 0 {
-		t.Fatal("empty trace must be silent")
-	}
-}
-
 func TestZeroRateSilent(t *testing.T) {
 	if got := (Spec{Kind: Poisson}).Arrivals(sim.Second); len(got) != 0 {
 		t.Fatal("zero-rate poisson must be silent")
@@ -139,17 +122,5 @@ func TestSourceOffsetBase(t *testing.T) {
 	w := spec.Arrivals(100 * sim.Microsecond)
 	if len(w) == 0 || first != 100*sim.Microsecond+w[0] {
 		t.Fatalf("first fire at %v, want base+%v", first, w[0])
-	}
-}
-
-func TestParseKind(t *testing.T) {
-	for s, k := range map[string]Kind{"poisson": Poisson, "burst": OnOff, "onoff": OnOff, "trace": Trace} {
-		got, err := ParseKind(s)
-		if err != nil || got != k {
-			t.Fatalf("ParseKind(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseKind("sinusoid"); err == nil {
-		t.Fatal("unknown kind must error")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // port — as instance state. It embeds the experiment session, whose
 // methods are the experiments (CPUIDNested, NetLatency, DensitySweep,
 // LoadBalancer, ...) and the setters (SetParallelism, SetObs,
-// SetFaults, SetTopology, SetHostParams, SetPort), and the report
+// SetFaults, SetTopology, SetPort), and the report
 // renderer, whose methods print the paper's tables and figures
 // (Table1, Figure6, Density, Ports, ...). Two sessions never share
 // mutable state, so concurrent campaigns (one traced, one not;
