@@ -12,6 +12,7 @@ package ept
 
 import (
 	"fmt"
+	"slices"
 
 	"svtsim/internal/mem"
 )
@@ -68,24 +69,29 @@ func (e *ViolationError) Error() string {
 	return fmt.Sprintf("ept: violation at %#x (need %s)", e.GPA, e.Need)
 }
 
-// entry is one guest frame's mapping packed into a word: the host frame
-// number above bit 8, a present bit, and the permissions in the low
-// byte. The zero entry is an unmapped frame.
-type entry uint64
-
-const entryPresent entry = 1 << 8
-
-func mkEntry(hostPage uint64, perm Perm) entry {
-	return entry(hostPage<<9) | entryPresent | entry(perm)
+// run is one extent of a table: n guest frames from gfn mapped to n
+// contiguous host frames from hostPage, all with the same permissions.
+type run struct {
+	gfn, n, hostPage uint64
+	perm             Perm
 }
 
-func (e entry) mapped() bool     { return e&entryPresent != 0 }
-func (e entry) hostPage() uint64 { return uint64(e >> 9) }
-func (e entry) perm() Perm       { return Perm(e) }
+// end returns the first guest frame past the run.
+func (r run) end() uint64 { return r.gfn + r.n }
 
-// maxGPA bounds the guest-physical range a table can map (64 GB). A
-// table is a dense array indexed by guest frame number, so its highest
-// mapped frame sets its size.
+// from returns the part of r at and after guest frame g (inside r).
+func (r run) from(g uint64) run {
+	d := g - r.gfn
+	return run{gfn: g, n: r.n - d, hostPage: r.hostPage + d, perm: r.perm}
+}
+
+// joins reports whether next continues r in both guest and host frames
+// with the same permissions, so the two are one extent.
+func (r run) joins(next run) bool {
+	return r.end() == next.gfn && r.hostPage+r.n == next.hostPage && r.perm == next.perm
+}
+
+// maxGPA bounds the guest-physical range a table can map (64 GB).
 const maxGPA = 1 << 36
 
 type devRegion struct {
@@ -96,9 +102,11 @@ type devRegion struct {
 // Table is one extended page table. The zero value is not usable;
 // construct with New.
 type Table struct {
-	name    string
-	pages   []entry // indexed by guest frame number
-	mapped  int     // present entries in pages
+	name string
+	// runs is sorted by gfn, disjoint and maximally merged: no run
+	// joins the next one.
+	runs    []run
+	mapped  int // Σ runs[i].n
 	devs    []devRegion
 	epoch   uint64 // bumped by Invalidate, lets cached walks detect staleness
 	walkCnt uint64
@@ -128,39 +136,70 @@ func (t *Table) Map(gpa, hpa, size uint64, perm Perm) error {
 	if gpa >= maxGPA || size > maxGPA-gpa {
 		return fmt.Errorf("ept %s: map gpa=%#x size=%#x beyond the %#x guest-physical range", t.name, gpa, size, uint64(maxGPA))
 	}
-	gfn, hostPage, n := gpa/mem.PageSize, hpa/mem.PageSize, size/mem.PageSize
-	t.grow(gfn + n)
-	for i := uint64(0); i < n; i++ {
-		t.set(gfn+i, mkEntry(hostPage+i, perm))
-	}
+	t.put(run{gfn: gpa / mem.PageSize, n: size / mem.PageSize, hostPage: hpa / mem.PageSize, perm: perm})
 	return nil
 }
 
-// grow extends the page array to cover frames below end.
-func (t *Table) grow(end uint64) {
-	if end > uint64(len(t.pages)) {
-		t.pages = append(t.pages, make([]entry, end-uint64(len(t.pages)))...)
+// put installs r over whatever it overlaps, merging it with contiguous
+// neighbours.
+func (t *Table) put(r run) {
+	i := t.cut(r.gfn, r.end())
+	t.mapped += int(r.n)
+	if i > 0 && t.runs[i-1].joins(r) {
+		i--
+		t.runs[i].n += r.n
+	} else {
+		t.runs = slices.Insert(t.runs, i, r)
+	}
+	if i+1 < len(t.runs) && t.runs[i].joins(t.runs[i+1]) {
+		t.runs[i].n += t.runs[i+1].n
+		t.runs = slices.Delete(t.runs, i+1, i+2)
 	}
 }
 
-// set stores e at frame gfn (within the array), keeping the mapped count.
-func (t *Table) set(gfn uint64, e entry) {
-	if t.pages[gfn].mapped() {
-		t.mapped--
+// find returns the index of the first run ending after frame gfn: the
+// run holding gfn if one does, else the first run above it.
+func (t *Table) find(gfn uint64) int {
+	lo, hi := 0, len(t.runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.runs[m].end() <= gfn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	if e.mapped() {
-		t.mapped++
-	}
-	t.pages[gfn] = e
+	return lo
 }
 
-// lookup returns the entry for frame gfn; frames past the array are
-// unmapped.
-func (t *Table) lookup(gfn uint64) entry {
-	if gfn < uint64(len(t.pages)) {
-		return t.pages[gfn]
+// cut removes frames [lo, hi), splitting the runs it cuts through, and
+// returns the index where a run starting at lo belongs.
+func (t *Table) cut(lo, hi uint64) int {
+	i := t.find(lo)
+	if i < len(t.runs) && t.runs[i].gfn < lo {
+		r := t.runs[i]
+		t.runs[i].n = lo - r.gfn
+		i++
+		t.runs = slices.Insert(t.runs, i, r.from(lo))
 	}
-	return 0
+	j := i
+	for ; j < len(t.runs) && t.runs[j].end() <= hi; j++ {
+		t.mapped -= int(t.runs[j].n)
+	}
+	if j < len(t.runs) && t.runs[j].gfn < hi {
+		t.mapped -= int(hi - t.runs[j].gfn)
+		t.runs[j] = t.runs[j].from(hi)
+	}
+	t.runs = slices.Delete(t.runs, i, j)
+	return i
+}
+
+// lookup returns the run holding frame gfn.
+func (t *Table) lookup(gfn uint64) (run, bool) {
+	if i := t.find(gfn); i < len(t.runs) && t.runs[i].gfn <= gfn {
+		return t.runs[i], true
+	}
+	return run{}, false
 }
 
 // Unmap removes mappings over [gpa, gpa+size).
@@ -168,8 +207,11 @@ func (t *Table) Unmap(gpa, size uint64) error {
 	if gpa%mem.PageSize != 0 || size%mem.PageSize != 0 {
 		return fmt.Errorf("ept %s: unaligned unmap", t.name)
 	}
-	for gfn := gpa / mem.PageSize; gfn < (gpa+size)/mem.PageSize && gfn < uint64(len(t.pages)); gfn++ {
-		t.set(gfn, 0)
+	if gpa+size < gpa {
+		return fmt.Errorf("ept %s: unmap gpa=%#x size=%#x wraps the address space", t.name, gpa, size)
+	}
+	if size > 0 {
+		t.cut(gpa/mem.PageSize, (gpa+size)/mem.PageSize)
 	}
 	return nil
 }
@@ -179,6 +221,9 @@ func (t *Table) Unmap(gpa, size uint64) error {
 func (t *Table) MapMisconfig(gpa, size, dev uint64) error {
 	if size == 0 {
 		return fmt.Errorf("ept %s: empty misconfig region", t.name)
+	}
+	if gpa+size < gpa {
+		return fmt.Errorf("ept %s: misconfig gpa=%#x size=%#x wraps the address space", t.name, gpa, size)
 	}
 	t.devs = append(t.devs, devRegion{base: gpa, size: size, dev: dev})
 	return nil
@@ -194,6 +239,23 @@ func (t *Table) DeviceAt(gpa uint64) (uint64, bool) {
 	return 0, false
 }
 
+// nextDevicePage returns the first frame at or after gfn whose first
+// byte lies in a device region (^0 if none).
+func (t *Table) nextDevicePage(gfn uint64) uint64 {
+	next := ^uint64(0)
+	for _, d := range t.devs {
+		first := d.base / mem.PageSize
+		if d.base%mem.PageSize != 0 {
+			first++
+		}
+		last := (d.base + d.size - 1) / mem.PageSize // frame holding the last byte
+		if first = max(first, gfn); first <= last && first < next {
+			next = first
+		}
+	}
+	return next
+}
+
 // Translate walks the table for a single access at gpa needing perm
 // permissions, returning the host-physical address.
 func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
@@ -201,11 +263,12 @@ func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
 	if dev, ok := t.DeviceAt(gpa); ok {
 		return 0, &MisconfigError{GPA: gpa, Dev: dev}
 	}
-	e := t.lookup(gpa / mem.PageSize)
-	if !e.mapped() || e.perm()&need != need {
+	gfn := gpa / mem.PageSize
+	r, ok := t.lookup(gfn)
+	if !ok || r.perm&need != need {
 		return 0, &ViolationError{GPA: gpa, Need: need}
 	}
-	return e.hostPage()*mem.PageSize + gpa%mem.PageSize, nil
+	return (r.hostPage+gfn-r.gfn)*mem.PageSize + gpa%mem.PageSize, nil
 }
 
 // Invalidate models INVEPT: it bumps the epoch so that any cached
@@ -223,28 +286,41 @@ func (t *Table) DeviceRegions() int { return len(t.devs) }
 // gpaInner→hpa with the intersection of permissions. Device regions of
 // the inner table are preserved (they must keep trapping in the composed
 // table), and inner pages that land on an outer device region become
-// device regions too, in guest-frame order.
+// one-page device regions too, in guest-frame order. Runs are composed
+// whole: each emitted piece ends where an inner run, an outer run or an
+// outer device window does.
 func Compose(name string, inner, outer *Table) (*Table, error) {
-	out := &Table{name: name, pages: make([]entry, len(inner.pages))}
-	for gfn, e := range inner.pages {
-		if !e.mapped() {
-			continue
-		}
-		gpa := uint64(gfn) * mem.PageSize
-		if dev, ok := outer.DeviceAt(e.hostPage() * mem.PageSize); ok {
-			if err := out.MapMisconfig(gpa, mem.PageSize, dev); err != nil {
-				return nil, err
+	out := &Table{name: name}
+	for _, r := range inner.runs {
+		for g := r.gfn; g < r.end(); {
+			l1 := r.hostPage + g - r.gfn
+			dev := outer.nextDevicePage(l1)
+			if dev == l1 {
+				d, _ := outer.DeviceAt(l1 * mem.PageSize)
+				out.devs = append(out.devs, devRegion{base: g * mem.PageSize, size: mem.PageSize, dev: d})
+				g++
+				continue
 			}
-			continue
+			o, ok := outer.lookup(l1)
+			if !ok {
+				return nil, &ViolationError{GPA: l1 * mem.PageSize, Need: PermR}
+			}
+			n := min(r.end()-g, o.end()-l1, dev-l1)
+			out.appendRun(run{gfn: g, n: n, hostPage: o.hostPage + l1 - o.gfn, perm: r.perm & o.perm})
+			g += n
 		}
-		oe := outer.lookup(e.hostPage())
-		if !oe.mapped() {
-			return nil, &ViolationError{GPA: e.hostPage() * mem.PageSize, Need: PermR}
-		}
-		out.set(uint64(gfn), mkEntry(oe.hostPage(), e.perm()&oe.perm()))
 	}
-	for _, d := range inner.devs {
-		out.devs = append(out.devs, d)
-	}
+	out.devs = append(out.devs, inner.devs...)
 	return out, nil
+}
+
+// appendRun adds r above every run of the table, merging it with the
+// last one when they join.
+func (t *Table) appendRun(r run) {
+	t.mapped += int(r.n)
+	if k := len(t.runs) - 1; k >= 0 && t.runs[k].joins(r) {
+		t.runs[k].n += r.n
+		return
+	}
+	t.runs = append(t.runs, r)
 }

@@ -3,6 +3,7 @@ package ept
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -248,7 +249,7 @@ func TestComposeDeviceOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestDenseStorageBounds(t *testing.T) {
+func TestStorageBounds(t *testing.T) {
 	e := New("t")
 	if err := e.Map(maxGPA-pg, 0, 2*pg, PermR); err == nil {
 		t.Fatal("a map past maxGPA must fail")
@@ -273,6 +274,135 @@ func TestDenseStorageBounds(t *testing.T) {
 	}
 	if e.MappedPages() != 0 {
 		t.Fatalf("mapped = %d after unmapping everything", e.MappedPages())
+	}
+}
+
+// A range whose end wraps past 2^64 is rejected, naming the table; it
+// used to unmap nothing, or install a device window nothing could hit.
+func TestWrappingRangesRejected(t *testing.T) {
+	e := New("ept12")
+	if err := e.Map(0, 0, 2*pg, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	top := ^uint64(0) &^ (pg - 1)
+	err := e.Unmap(pg, top)
+	if err == nil || !strings.Contains(err.Error(), "ept12") {
+		t.Fatalf("wrapping unmap: err = %v, want an error naming ept12", err)
+	}
+	if e.MappedPages() != 2 {
+		t.Fatalf("mapped = %d after a rejected unmap, want 2", e.MappedPages())
+	}
+	err = e.MapMisconfig(top, 2*pg, 5)
+	if err == nil || !strings.Contains(err.Error(), "ept12") {
+		t.Fatalf("wrapping misconfig: err = %v, want an error naming ept12", err)
+	}
+	if e.DeviceRegions() != 0 {
+		t.Fatalf("device regions = %d after a rejected misconfig", e.DeviceRegions())
+	}
+	if err := e.Unmap(0, 1<<30); err != nil { // past the mapped range, no wrap
+		t.Fatal(err)
+	}
+	if e.MappedPages() != 0 {
+		t.Fatalf("mapped = %d after unmapping everything", e.MappedPages())
+	}
+}
+
+// A 64 MB map is one extent, and stays one through SaveState/LoadState.
+func TestLargeMapOneExtent(t *testing.T) {
+	e := New("ept01")
+	if err := e.Map(0, 1<<32, 64<<20, PermRWX); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.runs) != 1 || e.MappedPages() != 64<<20/pg {
+		t.Fatalf("runs = %d mapped = %d, want 1 run of %d pages", len(e.runs), e.MappedPages(), 64<<20/pg)
+	}
+	st := e.SaveState()
+	r := New("ept01")
+	r.LoadState(st)
+	if len(r.runs) != 1 || !reflect.DeepEqual(r.runs, e.runs) || r.MappedPages() != e.MappedPages() {
+		t.Fatalf("restored runs %+v, want %+v", r.runs, e.runs)
+	}
+	if !reflect.DeepEqual(r.SaveState(), st) {
+		t.Fatal("restored state differs from the saved one")
+	}
+}
+
+// Composing a single-run ept12 over a single-run ept01 yields a single
+// run, even with a device window elsewhere in ept01.
+func TestComposeOneExtent(t *testing.T) {
+	inner, outer := New("ept12"), New("ept01")
+	if err := inner.Map(0, 64<<20, 32<<20, PermRWX); err != nil {
+		t.Fatal(err)
+	}
+	if err := outer.Map(0, 1<<32, 128<<20, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := outer.MapMisconfig(0xFE000000, pg, 1); err != nil {
+		t.Fatal(err)
+	}
+	shadow, err := Compose("ept02", inner, outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []run{{gfn: 0, n: 32 << 20 / pg, hostPage: (1<<32 + 64<<20) / pg, perm: PermRW}}
+	if !reflect.DeepEqual(shadow.runs, want) || shadow.MappedPages() != 32<<20/pg {
+		t.Fatalf("ept02 runs %+v, want %+v", shadow.runs, want)
+	}
+}
+
+// An outer device window inside the frames an inner run crosses splits
+// the composed run. The page whose first byte lies in the window traps;
+// the window need not be page aligned.
+func TestComposeSplitsAtOuterDevice(t *testing.T) {
+	inner, outer := New("ept12"), New("ept01")
+	if err := inner.Map(0, 0, 8*pg, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := outer.Map(0, 0x100000, 8*pg, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := outer.MapMisconfig(4*pg-100, 200, 6); err != nil {
+		t.Fatal(err)
+	}
+	shadow, err := Compose("ept02", inner, outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []run{{gfn: 0, n: 4, hostPage: 0x100, perm: PermRW}, {gfn: 5, n: 3, hostPage: 0x105, perm: PermRW}}
+	if !reflect.DeepEqual(shadow.runs, want) {
+		t.Fatalf("ept02 runs %+v, want %+v", shadow.runs, want)
+	}
+	if got := shadow.SaveState().Devs; !reflect.DeepEqual(got, []DevState{{Base: 4 * pg, Size: pg, Dev: 6}}) {
+		t.Fatalf("ept02 devices %+v, want one page at frame 4", got)
+	}
+}
+
+// Remapping the middle of a run elsewhere leaves three runs; mapping it
+// back where it was merges them into one again.
+func TestRemapSplitsRun(t *testing.T) {
+	e := New("x")
+	if err := e.Map(0, 0x100000, 8*pg, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Map(3*pg, 0x900000, 2*pg, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	want := []run{
+		{gfn: 0, n: 3, hostPage: 0x100, perm: PermRW},
+		{gfn: 3, n: 2, hostPage: 0x900, perm: PermRW},
+		{gfn: 5, n: 3, hostPage: 0x105, perm: PermRW},
+	}
+	if !reflect.DeepEqual(e.runs, want) || e.MappedPages() != 8 {
+		t.Fatalf("runs %+v mapped %d, want %+v and 8", e.runs, e.MappedPages(), want)
+	}
+	if hpa, err := e.Translate(4*pg+1, PermW); err != nil || hpa != 0x901001 {
+		t.Fatalf("translate = %#x, %v", hpa, err)
+	}
+	if err := e.Map(3*pg, 0x103000, 2*pg, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.runs) != 1 || e.MappedPages() != 8 {
+		t.Fatalf("runs %+v mapped %d after mapping back, want one run of 8", e.runs, e.MappedPages())
 	}
 }
 

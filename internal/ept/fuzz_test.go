@@ -1,0 +1,207 @@
+package ept
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// refPage is one frame of the reference model.
+type refPage struct {
+	host uint64
+	perm Perm
+}
+
+// refTable is the obvious model of a table: one map entry per mapped
+// guest frame and the device regions in installation order.
+type refTable struct {
+	pages map[uint64]refPage
+	devs  []DevState
+	epoch uint64
+}
+
+func newRef() *refTable { return &refTable{pages: map[uint64]refPage{}} }
+
+func (m *refTable) deviceAt(gpa uint64) (uint64, bool) {
+	for _, d := range m.devs {
+		if gpa >= d.Base && gpa < d.Base+d.Size {
+			return d.Dev, true
+		}
+	}
+	return 0, false
+}
+
+func (m *refTable) translate(gpa uint64, need Perm) (uint64, error) {
+	if dev, ok := m.deviceAt(gpa); ok {
+		return 0, &MisconfigError{GPA: gpa, Dev: dev}
+	}
+	p, ok := m.pages[gpa/pg]
+	if !ok || p.perm&need != need {
+		return 0, &ViolationError{GPA: gpa, Need: need}
+	}
+	return p.host*pg + gpa%pg, nil
+}
+
+func (m *refTable) gfns() []uint64 {
+	gs := make([]uint64, 0, len(m.pages))
+	for g := range m.pages {
+		gs = append(gs, g)
+	}
+	slices.Sort(gs)
+	return gs
+}
+
+func (m *refTable) state() State {
+	s := State{Devs: m.devs, Epoch: m.epoch}
+	for _, g := range m.gfns() {
+		p := m.pages[g]
+		s.Pages = append(s.Pages, PageState{GFN: g, HostPage: p.host, Perm: p.perm})
+	}
+	return s
+}
+
+// refCompose is Compose page by page.
+func refCompose(inner, outer *refTable) (*refTable, error) {
+	out := newRef()
+	for _, g := range inner.gfns() {
+		p := inner.pages[g]
+		if dev, ok := outer.deviceAt(p.host * pg); ok {
+			out.devs = append(out.devs, DevState{Base: g * pg, Size: pg, Dev: dev})
+			continue
+		}
+		op, ok := outer.pages[p.host]
+		if !ok {
+			return nil, &ViolationError{GPA: p.host * pg, Need: PermR}
+		}
+		out.pages[g] = refPage{host: op.host, perm: p.perm & op.perm}
+	}
+	out.devs = append(out.devs, inner.devs...)
+	return out, nil
+}
+
+// checkTable compares tb with its model and checks the run invariant:
+// runs sorted, disjoint and non-empty, no run joining the next, and the
+// mapped count equal to the frames the runs hold.
+func checkTable(t *testing.T, step int, tb *Table, m *refTable) {
+	t.Helper()
+	sum := 0
+	for i, r := range tb.runs {
+		if r.n == 0 {
+			t.Fatalf("step %d: %s run %d is empty: %+v", step, tb.name, i, tb.runs)
+		}
+		if i > 0 && tb.runs[i-1].end() > r.gfn {
+			t.Fatalf("step %d: %s runs %d and %d overlap or are unsorted: %+v", step, tb.name, i-1, i, tb.runs)
+		}
+		if i > 0 && tb.runs[i-1].joins(r) {
+			t.Fatalf("step %d: %s runs %d and %d should be merged: %+v", step, tb.name, i-1, i, tb.runs)
+		}
+		sum += int(r.n)
+	}
+	if sum != tb.MappedPages() || tb.MappedPages() != len(m.pages) {
+		t.Fatalf("step %d: %s mapped = %d, runs hold %d, model %d", step, tb.name, tb.MappedPages(), sum, len(m.pages))
+	}
+	got, want := tb.SaveState(), m.state()
+	if !slices.Equal(got.Pages, want.Pages) || !slices.Equal(got.Devs, want.Devs) || got.Epoch != want.Epoch {
+		t.Fatalf("step %d: %s state\n%+v\nwant\n%+v", step, tb.name, got, want)
+	}
+	for gfn := uint64(0); gfn < 72; gfn++ {
+		gpa, need := gfn*pg+gfn*37%pg, []Perm{PermR, PermW, PermX}[gfn%3]
+		h, err := tb.Translate(gpa, need)
+		wh, werr := m.translate(gpa, need)
+		if h != wh || !reflect.DeepEqual(err, werr) {
+			t.Fatalf("step %d: %s Translate(%#x, %s) = %#x, %v; model %#x, %v", step, tb.name, gpa, need, h, err, wh, werr)
+		}
+	}
+}
+
+// maxFuzzDevs caps a fuzzed table's device regions: repeated Compose
+// steps would otherwise pile up one region per page and make every
+// Translate check slow.
+const maxFuzzDevs = 32
+
+// FuzzTableOps drives two tables through random Map, Unmap,
+// MapMisconfig, Compose, Invalidate and SaveState→LoadState steps (the
+// saved pages in order or reversed) and checks both against the
+// per-frame model after every step. Each step
+// takes four bytes: an op (low three bits) and target table (bit 3),
+// then three arguments. Frames stay below 64 so runs overlap, split and
+// merge often.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 0, 16, 7, 0, 4, 20, 3, 1, 2, 3, 0})
+	f.Add([]byte{8, 0, 0, 7, 0, 0, 0, 7, 3, 0, 0, 0})
+	f.Add([]byte{8, 0, 40, 6, 10, 60, 2, 1, 0, 30, 8, 7, 3, 0, 0, 0, 4, 0, 0, 0})
+	f.Add([]byte{0, 5, 50, 7, 0, 6, 51, 7, 1, 5, 1, 0, 2, 255, 2, 1, 4, 0, 0, 0})
+	f.Add([]byte{8, 0, 0, 63, 10, 24, 1, 5, 0, 0, 0, 63, 3, 0, 0, 0}) // device inside an outer run
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tabs := [2]*Table{New("a"), New("b")}
+		refs := [2]*refTable{newRef(), newRef()}
+		for step := 0; len(data) >= 4 && step < 32; step++ {
+			op, x, y, z := data[0], uint64(data[1]), uint64(data[2]), data[3]
+			data = data[4:]
+			k := int(op>>3) & 1
+			tb, m := tabs[k], refs[k]
+			switch op & 7 {
+			case 0: // Map
+				gfn, host, n, perm := x%64, y%64, 1+uint64(z>>3)%16, Perm(z&7)
+				if err := tb.Map(gfn*pg, host*pg, n*pg, perm); err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < n; i++ {
+					m.pages[gfn+i] = refPage{host: host + i, perm: perm}
+				}
+			case 1: // Unmap
+				gfn, n := x%64, y%20
+				if err := tb.Unmap(gfn*pg, n*pg); err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < n; i++ {
+					delete(m.pages, gfn+i)
+				}
+			case 2: // MapMisconfig, sub-page aligned
+				gpa, size, dev := x*512, y*256, uint64(z)
+				if x == 255 {
+					gpa, size = ^uint64(0)&^(pg-1), 2*pg
+				}
+				if len(m.devs) >= maxFuzzDevs {
+					break
+				}
+				err := tb.MapMisconfig(gpa, size, dev)
+				if wantErr := size == 0 || gpa+size < gpa; (err != nil) != wantErr {
+					t.Fatalf("MapMisconfig(%#x, %#x) = %v", gpa, size, err)
+				}
+				if err == nil {
+					m.devs = append(m.devs, DevState{Base: gpa, Size: size, Dev: dev})
+				}
+			case 3: // Compose over the other table
+				c, err := Compose(tb.name, tb, tabs[1-k])
+				wc, werr := refCompose(m, refs[1-k])
+				if !reflect.DeepEqual(err, werr) {
+					t.Fatalf("Compose err = %v, model %v", err, werr)
+				}
+				if err == nil && len(wc.devs) <= maxFuzzDevs {
+					tabs[k], refs[k] = c, wc
+				}
+			case 4, 6: // SaveState → LoadState into a table with other content
+				st := tb.SaveState()
+				if op&7 == 6 { // pages out of order take the general insert path
+					slices.Reverse(st.Pages)
+				}
+				r := New(tb.name)
+				if err := r.Map(0, 0, 64*pg, PermRWX); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.MapMisconfig(0, pg, 99); err != nil {
+					t.Fatal(err)
+				}
+				r.LoadState(st)
+				tabs[k] = r
+			case 5: // Invalidate
+				tb.Invalidate()
+				m.epoch++
+			}
+			for i := range tabs {
+				checkTable(t, step, tabs[i], refs[i])
+			}
+		}
+	})
+}

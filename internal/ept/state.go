@@ -13,13 +13,30 @@ type DevState struct {
 }
 
 // State is the canonical serializable form of a table: mappings sorted
-// by guest frame number, device regions in installation order, and the
-// invalidation epoch. The walk counter is a performance tally, not
-// architectural state, and is excluded.
+// by guest frame number, one per page, device regions in installation
+// order, and the invalidation epoch. The walk counter is a performance
+// tally, not architectural state, and is excluded.
 type State struct {
 	Pages []PageState
 	Devs  []DevState
 	Epoch uint64
+}
+
+// EachPage calls f for every mapped page in guest-frame order: the
+// Pages of SaveState without building them.
+func (t *Table) EachPage(f func(PageState)) {
+	for _, r := range t.runs {
+		for i := uint64(0); i < r.n; i++ {
+			f(PageState{GFN: r.gfn + i, HostPage: r.hostPage + i, Perm: r.perm})
+		}
+	}
+}
+
+// EachDevice calls f for every device region in installation order.
+func (t *Table) EachDevice(f func(DevState)) {
+	for _, d := range t.devs {
+		f(DevState{Base: d.base, Size: d.size, Dev: d.dev})
+	}
 }
 
 // SaveState captures the table content.
@@ -28,30 +45,23 @@ func (t *Table) SaveState() State {
 	if t.mapped > 0 {
 		s.Pages = make([]PageState, 0, t.mapped)
 	}
-	for gfn, e := range t.pages {
-		if e.mapped() {
-			s.Pages = append(s.Pages, PageState{GFN: uint64(gfn), HostPage: e.hostPage(), Perm: e.perm()})
-		}
-	}
-	for _, d := range t.devs {
-		s.Devs = append(s.Devs, DevState{Base: d.base, Size: d.size, Dev: d.dev})
-	}
+	t.EachPage(func(p PageState) { s.Pages = append(s.Pages, p) })
+	t.EachDevice(func(d DevState) { s.Devs = append(s.Devs, d) })
 	return s
 }
 
-// LoadState replaces the table content with a saved state. Mappings
-// installed after the capture are dropped, exactly as a restored EPT
-// must forget post-snapshot changes.
+// LoadState replaces the table content with a saved state, coalescing
+// its pages back into runs. Mappings installed after the capture are
+// dropped, exactly as a restored EPT must forget post-snapshot changes.
 func (t *Table) LoadState(s State) {
-	clear(t.pages)
-	t.pages, t.mapped = t.pages[:0], 0
-	var end uint64
+	t.runs, t.mapped = t.runs[:0], 0
 	for _, p := range s.Pages {
-		end = max(end, p.GFN+1)
-	}
-	t.grow(end)
-	for _, p := range s.Pages {
-		t.set(p.GFN, mkEntry(p.HostPage, p.Perm))
+		r := run{gfn: p.GFN, n: 1, hostPage: p.HostPage, perm: p.Perm}
+		if k := len(t.runs) - 1; k < 0 || t.runs[k].end() <= p.GFN {
+			t.appendRun(r)
+		} else {
+			t.put(r)
+		}
 	}
 	t.devs = t.devs[:0]
 	for _, d := range s.Devs {

@@ -413,23 +413,21 @@ func getVMCS(r *reader, v *vmcs.VMCS) {
 }
 
 func putEPT(w *writer, t *ept.Table) {
-	var st ept.State
-	if !w.sizing {
-		st = t.SaveState()
-	}
-	w.table(t.MappedPages(), 3, func(i int) {
-		p := st.Pages[i]
-		w.word(p.GFN)
-		w.word(p.HostPage)
-		w.word(uint64(p.Perm))
+	w.table(t.MappedPages(), 3, func() {
+		t.EachPage(func(p ept.PageState) {
+			w.word(p.GFN)
+			w.word(p.HostPage)
+			w.word(uint64(p.Perm))
+		})
 	})
-	w.table(t.DeviceRegions(), 3, func(i int) {
-		d := st.Devs[i]
-		w.word(d.Base)
-		w.word(d.Size)
-		w.word(d.Dev)
+	w.table(t.DeviceRegions(), 3, func() {
+		t.EachDevice(func(d ept.DevState) {
+			w.word(d.Base)
+			w.word(d.Size)
+			w.word(d.Dev)
+		})
 	})
-	w.word(st.Epoch)
+	w.word(t.Epoch())
 }
 
 func getEPT(r *reader, t *ept.Table) {
@@ -502,10 +500,12 @@ const wordsPerPage = mem.PageSize / 8
 // putPages writes n resident pages, each its index and contents. pages
 // is read only when words are produced (it is nil on a sizing writer).
 func putPages(w *writer, n int, pages []mem.Page) {
-	w.table(n, 1+wordsPerPage, func(i int) {
-		w.word(pages[i].Index)
-		for off := 0; off < mem.PageSize; off += 8 {
-			w.word(binary.LittleEndian.Uint64(pages[i].Data[off : off+8]))
+	w.table(n, 1+wordsPerPage, func() {
+		for i := 0; i < n; i++ {
+			w.word(pages[i].Index)
+			for off := 0; off < mem.PageSize; off += 8 {
+				w.word(binary.LittleEndian.Uint64(pages[i].Data[off : off+8]))
+			}
 		}
 	})
 }

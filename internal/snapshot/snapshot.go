@@ -171,17 +171,15 @@ func (w *writer) word(x uint64) {
 	}
 }
 
-// table writes a count word and then n rows of per words each, row(i)
-// producing row i. A sizing writer counts the rows without calling row.
-func (w *writer) table(n, per int, row func(i int)) {
+// table writes a count word and then n rows of per words each, all
+// produced by rows. A sizing writer counts the rows without calling rows.
+func (w *writer) table(n, per int, rows func()) {
 	w.word(uint64(n))
 	if w.sizing {
 		w.n += n * per
 		return
 	}
-	for i := 0; i < n; i++ {
-		row(i)
-	}
+	rows()
 }
 
 func (w *writer) time(t sim.Time) { w.word(uint64(t)) }
