@@ -195,9 +195,6 @@ func (l *LAPIC) SetTSCDeadline(t sim.Time) {
 // TimerArmed reports whether a deadline is pending.
 func (l *LAPIC) TimerArmed() bool { return l.deadlineEv.Pending() }
 
-// TimerFired reports how many deadline interrupts have fired.
-func (l *LAPIC) TimerFired() uint64 { return l.timerFired.Value() }
-
 // Delivered reports the total vectors delivered (including collapsed ones).
 func (l *LAPIC) Delivered() uint64 { return l.delivered.Value() }
 

@@ -94,8 +94,8 @@ func TestTSCDeadline(t *testing.T) {
 	if !ok || v != VecTimer {
 		t.Fatalf("timer vector = %#x,%v", v, ok)
 	}
-	if l.TimerFired() != 1 {
-		t.Fatalf("fired = %d", l.TimerFired())
+	if l.timerFired.Value() != 1 {
+		t.Fatalf("fired = %d", l.timerFired.Value())
 	}
 	if l.TimerArmed() {
 		t.Fatal("one-shot timer must disarm after firing")
@@ -115,8 +115,8 @@ func TestTSCDeadlineRearmReplaces(t *testing.T) {
 	if !l.HasPending() {
 		t.Fatal("new deadline must fire")
 	}
-	if l.TimerFired() != 1 {
-		t.Fatalf("fired = %d, want 1", l.TimerFired())
+	if l.timerFired.Value() != 1 {
+		t.Fatalf("fired = %d, want 1", l.timerFired.Value())
 	}
 }
 

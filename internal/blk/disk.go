@@ -6,8 +6,6 @@
 package blk
 
 import (
-	"fmt"
-
 	"svtsim/internal/fault"
 	"svtsim/internal/mem"
 	"svtsim/internal/obs"
@@ -66,9 +64,6 @@ func NewDisk(eng *sim.Engine, name string, capacity uint64) *Disk {
 		BytesPerSec: 4e9, // tmpfs copy bandwidth
 	}
 }
-
-// Capacity reports the disk size in bytes.
-func (d *Disk) Capacity() uint64 { return d.capacity }
 
 // PagesResident reports how many pages of the backing store have been
 // materialized.
@@ -146,17 +141,8 @@ func (d *Disk) Submit(write bool, sector uint64, data []byte, done func(ok bool,
 	})
 }
 
-// WriteSync writes directly into the image (test/setup helper, no
-// latency).
-func (d *Disk) WriteSync(sector uint64, data []byte) error {
-	off := sector * SectorSize
-	if off+uint64(len(data)) > d.capacity {
-		return fmt.Errorf("blk %s: write beyond capacity", d.Name)
-	}
-	return d.store.Write(off, data)
-}
-
-// ReadSync reads directly from the image (test helper).
+// ReadSync reads directly from the image, with no latency. Only tests
+// call it; it stays because it is how they read a disk's contents.
 func (d *Disk) ReadSync(sector uint64, n int) ([]byte, error) {
 	off := sector * SectorSize
 	buf := make([]byte, n)

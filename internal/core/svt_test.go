@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"svtsim/internal/cost"
@@ -14,29 +15,6 @@ import (
 func newCore(n int) *cpu.Core {
 	m := cost.Baseline()
 	return cpu.New(sim.New(), &m, n, mem.New(1<<30))
-}
-
-func TestTable2Inventory(t *testing.T) {
-	entries := Table2()
-	if len(entries) != 8 {
-		t.Fatalf("Table 2 has %d entries, want 8", len(entries))
-	}
-	kinds := map[string]int{}
-	for _, e := range entries {
-		kinds[e.Kind]++
-		if e.Name == "" || e.Purpose == "" {
-			t.Fatalf("incomplete entry %+v", e)
-		}
-	}
-	if kinds["VMCS field"] != 3 {
-		t.Fatalf("want 3 VMCS fields, got %d", kinds["VMCS field"])
-	}
-	if kinds["Instruction"] != 2 {
-		t.Fatalf("want 2 instructions, got %d", kinds["Instruction"])
-	}
-	if kinds["µ-register"] != 3 {
-		t.Fatalf("want 3 µ-register rows, got %d", kinds["µ-register"])
-	}
 }
 
 func TestHierarchyValidate(t *testing.T) {
@@ -91,7 +69,7 @@ func TestTwoLevelHierarchyFields(t *testing.T) {
 
 func TestEnableAndInvariants(t *testing.T) {
 	c := newCore(3)
-	if err := CheckInvariants(c); err == nil {
+	if err := checkInvariants(c); err == nil {
 		t.Fatal("invariants must fail before enabling")
 	}
 	if err := DefaultHierarchy().Enable(c); err != nil {
@@ -100,7 +78,7 @@ func TestEnableAndInvariants(t *testing.T) {
 	if !c.SVtEnabled() {
 		t.Fatal("core must be in SVt mode")
 	}
-	if err := CheckInvariants(c); err != nil {
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +124,17 @@ func TestCrossContextAccessThroughHierarchy(t *testing.T) {
 	if c.ReadGPR(1, isa.RDX) != 0x99 {
 		t.Fatal("ctxtst did not land in the guest context")
 	}
-	if err := CheckInvariants(c); err != nil {
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkInvariants verifies the §3.4 design promise on a live core: the
+// register file's rename maps are consistent, so cross-context accesses
+// are well-defined.
+func checkInvariants(c *cpu.Core) error {
+	if !c.SVtEnabled() {
+		return fmt.Errorf("core: SVt not enabled")
+	}
+	return c.RegFile().CheckInvariants()
 }

@@ -100,9 +100,6 @@ func New(eng *sim.Engine, costs *cost.Model, n int, hostMem *mem.Memory) *Core {
 // Contexts reports the number of hardware contexts.
 func (c *Core) Contexts() int { return c.n }
 
-// Current reports the context instructions are fetched from.
-func (c *Core) Current() ContextID { return c.current }
-
 // EnableSVt switches the core into SVt mode: transitions become
 // stall/resume events and registers stay resident per context.
 func (c *Core) EnableSVt(on bool) { c.svtOn = on }
@@ -127,12 +124,6 @@ func (c *Core) RegisterEPT(eptp uint64, t *ept.Table) {
 	}
 	c.eptTables[eptp] = t
 }
-
-// EPTTable resolves an EPT-pointer value.
-func (c *Core) EPTTable(eptp uint64) *ept.Table { return c.eptTables[eptp] }
-
-// HostMem returns the host physical memory behind the core.
-func (c *Core) HostMem() *mem.Memory { return c.hostMem }
 
 // ReadGPR reads a guest GPR for context ctx while the guest is *running*
 // (registers resident in the file).

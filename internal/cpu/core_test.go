@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"svtsim/internal/apic"
 	"svtsim/internal/cost"
@@ -172,8 +173,8 @@ func TestSVtTransitionsStallResume(t *testing.T) {
 	if elapsed != want {
 		t.Fatalf("SVt round trip = %v, want %v", elapsed, want)
 	}
-	if c.Current() != 0 {
-		t.Fatalf("fetch target after exit = %d, want visor 0", c.Current())
+	if c.current != 0 {
+		t.Fatalf("fetch target after exit = %d, want visor 0", c.current)
 	}
 	if c.Stats.StallResumes != 2 {
 		t.Fatalf("stall/resumes = %d", c.Stats.StallResumes)
@@ -320,7 +321,7 @@ func TestMMIOExitAndMappedAccess(t *testing.T) {
 	var rd uint64
 	g := &loopGuest{acts: []Action{
 		{Kind: ActInstr, Instr: isa.MMIOWrite(0x1008, 1234)}, // mapped RAM: no exit
-		{Kind: ActInstr, Instr: isa.MMIORead(0x1008), Dst: &rd},
+		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpMMIORead, Addr: 0x1008}, Dst: &rd},
 		{Kind: ActInstr, Instr: isa.MMIOWrite(0xFE000000, 1)}, // device: misconfig exit
 	}}
 	rs := &RunState{}
@@ -332,7 +333,7 @@ func TestMMIOExitAndMappedAccess(t *testing.T) {
 		t.Fatalf("mapped read = %d", rd)
 	}
 	// Unmapped -> violation.
-	g2 := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.MMIORead(0x999000)}}}
+	g2 := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpMMIORead, Addr: 0x999000}}}}
 	e = c.RunGuest(0, v, g2, &RunState{})
 	if e.Reason != isa.ExitEPTViolation {
 		t.Fatalf("exit = %v", e)
@@ -413,8 +414,10 @@ func TestNativeGuestSession(t *testing.T) {
 	if e.Reason != isa.ExitVMCall || e.Qualification != QualGuestDone {
 		t.Fatalf("final exit = %v", e)
 	}
-	if !g.Finished() {
-		t.Fatal("guest must be finished")
+	select {
+	case <-g.port.dead:
+	case <-time.After(10 * time.Second):
+		t.Fatal("guest goroutine still running after its body returned")
 	}
 }
 
@@ -458,8 +461,10 @@ func TestNativeGuestKill(t *testing.T) {
 		t.Fatalf("exit = %v", e)
 	}
 	g.Kill()
-	if !g.Finished() {
-		t.Fatal("killed guest must be finished")
+	select {
+	case <-g.port.dead:
+	default:
+		t.Fatal("killed guest's goroutine still running")
 	}
 	g.Kill() // idempotent
 }

@@ -157,7 +157,6 @@ type NativeGuest struct {
 	body       func(*Port)
 	port       *Port
 	started    bool
-	finished   bool
 	parkedIdle bool
 	// running is true while the body holds the handoff: from RunGuest
 	// resuming it until it traps. Only the running body may trap.
@@ -185,9 +184,6 @@ func NewNativeGuest(name string, c *Core, ctx ContextID, body func(*Port)) *Nati
 
 // Port returns the guest's architectural port.
 func (g *NativeGuest) Port() *Port { return g.port }
-
-// Finished reports whether the guest body has returned.
-func (g *NativeGuest) Finished() bool { return g.finished }
 
 // DeliverIRQ delivers an injected vector to the guest's virtual LAPIC;
 // the guest's kernel handler runs at its next instruction boundary. The
@@ -232,7 +228,6 @@ func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) isa.Exit {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(killSentinel); ok {
-						g.finished = true
 						return
 					}
 					// The caller of RunGuest is blocked on yield:
@@ -243,7 +238,6 @@ func (c *Core) runNative(ctx ContextID, v *vmcs.VMCS, g *NativeGuest) isa.Exit {
 				}
 			}()
 			g.body(g.port)
-			g.finished = true
 			g.yield <- isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone}
 		}()
 	} else {

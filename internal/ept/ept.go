@@ -202,7 +202,8 @@ func (t *Table) lookup(gfn uint64) (run, bool) {
 	return run{}, false
 }
 
-// Unmap removes mappings over [gpa, gpa+size).
+// Unmap removes mappings over [gpa, gpa+size). Only tests call it; it
+// stays as half of the map API that FuzzTableOps checks.
 func (t *Table) Unmap(gpa, size uint64) error {
 	if gpa%mem.PageSize != 0 || size%mem.PageSize != 0 {
 		return fmt.Errorf("ept %s: unaligned unmap", t.name)

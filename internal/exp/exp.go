@@ -86,7 +86,8 @@ func (s *Session) CPUIDNested(mode hv.Mode, n int) CPUIDResult {
 }
 
 // CPUIDNestedNoShadowing runs the baseline nested cpuid with hardware
-// VMCS shadowing disabled (the §2.1 ablation).
+// VMCS shadowing disabled (the §2.1 ablation). Only tests call it; it
+// stays as a DESIGN §4 ablation that EXPERIMENTS.md reports.
 func (s *Session) CPUIDNestedNoShadowing(n int) CPUIDResult {
 	cfg := s.config(hv.ModeBaseline)
 	cfg.DisableVMCSShadowing = true
@@ -98,7 +99,9 @@ func (s *Session) CPUIDNestedNoShadowing(n int) CPUIDResult {
 }
 
 // CPUIDNestedWithThunkRegs runs nested cpuid with a chosen number of
-// software-thunk registers (the "dozens of registers" sensitivity).
+// software-thunk registers (the "dozens of registers" sensitivity). Only
+// tests call it; it stays as a DESIGN §4 ablation that EXPERIMENTS.md
+// reports.
 func (s *Session) CPUIDNestedWithThunkRegs(mode hv.Mode, regs, n int) CPUIDResult {
 	cfg := s.config(mode)
 	cfg.Costs.ThunkRegs = regs
@@ -333,11 +336,8 @@ type VideoResult struct {
 	Played  int
 }
 
-// Video runs the §6.3.3 experiment at the given frame rate over the full
-// five minutes of playback.
-func (s *Session) Video(mode hv.Mode, fps int) VideoResult { return s.VideoN(mode, fps, fps*300) }
-
-// VideoN runs the video experiment over a chosen number of frames.
+// VideoN runs the §6.3.3 video experiment at the given frame rate over
+// a chosen number of frames (the paper plays five minutes: fps*300).
 func (s *Session) VideoN(mode hv.Mode, fps, frames int) VideoResult {
 	m, io := s.netMachine(mode)
 	w := workload.NewVideo(fps, sim.NewRand(23))

@@ -31,8 +31,10 @@ func TestFleetGolden(t *testing.T) {
 			}
 		}},
 		{"lb", host.Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}, func(s *Session, b *strings.Builder) {
-			for _, r := range s.LoadBalancerSweep(hv.AllModes(), 3, 42, 1000) {
-				b.WriteString(r.StatsLine() + "\n")
+			for _, sc := range LBScenarios() { // what -lb-scenario all runs
+				for _, r := range s.LoadBalancerTable(hv.AllModes(), 3, sc, 42, 1000) {
+					b.WriteString(r.StatsLine() + "\n")
+				}
 			}
 		}},
 		{"density", host.Topology{Sockets: 1, CoresPerSocket: 2, ThreadsPerCore: 2}, func(s *Session, b *strings.Builder) {

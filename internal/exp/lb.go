@@ -514,14 +514,3 @@ func (s *Session) LoadBalancerTableContext(ctx context.Context, modes []hv.Mode,
 		func(i int) string { return fmt.Sprintf("mode=%s scen=%s", modes[i], scenario) },
 		func(i int) LBResult { return s.LoadBalancer(modes[i], k, scenario, seed, sloUs) })
 }
-
-// LoadBalancerSweep runs every scenario for every mode (scenario-major
-// rows, mode-minor columns, matching LBScenarios order).
-func (s *Session) LoadBalancerSweep(modes []hv.Mode, k int, seed int64, sloUs float64) []LBResult {
-	scens := LBScenarios()
-	out := make([]LBResult, 0, len(scens)*len(modes))
-	for _, sc := range scens {
-		out = append(out, s.LoadBalancerTable(modes, k, sc, seed, sloUs)...)
-	}
-	return out
-}

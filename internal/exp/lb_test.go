@@ -136,7 +136,7 @@ func TestLoadBalancerObsTransparent(t *testing.T) {
 		t.Fatal("armed session kept no obs plane")
 	}
 	flows := 0
-	for i := 0; i < plane.Tracer.Tracks(); i++ {
+	for i := 0; plane.Tracer.Ring(i) != nil; i++ {
 		plane.Tracer.Ring(i).Do(func(ev obs.Event) {
 			if ev.Kind == obs.KindNetFlow {
 				flows++

@@ -27,7 +27,8 @@ func warmDensityVM(t *testing.T, p ports.Port, mode hv.Mode, i int) (*machine.Ma
 // sweeps price from equals the encoded size of the real image, on every
 // port, mode and density workload, with and without the I/O stack.
 func TestSizeMatchesCapture(t *testing.T) {
-	for _, p := range ports.All() {
+	for _, n := range ports.Names() {
+		p := ports.Get(n)
 		for _, mode := range hv.AllModes() {
 			for i, name := range []string{"cpuid", "netrr", "memcached"} {
 				m, io := warmDensityVM(t, p, mode, i)
@@ -50,7 +51,8 @@ func TestSizeAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	for _, p := range ports.All() {
+	for _, n := range ports.Names() {
+		p := ports.Get(n)
 		m, io := warmDensityVM(t, p, hv.ModeSWSVt, 1)
 		sizeBytes := allocBytes(func() { snapshot.Size(m, io) })
 		captureBytes := allocBytes(func() { snapshot.Capture(m, io) })

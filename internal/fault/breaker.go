@@ -98,10 +98,6 @@ func (b *Breaker) Failure() {
 	}
 }
 
-// State reports the current breaker state (without side effects: an Open
-// breaker past its cooldown still reads Open until Allow probes it).
-func (b *Breaker) State() BreakerState { return b.state }
-
 // Trips reports how many times the breaker has opened.
 func (b *Breaker) Trips() uint64 { return b.trips }
 

@@ -116,25 +116,6 @@ type SiteStats struct {
 	Delays   uint64
 }
 
-// Event is one fired fault, recorded in the plane's trace.
-type Event struct {
-	Seq  uint64 // plane-wide fire sequence number
-	At   sim.Time
-	Site string
-	Out  sim.FaultOutcome
-}
-
-func (ev Event) String() string {
-	what := "delay=" + ev.Out.Delay.String()
-	if ev.Out.Drop {
-		what = "drop"
-		if ev.Out.Delay > 0 {
-			what += " delay=" + ev.Out.Delay.String()
-		}
-	}
-	return fmt.Sprintf("#%d t=%v %s %s", ev.Seq, ev.At, ev.Site, what)
-}
-
 type siteState struct {
 	cfg SiteConfig
 	rng *rand.Rand
@@ -145,12 +126,10 @@ type siteState struct {
 // Plane is the fault injector. Construct with NewPlane, configure sites
 // with Add, and it decides outcomes as the engine consults it.
 type Plane struct {
-	eng      *sim.Engine
-	seed     int64
-	sites    map[string]*siteState
-	fires    obs.Counter
-	trace    []Event
-	traceCap int
+	eng   *sim.Engine
+	seed  int64
+	sites map[string]*siteState
+	fires obs.Counter
 
 	obsT     *obs.Tracer
 	obsTrack int
@@ -170,12 +149,7 @@ func (p *Plane) SetObs(t *obs.Tracer, track int) {
 // it as the engine's fault injector. seed fully determines every outcome
 // the plane will ever produce (given a deterministic simulation).
 func NewPlane(eng *sim.Engine, seed int64) *Plane {
-	p := &Plane{
-		eng:      eng,
-		seed:     seed,
-		sites:    make(map[string]*siteState),
-		traceCap: 256,
-	}
+	p := &Plane{eng: eng, seed: seed, sites: make(map[string]*siteState)}
 	eng.SetFaults(p)
 	return p
 }
@@ -241,11 +215,6 @@ func (p *Plane) InjectFault(site string) sim.FaultOutcome {
 		st.Delays++
 	}
 	p.fires.Inc()
-	if len(p.trace) < p.traceCap {
-		p.trace = append(p.trace, Event{
-			Seq: p.fires.Value(), At: p.eng.Now(), Site: site, Out: out,
-		})
-	}
 	if p.obsT != nil {
 		drop := uint64(0)
 		if out.Drop {
@@ -262,9 +231,6 @@ func (p *Plane) Fires() uint64 { return p.fires.Value() }
 
 // FiresCounter exposes the live fire tally for metric registration.
 func (p *Plane) FiresCounter() *obs.Counter { return &p.fires }
-
-// Trace returns the first fired faults (bounded), in fire order.
-func (p *Plane) Trace() []Event { return p.trace }
 
 // Stats returns per-site counters, sorted by site name.
 func (p *Plane) Stats() []SiteStats {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"svtsim/internal/obs"
 	"svtsim/internal/sim"
 )
 
@@ -97,17 +98,28 @@ func TestPlaneUnarmedSiteNeverFires(t *testing.T) {
 	}
 }
 
+// TestPlaneTrace: every fired fault, and only a fired one, becomes an
+// instant on the attached tracer, stamped with the fire time.
 func TestPlaneTrace(t *testing.T) {
 	eng := sim.New()
 	p := NewPlane(eng, 0)
+	tr := obs.NewTracer(1, 16)
+	p.SetObs(tr, 0)
 	p.Add(SiteConfig{Site: SiteIPI, Every: 2, Drop: true, Limit: 2})
 	eng.Advance(5 * sim.Microsecond)
 	for i := 0; i < 6; i++ {
 		eng.Inject(SiteIPI)
 	}
-	tr := p.Trace()
-	if len(tr) != 2 || tr[0].Seq != 1 || tr[1].Seq != 2 || tr[0].At != 5*sim.Microsecond {
-		t.Fatalf("bad trace: %v", tr)
+	var got []obs.Event
+	tr.Ring(0).Do(func(e obs.Event) { got = append(got, e) })
+	if len(got) != 2 || p.Fires() != 2 {
+		t.Fatalf("traced %d faults, plane fired %d; want 2 and 2", len(got), p.Fires())
+	}
+	for _, e := range got {
+		if e.Kind != obs.KindFault || e.At != 5*sim.Microsecond || e.Arg1 != 1 ||
+			tr.Lookup(e.Label) != SiteIPI {
+			t.Fatalf("bad fault instant: %+v", e)
+		}
 	}
 }
 
@@ -135,7 +147,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	b.Failure()
 	b.Failure()
 	b.Success()
-	if b.State() != Closed || b.Trips() != 0 {
+	if b.state != Closed || b.Trips() != 0 {
 		t.Fatalf("breaker tripped early: %v", b)
 	}
 
@@ -143,7 +155,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	b.Failure()
 	b.Failure()
 	b.Failure()
-	if b.State() != Open || b.Trips() != 1 {
+	if b.state != Open || b.Trips() != 1 {
 		t.Fatalf("breaker did not trip: %v", b)
 	}
 	if b.Allow() {
@@ -155,11 +167,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("breaker did not half-open after cooldown")
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if b.state != HalfOpen {
+		t.Fatalf("state = %v, want half-open", b.state)
 	}
 	b.Success()
-	if b.State() != Closed || b.Recoveries() != 1 {
+	if b.state != Closed || b.Recoveries() != 1 {
 		t.Fatalf("breaker did not recover: %v", b)
 	}
 
@@ -172,7 +184,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("second half-open denied")
 	}
 	b.Failure()
-	if b.State() != Open || b.Trips() != 3 {
+	if b.state != Open || b.Trips() != 3 {
 		t.Fatalf("half-open failure did not re-open: %v", b)
 	}
 }
@@ -213,6 +225,13 @@ func TestParseSpecErrors(t *testing.T) {
 		"swsvt/wakeup:delay=abc",     // bad duration
 		"swsvt/wakeup:drop",          // never fires: no rate, no every
 		"swsvt/wakeup:rate=0,drop",   // never fires: zero rate
+		"swsvt/wakeup:rate=NaN,drop", // NaN passes neither bound
+		"swsvt/wakeup:rate=Inf,drop",
+		"swsvt/wakeup:rate=0.5,delay=NaNus",
+		"swsvt/wakeup:rate=0.5,delay=Infms",
+		"swsvt/wakeup:rate=0.5,delay=1e300s", // past the largest sim.Time
+		"swsvt/wakeup:rate=0.5,jitter=NaN",
+		"swsvt/wakeup:rate=0.5,delay=5e9s,jitter=5e9s", // sum overflows
 	} {
 		if _, err := ParseSpec(bad, 0); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
@@ -245,8 +264,10 @@ func TestParseDuration(t *testing.T) {
 			t.Errorf("ParseDuration(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseDuration("-5us"); err == nil {
-		t.Error("negative duration accepted")
+	for _, bad := range []string{"-5us", "NaN", "NaNus", "Inf", "-Infs", "1e300s", "9223372036854775808"} {
+		if d, err := ParseDuration(bad); err == nil {
+			t.Errorf("ParseDuration(%q) = %v, want an error", bad, d)
+		}
 	}
 }
 

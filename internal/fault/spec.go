@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -106,7 +107,7 @@ func ParseSpec(arg string, seed int64) (*Spec, error) {
 			switch key {
 			case "rate":
 				cfg.Rate, err = strconv.ParseFloat(val, 64)
-				if err == nil && (cfg.Rate < 0 || cfg.Rate > 1) {
+				if err == nil && !(cfg.Rate >= 0 && cfg.Rate <= 1) { // NaN too
 					err = fmt.Errorf("rate %g outside [0,1]", cfg.Rate)
 				}
 			case "every":
@@ -128,6 +129,9 @@ func ParseSpec(arg string, seed int64) (*Spec, error) {
 				return nil, fmt.Errorf("fault spec %q: %v", part, err)
 			}
 		}
+		if cfg.Delay > math.MaxInt64-cfg.Jitter {
+			return nil, fmt.Errorf("fault spec %q: delay+jitter exceeds the largest virtual time %v", part, maxTime)
+		}
 		if !cfg.Drop && cfg.Delay == 0 && cfg.Jitter == 0 {
 			return nil, fmt.Errorf("fault spec %q: no effect (want drop and/or delay)", part)
 		}
@@ -139,8 +143,12 @@ func ParseSpec(arg string, seed int64) (*Spec, error) {
 	return spec, nil
 }
 
+// maxTime is the largest virtual time.
+const maxTime = sim.Time(math.MaxInt64)
+
 // ParseDuration parses a virtual duration with an optional ns/us/ms/s
-// suffix; a bare number is nanoseconds.
+// suffix; a bare number is nanoseconds. NaN, infinite, negative and
+// durations past the largest virtual time are errors.
 func ParseDuration(s string) (sim.Time, error) {
 	unit := sim.Nanosecond
 	num := s
@@ -155,8 +163,12 @@ func ParseDuration(s string) (sim.Time, error) {
 		num, unit = s[:len(s)-1], sim.Second
 	}
 	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
+	if err != nil || !(f >= 0) { // NaN too
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
-	return sim.Time(f * float64(unit)), nil
+	ns := f * float64(unit)
+	if ns >= float64(maxTime) { // +Inf too; 2^63 itself overflows
+		return 0, fmt.Errorf("duration %q exceeds the largest virtual time %v", s, maxTime)
+	}
+	return sim.Time(ns), nil
 }

@@ -16,8 +16,6 @@ type Watchdog struct {
 	// MaxRetries bounds retries after the initial attempt; the total
 	// number of attempts is MaxRetries+1.
 	MaxRetries int
-
-	fires uint64
 }
 
 // DefaultWatchdog returns the standard ring watchdog: 10us base timeout
@@ -46,9 +44,3 @@ func (w *Watchdog) TimeoutFor(attempt int) sim.Time {
 	}
 	return t
 }
-
-// Fire records one watchdog expiry (a timed-out attempt).
-func (w *Watchdog) Fire() { w.fires++ }
-
-// Fires reports how many times the watchdog has expired.
-func (w *Watchdog) Fires() uint64 { return w.fires }

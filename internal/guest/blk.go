@@ -55,9 +55,6 @@ func NewBlkDriver(e *Env, vector int, mmio uint64, layoutBase uint64, qsize uint
 	return d, nil
 }
 
-// Layout reports the queue layout (for wiring the backend side).
-func (d *BlkDriver) Layout() virtio.Layout { return d.Q.L }
-
 // Submit issues an asynchronous block request; done runs in kernel
 // context on completion. The kick is a trapping MMIO write.
 func (d *BlkDriver) Submit(write bool, sector uint64, data []byte, done func(ok bool, data []byte)) {

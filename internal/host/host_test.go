@@ -1,6 +1,7 @@
 package host
 
 import (
+	"strings"
 	"testing"
 
 	"svtsim/internal/apic"
@@ -84,7 +85,7 @@ func TestReplaySMTInterference(t *testing.T) {
 			{VM: 0, Ctxs: []CtxID{ctxA}, Busy: total, Total: total, Pinned: true},
 			{VM: 1, Ctxs: []CtxID{ctxB}, Busy: total, Total: total, Pinned: true},
 		}
-		return h.Sched.Replay(demands).VMs
+		return h.Sched.ReplayStorm(demands, nil).VMs
 	}
 	separate := run(0, 2)
 	for _, vm := range separate {
@@ -109,7 +110,7 @@ func TestReplayPollingStealsSiblingCycles(t *testing.T) {
 	run := func(poll bool) ReplayResult {
 		h := mustHost(t, Topology{1, 1, 2})
 		h.P.RebalanceEvery = 0
-		return h.Sched.Replay([]Demand{{
+		return h.Sched.ReplayStorm([]Demand{{
 			VM:         0,
 			Ctxs:       []CtxID{0, 1},
 			Busy:       total,
@@ -117,7 +118,7 @@ func TestReplayPollingStealsSiblingCycles(t *testing.T) {
 			HelperPoll: poll,
 			HelperFrac: 0.05,
 			Pinned:     true,
-		}})
+		}}, nil)
 	}
 	polling := run(true)
 	mwait := run(false)
@@ -149,7 +150,7 @@ func TestReplayOversubscription(t *testing.T) {
 			VM: i, Ctxs: []CtxID{CtxID(i % 2)}, Busy: total, Total: total,
 		})
 	}
-	res := h.Sched.Replay(demands)
+	res := h.Sched.ReplayStorm(demands, nil)
 	// Two per context at SMTShare speed: slowdown ~ 2/0.7 ~ 2.86.
 	want := 2 / DefaultParams().SMTShare
 	for _, vm := range res.VMs {
@@ -175,7 +176,7 @@ func TestReplayMigration(t *testing.T) {
 			VM: i, Ctxs: []CtxID{0}, Busy: total, Total: total,
 		})
 	}
-	res := h.Sched.Replay(demands)
+	res := h.Sched.ReplayStorm(demands, nil)
 	if res.Migrations == 0 {
 		t.Fatal("no migrations on a 3-vs-0 imbalance")
 	}
@@ -222,7 +223,7 @@ func TestReplayDeterministic(t *testing.T) {
 				Pinned:     nthreads == 2,
 			})
 		}
-		return h.Sched.Replay(demands)
+		return h.Sched.ReplayStorm(demands, nil)
 	}
 	a, b := run(), run()
 	if a.Elapsed != b.Elapsed || a.Quanta != b.Quanta || a.StolenTotal != b.StolenTotal {
@@ -241,11 +242,17 @@ func TestHostObsTracks(t *testing.T) {
 	h := mustHost(t, Topology{1, 2, 2})
 	p := obs.New(h.Topo.Contexts(), obs.Options{})
 	h.SetObs(p)
-	if got, want := p.Tracer.TrackName(0), "socket0/core0/smt0"; got != want {
-		t.Errorf("track 0 = %q, want %q", got, want)
+	var trace strings.Builder
+	if err := p.Tracer.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := p.Tracer.TrackName(3), "socket0/core1/smt1"; got != want {
-		t.Errorf("track 3 = %q, want %q", got, want)
+	for _, want := range []string{
+		`"pid":0,"tid":0,"args":{"name":"socket0/core0/smt0"}`,
+		`"pid":3,"tid":0,"args":{"name":"socket0/core1/smt1"}`,
+	} {
+		if !strings.Contains(trace.String(), want) {
+			t.Errorf("trace lacks track name %s", want)
+		}
 	}
 	h.SendIPI(0, 2, apic.VecIPI)
 	h.Eng.Drain(10)

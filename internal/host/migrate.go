@@ -119,12 +119,6 @@ func (s *Scheduler) placeBreaker(vm int, p MigrationParams) *fault.Breaker {
 	return b
 }
 
-// PlacementBreaker exposes a VM's breaker for inspection (nil if the VM
-// has never been asked to migrate).
-func (s *Scheduler) PlacementBreaker(vm int) *fault.Breaker {
-	return s.placeBreakers[vm]
-}
-
 // MigrateGang live-migrates a VM's thread gang from its current
 // placement (a.Ctxs) to dst, which must name one destination context per
 // gang thread. The gang is paused, its image captured, transferred at a
@@ -248,22 +242,3 @@ func (s *Scheduler) traceMigrate(c CtxID, label string, start, end sim.Time, vm,
 	h.tracer.Span(h.ctxTracks[c], obs.KindMigrate, obs.LevelNone,
 		h.tracer.Intern(label), start, end, uint64(vm), uint64(attempts))
 }
-
-// GangMigrations reports completed live gang migrations (distinct from
-// Migrations, the balancer's single-thread moves).
-func (s *Scheduler) GangMigrations() uint64 { return s.gangMigrations }
-
-// GangRollbacks reports migrations that exhausted their attempts and
-// rolled back to the source placement.
-func (s *Scheduler) GangRollbacks() uint64 { return s.gangRollbacks }
-
-// GangRetries reports failed attempts that were retried.
-func (s *Scheduler) GangRetries() uint64 { return s.gangRetries }
-
-// GangSkipped reports migrations skipped because the VM's placement
-// breaker was open.
-func (s *Scheduler) GangSkipped() uint64 { return s.gangSkipped }
-
-// MigrationDowntime reports total guest-visible pause time across all
-// gang migrations, rollbacks included.
-func (s *Scheduler) MigrationDowntime() sim.Time { return s.migDowntime }

@@ -163,17 +163,6 @@ func (s *Scheduler) placePair() (main, helper CtxID) {
 	return main, helper
 }
 
-// Loads returns the per-context resident-thread counts (live slice;
-// callers must not mutate).
-func (s *Scheduler) Loads() []int { return s.load }
-
-// Migrations reports how many threads the load balancer has moved.
-func (s *Scheduler) Migrations() uint64 { return s.migrations }
-
-// ReschedIPIs reports reschedule IPIs sent (admission wakes + migration
-// kicks).
-func (s *Scheduler) ReschedIPIs() uint64 { return s.reschedIPIs }
-
 // Demand is one VM's execution demand presented to the replay: the
 // uncontended virtual runtime of the run (Total), the share of it the
 // vCPU thread spent executing rather than idle (Busy), and the
@@ -270,8 +259,8 @@ type thread struct {
 	pinned bool
 }
 
-// Replay runs the admitted VMs to completion under contention on the
-// shared engine. The model is quantum-driven and fluid: each scheduler
+// ReplayStorm runs the admitted VMs to completion under contention on
+// the shared engine. The model is quantum-driven and fluid: each scheduler
 // tick divides every context's quantum among its runnable threads, and
 // a thread's VM makes progress in proportion to the service it
 // received divided by its duty cycle — a VM whose uncontended run was
@@ -280,17 +269,14 @@ type thread struct {
 // a quantum each runs at P.SMTShare throughput. The replay is RNG-free
 // and strictly ordered, so results are bit-identical for a given
 // topology and demand set.
-func (s *Scheduler) Replay(demands []Demand) ReplayResult {
-	return s.ReplayStorm(demands, nil)
-}
-
-// ReplayStorm is Replay with a migration storm overlaid: at the start of
-// each named quantum the plan's VM is live-migrated (MigrateGang) to an
-// idle core, and the VM's demand is parked for the resulting downtime
-// window — guest-visible pause shows up as lost progress, exactly as a
-// real migration stalls a guest. A nil plan (or one with no events) is
-// byte-identical to Replay: the storm hooks touch no RNG and charge
-// nothing unless an event fires.
+//
+// A non-nil plan overlays a migration storm: at the start of each named
+// quantum the plan's VM is live-migrated (MigrateGang) to an idle core,
+// and the VM's demand is parked for the resulting downtime window —
+// guest-visible pause shows up as lost progress, exactly as a real
+// migration stalls a guest. A plan with no events is byte-identical to
+// a nil one: the storm hooks touch no RNG and charge nothing unless an
+// event fires.
 func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult {
 	h := s.h
 	t := h.Topo

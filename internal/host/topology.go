@@ -29,6 +29,9 @@ type Topology struct {
 // DefaultTopology mirrors the paper's Table 4 testbed.
 var DefaultTopology = Topology{Sockets: 2, CoresPerSocket: 8, ThreadsPerCore: 2}
 
+// maxContexts caps a topology's hardware contexts.
+const maxContexts = 4096
+
 // topologyHint is the shared "what would have parsed" message.
 const topologyHint = "want sockets x cores x SMT-threads, e.g. 2x8x2, or CxT for one socket, e.g. 8x2"
 
@@ -76,9 +79,16 @@ func (t Topology) Validate() error {
 			fmt.Sprintf("%d SMT contexts per core", t.ThreadsPerCore),
 			"the model supports at most 2-way SMT (the paper's testbed)")
 	}
-	if t.Contexts() > 4096 {
+	// Bound each dimension before multiplying: a product of unbounded
+	// dimensions can overflow back under the cap, even to zero.
+	if t.Sockets > maxContexts || t.CoresPerSocket > maxContexts {
 		return uerr.New("topology", t.String(),
-			fmt.Sprintf("%d hardware contexts exceeds the 4096 cap", t.Contexts()),
+			fmt.Sprintf("more than %d hardware contexts", maxContexts),
+			"shrink sockets, cores, or threads")
+	}
+	if t.Contexts() > maxContexts {
+		return uerr.New("topology", t.String(),
+			fmt.Sprintf("%d hardware contexts exceeds the %d cap", t.Contexts(), maxContexts),
 			"shrink sockets, cores, or threads")
 	}
 	return nil
@@ -178,17 +188,4 @@ func (t Topology) PlacementOf(a, b CtxID) swsvt.Placement {
 	default:
 		return swsvt.PlaceSMT
 	}
-}
-
-// Describe renders the topology one context per line — stable output for
-// golden tests and the CLI's -host banner.
-func (t Topology) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "host %s: %d sockets, %d cores, %d contexts\n",
-		t, t.Sockets, t.Cores(), t.Contexts())
-	for c := CtxID(0); int(c) < t.Contexts(); c++ {
-		fmt.Fprintf(&b, "  ctx %2d = socket %d core %d thread %d\n",
-			int(c), t.SocketOf(c), t.CoreOf(c), t.ThreadOf(c))
-	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,6 +56,8 @@ func TestParseTopologyMalformed(t *testing.T) {
 		{"2x8x-1", "must be >= 1", "2x8x2"},
 		{"2x8x3", "3 SMT contexts per core", "2-way SMT"},
 		{"64x64x2", "8192 hardware contexts exceeds the 4096 cap", "shrink"},
+		{"4294967296x4294967296x1", "more than 4096 hardware contexts", "shrink"},
+		{"2x9223372036854775807x2", "more than 4096 hardware contexts", "shrink"},
 	}
 	for _, c := range cases {
 		_, err := ParseTopology(c.in)
@@ -89,7 +92,7 @@ func TestTopologyGolden2x8x2(t *testing.T) {
 	if got, want := topo.Cores(), 16; got != want {
 		t.Fatalf("Cores() = %d, want %d", got, want)
 	}
-	d := topo.Describe()
+	d := describe(topo)
 	for _, line := range []string{
 		"host 2x8x2: 2 sockets, 16 cores, 32 contexts",
 		"ctx  0 = socket 0 core 0 thread 0",
@@ -99,7 +102,7 @@ func TestTopologyGolden2x8x2(t *testing.T) {
 		"ctx 31 = socket 1 core 15 thread 1",
 	} {
 		if !strings.Contains(d, line) {
-			t.Errorf("Describe() missing %q:\n%s", line, d)
+			t.Errorf("describe() missing %q:\n%s", line, d)
 		}
 	}
 	// Distance classes.
@@ -130,7 +133,7 @@ func TestTopologyGolden1x4x2(t *testing.T) {
 	if got, want := topo.Contexts(), 8; got != want {
 		t.Fatalf("Contexts() = %d, want %d", got, want)
 	}
-	d := topo.Describe()
+	d := describe(topo)
 	want := `host 1x4x2: 1 sockets, 4 cores, 8 contexts
   ctx  0 = socket 0 core 0 thread 0
   ctx  1 = socket 0 core 0 thread 1
@@ -142,7 +145,7 @@ func TestTopologyGolden1x4x2(t *testing.T) {
   ctx  7 = socket 0 core 3 thread 1
 `
 	if d != want {
-		t.Errorf("Describe():\n%s\nwant:\n%s", d, want)
+		t.Errorf("describe():\n%s\nwant:\n%s", d, want)
 	}
 	// One socket: nothing is ever cross-NUMA.
 	for a := CtxID(0); int(a) < topo.Contexts(); a++ {
@@ -196,7 +199,20 @@ func TestAdmissionFillsIdleCoresFirst(t *testing.T) {
 	if a2.Place != swsvt.PlaceSMT {
 		t.Fatalf("saturated gang placement = %v, want smt sharing", a2.Place)
 	}
-	if got := h.Sched.Loads()[a2.Ctxs[0]]; got != 2 {
+	if got := h.Sched.load[a2.Ctxs[0]]; got != 2 {
 		t.Fatalf("shared context load = %d, want 2", got)
 	}
+}
+
+// describe renders a topology one context per line, for the golden
+// context maps above.
+func describe(t Topology) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "host %s: %d sockets, %d cores, %d contexts\n",
+		t, t.Sockets, t.Cores(), t.Contexts())
+	for c := CtxID(0); int(c) < t.Contexts(); c++ {
+		fmt.Fprintf(&b, "  ctx %2d = socket %d core %d thread %d\n",
+			int(c), t.SocketOf(c), t.CoreOf(c), t.ThreadOf(c))
+	}
+	return b.String()
 }

@@ -324,9 +324,6 @@ func (h *Hypervisor) RunLoop(vc *VCPU) {
 // Exit spans land on the track of the exiting vCPU's hardware context.
 func (h *Hypervisor) SetObs(t *obs.Tracer) { h.obs = t }
 
-// Obs returns the attached tracer, if any.
-func (h *Hypervisor) Obs() *obs.Tracer { return h.obs }
-
 // traceExit records one handled exit as a span on the exiting vCPU's
 // hardware-context track.
 func (h *Hypervisor) traceExit(vc *VCPU, e isa.Exit, nested bool, start sim.Time) {

@@ -236,8 +236,8 @@ func TestTraceRecordsExits(t *testing.T) {
 	if tr.Total() < 3 { // 2 cpuids + the done vmcall
 		t.Fatalf("tracer recorded %d exits", tr.Total())
 	}
-	if h.Obs() != tr {
-		t.Fatal("accessor")
+	if h.obs != tr {
+		t.Fatal("tracer not attached")
 	}
 }
 

@@ -46,9 +46,6 @@ type Platform interface {
 	// ports.VecTimer to the hypervisor owning vc.
 	SetTimer(vc *VCPU, deadline sim.Time)
 
-	// INVEPT invalidates cached translations for an EPT root.
-	INVEPT(eptp uint64)
-
 	// AckIRQ acknowledges a physical interrupt (no-op on the virtualized
 	// platform, whose "physical" interrupts are virtual vectors consumed by
 	// the kernel IRQ poll).
@@ -66,17 +63,12 @@ type Platform interface {
 
 // RealPlatform is VMX root mode on the simulated core: what L0 runs on.
 type RealPlatform struct {
-	Core *cpu.Core
-	// HostLAPIC is the physical LAPIC of the context L0 code runs on
-	// (context 0; under SVt all external interrupts are redirected here).
-	HostLAPIC func() hasPending
-	timers    map[cpu.ContextID]sim.EventRef
+	Core   *cpu.Core
+	timers map[cpu.ContextID]sim.EventRef
 	// TimerOwner records, per context, which vCPU armed the platform
 	// timer so the firing can be routed (KVM's hrtimer bookkeeping).
 	TimerOwner map[cpu.ContextID]*VCPU
 }
-
-type hasPending interface{ HasPending() bool }
 
 // NewRealPlatform wraps a core.
 func NewRealPlatform(c *cpu.Core) *RealPlatform {
@@ -190,14 +182,6 @@ func (p *RealPlatform) AckIRQ(vc *VCPU, vec int) {
 
 // PollIRQs implements Platform (no-op: L0 is the kernel).
 func (p *RealPlatform) PollIRQs() {}
-
-// INVEPT implements Platform.
-func (p *RealPlatform) INVEPT(eptp uint64) {
-	if t := p.Core.EPTTable(eptp); t != nil {
-		t.Invalidate()
-	}
-	p.Core.Eng.Advance(p.Core.Costs.InstrBase)
-}
 
 // Idle implements Platform: advance virtual time until an interrupt shows
 // up on the hosting context's physical LAPIC or on vc's virtual LAPIC —

@@ -121,11 +121,6 @@ func (p *VirtualPlatform) SetTimer(vc *VCPU, deadline sim.Time) {
 	p.Port.Exec(isa.WRMSR(isa.MSRTSCDeadline, uint64(deadline)))
 }
 
-// INVEPT implements Platform (traps to L0 for shadow-EPT maintenance).
-func (p *VirtualPlatform) INVEPT(eptp uint64) {
-	p.Port.Exec(isa.Instr{Op: isa.OpINVEPT, Addr: eptp})
-}
-
 // AckIRQ implements Platform: the guest hypervisor's "physical" vectors
 // are virtual ones consumed by PollIRQs, so nothing to acknowledge here.
 func (p *VirtualPlatform) AckIRQ(vc *VCPU, vec int) {}

@@ -77,9 +77,6 @@ type Instr struct {
 	Leaf    uint32   // OpCPUID leaf
 }
 
-// Compute returns an untrapped work block of duration d.
-func Compute(d sim.Time) Instr { return Instr{Op: OpCompute, Dur: d} }
-
 // CPUID returns a cpuid instruction for the given leaf.
 func CPUID(leaf uint32) Instr { return Instr{Op: OpCPUID, Leaf: leaf} }
 
@@ -91,9 +88,6 @@ func RDMSR(addr uint32) Instr { return Instr{Op: OpRDMSR, MSRAddr: addr} }
 
 // MMIOWrite returns a write of val to guest-physical address addr.
 func MMIOWrite(addr, val uint64) Instr { return Instr{Op: OpMMIOWrite, Addr: addr, Val: val} }
-
-// MMIORead returns a read of guest-physical address addr.
-func MMIORead(addr uint64) Instr { return Instr{Op: OpMMIORead, Addr: addr} }
 
 // HLT returns the halt instruction.
 func HLT() Instr { return Instr{Op: OpHLT} }

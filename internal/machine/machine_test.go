@@ -63,7 +63,7 @@ func TestNestedCPUIDBaselineMatchesTable1(t *testing.T) {
 	per, m, led := nestedCPUID(t, hv.ModeBaseline, n)
 
 	// Table 1: total 10.40 µs per nested cpuid. Accept ±5 %.
-	lo, hi := sim.Micros(9.88), sim.Micros(10.92)
+	lo, hi := 9880*sim.Nanosecond, 10920*sim.Nanosecond
 	if per < lo || per > hi {
 		t.Errorf("baseline nested cpuid = %v per iteration, want 10.40us ±5%%", per)
 	}
@@ -282,7 +282,7 @@ func TestThunkRegisterSensitivity(t *testing.T) {
 	hw15 := run(hv.ModeHWSVt, 15)
 	hw60 := run(hv.ModeHWSVt, 60)
 	t.Logf("thunk sweep: base 15=%v 60=%v | hw 15=%v 60=%v", base15, base60, hw15, hw60)
-	if !(base60 > base15+sim.Micros(1)) {
+	if !(base60 > base15+sim.Microsecond) {
 		t.Fatal("baseline must pay for extra context registers")
 	}
 	if hw60 != hw15 {

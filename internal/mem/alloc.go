@@ -62,12 +62,3 @@ func (a *Allocator) Free(base uint64) error {
 	}
 	return fmt.Errorf("mem: free of unallocated base %#x", base)
 }
-
-// InUse reports the total bytes currently allocated.
-func (a *Allocator) InUse() uint64 {
-	var s uint64
-	for _, r := range a.used {
-		s += r.size
-	}
-	return s
-}

@@ -70,8 +70,8 @@ func FuzzSegmentReorder(f *testing.F) {
 			t.Fatalf("stream incomplete after in-order sweep: %d/%d bytes", len(got), len(msg))
 		}
 		fl := st.Flow(9)
-		if fl.RecvSeq() != uint32(len(msg)) {
-			t.Fatalf("rcvNxt=%d, want %d", fl.RecvSeq(), len(msg))
+		if fl.rcvNxt != uint32(len(msg)) {
+			t.Fatalf("rcvNxt=%d, want %d", fl.rcvNxt, len(msg))
 		}
 		if fl.oooBytes != 0 || len(fl.ooo) != 0 {
 			t.Fatalf("reorder buffer leaked: %d bytes in %d segments", fl.oooBytes, len(fl.ooo))

@@ -300,9 +300,9 @@ type Flow struct {
 	ackTimer sim.EventRef
 
 	// Manual, when true, suppresses automatic consumption: received
-	// bytes accumulate in the flow until Consume drains them, and the
-	// advertised window shrinks accordingly (this is how tests and
-	// backpressured services exercise window stall/resume). When false
+	// bytes accumulate in rcvQ and the advertised window shrinks
+	// accordingly (this is how tests exercise window stall/resume and
+	// the zero-window probe). When false
 	// (default) in-order bytes are handed to OnData and the window
 	// never closes.
 	Manual bool
@@ -318,18 +318,6 @@ type Flow struct {
 
 // Established reports whether the handshake completed.
 func (f *Flow) Established() bool { return f.established }
-
-// Closed reports whether a FIN has been processed in either direction.
-func (f *Flow) Closed() bool { return f.closed }
-
-// BytesQueued reports unacknowledged + unsent bytes held by the sender.
-func (f *Flow) BytesQueued() int { return len(f.sndBuf) }
-
-// BytesReadable reports in-order bytes awaiting Consume (manual mode).
-func (f *Flow) BytesReadable() int { return len(f.rcvQ) }
-
-// RecvSeq reports the next expected in-order byte offset.
-func (f *Flow) RecvSeq() uint32 { return f.rcvNxt }
 
 // Write queues b on the flow's byte stream; the stack segments it,
 // respects the peer's window, and retransmits on loss. The bytes are
@@ -349,23 +337,6 @@ func (f *Flow) Close() {
 	}
 	f.closed = true
 	f.sendCtl(flagFIN)
-}
-
-// Consume drains up to n in-order received bytes (manual mode),
-// returning what it took and re-advertising the opened window so a
-// stalled sender resumes.
-func (f *Flow) Consume(n int) []byte {
-	if n <= 0 || len(f.rcvQ) == 0 {
-		return nil
-	}
-	if n > len(f.rcvQ) {
-		n = len(f.rcvQ)
-	}
-	out := f.rcvQ[:n:n]
-	f.rcvQ = append([]byte(nil), f.rcvQ[n:]...)
-	// Window update: tell the sender space opened up.
-	f.sendCtl(flagACK)
-	return out
 }
 
 // window is the receive window this end advertises.

@@ -165,7 +165,7 @@ func TestRetransmitRecoversDroppedSYN(t *testing.T) {
 
 // TestWindowStallResume pins flow control: a manual-consume receiver
 // with a small window stalls the sender exactly at the window edge, and
-// each Consume's window update re-opens it.
+// each consume's window update re-opens it.
 func TestWindowStallResume(t *testing.T) {
 	eng := sim.New()
 	_, b, fa := pair(t, eng, sim.Microsecond, Params{MSS: 100, Window: 200, RTO: sim.Millisecond})
@@ -177,26 +177,26 @@ func TestWindowStallResume(t *testing.T) {
 	}
 	fa.Write(msg)
 	eng.RunUntil(500 * sim.Microsecond) // well short of the RTO probe
-	if n := fb.BytesReadable(); n != 200 {
+	if n := len(fb.rcvQ); n != 200 {
 		t.Fatalf("receiver buffered %d bytes, want the full 200-byte window", n)
 	}
-	if q := fa.BytesQueued(); q != 300 {
+	if q := len(fa.sndBuf); q != 300 {
 		t.Fatalf("sender queue %d, want 300 stalled behind the closed window", q)
 	}
 	var got []byte
-	got = append(got, fb.Consume(200)...)
+	got = append(got, consume(fb, 200)...)
 	eng.RunUntil(900 * sim.Microsecond)
-	if n := fb.BytesReadable(); n != 200 {
+	if n := len(fb.rcvQ); n != 200 {
 		t.Fatalf("after consume, receiver buffered %d, want next 200-byte window", n)
 	}
-	got = append(got, fb.Consume(200)...)
+	got = append(got, consume(fb, 200)...)
 	eng.RunUntil(999 * sim.Microsecond)
-	got = append(got, fb.Consume(200)...)
+	got = append(got, consume(fb, 200)...)
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("stall/resume corrupted the stream: %d bytes, want %d", len(got), len(msg))
 	}
-	if fa.BytesQueued() != 0 {
-		t.Fatalf("sender still holds %d bytes", fa.BytesQueued())
+	if len(fa.sndBuf) != 0 {
+		t.Fatalf("sender still holds %d bytes", len(fa.sndBuf))
 	}
 	if fa.S.Retransmits != 0 {
 		t.Fatalf("window stall must not look like loss: %d retransmits", fa.S.Retransmits)
@@ -213,16 +213,16 @@ func TestZeroWindowProbeRecoversLostWindowUpdate(t *testing.T) {
 	fb.Manual = true
 	fa.Write(make([]byte, 300))
 	eng.RunUntil(50 * sim.Microsecond)
-	if fb.BytesReadable() != 100 {
-		t.Fatalf("readable %d, want 100", fb.BytesReadable())
+	if len(fb.rcvQ) != 100 {
+		t.Fatalf("readable %d, want 100", len(fb.rcvQ))
 	}
-	// Drop exactly the next segment: the window-update ACK from Consume.
+	// Drop exactly the next segment: the window-update ACK from consume.
 	pl.Add(fault.SiteConfig{Site: fault.SiteNetSegment, Every: 1, Limit: 1, Drop: true})
-	fb.Consume(100)
+	consume(fb, 100)
 	eng.Drain(100000)
 	total := 100
 	for {
-		p := fb.Consume(1 << 20)
+		p := consume(fb, 1<<20)
 		if len(p) == 0 {
 			break
 		}
@@ -245,7 +245,7 @@ func TestFlowCloseDeliversFIN(t *testing.T) {
 	fa.Write([]byte("bye"))
 	fa.Close()
 	eng.Drain(1000)
-	if !closed || !b.Flow(1).Closed() {
+	if !closed || !b.Flow(1).closed {
 		t.Fatal("FIN not delivered in order")
 	}
 	fa.Write([]byte("zombie"))
@@ -299,4 +299,20 @@ func TestStackDeterminism(t *testing.T) {
 	if a1 != a2 || b1 != b2 || !bytes.Equal(g1, g2) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a1, a2)
 	}
+}
+
+// consume drains up to n in-order bytes from a Manual flow's receive
+// queue, returning what it took and re-advertising the opened window so
+// a stalled sender resumes.
+func consume(f *Flow, n int) []byte {
+	if n <= 0 || len(f.rcvQ) == 0 {
+		return nil
+	}
+	if n > len(f.rcvQ) {
+		n = len(f.rcvQ)
+	}
+	out := f.rcvQ[:n:n]
+	f.rcvQ = append([]byte(nil), f.rcvQ[n:]...)
+	f.sendCtl(flagACK)
+	return out
 }

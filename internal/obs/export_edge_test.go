@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"svtsim/internal/stats"
 )
 
 // TestEmptyRegistryExport pins the degenerate registry outputs: no rows,
@@ -100,13 +102,14 @@ func TestNilTracerExport(t *testing.T) {
 }
 
 // TestOneBucketHistogramExport pins the histogram expansion when every
-// sample lands in a single bucket: count/mean/p50/p99 all reflect the one
-// value, and the rendered numbers are valid JSON numbers.
+// sample has one value: count/mean/p50/p99 all reflect it, and the
+// rendered numbers are valid JSON numbers.
 func TestOneBucketHistogramExport(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("exit.latency", 10)
+	h := &stats.Histogram{}
+	r.RegisterHistogram("exit.latency", h)
 	for i := 0; i < 5; i++ {
-		h.Add(7) // all five samples share the [0,10) bucket
+		h.Add(7)
 	}
 	rows := r.Rows()
 	want := map[string]string{

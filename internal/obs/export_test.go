@@ -65,12 +65,12 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 			instants++
 		}
 	}
-	if len(names) != tr.Tracks() {
-		t.Fatalf("got %d process_name records, want %d", len(names), tr.Tracks())
+	if len(names) != len(tr.tracks) {
+		t.Fatalf("got %d process_name records, want %d", len(names), len(tr.tracks))
 	}
-	for i := 0; i < tr.Tracks(); i++ {
-		if names[i] != tr.TrackName(i) {
-			t.Errorf("track %d named %q, want %q", i, names[i], tr.TrackName(i))
+	for i, want := range tr.names {
+		if names[i] != want {
+			t.Errorf("track %d named %q, want %q", i, names[i], want)
 		}
 	}
 	if spans != 2 || instants != 2 {

@@ -2,7 +2,10 @@ package obs
 
 // EndpointStats is the serving-side counterpart of the simulation
 // metrics registry: per-endpoint request counters and latency
-// histograms for svtsimd's HTTP surface. Unlike Registry — whose
+// histograms for svtsimd's HTTP surface. A latency histogram counts
+// every request for .count and .mean but keeps only the most recent
+// 1024 latencies for .p50 and .p99, so a long-lived daemon's memory and
+// scrape cost stay bounded. Unlike Registry — whose
 // instruments are deliberately lock-free because each simulated machine
 // owns its plane — EndpointStats is hit from concurrent HTTP handler
 // goroutines, so every touch goes through one mutex. Export snapshots
@@ -21,7 +24,7 @@ type epStat struct {
 	requests  uint64
 	status4xx uint64
 	status5xx uint64
-	latencyMs *stats.Histogram
+	latencyMs stats.Histogram
 }
 
 // EndpointStats tracks per-endpoint request counts, error counts, and
@@ -45,7 +48,7 @@ func (s *EndpointStats) Observe(endpoint string, status int, latencyMs float64) 
 	defer s.mu.Unlock()
 	st := s.m[endpoint]
 	if st == nil {
-		st = &epStat{latencyMs: stats.NewHistogram(0.5)}
+		st = &epStat{}
 		s.m[endpoint] = st
 	}
 	st.requests++
@@ -82,10 +85,7 @@ func (s *EndpointStats) Export(extra func(*Registry)) *Registry {
 		r.Counter(prefix + ".requests").Add(st.requests)
 		r.Counter(prefix + ".4xx").Add(st.status4xx)
 		r.Counter(prefix + ".5xx").Add(st.status5xx)
-		h := r.Histogram(prefix+".latency_ms", 0.5)
-		for _, v := range st.latencyMs.Samples() {
-			h.Add(v)
-		}
+		r.RegisterHistogram(prefix+".latency_ms", st.latencyMs.Clone())
 	}
 	s.mu.Unlock()
 	if extra != nil {

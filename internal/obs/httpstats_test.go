@@ -36,6 +36,35 @@ func TestEndpointStatsExport(t *testing.T) {
 	}
 }
 
+// TestEndpointStatsLatencyWindow: .count and .mean cover every request,
+// .p50 and .p99 only the most recent 1024 — older latencies are gone.
+func TestEndpointStatsLatencyWindow(t *testing.T) {
+	s := NewEndpointStats()
+	const n, window = 10000, 1024
+	for i := 0; i < n; i++ {
+		ms := 1000.0
+		if i >= n-window {
+			ms = 1
+		}
+		s.Observe("submit", 200, ms)
+	}
+	rows := map[string]string{}
+	for _, row := range s.Export(nil).Rows() {
+		rows[row.Name] = row.Value
+	}
+	mean := formatFloat(((n-window)*1000.0 + window) / n)
+	for name, want := range map[string]string{
+		"http.submit.latency_ms.count": "10000",
+		"http.submit.latency_ms.mean":  mean,
+		"http.submit.latency_ms.p50":   "1",
+		"http.submit.latency_ms.p99":   "1",
+	} {
+		if rows[name] != want {
+			t.Errorf("%s = %s, want %s", name, rows[name], want)
+		}
+	}
+}
+
 // TestEndpointStatsConcurrent hammers Observe and Export from many
 // goroutines; the run is meaningful under -race (CI runs the obs
 // package with the detector on).

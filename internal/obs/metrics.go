@@ -81,15 +81,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket width on first use.
-func (r *Registry) Histogram(name string, width float64) *stats.Histogram {
-	if in, ok := r.byName[name]; ok && in.h != nil {
-		return in.h
-	}
-	h := stats.NewHistogram(width)
+// RegisterHistogram attaches a histogram under name.
+func (r *Registry) RegisterHistogram(name string, h *stats.Histogram) {
 	r.byName[name] = instrument{h: h}
-	return h
 }
 
 // RegisterFunc attaches a reading function under name; it is sampled at

@@ -21,12 +21,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]Event, capacity)}
 }
 
-// Cap reports the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
-// Len reports the number of retained events.
-func (r *Ring) Len() int { return r.n }
-
 // Total reports the lifetime push count (including events that have
 // rotated out of the window).
 func (r *Ring) Total() uint64 { return r.total }
@@ -57,11 +51,4 @@ func (r *Ring) Do(f func(Event)) {
 		}
 		f(r.buf[j])
 	}
-}
-
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	out := make([]Event, 0, r.n)
-	r.Do(func(e Event) { out = append(out, e) })
-	return out
 }

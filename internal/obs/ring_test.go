@@ -11,6 +11,16 @@ func mk(i int) Event {
 	return Event{At: sim.Time(i), Arg1: uint64(i), Kind: KindVMExit}
 }
 
+// events returns the retained window, oldest first, read straight from
+// the slab: the newest n entries ending just before next.
+func events(r *Ring) []Event {
+	out := make([]Event, r.n)
+	for i := range out {
+		out[i] = r.buf[(r.next-r.n+i+len(r.buf))%len(r.buf)]
+	}
+	return out
+}
+
 func args(events []Event) []uint64 {
 	out := make([]uint64, len(events))
 	for i, e := range events {
@@ -46,18 +56,18 @@ func TestRingTable(t *testing.T) {
 			for i := 0; i < tc.pushes; i++ {
 				r.Push(mk(i))
 			}
-			if r.Cap() != tc.wantCap {
-				t.Errorf("Cap() = %d, want %d", r.Cap(), tc.wantCap)
+			if len(r.buf) != tc.wantCap {
+				t.Errorf("capacity = %d, want %d", len(r.buf), tc.wantCap)
 			}
-			if r.Len() != tc.wantLen {
-				t.Errorf("Len() = %d, want %d", r.Len(), tc.wantLen)
+			if r.n != tc.wantLen {
+				t.Errorf("retained = %d, want %d", r.n, tc.wantLen)
 			}
 			if r.Total() != tc.wantTotal {
 				t.Errorf("Total() = %d, want %d", r.Total(), tc.wantTotal)
 			}
-			es := r.Events()
+			es := events(r)
 			if len(es) != tc.wantLen {
-				t.Fatalf("Events() returned %d, want %d", len(es), tc.wantLen)
+				t.Fatalf("events() returned %d, want %d", len(es), tc.wantLen)
 			}
 			if tc.wantLen > 0 {
 				if es[0].Arg1 != tc.wantOldest {
@@ -80,7 +90,7 @@ func TestRingWindowOrderingAtEveryLength(t *testing.T) {
 	r := NewRing(capacity)
 	for i := 0; i < 10; i++ {
 		r.Push(mk(i))
-		es := r.Events()
+		es := events(r)
 		want := i + 1
 		if want > capacity {
 			want = capacity
@@ -107,13 +117,13 @@ func TestRingDoMatchesEvents(t *testing.T) {
 	}
 	var got []Event
 	r.Do(func(e Event) { got = append(got, e) })
-	want := r.Events()
+	want := events(r)
 	if len(got) != len(want) {
-		t.Fatalf("Do visited %d, Events returned %d", len(got), len(want))
+		t.Fatalf("Do visited %d, the window holds %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("Do[%d] = %+v, Events[%d] = %+v", i, got[i], i, want[i])
+			t.Fatalf("Do[%d] = %+v, window[%d] = %+v", i, got[i], i, want[i])
 		}
 	}
 }

@@ -139,14 +139,6 @@ func (t *Tracer) Contexts() int {
 	return t.nctx
 }
 
-// Tracks reports the total track count (contexts + devices + engine).
-func (t *Tracer) Tracks() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.tracks)
-}
-
 // DeviceTrack is the track index for device-model events.
 func (t *Tracer) DeviceTrack() int {
 	if t == nil {
@@ -170,14 +162,6 @@ func (t *Tracer) SetTrackName(i int, name string) {
 		return
 	}
 	t.names[i] = name
-}
-
-// TrackName reports a track's display name.
-func (t *Tracer) TrackName(i int) string {
-	if t == nil || i < 0 || i >= len(t.names) {
-		return ""
-	}
-	return t.names[i]
 }
 
 // Ring exposes a track's event ring (exporters, tests).

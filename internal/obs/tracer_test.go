@@ -11,13 +11,13 @@ func TestNilTracerIsInert(t *testing.T) {
 	// entire disabled-path contract.
 	tr.Span(0, KindVMExit, 1, 0, 0, 10, 0, 0)
 	tr.Instant(0, KindIRQ, LevelNone, 0, 5, 0x20, 0)
-	if tr.Contexts() != 0 || tr.Tracks() != 0 || tr.Total() != 0 {
+	if tr.Contexts() != 0 || tr.Total() != 0 {
 		t.Fatal("nil tracer reported nonzero shape")
 	}
 	if tr.Intern("x") != 0 {
 		t.Fatal("nil tracer must intern to label 0 so cached labels stay inert")
 	}
-	if tr.Lookup(3) != "" || tr.TrackName(0) != "" || tr.Ring(0) != nil {
+	if tr.Lookup(3) != "" || tr.Ring(0) != nil {
 		t.Fatal("nil tracer lookups must be empty")
 	}
 	var b strings.Builder
@@ -41,20 +41,17 @@ func TestTracerTrackLayout(t *testing.T) {
 	if tr.Contexts() != 3 {
 		t.Fatalf("Contexts() = %d", tr.Contexts())
 	}
-	if tr.Tracks() != 5 { // 3 contexts + devices + engine
-		t.Fatalf("Tracks() = %d", tr.Tracks())
+	if len(tr.tracks) != 5 { // 3 contexts + devices + engine
+		t.Fatalf("%d tracks", len(tr.tracks))
 	}
 	if tr.DeviceTrack() != 3 || tr.EngineTrack() != 4 {
 		t.Fatalf("device=%d engine=%d", tr.DeviceTrack(), tr.EngineTrack())
 	}
 	wantNames := []string{"hw-context-0", "hw-context-1", "hw-context-2", "devices", "engine"}
 	for i, want := range wantNames {
-		if got := tr.TrackName(i); got != want {
-			t.Errorf("TrackName(%d) = %q, want %q", i, got, want)
+		if got := tr.names[i]; got != want {
+			t.Errorf("track %d named %q, want %q", i, got, want)
 		}
-	}
-	if tr.TrackName(-1) != "" || tr.TrackName(99) != "" {
-		t.Error("out-of-range TrackName must be empty")
 	}
 }
 
@@ -64,12 +61,12 @@ func TestTracerClampsTracksAndDurations(t *testing.T) {
 	// emission sites trust their wiring, the tracer stays safe anyway.
 	tr.Instant(-3, KindIRQ, LevelNone, 0, 0, 1, 0)
 	tr.Instant(99, KindIPI, LevelNone, 0, 0, 2, 0)
-	if tr.Ring(0).Len() != 1 || tr.Ring(tr.EngineTrack()).Len() != 1 {
+	if tr.Ring(0).n != 1 || tr.Ring(tr.EngineTrack()).n != 1 {
 		t.Fatal("clamped events landed on the wrong tracks")
 	}
 	// A span whose end precedes its start records zero duration.
 	tr.Span(0, KindVMExit, 1, 0, 100, 40, 0, 0)
-	es := tr.Ring(0).Events()
+	es := events(tr.Ring(0))
 	if es[len(es)-1].Dur != 0 {
 		t.Fatalf("negative duration not clamped: %+v", es[len(es)-1])
 	}
@@ -132,7 +129,7 @@ func TestNewPlane(t *testing.T) {
 	if p.Tracer == nil || p.Metrics == nil {
 		t.Fatal("plane incomplete")
 	}
-	if p.Tracer.Contexts() != 2 || p.Tracer.Ring(0).Cap() != 8 {
+	if p.Tracer.Contexts() != 2 || len(p.Tracer.Ring(0).buf) != 8 {
 		t.Fatal("options not applied")
 	}
 }

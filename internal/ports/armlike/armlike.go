@@ -27,10 +27,6 @@ func Port() ports.Port { return singleton }
 
 func (port) Name() string { return "armlike" }
 
-func (port) Description() string {
-	return "trap-to-EL2/vGIC: cheap world switches, NV2-style memory-backed nested state"
-}
-
 // Costs returns the EL2 calibration. It starts from the x86 Table 1
 // model and rescales the architecture-owned primitives; the software
 // costs (dispatch, emulation bodies, SW-SVt rings) stay close to x86

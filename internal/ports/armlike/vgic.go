@@ -218,9 +218,6 @@ func (g *VGIC) SetDeadline(t sim.Time) {
 // TimerArmed reports whether a deadline is pending.
 func (g *VGIC) TimerArmed() bool { return g.deadlineEv.Pending() }
 
-// TimerFired reports how many deadline interrupts have fired.
-func (g *VGIC) TimerFired() uint64 { return g.timerFired.Value() }
-
 // Delivered reports the total vectors delivered (including collapsed ones).
 func (g *VGIC) Delivered() uint64 { return g.delivered.Value() }
 

@@ -40,7 +40,6 @@ type IRQController interface {
 	SetOnDeliver(fn func(vec int))
 
 	// Diagnostics and observability.
-	TimerFired() uint64
 	Delivered() uint64
 	Dropped() uint64
 	Delayed() uint64

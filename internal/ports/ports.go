@@ -96,8 +96,6 @@ type Port interface {
 	// through the -port CLI flag, svtsimd request digests and snapshot
 	// section naming.
 	Name() string
-	// Description is a one-line summary for CLI/docs listings.
-	Description() string
 
 	// Costs returns the calibrated world-switch/trap cost model for
 	// this architecture. The x86 port returns the paper's Table 1
@@ -152,15 +150,6 @@ func Names() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// All returns the registered ports in name order.
-func All() []Port {
-	var out []Port
-	for _, n := range Names() {
-		out = append(out, Get(n))
-	}
 	return out
 }
 

@@ -25,10 +25,6 @@ func Port() ports.Port { return singleton }
 
 func (port) Name() string { return "x86" }
 
-func (port) Description() string {
-	return "VT-x/LAPIC: expensive world switches, paper Table 1 calibration"
-}
-
 // Costs returns the paper-calibrated Table 1 model unchanged.
 func (port) Costs() cost.Model { return cost.Baseline() }
 

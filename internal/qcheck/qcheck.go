@@ -33,7 +33,8 @@ func Seed(t testing.TB) int64 {
 }
 
 // Config returns a quick.Config with the given MaxCount and a
-// deterministically seeded RNG.
+// deterministically seeded RNG. Only tests call it; it stays because the
+// property tests of ten packages share it.
 func Config(t testing.TB, maxCount int) *quick.Config {
 	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(Seed(t)))}
 }

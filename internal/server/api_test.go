@@ -109,6 +109,8 @@ func TestCanonicalizeErrors(t *testing.T) {
 		{"bad workload", Request{Kind: KindWorkload, Workload: "doom"}, "workload"},
 		{"faultgrid no spec", Request{Kind: KindFaultGrid}, "faults"},
 		{"bad fault rate", Request{Kind: KindStorm, Faults: "swsvt/wakeup:rate=1.5,drop"}, "faults"},
+		{"NaN fault rate", Request{Kind: KindStorm, Faults: "swsvt/wakeup:rate=NaN,drop"}, "faults"},
+		{"overflowing topology", Request{Kind: KindDensity, Topology: "4294967296x4294967296x1"}, "topology"},
 		{"bad fault spec", Request{Kind: KindStorm, Faults: "nonsense"}, "faults"},
 		{"bad lb scenario", Request{Kind: KindLB, Scenario: "sinusoid"}, "scenario"},
 	} {

@@ -434,6 +434,20 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("unknown field in %s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
+
+	// Topologies whose context count overflows int are refused up front,
+	// not run into a failing job.
+	for _, topo := range []string{"4294967296x4294967296x1", "2x9223372036854775807x2"} {
+		body := `{"kind":"density","topology":"` + topo + `"}`
+		resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("topology %s: status %d, want 400", topo, resp.StatusCode)
+		}
+	}
 }
 
 // TestStreamAndStatus: the progress stream is ordered, ends with the

@@ -61,13 +61,8 @@ func (e *Engine) AddProbe(name string, fn func() string) {
 
 // SetStallLimit arms the livelock detector: if more than n events
 // dispatch at one virtual instant without the clock advancing, the
-// engine assembles a StallReport and invokes the stall handler (which
-// panics with the report unless replaced). Zero disarms the detector.
+// engine panics with a StallReport's text. Zero disarms the detector.
 func (e *Engine) SetStallLimit(n uint64) { e.stallLimit = n }
-
-// SetStallHandler replaces the detector's action. The default handler
-// panics with the report; tests install a recorder instead.
-func (e *Engine) SetStallHandler(fn func(*StallReport)) { e.onStall = fn }
 
 // Report assembles a StallReport with the given reason from the current
 // engine state and all registered probes. Components that detect their
@@ -96,11 +91,5 @@ func (e *Engine) noteDispatch() {
 	if e.stallLimit == 0 || e.stallCount < e.stallLimit {
 		return
 	}
-	r := e.Report("virtual time stopped advancing (livelock)")
-	e.stallCount = 0 // re-arm so a non-panicking handler is not stormed
-	if e.onStall != nil {
-		e.onStall(r)
-		return
-	}
-	panic(r.String())
+	panic(e.Report("virtual time stopped advancing (livelock)").String())
 }

@@ -5,33 +5,36 @@ import (
 	"testing"
 )
 
+// stallPanic runs fn and returns the message it panicked with, or ""
+// if it returned normally.
+func stallPanic(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = r.(string)
+		}
+	}()
+	fn()
+	return ""
+}
+
 func TestLivelockDetectorFires(t *testing.T) {
 	e := New()
 	e.SetStallLimit(100)
-	var got *StallReport
-	e.SetStallHandler(func(r *StallReport) { got = r })
 	e.AddProbe("ring", func() string { return "occupancy=3/64" })
 
 	// Two events that reschedule each other at the same instant forever:
 	// the classic zero-delay wakeup loop.
 	var ping func()
-	n := 0
-	ping = func() {
-		n++
-		if got == nil {
-			e.At(e.Now(), ping)
-		}
-	}
+	ping = func() { e.At(e.Now(), ping) }
 	e.At(0, ping)
-	e.Drain(10_000)
+	s := stallPanic(func() { e.Drain(10_000) })
 
-	if got == nil {
+	if s == "" {
 		t.Fatal("livelock detector never fired")
 	}
-	if got.SameInstant < 100 {
-		t.Fatalf("report counted %d same-instant dispatches, want >= 100", got.SameInstant)
+	if !strings.Contains(s, "same-instant=100") {
+		t.Fatalf("detector did not fire at the 100th same-instant dispatch:\n%s", s)
 	}
-	s := got.String()
 	if !strings.Contains(s, "livelock") || !strings.Contains(s, "occupancy=3/64") {
 		t.Fatalf("report missing reason or probe state:\n%s", s)
 	}
@@ -40,8 +43,6 @@ func TestLivelockDetectorFires(t *testing.T) {
 func TestLivelockDetectorIgnoresAdvancingTime(t *testing.T) {
 	e := New()
 	e.SetStallLimit(10)
-	fired := false
-	e.SetStallHandler(func(*StallReport) { fired = true })
 
 	// Many events, but each at its own instant: healthy simulation.
 	var tick func()
@@ -53,9 +54,8 @@ func TestLivelockDetectorIgnoresAdvancingTime(t *testing.T) {
 		}
 	}
 	e.After(1, tick)
-	e.Drain(10_000)
-	if fired {
-		t.Fatal("detector fired on a time-advancing run")
+	if s := stallPanic(func() { e.Drain(10_000) }); s != "" {
+		t.Fatalf("detector fired on a time-advancing run:\n%s", s)
 	}
 	if n != 1000 {
 		t.Fatalf("expected 1000 ticks, got %d", n)

@@ -49,28 +49,6 @@ type EventRef struct {
 	gen uint32
 }
 
-// At reports the virtual time the event is scheduled for, or 0 if the
-// event already fired or was canceled. A pending event scheduled at
-// time 0 is indistinguishable from a dead ref here; use AtOK when that
-// distinction matters.
-func (r EventRef) At() Time {
-	if !r.Pending() {
-		return 0
-	}
-	return r.ev.at
-}
-
-// AtOK reports the virtual time the event is scheduled for and whether
-// the event is still pending. Unlike At, a pending event at time 0
-// returns (0, true) and is therefore distinguishable from a fired or
-// canceled one, which returns (0, false).
-func (r EventRef) AtOK() (Time, bool) {
-	if !r.Pending() {
-		return 0, false
-	}
-	return r.ev.at, true
-}
-
 // Pending reports whether the event is still queued.
 func (r EventRef) Pending() bool {
 	return r.ev != nil && r.ev.gen == r.gen && r.ev.index >= 0
@@ -104,7 +82,6 @@ type Engine struct {
 	stallLimit uint64
 	stallCount uint64
 	stallAt    Time
-	onStall    func(*StallReport)
 	probes     []Probe
 }
 
@@ -213,9 +190,6 @@ func (e *Engine) Cancel(r EventRef) {
 	e.release(ev)
 }
 
-// PendingEvents reports the number of queued events.
-func (e *Engine) PendingEvents() int { return len(e.queue) }
-
 // NextEventTime reports the timestamp of the earliest pending event.
 func (e *Engine) NextEventTime() (Time, bool) {
 	if len(e.queue) == 0 {
@@ -273,6 +247,8 @@ func (e *Engine) RunUntil(t Time) {
 
 // Drain runs until no events remain or until the safety cap of maxEvents
 // dispatches is hit; it reports whether the queue was fully drained.
+// Only tests call it; it stays as the engine test driver that six
+// packages share.
 func (e *Engine) Drain(maxEvents uint64) bool {
 	start := e.dispatched
 	for len(e.queue) > 0 {

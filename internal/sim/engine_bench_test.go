@@ -38,8 +38,8 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Cancel(e.After(10, fn))
 	}
-	if e.PendingEvents() != 0 {
-		b.Fatalf("pending = %d, want 0", e.PendingEvents())
+	if len(e.queue) != 0 {
+		b.Fatalf("pending = %d, want 0", len(e.queue))
 	}
 }
 

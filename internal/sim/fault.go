@@ -30,9 +30,6 @@ type FaultInjector interface {
 // healthy runs.
 func (e *Engine) SetFaults(f FaultInjector) { e.faults = f }
 
-// Faults returns the registered fault injector, if any.
-func (e *Engine) Faults() FaultInjector { return e.faults }
-
 // Inject consults the registered fault injector at a named site. It is
 // the single entry point components use; a nil injector never fires.
 func (e *Engine) Inject(site string) FaultOutcome {

@@ -46,9 +46,6 @@ func (l *Ledger) Swap(c Category) Category {
 	return prev
 }
 
-// Current reports the active category.
-func (l *Ledger) Current() Category { return l.cur }
-
 // Total reports the sum across categories.
 func (l *Ledger) Total() Time {
 	var s Time

@@ -20,8 +20,8 @@ func TestLedgerAttribution(t *testing.T) {
 	if led.Total() != 175 {
 		t.Fatalf("total = %v", led.Total())
 	}
-	if led.Current() != CatGuest {
-		t.Fatalf("current = %v", led.Current())
+	if led.cur != CatGuest {
+		t.Fatalf("current = %v", led.cur)
 	}
 }
 

@@ -27,21 +27,21 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros builds a Time from a floating-point number of microseconds.
-func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
-
 // String formats the time with an adaptive unit, e.g. "1.29us" or "2.50ms".
 func (t Time) String() string {
+	// Format the magnitude as a uint64: negating MinInt64 overflows.
+	sign, a := "", uint64(t)
+	if t < 0 {
+		sign, a = "-", -a
+	}
 	switch {
-	case t < 0:
-		return "-" + (-t).String()
-	case t < Microsecond:
-		return fmt.Sprintf("%dns", int64(t))
-	case t < Millisecond:
-		return fmt.Sprintf("%.2fus", t.Microseconds())
-	case t < Second:
-		return fmt.Sprintf("%.2fms", t.Milliseconds())
+	case a < uint64(Microsecond):
+		return fmt.Sprintf("%s%dns", sign, a)
+	case a < uint64(Millisecond):
+		return fmt.Sprintf("%s%.2fus", sign, float64(a)/float64(Microsecond))
+	case a < uint64(Second):
+		return fmt.Sprintf("%s%.2fms", sign, float64(a)/float64(Millisecond))
 	default:
-		return fmt.Sprintf("%.3fs", t.Seconds())
+		return fmt.Sprintf("%s%.3fs", sign, float64(a)/float64(Second))
 	}
 }

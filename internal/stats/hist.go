@@ -1,79 +1,49 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+// histogramWindow is how many of the most recent values a Histogram
+// keeps for its percentiles. It bounds a long-lived histogram's memory:
+// svtsimd observes every request it serves into one.
+const histogramWindow = 1024
 
-// Histogram accumulates values into fixed-width buckets; it is used for
-// latency distributions (Figure 8) and for quick textual inspection of
-// simulation output.
+// Histogram summarises a stream of values: the lifetime count and mean,
+// and exact percentiles over the most recent histogramWindow values. The
+// zero value is ready to use.
 type Histogram struct {
-	Width   float64 // bucket width; values land in bucket floor(v/Width)
-	counts  map[int]int
-	total   int
-	sum     float64
-	samples []float64 // retained for exact percentiles
-}
-
-// NewHistogram returns a histogram with the given bucket width (> 0).
-func NewHistogram(width float64) *Histogram {
-	if width <= 0 {
-		panic("stats: histogram width must be positive")
-	}
-	return &Histogram{Width: width, counts: make(map[int]int)}
+	n      int
+	sum    float64
+	recent []float64 // grows by append up to histogramWindow, then circular
+	next   int       // the slot the next value overwrites once recent is full
 }
 
 // Add records one value.
 func (h *Histogram) Add(v float64) {
-	h.counts[int(v/h.Width)]++
-	h.total++
+	h.n++
 	h.sum += v
-	h.samples = append(h.samples, v)
+	if len(h.recent) < histogramWindow {
+		h.recent = append(h.recent, v)
+		return
+	}
+	h.recent[h.next] = v
+	h.next = (h.next + 1) % histogramWindow
 }
 
-// N reports the number of recorded values.
-func (h *Histogram) N() int { return h.total }
+// N reports how many values were ever recorded.
+func (h *Histogram) N() int { return h.n }
 
-// Mean reports the mean of recorded values (0 when empty).
+// Mean reports the mean of every recorded value (0 when empty).
 func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(h.total)
+	return h.sum / float64(h.n)
 }
 
-// Percentile reports an exact percentile over the recorded values.
-func (h *Histogram) Percentile(p float64) float64 { return Percentile(h.samples, p) }
+// Percentile reports an exact percentile over the most recent values.
+func (h *Histogram) Percentile(p float64) float64 { return Percentile(h.recent, p) }
 
-// Samples returns a copy of all recorded values.
-func (h *Histogram) Samples() []float64 { return append([]float64(nil), h.samples...) }
-
-// String renders an ASCII sketch of the distribution, at most 20 rows.
-func (h *Histogram) String() string {
-	if h.total == 0 {
-		return "(empty histogram)"
-	}
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	if len(keys) > 20 {
-		keys = keys[:20]
-	}
-	maxCount := 0
-	for _, k := range keys {
-		if h.counts[k] > maxCount {
-			maxCount = h.counts[k]
-		}
-	}
-	var b strings.Builder
-	for _, k := range keys {
-		c := h.counts[k]
-		bar := strings.Repeat("#", 1+c*40/maxCount)
-		fmt.Fprintf(&b, "%12.2f %6d %s\n", float64(k)*h.Width, c, bar)
-	}
-	return b.String()
+// Clone returns a copy that shares no storage with h.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.recent = append([]float64(nil), h.recent...)
+	return &c
 }

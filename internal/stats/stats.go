@@ -40,28 +40,6 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// Min returns the smallest sample; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	v := xs[0]
-	for _, x := range xs[1:] {
-		if x < v {
-			v = x
-		}
-	}
-	return v
-}
-
-// Max returns the largest sample; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	v := xs[0]
-	for _, x := range xs[1:] {
-		if x > v {
-			v = x
-		}
-	}
-	return v
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {

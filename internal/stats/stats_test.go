@@ -31,9 +31,9 @@ func TestStddev(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max = %v/%v", Min(xs), Max(xs))
+	s, err := Summarize([]float64{3, -1, 7, 2})
+	if err != nil || s.Min != -1 || s.Max != 7 {
+		t.Fatalf("min/max = %v/%v (%v)", s.Min, s.Max, err)
 	}
 }
 
@@ -89,7 +89,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			p1, p2 = p2, p1
 		}
 		v1, v2 := Percentile(xs, p1), Percentile(xs, p2)
-		return v1 <= v2+1e-9 && v1 >= Min(xs)-1e-9 && v2 <= Max(xs)+1e-9
+		s, _ := Summarize(xs)
+		return v1 <= v2+1e-9 && v1 >= s.Min-1e-9 && v2 <= s.Max+1e-9
 	}
 	if err := quick.Check(prop, qcheck.Config(t, 300)); err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
+	var h Histogram
 	for _, v := range []float64{1, 5, 12, 15, 99} {
 		h.Add(v)
 	}
@@ -110,36 +111,41 @@ func TestHistogram(t *testing.T) {
 	if got := h.Percentile(100); got != 99 {
 		t.Fatalf("p100 = %v", got)
 	}
-	if h.String() == "(empty histogram)" {
-		t.Fatal("non-empty histogram rendered as empty")
-	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(1)
-	if h.String() != "(empty histogram)" {
-		t.Fatal("empty histogram should say so")
-	}
-	if h.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
+	var h Histogram
+	if h.N() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 {
+		t.Fatal("empty histogram must read zero")
 	}
 }
 
-func TestHistogramBadWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for width 0")
-		}
-	}()
-	NewHistogram(0)
+// TestHistogramWindow: count and mean cover every value, percentiles
+// only the most recent histogramWindow, and no more are kept.
+func TestHistogramWindow(t *testing.T) {
+	var h Histogram
+	const n = 10000
+	for i := 0; i < n; i++ {
+		h.Add(float64(i))
+	}
+	if len(h.recent) != histogramWindow {
+		t.Fatalf("kept %d values, want %d", len(h.recent), histogramWindow)
+	}
+	if h.N() != n || !almost(h.Mean(), (n-1)/2.0) {
+		t.Fatalf("N = %d, mean = %v; want %d and %v", h.N(), h.Mean(), n, (n-1)/2.0)
+	}
+	if lo, hi := h.Percentile(0), h.Percentile(100); lo != n-histogramWindow || hi != n-1 {
+		t.Fatalf("window spans [%v, %v], want [%d, %d]", lo, hi, n-histogramWindow, n-1)
+	}
 }
 
 func TestHistogramSamplesCopy(t *testing.T) {
-	h := NewHistogram(1)
+	var h Histogram
 	h.Add(3)
-	s := h.Samples()
-	s[0] = 99
-	if h.Percentile(50) != 3 {
-		t.Fatal("Samples must return a copy")
+	c := h.Clone()
+	c.recent[0] = 99
+	c.Add(5)
+	if h.Percentile(50) != 3 || h.N() != 1 {
+		t.Fatal("Clone must not share samples with its source")
 	}
 }

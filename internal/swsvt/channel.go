@@ -96,9 +96,6 @@ func (ch *Channel) SetObs(t *obs.Tracer) {
 
 var _ hv.SWChannel = (*Channel)(nil)
 
-// Stopped reports whether the SVt-thread ended the session.
-func (ch *Channel) Stopped() bool { return ch.stopped }
-
 func (ch *Channel) now() sim.Time { return ch.L0.P.Now() }
 
 // ReflectAndWait implements hv.SWChannel: steps 2 and 3 of Figure 5.
@@ -227,7 +224,6 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 		if !out.Drop || ch.WD == nil {
 			break
 		}
-		ch.WD.Fire()
 		ch.WatchdogFires.Inc()
 		ch.L0.P.Charge(ch.WD.TimeoutFor(attempt))
 		if attempt >= ch.WD.MaxRetries {
@@ -298,7 +294,6 @@ func (ch *Channel) pushTrap(e isa.Exit) bool {
 		if ch.WD == nil {
 			return false
 		}
-		ch.WD.Fire()
 		ch.WatchdogFires.Inc()
 		ch.L0.P.Charge(ch.WD.TimeoutFor(attempt))
 		if attempt >= ch.WD.MaxRetries {
@@ -325,7 +320,6 @@ func (ch *Channel) wakeRetry(site string) bool {
 		if ch.WD == nil {
 			return false
 		}
-		ch.WD.Fire()
 		ch.WatchdogFires.Inc()
 		ch.L0.P.Charge(ch.WD.TimeoutFor(attempt))
 		if attempt >= ch.WD.MaxRetries {
@@ -491,7 +485,6 @@ func (t *SVtThread) pushResume(p *cpu.Port) {
 		if ch.WD == nil {
 			panic("swsvt thread: response ring push failed with no watchdog")
 		}
-		ch.WD.Fire()
 		ch.WatchdogFires.Inc()
 		p.Charge(ch.WD.TimeoutFor(attempt))
 		// The thread gets a much longer leash than a reflection (which

@@ -29,7 +29,7 @@ func FuzzRing(f *testing.F) {
 				if err != nil {
 					t.Fatalf("step %d: push on non-full ring failed: %v", i, err)
 				}
-				c.Seq = r.Pushes() - 1
+				c.Seq = r.pushes - 1
 				model = append(model, c)
 				if seqSeen && c.Seq <= lastSeq {
 					t.Fatalf("step %d: sequence numbers not increasing: %d after %d", i, c.Seq, lastSeq)

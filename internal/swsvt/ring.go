@@ -81,9 +81,6 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
-// Pushes reports the total commands ever pushed.
-func (r *Ring) Pushes() uint64 { return r.pushes }
-
 // Push enqueues a command; the ring assigns the sequence number.
 func (r *Ring) Push(c Cmd) error {
 	if r.Len() == len(r.buf) {
@@ -104,12 +101,4 @@ func (r *Ring) Pop() (Cmd, bool) {
 	c := r.buf[r.head%uint64(len(r.buf))]
 	r.head++
 	return c, true
-}
-
-// Peek returns the oldest command without consuming it.
-func (r *Ring) Peek() (Cmd, bool) {
-	if r.Len() == 0 {
-		return Cmd{}, false
-	}
-	return r.buf[r.head%uint64(len(r.buf))], true
 }

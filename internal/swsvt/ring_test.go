@@ -33,17 +33,20 @@ func TestRingFIFO(t *testing.T) {
 	}
 }
 
+// TestRingPeek: Pending shows the queued commands, oldest first,
+// without consuming them.
 func TestRingPeek(t *testing.T) {
 	r := NewRing(2)
-	if _, ok := r.Peek(); ok {
+	if len(r.Pending()) != 0 {
 		t.Fatal("empty peek")
 	}
 	_ = r.Push(Cmd{Type: CmdVMResume})
-	c, ok := r.Peek()
-	if !ok || c.Type != CmdVMResume {
-		t.Fatal("peek mismatch")
+	_ = r.Push(Cmd{Type: CmdVMTrap})
+	p := r.Pending()
+	if len(p) != 2 || p[0].Type != CmdVMResume || p[1].Type != CmdVMTrap {
+		t.Fatalf("peek mismatch: %+v", p)
 	}
-	if r.Len() != 1 {
+	if r.Len() != 2 {
 		t.Fatal("peek must not consume")
 	}
 }
@@ -59,8 +62,8 @@ func TestRingWraparound(t *testing.T) {
 			t.Fatalf("round %d: %+v", round, c)
 		}
 	}
-	if r.Pushes() != 10 {
-		t.Fatalf("pushes = %d", r.Pushes())
+	if r.pushes != 10 {
+		t.Fatalf("pushes = %d", r.pushes)
 	}
 }
 

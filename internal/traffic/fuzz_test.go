@@ -29,7 +29,7 @@ func FuzzArrivalTrace(f *testing.F) {
 			Seed:      int64(binary.LittleEndian.Uint32(data[5:9])),
 		}
 		const horizon = 200 * sim.Microsecond
-		a := spec.Arrivals(horizon)
+		a := arrivals(spec, horizon)
 		if len(a) > int(horizon) {
 			t.Fatalf("%d arrivals exceed the 1-per-ns bound", len(a))
 		}
@@ -41,7 +41,7 @@ func FuzzArrivalTrace(f *testing.F) {
 				t.Fatalf("arrival %d at %v not after %v", i, at, a[i-1])
 			}
 		}
-		b := spec.Arrivals(horizon)
+		b := arrivals(spec, horizon)
 		if len(a) != len(b) {
 			t.Fatalf("replay diverged: %d vs %d arrivals", len(a), len(b))
 		}

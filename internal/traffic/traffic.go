@@ -73,21 +73,6 @@ func (s Spec) offDur() sim.Time {
 	return 4 * sim.Millisecond
 }
 
-// Arrivals materialises every arrival instant in [0, horizon), strictly
-// increasing. It is pure: two calls with the same spec and horizon
-// return identical slices.
-func (s Spec) Arrivals(horizon sim.Time) []sim.Time {
-	var out []sim.Time
-	g := s.generator()
-	for {
-		t, ok := g.next()
-		if !ok || t >= horizon {
-			return out
-		}
-		out = append(out, t)
-	}
-}
-
 // generator returns the incremental form of the schedule; Source uses
 // it to avoid materialising long horizons.
 func (s Spec) generator() *gen {

@@ -168,9 +168,6 @@ type Buf struct {
 	DeviceWrite bool
 }
 
-// NumFree reports free descriptors (driver side).
-func (q *Queue) NumFree() int { return int(q.numFree) }
-
 // Post allocates descriptors for the chain, links them, and publishes the
 // head on the available ring (driver side). It returns the head index.
 func (q *Queue) Post(chain []Buf) (uint16, error) {

@@ -67,8 +67,8 @@ func TestPostPopRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if driver.NumFree() != 6 {
-		t.Fatalf("free = %d, want 6", driver.NumFree())
+	if int(driver.numFree) != 6 {
+		t.Fatalf("free = %d, want 6", int(driver.numFree))
 	}
 
 	gotHead, bufs, ok, err := device.PopAvail()
@@ -97,8 +97,8 @@ func TestPostPopRoundTrip(t *testing.T) {
 	if err != nil || !ok || uHead != head || uLen != 128 {
 		t.Fatalf("PopUsed = %d,%d,%v,%v", uHead, uLen, ok, err)
 	}
-	if driver.NumFree() != 8 {
-		t.Fatalf("free after reclaim = %d, want 8", driver.NumFree())
+	if int(driver.numFree) != 8 {
+		t.Fatalf("free after reclaim = %d, want 8", int(driver.numFree))
 	}
 }
 

@@ -170,14 +170,6 @@ func (f Field) String() string {
 	return fmt.Sprintf("FIELD(%d)", uint32(f))
 }
 
-// Class returns the field's class.
-func (f Field) Class() Class {
-	if f < NumFields {
-		return fieldTable[f].class
-	}
-	return ClassControl
-}
-
 // Shadowable reports whether hardware VMCS shadowing can cover f.
 func (f Field) Shadowable() bool {
 	if f < NumFields {

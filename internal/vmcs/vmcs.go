@@ -2,7 +2,6 @@ package vmcs
 
 import (
 	"fmt"
-	"math/bits"
 
 	"svtsim/internal/isa"
 )
@@ -76,14 +75,6 @@ func (v *VMCS) Write(f Field, val uint64) {
 // Dirty reports whether f has been written since the last ClearDirty.
 func (v *VMCS) Dirty(f Field) bool { return f < NumFields && v.dirty[f/64]&(1<<(f%64)) != 0 }
 
-// DirtyCount reports the number of dirty fields.
-func (v *VMCS) DirtyCount() (n int) {
-	for _, w := range v.dirty {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // ClearDirty resets dirtiness tracking (after a transform consumed it).
 func (v *VMCS) ClearDirty() { clear(v.dirty[:]) }
 
@@ -120,18 +111,6 @@ func (v *VMCS) RecordExit(e isa.Exit) {
 	v.Write(GuestPhysAddr, e.GuestPA)
 	v.Write(ExitIntrInfo, uint64(uint32(e.Vector)))
 	v.Write(ExitValueAux, e.Value)
-}
-
-// LoadExit reconstructs an exit record from the exit-information fields.
-func (v *VMCS) LoadExit() isa.Exit {
-	return isa.Exit{
-		Reason:        isa.ExitReason(v.Read(ExitReasonF)),
-		Qualification: v.Read(ExitQualification),
-		InstrLen:      v.Read(ExitInstrLen),
-		GuestPA:       v.Read(GuestPhysAddr),
-		Vector:        int(uint32(v.Read(ExitIntrInfo))),
-		Value:         v.Read(ExitValueAux),
-	}
 }
 
 func (v *VMCS) String() string { return fmt.Sprintf("VMCS(%s)", v.Name) }

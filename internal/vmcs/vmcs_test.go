@@ -2,6 +2,7 @@ package vmcs
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -32,13 +33,21 @@ func TestReadWriteDirty(t *testing.T) {
 	if v.Read(GuestRIP) != 0x401000 {
 		t.Fatal("read back mismatch")
 	}
-	if !v.Dirty(GuestRIP) || v.DirtyCount() != 1 {
+	if !v.Dirty(GuestRIP) || dirtyCount(v) != 1 {
 		t.Fatal("dirtiness not tracked")
 	}
 	v.ClearDirty()
-	if v.Dirty(GuestRIP) || v.DirtyCount() != 0 {
+	if v.Dirty(GuestRIP) || dirtyCount(v) != 0 {
 		t.Fatal("ClearDirty did not clear")
 	}
+}
+
+// dirtyCount reports the number of dirty fields.
+func dirtyCount(v *VMCS) (n int) {
+	for _, w := range v.dirty {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func TestUnknownFieldPanics(t *testing.T) {
@@ -64,9 +73,10 @@ func TestFieldStrings(t *testing.T) {
 }
 
 func TestClassification(t *testing.T) {
-	if GuestRIP.Class() != ClassGuest || HostRIP.Class() != ClassHost ||
-		ExitReasonF.Class() != ClassExitInfo || EPTPointer.Class() != ClassPointer ||
-		SVtVM.Class() != ClassSVt || ProcControls.Class() != ClassControl {
+	class := func(f Field) Class { return fieldTable[f].class }
+	if class(GuestRIP) != ClassGuest || class(HostRIP) != ClassHost ||
+		class(ExitReasonF) != ClassExitInfo || class(EPTPointer) != ClassPointer ||
+		class(SVtVM) != ClassSVt || class(ProcControls) != ClassControl {
 		t.Fatal("field classification wrong")
 	}
 	// Every field must appear in exactly one class list.
@@ -146,11 +156,18 @@ func TestRecordLoadExitRoundTrip(t *testing.T) {
 		InstrLen:      2,
 		GuestPA:       0xFE001000,
 		Vector:        33,
+		Value:         0x1234,
 	}
 	v.RecordExit(e)
-	got := v.LoadExit()
-	if got.Reason != e.Reason || got.Qualification != e.Qualification ||
-		got.InstrLen != e.InstrLen || got.GuestPA != e.GuestPA || got.Vector != e.Vector {
+	got := isa.Exit{
+		Reason:        isa.ExitReason(v.Read(ExitReasonF)),
+		Qualification: v.Read(ExitQualification),
+		InstrLen:      v.Read(ExitInstrLen),
+		GuestPA:       v.Read(GuestPhysAddr),
+		Vector:        int(uint32(v.Read(ExitIntrInfo))),
+		Value:         v.Read(ExitValueAux),
+	}
+	if got != e {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, e)
 	}
 }

@@ -18,9 +18,6 @@ type ETC struct {
 // NewETC builds a generator with its own random stream.
 func NewETC(rng *rand.Rand) *ETC { return &ETC{rng: rng} }
 
-// KeySize draws a key length (ETC: ~20–40 bytes).
-func (e *ETC) KeySize() int { return 20 + e.rng.Intn(21) }
-
 // ValueSize draws a value length: most values are tiny, with a heavy
 // tail up to a few KB.
 func (e *ETC) ValueSize() int {

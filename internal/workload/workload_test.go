@@ -12,10 +12,6 @@ func TestETCDistributions(t *testing.T) {
 	gets := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		k := etc.KeySize()
-		if k < 20 || k > 40 {
-			t.Fatalf("key size %d outside ETC's 20-40 range", k)
-		}
 		v := etc.ValueSize()
 		if v < 2 || v > 4000 {
 			t.Fatalf("value size %d outside range", v)
