@@ -1,77 +1,42 @@
 package apic
 
 import (
-	"fmt"
-
 	"svtsim/internal/sim"
+	"svtsim/internal/words"
 )
 
-// State is the canonical serializable form of a LAPIC: the pending
-// vector set (IRR) in ascending order and the armed TSC deadline
-// (0 = disarmed). Delivery tallies are diagnostics, not architectural
-// state, and are excluded.
-type State struct {
-	Pending  []int
-	Deadline sim.Time
-}
-
-// SaveState captures the LAPIC's architectural state.
-func (l *LAPIC) SaveState() State {
-	s := State{Deadline: l.deadline}
-	for v := 0; v < 256; v++ {
-		if l.pending[v] {
-			s.Pending = append(s.Pending, v)
-		}
-	}
-	return s
-}
-
-// LoadState replaces the pending set and re-arms (or disarms) the
-// deadline timer. Re-arming goes through SetTSCDeadline so the one-shot
-// event is rescheduled on the engine; a deadline already in the past is
-// clamped to now by the engine and fires on the next dispatch.
-func (l *LAPIC) LoadState(s State) {
-	l.pending = [256]bool{}
-	l.npending = 0
-	for _, v := range s.Pending {
-		if v >= 0 && v < 256 && !l.pending[v] {
-			l.pending[v] = true
-			l.npending++
-		}
-	}
-	l.SetTSCDeadline(s.Deadline)
-}
-
 // SaveWords is the port-level snapshot codec (ports.IRQController): the
-// pending-count word, the pending vectors ascending, and the deadline.
-// This encoding is frozen — snapshot section digests depend on it.
-func (l *LAPIC) SaveWords() []uint64 {
-	st := l.SaveState()
-	out := make([]uint64, 0, 2+len(st.Pending))
-	out = append(out, uint64(len(st.Pending)))
-	for _, v := range st.Pending {
-		out = append(out, uint64(v))
-	}
-	return append(out, uint64(st.Deadline))
+// pending-vector set (IRR) as a count and the vectors ascending, then
+// the armed TSC deadline (0 = disarmed). Delivery tallies are
+// diagnostics, not architectural state, and are not written. This
+// encoding is frozen — snapshot section digests depend on it.
+func (l *LAPIC) SaveWords(w *words.Writer) {
+	w.Table(l.npending, 1, func() {
+		for v := 0; v < 256; v++ {
+			if l.pending[v] {
+				w.Word(uint64(v))
+			}
+		}
+	})
+	w.Word(uint64(l.deadline))
 }
 
-// LoadWords restores state captured by SaveWords.
-func (l *LAPIC) LoadWords(ws []uint64) error {
-	if len(ws) < 2 {
-		return fmt.Errorf("apic: state needs at least 2 words, got %d", len(ws))
+// LoadWords restores state captured by SaveWords: it replaces the
+// pending set and re-arms (or disarms) the deadline timer. Re-arming
+// goes through SetTSCDeadline so the one-shot event is rescheduled on
+// the engine; a deadline already in the past is clamped to now by the
+// engine and fires on the next dispatch.
+func (l *LAPIC) LoadWords(r *words.Reader) {
+	var pending [256]bool
+	n := r.Count(1)
+	for i, next := 0, uint64(0); i < n; i++ {
+		v := r.Range(next, 256, "apic: pending vector")
+		pending[v], next = true, v+1
 	}
-	n := ws[0]
-	if n != uint64(len(ws)-2) {
-		return fmt.Errorf("apic: state claims %d pending vectors with %d words", n, len(ws))
+	deadline := sim.Time(r.Word())
+	if r.Err() != nil {
+		return
 	}
-	var st State
-	for _, w := range ws[1 : 1+n] {
-		if w > 255 {
-			return fmt.Errorf("apic: pending vector %d out of range", w)
-		}
-		st.Pending = append(st.Pending, int(w))
-	}
-	st.Deadline = sim.Time(ws[len(ws)-1])
-	l.LoadState(st)
-	return nil
+	l.pending, l.npending = pending, n
+	l.SetTSCDeadline(deadline)
 }

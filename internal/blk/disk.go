@@ -65,10 +65,6 @@ func NewDisk(eng *sim.Engine, name string, capacity uint64) *Disk {
 	}
 }
 
-// PagesResident reports how many pages of the backing store have been
-// materialized.
-func (d *Disk) PagesResident() int { return d.store.PagesResident() }
-
 func (d *Disk) svc(write bool, n int) sim.Time {
 	base := d.ReadBase
 	if write {

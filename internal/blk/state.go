@@ -3,24 +3,25 @@ package blk
 import (
 	"svtsim/internal/mem"
 	"svtsim/internal/sim"
+	"svtsim/internal/words"
 )
 
-// DiskState is the canonical serializable form of the disk: the
-// resident pages of the backing store and the service-model busy
-// horizon. Request/error tallies are diagnostics and are excluded.
-type DiskState struct {
-	Pages     []mem.Page
-	BusyUntil sim.Time
+// SaveWords writes the resident pages of the backing store and the
+// service-model busy horizon. Request and error tallies are diagnostics
+// and are not written.
+func (d *Disk) SaveWords(w *words.Writer) {
+	d.store.SaveWords(w)
+	w.Word(uint64(d.busyUntil))
 }
 
-// SaveState captures the disk contents and service state.
-func (d *Disk) SaveState() DiskState {
-	return DiskState{Pages: d.store.SavePages(), BusyUntil: d.busyUntil}
-}
-
-// LoadState replaces the disk contents and service state. Writes that
-// landed after the capture are dropped, as restore semantics require.
-func (d *Disk) LoadState(s DiskState) {
-	d.store.LoadPages(s.Pages)
-	d.busyUntil = s.BusyUntil
+// LoadWords replaces the disk contents and service state with words
+// SaveWords wrote. Writes that landed after the capture are dropped, as
+// restore semantics require.
+func (d *Disk) LoadWords(r *words.Reader) {
+	store := mem.New(d.store.Size())
+	store.LoadWords(r)
+	busy := sim.Time(r.Word())
+	if r.Err() == nil {
+		d.store, d.busyUntil = store, busy
+	}
 }

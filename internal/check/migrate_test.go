@@ -8,6 +8,7 @@ import (
 
 	"svtsim/internal/hv"
 	"svtsim/internal/snapshot"
+	"svtsim/internal/virtio"
 )
 
 // migrateSchedule is a hand-built multi-core schedule with disk traffic
@@ -42,8 +43,8 @@ func dropVQIndex(target hv.Mode, t *testing.T) func(hv.Mode, *snapshot.Snapshot)
 			t.Error("snapshot has no vq/l2-blk section")
 			return
 		}
-		idx := sec.Words[snapshot.QWordAvailIdx]
-		if err := snap.MutateWord("vq/l2-blk", snapshot.QWordAvailIdx, idx-1); err != nil {
+		idx := sec.Words[virtio.QWordAvailIdx]
+		if err := snap.MutateWord("vq/l2-blk", virtio.QWordAvailIdx, idx-1); err != nil {
 			t.Error(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"svtsim/internal/sim"
 	"svtsim/internal/snapshot"
 	"svtsim/internal/virtio"
+	"svtsim/internal/words"
 	"svtsim/internal/workload"
 )
 
@@ -144,7 +145,7 @@ func RunSchedule(s *Schedule, mode hv.Mode, opts *RunOpts) Outcome {
 		opts.Mutate(mode, m)
 	}
 
-	it := &interp{s: s, m: m, io: io, mode: mode, dig: fnvOffset}
+	it := &interp{s: s, m: m, io: io, mode: mode, dig: words.FNVOffset}
 	if s.Cores > 1 {
 		// Graft a multi-core host onto the machine's engine: the guest
 		// stack occupies core 0 and OpIPI becomes a genuine cross-core
@@ -343,14 +344,9 @@ func wireNetRRPeer(m *machine.Machine, io *machine.IOStack) {
 	peer.recv = cd.recv
 }
 
-func (it *interp) add(x uint64) { it.dig = fnvWord(it.dig, x) }
+func (it *interp) add(x uint64) { it.dig = words.FNVWord(it.dig, x) }
 
-func (it *interp) addBytes(p []byte) {
-	for _, b := range p {
-		it.dig ^= uint64(b)
-		it.dig *= fnvPrime
-	}
-}
+func (it *interp) addBytes(p []byte) { it.dig = words.FNVBytes(it.dig, p) }
 
 func (it *interp) violate(where string, err error) {
 	if len(it.invs) < maxInvariantReports {

@@ -108,8 +108,8 @@ func TestCrossContextAccessThroughHierarchy(t *testing.T) {
 	h.ConfigureVisorVMCS(v01)
 	c.VMPtrLoad(0, v01)
 
-	c.WriteGPR(1, isa.RDX, 0x11)
-	c.WriteGPR(2, isa.RDX, 0x22)
+	c.RegFile().Write(1, isa.RDX, 0x11)
+	c.RegFile().Write(2, isa.RDX, 0x22)
 	got, exit := c.CtxtAccess(1, isa.RDX, false, 0)
 	if exit.Reason != isa.ExitNone || got != 0x11 {
 		t.Fatalf("lvl1 read = %#x / %v", got, exit)

@@ -129,10 +129,8 @@ func (c *Core) RegisterEPT(eptp uint64, t *ept.Table) {
 // (registers resident in the file).
 func (c *Core) ReadGPR(ctx ContextID, r isa.Reg) uint64 { return c.rf.Read(int(ctx), r) }
 
-// WriteGPR writes a guest GPR for context ctx while resident.
-func (c *Core) WriteGPR(ctx ContextID, r isa.Reg, v uint64) { c.rf.Write(int(ctx), r, v) }
-
-// RegFile exposes the register file (tests, SVt cross-context access).
+// RegFile exposes the register file (tests, SVt cross-context access,
+// snapshots).
 func (c *Core) RegFile() *RegFile { return c.rf }
 
 // ReadMSR reads architectural (non-exiting) MSR state of a context.

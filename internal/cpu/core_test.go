@@ -141,7 +141,7 @@ func TestBaselineRegisterSwap(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
 	v.GPRs[isa.RAX] = 42      // guest's saved RAX
-	c.WriteGPR(0, isa.RAX, 7) // host value
+	c.rf.Write(0, isa.RAX, 7) // host value
 	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.CPUID(0)}}}
 	c.RunGuest(0, v, g, &RunState{})
 	// After the exit, the guest's RAX must be saved in the VMCS area and
@@ -161,7 +161,7 @@ func TestSVtTransitionsStallResume(t *testing.T) {
 	v.Write(vmcs.SVtVisor, 0)
 	v.Write(vmcs.SVtVM, 1)
 	c.VMPtrLoad(0, v)
-	c.WriteGPR(1, isa.RAX, 99) // resident guest register
+	c.rf.Write(1, isa.RAX, 99) // resident guest register
 	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.CPUID(0)}}}
 	start := c.Eng.Now()
 	e := c.RunGuest(1, v, g, &RunState{})
@@ -196,8 +196,8 @@ func TestCtxtAccessResolution(t *testing.T) {
 	v.Write(vmcs.SVtVM, 1)
 	v.Write(vmcs.SVtNested, 2)
 	c.VMPtrLoad(0, v)
-	c.WriteGPR(1, isa.RBX, 11)
-	c.WriteGPR(2, isa.RBX, 22)
+	c.rf.Write(1, isa.RBX, 11)
+	c.rf.Write(2, isa.RBX, 22)
 
 	// Host hypervisor (is_vm == 0): lvl 1 -> SVt_vm, lvl 2 -> SVt_nested.
 	got, e := c.CtxtAccess(1, isa.RBX, false, 0)

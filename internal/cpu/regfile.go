@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"svtsim/internal/isa"
+	"svtsim/internal/words"
 )
 
 // RegFile is the core's shared physical register file. Each hardware
@@ -99,6 +100,32 @@ func (rf *RegFile) WriteAll(ctx int, vals [isa.NumGPR]uint64) {
 	rf.checkCtx(ctx)
 	for r := isa.Reg(0); r < isa.NumGPR; r++ {
 		rf.Write(ctx, r, vals[r])
+	}
+}
+
+// SaveWords writes every context's GPRs, context by context.
+func (rf *RegFile) SaveWords(w *words.Writer) {
+	for _, m := range rf.rmap {
+		for _, p := range m {
+			w.Word(rf.phys[p])
+		}
+	}
+}
+
+// LoadWords writes every context's GPRs back through WriteAll, so the
+// restored values take fresh physical registers like any other write.
+func (rf *RegFile) LoadWords(r *words.Reader) {
+	vals := make([][isa.NumGPR]uint64, len(rf.rmap))
+	for c := range vals {
+		for g := range vals[c] {
+			vals[c][g] = r.Word()
+		}
+	}
+	if r.Err() != nil {
+		return
+	}
+	for c, v := range vals {
+		rf.WriteAll(c, v)
 	}
 }
 

@@ -120,9 +120,6 @@ func New(name string) *Table {
 // Name returns the table's diagnostic name.
 func (t *Table) Name() string { return t.name }
 
-// Epoch returns the invalidation epoch; it changes on every Invalidate.
-func (t *Table) Epoch() uint64 { return t.epoch }
-
 // Walks reports how many translations have been performed (for cost
 // accounting and tests).
 func (t *Table) Walks() uint64 { return t.walkCnt }
@@ -275,12 +272,6 @@ func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
 // Invalidate models INVEPT: it bumps the epoch so that any cached
 // translations must be re-walked.
 func (t *Table) Invalidate() { t.epoch++ }
-
-// MappedPages reports the number of mapped pages.
-func (t *Table) MappedPages() int { return t.mapped }
-
-// DeviceRegions reports the number of device (misconfigured) regions.
-func (t *Table) DeviceRegions() int { return len(t.devs) }
 
 // Compose builds the shadow table inner∘outer: for every page mapped by
 // inner (gpaInner→gpaOuter) it walks outer (gpaOuter→hpa) and installs

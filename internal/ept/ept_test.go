@@ -125,9 +125,9 @@ func TestUnmap(t *testing.T) {
 
 func TestInvalidateBumpsEpoch(t *testing.T) {
 	e := New("x")
-	before := e.Epoch()
+	before := e.epoch
 	e.Invalidate()
-	if e.Epoch() == before {
+	if e.epoch == before {
 		t.Fatal("epoch must change")
 	}
 }
@@ -224,13 +224,13 @@ func TestComposeDeviceOrderDeterministic(t *testing.T) {
 	if err := outer.MapMisconfig(0xFE000000, n*pg, 3); err != nil {
 		t.Fatal(err)
 	}
-	var first State
+	var first tableState
 	for run := 0; run < 20; run++ {
 		shadow, err := Compose("ept02", inner, outer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := shadow.SaveState()
+		st := stateOf(shadow)
 		if run == 0 {
 			first = st
 			continue
@@ -260,8 +260,8 @@ func TestStorageBounds(t *testing.T) {
 	if err := e.Map(2*pg, 0xA000, pg, PermRW); err != nil { // remap in place
 		t.Fatal(err)
 	}
-	if e.MappedPages() != 1 {
-		t.Fatalf("mapped = %d after a remap, want 1", e.MappedPages())
+	if e.mapped != 1 {
+		t.Fatalf("mapped = %d after a remap, want 1", e.mapped)
 	}
 	if hpa, err := e.Translate(2*pg+8, PermW); err != nil || hpa != 0xA008 {
 		t.Fatalf("remapped translate = %#x, %v", hpa, err)
@@ -272,8 +272,8 @@ func TestStorageBounds(t *testing.T) {
 	if err := e.Unmap(0, 1<<30); err != nil { // reaches past the table
 		t.Fatal(err)
 	}
-	if e.MappedPages() != 0 {
-		t.Fatalf("mapped = %d after unmapping everything", e.MappedPages())
+	if e.mapped != 0 {
+		t.Fatalf("mapped = %d after unmapping everything", e.mapped)
 	}
 }
 
@@ -289,40 +289,42 @@ func TestWrappingRangesRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "ept12") {
 		t.Fatalf("wrapping unmap: err = %v, want an error naming ept12", err)
 	}
-	if e.MappedPages() != 2 {
-		t.Fatalf("mapped = %d after a rejected unmap, want 2", e.MappedPages())
+	if e.mapped != 2 {
+		t.Fatalf("mapped = %d after a rejected unmap, want 2", e.mapped)
 	}
 	err = e.MapMisconfig(top, 2*pg, 5)
 	if err == nil || !strings.Contains(err.Error(), "ept12") {
 		t.Fatalf("wrapping misconfig: err = %v, want an error naming ept12", err)
 	}
-	if e.DeviceRegions() != 0 {
-		t.Fatalf("device regions = %d after a rejected misconfig", e.DeviceRegions())
+	if len(e.devs) != 0 {
+		t.Fatalf("device regions = %d after a rejected misconfig", len(e.devs))
 	}
 	if err := e.Unmap(0, 1<<30); err != nil { // past the mapped range, no wrap
 		t.Fatal(err)
 	}
-	if e.MappedPages() != 0 {
-		t.Fatalf("mapped = %d after unmapping everything", e.MappedPages())
+	if e.mapped != 0 {
+		t.Fatalf("mapped = %d after unmapping everything", e.mapped)
 	}
 }
 
-// A 64 MB map is one extent, and stays one through SaveState/LoadState.
+// A 64 MB map is one extent, and stays one through SaveWords/LoadWords.
 func TestLargeMapOneExtent(t *testing.T) {
 	e := New("ept01")
 	if err := e.Map(0, 1<<32, 64<<20, PermRWX); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.runs) != 1 || e.MappedPages() != 64<<20/pg {
-		t.Fatalf("runs = %d mapped = %d, want 1 run of %d pages", len(e.runs), e.MappedPages(), 64<<20/pg)
+	if len(e.runs) != 1 || e.mapped != 64<<20/pg {
+		t.Fatalf("runs = %d mapped = %d, want 1 run of %d pages", len(e.runs), e.mapped, 64<<20/pg)
 	}
-	st := e.SaveState()
+	st := saveWords(e)
 	r := New("ept01")
-	r.LoadState(st)
-	if len(r.runs) != 1 || !reflect.DeepEqual(r.runs, e.runs) || r.MappedPages() != e.MappedPages() {
+	if err := loadWords(r, st); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.runs) != 1 || !reflect.DeepEqual(r.runs, e.runs) || r.mapped != e.mapped {
 		t.Fatalf("restored runs %+v, want %+v", r.runs, e.runs)
 	}
-	if !reflect.DeepEqual(r.SaveState(), st) {
+	if !reflect.DeepEqual(saveWords(r), st) {
 		t.Fatal("restored state differs from the saved one")
 	}
 }
@@ -345,7 +347,7 @@ func TestComposeOneExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []run{{gfn: 0, n: 32 << 20 / pg, hostPage: (1<<32 + 64<<20) / pg, perm: PermRW}}
-	if !reflect.DeepEqual(shadow.runs, want) || shadow.MappedPages() != 32<<20/pg {
+	if !reflect.DeepEqual(shadow.runs, want) || shadow.mapped != 32<<20/pg {
 		t.Fatalf("ept02 runs %+v, want %+v", shadow.runs, want)
 	}
 }
@@ -372,7 +374,7 @@ func TestComposeSplitsAtOuterDevice(t *testing.T) {
 	if !reflect.DeepEqual(shadow.runs, want) {
 		t.Fatalf("ept02 runs %+v, want %+v", shadow.runs, want)
 	}
-	if got := shadow.SaveState().Devs; !reflect.DeepEqual(got, []DevState{{Base: 4 * pg, Size: pg, Dev: 6}}) {
+	if got := stateOf(shadow).Devs; !reflect.DeepEqual(got, []devRow{{Base: 4 * pg, Size: pg, Dev: 6}}) {
 		t.Fatalf("ept02 devices %+v, want one page at frame 4", got)
 	}
 }
@@ -392,8 +394,8 @@ func TestRemapSplitsRun(t *testing.T) {
 		{gfn: 3, n: 2, hostPage: 0x900, perm: PermRW},
 		{gfn: 5, n: 3, hostPage: 0x105, perm: PermRW},
 	}
-	if !reflect.DeepEqual(e.runs, want) || e.MappedPages() != 8 {
-		t.Fatalf("runs %+v mapped %d, want %+v and 8", e.runs, e.MappedPages(), want)
+	if !reflect.DeepEqual(e.runs, want) || e.mapped != 8 {
+		t.Fatalf("runs %+v mapped %d, want %+v and 8", e.runs, e.mapped, want)
 	}
 	if hpa, err := e.Translate(4*pg+1, PermW); err != nil || hpa != 0x901001 {
 		t.Fatalf("translate = %#x, %v", hpa, err)
@@ -401,8 +403,8 @@ func TestRemapSplitsRun(t *testing.T) {
 	if err := e.Map(3*pg, 0x103000, 2*pg, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.runs) != 1 || e.MappedPages() != 8 {
-		t.Fatalf("runs %+v mapped %d after mapping back, want one run of 8", e.runs, e.MappedPages())
+	if len(e.runs) != 1 || e.mapped != 8 {
+		t.Fatalf("runs %+v mapped %d after mapping back, want one run of 8", e.runs, e.mapped)
 	}
 }
 

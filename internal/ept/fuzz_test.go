@@ -4,7 +4,69 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"svtsim/internal/words"
 )
+
+// pageRow is one mapped page as SaveWords writes it.
+type pageRow struct {
+	GFN, HostPage uint64
+	Perm          Perm
+}
+
+// devRow is one device region as SaveWords writes it.
+type devRow struct{ Base, Size, Dev uint64 }
+
+// tableState is a table's SaveWords output decoded into rows.
+type tableState struct {
+	Pages []pageRow
+	Devs  []devRow
+	Epoch uint64
+}
+
+// saveWords returns tb's SaveWords output.
+func saveWords(tb *Table) []uint64 {
+	var w words.Writer
+	tb.SaveWords(&w)
+	return w.Words()
+}
+
+// stateOf decodes tb's SaveWords output into rows.
+func stateOf(tb *Table) tableState {
+	r := words.NewReader(tb.name, saveWords(tb))
+	var s tableState
+	for i, n := 0, r.Count(3); i < n; i++ {
+		s.Pages = append(s.Pages, pageRow{r.Word(), r.Word(), Perm(r.Word())})
+	}
+	for i, n := 0, r.Count(3); i < n; i++ {
+		s.Devs = append(s.Devs, devRow{r.Word(), r.Word(), r.Word()})
+	}
+	s.Epoch = r.Word()
+	if err := r.Fin(); err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// words encodes s the way SaveWords writes it.
+func (s tableState) words() []uint64 {
+	ws := []uint64{uint64(len(s.Pages))}
+	for _, p := range s.Pages {
+		ws = append(ws, p.GFN, p.HostPage, uint64(p.Perm))
+	}
+	ws = append(ws, uint64(len(s.Devs)))
+	for _, d := range s.Devs {
+		ws = append(ws, d.Base, d.Size, d.Dev)
+	}
+	return append(ws, s.Epoch)
+}
+
+// loadWords runs tb.LoadWords over ws and returns the reader's verdict.
+func loadWords(tb *Table, ws []uint64) error {
+	r := words.NewReader(tb.name, ws)
+	tb.LoadWords(r)
+	return r.Fin()
+}
 
 // refPage is one frame of the reference model.
 type refPage struct {
@@ -16,7 +78,7 @@ type refPage struct {
 // guest frame and the device regions in installation order.
 type refTable struct {
 	pages map[uint64]refPage
-	devs  []DevState
+	devs  []devRow
 	epoch uint64
 }
 
@@ -51,11 +113,11 @@ func (m *refTable) gfns() []uint64 {
 	return gs
 }
 
-func (m *refTable) state() State {
-	s := State{Devs: m.devs, Epoch: m.epoch}
+func (m *refTable) state() tableState {
+	s := tableState{Devs: m.devs, Epoch: m.epoch}
 	for _, g := range m.gfns() {
 		p := m.pages[g]
-		s.Pages = append(s.Pages, PageState{GFN: g, HostPage: p.host, Perm: p.perm})
+		s.Pages = append(s.Pages, pageRow{GFN: g, HostPage: p.host, Perm: p.perm})
 	}
 	return s
 }
@@ -66,7 +128,7 @@ func refCompose(inner, outer *refTable) (*refTable, error) {
 	for _, g := range inner.gfns() {
 		p := inner.pages[g]
 		if dev, ok := outer.deviceAt(p.host * pg); ok {
-			out.devs = append(out.devs, DevState{Base: g * pg, Size: pg, Dev: dev})
+			out.devs = append(out.devs, devRow{Base: g * pg, Size: pg, Dev: dev})
 			continue
 		}
 		op, ok := outer.pages[p.host]
@@ -97,10 +159,10 @@ func checkTable(t *testing.T, step int, tb *Table, m *refTable) {
 		}
 		sum += int(r.n)
 	}
-	if sum != tb.MappedPages() || tb.MappedPages() != len(m.pages) {
-		t.Fatalf("step %d: %s mapped = %d, runs hold %d, model %d", step, tb.name, tb.MappedPages(), sum, len(m.pages))
+	if sum != tb.mapped || tb.mapped != len(m.pages) {
+		t.Fatalf("step %d: %s mapped = %d, runs hold %d, model %d", step, tb.name, tb.mapped, sum, len(m.pages))
 	}
-	got, want := tb.SaveState(), m.state()
+	got, want := stateOf(tb), m.state()
 	if !slices.Equal(got.Pages, want.Pages) || !slices.Equal(got.Devs, want.Devs) || got.Epoch != want.Epoch {
 		t.Fatalf("step %d: %s state\n%+v\nwant\n%+v", step, tb.name, got, want)
 	}
@@ -120,9 +182,10 @@ func checkTable(t *testing.T, step int, tb *Table, m *refTable) {
 const maxFuzzDevs = 32
 
 // FuzzTableOps drives two tables through random Map, Unmap,
-// MapMisconfig, Compose, Invalidate and SaveState→LoadState steps (the
-// saved pages in order or reversed) and checks both against the
-// per-frame model after every step. Each step
+// MapMisconfig, Compose, Invalidate and SaveWords→LoadWords steps and
+// checks both against the per-frame model after every step. A load of
+// the saved pages reversed must be rejected (pages ascend) and leave
+// its table untouched. Each step
 // takes four bytes: an op (low three bits) and target table (bit 3),
 // then three arguments. Frames stay below 64 so runs overlap, split and
 // merge often.
@@ -170,7 +233,7 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("MapMisconfig(%#x, %#x) = %v", gpa, size, err)
 				}
 				if err == nil {
-					m.devs = append(m.devs, DevState{Base: gpa, Size: size, Dev: dev})
+					m.devs = append(m.devs, devRow{Base: gpa, Size: size, Dev: dev})
 				}
 			case 3: // Compose over the other table
 				c, err := Compose(tb.name, tb, tabs[1-k])
@@ -181,11 +244,7 @@ func FuzzTableOps(f *testing.F) {
 				if err == nil && len(wc.devs) <= maxFuzzDevs {
 					tabs[k], refs[k] = c, wc
 				}
-			case 4, 6: // SaveState → LoadState into a table with other content
-				st := tb.SaveState()
-				if op&7 == 6 { // pages out of order take the general insert path
-					slices.Reverse(st.Pages)
-				}
+			case 4, 6: // SaveWords → LoadWords into a table with other content
 				r := New(tb.name)
 				if err := r.Map(0, 0, 64*pg, PermRWX); err != nil {
 					t.Fatal(err)
@@ -193,7 +252,19 @@ func FuzzTableOps(f *testing.F) {
 				if err := r.MapMisconfig(0, pg, 99); err != nil {
 					t.Fatal(err)
 				}
-				r.LoadState(st)
+				if st := stateOf(tb); op&7 == 6 && len(st.Pages) > 1 {
+					before := saveWords(r)
+					slices.Reverse(st.Pages)
+					if err := loadWords(r, st.words()); err == nil {
+						t.Fatalf("step %d: LoadWords accepted pages out of order", step)
+					}
+					if !slices.Equal(saveWords(r), before) {
+						t.Fatalf("step %d: rejected LoadWords changed the table", step)
+					}
+				}
+				if err := loadWords(r, saveWords(tb)); err != nil {
+					t.Fatal(err)
+				}
 				tabs[k] = r
 			case 5: // Invalidate
 				tb.Invalidate()

@@ -1,71 +1,63 @@
 package ept
 
-// PageState is one mapped page in canonical form.
-type PageState struct {
-	GFN      uint64
-	HostPage uint64
-	Perm     Perm
-}
+import (
+	"fmt"
 
-// DevState is one misconfigured (device) region in canonical form.
-type DevState struct {
-	Base, Size, Dev uint64
-}
+	"svtsim/internal/mem"
+	"svtsim/internal/words"
+)
 
-// State is the canonical serializable form of a table: mappings sorted
-// by guest frame number, one per page, device regions in installation
-// order, and the invalidation epoch. The walk counter is a performance
-// tally, not architectural state, and is excluded.
-type State struct {
-	Pages []PageState
-	Devs  []DevState
-	Epoch uint64
-}
-
-// EachPage calls f for every mapped page in guest-frame order: the
-// Pages of SaveState without building them.
-func (t *Table) EachPage(f func(PageState)) {
-	for _, r := range t.runs {
-		for i := uint64(0); i < r.n; i++ {
-			f(PageState{GFN: r.gfn + i, HostPage: r.hostPage + i, Perm: r.perm})
+// SaveWords writes the table content: the mapped pages in guest-frame
+// order, one (frame, host frame, permissions) row per page, the device
+// regions in installation order, and the invalidation epoch. The walk
+// counter is a performance tally, not architectural state, and is not
+// written.
+func (t *Table) SaveWords(w *words.Writer) {
+	w.Table(t.mapped, 3, func() {
+		for _, r := range t.runs {
+			for i := uint64(0); i < r.n; i++ {
+				w.Word(r.gfn + i)
+				w.Word(r.hostPage + i)
+				w.Word(uint64(r.perm))
+			}
 		}
-	}
-}
-
-// EachDevice calls f for every device region in installation order.
-func (t *Table) EachDevice(f func(DevState)) {
-	for _, d := range t.devs {
-		f(DevState{Base: d.base, Size: d.size, Dev: d.dev})
-	}
-}
-
-// SaveState captures the table content.
-func (t *Table) SaveState() State {
-	s := State{Epoch: t.epoch}
-	if t.mapped > 0 {
-		s.Pages = make([]PageState, 0, t.mapped)
-	}
-	t.EachPage(func(p PageState) { s.Pages = append(s.Pages, p) })
-	t.EachDevice(func(d DevState) { s.Devs = append(s.Devs, d) })
-	return s
-}
-
-// LoadState replaces the table content with a saved state, coalescing
-// its pages back into runs. Mappings installed after the capture are
-// dropped, exactly as a restored EPT must forget post-snapshot changes.
-func (t *Table) LoadState(s State) {
-	t.runs, t.mapped = t.runs[:0], 0
-	for _, p := range s.Pages {
-		r := run{gfn: p.GFN, n: 1, hostPage: p.HostPage, perm: p.Perm}
-		if k := len(t.runs) - 1; k < 0 || t.runs[k].end() <= p.GFN {
-			t.appendRun(r)
-		} else {
-			t.put(r)
+	})
+	w.Table(len(t.devs), 3, func() {
+		for _, d := range t.devs {
+			w.Word(d.base)
+			w.Word(d.size)
+			w.Word(d.dev)
 		}
+	})
+	w.Word(t.epoch)
+}
+
+// LoadWords replaces the table content with words SaveWords wrote,
+// coalescing the pages back into runs. Mappings installed after the
+// capture are dropped, exactly as a restored EPT must forget
+// post-snapshot changes. Rows Map or MapMisconfig would refuse are
+// rejected: frames out of order or beyond the guest-physical range,
+// host frames past a 64-bit address, unknown permission bits, and empty
+// or wrapping device regions.
+func (t *Table) LoadWords(r *words.Reader) {
+	fresh := Table{name: t.name}
+	for i, n, next := 0, r.Count(3), uint64(0); i < n && r.Err() == nil; i++ {
+		g := r.Range(next, maxGPA/mem.PageSize, "guest frame")
+		host := r.Range(0, 1<<64/mem.PageSize, "host frame")
+		perm := r.Range(0, uint64(PermRWX)+1, "permission")
+		fresh.appendRun(run{gfn: g, n: 1, hostPage: host, perm: Perm(perm)})
+		next = g + 1
 	}
-	t.devs = t.devs[:0]
-	for _, d := range s.Devs {
-		t.devs = append(t.devs, devRegion{base: d.Base, size: d.Size, dev: d.Dev})
+	for i, n := 0, r.Count(3); i < n; i++ {
+		base, size, dev := r.Word(), r.Word(), r.Word()
+		if r.Err() == nil && (size == 0 || base+size < base) {
+			r.Fail(fmt.Errorf("device region base %#x size %#x is empty or wraps", base, size))
+		}
+		fresh.devs = append(fresh.devs, devRegion{base: base, size: size, dev: dev})
 	}
-	t.epoch = s.Epoch
+	fresh.epoch = r.Word()
+	if r.Err() != nil {
+		return
+	}
+	t.runs, t.mapped, t.devs, t.epoch = fresh.runs, fresh.mapped, fresh.devs, fresh.epoch
 }

@@ -22,8 +22,6 @@ type NetDriver struct {
 	// OnReceive is the protocol stack's inbound hook.
 	OnReceive func(pkt []byte)
 
-	TxSent     uint64
-	RxReceived uint64
 	// PerPacketCPU models the guest network stack's per-packet cost.
 	PerPacketCPU sim.Time
 }
@@ -104,7 +102,6 @@ func (d *NetDriver) Send(pkt []byte, done func()) error {
 	}
 	d.txInflight[head] = done
 	d.txBufs[head] = virtio.Buf{GPA: gpa, Len: uint32(len(pkt))}
-	d.TxSent++
 	// Every send kicks the device. Kick suppression (virtio's EVENT_IDX)
 	// would need the full avail-event handshake to avoid lost wakeups; at
 	// 10 GbE the wire is slower than the exit path even nested, so the
@@ -149,7 +146,6 @@ func (d *NetDriver) OnIRQ() {
 		if err := d.Env.Mem.Read(buf.GPA, data); err != nil {
 			panic(fmt.Sprintf("guest net: rx copy: %v", err))
 		}
-		d.RxReceived++
 		d.Env.Compute(d.PerPacketCPU)
 		// Repost the same buffer for future packets.
 		nh, err := d.RX.Post([]virtio.Buf{{GPA: buf.GPA, Len: buf.Len, DeviceWrite: true}})

@@ -7,26 +7,13 @@ import (
 	"svtsim/internal/ept"
 	"svtsim/internal/isa"
 	"svtsim/internal/swsvt"
+	"svtsim/internal/words"
 )
 
 // This file provides the whole-machine hooks the differential scenario
 // harness (internal/check) runs against: a digest of the architecturally
 // visible end state, and live evaluation of the DESIGN §6 invariants that
 // are decidable from the assembled machine.
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvWord(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	return h
-}
 
 // StateDigest summarizes the nested guest's time-invariant architectural
 // end state: the guest hypervisor's emulated MSR store for its nested VM,
@@ -45,7 +32,7 @@ func fnvWord(h, x uint64) uint64 {
 // Command Seq numbers are excluded for the same reason the push counters
 // are: they count protocol round trips, which differ across modes.
 func (m *Machine) StateDigest() uint64 {
-	h := fnvOffset
+	h := words.FNVOffset
 	if m.VC12 != nil {
 		msrs := m.VC12.MSRSnapshot()
 		addrs := make([]uint32, 0, len(msrs))
@@ -57,8 +44,8 @@ func (m *Machine) StateDigest() uint64 {
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		for _, a := range addrs {
-			h = fnvWord(h, uint64(a))
-			h = fnvWord(h, msrs[a])
+			h = words.FNVWord(h, uint64(a))
+			h = words.FNVWord(h, msrs[a])
 		}
 	}
 	if m.Chan != nil {
@@ -67,8 +54,8 @@ func (m *Machine) StateDigest() uint64 {
 				continue
 			}
 			for _, c := range ring.Pending() {
-				h = fnvWord(h, uint64(c.Type))
-				h = fnvWord(h, c.Exit)
+				h = words.FNVWord(h, uint64(c.Type))
+				h = words.FNVWord(h, c.Exit)
 			}
 		}
 	}

@@ -29,9 +29,6 @@ func New(size uint64) *Memory {
 // Size reports the size of the address space in bytes.
 func (m *Memory) Size() uint64 { return m.size }
 
-// PagesResident reports how many pages have been materialized.
-func (m *Memory) PagesResident() int { return len(m.pages) }
-
 func (m *Memory) check(addr uint64, n int) error {
 	if n < 0 || addr+uint64(n) > m.size || addr+uint64(n) < addr {
 		return fmt.Errorf("mem: access [%#x,%#x) outside %#x-byte space", addr, addr+uint64(n), m.size)

@@ -22,7 +22,7 @@ func TestReadZeroFill(t *testing.T) {
 			t.Fatal("unwritten memory must read as zero")
 		}
 	}
-	if m.PagesResident() != 0 {
+	if len(m.pages) != 0 {
 		t.Fatal("reads must not materialize pages")
 	}
 }
@@ -59,8 +59,8 @@ func TestCrossPageAccess(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("cross-page round trip corrupted data")
 	}
-	if m.PagesResident() != 4 {
-		t.Fatalf("resident pages = %d, want 4", m.PagesResident())
+	if len(m.pages) != 4 {
+		t.Fatalf("resident pages = %d, want 4", len(m.pages))
 	}
 }
 
@@ -162,8 +162,8 @@ func TestSparseLargeSpace(t *testing.T) {
 	if v, _ := m.ReadU64(100 << 30); v != 42 {
 		t.Fatal("high-address write lost")
 	}
-	if m.PagesResident() != 1 {
-		t.Fatalf("resident = %d, want 1", m.PagesResident())
+	if len(m.pages) != 1 {
+		t.Fatalf("resident = %d, want 1", len(m.pages))
 	}
 }
 

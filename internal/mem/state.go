@@ -1,41 +1,51 @@
 package mem
 
-import "sort"
+import (
+	"encoding/binary"
+	"slices"
 
-// Page is one resident page's snapshot: its page index and a copy of
-// its contents.
-type Page struct {
-	Index uint64
-	Data  [PageSize]byte
+	"svtsim/internal/words"
+)
+
+const wordsPerPage = PageSize / 8
+
+// SaveWords writes every materialized page in index order: its index,
+// then its contents as little-endian words.
+func (m *Memory) SaveWords(w *words.Writer) {
+	w.Table(len(m.pages), 1+wordsPerPage, func() {
+		idxs := make([]uint64, 0, len(m.pages))
+		for i := range m.pages {
+			idxs = append(idxs, i)
+		}
+		slices.Sort(idxs)
+		for _, i := range idxs {
+			w.Word(i)
+			pg := m.pages[i]
+			for off := 0; off < PageSize; off += 8 {
+				w.Word(binary.LittleEndian.Uint64(pg[off:]))
+			}
+		}
+	})
 }
 
-// SavePages captures every materialized page, sorted by index, with
-// copied contents — mutating the live memory after a capture never
-// changes the snapshot.
-func (m *Memory) SavePages() []Page {
-	idxs := make([]uint64, 0, len(m.pages))
-	for i := range m.pages {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	pages := make([]Page, 0, len(idxs))
-	for _, i := range idxs {
-		p := Page{Index: i}
-		p.Data = *m.pages[i]
-		pages = append(pages, p)
-	}
-	return pages
-}
-
-// LoadPages replaces the entire contents of memory with the given page
-// set: pages materialized after the capture are dropped (they read as
-// zeros again), and restored contents are copied so the snapshot is
-// never aliased by subsequent writes.
-func (m *Memory) LoadPages(pages []Page) {
-	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
-	for i := range pages {
+// LoadWords replaces the entire contents of memory with the pages
+// SaveWords wrote: pages materialized after the capture are dropped
+// (they read as zeros again). Page indices must ascend and lie inside
+// the address space.
+func (m *Memory) LoadWords(r *words.Reader) {
+	n := r.Count(1 + wordsPerPage)
+	pages := make(map[uint64]*[PageSize]byte, n)
+	limit := (m.size + PageSize - 1) / PageSize
+	for i, next := 0, uint64(0); i < n && r.Err() == nil; i++ {
+		idx := r.Range(next, limit, "page index")
 		pg := new([PageSize]byte)
-		*pg = pages[i].Data
-		m.pages[pages[i].Index] = pg
+		for off := 0; off < PageSize; off += 8 {
+			binary.LittleEndian.PutUint64(pg[off:], r.Word())
+		}
+		pages[idx] = pg
+		next = idx + 1
+	}
+	if r.Err() == nil {
+		m.pages = pages
 	}
 }

@@ -2,12 +2,14 @@ package armlike
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"svtsim/internal/fault"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
 	"svtsim/internal/sim"
+	"svtsim/internal/words"
 )
 
 // NumListRegs is the number of hardware list registers the vGIC CPU
@@ -245,55 +247,48 @@ func (g *VGIC) ProbeState() string {
 // SaveWords is the snapshot codec: LR count, LR vectors (ascending),
 // spill count, spilled vectors (ascending), deadline. Frozen once
 // shipped — snapshot digests depend on it.
-func (g *VGIC) SaveWords() []uint64 {
-	out := make([]uint64, 0, 3+len(g.lr)+g.nspill)
-	out = append(out, uint64(len(g.lr)))
-	for _, v := range g.lr {
-		out = append(out, uint64(v))
-	}
-	out = append(out, uint64(g.nspill))
-	for v := 0; v < 256; v++ {
-		if g.spill[v] {
-			out = append(out, uint64(v))
+func (g *VGIC) SaveWords(w *words.Writer) {
+	w.Table(len(g.lr), 1, func() {
+		for _, v := range g.lr {
+			w.Word(uint64(v))
 		}
-	}
-	return append(out, uint64(g.deadline))
+	})
+	w.Table(g.nspill, 1, func() {
+		for v := 0; v < 256; v++ {
+			if g.spill[v] {
+				w.Word(uint64(v))
+			}
+		}
+	})
+	w.Word(uint64(g.deadline))
 }
 
-// LoadWords restores state captured by SaveWords.
-func (g *VGIC) LoadWords(ws []uint64) error {
-	if len(ws) < 3 {
-		return fmt.Errorf("vgic: state needs at least 3 words, got %d", len(ws))
+// LoadWords restores state captured by SaveWords. Vectors must ascend
+// within each set, and no vector may sit in both.
+func (g *VGIC) LoadWords(r *words.Reader) {
+	var lr [NumListRegs]int
+	nlr := r.Count(1)
+	if nlr > NumListRegs {
+		r.Fail(fmt.Errorf("vgic: %d list registers, the interface has %d", nlr, NumListRegs))
 	}
-	nlr := ws[0]
-	if nlr > NumListRegs || uint64(len(ws)) < 3+nlr {
-		return fmt.Errorf("vgic: bad LR count %d in %d words", nlr, len(ws))
+	for i, next := 0, uint64(0); i < nlr && r.Err() == nil; i++ {
+		v := r.Range(next, 256, "vgic: list-register vector")
+		lr[i], next = int(v), v+1
 	}
-	nspill := ws[1+nlr]
-	if uint64(len(ws)) != 3+nlr+nspill {
-		return fmt.Errorf("vgic: %d LR + %d spilled vectors in %d words", nlr, nspill, len(ws))
-	}
-	lrs := ws[1 : 1+nlr]
-	spills := ws[2+nlr : 2+nlr+nspill]
-	for _, w := range append(append([]uint64{}, lrs...), spills...) {
-		if w > 255 {
-			return fmt.Errorf("vgic: vector %d out of range", w)
+	var spill [256]bool
+	nspill := r.Count(1)
+	for i, next := 0, uint64(0); i < nspill; i++ {
+		v := r.Range(next, 256, "vgic: spilled vector")
+		if r.Err() == nil && slices.Contains(lr[:nlr], int(v)) {
+			r.Fail(fmt.Errorf("vgic: vector %#x both in a list register and spilled", v))
 		}
+		spill[v], next = true, v+1
 	}
-	g.lr = g.lr[:0]
-	g.spill = [256]bool{}
-	g.nspill = 0
-	for _, w := range lrs {
-		if !g.inLR(int(w)) {
-			g.insertLR(int(w))
-		}
+	deadline := sim.Time(r.Word())
+	if r.Err() != nil {
+		return
 	}
-	for _, w := range spills {
-		if !g.spill[w] && !g.inLR(int(w)) {
-			g.spill[w] = true
-			g.nspill++
-		}
-	}
-	g.SetDeadline(sim.Time(ws[len(ws)-1]))
-	return nil
+	g.lr = append(g.lr[:0], lr[:nlr]...)
+	g.spill, g.nspill = spill, nspill
+	g.SetDeadline(deadline)
 }

@@ -21,6 +21,7 @@ import (
 	"svtsim/internal/ports"
 	"svtsim/internal/sim"
 	"svtsim/internal/snapshot"
+	"svtsim/internal/words"
 
 	_ "svtsim/internal/ports/armlike"
 	_ "svtsim/internal/ports/x86"
@@ -84,15 +85,15 @@ func testIRQSnapshot(t *testing.T, p ports.Port) {
 		c.DeliverDirect(vec)
 	}
 	c.SetDeadline(500)
-	words := c.SaveWords()
+	ws := saveIRQ(c)
 
 	eng2 := sim.New()
 	c2 := p.NewIRQ(0, eng2)
-	if err := c2.LoadWords(words); err != nil {
+	if err := loadIRQ(c2, ws); err != nil {
 		t.Fatalf("LoadWords of own SaveWords: %v", err)
 	}
-	if got := c2.SaveWords(); !reflect.DeepEqual(got, words) {
-		t.Fatalf("snapshot not stable: %v -> %v", words, got)
+	if got := saveIRQ(c2); !reflect.DeepEqual(got, ws) {
+		t.Fatalf("snapshot not stable: %v -> %v", ws, got)
 	}
 	if !c2.TimerArmed() {
 		t.Error("restored controller lost its armed deadline")
@@ -103,13 +104,38 @@ func testIRQSnapshot(t *testing.T, p ports.Port) {
 		t.Fatalf("restored PendingVector (%#x,%v), want (%#x,%v)", v2, ok2, v1, ok1)
 	}
 
-	// Malformed streams must be rejected, not absorbed.
-	if err := c2.LoadWords([]uint64{}); err == nil {
-		t.Error("LoadWords accepted an empty stream")
+	// Malformed streams must be rejected, not absorbed, and leave the
+	// controller as it was.
+	for _, bad := range []struct {
+		name string
+		ws   []uint64
+	}{
+		{"empty stream", []uint64{}},
+		{"trailing words", append(append([]uint64(nil), ws...), 7)},
+		{"vector out of range", []uint64{1, 256, 0, 0}},
+		{"vectors out of order", []uint64{2, 0x40, 0x30, 0, 0}},
+	} {
+		if err := loadIRQ(c2, bad.ws); err == nil {
+			t.Errorf("LoadWords accepted %s", bad.name)
+		}
+		if got := saveIRQ(c2); !reflect.DeepEqual(got, ws) {
+			t.Errorf("rejected %s changed the controller: %v, want %v", bad.name, got, ws)
+		}
 	}
-	if err := c2.LoadWords(append(append([]uint64(nil), words...), 7)); err == nil {
-		t.Error("LoadWords accepted trailing words")
-	}
+}
+
+func saveIRQ(c ports.IRQController) []uint64 {
+	var w words.Writer
+	c.SaveWords(&w)
+	return w.Words()
+}
+
+// loadIRQ runs c.LoadWords over ws and returns the reader's verdict,
+// trailing words included.
+func loadIRQ(c ports.IRQController, ws []uint64) error {
+	r := words.NewReader("irq", ws)
+	c.LoadWords(r)
+	return r.Fin()
 }
 
 // testIRQOrdering: the controller must honor the port's documented

@@ -3,6 +3,7 @@ package ports
 import (
 	"svtsim/internal/obs"
 	"svtsim/internal/sim"
+	"svtsim/internal/words"
 )
 
 // IRQController is the per-hardware-context interrupt controller a port
@@ -50,7 +51,8 @@ type IRQController interface {
 	// SaveWords/LoadWords are the snapshot codec: the controller's
 	// architectural state as a flat word stream. The encoding is the
 	// port's own (and is frozen once shipped — snapshot digests depend
-	// on it); LoadWords must reject malformed streams.
-	SaveWords() []uint64
-	LoadWords(ws []uint64) error
+	// on it); LoadWords must reject malformed streams and leave the
+	// controller untouched when it does.
+	SaveWords(w *words.Writer)
+	LoadWords(r *words.Reader)
 }

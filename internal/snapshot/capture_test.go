@@ -2,22 +2,47 @@ package snapshot_test
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"svtsim/internal/guest"
 	"svtsim/internal/hv"
+	"svtsim/internal/isa"
 	"svtsim/internal/machine"
+	"svtsim/internal/mem"
+	"svtsim/internal/ports"
 	"svtsim/internal/qcheck"
 	"svtsim/internal/snapshot"
+	"svtsim/internal/virtio"
+	"svtsim/internal/vmcs"
+
+	_ "svtsim/internal/ports/armlike"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
 // diskMachine builds, runs, and returns (without shutting down) a nested
 // machine whose L2 guest wrote n patterned sectors to disk. The caller
 // owns Shutdown.
 func diskMachine(t testing.TB, mode hv.Mode, pat byte, n int) (*machine.Machine, *machine.IOStack) {
 	t.Helper()
+	return portDiskMachine(t, nil, mode, pat, n)
+}
+
+// portDiskMachine is diskMachine on port p (nil keeps the default x86
+// port and its calibrated costs).
+func portDiskMachine(t testing.TB, p ports.Port, mode hv.Mode, pat byte, n int) (*machine.Machine, *machine.IOStack) {
+	t.Helper()
 	cfg := machine.DefaultConfig(mode)
+	if p != nil {
+		cfg.Port = p
+		cfg.Costs = p.Costs()
+	}
 	io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
 	m := machine.NewNested(cfg)
 	data := make([]byte, 512)
@@ -37,6 +62,38 @@ func diskMachine(t testing.TB, mode hv.Mode, pat byte, n int) (*machine.Machine,
 	})
 	m.Run()
 	return m, io
+}
+
+// TestCaptureGolden pins the snapshot format: the digest and encoded
+// size of a disk machine's capture on every port and mode. Any change
+// to a section's words, names or order shows up here. Rewrite with
+// -update only when a format change is intended.
+func TestCaptureGolden(t *testing.T) {
+	var b strings.Builder
+	for _, name := range ports.Names() {
+		for _, mode := range hv.AllModes() {
+			m, io := portDiskMachine(t, ports.Get(name), mode, 0x5a, 3)
+			snap := snapshot.Capture(m, io)
+			m.Shutdown()
+			fmt.Fprintf(&b, "port=%s mode=%s digest=%#016x bytes=%d\n", name, mode, snap.Digest(), snap.Bytes())
+		}
+	}
+	path := filepath.Join("testdata", "capture.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("captures differ from %s:\ngot:\n%swant:\n%s", path, got, want)
+	}
 }
 
 func TestRoundTripAllModes(t *testing.T) {
@@ -121,7 +178,7 @@ func TestCloneIsCopyOnWrite(t *testing.T) {
 	if sec == nil {
 		t.Fatal("no vq/l2-blk section")
 	}
-	if err := c.MutateWord("vq/l2-blk", snapshot.QWordAvailIdx, sec.Words[snapshot.QWordAvailIdx]+1); err != nil {
+	if err := c.MutateWord("vq/l2-blk", virtio.QWordAvailIdx, sec.Words[virtio.QWordAvailIdx]+1); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Digest() != base {
@@ -229,6 +286,61 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsMalformedWords: a word no component could hold is
+// an error naming its section, and that section's component is left as
+// it was.
+func TestRestoreRejectsMalformedWords(t *testing.T) {
+	m, io := diskMachine(t, hv.ModeSWSVt, 0x44, 1)
+	defer m.Shutdown()
+	snap := snapshot.Capture(m, io)
+
+	at := func(i int) func([]uint64) int { return func([]uint64) int { return i } }
+	// A VMCS section is the fields, the GPRs, the shadow flag, the
+	// exiting-MSR count and list, then the dirty count and list.
+	shadowFlag := int(vmcs.NumFields) + int(isa.NumGPR)
+	firstDirty := func(ws []uint64) int {
+		n := shadowFlag + 1
+		n += 1 + int(ws[n])
+		if ws[n] == 0 {
+			t.Fatal("test premise broken: vmcs/02 has no dirty fields")
+		}
+		return n + 1
+	}
+	for _, tc := range []struct {
+		name, section string
+		idx           func([]uint64) int
+		val           uint64
+	}{
+		{"page index outside host memory", "mem/host", at(1), 1 << 60},
+		{"page indices out of order", "mem/host", at(2 + mem.PageSize/8), 0},
+		{"page index outside the disk", "blk/disk", at(1), 1 << 40},
+		{"EPT permission bits", "ept/01", at(3), 0xff},
+		{"EPT frame that wraps", "ept/01", at(1), 1<<64 - 1},
+		{"dirty field past NumFields", "vmcs/02", firstDirty, uint64(vmcs.NumFields)},
+		{"bool word", "vmcs/12", at(shadowFlag), 2},
+		{"16-bit queue index", "vq/l2-blk", at(virtio.QWordAvailIdx), 1 << 16},
+		{"free count past the queue size", "vq/l2-blk", at(virtio.QWordNumFree), 1 << 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sec := snap.Section(tc.section)
+			if sec == nil {
+				t.Fatalf("no %s section", tc.section)
+			}
+			c := snap.Clone()
+			if err := c.MutateWord(tc.section, tc.idx(sec.Words), tc.val); err != nil {
+				t.Fatal(err)
+			}
+			err := snapshot.Restore(m, io, c)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.section)) {
+				t.Fatalf("restore = %v, want an error naming %q", err, tc.section)
+			}
+			if got := snapshot.Capture(m, io).Digest(); got != snap.Digest() {
+				t.Fatalf("rejected restore changed the machine: digest %#x, want %#x", got, snap.Digest())
+			}
+		})
+	}
+}
+
 // TestRestoreStructuralMismatchLeavesMachineUntouched: a snapshot whose
 // last section is renamed is rejected before any section loads, so the
 // twin it was restored into keeps its own state exactly.
@@ -248,4 +360,44 @@ func TestRestoreStructuralMismatchLeavesMachineUntouched(t *testing.T) {
 	if got := snapshot.Capture(mb, iob).Digest(); got != before {
 		t.Fatalf("rejected restore changed the machine: digest %#x, want %#x", got, before)
 	}
+}
+
+// FuzzRestore sets one word of a captured snapshot to a fuzzed value and
+// restores it over the original. Restore must not panic, and a restore
+// it accepts must be faithful: re-capturing yields the mutated
+// snapshot's digest. The one exception is a vCPU's Halted word, which
+// is captured for comparison but never restored, so re-capturing must
+// yield the original digest instead.
+func FuzzRestore(f *testing.F) {
+	m, io := diskMachine(f, hv.ModeSWSVt, 0x5a, 2)
+	f.Cleanup(m.Shutdown)
+	snap := snapshot.Capture(m, io)
+	f.Add(uint16(0), uint32(0), uint64(hv.ModeBaseline))
+	f.Add(uint16(1), uint32(3), uint64(42))
+	f.Add(uint16(4), uint32(70), uint64(1))
+	f.Add(uint16(len(snap.Sections)-1), uint32(1), uint64(1))
+	f.Fuzz(func(t *testing.T, si uint16, wi uint32, val uint64) {
+		sec := snap.Sections[int(si)%len(snap.Sections)]
+		if len(sec.Words) == 0 {
+			return
+		}
+		idx := int(wi) % len(sec.Words)
+		c := snap.Clone()
+		if err := c.MutateWord(sec.Name, idx, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := snapshot.Restore(m, io, snap); err != nil {
+			t.Fatalf("restore of the original: %v", err)
+		}
+		if err := snapshot.Restore(m, io, c); err != nil {
+			return
+		}
+		want := c.Digest()
+		if strings.HasPrefix(sec.Name, "vcpu/") && idx == len(sec.Words)-1 {
+			want = snap.Digest()
+		}
+		if got := snapshot.Capture(m, io).Digest(); got != want {
+			t.Fatalf("%s word %d = %#x: restore accepted but re-capture digest %#x, want %#x", sec.Name, idx, val, got, want)
+		}
+	})
 }

@@ -13,7 +13,10 @@
 // capture→restore→capture round trip is digest-verified by construction
 // and any divergence is a restore bug (or a deliberately injected one —
 // the differential harness's broken-restore tests corrupt a clone and
-// watch the oracle catch the divergence downstream).
+// watch the oracle catch the divergence downstream). Each component
+// writes and reads its own section through its SaveWords/LoadWords
+// codec (package words); this package only names the parts and fixes
+// their order.
 //
 // Size reports an image's encoded size without building it, which is
 // all a migration needs to price its transfer. Clones are copy-on-write:
@@ -27,22 +30,8 @@ package snapshot
 import (
 	"fmt"
 
-	"svtsim/internal/sim"
+	"svtsim/internal/words"
 )
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvWord(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	return h
-}
 
 // Section is one named word stream of the canonical form.
 type Section struct {
@@ -65,19 +54,16 @@ func (s *Snapshot) Section(name string) *Section {
 	return nil
 }
 
-// Digest folds every section name and word with FNV-1a (the same
-// constants machine.StateDigest uses). Two snapshots with equal digests
-// carry identical state.
+// Digest folds every section name and word with FNV-1a (the fold
+// machine.StateDigest uses). Two snapshots with equal digests carry
+// identical state.
 func (s *Snapshot) Digest() uint64 {
-	h := fnvOffset
+	h := words.FNVOffset
 	for _, sec := range s.Sections {
-		for _, b := range []byte(sec.Name) {
-			h ^= uint64(b)
-			h *= fnvPrime
-		}
-		h = fnvWord(h, uint64(len(sec.Words)))
+		h = words.FNVBytes(h, sec.Name)
+		h = words.FNVWord(h, uint64(len(sec.Words)))
 		for _, w := range sec.Words {
-			h = fnvWord(h, w)
+			h = words.FNVWord(h, w)
 		}
 	}
 	return h
@@ -151,105 +137,5 @@ func (s *Snapshot) MutateWord(name string, idx int, val uint64) error {
 	}
 	sec.Words = append([]uint64(nil), sec.Words...)
 	sec.Words[idx] = val
-	return nil
-}
-
-// writer builds one section's word stream. A sizing writer only counts
-// the words it is given, so Size and Capture's pre-sizing pass walk the
-// same save code as the capture itself; bulk sections (pages, EPT
-// mappings) write through table, which counts them in O(1).
-type writer struct {
-	words  []uint64
-	n      int  // words written
-	sizing bool // count only; words stays empty
-}
-
-func (w *writer) word(x uint64) {
-	w.n++
-	if !w.sizing {
-		w.words = append(w.words, x)
-	}
-}
-
-// table writes a count word and then n rows of per words each, all
-// produced by rows. A sizing writer counts the rows without calling rows.
-func (w *writer) table(n, per int, rows func()) {
-	w.word(uint64(n))
-	if w.sizing {
-		w.n += n * per
-		return
-	}
-	rows()
-}
-
-func (w *writer) time(t sim.Time) { w.word(uint64(t)) }
-func (w *writer) boolWord(b bool) { w.word(boolTo(b)) }
-func boolTo(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// reader consumes one section's word stream, recording the first error.
-type reader struct {
-	name string
-	sec  []uint64
-	pos  int
-	err  error
-}
-
-func (r *reader) word() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.sec) {
-		r.err = fmt.Errorf("snapshot: section %q truncated at word %d", r.name, r.pos)
-		return 0
-	}
-	w := r.sec[r.pos]
-	r.pos++
-	return w
-}
-
-func (r *reader) time() sim.Time { return sim.Time(r.word()) }
-func (r *reader) boolWord() bool { return r.word() != 0 }
-
-// count reads a length word and bounds-checks it against what the
-// section can still hold at per words per element, so corrupt lengths
-// fail cleanly instead of allocating wildly.
-func (r *reader) count(per int) int {
-	n := r.word()
-	if r.err != nil {
-		return 0
-	}
-	if per < 1 {
-		per = 1
-	}
-	if n > uint64((len(r.sec)-r.pos)/per) {
-		r.err = fmt.Errorf("snapshot: section %q claims %d elements with %d words left", r.name, n, len(r.sec)-r.pos)
-		return 0
-	}
-	return int(n)
-}
-
-// rest consumes and returns every remaining word of the section (for
-// codecs that self-describe their length, like the port IRQ codec).
-func (r *reader) rest() []uint64 {
-	if r.err != nil {
-		return nil
-	}
-	ws := r.sec[r.pos:]
-	r.pos = len(r.sec)
-	return ws
-}
-
-func (r *reader) fin() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.pos != len(r.sec) {
-		return fmt.Errorf("snapshot: section %q has %d trailing words", r.name, len(r.sec)-r.pos)
-	}
 	return nil
 }

@@ -1,28 +1,53 @@
 package swsvt
 
-import "svtsim/internal/sim"
+import (
+	"fmt"
 
-// RingState is the canonical serializable form of a command ring: the
-// free-running head/tail/push counters plus the queued commands, oldest
-// first. Restoring writes the commands back at their original slots so
-// the head/tail arithmetic (and the Seq numbers already assigned)
-// replays exactly.
-type RingState struct {
-	Head, Tail, Pushes uint64
-	Cmds               []Cmd
+	"svtsim/internal/isa"
+	"svtsim/internal/sim"
+	"svtsim/internal/words"
+)
+
+// SaveWords writes the ring: the free-running head, tail and push
+// counters, then the queued commands oldest first, each its type,
+// sequence number and trap identifier.
+func (r *Ring) SaveWords(w *words.Writer) {
+	w.Word(r.head)
+	w.Word(r.tail)
+	w.Word(r.pushes)
+	w.Table(r.Len(), 3, func() {
+		for i := r.head; i != r.tail; i++ {
+			c := r.buf[i%uint64(len(r.buf))]
+			w.Word(uint64(c.Type))
+			w.Word(c.Seq)
+			w.Word(c.Exit)
+		}
+	})
 }
 
-// SaveState captures the ring.
-func (r *Ring) SaveState() RingState {
-	return RingState{Head: r.head, Tail: r.tail, Pushes: r.pushes, Cmds: r.Pending()}
-}
-
-// LoadState overwrites the ring from a saved state. The capacity must
-// match the capture (rings are fixed at machine construction).
-func (r *Ring) LoadState(s RingState) {
-	r.head, r.tail, r.pushes = s.Head, s.Tail, s.Pushes
-	for i, c := range s.Cmds {
-		r.buf[(s.Head+uint64(i))%uint64(len(r.buf))] = c
+// LoadWords overwrites the ring with words SaveWords wrote, placing the
+// commands back at their original slots so the head/tail arithmetic
+// (and the Seq numbers already assigned) replays exactly. The occupancy
+// must agree with head and tail and fit the capacity, which is fixed at
+// machine construction. The ring gets a fresh buffer, never writing
+// into the one it had.
+func (r *Ring) LoadWords(rd *words.Reader) {
+	head, tail, pushes := rd.Word(), rd.Word(), rd.Word()
+	n := rd.Count(3)
+	if rd.Err() != nil {
+		return
+	}
+	if tail-head != uint64(n) || n > len(r.buf) {
+		rd.Fail(fmt.Errorf("ring state inconsistent: head=%d tail=%d cmds=%d cap=%d", head, tail, n, len(r.buf)))
+		return
+	}
+	buf := make([]Cmd, len(r.buf))
+	for i := head; i != tail; i++ {
+		typ := CmdType(rd.Range(0, uint64(CmdShutdown)+1, "command type"))
+		buf[i%uint64(len(buf))] = Cmd{Type: typ, Seq: rd.Word(), Exit: rd.Word()}
+	}
+	if rd.Err() == nil {
+		r.buf, r.head, r.tail, r.pushes = buf, head, tail, pushes
 	}
 }
 
@@ -43,24 +68,44 @@ func (r *Ring) Pending() []Cmd {
 	return cmds
 }
 
-// ChannelState is the serializable slice of the reflection protocol's
-// per-channel state that lives outside the rings: the virtual time of
-// the SVt-thread's last return (feeds stolen-cycle accounting) and the
-// terminal stopped flag. Watchdog and breaker internals are recovery
-// machinery, re-armed fresh after a restore, and the obs counters are
-// diagnostics; neither is part of the architectural state.
-type ChannelState struct {
-	LastReturn sim.Time
-	Stopped    bool
+// SaveWords writes the reflection protocol's state: both rings of the
+// thread's channel, the virtual time of the SVt-thread's last return
+// (it feeds stolen-cycle accounting), the terminal stopped flag, and
+// the thread's handled-trap tallies the differential oracle reads.
+// Watchdog and breaker internals are recovery machinery, re-armed fresh
+// after a restore, and the obs counters are diagnostics; neither is
+// written.
+func (t *SVtThread) SaveWords(w *words.Writer) {
+	ch := t.Ch
+	ch.ToSVt.SaveWords(w)
+	ch.FromSVt.SaveWords(w)
+	w.Word(uint64(ch.lastReturn))
+	w.Bool(ch.stopped)
+	w.Word(t.Handled)
+	for _, n := range t.HandledByReason {
+		w.Word(n)
+	}
 }
 
-// SaveState captures the channel's protocol state.
-func (ch *Channel) SaveState() ChannelState {
-	return ChannelState{LastReturn: ch.lastReturn, Stopped: ch.stopped}
-}
-
-// LoadState overwrites the channel's protocol state.
-func (ch *Channel) LoadState(s ChannelState) {
-	ch.lastReturn = s.LastReturn
-	ch.stopped = s.Stopped
+// LoadWords overwrites the protocol state with words SaveWords wrote.
+// The rings load into copies (Ring.LoadWords swaps in a fresh buffer, so
+// a copy shares nothing it writes), which replace the live rings only
+// once the whole section has parsed.
+func (t *SVtThread) LoadWords(r *words.Reader) {
+	ch := t.Ch
+	to, from := *ch.ToSVt, *ch.FromSVt
+	to.LoadWords(r)
+	from.LoadWords(r)
+	last, stopped := sim.Time(r.Word()), r.Bool()
+	handled := r.Word()
+	var byReason [isa.NumExitReasons]uint64
+	for i := range byReason {
+		byReason[i] = r.Word()
+	}
+	if r.Err() != nil {
+		return
+	}
+	*ch.ToSVt, *ch.FromSVt = to, from
+	ch.lastReturn, ch.stopped = last, stopped
+	t.Handled, t.HandledByReason = handled, byReason
 }

@@ -45,12 +45,6 @@ type DeviceCommon struct {
 	OnKick func(q int)
 
 	Kicks uint64
-	// NotifyLost counts host-completion notifications dropped by injected
-	// faults (the queued work itself survives; any later completion pass
-	// retires it).
-	NotifyLost uint64
-	// NotifyDelayed counts notifications deferred by injected faults.
-	NotifyDelayed uint64
 
 	// obsT, when non-nil, receives kick/complete instants on obsTrack
 	// (the devices track, normally).
@@ -88,11 +82,9 @@ func (c *DeviceCommon) notify(fn func()) {
 	if c.Eng != nil {
 		out := c.Eng.Inject(fault.SiteVirtioComplete)
 		if out.Drop {
-			c.NotifyLost++
 			return
 		}
 		if out.Delay > 0 {
-			c.NotifyDelayed++
 			c.Eng.After(out.Delay, fn)
 			return
 		}

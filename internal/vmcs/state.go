@@ -1,53 +1,77 @@
 package vmcs
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"svtsim/internal/isa"
+	"svtsim/internal/words"
 )
 
-// State is the canonical serializable form of one VMCS: every field the
-// descriptor holds, the software-managed GPR save area, the shadowing
-// flag, and the semantic MSR-bitmap and dirty-tracking sets in sorted
-// order. The Shadow link is deliberately not part of the state — it is
-// wiring between descriptors, re-established by machine construction,
-// not per-VM content that migrates.
-type State struct {
-	Fields        [NumFields]uint64
-	GPRs          [isa.NumGPR]uint64
-	ShadowEnabled bool
-	ExitingMSRs   []uint32 // sorted ascending
-	Dirty         []Field  // sorted ascending
-}
-
-// SaveState captures the VMCS content.
-func (v *VMCS) SaveState() State {
-	s := State{Fields: v.fields, GPRs: v.GPRs, ShadowEnabled: v.ShadowEnabled}
-	for a := range v.ExitingMSRs {
-		s.ExitingMSRs = append(s.ExitingMSRs, a)
+// SaveWords writes the VMCS content: every field the descriptor holds,
+// the software-managed GPR save area, the shadowing flag, and the
+// MSR-bitmap and dirty-tracking sets ascending. The Shadow link is not
+// written — it is wiring between descriptors, re-established by
+// machine construction, not per-VM content that migrates.
+func (v *VMCS) SaveWords(w *words.Writer) {
+	for _, f := range v.fields {
+		w.Word(f)
 	}
-	sort.Slice(s.ExitingMSRs, func(i, j int) bool { return s.ExitingMSRs[i] < s.ExitingMSRs[j] })
-	for f := Field(0); f < NumFields; f++ {
-		if v.Dirty(f) {
-			s.Dirty = append(s.Dirty, f)
+	for _, g := range v.GPRs {
+		w.Word(g)
+	}
+	w.Bool(v.ShadowEnabled)
+	w.Table(len(v.ExitingMSRs), 1, func() {
+		addrs := make([]uint32, 0, len(v.ExitingMSRs))
+		for a := range v.ExitingMSRs {
+			addrs = append(addrs, a)
 		}
+		slices.Sort(addrs)
+		for _, a := range addrs {
+			w.Word(uint64(a))
+		}
+	})
+	ndirty := 0
+	for _, d := range v.dirty {
+		ndirty += bits.OnesCount64(d)
 	}
-	return s
+	w.Table(ndirty, 1, func() {
+		for f := Field(0); f < NumFields; f++ {
+			if v.Dirty(f) {
+				w.Word(uint64(f))
+			}
+		}
+	})
 }
 
-// LoadState overwrites the VMCS content from a saved state.
-func (v *VMCS) LoadState(s State) {
-	v.fields = s.Fields
-	v.GPRs = s.GPRs
-	v.ShadowEnabled = s.ShadowEnabled
+// LoadWords overwrites the VMCS content with words SaveWords wrote.
+func (v *VMCS) LoadWords(r *words.Reader) {
+	var fields [NumFields]uint64
+	for i := range fields {
+		fields[i] = r.Word()
+	}
+	var gprs [isa.NumGPR]uint64
+	for i := range gprs {
+		gprs[i] = r.Word()
+	}
+	shadow := r.Bool()
+	msrs := make([]uint32, r.Count(1))
+	for i, next := 0, uint64(0); i < len(msrs); i++ {
+		a := r.Range(next, 1<<32, "exiting MSR")
+		msrs[i], next = uint32(a), a+1
+	}
+	var dirty [(NumFields + 63) / 64]uint64
+	for i, n, next := 0, r.Count(1), uint64(0); i < n; i++ {
+		f := r.Range(next, uint64(NumFields), "dirty field")
+		dirty[f/64] |= 1 << (f % 64)
+		next = f + 1
+	}
+	if r.Err() != nil {
+		return
+	}
+	v.fields, v.GPRs, v.ShadowEnabled, v.dirty = fields, gprs, shadow, dirty
 	clear(v.ExitingMSRs)
-	for _, a := range s.ExitingMSRs {
+	for _, a := range msrs {
 		v.ExitingMSRs[a] = true
-	}
-	clear(v.dirty[:])
-	for _, f := range s.Dirty {
-		if f < NumFields {
-			v.dirty[f/64] |= 1 << (f % 64)
-		}
 	}
 }
