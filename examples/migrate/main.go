@@ -37,9 +37,10 @@ func main() {
 	for i := range pattern {
 		pattern[i] = byte(3 * i)
 	}
+	readBack := make([]byte, len(pattern))
 	m.InstallL2(io, false, true, func(env *svtsim.GuestEnv) {
 		env.Blk.Write(64, pattern)
-		env.Blk.Read(64, len(pattern))
+		env.Blk.Read(64, readBack)
 	})
 	m.Run()
 	defer m.Shutdown()

@@ -6,10 +6,13 @@
 package blk
 
 import (
+	"fmt"
+
 	"svtsim/internal/fault"
 	"svtsim/internal/mem"
 	"svtsim/internal/obs"
 	"svtsim/internal/sim"
+	"svtsim/internal/virtio"
 )
 
 // SectorSize is the addressing granularity.
@@ -23,6 +26,7 @@ type Disk struct {
 
 	store    *mem.Memory
 	capacity uint64
+	dma      virtio.Copier // moves request data between store and guest
 
 	// Service model: done = max(now, busyUntil) + Base + size/Rate.
 	ReadBase    sim.Time
@@ -76,13 +80,14 @@ func (d *Disk) svc(write bool, n int) sim.Time {
 	return base + sim.Time(float64(n)/d.BytesPerSec*float64(sim.Second))
 }
 
-// Submit implements virtio.BlkTransport: schedule the operation and call
-// done at completion (event context). Reads return the data read.
-func (d *Disk) Submit(write bool, sector uint64, data []byte, done func(ok bool, read []byte)) {
-	off := sector * SectorSize
-	if off+uint64(len(data)) > d.capacity {
+// Submit implements virtio.BlkTransport: schedule the operation and, at
+// its completion event, move the data between the image and m at gpa
+// (a write reads m, a read writes it), then call done.
+func (d *Disk) Submit(write bool, sector uint64, m virtio.MemIO, gpa uint64, n uint32, done func(ok bool)) {
+	off, ok := d.span(sector, uint64(n))
+	if !ok {
 		d.Errors++
-		d.Eng.After(d.ReadBase, func() { done(false, nil) })
+		d.Eng.After(d.ReadBase, func() { done(false) })
 		return
 	}
 	// Fault plane: a dropped completion surfaces as an I/O error after the
@@ -93,7 +98,7 @@ func (d *Disk) Submit(write bool, sector uint64, data []byte, done func(ok bool,
 		if out.Drop {
 			d.Errors++
 			d.Faulted++
-			d.Eng.After(d.ReadBase+out.Delay, func() { done(false, nil) })
+			d.Eng.After(d.ReadBase+out.Delay, func() { done(false) })
 			return
 		}
 		d.Faulted++
@@ -103,7 +108,7 @@ func (d *Disk) Submit(write bool, sector uint64, data []byte, done func(ok bool,
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
-	finish := start + d.svc(write, len(data)) + faultDelay
+	finish := start + d.svc(write, int(n)) + faultDelay
 	d.busyUntil = finish
 	if d.obsT != nil {
 		wr := uint64(0)
@@ -111,36 +116,35 @@ func (d *Disk) Submit(write bool, sector uint64, data []byte, done func(ok bool,
 			wr = 1
 		}
 		d.obsT.Span(d.obsTrack, obs.KindBlkIO, obs.LevelNone, d.obsLabel,
-			start, finish, wr, uint64(len(data)))
+			start, finish, wr, uint64(n))
 	}
 	if write {
 		d.Writes++
-		payload := append([]byte(nil), data...)
-		d.Eng.At(finish, func() {
-			if err := d.store.Write(off, payload); err != nil {
-				done(false, nil)
-				return
-			}
-			done(true, nil)
-		})
+		d.Eng.At(finish, func() { done(d.dma.Copy(d.store, off, m, gpa, n) == nil) })
 		return
 	}
 	d.Reads++
-	n := len(data)
-	d.Eng.At(finish, func() {
-		buf := make([]byte, n)
-		if err := d.store.Read(off, buf); err != nil {
-			done(false, nil)
-			return
-		}
-		done(true, buf)
-	})
+	d.Eng.At(finish, func() { done(d.dma.Copy(m, gpa, d.store, off, n) == nil) })
+}
+
+// span returns the byte offset of an n-byte access at sector, and false
+// when the access does not fit in the image. The sector is bounded
+// before it is scaled, so a huge sector cannot wrap into range.
+func (d *Disk) span(sector, n uint64) (uint64, bool) {
+	if sector > d.capacity/SectorSize {
+		return 0, false
+	}
+	off := sector * SectorSize
+	return off, n <= d.capacity-off
 }
 
 // ReadSync reads directly from the image, with no latency. Only tests
 // call it; it stays because it is how they read a disk's contents.
 func (d *Disk) ReadSync(sector uint64, n int) ([]byte, error) {
-	off := sector * SectorSize
+	off, ok := d.span(sector, uint64(n))
+	if !ok {
+		return nil, fmt.Errorf("blk %s: %d bytes at sector %d outside the %d-byte image", d.Name, n, sector, d.capacity)
+	}
 	buf := make([]byte, n)
 	if err := d.store.Read(off, buf); err != nil {
 		return nil, err

@@ -263,6 +263,7 @@ type interp struct {
 	sabotage func(mode hv.Mode, snap *snapshot.Snapshot)
 
 	dig      uint64
+	blkBuf   [8 * 512]byte // every block op's data, up to 8 sectors
 	irqs     [256]uint64
 	netRecv  uint64
 	invs     []string
@@ -497,12 +498,15 @@ func (it *interp) exec(env *guest.Env, op Op) {
 		env.WaitFor(func() bool { return it.netRecv >= want })
 
 	case OpBlkRead:
-		data, ok := env.Blk.Read(op.A%4096, int(1+op.B%8)*512)
+		data := it.blkBuf[:int(1+op.B%8)*512]
+		ok := env.Blk.Read(op.A%4096, data)
 		it.add(boolWord(ok))
-		it.addBytes(data)
+		if ok {
+			it.addBytes(data)
+		}
 
 	case OpBlkWrite:
-		data := make([]byte, int(1+op.B%8)*512)
+		data := it.blkBuf[:int(1+op.B%8)*512]
 		for i := range data {
 			data[i] = byte(op.A + uint64(i)*13)
 		}

@@ -56,6 +56,18 @@ func (v *View) Write(gpa uint64, p []byte) error {
 	})
 }
 
+// Probe reports the error an n-byte read (or, with write, write) at gpa
+// would fail with, translating every page it spans but moving no data.
+func (v *View) Probe(gpa uint64, n uint32, write bool) error {
+	need := PermR
+	if write {
+		need = PermW
+	}
+	return v.each(gpa, int(n), need, func(hpa uint64, _, chunk int) error {
+		return v.Mem.Probe(hpa, uint32(chunk), write)
+	})
+}
+
 // ReadU16 reads a little-endian uint16 at gpa.
 func (v *View) ReadU16(gpa uint64) (uint16, error) {
 	var b [2]byte

@@ -16,7 +16,9 @@ type BlkDriver struct {
 
 	Q *virtio.Queue
 
-	inflight map[uint16]*blkOp
+	ops    []blkOp // in-flight requests by chain head
+	copier virtio.Copier
+	sts    [1]byte
 
 	Reads  uint64
 	Writes uint64
@@ -24,13 +26,21 @@ type BlkDriver struct {
 	PerRequestCPU sim.Time
 }
 
+// blkOp is one request from Submit to its used entry. Its data lives in
+// an arena buffer at dataGPA; the caller's side of it is either a Go
+// buffer p (a workload) or n bytes of another memory m at gpa (a nested
+// backend using the driver as its transport).
 type blkOp struct {
+	live    bool
 	write   bool
 	hdrGPA  uint64
 	dataGPA uint64
 	n       uint32
 	stsGPA  uint64
-	done    func(ok bool, data []byte)
+	p       []byte
+	m       virtio.MemIO
+	gpa     uint64
+	done    func(ok bool)
 }
 
 // NewBlkDriver initializes the request queue in guest memory.
@@ -45,7 +55,6 @@ func NewBlkDriver(e *Env, vector int, mmio uint64, layoutBase uint64, qsize uint
 		Vector:        vector,
 		MMIO:          mmio,
 		Q:             q,
-		inflight:      make(map[uint16]*blkOp),
 		PerRequestCPU: 1500, // ns: block layer + fs shim
 	}
 	virtio.ConfigureQueue(func(addr, val uint64) {
@@ -55,57 +64,67 @@ func NewBlkDriver(e *Env, vector int, mmio uint64, layoutBase uint64, qsize uint
 	return d, nil
 }
 
-// Submit issues an asynchronous block request; done runs in kernel
-// context on completion. The kick is a trapping MMIO write.
-func (d *BlkDriver) Submit(write bool, sector uint64, data []byte, done func(ok bool, data []byte)) {
+// Submit issues an asynchronous block request over p: a write sends p,
+// a read fills p before done runs. done runs in kernel context on
+// completion (nil is allowed); p belongs to the driver until then. The
+// kick is a trapping MMIO write.
+func (d *BlkDriver) Submit(write bool, sector uint64, p []byte, done func(ok bool)) {
+	d.submit(sector, blkOp{write: write, n: uint32(len(p)), p: p, done: done})
+}
+
+// submit places op's header, data and status in arena buffers, posts
+// the chain and kicks the device.
+func (d *BlkDriver) submit(sector uint64, op blkOp) {
 	d.Env.Compute(d.PerRequestCPU)
-	hdrGPA := d.Env.Alloc(virtio.BlkHeaderSize)
-	if err := d.Env.Mem.Write(hdrGPA, virtio.EncodeBlkHeader(write, sector)); err != nil {
+	op.live = true
+	op.hdrGPA = d.Env.Alloc(virtio.BlkHeaderSize)
+	hdr := virtio.EncodeBlkHeader(op.write, sector)
+	if err := d.Env.Mem.Write(op.hdrGPA, hdr[:]); err != nil {
 		panic(fmt.Sprintf("guest blk: %v", err))
 	}
-	n := uint32(len(data))
-	dataGPA := d.Env.Alloc(uint64(n))
-	if write {
-		if err := d.Env.Mem.Write(dataGPA, data); err != nil {
+	op.dataGPA = d.Env.Alloc(uint64(op.n))
+	if op.write {
+		var err error
+		if op.m != nil {
+			err = d.copier.Copy(d.Env.Mem, op.dataGPA, op.m, op.gpa, op.n)
+		} else {
+			err = d.Env.Mem.Write(op.dataGPA, op.p)
+		}
+		if err != nil {
 			panic(fmt.Sprintf("guest blk: %v", err))
 		}
 		d.Writes++
 	} else {
 		d.Reads++
 	}
-	stsGPA := d.Env.Alloc(1)
-	chain := []virtio.Buf{
-		{GPA: hdrGPA, Len: virtio.BlkHeaderSize},
-		{GPA: dataGPA, Len: n, DeviceWrite: !write},
-		{GPA: stsGPA, Len: 1, DeviceWrite: true},
+	op.stsGPA = d.Env.Alloc(1)
+	chain := [3]virtio.Buf{
+		{GPA: op.hdrGPA, Len: virtio.BlkHeaderSize},
+		{GPA: op.dataGPA, Len: op.n, DeviceWrite: !op.write},
+		{GPA: op.stsGPA, Len: 1, DeviceWrite: true},
 	}
-	head, err := d.Q.Post(chain)
+	head, err := d.Q.Post(chain[:])
 	if err != nil {
 		panic(fmt.Sprintf("guest blk: %v", err))
 	}
-	d.inflight[head] = &blkOp{write: write, hdrGPA: hdrGPA, dataGPA: dataGPA, n: n, stsGPA: stsGPA, done: done}
+	for len(d.ops) <= int(head) {
+		d.ops = append(d.ops, blkOp{})
+	}
+	d.ops[head] = op
 	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, 0))
 }
 
-// Read performs a synchronous read of n bytes at sector.
-func (d *BlkDriver) Read(sector uint64, n int) ([]byte, bool) {
-	var out []byte
-	okRes := false
-	doneFired := false
-	d.Submit(false, sector, make([]byte, n), func(ok bool, data []byte) {
-		okRes = ok
-		out = data
-		doneFired = true
-	})
-	d.Env.WaitFor(func() bool { return doneFired })
-	return out, okRes
-}
+// Read fills p from sector with a synchronous request, as io.ReaderAt
+// does, and reports whether it succeeded.
+func (d *BlkDriver) Read(sector uint64, p []byte) bool { return d.sync(false, sector, p) }
 
-// Write performs a synchronous write at sector.
-func (d *BlkDriver) Write(sector uint64, data []byte) bool {
+// Write performs a synchronous write of p at sector.
+func (d *BlkDriver) Write(sector uint64, p []byte) bool { return d.sync(true, sector, p) }
+
+func (d *BlkDriver) sync(write bool, sector uint64, p []byte) bool {
 	okRes := false
 	doneFired := false
-	d.Submit(true, sector, data, func(ok bool, _ []byte) {
+	d.Submit(write, sector, p, func(ok bool) {
 		okRes = ok
 		doneFired = true
 	})
@@ -114,7 +133,9 @@ func (d *BlkDriver) Write(sector uint64, data []byte) bool {
 }
 
 // OnIRQ retires completed requests, first acknowledging the device
-// interrupt with a trapped MMIO write.
+// interrupt with a trapped MMIO write. A read's bytes leave the arena
+// buffer before it is freed: the Compute that follows can run interrupt
+// handlers, and those may reuse the buffer.
 func (d *BlkDriver) OnIRQ() {
 	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegIntrAck, 1))
 	for {
@@ -125,19 +146,22 @@ func (d *BlkDriver) OnIRQ() {
 		if !ok {
 			return
 		}
-		op := d.inflight[head]
-		delete(d.inflight, head)
-		if op == nil {
+		if int(head) >= len(d.ops) || !d.ops[head].live {
 			continue
 		}
-		var sts [1]byte
-		if err := d.Env.Mem.Read(op.stsGPA, sts[:]); err != nil {
+		op := d.ops[head]
+		d.ops[head] = blkOp{}
+		if err := d.Env.Mem.Read(op.stsGPA, d.sts[:]); err != nil {
 			panic(fmt.Sprintf("guest blk: status: %v", err))
 		}
-		var data []byte
-		if !op.write && sts[0] == virtio.BlkSOK {
-			data = make([]byte, op.n)
-			if err := d.Env.Mem.Read(op.dataGPA, data); err != nil {
+		okOp := d.sts[0] == virtio.BlkSOK
+		if !op.write && okOp {
+			if op.m != nil {
+				err = d.copier.Copy(op.m, op.gpa, d.Env.Mem, op.dataGPA, op.n)
+			} else {
+				err = d.Env.Mem.Read(op.dataGPA, op.p)
+			}
+			if err != nil {
 				panic(fmt.Sprintf("guest blk: data: %v", err))
 			}
 		}
@@ -146,17 +170,19 @@ func (d *BlkDriver) OnIRQ() {
 		d.Env.Free(op.stsGPA, 1)
 		d.Env.Compute(d.PerRequestCPU / 2)
 		if op.done != nil {
-			op.done(sts[0] == virtio.BlkSOK, data)
+			op.done(okOp)
 		}
 	}
 }
 
 // AsTransport adapts the driver as a virtio.BlkTransport for a nested
-// backend (the vhost-blk path).
-func (d *BlkDriver) AsTransport() virtio.BlkTransport { return &blkTransport{d} }
+// backend (the vhost-blk path): a write's bytes are copied from m into
+// the driver's arena buffer at submit, and a read's from the arena
+// buffer into m when the request retires.
+func (d *BlkDriver) AsTransport() virtio.BlkTransport { return blkTransport{d} }
 
 type blkTransport struct{ d *BlkDriver }
 
-func (t *blkTransport) Submit(write bool, sector uint64, data []byte, done func(ok bool, read []byte)) {
-	t.d.Submit(write, sector, data, done)
+func (t blkTransport) Submit(write bool, sector uint64, m virtio.MemIO, gpa uint64, n uint32, done func(ok bool)) {
+	t.d.submit(sector, blkOp{write: write, n: n, m: m, gpa: gpa, done: done})
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"svtsim/internal/guest"
 	"svtsim/internal/hv"
 	"svtsim/internal/ports"
 	armport "svtsim/internal/ports/armlike"
@@ -86,6 +87,82 @@ func TestNewNestedAllocBudget(t *testing.T) {
 			t.Logf("%s/%s: NewNested allocated %d bytes", p.Name(), mode, got)
 			if got > budget {
 				t.Errorf("%s/%s: NewNested allocated %d bytes, budget %d", p.Name(), mode, got, budget)
+			}
+		}
+	}
+}
+
+// runReads runs n nested block reads of size bytes on a fresh machine
+// with the full I/O stack and reports the bytes the Run call allocated.
+func runReads(t *testing.T, cfg Config, size, n int) uint64 {
+	t.Helper()
+	io := WireNestedIO(&cfg, DefaultIOParams())
+	m := NewNested(cfg)
+	defer m.Shutdown()
+	done := 0
+	m.InstallL2(io, false, true, func(env *guest.Env) {
+		buf := make([]byte, size)
+		for i := 0; i < n; i++ {
+			if !env.Blk.Read(uint64(i%64)*8, buf) {
+				t.Error("nested read failed")
+				return
+			}
+			done++
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Run()
+	runtime.ReadMemStats(&after)
+	if m.L0.DeadlockDetected || done != n {
+		t.Fatalf("%d of %d reads done (deadlock=%v)", done, n, m.L0.DeadlockDetected)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// minReads is runReads' least of three runs: anything else the process
+// allocates meanwhile only adds to a run's count.
+func minReads(t *testing.T, cfg Config, size, n int) uint64 {
+	least := runReads(t, cfg, size, n)
+	for i := 0; i < 2; i++ {
+		least = min(least, runReads(t, cfg, size, n))
+	}
+	return least
+}
+
+// A nested block read moves its data by guest address from the disk to
+// L1's buffer and from there to L2's: no hop holds the payload in a Go
+// buffer of its size. So a 4 KB read costs the same heap bytes as a
+// 512 B one, on every port and in every mode, and both stay under a
+// fixed per-op budget (the request bookkeeping, engine events and
+// completion closures of the two virtio hops).
+func TestBlkRoundTripAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const (
+		n1, n2 = 100, 200
+		budget = 512 // bytes per read; 442 measured on go1.24
+	)
+	// The process's first nested I/O run pays one-time costs of its own.
+	runReads(t, portConfig(allocPorts[0], hv.ModeBaseline), 512, 1)
+	for _, p := range allocPorts {
+		for _, mode := range hv.AllModes() {
+			cfg := portConfig(p, mode)
+			var per [2]float64
+			for i, size := range []int{512, 4096} {
+				b1 := minReads(t, cfg, size, n1)
+				b2 := minReads(t, cfg, size, n2)
+				per[i] = (float64(b2) - float64(b1)) / (n2 - n1)
+			}
+			t.Logf("%s/%s: %.0f B per 512 B read, %.0f B per 4 KB read", p.Name(), mode, per[0], per[1])
+			if d := per[1] - per[0]; d > 64 || d < -64 {
+				t.Errorf("%s/%s: a 4 KB read allocates %.0f B more than a 512 B read, want within 64 B", p.Name(), mode, d)
+			}
+			for i, b := range per {
+				if b > budget {
+					t.Errorf("%s/%s: %.0f B per read (size index %d), budget %d", p.Name(), mode, b, i, budget)
+				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"svtsim/internal/guest"
 	"svtsim/internal/hv"
 	"svtsim/internal/isa"
+	"svtsim/internal/mem"
 	"svtsim/internal/netsim"
 	"svtsim/internal/sim"
 )
@@ -33,12 +34,11 @@ func TestNestedDiskDataIntegrity(t *testing.T) {
 					t.Error("nested write failed")
 					return
 				}
-				data, ok := env.Blk.Read(128, len(pattern))
-				if !ok {
+				readBack = make([]byte, len(pattern))
+				if !env.Blk.Read(128, readBack) {
 					t.Error("nested read failed")
 					return
 				}
-				readBack = data
 			})
 			m.Run()
 			m.Shutdown()
@@ -98,7 +98,7 @@ func TestNestedExitMixForDiskIO(t *testing.T) {
 	m := NewNested(cfg)
 	m.InstallL2(io, false, true, func(env *guest.Env) {
 		for i := 0; i < 10; i++ {
-			if _, ok := env.Blk.Read(uint64(i*8), 512); !ok {
+			if !env.Blk.Read(uint64(i*8), make([]byte, 512)) {
 				t.Error("read failed")
 			}
 		}
@@ -112,5 +112,65 @@ func TestNestedExitMixForDiskIO(t *testing.T) {
 		if p.Count[r] == 0 {
 			t.Errorf("no %v exits recorded", r)
 		}
+	}
+}
+
+// A 4 KB request whose L2 buffer straddles a page boundary, landing on
+// a disk offset that straddles one too, round-trips its bytes: every
+// copy between the disk, L1's buffer and L2's splits at page boundaries
+// of both sides.
+func TestBlkPageCrossingRoundTrip(t *testing.T) {
+	const (
+		sector = 129 // 512 B into a disk page
+		tail   = 96  // bytes of the buffer before L2's page boundary
+	)
+	for _, mode := range hv.AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig(mode)
+			io := WireNestedIO(&cfg, DefaultIOParams())
+			m := NewNested(cfg)
+			pattern := make([]byte, 4096)
+			for i := range pattern {
+				pattern[i] = byte(i*13 + i>>8)
+			}
+			readBack := make([]byte, len(pattern))
+			m.InstallL2(io, false, true, func(env *guest.Env) {
+				// Bump the arena so a request's data buffer, allocated
+				// after its 16-byte header, starts tail bytes before a
+				// page boundary.
+				a := env.Alloc(8) + 8
+				want := (a+16+mem.PageSize-1)&^(mem.PageSize-1) - tail
+				if want < a+16 {
+					want += mem.PageSize
+				}
+				if pad := want - 16 - a; pad > 0 {
+					env.Alloc(pad)
+				}
+				if !env.Blk.Write(sector, pattern) {
+					t.Error("nested write failed")
+					return
+				}
+				if !env.Blk.Read(sector, readBack) {
+					t.Error("nested read failed")
+					return
+				}
+				// The freed data buffer is the one both requests used.
+				if got := env.Alloc(uint64(len(pattern))); got != want {
+					t.Errorf("data buffer at %#x, want %#x", got, want)
+				}
+			})
+			m.Run()
+			m.Shutdown()
+			if !bytes.Equal(readBack, pattern) {
+				t.Fatal("page-crossing read returned different bytes")
+			}
+			onDisk, err := io.Disk.ReadSync(sector, len(pattern))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(onDisk, pattern) {
+				t.Fatal("page-crossing write left different bytes on the image")
+			}
+		})
 	}
 }

@@ -36,6 +36,11 @@ func (m *Memory) check(addr uint64, n int) error {
 	return nil
 }
 
+// Probe reports the error an n-byte access at addr would fail with,
+// moving no data. Physical memory has no permissions, so write does not
+// matter; it is there so Memory serves as a device's DMA target.
+func (m *Memory) Probe(addr uint64, n uint32, write bool) error { return m.check(addr, int(n)) }
+
 // Read copies len(p) bytes starting at addr into p.
 func (m *Memory) Read(addr uint64, p []byte) error {
 	if err := m.check(addr, len(p)); err != nil {

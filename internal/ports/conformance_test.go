@@ -207,7 +207,7 @@ func portMachine(t testing.TB, p ports.Port, mode hv.Mode) (*machine.Machine, *m
 				return
 			}
 		}
-		if _, ok := env.Blk.Read(64, len(data)); !ok {
+		if !env.Blk.Read(64, make([]byte, len(data))) {
 			t.Error("guest read failed")
 		}
 	})

@@ -56,7 +56,7 @@ func portDiskMachine(t testing.TB, p ports.Port, mode hv.Mode, pat byte, n int) 
 				return
 			}
 		}
-		if _, ok := env.Blk.Read(64, len(data)); !ok {
+		if !env.Blk.Read(64, make([]byte, len(data))) {
 			t.Error("guest read failed")
 		}
 	})

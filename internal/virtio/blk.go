@@ -13,8 +13,9 @@ const (
 
 // Block status bytes.
 const (
-	BlkSOK    byte = 0
-	BlkSIOErr byte = 1
+	BlkSOK     byte = 0
+	BlkSIOErr  byte = 1
+	BlkSUnsupp byte = 2 // request type the device does not implement
 )
 
 // BlkHeaderSize is the request header size in guest memory.
@@ -23,18 +24,23 @@ const BlkHeaderSize = 16
 // BlkTransport is where block requests land: the ramdisk model for the
 // host backend, or the guest hypervisor's own virtio-blk driver for the
 // nested (vhost) backend.
+//
+// Data moves by guest address, as virtio DMA does: a write's n bytes
+// are read from m at gpa, and a read's n bytes are written to m at gpa
+// before done(true) runs. The transport touches the buffer only between
+// Submit and done, and done(false) means the buffer's contents are
+// unspecified.
 type BlkTransport interface {
-	Submit(write bool, sector uint64, data []byte, done func(ok bool, read []byte))
+	Submit(write bool, sector uint64, m MemIO, gpa uint64, n uint32, done func(ok bool))
 }
 
+// blkPending is a request between kick and its used entry, indexed by
+// its chain's head.
 type blkPending struct {
-	head    uint16
-	dataGPA uint64
 	dataLen uint32
 	stsGPA  uint64
 	write   bool
-	ok      bool
-	read    []byte
+	status  byte
 }
 
 // BlkBackend is the device side of a virtio-blk device (queue 0 carries
@@ -46,7 +52,11 @@ type BlkBackend struct {
 	RaiseGuestIRQ func()
 	NotifyHost    func()
 
-	completed []*blkPending
+	pending   []blkPending    // by chain head
+	dones     []func(ok bool) // by chain head, made once per head
+	completed []uint16        // heads awaiting their used entry
+	hdr       [BlkHeaderSize]byte
+	sts       [1]byte
 
 	Reads  uint64
 	Writes uint64
@@ -63,7 +73,12 @@ func NewBlkBackend(name string, base uint64, mem MemIO, tr BlkTransport) *BlkBac
 	return b
 }
 
-// kick drains the request queue and submits each request.
+// kick drains the request queue. Each chain is validated before any
+// data moves: a driver-readable header, a data buffer whose direction
+// matches the request, and a device-writable status byte. A malformed
+// chain is a driver bug and panics naming the device. A request type
+// the device does not implement completes with BlkSUnsupp and touches
+// neither the transport nor the data buffer.
 func (b *BlkBackend) kick(qi int) {
 	q := b.Queue(0)
 	if q == nil {
@@ -77,74 +92,100 @@ func (b *BlkBackend) kick(qi int) {
 		if !ok {
 			return
 		}
-		if len(bufs) < 3 {
+		if len(bufs) < 2 {
 			panic(fmt.Sprintf("virtio-blk %s: malformed chain (%d bufs)", b.DevName, len(bufs)))
 		}
-		hdr := make([]byte, BlkHeaderSize)
-		if err := b.Mem.Read(bufs[0].GPA, hdr); err != nil {
+		hdr, status := bufs[0], bufs[len(bufs)-1]
+		if hdr.DeviceWrite || hdr.Len < BlkHeaderSize {
+			panic(fmt.Sprintf("virtio-blk %s: header must be a driver-readable buffer of at least %d bytes", b.DevName, BlkHeaderSize))
+		}
+		if !status.DeviceWrite || status.Len < 1 {
+			panic(fmt.Sprintf("virtio-blk %s: status must be a device-writable byte", b.DevName))
+		}
+		if err := b.Mem.Read(hdr.GPA, b.hdr[:]); err != nil {
 			panic(fmt.Sprintf("virtio-blk %s: header: %v", b.DevName, err))
 		}
-		typ := binary.LittleEndian.Uint32(hdr[0:4])
-		sector := binary.LittleEndian.Uint64(hdr[8:16])
-		data := bufs[1]
-		status := bufs[len(bufs)-1]
-
-		p := &blkPending{
-			head:    head,
-			dataGPA: data.GPA,
-			dataLen: data.Len,
-			stsGPA:  status.GPA,
-			write:   typ == BlkTOut,
+		typ := binary.LittleEndian.Uint32(b.hdr[0:4])
+		sector := binary.LittleEndian.Uint64(b.hdr[8:16])
+		p := b.slot(head)
+		*p = blkPending{stsGPA: status.GPA, write: typ == BlkTOut}
+		if typ != BlkTIn && typ != BlkTOut {
+			p.status = BlkSUnsupp
+			b.complete(head, true)
+			continue
 		}
-		payload := make([]byte, data.Len)
+		if len(bufs) != 3 {
+			panic(fmt.Sprintf("virtio-blk %s: malformed chain (%d bufs)", b.DevName, len(bufs)))
+		}
+		data := bufs[1]
+		if data.DeviceWrite == p.write {
+			panic(fmt.Sprintf("virtio-blk %s: data buffer direction does not match request type %d", b.DevName, typ))
+		}
+		p.dataLen = data.Len
 		if p.write {
 			b.Writes++
-			if err := b.Mem.Read(data.GPA, payload); err != nil {
+			if err := b.Mem.Probe(data.GPA, data.Len, false); err != nil {
 				panic(fmt.Sprintf("virtio-blk %s: data read: %v", b.DevName, err))
 			}
 		} else {
 			b.Reads++
-		}
-		b.Transport.Submit(p.write, sector, payload, func(ok bool, read []byte) {
-			p.ok = ok
-			p.read = read
-			b.completed = append(b.completed, p)
-			if b.NotifyHost != nil {
-				b.notify(b.NotifyHost)
+			if err := b.Mem.Probe(data.GPA, data.Len, true); err != nil {
+				panic(fmt.Sprintf("virtio-blk %s: data write: %v", b.DevName, err))
 			}
-		})
+		}
+		b.Transport.Submit(p.write, sector, b.Mem, data.GPA, data.Len, b.dones[head])
+	}
+}
+
+// slot returns head's pending entry, growing the per-head tables to
+// reach it. Heads recycle through the driver's free list, so the tables
+// stay as short as the deepest queue the driver has used.
+func (b *BlkBackend) slot(head uint16) *blkPending {
+	for len(b.pending) <= int(head) {
+		h := uint16(len(b.pending))
+		b.pending = append(b.pending, blkPending{})
+		b.dones = append(b.dones, func(ok bool) { b.complete(h, ok) })
+	}
+	return &b.pending[head]
+}
+
+// complete is a request's done callback (event context), and how kick
+// retires an unsupported type: queue the used entry and ask for
+// kernel-context processing. A failure overrides the status.
+func (b *BlkBackend) complete(head uint16, ok bool) {
+	if !ok {
+		b.pending[head].status = BlkSIOErr
+	}
+	b.completed = append(b.completed, head)
+	if b.NotifyHost != nil {
+		b.notify(b.NotifyHost)
 	}
 }
 
 // OnIRQ implements hv.Device: retire completed requests in kernel
-// context — copy read data, write status, push used, interrupt the guest.
+// context — write status, push used, interrupt the guest. A read's data
+// is already in the guest's buffer: the transport wrote it before it
+// completed the request.
 func (b *BlkBackend) OnIRQ() {
 	q := b.Queue(0)
 	if q == nil {
 		return
 	}
 	raised := false
-	for _, p := range b.completed {
+	for _, head := range b.completed {
+		p := &b.pending[head]
 		total := uint32(1)
-		if !p.write && p.ok {
-			n := p.read
-			if uint32(len(n)) > p.dataLen {
-				n = n[:p.dataLen]
-			}
-			if err := b.Mem.Write(p.dataGPA, n); err != nil {
-				panic(fmt.Sprintf("virtio-blk %s: data write: %v", b.DevName, err))
-			}
-			total += uint32(len(n))
+		if !p.write && p.status == BlkSOK {
+			total += p.dataLen
 		}
-		sts := []byte{BlkSOK}
-		if !p.ok {
-			sts[0] = BlkSIOErr
+		if p.status == BlkSIOErr {
 			b.Errors++
 		}
-		if err := b.Mem.Write(p.stsGPA, sts); err != nil {
+		b.sts[0] = p.status
+		if err := b.Mem.Write(p.stsGPA, b.sts[:]); err != nil {
 			panic(fmt.Sprintf("virtio-blk %s: status: %v", b.DevName, err))
 		}
-		if err := q.PushUsed(p.head, total); err != nil {
+		if err := q.PushUsed(head, total); err != nil {
 			panic(fmt.Sprintf("virtio-blk %s: %v", b.DevName, err))
 		}
 		raised = true
@@ -156,9 +197,9 @@ func (b *BlkBackend) OnIRQ() {
 	}
 }
 
-// EncodeBlkHeader writes a request header (driver-side helper).
-func EncodeBlkHeader(write bool, sector uint64) []byte {
-	hdr := make([]byte, BlkHeaderSize)
+// EncodeBlkHeader builds a request header (driver-side helper).
+func EncodeBlkHeader(write bool, sector uint64) [BlkHeaderSize]byte {
+	var hdr [BlkHeaderSize]byte
 	typ := BlkTIn
 	if write {
 		typ = BlkTOut

@@ -34,6 +34,7 @@ type NetBackend struct {
 	NotifyHost func()
 
 	txDone    []uint16
+	txDoneFns []func() // by chain head, made once per head
 	rxArrived [][]byte
 
 	// TxCoalesce batches TX-completion interrupts, as real NICs do: the
@@ -87,26 +88,44 @@ func (b *NetBackend) drainTX() {
 		if !ok {
 			return
 		}
-		pkt := make([]byte, 0, 64)
+		// The packet is the chain's driver-readable segments, read
+		// straight into one buffer of their total length.
+		n := 0
+		for _, buf := range bufs {
+			if !buf.DeviceWrite {
+				n += int(buf.Len)
+			}
+		}
+		pkt := make([]byte, n)
+		off := 0
 		for _, buf := range bufs {
 			if buf.DeviceWrite {
 				continue
 			}
-			seg := make([]byte, buf.Len)
-			if err := b.Mem.Read(buf.GPA, seg); err != nil {
+			if err := b.Mem.Read(buf.GPA, pkt[off:off+int(buf.Len)]); err != nil {
 				panic(fmt.Sprintf("virtio-net %s: tx read: %v", b.DevName, err))
 			}
-			pkt = append(pkt, seg...)
+			off += int(buf.Len)
 		}
 		b.TxPackets++
-		h := head
-		b.Transport.Send(pkt, func() {
+		b.Transport.Send(pkt, b.txDoneFn(head))
+	}
+}
+
+// txDoneFn returns head's TX completion callback, made once per head:
+// it queues the head for OnIRQ and notifies the host once enough
+// completions are pending.
+func (b *NetBackend) txDoneFn(head uint16) func() {
+	for len(b.txDoneFns) <= int(head) {
+		h := uint16(len(b.txDoneFns))
+		b.txDoneFns = append(b.txDoneFns, func() {
 			b.txDone = append(b.txDone, h)
 			if b.NotifyHost != nil && len(b.txDone) >= b.coalesce() {
 				b.notify(b.NotifyHost)
 			}
 		})
 	}
+	return b.txDoneFns[head]
 }
 
 // receive is the transport's inbound callback (event context): queue the
@@ -134,7 +153,7 @@ func (b *NetBackend) OnIRQ() {
 		b.txDone = b.txDone[:0]
 	}
 	if rx != nil {
-		remaining := b.rxArrived[:0]
+		kept := 0
 		for i, pkt := range b.rxArrived {
 			head, bufs, ok, err := rx.PopAvail()
 			if err != nil {
@@ -142,7 +161,7 @@ func (b *NetBackend) OnIRQ() {
 			}
 			if !ok {
 				// No posted RX buffers: hold the rest (NIC ring model).
-				remaining = append(remaining, b.rxArrived[i:]...)
+				kept = copy(b.rxArrived, b.rxArrived[i:])
 				break
 			}
 			written := uint32(0)
@@ -168,7 +187,9 @@ func (b *NetBackend) OnIRQ() {
 			b.RxPackets++
 			raised = true
 		}
-		b.rxArrived = append([][]byte(nil), remaining...)
+		// Reuse the array, clearing the delivered tail so it pins no packet.
+		clear(b.rxArrived[kept:])
+		b.rxArrived = b.rxArrived[:kept]
 	}
 	// vhost-style: an active device also picks up freshly posted TX chains
 	// during its completion pass, so suppressed kicks still make progress.

@@ -18,6 +18,10 @@ import (
 type MemIO interface {
 	Read(gpa uint64, p []byte) error
 	Write(gpa uint64, p []byte) error
+	// Probe reports the error an n-byte read (or, with write, write) at
+	// gpa would fail with, moving no data: how a device rejects a DMA
+	// target before it accepts the request.
+	Probe(gpa uint64, n uint32, write bool) error
 	ReadU16(gpa uint64) (uint16, error)
 	WriteU16(gpa uint64, v uint16) error
 	ReadU32(gpa uint64) (uint32, error)
@@ -236,6 +240,9 @@ func (q *Queue) PopAvail() (uint16, []Buf, bool, error) {
 	for hops := 0; ; hops++ {
 		if hops > int(q.L.Size) {
 			return 0, nil, false, fmt.Errorf("virtio: descriptor chain loop at head %d", head)
+		}
+		if idx >= q.L.Size {
+			return 0, nil, false, fmt.Errorf("virtio: descriptor %d outside the %d-entry table (head %d)", idx, q.L.Size, head)
 		}
 		d, err := q.readDesc(idx)
 		if err != nil {

@@ -239,3 +239,30 @@ func TestChainLoopDetected(t *testing.T) {
 		t.Fatal("descriptor loop must be detected")
 	}
 }
+
+// A head or chain link outside the descriptor table is an error, not a
+// read past the table: devices index per-request state by head.
+func TestDescriptorIndexOutOfTable(t *testing.T) {
+	for _, corrupt := range []struct {
+		name string
+		at   func(l Layout) uint64
+		val  uint16
+	}{
+		{"head", func(l Layout) uint64 { return l.Avail + 4 }, 4},
+		{"next", func(l Layout) uint64 { return l.Desc + 14 }, 9},
+	} {
+		m := testMem(t)
+		l := NewLayout(0, 4)
+		drv, _ := NewQueue(l, m, true)
+		dev, _ := NewQueue(l, m, false)
+		if _, err := drv.Post([]Buf{{GPA: 0x100, Len: 8}, {GPA: 0x200, Len: 8}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteU16(corrupt.at(l), corrupt.val); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := dev.PopAvail(); err == nil {
+			t.Errorf("%s %d of a 4-entry table: PopAvail accepted it", corrupt.name, corrupt.val)
+		}
+	}
+}

@@ -65,7 +65,8 @@ func (w *TPCC) Run(env *guest.Env) {
 	const pages = 8192 // database pages addressable by the benchmark
 	start := env.Now()
 	deadline := start + w.Duration
-	page := make([]byte, 4096)
+	page := make([]byte, 4096) // written at commit
+	buf := make([]byte, 4096)  // filled by buffer-pool misses
 	for env.Now() < deadline {
 		t := w.pick()
 		// Buffer pool: most reads hit memory; cold pages hit the disk.
@@ -75,7 +76,7 @@ func (w *TPCC) Run(env *guest.Env) {
 			// database); most page accesses miss to the virtio disk.
 			if w.Rng.Float64() < 0.80 {
 				sector := uint64(w.Rng.Intn(pages)) * 8
-				if _, ok := env.Blk.Read(sector, 4096); !ok {
+				if !env.Blk.Read(sector, buf) {
 					panic("tpcc: read failed")
 				}
 			}
