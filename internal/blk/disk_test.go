@@ -64,12 +64,13 @@ func TestDataMovesAtCompletion(t *testing.T) {
 		t.Fatalf("disk holds %x..., want the buffer's bytes at completion", got[:4])
 	}
 	d.Submit(false, 0, guest, 4096, 512, func(bool) {})
-	if v, _ := guest.ReadU64(4096); v != 0 {
-		t.Fatalf("read data in guest memory before completion: %#x", v)
+	got := make([]byte, 512)
+	if err := guest.Read(4096, got); err != nil || !bytes.Equal(got, make([]byte, 512)) {
+		t.Fatalf("read data in guest memory before completion: %x... (%v)", got[:4], err)
 	}
 	eng.Drain(100)
-	if v, _ := guest.ReadU64(4096); v != 0x0202020202020202 {
-		t.Fatalf("read data after completion = %#x", v)
+	if err := guest.Read(4096, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{2}, 512)) {
+		t.Fatalf("read data after completion = %x... (%v)", got[:4], err)
 	}
 }
 

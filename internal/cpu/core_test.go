@@ -11,6 +11,7 @@ import (
 	"svtsim/internal/ept"
 	"svtsim/internal/isa"
 	"svtsim/internal/mem"
+	"svtsim/internal/race"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
 )
@@ -337,6 +338,31 @@ func TestMMIOExitAndMappedAccess(t *testing.T) {
 	e = c.RunGuest(0, v, g2, &RunState{})
 	if e.Reason != isa.ExitEPTViolation {
 		t.Fatalf("exit = %v", e)
+	}
+}
+
+// A trapped MMIO write is decided from the table's device regions before
+// any translation, so the exit it raises allocates nothing.
+func TestTrappedMMIOWriteAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	c := testCore(1)
+	tbl := ept.New("ept01")
+	if err := tbl.MapMisconfig(0xFE000000, 4096, 9); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterEPT(0xE000, tbl)
+	v := newVMCS("vmcs01", 1)
+	v.Write(vmcs.EPTPointer, 0xE000)
+	in := isa.MMIOWrite(0xFE000008, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if r := c.Exec(0, v, in); r.Exit.Reason != isa.ExitEPTMisconfig || r.Exit.Qualification != 9 {
+			t.Fatalf("exit = %v", r.Exit)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a trapped MMIO write allocates %.0f times, want 0", allocs)
 	}
 }
 

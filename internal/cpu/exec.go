@@ -1,7 +1,7 @@
 package cpu
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
 
 	"svtsim/internal/ept"
@@ -88,35 +88,35 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 		if tbl == nil {
 			return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
 		}
+		if dev, ok := tbl.DeviceAt(in.Addr); ok {
+			return ExecResult{Exit: isa.Exit{
+				Reason:        isa.ExitEPTMisconfig,
+				GuestPA:       in.Addr,
+				Qualification: dev,
+				Value:         in.Val,
+				InstrLen:      instrLen(in.Op),
+			}}
+		}
 		need := ept.PermR
 		if in.Op == isa.OpMMIOWrite {
 			need = ept.PermW
 		}
 		hpa, err := tbl.Translate(in.Addr, need)
 		if err != nil {
-			var mis *ept.MisconfigError
-			if errors.As(err, &mis) {
-				return ExecResult{Exit: isa.Exit{
-					Reason:        isa.ExitEPTMisconfig,
-					GuestPA:       in.Addr,
-					Qualification: mis.Dev,
-					Value:         in.Val,
-					InstrLen:      instrLen(in.Op),
-				}}
-			}
 			return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
 		}
+		var b [8]byte
 		if in.Op == isa.OpMMIOWrite {
-			if err := c.hostMem.WriteU64(hpa, in.Val); err != nil {
+			binary.LittleEndian.PutUint64(b[:], in.Val)
+			if err := c.hostMem.Write(hpa, b[:]); err != nil {
 				panic(fmt.Sprintf("cpu: mapped MMIO write failed: %v", err))
 			}
 			return ExecResult{}
 		}
-		val, err := c.hostMem.ReadU64(hpa)
-		if err != nil {
+		if err := c.hostMem.Read(hpa, b[:]); err != nil {
 			panic(fmt.Sprintf("cpu: mapped MMIO read failed: %v", err))
 		}
-		return ExecResult{Value: val}
+		return ExecResult{Value: binary.LittleEndian.Uint64(b[:])}
 
 	case isa.OpHLT:
 		eng.Advance(m.InstrBase)

@@ -1,7 +1,6 @@
 package ept
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"svtsim/internal/mem"
@@ -66,52 +65,4 @@ func (v *View) Probe(gpa uint64, n uint32, write bool) error {
 	return v.each(gpa, int(n), need, func(hpa uint64, _, chunk int) error {
 		return v.Mem.Probe(hpa, uint32(chunk), write)
 	})
-}
-
-// ReadU16 reads a little-endian uint16 at gpa.
-func (v *View) ReadU16(gpa uint64) (uint16, error) {
-	var b [2]byte
-	if err := v.Read(gpa, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-// ReadU32 reads a little-endian uint32 at gpa.
-func (v *View) ReadU32(gpa uint64) (uint32, error) {
-	var b [4]byte
-	if err := v.Read(gpa, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// ReadU64 reads a little-endian uint64 at gpa.
-func (v *View) ReadU64(gpa uint64) (uint64, error) {
-	var b [8]byte
-	if err := v.Read(gpa, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// WriteU16 writes a little-endian uint16 at gpa.
-func (v *View) WriteU16(gpa uint64, val uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], val)
-	return v.Write(gpa, b[:])
-}
-
-// WriteU32 writes a little-endian uint32 at gpa.
-func (v *View) WriteU32(gpa uint64, val uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], val)
-	return v.Write(gpa, b[:])
-}
-
-// WriteU64 writes a little-endian uint64 at gpa.
-func (v *View) WriteU64(gpa uint64, val uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], val)
-	return v.Write(gpa, b[:])
 }

@@ -98,17 +98,9 @@ func (v l2View) view() *ept.View {
 	return ept.NewView(v.m.HostMem, v.m.Ept02)
 }
 
-func (v l2View) Read(gpa uint64, p []byte) error     { return v.view().Read(gpa, p) }
-func (v l2View) Write(gpa uint64, p []byte) error    { return v.view().Write(gpa, p) }
-func (v l2View) ReadU16(gpa uint64) (uint16, error)  { return v.view().ReadU16(gpa) }
-func (v l2View) WriteU16(gpa uint64, x uint16) error { return v.view().WriteU16(gpa, x) }
-func (v l2View) ReadU32(gpa uint64) (uint32, error)  { return v.view().ReadU32(gpa) }
-func (v l2View) WriteU32(gpa uint64, x uint32) error { return v.view().WriteU32(gpa, x) }
-func (v l2View) ReadU64(gpa uint64) (uint64, error)  { return v.view().ReadU64(gpa) }
-func (v l2View) WriteU64(gpa uint64, x uint64) error { return v.view().WriteU64(gpa, x) }
-func (v l2View) Probe(gpa uint64, n uint32, write bool) error {
-	return v.view().Probe(gpa, n, write)
-}
+func (v l2View) Read(gpa uint64, p []byte) error              { return v.view().Read(gpa, p) }
+func (v l2View) Write(gpa uint64, p []byte) error             { return v.view().Write(gpa, p) }
+func (v l2View) Probe(gpa uint64, n uint32, write bool) error { return v.view().Probe(gpa, n, write) }
 
 // L1IRQTarget is the L1 vCPU that receives L1-bound interrupts: the
 // SVt-thread vCPU in SW SVt mode (the main vCPU is occupied running L2),

@@ -5,10 +5,7 @@
 // are materialized on first write.
 package mem
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // PageSize is the granularity of backing allocation and of EPT mappings.
 const PageSize = 4096
@@ -88,52 +85,4 @@ func (m *Memory) Write(addr uint64, p []byte) error {
 		addr += n
 	}
 	return nil
-}
-
-// ReadU16 reads a little-endian uint16 at addr.
-func (m *Memory) ReadU16(addr uint64) (uint16, error) {
-	var b [2]byte
-	if err := m.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-// ReadU32 reads a little-endian uint32 at addr.
-func (m *Memory) ReadU32(addr uint64) (uint32, error) {
-	var b [4]byte
-	if err := m.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// ReadU64 reads a little-endian uint64 at addr.
-func (m *Memory) ReadU64(addr uint64) (uint64, error) {
-	var b [8]byte
-	if err := m.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// WriteU16 writes a little-endian uint16 at addr.
-func (m *Memory) WriteU16(addr uint64, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return m.Write(addr, b[:])
-}
-
-// WriteU32 writes a little-endian uint32 at addr.
-func (m *Memory) WriteU32(addr uint64, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return m.Write(addr, b[:])
-}
-
-// WriteU64 writes a little-endian uint64 at addr.
-func (m *Memory) WriteU64(addr uint64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return m.Write(addr, b[:])
 }

@@ -167,7 +167,11 @@ func TestBlkKickStatuses(t *testing.T) {
 		if got[0] != tc.status || used != tc.used {
 			t.Errorf("%s: status %d used %d, want %d and %d", tc.name, got[0], used, tc.status, tc.used)
 		}
-		if v, _ := r.m.ReadU32(rigData); tc.submits == 0 && v != 0xeeeeeeee {
+		var data [4]byte
+		if err := r.m.Read(rigData, data[:]); err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(data[:]); tc.submits == 0 && v != 0xeeeeeeee {
 			t.Errorf("%s: an unsupported request touched the data buffer (%#x)", tc.name, v)
 		}
 	}

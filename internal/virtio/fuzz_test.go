@@ -2,6 +2,7 @@ package virtio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"svtsim/internal/ept"
@@ -11,12 +12,15 @@ import (
 // FuzzVirtqueue drives a driver/device queue pair over shared memory with
 // a fuzzer-chosen operation sequence, checking that no chain is lost or
 // reordered, that payload bytes survive the descriptor indirection, and
-// that both handles' DESIGN §6 invariants hold after every step.
+// that both handles' DESIGN §6 invariants hold after every step. Bytes
+// from corruptUsed up make the device publish a corrupt used entry, which
+// the driver must reject without moving.
 func FuzzVirtqueue(f *testing.F) {
 	f.Add([]byte{0, 2, 3, 4})
 	f.Add([]byte{0, 1, 0, 2, 3, 2, 3, 4, 4})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{2, 3, 4, 0})
+	f.Add([]byte{0, 1, 2, 3, 0xF0, 0xF1, 0xF2, 4, 0xF3, 2, 0xF4, 0xF5, 4})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 128 {
 			script = script[:128]
@@ -65,6 +69,11 @@ func FuzzVirtqueue(f *testing.F) {
 		}
 
 		for step, b := range script {
+			if b >= corruptUsed {
+				corruptUsedEntry(t, m, driver, b)
+				sweep(step)
+				continue
+			}
 			switch b % 5 {
 			case 0, 1: // post a 1- or 2-buffer chain
 				n := int(b%5) + 1
@@ -158,4 +167,54 @@ func FuzzVirtqueue(f *testing.F) {
 			sweep(step)
 		}
 	})
+}
+
+const corruptUsed = 0xF0
+
+// corruptUsedEntry puts a corrupt entry where driver's next PopUsed reads,
+// publishing it if the ring has nothing unreaped, checks that PopUsed
+// rejects it and leaves the driver as it was, and then restores the
+// ring. b%3 picks the corruption: an id past the table, an id that is
+// only in range when truncated to 16 bits, or an id whose descriptor
+// links to itself with NEXT set.
+func corruptUsedEntry(t *testing.T, m MemIO, driver *Queue, b byte) {
+	t.Helper()
+	l := driver.L
+	slot := l.Used + 4 + uint64(driver.lastUsed%l.Size)*8
+	saved := []struct {
+		gpa uint64
+		p   []byte
+	}{{l.Used + 2, make([]byte, 2)}, {slot, make([]byte, 8)}, {l.Desc, make([]byte, 16)}}
+	for _, r := range saved {
+		if err := m.Read(r.gpa, r.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(gpa uint64, p []byte) {
+		if err := m.Write(gpa, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := uint32(l.Size) + uint32(b&0x0F)
+	switch b % 3 {
+	case 1:
+		id = uint32(b) << 16
+	case 2:
+		id = 0
+		write(l.Desc+12, []byte{byte(DescFNext), 0, 0, 0}) // flags, next=0
+	}
+	if driver.lastUsed == binary.LittleEndian.Uint16(saved[0].p) {
+		write(l.Used+2, binary.LittleEndian.AppendUint16(nil, driver.lastUsed+1))
+	}
+	write(slot, binary.LittleEndian.AppendUint32(nil, id))
+	lastUsed, freeHead, numFree := driver.lastUsed, driver.freeHead, driver.numFree
+	if _, _, _, err := driver.PopUsed(); err == nil {
+		t.Fatalf("PopUsed accepted corrupt used id %#x", id)
+	}
+	if driver.lastUsed != lastUsed || driver.freeHead != freeHead || driver.numFree != numFree {
+		t.Fatalf("rejected used id %#x moved the driver", id)
+	}
+	for _, r := range saved {
+		write(r.gpa, r.p)
+	}
 }

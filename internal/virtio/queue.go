@@ -8,13 +8,16 @@
 package virtio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
 // MemIO is byte-addressable guest-physical memory access; both the guest
 // driver (its own RAM) and the device backend (an EPT-translated view)
-// satisfy it with *ept.View.
+// satisfy it with *ept.View. It moves bytes only: whoever reads a
+// structure out of guest memory decodes it (little-endian, as virtio
+// specifies) with encoding/binary.
 type MemIO interface {
 	Read(gpa uint64, p []byte) error
 	Write(gpa uint64, p []byte) error
@@ -22,12 +25,6 @@ type MemIO interface {
 	// gpa would fail with, moving no data: how a device rejects a DMA
 	// target before it accepts the request.
 	Probe(gpa uint64, n uint32, write bool) error
-	ReadU16(gpa uint64) (uint16, error)
-	WriteU16(gpa uint64, v uint16) error
-	ReadU32(gpa uint64) (uint32, error)
-	WriteU32(gpa uint64, v uint32) error
-	ReadU64(gpa uint64) (uint64, error)
-	WriteU64(gpa uint64, v uint64) error
 }
 
 // Descriptor flags.
@@ -100,6 +97,13 @@ type Queue struct {
 
 	// Driver-side consumption of the used ring.
 	lastUsed uint16
+
+	// scratch carries every ring access: a descriptor is one 16-byte
+	// access, a used element one 8-byte access, a ring index one 2-byte
+	// access. It is a field because a stack array handed to Mem escapes.
+	scratch [16]byte
+	// chain is PopAvail's result, reused by the next PopAvail.
+	chain []Buf
 }
 
 // ErrQueueFull is returned when no free descriptors remain.
@@ -114,18 +118,14 @@ func NewQueue(l Layout, mem MemIO, initDriver bool) (*Queue, error) {
 	q := &Queue{L: l, Mem: mem, numFree: l.Size, driver: initDriver}
 	if initDriver {
 		for i := uint16(0); i < l.Size; i++ {
-			next := uint16(0)
-			if i+1 < l.Size {
-				next = i + 1
-			}
-			if err := q.writeDesc(i, Desc{Next: next}); err != nil {
+			if err := q.writeDesc(i, Desc{Next: (i + 1) % l.Size}); err != nil {
 				return nil, err
 			}
 		}
-		if err := mem.WriteU16(l.Avail+2, 0); err != nil {
+		if err := q.writeU16(l.Avail+2, 0); err != nil {
 			return nil, err
 		}
-		if err := mem.WriteU16(l.Used+2, 0); err != nil {
+		if err := q.writeU16(l.Used+2, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -134,35 +134,40 @@ func NewQueue(l Layout, mem MemIO, initDriver bool) (*Queue, error) {
 
 func (q *Queue) descAddr(i uint16) uint64 { return q.L.Desc + uint64(i)*16 }
 
+func (q *Queue) readU16(gpa uint64) (uint16, error) {
+	b := q.scratch[:2]
+	if err := q.Mem.Read(gpa, b); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint16(b), nil
+}
+
+func (q *Queue) writeU16(gpa uint64, v uint16) error {
+	b := q.scratch[:2]
+	binary.LittleEndian.PutUint16(b, v)
+	return q.Mem.Write(gpa, b)
+}
+
 func (q *Queue) writeDesc(i uint16, d Desc) error {
-	a := q.descAddr(i)
-	if err := q.Mem.WriteU64(a, d.Addr); err != nil {
-		return err
-	}
-	if err := q.Mem.WriteU32(a+8, d.Len); err != nil {
-		return err
-	}
-	if err := q.Mem.WriteU16(a+12, d.Flags); err != nil {
-		return err
-	}
-	return q.Mem.WriteU16(a+14, d.Next)
+	b := q.scratch[:]
+	binary.LittleEndian.PutUint64(b[0:], d.Addr)
+	binary.LittleEndian.PutUint32(b[8:], d.Len)
+	binary.LittleEndian.PutUint16(b[12:], d.Flags)
+	binary.LittleEndian.PutUint16(b[14:], d.Next)
+	return q.Mem.Write(q.descAddr(i), b)
 }
 
 func (q *Queue) readDesc(i uint16) (Desc, error) {
-	a := q.descAddr(i)
-	var d Desc
-	var err error
-	if d.Addr, err = q.Mem.ReadU64(a); err != nil {
-		return d, err
+	b := q.scratch[:]
+	if err := q.Mem.Read(q.descAddr(i), b); err != nil {
+		return Desc{}, err
 	}
-	if d.Len, err = q.Mem.ReadU32(a + 8); err != nil {
-		return d, err
-	}
-	if d.Flags, err = q.Mem.ReadU16(a + 12); err != nil {
-		return d, err
-	}
-	d.Next, err = q.Mem.ReadU16(a + 14)
-	return d, err
+	return Desc{
+		Addr:  binary.LittleEndian.Uint64(b[0:]),
+		Len:   binary.LittleEndian.Uint32(b[8:]),
+		Flags: binary.LittleEndian.Uint16(b[12:]),
+		Next:  binary.LittleEndian.Uint16(b[14:]),
+	}, nil
 }
 
 // Buf is one element of a chain the driver posts.
@@ -209,20 +214,22 @@ func (q *Queue) Post(chain []Buf) (uint16, error) {
 
 	// Publish on the available ring.
 	slot := q.L.Avail + 4 + uint64(q.availIdx%q.L.Size)*2
-	if err := q.Mem.WriteU16(slot, head); err != nil {
+	if err := q.writeU16(slot, head); err != nil {
 		return 0, err
 	}
 	q.availIdx++
-	if err := q.Mem.WriteU16(q.L.Avail+2, q.availIdx); err != nil {
+	if err := q.writeU16(q.L.Avail+2, q.availIdx); err != nil {
 		return 0, err
 	}
 	return head, nil
 }
 
 // PopAvail consumes the next available chain (device side), returning the
-// head and the resolved buffers.
+// head and the resolved buffers. The queue owns the returned slice: it
+// stays valid until this queue's next PopAvail, so a caller finishes with
+// it, or copies it, before popping again.
 func (q *Queue) PopAvail() (uint16, []Buf, bool, error) {
-	published, err := q.Mem.ReadU16(q.L.Avail + 2)
+	published, err := q.readU16(q.L.Avail + 2)
 	if err != nil {
 		return 0, nil, false, err
 	}
@@ -230,12 +237,12 @@ func (q *Queue) PopAvail() (uint16, []Buf, bool, error) {
 		return 0, nil, false, nil
 	}
 	slot := q.L.Avail + 4 + uint64(q.lastAvail%q.L.Size)*2
-	head, err := q.Mem.ReadU16(slot)
+	head, err := q.readU16(slot)
 	if err != nil {
 		return 0, nil, false, err
 	}
 	q.lastAvail++
-	var bufs []Buf
+	bufs := q.chain[:0]
 	idx := head
 	for hops := 0; ; hops++ {
 		if hops > int(q.L.Size) {
@@ -254,26 +261,30 @@ func (q *Queue) PopAvail() (uint16, []Buf, bool, error) {
 		}
 		idx = d.Next
 	}
+	q.chain = bufs
 	return head, bufs, true, nil
 }
 
 // PushUsed publishes a completed chain (device side).
 func (q *Queue) PushUsed(head uint16, totalLen uint32) error {
 	slot := q.L.Used + 4 + (q.usedIdx%uint64(q.L.Size))*8
-	if err := q.Mem.WriteU32(slot, uint32(head)); err != nil {
-		return err
-	}
-	if err := q.Mem.WriteU32(slot+4, totalLen); err != nil {
+	b := q.scratch[:8]
+	binary.LittleEndian.PutUint32(b[0:], uint32(head))
+	binary.LittleEndian.PutUint32(b[4:], totalLen)
+	if err := q.Mem.Write(slot, b); err != nil {
 		return err
 	}
 	q.usedIdx++
-	return q.Mem.WriteU16(q.L.Used+2, uint16(q.usedIdx))
+	return q.writeU16(q.L.Used+2, uint16(q.usedIdx))
 }
 
 // PopUsed consumes one used-ring entry (driver side), returning the chain
-// head and written length, and recycles the chain's descriptors.
+// head and written length, and recycles the chain's descriptors. A used
+// id outside the descriptor table, or a chain longer than the descriptors
+// in flight (a loop among them), is an error that leaves the queue as it
+// was.
 func (q *Queue) PopUsed() (uint16, uint32, bool, error) {
-	published, err := q.Mem.ReadU16(q.L.Used + 2)
+	published, err := q.readU16(q.L.Used + 2)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -281,38 +292,42 @@ func (q *Queue) PopUsed() (uint16, uint32, bool, error) {
 		return 0, 0, false, nil
 	}
 	slot := q.L.Used + 4 + uint64(q.lastUsed%q.L.Size)*8
-	id32, err := q.Mem.ReadU32(slot)
-	if err != nil {
+	b := q.scratch[:8]
+	if err := q.Mem.Read(slot, b); err != nil {
 		return 0, 0, false, err
 	}
-	length, err := q.Mem.ReadU32(slot + 4)
-	if err != nil {
-		return 0, 0, false, err
+	id, length := binary.LittleEndian.Uint32(b[0:]), binary.LittleEndian.Uint32(b[4:])
+	if id >= uint32(q.L.Size) {
+		return 0, 0, false, fmt.Errorf("virtio: used id %d outside the %d-entry table", id, q.L.Size)
 	}
-	q.lastUsed++
-	head := uint16(id32)
-	// Recycle the chain onto the free list.
-	n := uint16(1)
+	head := uint16(id)
+	// Walk to the chain's tail within the descriptors in flight, then
+	// recycle the chain onto the free list: the tail links to the old head.
+	inflight := q.L.Size - q.numFree
 	idx := head
-	for {
+	for n := uint16(1); ; n++ {
+		if n > inflight {
+			return 0, 0, false, fmt.Errorf("virtio: used id %d: chain runs past the %d descriptors in flight", id, inflight)
+		}
 		d, err := q.readDesc(idx)
 		if err != nil {
 			return 0, 0, false, err
 		}
 		if d.Flags&DescFNext == 0 {
-			d.Next = q.freeHead
-			d.Flags = 0
+			d.Next, d.Flags = q.freeHead, 0
 			if err := q.writeDesc(idx, d); err != nil {
 				return 0, 0, false, err
 			}
-			break
+			q.lastUsed++
+			q.freeHead = head
+			q.numFree += n
+			return head, length, true, nil
+		}
+		if d.Next >= q.L.Size {
+			return 0, 0, false, fmt.Errorf("virtio: used id %d: descriptor %d outside the %d-entry table", id, d.Next, q.L.Size)
 		}
 		idx = d.Next
-		n++
 	}
-	q.freeHead = head
-	q.numFree += n
-	return head, length, true, nil
 }
 
 // CheckInvariants verifies the DESIGN §6 virtqueue invariants that are
@@ -322,11 +337,11 @@ func (q *Queue) PopUsed() (uint16, uint32, bool, error) {
 // of what the other side published. It is cheap enough to run at every
 // op boundary of the differential harness.
 func (q *Queue) CheckInvariants() error {
-	pa, err := q.Mem.ReadU16(q.L.Avail + 2)
+	pa, err := q.readU16(q.L.Avail + 2)
 	if err != nil {
 		return fmt.Errorf("virtio: avail index: %w", err)
 	}
-	pu, err := q.Mem.ReadU16(q.L.Used + 2)
+	pu, err := q.readU16(q.L.Used + 2)
 	if err != nil {
 		return fmt.Errorf("virtio: used index: %w", err)
 	}

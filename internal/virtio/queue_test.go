@@ -2,12 +2,15 @@ package virtio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"svtsim/internal/ept"
 	"svtsim/internal/mem"
 	"svtsim/internal/qcheck"
+	"svtsim/internal/race"
 )
 
 func testMem(t *testing.T) MemIO {
@@ -229,10 +232,7 @@ func TestChainLoopDetected(t *testing.T) {
 	}
 	// Corrupt the descriptor to point at itself with NEXT set (a malicious
 	// or buggy guest); the device must detect the loop, not hang.
-	if err := m.WriteU16(l.Desc+12, DescFNext); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteU16(l.Desc+14, 0); err != nil {
+	if err := m.Write(l.Desc+12, []byte{byte(DescFNext), 0, 0, 0}); err != nil { // flags, next=0
 		t.Fatal(err)
 	}
 	if _, _, _, err := dev.PopAvail(); err == nil {
@@ -258,11 +258,100 @@ func TestDescriptorIndexOutOfTable(t *testing.T) {
 		if _, err := drv.Post([]Buf{{GPA: 0x100, Len: 8}, {GPA: 0x200, Len: 8}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.WriteU16(corrupt.at(l), corrupt.val); err != nil {
+		if err := m.Write(corrupt.at(l), binary.LittleEndian.AppendUint16(nil, corrupt.val)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, err := dev.PopAvail(); err == nil {
 			t.Errorf("%s %d of a 4-entry table: PopAvail accepted it", corrupt.name, corrupt.val)
 		}
+	}
+}
+
+// A used entry is the device's word about which chain completed; the
+// driver checks it before recycling anything. A rejected entry leaves the
+// driver's ring position and free list as they were.
+func TestPopUsedRejectsCorruptEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		id      uint32
+		selfRef bool // the chain's descriptor links to itself with NEXT set
+	}{
+		{"id past the table", 7, false},
+		{"id past 16 bits", 1 << 16, false},
+		{"descriptor loop", 0, true},
+	} {
+		m := testMem(t)
+		l := NewLayout(0, 4)
+		drv, _ := NewQueue(l, m, true)
+		dev, _ := NewQueue(l, m, false)
+		head, err := drv.Post([]Buf{{GPA: 0x100, Len: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := dev.PopAvail(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.PushUsed(head, 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write(l.Used+4, binary.LittleEndian.AppendUint32(nil, tc.id)); err != nil {
+			t.Fatal(err)
+		}
+		if tc.selfRef {
+			d := []byte{byte(DescFNext), 0, byte(tc.id), 0} // flags, next
+			if err := m.Write(l.Desc+16*uint64(tc.id)+12, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lastUsed, freeHead, numFree := drv.lastUsed, drv.freeHead, drv.numFree
+		done := make(chan error, 1)
+		go func() {
+			_, _, _, err := drv.PopUsed()
+			done <- err
+		}()
+		select {
+		case err = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: PopUsed did not return", tc.name)
+		}
+		if err == nil {
+			t.Errorf("%s: PopUsed accepted used id %d", tc.name, tc.id)
+		}
+		if drv.lastUsed != lastUsed || drv.freeHead != freeHead || drv.numFree != numFree {
+			t.Errorf("%s: rejected entry moved the driver: last used %d→%d, free head %d→%d, free %d→%d",
+				tc.name, lastUsed, drv.lastUsed, freeHead, drv.freeHead, numFree, drv.numFree)
+		}
+	}
+}
+
+// A round trip moves each descriptor, used element and ring index in one
+// access through the queue's own scratch, and PopAvail reuses its chain
+// slice, so the steady state allocates nothing.
+func TestVirtqueueRoundTripAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	m := testMem(t)
+	l := NewLayout(0x1000, 8)
+	drv, _ := NewQueue(l, m, true)
+	dev, _ := NewQueue(l, m, false)
+	chain := []Buf{{GPA: 0x8000, Len: 16}, {GPA: 0x8100, Len: 64}, {GPA: 0x8200, Len: 1, DeviceWrite: true}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := drv.Post(chain); err != nil {
+			t.Fatal(err)
+		}
+		head, _, ok, err := dev.PopAvail()
+		if err != nil || !ok {
+			t.Fatalf("PopAvail: %v %v", ok, err)
+		}
+		if err := dev.PushUsed(head, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := drv.PopUsed(); err != nil || !ok {
+			t.Fatalf("PopUsed: %v %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a 3-buffer round trip allocates %.0f times, want 0", allocs)
 	}
 }
