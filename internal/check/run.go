@@ -290,15 +290,12 @@ const netrrRTO = 10 * sim.Second
 // netstack segments feed the peer-side stack, raw frames keep the
 // existing echo-peer behavior.
 type netrrPeer struct {
-	echo netsim.Endpoint
-	recv func(pkt []byte)
+	echo, seg netsim.Endpoint
 }
 
 func (p *netrrPeer) Receive(pkt []byte) {
 	if netstack.IsSegment(pkt) {
-		if p.recv != nil {
-			p.recv(pkt)
-		}
+		p.seg.Receive(pkt)
 		return
 	}
 	p.echo.Receive(pkt)
@@ -312,37 +309,18 @@ func (p *netrrPeer) Receive(pkt []byte) {
 // lets the reply coalesce into the completion's service loop.
 const netrrThink = 100 * sim.Microsecond
 
-// netrrConduit is the peer stack's wire: transmit rides the inbound
-// link toward the NIC, receive is fed by the demux above.
-type netrrConduit struct {
-	eng  *sim.Engine
-	back *netsim.Link
-	dst  netsim.Endpoint
-	recv func(pkt []byte)
-}
-
-func (c *netrrConduit) Send(pkt []byte, done func()) {
-	data := append([]byte(nil), pkt...)
-	c.eng.After(netrrThink, func() { c.back.Send(data, c.dst) })
-	if done != nil {
-		c.eng.After(0, done)
-	}
-}
-
-func (c *netrrConduit) SetReceiver(fn func(pkt []byte)) { c.recv = fn }
-
 // wireNetRRPeer splices the segment demux in front of the echo peer
 // and stands up the L0-side server stack: every passively opened flow
 // echoes its payload bytes straight back.
 func wireNetRRPeer(m *machine.Machine, io *machine.IOStack) {
-	cd := &netrrConduit{eng: m.Eng, back: io.LinkIn, dst: io.NIC}
-	peer := &netrrPeer{echo: io.NIC.Peer}
-	io.NIC.Peer = peer
-	st := netstack.New(m.Eng, cd, netstack.Params{RTO: netrrRTO, AckDelay: netrrRTO / 2})
+	// The peer stack's wire: transmit rides the inbound link toward the
+	// NIC after the think time, receive is fed by the demux.
+	wire := &netsim.WireEnd{Out: io.LinkIn, Dst: io.NIC, Think: netrrThink}
+	io.NIC.Peer = &netrrPeer{echo: io.NIC.Peer, seg: wire}
+	st := netstack.New(m.Eng, wire, netstack.Params{RTO: netrrRTO, AckDelay: netrrRTO / 2})
 	st.OnFlow = func(f *netstack.Flow) {
 		f.OnData = func(b []byte) { f.Write(b) }
 	}
-	peer.recv = cd.recv
 }
 
 func (it *interp) add(x uint64) { it.dig = words.FNVWord(it.dig, x) }
@@ -491,10 +469,7 @@ func (it *interp) exec(env *guest.Env, op Op) {
 		for i := range pkt {
 			pkt[i] = byte(op.B + uint64(i)*7)
 		}
-		if err := env.Net.Send(pkt, func() {}); err != nil {
-			it.add(^uint64(0))
-			return
-		}
+		env.Net.Send(pkt, func() {})
 		env.WaitFor(func() bool { return it.netRecv >= want })
 
 	case OpBlkRead:
@@ -534,7 +509,7 @@ func (it *interp) exec(env *guest.Env, op Op) {
 
 	case OpNetRR:
 		if it.nstk == nil {
-			it.nstk = netstack.New(it.m.Eng, env.Net.AsTransport(),
+			it.nstk = netstack.New(it.m.Eng, env.Net,
 				netstack.Params{RTO: netrrRTO, AckDelay: netrrRTO / 2})
 			it.nflow = it.nstk.Open(1)
 			it.nflow.OnData = func(b []byte) {

@@ -101,36 +101,12 @@ func (r LBResult) StatsLine() string {
 		r.SegsSent, r.Retransmits, r.SegDrops, r.GangMigrations, r.Downtime, r.Events)
 }
 
-// l0Conduit adapts the L0 side of a nested machine's virtio-net wiring
-// (host link in, NIC peer out) to a netstack Conduit.
-type l0Conduit struct {
-	eng  *sim.Engine
-	link *netsim.Link
-	nic  *netsim.NIC
-	recv func(pkt []byte)
-}
-
-func (c *l0Conduit) Send(pkt []byte, done func()) {
-	c.link.Send(pkt, c.nic)
-	if done != nil {
-		c.eng.After(0, done)
-	}
-}
-func (c *l0Conduit) SetReceiver(fn func(pkt []byte)) { c.recv = fn }
-
-// Receive implements netsim.Endpoint: guest-originated frames land here.
-func (c *l0Conduit) Receive(pkt []byte) {
-	if c.recv != nil {
-		c.recv(pkt)
-	}
-}
-
 // lbServe is the backend guest's service loop: length-framed requests
 // arrive on a netstack flow over the guest's virtio NIC, each costs
 // svcCPU of guest compute (priced through the mode's exit machinery),
 // and the response returns on the same flow.
 func lbServe(eng *sim.Engine, env *guest.Env, n int, svcCPU sim.Time) {
-	st := netstack.New(eng, env.Net.AsTransport(), netstack.Params{})
+	st := netstack.New(eng, env.Net, netstack.Params{})
 	var fl *netstack.Flow
 	rx := 0
 	st.OnFlow = func(f *netstack.Flow) {
@@ -168,7 +144,9 @@ func buildLBVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *m
 	m.Eng.SetLedger(led)
 	m.InstallL2(io, true, false, func(env *guest.Env) { lbServe(m.Eng, env, n, svcCPU) })
 
-	cc := &l0Conduit{eng: m.Eng, link: io.LinkIn, nic: io.NIC}
+	// The L0 client's wire: transmit rides the inbound link to the NIC,
+	// and guest-originated frames land on it as the NIC's peer.
+	cc := &netsim.WireEnd{Out: io.LinkIn, Dst: io.NIC}
 	io.NIC.Peer = cc
 	st := netstack.New(m.Eng, cc, netstack.Params{})
 	fl := st.Open(1)

@@ -26,23 +26,18 @@ type NetDriver struct {
 	PerPacketCPU sim.Time
 }
 
-// NetConfig sizes the driver's rings and buffers.
-type NetConfig struct {
-	QueueSize uint16
-	RXBuffers int
-	BufSize   uint32
-}
-
-// DefaultNetConfig matches a small virtio-net-pci device.
-func DefaultNetConfig() NetConfig {
-	return NetConfig{QueueSize: 256, RXBuffers: 64, BufSize: 2048}
-}
+// The driver's rings and buffers match a small virtio-net-pci device.
+const (
+	netQueueSize = 256
+	netRXBuffers = 64
+	netBufSize   = 2048
+)
 
 // NewNetDriver initializes the queues in guest memory and pre-posts RX
 // buffers. layoutBase is guest-physical scratch space for the rings.
-func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64, cfg NetConfig) (*NetDriver, error) {
-	txL := virtio.NewLayout(layoutBase, cfg.QueueSize)
-	rxL := virtio.NewLayout(txL.End()+64, cfg.QueueSize)
+func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*NetDriver, error) {
+	txL := virtio.NewLayout(layoutBase, netQueueSize)
+	rxL := virtio.NewLayout(txL.End()+64, netQueueSize)
 	tx, err := virtio.NewQueue(txL, e.Mem, true)
 	if err != nil {
 		return nil, err
@@ -67,8 +62,8 @@ func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64, cfg NetCon
 	exec := func(addr, val uint64) { e.Port.Exec(isa.MMIOWrite(addr, val)) }
 	virtio.ConfigureQueue(exec, mmio, virtio.NetQTX, txL)
 	virtio.ConfigureQueue(exec, mmio, virtio.NetQRX, rxL)
-	for i := 0; i < cfg.RXBuffers; i++ {
-		if err := d.postRXBuffer(cfg.BufSize); err != nil {
+	for i := 0; i < netRXBuffers; i++ {
+		if err := d.postRXBuffer(netBufSize); err != nil {
 			return nil, err
 		}
 	}
@@ -88,17 +83,18 @@ func (d *NetDriver) postRXBuffer(size uint32) error {
 	return nil
 }
 
-// Send transmits pkt; done (optional) runs when the TX buffer is
-// reclaimed. The kick is a real MMIO write that exits.
-func (d *NetDriver) Send(pkt []byte, done func()) error {
+// Send implements netsim.Conduit: it transmits pkt, and done (may be
+// nil) runs when the TX buffer is reclaimed. The kick is a real MMIO
+// write that exits. A ring error panics naming the driver.
+func (d *NetDriver) Send(pkt []byte, done func()) {
 	d.Env.Compute(d.PerPacketCPU)
 	gpa := d.Env.Alloc(uint64(len(pkt)))
 	if err := d.Env.Mem.Write(gpa, pkt); err != nil {
-		return err
+		panic(fmt.Sprintf("guest net: tx copy: %v", err))
 	}
 	head, err := d.TX.Post([]virtio.Buf{{GPA: gpa, Len: uint32(len(pkt))}})
 	if err != nil {
-		return err
+		panic(fmt.Sprintf("guest net: %v", err))
 	}
 	d.txInflight[head] = done
 	d.txBufs[head] = virtio.Buf{GPA: gpa, Len: uint32(len(pkt))}
@@ -107,7 +103,18 @@ func (d *NetDriver) Send(pkt []byte, done func()) error {
 	// 10 GbE the wire is slower than the exit path even nested, so the
 	// benchmark shapes are unaffected.
 	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, virtio.NetQTX))
-	return nil
+}
+
+// SetReceiver implements netsim.Conduit: fn runs on each inbound
+// packet, before whatever OnReceive held.
+func (d *NetDriver) SetReceiver(fn func(pkt []byte)) {
+	prev := d.OnReceive
+	d.OnReceive = func(pkt []byte) {
+		fn(pkt)
+		if prev != nil {
+			prev(pkt)
+		}
+	}
 }
 
 // OnIRQ is the kernel-side completion handler: retire TX, deliver RX.
@@ -149,42 +156,12 @@ func (d *NetDriver) OnIRQ() {
 		d.Env.Compute(d.PerPacketCPU)
 		// Repost the same buffer for future packets.
 		nh, err := d.RX.Post([]virtio.Buf{{GPA: buf.GPA, Len: buf.Len, DeviceWrite: true}})
-		if err == nil {
-			d.rxBufs[nh] = buf
+		if err != nil {
+			panic(fmt.Sprintf("guest net: rx repost: %v", err))
 		}
+		d.rxBufs[nh] = buf
 		if d.OnReceive != nil {
 			d.OnReceive(data)
 		}
 	}
 }
-
-// Transport adapts the driver for use as a virtio.Transport — this is the
-// vhost path: the guest hypervisor's backend for its nested VM transmits
-// through the guest hypervisor's own driver.
-type netTransport struct {
-	d    *NetDriver
-	recv func(pkt []byte)
-}
-
-// AsTransport returns the driver as a virtio.Transport.
-func (d *NetDriver) AsTransport() virtio.Transport {
-	t := &netTransport{d: d}
-	prev := d.OnReceive
-	d.OnReceive = func(pkt []byte) {
-		if t.recv != nil {
-			t.recv(pkt)
-		}
-		if prev != nil {
-			prev(pkt)
-		}
-	}
-	return t
-}
-
-func (t *netTransport) Send(pkt []byte, done func()) {
-	if err := t.d.Send(pkt, done); err != nil {
-		panic(fmt.Sprintf("guest net transport: %v", err))
-	}
-}
-
-func (t *netTransport) SetReceiver(fn func(pkt []byte)) { t.recv = fn }

@@ -6,10 +6,13 @@ import (
 
 	"svtsim/internal/guest"
 	"svtsim/internal/hv"
+	"svtsim/internal/netsim"
 	"svtsim/internal/ports"
 	armport "svtsim/internal/ports/armlike"
 	x86port "svtsim/internal/ports/x86"
 	"svtsim/internal/race"
+	"svtsim/internal/sim"
+	"svtsim/internal/workload"
 )
 
 var allocPorts = []ports.Port{x86port.Port(), armport.Port()}
@@ -120,14 +123,15 @@ func runReads(t *testing.T, cfg Config, size, n int) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// minReads is runReads' least of three runs: anything else the process
-// allocates meanwhile only adds to a run's count.
+// leastOf3 is the least of three runs' counts: anything else the
+// process allocates meanwhile only adds to a run's count.
+func leastOf3(run func() uint64) uint64 {
+	return min(run(), run(), run())
+}
+
+// minReads is runReads' least of three runs.
 func minReads(t *testing.T, cfg Config, size, n int) uint64 {
-	least := runReads(t, cfg, size, n)
-	for i := 0; i < 2; i++ {
-		least = min(least, runReads(t, cfg, size, n))
-	}
-	return least
+	return leastOf3(func() uint64 { return runReads(t, cfg, size, n) })
 }
 
 // A nested block read moves its data by guest address from the disk to
@@ -162,6 +166,70 @@ func TestBlkRoundTripAllocBudget(t *testing.T) {
 			for i, b := range per {
 				if b > budget {
 					t.Errorf("%s/%s: %.0f B per read (size index %d), budget %d", p.Name(), mode, b, i, budget)
+				}
+			}
+		}
+	}
+}
+
+// runRR runs n netperf TCP_RR transactions of size-byte requests against
+// an echo peer with fixed 64-byte responses, on a fresh machine with the
+// full I/O stack, and reports the bytes the Run call allocated.
+func runRR(t *testing.T, cfg Config, size, n int) uint64 {
+	t.Helper()
+	io := WireNestedIO(&cfg, DefaultIOParams())
+	m := NewNested(cfg)
+	defer m.Shutdown()
+	io.NIC.Peer = &netsim.EchoPeer{
+		Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
+		ServiceTime: 5 * sim.Microsecond, RespSize: 64,
+	}
+	w := &workload.NetRR{N: n, ReqSize: size}
+	m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Run()
+	runtime.ReadMemStats(&after)
+	if m.L0.DeadlockDetected || len(w.Lat) != n {
+		t.Fatalf("%d of %d transactions done (deadlock=%v)", len(w.Lat), n, m.L0.DeadlockDetected)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A nested TCP_RR request leaves simulated memory twice: L1's vhost
+// backend reads it out of L2's memory into a Go buffer, and L0's backend
+// reads it out of L1's. From there every hop (L1's driver, the NIC, the
+// link, the echo peer) passes the same slice on. So a 1 KB request costs
+// at most two request-sized buffers more than a 64 B one, on every port
+// and in every mode, and both stay under a fixed per-transaction budget
+// (the two backends' buffers plus engine events, completion closures and
+// the response's buffers).
+func TestNetRoundTripAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const (
+		n1, n2     = 100, 200
+		small, big = 64, 1024
+		budget     = 3072 // bytes per transaction; 2582 measured on go1.24
+	)
+	runRR(t, portConfig(allocPorts[0], hv.ModeBaseline), small, 1)
+	for _, p := range allocPorts {
+		for _, mode := range hv.AllModes() {
+			cfg := portConfig(p, mode)
+			var per [2]float64
+			for i, size := range []int{small, big} {
+				b1 := leastOf3(func() uint64 { return runRR(t, cfg, size, n1) })
+				b2 := leastOf3(func() uint64 { return runRR(t, cfg, size, n2) })
+				per[i] = (float64(b2) - float64(b1)) / (n2 - n1)
+			}
+			t.Logf("%s/%s: %.0f B per 64 B transaction, %.0f B per 1 KB transaction", p.Name(), mode, per[0], per[1])
+			if d, most := per[1]-per[0], float64(2*(big-small)+64); d > most {
+				t.Errorf("%s/%s: a 1 KB request allocates %.0f B more than a 64 B one, want at most two request buffers (%.0f B)", p.Name(), mode, d, most)
+			}
+			for i, b := range per {
+				if b > budget {
+					t.Errorf("%s/%s: %.0f B per transaction (size index %d), budget %d", p.Name(), mode, b, i, budget)
 				}
 			}
 		}

@@ -160,7 +160,7 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 		env1 := guest.NewEnv(port, view01, l1ArenaBase, l1ArenaSize)
 		io.L1Env = env1
 
-		nd, err := guest.NewNetDriver(env1, ports.VecVirtioNet, L1NetMMIO, l1NetLayout, guest.DefaultNetConfig())
+		nd, err := guest.NewNetDriver(env1, ports.VecVirtioNet, L1NetMMIO, l1NetLayout)
 		if err != nil {
 			panic(fmt.Sprintf("machine: L1 net driver: %v", err))
 		}
@@ -172,7 +172,7 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 		io.L1BlkDrv = bd
 
 		l2mem := l2View{m}
-		io.L1Net = virtio.NewNetBackend("l1-vhost-net", L2NetMMIO, l2mem, nd.AsTransport())
+		io.L1Net = virtio.NewNetBackend("l1-vhost-net", L2NetMMIO, l2mem, nd)
 		// Completion work at L1 happens synchronously in L1's kernel
 		// context (the driver interrupt already runs there).
 		io.L1Net.Eng = m.Eng
@@ -221,7 +221,7 @@ func (m *Machine) InstallL2(io *IOStack, withNet, withBlk bool, body L2Body) {
 		io.L2Env = env
 		guest.NewTimerDriver(env, ports.VecTimer)
 		if withNet {
-			if _, err := guest.NewNetDriver(env, ports.VecVirtioNet, L2NetMMIO, l2NetLayout, guest.DefaultNetConfig()); err != nil {
+			if _, err := guest.NewNetDriver(env, ports.VecVirtioNet, L2NetMMIO, l2NetLayout); err != nil {
 				panic(fmt.Sprintf("machine: L2 net driver: %v", err))
 			}
 		}

@@ -7,6 +7,22 @@ package netsim
 
 import "svtsim/internal/sim"
 
+// Conduit is the one packet path of the network stack: the NIC model
+// under the host hypervisor's virtio-net backend, a guest's virtio-net
+// driver under the guest hypervisor's vhost backend (which is exactly
+// how the nested I/O amplification of §6.2 arises), or a WireEnd under
+// a netstack.Stack.
+//
+// Ownership: once a packet is handed to Send or to a receiver, nobody
+// writes to it again. Every hop passes the same slice on; none copies.
+type Conduit interface {
+	// Send transmits pkt; done (may be nil) runs when the local transmit
+	// completes, not when the peer receives it.
+	Send(pkt []byte, done func())
+	// SetReceiver registers the inbound packet callback.
+	SetReceiver(fn func(pkt []byte))
+}
+
 // Endpoint receives packets from a link.
 type Endpoint interface {
 	Receive(pkt []byte)
@@ -19,8 +35,6 @@ type Link struct {
 	BitsPerSec float64  // line rate
 
 	busyUntil sim.Time
-	Bytes     uint64
-	Packets   uint64
 }
 
 // NewLink builds a link; rate is in bits per second.
@@ -45,57 +59,82 @@ func (l *Link) Send(pkt []byte, dst Endpoint) sim.Time {
 	}
 	txDone := start + l.txTime(len(pkt))
 	l.busyUntil = txDone
-	l.Bytes += uint64(len(pkt))
-	l.Packets++
-	data := append([]byte(nil), pkt...)
-	l.Eng.At(txDone+l.Latency, func() { dst.Receive(data) })
+	l.Eng.At(txDone+l.Latency, func() { dst.Receive(pkt) })
 	return txDone
 }
 
-// NIC is the host's physical network interface: it implements the
-// virtio Transport on one side and sits on a link pair on the other.
+// nicDMADelay models descriptor fetch + PCIe DMA before the wire.
+const nicDMADelay = 2 * sim.Microsecond
+
+// NIC is the host's physical network interface: a Conduit on one side,
+// a link pair on the other.
 type NIC struct {
 	Eng  *sim.Engine
 	Out  *Link // NIC -> peer
 	Peer Endpoint
 
-	// DMADelay models descriptor fetch + PCIe DMA before the wire.
-	DMADelay sim.Time
-
 	recv func(pkt []byte)
-
-	TxPackets uint64
-	RxPackets uint64
 }
 
 // NewNIC builds a NIC transmitting on out.
 func NewNIC(eng *sim.Engine, out *Link, peer Endpoint) *NIC {
-	return &NIC{Eng: eng, Out: out, Peer: peer, DMADelay: 2 * sim.Microsecond}
+	return &NIC{Eng: eng, Out: out, Peer: peer}
 }
 
-// Send implements virtio.Transport: DMA the packet, put it on the wire,
-// and report TX completion when the last bit leaves.
+// Send implements Conduit: DMA the packet, put it on the wire, and
+// report TX completion when the last bit leaves.
 func (n *NIC) Send(pkt []byte, done func()) {
-	n.TxPackets++
-	data := append([]byte(nil), pkt...)
-	n.Eng.After(n.DMADelay, func() {
-		txDone := n.Out.Send(data, n.Peer)
+	n.Eng.After(nicDMADelay, func() {
+		txDone := n.Out.Send(pkt, n.Peer)
 		if done != nil {
 			n.Eng.At(txDone, done)
 		}
 	})
 }
 
-// SetReceiver implements virtio.Transport.
+// SetReceiver implements Conduit.
 func (n *NIC) SetReceiver(fn func(pkt []byte)) { n.recv = fn }
 
 // Receive implements Endpoint: inbound packets go to the registered
 // receiver (the host's virtio backend) after DMA.
 func (n *NIC) Receive(pkt []byte) {
-	n.RxPackets++
 	if n.recv == nil {
 		return
 	}
-	data := pkt
-	n.Eng.After(n.DMADelay, func() { n.recv(data) })
+	n.Eng.After(nicDMADelay, func() { n.recv(pkt) })
+}
+
+// WireEnd is one end of a wire: a Conduit whose Send puts each packet
+// on Out toward Dst, after Think when it is positive (a peer's service
+// delay), and an Endpoint whose Receive hands inbound packets to the
+// registered receiver. Local transmit completes at once.
+type WireEnd struct {
+	Out   *Link
+	Dst   Endpoint
+	Think sim.Time
+
+	recv func(pkt []byte)
+}
+
+// Send implements Conduit.
+func (w *WireEnd) Send(pkt []byte, done func()) {
+	eng := w.Out.Eng
+	if w.Think > 0 {
+		eng.After(w.Think, func() { w.Out.Send(pkt, w.Dst) })
+	} else {
+		w.Out.Send(pkt, w.Dst)
+	}
+	if done != nil {
+		eng.After(0, done)
+	}
+}
+
+// SetReceiver implements Conduit.
+func (w *WireEnd) SetReceiver(fn func(pkt []byte)) { w.recv = fn }
+
+// Receive implements Endpoint.
+func (w *WireEnd) Receive(pkt []byte) {
+	if w.recv != nil {
+		w.recv(pkt)
+	}
 }

@@ -17,26 +17,22 @@ type EchoPeer struct {
 	ServiceTime sim.Time
 	RespSize    int
 
-	Requests uint64
 	// busyUntil serializes the peer's single service thread: a batch of
 	// requests arriving on one ring kick is charged ServiceTime each, not
 	// ServiceTime once for the whole batch.
 	busyUntil sim.Time
 }
 
-// Receive implements Endpoint. With RespSize <= 0 the peer echoes the
-// request bytes back verbatim (useful for end-to-end integrity checks);
+// Receive implements Endpoint. With RespSize <= 0 the peer sends the
+// request itself back (useful for end-to-end integrity checks);
 // otherwise it responds with RespSize zero bytes. Requests queue behind
 // the peer's single service thread: each occupies it for ServiceTime, so
 // two segments delivered at the same instant (a batched kick) finish at
 // t+ServiceTime and t+2*ServiceTime, as a real single-threaded endpoint
 // would.
 func (p *EchoPeer) Receive(pkt []byte) {
-	p.Requests++
-	var resp []byte
-	if p.RespSize <= 0 {
-		resp = append([]byte(nil), pkt...)
-	} else {
+	resp := pkt
+	if p.RespSize > 0 {
 		resp = make([]byte, p.RespSize)
 	}
 	start := p.Eng.Now()

@@ -1,6 +1,6 @@
 // Package netstack layers a deterministic TCP-ish transport over the
-// simulator's packet conduits (virtio-net NICs, netsim links, or the
-// fleet host's cross-core delivery fabric). It provides connections
+// simulator's packet conduits (netsim.Conduit: a guest's virtio-net
+// driver or a netsim wire end). It provides connections
 // (flows), in-order segment delivery over a reordering/lossy path,
 // go-back-N retransmission driven by virtual-time timers, and
 // flow-controlled sliding windows — everything the open-loop traffic
@@ -19,18 +19,18 @@ import (
 	"fmt"
 
 	"svtsim/internal/fault"
+	"svtsim/internal/netsim"
 	"svtsim/internal/sim"
 )
 
-// Conduit is the packet-delivery substrate a Stack runs over. It is the
-// same shape as virtio.Transport (guest.NetDriver.AsTransport satisfies
-// it) and is trivially implemented over netsim links or host IPIs.
-type Conduit interface {
-	// Send transmits one packet; done (may be nil) fires when the local
-	// transmit completes (not when the peer receives it).
-	Send(pkt []byte, done func())
-	// SetReceiver registers the inbound packet handler.
-	SetReceiver(fn func(pkt []byte))
+// NewPipe builds a connected pair of wire ends with the given one-way
+// latency and no line rate: an in-engine conduit for stacks that do not
+// sit on a virtio NIC.
+func NewPipe(eng *sim.Engine, lat sim.Time) (*netsim.WireEnd, *netsim.WireEnd) {
+	a := &netsim.WireEnd{Out: netsim.NewLink(eng, lat, 0)}
+	b := &netsim.WireEnd{Out: netsim.NewLink(eng, lat, 0), Dst: a}
+	a.Dst = b
+	return a, b
 }
 
 // Segment header layout (22 bytes, big-endian):
@@ -161,7 +161,7 @@ type Stack struct {
 	Eng *sim.Engine
 	P   Params
 
-	c     Conduit
+	c     netsim.Conduit
 	flows map[uint32]*Flow
 
 	// OnFlow, when set, is invoked for each passively opened flow (a
@@ -178,7 +178,7 @@ type Stack struct {
 // New builds a stack over the conduit and registers as its receiver.
 // Loss/delay injection at fault.SiteNetSegment is on by default; it is
 // inert until a fault plane arms that site.
-func New(eng *sim.Engine, c Conduit, p Params) *Stack {
+func New(eng *sim.Engine, c netsim.Conduit, p Params) *Stack {
 	st := &Stack{
 		Eng:       eng,
 		P:         p.withDefaults(),

@@ -2,9 +2,12 @@ package netstack
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"svtsim/internal/fault"
+	"svtsim/internal/netsim"
+	"svtsim/internal/race"
 	"svtsim/internal/sim"
 )
 
@@ -38,6 +41,47 @@ func TestSegmentEncodeDecode(t *testing.T) {
 func pair(t *testing.T, eng *sim.Engine, lat sim.Time, p Params) (*Stack, *Stack, *Flow) {
 	t.Helper()
 	ca, cb := NewPipe(eng, lat)
+	return pairOver(t, eng, ca, cb, p)
+}
+
+// reorderEnd is one end of a test pipe that prices each packet's delay
+// individually (index is the send ordinal on this end), which is how
+// tests build deterministic reordering paths.
+type reorderEnd struct {
+	eng   *sim.Engine
+	peer  *reorderEnd
+	delay func(index uint64) sim.Time
+	sent  uint64
+	recv  func(pkt []byte)
+}
+
+func newReorderPipe(eng *sim.Engine, lat sim.Time) (*reorderEnd, *reorderEnd) {
+	fixed := func(uint64) sim.Time { return lat }
+	a := &reorderEnd{eng: eng, delay: fixed}
+	b := &reorderEnd{eng: eng, delay: fixed, peer: a}
+	a.peer = b
+	return a, b
+}
+
+func (e *reorderEnd) Send(pkt []byte, done func()) {
+	peer := e.peer
+	e.eng.After(e.delay(e.sent), func() {
+		if peer.recv != nil {
+			peer.recv(pkt)
+		}
+	})
+	e.sent++
+	if done != nil {
+		e.eng.After(0, done)
+	}
+}
+
+func (e *reorderEnd) SetReceiver(fn func(pkt []byte)) { e.recv = fn }
+
+// pairOver builds two stacks over the conduits ca and cb and completes
+// the handshake.
+func pairOver(t *testing.T, eng *sim.Engine, ca, cb netsim.Conduit, p Params) (*Stack, *Stack, *Flow) {
+	t.Helper()
 	a := New(eng, ca, p)
 	b := New(eng, cb, p)
 	fa := a.Open(1)
@@ -75,10 +119,11 @@ func TestSegmentOrdering(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.New()
-			_, b, fa := pair(t, eng, sim.Microsecond, Params{MSS: 1024})
+			ca, cb := newReorderPipe(eng, sim.Microsecond)
+			_, b, fa := pairOver(t, eng, ca, cb, Params{MSS: 1024})
 			var got []byte
 			b.Flow(1).OnData = func(p []byte) { got = append(got, p...) }
-			fa.S.c.(*PipeEnd).Delay = func(i uint64, pkt []byte) sim.Time { return tc.delay(i) }
+			ca.delay = tc.delay
 			fa.Write(msg)
 			eng.Drain(10000)
 			if !bytes.Equal(got, msg) {
@@ -90,11 +135,12 @@ func TestSegmentOrdering(t *testing.T) {
 
 func TestReorderedSegmentsAreBuffered(t *testing.T) {
 	eng := sim.New()
-	a, b, fa := pair(t, eng, sim.Microsecond, Params{MSS: 512})
+	ca, cb := newReorderPipe(eng, sim.Microsecond)
+	a, b, fa := pairOver(t, eng, ca, cb, Params{MSS: 512})
 	var got []byte
 	b.Flow(1).OnData = func(p []byte) { got = append(got, p...) }
 	// Delay only the first DATA segment so its successors arrive early.
-	a.c.(*PipeEnd).Delay = func(i uint64, pkt []byte) sim.Time {
+	ca.delay = func(i uint64) sim.Time {
 		if i == 1 {
 			return 40 * sim.Microsecond
 		}
@@ -315,4 +361,45 @@ func consume(f *Flow, n int) []byte {
 	f.rcvQ = append([]byte(nil), f.rcvQ[n:]...)
 	f.sendCtl(flagACK)
 	return out
+}
+
+// One 32-byte request and its echoed response over an established flow
+// on NewPipe stay under a fixed allocation budget. The wire ends pass
+// each segment on as it was encoded, so the count is the two stacks'
+// own: segment encodings, engine-event closures and buffer growth.
+func TestExchangeAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const (
+		allocBudget = 14  // mallocs per exchange; 14 measured on go1.24
+		byteBudget  = 576 // bytes per exchange; 528 measured on go1.24
+	)
+	eng := sim.New()
+	_, b, fa := pair(t, eng, 2*sim.Microsecond, Params{})
+	b.Flow(1).OnData = b.Flow(1).Write
+	got := 0
+	fa.OnData = func(p []byte) { got += len(p) }
+	msg := make([]byte, 32)
+	exchange := func() {
+		fa.Write(msg)
+		eng.RunUntil(eng.Now() + 20*sim.Microsecond)
+	}
+	exchange() // warm up buffers and the event pool
+	const reps = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	if got != (reps+1)*len(msg) {
+		t.Fatalf("%d of %d echoed bytes arrived", got, (reps+1)*len(msg))
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / reps
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / reps
+	t.Logf("%.2f mallocs, %.0f B per exchange", allocs, bytes)
+	if allocs > allocBudget || bytes > byteBudget {
+		t.Errorf("%.2f mallocs and %.0f B per exchange, budget %d and %d", allocs, bytes, allocBudget, byteBudget)
+	}
 }

@@ -143,8 +143,8 @@ func TestNetBackendLoopback(t *testing.T) {
 	}
 	b.MMIOWrite(b.Base+RegQueueNotify, NetQTX)
 
-	if b.TxPackets != 1 || b.RxPackets != 1 {
-		t.Fatalf("tx/rx = %d/%d", b.TxPackets, b.RxPackets)
+	if b.RxPackets != 1 {
+		t.Fatalf("rx = %d", b.RxPackets)
 	}
 	if raised == 0 {
 		t.Fatal("guest IRQ must be raised")

@@ -1,6 +1,10 @@
 package virtio
 
-import "fmt"
+import (
+	"fmt"
+
+	"svtsim/internal/netsim"
+)
 
 // Queue indices of a net device.
 const (
@@ -8,24 +12,16 @@ const (
 	NetQRX = 1
 )
 
-// Transport is where a net backend's packets go: the physical NIC model
-// for the host hypervisor's backend, or — for the guest hypervisor's
-// vhost backend — the guest hypervisor's *own* virtio-net driver, which
-// is exactly how the nested I/O amplification of §6.2 arises.
-type Transport interface {
-	// Send transmits pkt; done runs when the buffer may be reclaimed.
-	Send(pkt []byte, done func())
-	// SetReceiver registers the inbound packet callback.
-	SetReceiver(fn func(pkt []byte))
-}
-
 // NetBackend is the device side of a virtio-net device: a TX and an RX
 // queue living in the guest's memory, configured by the driver through
 // the trapped MMIO registers.
 type NetBackend struct {
 	DeviceCommon
 
-	Transport Transport
+	// Transport is where the backend's packets go: the NIC model for the
+	// host hypervisor's backend, or the guest hypervisor's own virtio-net
+	// driver for its vhost backend.
+	Transport netsim.Conduit
 	// RaiseGuestIRQ injects the device's completion vector into the
 	// owning guest (runs in the owning kernel's context).
 	RaiseGuestIRQ func()
@@ -42,12 +38,11 @@ type NetBackend struct {
 	// interrupt also flushes them). Zero means immediate.
 	TxCoalesce int
 
-	TxPackets uint64
 	RxPackets uint64
 }
 
 // NewNetBackend wires a backend over the device window at base.
-func NewNetBackend(name string, base uint64, mem MemIO, tr Transport) *NetBackend {
+func NewNetBackend(name string, base uint64, mem MemIO, tr netsim.Conduit) *NetBackend {
 	b := &NetBackend{
 		DeviceCommon: DeviceCommon{DevName: name, Base: base, Mem: mem},
 		Transport:    tr,
@@ -107,7 +102,6 @@ func (b *NetBackend) drainTX() {
 			}
 			off += int(buf.Len)
 		}
-		b.TxPackets++
 		b.Transport.Send(pkt, b.txDoneFn(head))
 	}
 }

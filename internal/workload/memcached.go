@@ -119,9 +119,7 @@ func (s *MemcachedServer) Run(env *guest.Env) {
 				s.store[key] = make([]byte, vs)
 				resp = []byte{2}
 			}
-			if err := env.Net.Send(resp, nil); err != nil {
-				panic(err)
-			}
+			env.Net.Send(resp, nil)
 			s.Served++
 		}
 	}
