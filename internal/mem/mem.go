@@ -5,23 +5,62 @@
 // are materialized on first write.
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
-// PageSize is the granularity of backing allocation and of EPT mappings.
+// PageSize is the granularity of the materialized page set and of EPT
+// mappings.
 const PageSize = 4096
+
+// lineSize is the granularity of backing allocation inside a page.
+const (
+	lineSize     = 256
+	linesPerPage = PageSize / lineSize
+)
+
+type line [lineSize]byte
+
+// page backs one materialized page; a nil line reads as zeros.
+type page [linesPerPage]*line
+
+// zeroLine is what an absent line reads as. Nothing writes to it.
+var zeroLine line
 
 // Memory is a sparse byte-addressable physical address space.
 // Reads of never-written pages return zeros, like fresh DRAM after the
 // hypervisor's zeroing.
+//
+// Any Write materializes the pages it touches: the page set is simulated
+// state, which snapshots carry and migration prices. Inside a page, a
+// 256-byte line is backed only once a nonzero byte is written to it.
 type Memory struct {
 	size  uint64
-	pages map[uint64]*[PageSize]byte
+	pages map[uint64]*page
+	// Slabs that lines and page headers are carved from, so a first
+	// touch costs a fraction of a malloc.
+	lines []line
+	heads []page
 }
 
 // New returns a memory of the given size in bytes.
 func New(size uint64) *Memory {
-	return &Memory{size: size, pages: make(map[uint64]*[PageSize]byte)}
+	return &Memory{size: size, pages: make(map[uint64]*page)}
 }
+
+// carve returns the next element of *slab, refilling it n at a time.
+func carve[T any](slab *[]T, n int) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, n)
+	}
+	x := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return x
+}
+
+func (m *Memory) newLine() *line { return carve(&m.lines, 16) }
+func (m *Memory) newPage() *page { return carve(&m.heads, 8) }
 
 // Size reports the size of the address space in bytes.
 func (m *Memory) Size() uint64 { return m.size }
@@ -43,19 +82,21 @@ func (m *Memory) Read(addr uint64, p []byte) error {
 	if err := m.check(addr, len(p)); err != nil {
 		return err
 	}
-	for len(p) > 0 {
-		pageIdx := addr / PageSize
-		off := addr % PageSize
-		n := PageSize - off
-		if uint64(len(p)) < n {
-			n = uint64(len(p))
+	var pg *page
+	for first := true; len(p) > 0; first = false {
+		if first || addr%PageSize == 0 {
+			pg = m.pages[addr/PageSize]
 		}
-		if pg := m.pages[pageIdx]; pg != nil {
-			copy(p[:n], pg[off:off+n])
+		off := addr % lineSize
+		n := min(lineSize-off, uint64(len(p)))
+		var ln *line
+		if pg != nil {
+			ln = pg[addr%PageSize/lineSize]
+		}
+		if ln == nil {
+			clear(p[:n])
 		} else {
-			for i := uint64(0); i < n; i++ {
-				p[i] = 0
-			}
+			copy(p[:n], ln[off:])
 		}
 		p = p[n:]
 		addr += n
@@ -68,19 +109,24 @@ func (m *Memory) Write(addr uint64, p []byte) error {
 	if err := m.check(addr, len(p)); err != nil {
 		return err
 	}
-	for len(p) > 0 {
-		pageIdx := addr / PageSize
-		off := addr % PageSize
-		n := PageSize - off
-		if uint64(len(p)) < n {
-			n = uint64(len(p))
+	var pg *page
+	for first := true; len(p) > 0; first = false {
+		if first || addr%PageSize == 0 {
+			idx := addr / PageSize
+			if pg = m.pages[idx]; pg == nil {
+				pg = m.newPage()
+				m.pages[idx] = pg
+			}
 		}
-		pg := m.pages[pageIdx]
-		if pg == nil {
-			pg = new([PageSize]byte)
-			m.pages[pageIdx] = pg
+		off := addr % lineSize
+		n := min(lineSize-off, uint64(len(p)))
+		ln := &pg[addr%PageSize/lineSize]
+		if *ln == nil && !bytes.Equal(p[:n], zeroLine[:n]) {
+			*ln = m.newLine()
 		}
-		copy(pg[off:off+n], p[:n])
+		if *ln != nil {
+			copy((*ln)[off:], p[:n])
+		}
 		p = p[n:]
 		addr += n
 	}

@@ -10,7 +10,8 @@ import (
 const wordsPerPage = PageSize / 8
 
 // SaveWords writes every materialized page in index order: its index,
-// then its contents as little-endian words.
+// then its contents as little-endian words. An unbacked line writes as
+// zero words, so the encoding does not depend on line backing.
 func (m *Memory) SaveWords(w *words.Writer) {
 	w.Table(len(m.pages), 1+wordsPerPage, func() {
 		idxs := make([]uint64, 0, len(m.pages))
@@ -20,9 +21,13 @@ func (m *Memory) SaveWords(w *words.Writer) {
 		slices.Sort(idxs)
 		for _, i := range idxs {
 			w.Word(i)
-			pg := m.pages[i]
-			for off := 0; off < PageSize; off += 8 {
-				w.Word(binary.LittleEndian.Uint64(pg[off:]))
+			for _, ln := range m.pages[i] {
+				if ln == nil {
+					ln = &zeroLine
+				}
+				for off := 0; off < lineSize; off += 8 {
+					w.Word(binary.LittleEndian.Uint64(ln[off:]))
+				}
 			}
 		}
 	})
@@ -31,21 +36,28 @@ func (m *Memory) SaveWords(w *words.Writer) {
 // LoadWords replaces the entire contents of memory with the pages
 // SaveWords wrote: pages materialized after the capture are dropped
 // (they read as zeros again). Page indices must ascend and lie inside
-// the address space.
+// the address space. Only lines holding a nonzero byte are backed.
 func (m *Memory) LoadWords(r *words.Reader) {
 	n := r.Count(1 + wordsPerPage)
-	pages := make(map[uint64]*[PageSize]byte, n)
+	nm := Memory{size: m.size, pages: make(map[uint64]*page, n)}
 	limit := (m.size + PageSize - 1) / PageSize
 	for i, next := 0, uint64(0); i < n && r.Err() == nil; i++ {
 		idx := r.Range(next, limit, "page index")
-		pg := new([PageSize]byte)
-		for off := 0; off < PageSize; off += 8 {
-			binary.LittleEndian.PutUint64(pg[off:], r.Word())
+		pg := nm.newPage()
+		for l := range pg {
+			var buf line
+			for off := 0; off < lineSize; off += 8 {
+				binary.LittleEndian.PutUint64(buf[off:], r.Word())
+			}
+			if buf != zeroLine {
+				pg[l] = nm.newLine()
+				*pg[l] = buf
+			}
 		}
-		pages[idx] = pg
+		nm.pages[idx] = pg
 		next = idx + 1
 	}
 	if r.Err() == nil {
-		m.pages = pages
+		*m = nm
 	}
 }

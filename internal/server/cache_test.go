@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"svtsim/internal/race"
 )
 
 func TestCacheHitMiss(t *testing.T) {
@@ -31,6 +33,30 @@ func TestCacheHitMiss(t *testing.T) {
 
 // TestCacheLRUEviction: a tiny budget evicts least-recently-used
 // entries, and a Get refreshes recency.
+// A cache hit allocates nothing: svtsimd answers every repeated request
+// from one.
+func TestCacheGetHitAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	c := NewCache(1 << 20)
+	c.Put("a", []byte("body"), nil)
+	c.Put("b", []byte("other"), nil)
+	key := "a"
+	if n := testing.AllocsPerRun(1000, func() {
+		if c.Get(key) == nil {
+			t.Fatal("cache lost a fresh entry")
+		}
+		if key == "a" {
+			key = "b"
+		} else {
+			key = "a"
+		}
+	}); n != 0 {
+		t.Errorf("cache hit: %.2f allocs, want 0", n)
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	body := func(i int) []byte { return []byte(fmt.Sprintf("body-%04d", i)) } // 9 bytes
 	c := NewCache(3 * 9)

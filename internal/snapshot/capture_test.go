@@ -362,6 +362,25 @@ func TestRestoreStructuralMismatchLeavesMachineUntouched(t *testing.T) {
 	}
 }
 
+// A guest write of only zeros to a fresh host page adds that page to
+// the snapshot, so migration prices it: the page set is simulated state
+// even when no memory backs the page's bytes.
+func TestZeroWriteCountsInSize(t *testing.T) {
+	m, io := diskMachine(t, hv.ModeSWSVt, 0x33, 1)
+	defer m.Shutdown()
+	before := snapshot.Size(m, io)
+	if err := m.HostMem.Write(machine.HostMemSize-mem.PageSize, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshot.Size(m, io)
+	if want := before + 8*(1+mem.PageSize/8); after != want {
+		t.Fatalf("Size after a zero write to a fresh page = %d, want %d (one more page row)", after, want)
+	}
+	if got := snapshot.Capture(m, io).Bytes(); got != after {
+		t.Fatalf("Capture is %d bytes, Size reports %d", got, after)
+	}
+}
+
 // FuzzRestore sets one word of a captured snapshot to a fuzzed value and
 // restores it over the original. Restore must not panic, and a restore
 // it accepts must be faithful: re-capturing yields the mutated
