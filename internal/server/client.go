@@ -49,45 +49,50 @@ func apiError(resp *http.Response, body []byte) error {
 	return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
 }
 
-func (c *Client) do(ctx context.Context, method, path string, in any, out any) error {
+// do sends one request, with in as its JSON body when non-nil. It
+// returns the body of a 2xx answer, decoded into out when out is
+// non-nil; any other answer comes back as the server's error.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if resp.StatusCode >= 400 {
-		return apiError(resp, b)
+	if resp.StatusCode/100 != 2 {
+		return nil, apiError(resp, b)
 	}
 	if out != nil {
-		return json.Unmarshal(b, out)
+		if err := json.Unmarshal(b, out); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return b, nil
 }
 
 // Submit posts a request and returns the admitted (or cache-hit) job's
 // status. A 429 (queue full) or 503 (draining) surfaces as an error.
 func (c *Client) Submit(ctx context.Context, req *Request) (*SubmitResponse, error) {
 	var out SubmitResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -96,7 +101,7 @@ func (c *Client) Submit(ctx context.Context, req *Request) (*SubmitResponse, err
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	var out JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -116,7 +121,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(ProgressEvent)) 
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
+	if resp.StatusCode/100 != 2 {
 		b, _ := io.ReadAll(resp.Body)
 		return apiError(resp, b)
 	}
@@ -141,7 +146,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(ProgressEvent)) 
 // Result fetches a finished job's result body and decodes it.
 func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 	var out Result
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -150,38 +155,18 @@ func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 // ResultBytes fetches the raw result body — the exact bytes the cache
 // stores, for byte-identity checks.
 func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
-	return c.raw(ctx, "/v1/jobs/"+id+"/result")
+	return c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, nil)
 }
 
 // Artifact fetches one rendered obs artifact (obs.ArtifactTrace, ...).
 func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) {
-	return c.raw(ctx, "/v1/jobs/"+id+"/artifacts/"+name)
-}
-
-func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		return nil, apiError(resp, b)
-	}
-	return b, nil
+	return c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/artifacts/"+name, nil, nil)
 }
 
 // CacheStats fetches /v1/cache.
 func (c *Client) CacheStats(ctx context.Context) (*CacheStats, error) {
 	var out CacheStats
-	if err := c.do(ctx, http.MethodGet, "/v1/cache", nil, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodGet, "/v1/cache", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -219,7 +204,7 @@ func (c *Client) Run(ctx context.Context, req *Request, fn func(ProgressEvent)) 
 func (c *Client) WaitHealthy(ctx context.Context, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	for {
-		err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
+		_, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
 		if err == nil {
 			return nil
 		}

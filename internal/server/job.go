@@ -8,10 +8,7 @@ package server
 // simulation worker.
 
 import (
-	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"svtsim/internal/exp"
 )
@@ -25,9 +22,9 @@ const (
 	StateCanceled = "canceled"
 )
 
-// ProgressEvent is one streamed NDJSON/SSE record: either a job-step
-// event (Stage/Done/Total from the experiment layer) or a terminal
-// state marker (State set, Stage empty).
+// ProgressEvent is one streamed NDJSON record: either a job-step event
+// (Stage/Done/Total from the experiment layer) or a terminal state
+// marker (State set, Stage empty).
 type ProgressEvent struct {
 	Seq    int    `json:"seq"`
 	Stage  string `json:"stage,omitempty"`
@@ -40,53 +37,42 @@ type ProgressEvent struct {
 
 // JobStatus is the /v1/jobs/{id} body.
 type JobStatus struct {
-	ID        string `json:"id"`
-	Digest    string `json:"digest"`
-	Kind      string `json:"kind"`
-	State     string `json:"state"`
-	Cached    bool   `json:"cached"`
-	Coalesced bool   `json:"coalesced,omitempty"`
-	Error     string `json:"error,omitempty"`
-	// Progress is the most recent step event (nil before the first).
-	Progress *ProgressEvent `json:"progress,omitempty"`
-	WaitMs   int64          `json:"wait_ms"`
-	RunMs    int64          `json:"run_ms"`
+	ID     string `json:"id"`
+	Digest string `json:"digest"`
+	State  string `json:"state"`
+	Cached bool   `json:"cached"`
+	Error  string `json:"error,omitempty"`
 }
+
+// SubmitResponse is the POST /v1/jobs body: the status of the job the
+// submission was admitted as, joined, or answered from the cache by.
+type SubmitResponse = JobStatus
 
 type job struct {
 	id     string
 	digest string
 	req    *Request
 
-	mu        sync.Mutex
-	state     string
-	cached    bool
-	err       string
-	events    []ProgressEvent
-	subs      map[chan struct{}]struct{}
-	result    *cacheEntry
-	cancel    context.CancelFunc
-	queuedAt  time.Time
-	startedAt time.Time
-	doneAt    time.Time
-
-	done chan struct{}
+	mu     sync.Mutex
+	state  string
+	cached bool
+	err    string
+	events []ProgressEvent
+	subs   map[chan struct{}]struct{}
+	result *cacheEntry
 }
 
 func newJob(id string, req *Request, digest string) *job {
 	return &job{
 		id: id, digest: digest, req: req,
-		state:    StateQueued,
-		subs:     make(map[chan struct{}]struct{}),
-		queuedAt: time.Now(),
-		done:     make(chan struct{}),
+		state: StateQueued,
+		subs:  make(map[chan struct{}]struct{}),
 	}
 }
 
-// publish appends an event (stamping its sequence number) and kicks
-// every subscriber without blocking.
-func (j *job) publish(ev ProgressEvent) {
-	j.mu.Lock()
+// appendLocked stamps ev's sequence number, appends it to the log, and
+// kicks every subscriber without blocking. j.mu must be held.
+func (j *job) appendLocked(ev ProgressEvent) {
 	ev.Seq = len(j.events) + 1
 	j.events = append(j.events, ev)
 	for ch := range j.subs {
@@ -95,79 +81,43 @@ func (j *job) publish(ev ProgressEvent) {
 		default: // already kicked; the reader will drain the log
 		}
 	}
-	j.mu.Unlock()
 }
 
 // progressFunc adapts the experiment layer's progress callbacks.
 func (j *job) progressFunc() exp.ProgressFunc {
 	return func(e exp.ProgressEvent) {
-		j.publish(ProgressEvent{Stage: e.Stage, Done: e.Done, Total: e.Total, Detail: e.Detail})
+		j.mu.Lock()
+		j.appendLocked(ProgressEvent{Stage: e.Stage, Done: e.Done, Total: e.Total, Detail: e.Detail})
+		j.mu.Unlock()
 	}
 }
 
 // setRunning marks the job picked up by a worker.
-func (j *job) setRunning(cancel context.CancelFunc) {
+func (j *job) setRunning() {
 	j.mu.Lock()
 	j.state = StateRunning
-	j.cancel = cancel
-	j.startedAt = time.Now()
 	j.mu.Unlock()
 }
 
 // finish terminates the job: state done with a result, or failed /
-// canceled with an error message. The terminal marker is published as
-// the log's last event so streams end deterministically.
+// canceled with an error message. The terminal marker joins the log in
+// the same critical section that sets the state, so a reader that sees
+// the state terminal also sees the log's last event.
 func (j *job) finish(state string, result *cacheEntry, errMsg string) {
 	j.mu.Lock()
-	j.state = state
-	j.result = result
-	j.err = errMsg
-	j.doneAt = time.Now()
-	j.mu.Unlock()
-	j.publish(ProgressEvent{State: state, Error: errMsg})
-	close(j.done)
-}
-
-// finishCached completes a job instantly from a cache hit: the log gets
-// the single terminal event and done is already closed on return.
-func (j *job) finishCached(e *cacheEntry) {
-	j.mu.Lock()
-	j.cached = true
-	j.startedAt = j.queuedAt
-	j.mu.Unlock()
-	j.finish(StateDone, e, "")
+	defer j.mu.Unlock()
+	j.state, j.result, j.err = state, result, errMsg
+	j.appendLocked(ProgressEvent{State: state, Error: errMsg})
 }
 
 // snapshot returns the job's public status.
-func (j *job) snapshot(coalesced bool) JobStatus {
+func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID: j.id, Digest: j.digest, Kind: j.req.Kind,
-		State: j.state, Cached: j.cached, Coalesced: coalesced, Error: j.err,
-	}
-	for i := len(j.events) - 1; i >= 0; i-- {
-		if j.events[i].Stage != "" {
-			e := j.events[i]
-			st.Progress = &e
-			break
-		}
-	}
-	switch {
-	case j.state == StateQueued:
-		st.WaitMs = time.Since(j.queuedAt).Milliseconds()
-	case j.state == StateRunning:
-		st.WaitMs = j.startedAt.Sub(j.queuedAt).Milliseconds()
-		st.RunMs = time.Since(j.startedAt).Milliseconds()
-	default:
-		st.WaitMs = j.startedAt.Sub(j.queuedAt).Milliseconds()
-		st.RunMs = j.doneAt.Sub(j.startedAt).Milliseconds()
-	}
-	return st
+	return JobStatus{ID: j.id, Digest: j.digest, State: j.state, Cached: j.cached, Error: j.err}
 }
 
-// subscribe registers a kick channel and returns it with the current
-// log length; unsubscribe removes it.
+// subscribe registers a kick channel; unsubscribe removes it.
 func (j *job) subscribe() (kick chan struct{}, unsubscribe func()) {
 	kick = make(chan struct{}, 1)
 	j.mu.Lock()
@@ -181,7 +131,8 @@ func (j *job) subscribe() (kick chan struct{}, unsubscribe func()) {
 }
 
 // eventsFrom copies the log suffix starting at index from, and reports
-// whether the job has reached a terminal state.
+// whether the job has reached a terminal state. Once it has, the copy
+// ends with the terminal event.
 func (j *job) eventsFrom(from int) (evs []ProgressEvent, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -191,18 +142,10 @@ func (j *job) eventsFrom(from int) (evs []ProgressEvent, terminal bool) {
 	return evs, j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
 }
 
-// terminalState reports the state and error once done is closed.
-func (j *job) terminalState() (state, errMsg string) {
+// outcome reports the job's state and error, and its result entry (nil
+// until done).
+func (j *job) outcome() (state, errMsg string, result *cacheEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, j.err
+	return j.state, j.err, j.result
 }
-
-// entry returns the completed result entry (nil until done).
-func (j *job) entry() *cacheEntry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
-
-func (j *job) String() string { return fmt.Sprintf("job %s (%s, %s)", j.id, j.req.Kind, j.state) }

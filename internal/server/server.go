@@ -5,13 +5,12 @@ package server
 // a graceful drain. Routes (Go 1.22 method+wildcard patterns):
 //
 //	POST /v1/jobs                        submit a request
-//	GET  /v1/jobs                        list job statuses
 //	GET  /v1/jobs/{id}                   one job's status
 //	GET  /v1/jobs/{id}/result            the result body (once done)
-//	GET  /v1/jobs/{id}/stream            progress as NDJSON (SSE on Accept)
+//	GET  /v1/jobs/{id}/stream            progress as NDJSON
 //	GET  /v1/jobs/{id}/artifacts/{name}  rendered obs artifacts
 //	GET  /v1/cache                       cache stats
-//	GET  /v1/metrics                     endpoint + cache metrics (JSON/CSV)
+//	GET  /v1/metrics                     endpoint + cache metrics as CSV
 //	GET  /v1/healthz                     liveness + drain state
 //
 // Admission control: a submit that misses the cache and coalesces with
@@ -26,8 +25,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -77,7 +76,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string        // job IDs in admission order
 	inflight map[string]*job // digest → job not yet terminal
 	draining bool
 	nextID   int
@@ -147,21 +145,13 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(j *job) {
-	// A twin job may have populated the cache while this one queued.
-	if e := s.cache.Get(j.digest); e != nil {
-		j.finishCached(e)
-		s.clearInflight(j)
-		return
-	}
 	ctx := s.baseCtx
-	var cancel context.CancelFunc
 	if s.cfg.JobTimeout > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
-	j.setRunning(cancel)
+	j.setRunning()
 
 	// A panic fails this job alone: the worker, the queue behind it and
 	// the process survive. Pooled sweep cells re-raise theirs here too,
@@ -182,6 +172,8 @@ func (s *Server) runJob(j *job) {
 		return err
 	}()
 
+	// The result enters the cache before the job leaves s.inflight, so
+	// admission always finds a finished digest in one or the other.
 	switch {
 	case err == nil:
 		s.cache.Put(j.digest, entry.body, entry.artifacts)
@@ -202,22 +194,32 @@ func (s *Server) clearInflight(j *job) {
 	s.mu.Unlock()
 }
 
+// routes is the whole wire surface: each pattern with the endpoint name
+// its metrics carry and its handler. Every route has a non-test caller;
+// TestEveryRouteHasACaller keeps it that way.
+var routes = []struct {
+	pattern, endpoint string
+	handle            func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"POST /v1/jobs", "submit", (*Server).handleSubmit},
+	{"GET /v1/jobs/{id}", "status", (*Server).handleStatus},
+	{"GET /v1/jobs/{id}/result", "result", (*Server).handleResult},
+	{"GET /v1/jobs/{id}/stream", "stream", (*Server).handleStream},
+	{"GET /v1/jobs/{id}/artifacts/{name}", "artifact", (*Server).handleArtifact},
+	{"GET /v1/cache", "cache", (*Server).handleCache},
+	{"GET /v1/metrics", "metrics", (*Server).handleMetrics},
+	{"GET /v1/healthz", "healthz", (*Server).handleHealthz},
+}
+
 // Handler returns the server's HTTP mux, each route wrapped with
 // per-endpoint request/latency instrumentation.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern, endpoint string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(endpoint, h))
+	for _, rt := range routes {
+		mux.Handle(rt.pattern, s.instrument(rt.endpoint, func(w http.ResponseWriter, r *http.Request) {
+			rt.handle(s, w, r)
+		}))
 	}
-	route("POST /v1/jobs", "submit", s.handleSubmit)
-	route("GET /v1/jobs", "list", s.handleList)
-	route("GET /v1/jobs/{id}", "status", s.handleStatus)
-	route("GET /v1/jobs/{id}/result", "result", s.handleResult)
-	route("GET /v1/jobs/{id}/stream", "stream", s.handleStream)
-	route("GET /v1/jobs/{id}/artifacts/{name}", "artifact", s.handleArtifact)
-	route("GET /v1/cache", "cache", s.handleCache)
-	route("GET /v1/metrics", "metrics", s.handleMetrics)
-	route("GET /v1/healthz", "healthz", s.handleHealthz)
 	return mux
 }
 
@@ -274,23 +276,6 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, body)
 }
 
-// SubmitResponse is the POST /v1/jobs body: the job's status plus where
-// to poll, stream, and fetch the result.
-type SubmitResponse struct {
-	JobStatus
-	StatusURL string `json:"status_url"`
-	StreamURL string `json:"stream_url"`
-	ResultURL string `json:"result_url"`
-}
-
-func (s *Server) SubmitResponseFor(st JobStatus) SubmitResponse {
-	base := "/v1/jobs/" + st.ID
-	return SubmitResponse{
-		JobStatus: st,
-		StatusURL: base, StreamURL: base + "/stream", ResultURL: base + "/result",
-	}
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	dec := json.NewDecoder(r.Body)
@@ -299,70 +284,62 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
 		return
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, errors.New("malformed request body: data after the request object"))
+		return
+	}
 	if err := req.Canonicalize(); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	digest := req.Digest()
-
-	// Cache hit: the job is born terminal; no queue slot is consumed.
-	if e := s.cache.Get(digest); e != nil {
-		j := s.registerJob(&req, digest, false)
-		if j == nil {
-			writeErr(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-			return
+	st, code, err := s.admit(&req, req.Digest())
+	if err != nil {
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1")
 		}
-		j.finishCached(e)
-		writeJSON(w, http.StatusOK, s.SubmitResponseFor(j.snapshot(false)))
+		writeErr(w, code, err)
 		return
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeErr(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
-	// Singleflight: an identical request already admitted (queued or
-	// running) absorbs this submission.
-	if twin, ok := s.inflight[digest]; ok {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, s.SubmitResponseFor(twin.snapshot(true)))
-		return
-	}
-	s.nextID++
-	j := newJob(fmt.Sprintf("j%06d", s.nextID), &req, digest)
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.inflight[digest] = j
-		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, s.SubmitResponseFor(j.snapshot(false)))
-	default:
-		s.nextID--
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests,
-			fmt.Errorf("job queue full (%d queued)", s.cfg.Queue))
-	}
+	writeJSON(w, code, st)
 }
 
-// registerJob records a job that never enters the queue (cache hits).
-// Returns nil when the server is draining.
-func (s *Server) registerJob(req *Request, digest string, inflight bool) *job {
+// admit is the one admission step. It holds s.mu throughout, so no twin
+// slips between its checks: a draining server refuses (503); a cache
+// hit is born done and takes no queue slot (200); an identical job
+// queued or running absorbs the submission (202); anything else wins a
+// queue slot (202) or is refused (429).
+func (s *Server) admit(req *Request, digest string) (JobStatus, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil
+		return JobStatus{}, http.StatusServiceUnavailable, errors.New("server is draining")
 	}
+	if e := s.cache.Get(digest); e != nil {
+		j := s.addJobLocked(req, digest)
+		j.cached = true
+		j.finish(StateDone, e, "")
+		return j.snapshot(), http.StatusOK, nil
+	}
+	if twin, ok := s.inflight[digest]; ok {
+		return twin.snapshot(), http.StatusAccepted, nil
+	}
+	// Only admit sends on the queue, under s.mu, so a free slot stays free.
+	if len(s.queue) == cap(s.queue) {
+		return JobStatus{}, http.StatusTooManyRequests,
+			fmt.Errorf("job queue full (%d queued)", s.cfg.Queue)
+	}
+	j := s.addJobLocked(req, digest)
+	s.inflight[digest] = j
+	s.queue <- j
+	return j.snapshot(), http.StatusAccepted, nil
+}
+
+// addJobLocked creates a job under the next ID and records it. s.mu
+// must be held.
+func (s *Server) addJobLocked(req *Request, digest string) *job {
 	s.nextID++
 	j := newJob(fmt.Sprintf("j%06d", s.nextID), req, digest)
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	if inflight {
-		s.inflight[digest] = j
-	}
 	return j
 }
 
@@ -372,29 +349,13 @@ func (s *Server) jobByID(id string) *job {
 	return s.jobs[id]
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
-	out := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.snapshot(false))
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	writeJSON(w, http.StatusOK, out)
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
 		writeErr(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot(false))
+	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -403,11 +364,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	state, errMsg := j.terminalState()
+	state, errMsg, result := j.outcome()
 	switch state {
 	case StateDone:
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(j.entry().body)
+		w.Write(result.body)
 	case StateFailed, StateCanceled:
 		writeErr(w, http.StatusInternalServerError,
 			fmt.Errorf("job %s: %s", state, errMsg))
@@ -423,13 +384,13 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	state, _ := j.terminalState()
+	state, _, result := j.outcome()
 	if state != StateDone {
 		writeErr(w, http.StatusConflict, fmt.Errorf("job is %s", state))
 		return
 	}
 	name := r.PathValue("name")
-	b, ok := j.entry().artifacts[name]
+	b, ok := result.artifacts[name]
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf(
 			"no artifact %q (submit with trace=true; available: %s, %s, %s)",
@@ -444,60 +405,36 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// handleStream replays the job's progress log and follows it live:
-// NDJSON (one event per line) by default, SSE when the client asks for
-// text/event-stream. The stream ends after the terminal event.
+// handleStream replays the job's progress log as NDJSON, one event per
+// line, and follows it live. The stream ends after the terminal event.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
 		writeErr(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
+	enc := json.NewEncoder(w)
 
 	kick, unsubscribe := j.subscribe()
 	defer unsubscribe()
-	next := 0
-	for {
+	for next := 0; ; {
 		evs, terminal := j.eventsFrom(next)
 		next += len(evs)
 		for _, ev := range evs {
-			b, err := json.Marshal(ev)
-			if err != nil {
+			if enc.Encode(ev) != nil {
 				return
-			}
-			if sse {
-				fmt.Fprintf(w, "data: %s\n\n", b)
-			} else {
-				fmt.Fprintf(w, "%s\n", b)
 			}
 		}
 		if len(evs) > 0 {
-			flush()
+			w.(http.Flusher).Flush()
 		}
 		if terminal {
-			// finish marks the state terminal before publishing the final
-			// event; loop once more until the log is fully drained.
-			if more, _ := j.eventsFrom(next); len(more) == 0 {
-				return
-			}
-			continue
+			return
 		}
 		select {
 		case <-kick:
-		case <-j.done:
 		case <-r.Context().Done():
 			return
 		}
@@ -508,11 +445,11 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.cache.Stats())
 }
 
-// metricsRegistry snapshots the endpoint stats plus cache gauges into
-// one obs registry.
-func (s *Server) metricsRegistry() *obs.Registry {
+// MetricsText renders the endpoint stats plus cache gauges as CSV: the
+// /v1/metrics body, and the daemon's final flush on drain.
+func (s *Server) MetricsText() string {
 	cs := s.cache.Stats()
-	return s.stats.Export(func(reg *obs.Registry) {
+	reg := s.stats.Export(func(reg *obs.Registry) {
 		reg.Gauge("cache.hits").Set(float64(cs.Hits))
 		reg.Gauge("cache.misses").Set(float64(cs.Misses))
 		reg.Gauge("cache.evictions").Set(float64(cs.Evictions))
@@ -520,25 +457,14 @@ func (s *Server) metricsRegistry() *obs.Registry {
 		reg.Gauge("cache.bytes").Set(float64(cs.Bytes))
 		reg.Gauge("cache.oldest_age_ms").Set(float64(cs.OldestAgeMs))
 	})
-}
-
-// MetricsText renders the current metrics as CSV — the daemon's final
-// flush on drain.
-func (s *Server) MetricsText() string {
 	var b strings.Builder
-	s.metricsRegistry().WriteCSV(&b)
+	reg.WriteCSV(&b)
 	return b.String()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.metricsRegistry()
-	if r.URL.Query().Get("format") == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-		reg.WriteCSV(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	reg.WriteJSON(w)
+	w.Header().Set("Content-Type", "text/csv")
+	io.WriteString(w, s.MetricsText())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
