@@ -57,8 +57,11 @@ func main() {
 	fmt.Printf("  restore round trip: %#016x -> %#016x (stable: %v)\n", before, after, before == after)
 
 	clone := snap.Clone()
-	fmt.Printf("  COW clone: shares every word slab, incremental diff %d bytes\n", clone.DiffBytes(snap))
-	clone.MutateWord("core/gpr", 0, 0xdead)
+	fmt.Printf("  COW clone: shares every section's words, incremental diff %d bytes\n", clone.DiffBytes(snap))
+	if err := clone.MutateWord("core/gpr", 0, 0xdead); err != nil {
+		fmt.Fprintln(os.Stderr, "mutate failed:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("  after mutating one register word: diff %d bytes, original digest intact: %v\n",
 		clone.DiffBytes(snap), snap.Digest() == before)
 

@@ -9,6 +9,7 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/snapshot"
 	"svtsim/internal/virtio"
+	"svtsim/internal/words"
 )
 
 // migrateSchedule is a hand-built multi-core schedule with disk traffic
@@ -43,7 +44,11 @@ func dropVQIndex(target hv.Mode, t *testing.T) func(hv.Mode, *snapshot.Snapshot)
 			t.Error("snapshot has no vq/l2-blk section")
 			return
 		}
-		idx := sec.Words[virtio.QWordAvailIdx]
+		r := words.NewReader(sec.Name, sec.Words)
+		for i := 0; i < virtio.QWordAvailIdx; i++ {
+			r.Word()
+		}
+		idx := r.Word()
 		if err := snap.MutateWord("vq/l2-blk", virtio.QWordAvailIdx, idx-1); err != nil {
 			t.Error(err)
 		}

@@ -319,7 +319,7 @@ func TestLargeMapOneExtent(t *testing.T) {
 	}
 	st := saveWords(e)
 	r := New("ept01")
-	if err := loadWords(r, st); err != nil {
+	if err := loadWords(r, save(e)); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.runs) != 1 || !reflect.DeepEqual(r.runs, e.runs) || r.mapped != e.mapped {

@@ -24,16 +24,27 @@ type tableState struct {
 	Epoch uint64
 }
 
-// saveWords returns tb's SaveWords output.
-func saveWords(tb *Table) []uint64 {
+// save returns tb's SaveWords output as stored, ramps and all.
+func save(tb *Table) words.Stream {
 	var w words.Writer
 	tb.SaveWords(&w)
-	return w.Words()
+	return w.Stream()
+}
+
+// saveWords returns tb's SaveWords output as flat logical words.
+func saveWords(tb *Table) []uint64 {
+	s := save(tb)
+	r := words.NewReader(tb.name, s)
+	ws := make([]uint64, s.Len())
+	for i := range ws {
+		ws[i] = r.Word()
+	}
+	return ws
 }
 
 // stateOf decodes tb's SaveWords output into rows.
 func stateOf(tb *Table) tableState {
-	r := words.NewReader(tb.name, saveWords(tb))
+	r := words.NewReader(tb.name, save(tb))
 	var s tableState
 	for i, n := 0, r.Count(3); i < n; i++ {
 		s.Pages = append(s.Pages, pageRow{r.Word(), r.Word(), Perm(r.Word())})
@@ -48,21 +59,28 @@ func stateOf(tb *Table) tableState {
 	return s
 }
 
-// words encodes s the way SaveWords writes it.
-func (s tableState) words() []uint64 {
-	ws := []uint64{uint64(len(s.Pages))}
+// words encodes s the way SaveWords writes it, one literal word at a
+// time.
+func (s tableState) words() words.Stream {
+	var w words.Writer
+	w.Word(uint64(len(s.Pages)))
 	for _, p := range s.Pages {
-		ws = append(ws, p.GFN, p.HostPage, uint64(p.Perm))
+		w.Word(p.GFN)
+		w.Word(p.HostPage)
+		w.Word(uint64(p.Perm))
 	}
-	ws = append(ws, uint64(len(s.Devs)))
+	w.Word(uint64(len(s.Devs)))
 	for _, d := range s.Devs {
-		ws = append(ws, d.Base, d.Size, d.Dev)
+		w.Word(d.Base)
+		w.Word(d.Size)
+		w.Word(d.Dev)
 	}
-	return append(ws, s.Epoch)
+	w.Word(s.Epoch)
+	return w.Stream()
 }
 
 // loadWords runs tb.LoadWords over ws and returns the reader's verdict.
-func loadWords(tb *Table, ws []uint64) error {
+func loadWords(tb *Table, ws words.Stream) error {
 	r := words.NewReader(tb.name, ws)
 	tb.LoadWords(r)
 	return r.Fin()
@@ -262,7 +280,7 @@ func FuzzTableOps(f *testing.F) {
 						t.Fatalf("step %d: rejected LoadWords changed the table", step)
 					}
 				}
-				if err := loadWords(r, saveWords(tb)); err != nil {
+				if err := loadWords(r, save(tb)); err != nil {
 					t.Fatal(err)
 				}
 				tabs[k] = r

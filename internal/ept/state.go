@@ -9,17 +9,14 @@ import (
 
 // SaveWords writes the table content: the mapped pages in guest-frame
 // order, one (frame, host frame, permissions) row per page, the device
-// regions in installation order, and the invalidation epoch. The walk
-// counter is a performance tally, not architectural state, and is not
-// written.
+// regions in installation order, and the invalidation epoch. Each run's
+// rows are one ramp, since frame and host frame both step by one. The
+// walk counter is a performance tally, not architectural state, and is
+// not written.
 func (t *Table) SaveWords(w *words.Writer) {
 	w.Table(t.mapped, 3, func() {
 		for _, r := range t.runs {
-			for i := uint64(0); i < r.n; i++ {
-				w.Word(r.gfn + i)
-				w.Word(r.hostPage + i)
-				w.Word(uint64(r.perm))
-			}
+			w.Ramp(int(r.n), []uint64{r.gfn, r.hostPage, uint64(r.perm)}, []uint64{1, 1, 0})
 		}
 	})
 	w.Table(len(t.devs), 3, func() {

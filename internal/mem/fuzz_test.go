@@ -10,11 +10,31 @@ import (
 	"svtsim/internal/words"
 )
 
-// saveWords returns m's SaveWords output.
-func saveWords(m *Memory) []uint64 {
+// save returns m's SaveWords output as stored, ramps and all.
+func save(m *Memory) words.Stream {
 	var w words.Writer
 	m.SaveWords(&w)
-	return w.Words()
+	return w.Stream()
+}
+
+// saveWords returns m's SaveWords output as flat logical words.
+func saveWords(m *Memory) []uint64 {
+	s := save(m)
+	r := words.NewReader("mem", s)
+	ws := make([]uint64, s.Len())
+	for i := range ws {
+		ws[i] = r.Word()
+	}
+	return ws
+}
+
+// literal stores ws as literal words only.
+func literal(ws []uint64) words.Stream {
+	var w words.Writer
+	for _, x := range ws {
+		w.Word(x)
+	}
+	return w.Stream()
 }
 
 // naiveSave encodes the given pages of ref the way SaveWords would if
@@ -106,7 +126,7 @@ func FuzzMemory(f *testing.F) {
 				}
 			case 3: // SaveWords → LoadWords into a fresh memory
 				loaded := New(space)
-				r := words.NewReader("mem", saveWords(m))
+				r := words.NewReader("mem", save(m))
 				loaded.LoadWords(r)
 				if err := r.Fin(); err != nil {
 					t.Fatal(err)

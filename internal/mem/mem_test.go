@@ -226,7 +226,7 @@ func TestLoadWordsMalformedLeavesMemory(t *testing.T) {
 		{"count past the section", func(ws []uint64) []uint64 { ws[0]++; return ws }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := words.NewReader("mem", tc.edit(slices.Clone(good)))
+			r := words.NewReader("mem", literal(tc.edit(slices.Clone(good))))
 			m.LoadWords(r)
 			if r.Err() == nil {
 				t.Fatal("malformed section loaded without error")

@@ -10,8 +10,9 @@ import (
 const wordsPerPage = PageSize / 8
 
 // SaveWords writes every materialized page in index order: its index,
-// then its contents as little-endian words. An unbacked line writes as
-// zero words, so the encoding does not depend on line backing.
+// then its contents as little-endian words. An unbacked line writes as a
+// ramp of zero words, so the logical encoding does not depend on line
+// backing.
 func (m *Memory) SaveWords(w *words.Writer) {
 	w.Table(len(m.pages), 1+wordsPerPage, func() {
 		idxs := make([]uint64, 0, len(m.pages))
@@ -23,7 +24,8 @@ func (m *Memory) SaveWords(w *words.Writer) {
 			w.Word(i)
 			for _, ln := range m.pages[i] {
 				if ln == nil {
-					ln = &zeroLine
+					w.Ramp(lineSize/8, []uint64{0}, []uint64{0})
+					continue
 				}
 				for off := 0; off < lineSize; off += 8 {
 					w.Word(binary.LittleEndian.Uint64(ln[off:]))

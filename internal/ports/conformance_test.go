@@ -124,16 +124,26 @@ func testIRQSnapshot(t *testing.T, p ports.Port) {
 	}
 }
 
+// saveIRQ returns c's SaveWords output as flat logical words.
 func saveIRQ(c ports.IRQController) []uint64 {
 	var w words.Writer
 	c.SaveWords(&w)
-	return w.Words()
+	r := words.NewReader("irq", w.Stream())
+	ws := make([]uint64, w.Len())
+	for i := range ws {
+		ws[i] = r.Word()
+	}
+	return ws
 }
 
 // loadIRQ runs c.LoadWords over ws and returns the reader's verdict,
 // trailing words included.
 func loadIRQ(c ports.IRQController, ws []uint64) error {
-	r := words.NewReader("irq", ws)
+	var w words.Writer
+	for _, x := range ws {
+		w.Word(x)
+	}
+	r := words.NewReader("irq", w.Stream())
 	c.LoadWords(r)
 	return r.Fin()
 }

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"svtsim/internal/ept"
 	"svtsim/internal/guest"
 	"svtsim/internal/hv"
 	"svtsim/internal/isa"
@@ -17,9 +20,11 @@ import (
 	"svtsim/internal/mem"
 	"svtsim/internal/ports"
 	"svtsim/internal/qcheck"
+	"svtsim/internal/race"
 	"svtsim/internal/snapshot"
 	"svtsim/internal/virtio"
 	"svtsim/internal/vmcs"
+	"svtsim/internal/words"
 
 	_ "svtsim/internal/ports/armlike"
 )
@@ -64,6 +69,50 @@ func portDiskMachine(t testing.TB, p ports.Port, mode hv.Mode, pat byte, n int) 
 	return m, io
 }
 
+// flat returns a section's logical words.
+func flat(sec *snapshot.Section) []uint64 {
+	r := words.NewReader(sec.Name, sec.Words)
+	ws := make([]uint64, sec.Words.Len())
+	for i := range ws {
+		ws[i] = r.Word()
+	}
+	return ws
+}
+
+// literal stores ws as literal words only.
+func literal(ws []uint64) words.Stream {
+	var w words.Writer
+	for _, x := range ws {
+		w.Word(x)
+	}
+	return w.Stream()
+}
+
+// eptPermWord returns the index of the permission word in the middle row
+// of an EPT section, which sits inside a run of consecutive mappings.
+func eptPermWord(t testing.TB, ws []uint64) int {
+	if ws[0] < 3 {
+		t.Fatalf("test premise broken: EPT section maps %d pages", ws[0])
+	}
+	return 1 + 3*int(ws[0]/2) + 2
+}
+
+// zeroLineWord returns the index of a word inside a zero 256-byte line of
+// a mem section: a page row is its index word and then its 32-word lines.
+func zeroLineWord(t testing.TB, ws []uint64) int {
+	const lineWords, pageWords = 32, mem.PageSize / 8
+	for p := 0; p < int(ws[0]); p++ {
+		base := 1 + p*(1+pageWords) + 1
+		for l := 0; l < pageWords; l += lineWords {
+			if !slices.ContainsFunc(ws[base+l:base+l+lineWords], func(x uint64) bool { return x != 0 }) {
+				return base + l + lineWords/2
+			}
+		}
+	}
+	t.Fatal("test premise broken: no zero line in the mem section")
+	return 0
+}
+
 // TestCaptureGolden pins the snapshot format: the digest and encoded
 // size of a disk machine's capture on every port and mode. Any change
 // to a section's words, names or order shows up here. Rewrite with
@@ -93,6 +142,47 @@ func TestCaptureGolden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Fatalf("captures differ from %s:\ngot:\n%swant:\n%s", path, got, want)
+	}
+}
+
+// TestCaptureAllocBudget: capturing the disk machine allocates the
+// section table and each section's literal words and ramps, not a copy
+// of every logical word: EPT runs and zero memory lines are ramps.
+func TestCaptureAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const (
+		allocBudget = 135     // mallocs per capture; 90 measured on go1.24
+		byteBudget  = 100_000 // bytes per capture; 66,080 measured on go1.24, 868,038 before ramps
+	)
+	m, io := diskMachine(t, hv.ModeSWSVt, 0x5a, 3)
+	defer m.Shutdown()
+	snapshot.Capture(m, io)
+	const reps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		snapshot.Capture(m, io)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / reps
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / reps
+	t.Logf("%.1f mallocs, %.0f B per capture", allocs, bytes)
+	if allocs > allocBudget || bytes > byteBudget {
+		t.Errorf("%.1f mallocs and %.0f B per capture, budget %d and %d", allocs, bytes, allocBudget, byteBudget)
+	}
+}
+
+// BenchmarkCapture captures the disk machine of TestCaptureGolden in
+// sw-svt mode.
+func BenchmarkCapture(b *testing.B) {
+	m, io := diskMachine(b, hv.ModeSWSVt, 0x5a, 3)
+	defer m.Shutdown()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshot.Capture(m, io)
 	}
 }
 
@@ -178,7 +268,7 @@ func TestCloneIsCopyOnWrite(t *testing.T) {
 	if sec == nil {
 		t.Fatal("no vq/l2-blk section")
 	}
-	if err := c.MutateWord("vq/l2-blk", virtio.QWordAvailIdx, sec.Words[virtio.QWordAvailIdx]+1); err != nil {
+	if err := c.MutateWord("vq/l2-blk", virtio.QWordAvailIdx, flat(sec)[virtio.QWordAvailIdx]+1); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Digest() != base {
@@ -187,9 +277,44 @@ func TestCloneIsCopyOnWrite(t *testing.T) {
 	if c.Digest() == base {
 		t.Fatal("mutation did not change the clone's digest")
 	}
-	want := len(sec.Name) + 8 + 8*len(sec.Words)
+	want := len(sec.Name) + 8 + 8*sec.Words.Len()
 	if got := c.DiffBytes(snap); got != want {
 		t.Fatalf("diff bytes %d, want the mutated section's %d", got, want)
+	}
+
+	// Words inside ramps — a permission word mid-way through an EPT run,
+	// and words of a zero memory line — change in the mutated clone
+	// only: the original and a sibling clone, which share the ramps,
+	// keep every word.
+	sib := snap.Clone()
+	for _, name := range []string{"ept/01", "mem/host"} {
+		orig := flat(snap.Section(name))
+		idx := eptPermWord(t, orig)
+		if name == "mem/host" {
+			idx = zeroLineWord(t, orig)
+		}
+		mc := snap.Clone()
+		want := slices.Clone(orig)
+		for _, i := range []int{idx, idx + 3, idx - 1} {
+			want[i] ^= 0x5
+			if err := mc.MutateWord(name, i, want[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := flat(mc.Section(name)); !slices.Equal(got, want) {
+			t.Fatalf("%s: mutated clone does not hold exactly the three mutated words", name)
+		}
+		for who, other := range map[string]*snapshot.Snapshot{"original": snap, "sibling clone": sib} {
+			if got := flat(other.Section(name)); !slices.Equal(got, orig) {
+				t.Fatalf("%s: mutating a clone inside a ramp changed the %s", name, who)
+			}
+			if other.Digest() != base {
+				t.Fatalf("%s: mutating a clone inside a ramp changed the %s's digest", name, who)
+			}
+		}
+		if got, want := mc.DiffBytes(snap), len(name)+8+8*len(orig); got != want {
+			t.Fatalf("%s: diff bytes %d, want the mutated section's %d", name, got, want)
+		}
 	}
 
 	// A faithful restore of the corrupt-but-well-formed clone must
@@ -226,7 +351,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		}
 		// Word 1 is the ToSVt ring tail; bumping it without a matching
 		// command makes head/tail disagree with the command count.
-		if err := c.MutateWord("swsvt", 1, sec.Words[1]+1); err != nil {
+		if err := c.MutateWord("swsvt", 1, flat(sec)[1]+1); err != nil {
 			t.Fatal(err)
 		}
 		if err := snapshot.Restore(m, io, c); err == nil {
@@ -247,7 +372,8 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		c := snap.Clone()
 		sec := c.Section("core/gpr")
-		c.Section("core/gpr").Words = append([]uint64(nil), sec.Words[:len(sec.Words)-1]...)
+		ws := flat(sec)
+		sec.Words = literal(ws[:len(ws)-1])
 		if err := snapshot.Restore(m, io, c); err == nil {
 			t.Fatal("restore accepted a truncated section")
 		}
@@ -255,7 +381,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	t.Run("trailing-words", func(t *testing.T) {
 		c := snap.Clone()
 		sec := c.Section("core/gpr")
-		sec.Words = append(append([]uint64(nil), sec.Words...), 7)
+		sec.Words = literal(append(flat(sec), 7))
 		if err := snapshot.Restore(m, io, c); err == nil {
 			t.Fatal("restore accepted trailing words")
 		}
@@ -327,7 +453,7 @@ func TestRestoreRejectsMalformedWords(t *testing.T) {
 				t.Fatalf("no %s section", tc.section)
 			}
 			c := snap.Clone()
-			if err := c.MutateWord(tc.section, tc.idx(sec.Words), tc.val); err != nil {
+			if err := c.MutateWord(tc.section, tc.idx(flat(sec)), tc.val); err != nil {
 				t.Fatal(err)
 			}
 			err := snapshot.Restore(m, io, c)
@@ -395,12 +521,22 @@ func FuzzRestore(f *testing.F) {
 	f.Add(uint16(1), uint32(3), uint64(42))
 	f.Add(uint16(4), uint32(70), uint64(1))
 	f.Add(uint16(len(snap.Sections)-1), uint32(1), uint64(1))
+	// Words inside ramps: a permission word in an EPT run, and a word of
+	// a zero memory line.
+	for i, sec := range snap.Sections {
+		switch sec.Name {
+		case "ept/01":
+			f.Add(uint16(i), uint32(eptPermWord(f, flat(&sec))), uint64(ept.PermR))
+		case "mem/host":
+			f.Add(uint16(i), uint32(zeroLineWord(f, flat(&sec))), uint64(0x5a))
+		}
+	}
 	f.Fuzz(func(t *testing.T, si uint16, wi uint32, val uint64) {
 		sec := snap.Sections[int(si)%len(snap.Sections)]
-		if len(sec.Words) == 0 {
+		if sec.Words.Len() == 0 {
 			return
 		}
-		idx := int(wi) % len(sec.Words)
+		idx := int(wi) % sec.Words.Len()
 		c := snap.Clone()
 		if err := c.MutateWord(sec.Name, idx, val); err != nil {
 			t.Fatal(err)
@@ -412,7 +548,7 @@ func FuzzRestore(f *testing.F) {
 			return
 		}
 		want := c.Digest()
-		if strings.HasPrefix(sec.Name, "vcpu/") && idx == len(sec.Words)-1 {
+		if strings.HasPrefix(sec.Name, "vcpu/") && idx == sec.Words.Len()-1 {
 			want = snap.Digest()
 		}
 		if got := snapshot.Capture(m, io).Digest(); got != want {

@@ -1,6 +1,6 @@
 // Package snapshot captures and restores the full architectural state
 // of a nested machine as a canonical serializable form: an ordered list
-// of named sections, each a flat word stream. It extends
+// of named sections, each a word stream. It extends
 // machine.StateDigest — a summary of the transparency-relevant end
 // state — into something a live migration can actually move: machine
 // registers, every VMCS, the EPT hierarchy, LAPICs (pending sets and
@@ -18,13 +18,19 @@
 // codec (package words); this package only names the parts and fixes
 // their order.
 //
+// A section stores its words as literal words plus ramps (words.Stream),
+// so an EPT run or an unbacked memory line is one ramp rather than a
+// copy of every word. The format is the logical word sequence: Digest,
+// Bytes, DiffBytes, MutateWord and Restore all see only logical words,
+// whatever the storage.
+//
 // Size reports an image's encoded size without building it, which is
 // all a migration needs to price its transfer. Clones are copy-on-write:
-// Clone shares the underlying word slabs, so forking an image costs a
-// section table, not a memory image. Restore only ever reads from a
-// snapshot, and MutateWord (the corruption/testing hook) copies a
-// section's slab before writing, so clones never observe each other's
-// mutations.
+// Clone shares every section's stored words and ramps, so forking an
+// image costs a section table, not a memory image. Restore only ever
+// reads from a snapshot, and MutateWord (the corruption/testing hook)
+// writes a fresh copy of the section it changes, so clones never
+// observe each other's mutations.
 package snapshot
 
 import (
@@ -36,7 +42,7 @@ import (
 // Section is one named word stream of the canonical form.
 type Section struct {
 	Name  string
-	Words []uint64
+	Words words.Stream
 }
 
 // Snapshot is a machine state in canonical serializable form.
@@ -61,10 +67,8 @@ func (s *Snapshot) Digest() uint64 {
 	h := words.FNVOffset
 	for _, sec := range s.Sections {
 		h = words.FNVBytes(h, sec.Name)
-		h = words.FNVWord(h, uint64(len(sec.Words)))
-		for _, w := range sec.Words {
-			h = words.FNVWord(h, w)
-		}
+		h = words.FNVWord(h, uint64(sec.Words.Len()))
+		h = sec.Words.Fold(h)
 	}
 	return h
 }
@@ -75,7 +79,7 @@ func (s *Snapshot) Digest() uint64 {
 func (s *Snapshot) Bytes() int {
 	n := 0
 	for _, sec := range s.Sections {
-		n += sectionBytes(sec.Name, len(sec.Words))
+		n += sectionBytes(sec.Name, sec.Words.Len())
 	}
 	return n
 }
@@ -85,8 +89,8 @@ func (s *Snapshot) Bytes() int {
 func sectionBytes(name string, words int) int { return len(name) + 8 + 8*words }
 
 // Clone returns a copy-on-write clone: the section table is copied, the
-// word slabs are shared. Restore never writes to a snapshot, and
-// MutateWord copies before writing, so shared slabs are safe.
+// sections' stored words and ramps are shared. Restore never writes to a
+// snapshot, and MutateWord copies before writing, so sharing is safe.
 func (s *Snapshot) Clone() *Snapshot {
 	return &Snapshot{Sections: append([]Section(nil), s.Sections...)}
 }
@@ -98,44 +102,28 @@ func (s *Snapshot) DiffBytes(base *Snapshot) int {
 	n := 0
 	for _, sec := range s.Sections {
 		b := base.Section(sec.Name)
-		if b != nil && wordsEqual(sec.Words, b.Words) {
+		if b != nil && sec.Words.Equal(b.Words) {
 			continue
 		}
-		n += sectionBytes(sec.Name, len(sec.Words))
+		n += sectionBytes(sec.Name, sec.Words.Len())
 	}
 	return n
 }
 
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	// Shared COW slabs compare by identity first.
-	if len(a) > 0 && &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// MutateWord overwrites one word of a named section, copying the slab
-// first so clones sharing it are unaffected. It is the deliberate-
-// corruption hook the broken-restore tests use (e.g. dropping a
-// virtqueue index) — a faithful restore of the mutated snapshot then
-// diverges downstream and the differential oracle must catch it.
+// MutateWord overwrites logical word idx of a named section. It copies
+// the section's words first, ramps expanded, so clones sharing the
+// section are unaffected. It is the deliberate-corruption hook the
+// broken-restore tests use (e.g. dropping a virtqueue index) — a
+// faithful restore of the mutated snapshot then diverges downstream and
+// the differential oracle must catch it.
 func (s *Snapshot) MutateWord(name string, idx int, val uint64) error {
 	sec := s.Section(name)
 	if sec == nil {
 		return fmt.Errorf("snapshot: no section %q", name)
 	}
-	if idx < 0 || idx >= len(sec.Words) {
-		return fmt.Errorf("snapshot: section %q has %d words, index %d out of range", name, len(sec.Words), idx)
+	if idx < 0 || idx >= sec.Words.Len() {
+		return fmt.Errorf("snapshot: section %q has %d words, index %d out of range", name, sec.Words.Len(), idx)
 	}
-	sec.Words = append([]uint64(nil), sec.Words...)
-	sec.Words[idx] = val
+	sec.Words = sec.Words.Set(idx, val)
 	return nil
 }

@@ -8,37 +8,136 @@
 // rejects any value the component could not hold (Fail), and applies
 // the state only when the reader has no error — so a malformed section
 // leaves its component untouched.
+//
+// A section is a sequence of logical words, and that sequence is its
+// format: digests, sizes and every reader see only logical words. A
+// Stream stores them as literal words plus ramps. A ramp is n rows of k
+// words whose column c in row i is first[c] + i·step[c], so a run of
+// consecutive EPT mappings or a line of zeros costs one ramp instead of
+// a copy of every word.
 package words
 
 import "fmt"
 
+// maxRampWidth bounds a ramp's row width k, so a ramp is a fixed-size
+// value. The widest row a codec writes is an EPT mapping's three words.
+const maxRampWidth = 3
+
+// ramp is n rows of k words standing before literal word at.
+type ramp struct {
+	at, rows, k int
+	first, step [maxRampWidth]uint64
+}
+
+// word returns word col of row i.
+func (r *ramp) word(i, col int) uint64 { return r.first[col] + uint64(i)*r.step[col] }
+
+// Stream is one section's words as stored: literal words, and ramps
+// between them. Every ramp has at least one row, and ramps are ordered
+// by position. A Stream is never written in place once built, so copies
+// share its slices safely.
+type Stream struct {
+	lit   []uint64
+	ramps []ramp
+	n     int // logical words
+}
+
+// Len reports the number of logical words.
+func (s Stream) Len() int { return s.n }
+
+// Fold folds every logical word into h with FNVWord.
+func (s Stream) Fold(h uint64) uint64 {
+	l := 0
+	for i := range s.ramps {
+		r := &s.ramps[i]
+		for _, x := range s.lit[l:r.at] {
+			h = FNVWord(h, x)
+		}
+		l = r.at
+		for row := 0; row < r.rows; row++ {
+			for c := 0; c < r.k; c++ {
+				h = FNVWord(h, r.word(row, c))
+			}
+		}
+	}
+	for _, x := range s.lit[l:] {
+		h = FNVWord(h, x)
+	}
+	return h
+}
+
+// Equal reports whether s and t hold the same logical words, however
+// each stores them.
+func (s Stream) Equal(t Stream) bool {
+	if s.n != t.n {
+		return false
+	}
+	// Streams shared by a copy-on-write clone compare by identity.
+	if len(s.lit) == len(t.lit) && len(s.ramps) == len(t.ramps) &&
+		(len(s.lit) == 0 || &s.lit[0] == &t.lit[0]) &&
+		(len(s.ramps) == 0 || &s.ramps[0] == &t.ramps[0]) {
+		return true
+	}
+	a, b := NewReader("", s), NewReader("", t)
+	for i := 0; i < s.n; i++ {
+		if a.Word() != b.Word() {
+			return false
+		}
+	}
+	return true
+}
+
+// Set returns a copy of s whose logical word i is x; s is unchanged.
+// The copy holds every logical word as a literal word, its ramps
+// expanded. i must be in [0, Len).
+func (s Stream) Set(i int, x uint64) Stream {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("words: Set(%d) on a stream of %d words", i, s.n))
+	}
+	lit := make([]uint64, s.n)
+	r := NewReader("", s)
+	for j := range lit {
+		lit[j] = r.Word()
+	}
+	lit[i] = x
+	return Stream{lit: lit, n: s.n}
+}
+
 // Writer builds one section's word stream. A sizing writer only counts
 // the words it is given, so sizing and capturing walk the same save
 // code; bulk tables write through Table, which a sizing writer counts in
-// O(1).
+// O(1). The zero Writer is ready to write.
 type Writer struct {
-	words  []uint64
-	n      int  // words written
-	sizing bool // count only; words stays empty
+	s      Stream
+	sizing bool // count only; the stream stays empty
 }
-
-// NewWriter returns a writer whose slab has room for n words.
-func NewWriter(n int) *Writer { return &Writer{words: make([]uint64, 0, n)} }
 
 // NewSizer returns a writer that only counts words.
 func NewSizer() *Writer { return &Writer{sizing: true} }
 
-// Len reports the number of words written (or counted).
-func (w *Writer) Len() int { return w.n }
+// Len reports the number of logical words written (or counted).
+func (w *Writer) Len() int { return w.s.n }
 
-// Words returns the written words (empty on a sizing writer).
-func (w *Writer) Words() []uint64 { return w.words }
+// Reset empties the writer, keeping its buffers for the next section.
+func (w *Writer) Reset() {
+	w.s = Stream{lit: w.s.lit[:0], ramps: w.s.ramps[:0]}
+}
+
+// Stream returns an exactly sized copy of what was written, which later
+// writes do not change.
+func (w *Writer) Stream() Stream {
+	return Stream{
+		lit:   append([]uint64(nil), w.s.lit...),
+		ramps: append([]ramp(nil), w.s.ramps...),
+		n:     w.s.n,
+	}
+}
 
 // Word writes one word.
 func (w *Writer) Word(x uint64) {
-	w.n++
+	w.s.n++
 	if !w.sizing {
-		w.words = append(w.words, x)
+		w.s.lit = append(w.s.lit, x)
 	}
 }
 
@@ -56,36 +155,89 @@ func (w *Writer) Bool(b bool) {
 func (w *Writer) Table(n, per int, rows func()) {
 	w.Word(uint64(n))
 	if w.sizing {
-		w.n += n * per
+		w.s.n += n * per
 		return
 	}
 	rows()
 }
 
-// Reader consumes one named section's word stream, recording the first
-// error. Reads after an error return zero.
+// Ramp writes n rows of len(first) words; column c of row i is
+// first[c] + i·step[c]. A run of zeros is a ramp whose steps are all 0.
+// A ramp that continues the one written just before it extends that
+// ramp instead of starting another.
+func (w *Writer) Ramp(n int, first, step []uint64) {
+	k := len(first)
+	if n < 0 || k == 0 || k > maxRampWidth || len(step) != k {
+		panic(fmt.Sprintf("words: ramp of %d rows, %d first and %d step words", n, k, len(step)))
+	}
+	w.s.n += n * k
+	if w.sizing || n == 0 {
+		return
+	}
+	if j := len(w.s.ramps) - 1; j >= 0 && w.s.ramps[j].continuedBy(len(w.s.lit), first, step) {
+		w.s.ramps[j].rows += n
+		return
+	}
+	r := ramp{at: len(w.s.lit), rows: n, k: k}
+	copy(r.first[:], first)
+	copy(r.step[:], step)
+	w.s.ramps = append(w.s.ramps, r)
+}
+
+// continuedBy reports whether a ramp with first and step, written before
+// literal word at, is the rows that follow r.
+func (r *ramp) continuedBy(at int, first, step []uint64) bool {
+	if r.at != at || r.k != len(first) {
+		return false
+	}
+	for c := range first {
+		if step[c] != r.step[c] || first[c] != r.word(r.rows, c) {
+			return false
+		}
+	}
+	return true
+}
+
+// Reader consumes one named section's logical words, recording the
+// first error. Reads after an error return zero.
 type Reader struct {
-	name string
-	sec  []uint64
-	pos  int
-	err  error
+	name     string
+	s        Stream
+	pos      int // logical words read
+	lit      int // literal words read
+	ramp     int // the next ramp
+	row, col int // the next word of that ramp
+	err      error
 }
 
 // NewReader returns a reader over section name's words.
-func NewReader(name string, ws []uint64) *Reader { return &Reader{name: name, sec: ws} }
+func NewReader(name string, s Stream) *Reader { return &Reader{name: name, s: s} }
 
 // Word reads one word.
 func (r *Reader) Word() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if r.pos >= len(r.sec) {
+	if r.pos >= r.s.n {
 		r.err = fmt.Errorf("snapshot: section %q truncated at word %d", r.name, r.pos)
 		return 0
 	}
-	w := r.sec[r.pos]
 	r.pos++
-	return w
+	if r.ramp < len(r.s.ramps) && r.s.ramps[r.ramp].at == r.lit {
+		rp := &r.s.ramps[r.ramp]
+		x := rp.word(r.row, r.col)
+		if r.col++; r.col == rp.k {
+			r.col = 0
+			if r.row++; r.row == rp.rows {
+				r.row = 0
+				r.ramp++
+			}
+		}
+		return x
+	}
+	x := r.s.lit[r.lit]
+	r.lit++
+	return x
 }
 
 // Bool reads a word written by Writer.Bool; any value but 0 or 1 fails.
@@ -120,7 +272,7 @@ func (r *Reader) Count(per int) int {
 	if per < 1 {
 		per = 1
 	}
-	if left := len(r.sec) - r.pos; n > uint64(left/per) {
+	if left := r.s.n - r.pos; n > uint64(left/per) {
 		r.err = fmt.Errorf("snapshot: section %q claims %d elements with %d words left", r.name, n, left)
 		return 0
 	}
@@ -144,8 +296,8 @@ func (r *Reader) Fin() error {
 	if r.err != nil {
 		return r.err
 	}
-	if r.pos != len(r.sec) {
-		return fmt.Errorf("snapshot: section %q has %d trailing words", r.name, len(r.sec)-r.pos)
+	if r.pos != r.s.n {
+		return fmt.Errorf("snapshot: section %q has %d trailing words", r.name, r.s.n-r.pos)
 	}
 	return nil
 }
