@@ -57,7 +57,7 @@ func main() {
 			{Site: svtsim.FaultSiteSVtWakeup, Every: 1, After: 50, Limit: 20, Drop: true},
 		},
 	}
-	r := sess.FaultSweep(svtsim.SWSVt, spec, 400, nil)
+	r := sess.FaultSweep(svtsim.SWSVt, spec, 400)
 	fmt.Printf("per-op %v: %d watchdog fires, breaker tripped %d×, recovered %d×,\n",
 		r.PerOp, r.WatchdogFires, r.BreakerTrips, r.BreakerRecoveries)
 	fmt.Printf("%d reflections fell back to trap/resume while open, %d after retry exhaustion\n",

@@ -11,6 +11,7 @@ import (
 	"svtsim/internal/ept"
 	"svtsim/internal/isa"
 	"svtsim/internal/mem"
+	"svtsim/internal/ports"
 	"svtsim/internal/race"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
@@ -241,21 +242,21 @@ func TestCtxtAccessWithoutSVtTraps(t *testing.T) {
 func TestExternalInterruptExit(t *testing.T) {
 	c := testCore(1)
 	eng := c.Eng
-	l := apic.New(0, eng)
+	l := ports.NewIRQ[apic.IRR](eng)
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
-	eng.At(5000, func() { l.Deliver(apic.VecVirtioNet) })
+	eng.At(5000, func() { l.Deliver(ports.VecVirtioNet) })
 	g := &loopGuest{acts: []Action{{Kind: ActCompute, Dur: 50_000}}}
 	rs := &RunState{}
 	e := c.RunGuest(0, v, g, rs)
-	if e.Reason != isa.ExitExternalInterrupt || e.Vector != apic.VecVirtioNet {
+	if e.Reason != isa.ExitExternalInterrupt || e.Vector != ports.VecVirtioNet {
 		t.Fatalf("exit = %v", e)
 	}
 	if rs.ComputeLeft == 0 {
 		t.Fatal("interrupted compute must retain its remainder")
 	}
 	// Resume: ack and run to completion.
-	l.Ack(apic.VecVirtioNet)
+	l.Ack(ports.VecVirtioNet)
 	e = c.RunGuest(0, v, g, rs)
 	if e.Reason != isa.ExitVMCall || e.Qualification != QualGuestDone {
 		t.Fatalf("final exit = %v", e)
@@ -267,11 +268,11 @@ func TestExternalInterruptExit(t *testing.T) {
 
 func TestInterruptExitMasksWhenPinControlOff(t *testing.T) {
 	c := testCore(1)
-	l := apic.New(0, c.Eng)
+	l := ports.NewIRQ[apic.IRR](c.Eng)
 	c.SetLAPIC(0, l)
 	v := vmcs.New("vmcs01") // no ext-int exiting
 	v.Write(vmcs.ProcControls, vmcs.ProcCtlHLTExit)
-	l.Deliver(apic.VecVirtioNet)
+	l.Deliver(ports.VecVirtioNet)
 	g := &loopGuest{acts: []Action{{Kind: ActCompute, Dur: 100}}}
 	e := c.RunGuest(0, v, g, &RunState{})
 	if e.Reason != isa.ExitVMCall {
@@ -282,10 +283,10 @@ func TestInterruptExitMasksWhenPinControlOff(t *testing.T) {
 func TestInjectionDelivery(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
-	v.Write(vmcs.EntryIntrInfo, InjectValid|uint64(apic.VecTimer))
+	v.Write(vmcs.EntryIntrInfo, InjectValid|uint64(ports.VecTimer))
 	g := &loopGuest{acts: nil}
 	c.RunGuest(0, v, g, &RunState{})
-	if len(g.irqs) != 1 || g.irqs[0] != apic.VecTimer {
+	if len(g.irqs) != 1 || g.irqs[0] != ports.VecTimer {
 		t.Fatalf("injected irqs = %v", g.irqs)
 	}
 	if v.Read(vmcs.EntryIntrInfo) != 0 {
@@ -456,7 +457,7 @@ func TestNativeGuestVirtualIRQ(t *testing.T) {
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 1})
 	})
 	var handled []int
-	g.Port().VirtLAPIC = apic.New(0, c.Eng)
+	g.Port().VirtLAPIC = ports.NewIRQ[apic.IRR](c.Eng)
 	g.Port().IRQHandler = func(vec int) { handled = append(handled, vec) }
 
 	e := c.RunGuest(0, v, g, nil)
@@ -464,12 +465,12 @@ func TestNativeGuestVirtualIRQ(t *testing.T) {
 		t.Fatalf("exit = %v", e)
 	}
 	// Inject a vector like a hypervisor would.
-	v.Write(vmcs.EntryIntrInfo, InjectValid|uint64(apic.VecVirtioBlk))
+	v.Write(vmcs.EntryIntrInfo, InjectValid|uint64(ports.VecVirtioBlk))
 	e = c.RunGuest(0, v, g, nil)
 	if e.Reason != isa.ExitVMCall {
 		t.Fatalf("exit = %v", e)
 	}
-	if len(handled) != 1 || handled[0] != apic.VecVirtioBlk {
+	if len(handled) != 1 || handled[0] != ports.VecVirtioBlk {
 		t.Fatalf("handled = %v", handled)
 	}
 }
@@ -497,19 +498,19 @@ func TestNativeGuestKill(t *testing.T) {
 
 func TestNativeGuestPhysicalIRQExit(t *testing.T) {
 	c := testCore(1)
-	l := apic.New(0, c.Eng)
+	l := ports.NewIRQ[apic.IRR](c.Eng)
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
 	g := NewNativeGuest("l1", c, 0, func(p *Port) {
 		p.Exec(isa.Instr{Op: isa.OpNop})
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 2})
 	})
-	l.Deliver(apic.VecTimer)
+	l.Deliver(ports.VecTimer)
 	e := c.RunGuest(0, v, g, nil)
-	if e.Reason != isa.ExitExternalInterrupt || e.Vector != apic.VecTimer {
+	if e.Reason != isa.ExitExternalInterrupt || e.Vector != ports.VecTimer {
 		t.Fatalf("exit = %v", e)
 	}
-	l.Ack(apic.VecTimer)
+	l.Ack(ports.VecTimer)
 	e = c.RunGuest(0, v, g, nil)
 	if e.Reason != isa.ExitVMCall {
 		t.Fatalf("exit = %v", e)

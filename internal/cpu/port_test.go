@@ -5,15 +5,16 @@ import (
 
 	"svtsim/internal/apic"
 	"svtsim/internal/isa"
+	"svtsim/internal/ports"
 	"svtsim/internal/sim"
 )
 
 func TestPortComputeInterruptible(t *testing.T) {
 	c := testCore(1)
-	l := apic.New(0, c.Eng)
+	l := ports.NewIRQ[apic.IRR](c.Eng)
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
-	c.Eng.At(5_000, func() { l.Deliver(apic.VecTimer) })
+	c.Eng.At(5_000, func() { l.Deliver(ports.VecTimer) })
 
 	var resumedAt sim.Time
 	g := NewNativeGuest("g", c, 0, func(p *Port) {
@@ -29,7 +30,7 @@ func TestPortComputeInterruptible(t *testing.T) {
 	if c.Eng.Now() < 5_000 || c.Eng.Now() > 6_000 {
 		t.Fatalf("interrupted at %v, want ≈5us", c.Eng.Now())
 	}
-	l.Ack(apic.VecTimer)
+	l.Ack(ports.VecTimer)
 	// Resume: the remaining compute must finish in full.
 	e = c.RunGuest(0, v, g, nil)
 	if e.Reason != isa.ExitVMCall {
@@ -49,7 +50,7 @@ func TestPortComputeRunsVirtualHandlers(t *testing.T) {
 		p.Compute(10_000)
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 1})
 	})
-	g.Port().VirtLAPIC = apic.New(1, c.Eng)
+	g.Port().VirtLAPIC = ports.NewIRQ[apic.IRR](c.Eng)
 	g.Port().IRQHandler = func(vec int) { handled = append(handled, vec) }
 	c.Eng.At(3_000, func() { g.Port().VirtLAPIC.Deliver(7) })
 	e := c.RunGuest(0, v, g, nil)
@@ -70,7 +71,7 @@ func TestExecHLTSkipsWhenPending(t *testing.T) {
 		p.ExecHLT()            // must NOT sleep or exit
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 2})
 	})
-	g.Port().VirtLAPIC = apic.New(1, c.Eng)
+	g.Port().VirtLAPIC = ports.NewIRQ[apic.IRR](c.Eng)
 	e := c.RunGuest(0, v, g, nil)
 	if e.Reason != isa.ExitVMCall || e.Qualification != 2 {
 		t.Fatalf("exit = %v — the HLT must have completed immediately", e)

@@ -62,17 +62,13 @@ func (r FaultSweepResult) StatsLine() string {
 }
 
 // FaultSweep runs the nested cpuid micro-benchmark with the given fault
-// spec armed and reports the recovery counters. mutate, when non-nil,
-// runs after machine assembly so callers can tighten the watchdog or
-// breaker before the run. The explicit spec overrides the session's
-// armed spec for this run; the session's obs arming still applies.
-func (s *Session) FaultSweep(mode hv.Mode, spec *fault.Spec, n int, mutate func(*machine.Machine)) FaultSweepResult {
+// spec armed and reports the recovery counters. The explicit spec
+// overrides the session's armed spec for this run; the session's obs
+// arming still applies.
+func (s *Session) FaultSweep(mode hv.Mode, spec *fault.Spec, n int) FaultSweepResult {
 	cfg := s.config(mode)
 	cfg.Faults = spec
 	m := machine.NewNested(cfg)
-	if mutate != nil {
-		mutate(m)
-	}
 	m.SetL2Workload(&cpuidLoop{n: n})
 	s.run(m)
 	m.Shutdown()
@@ -176,6 +172,6 @@ func (s *Session) FaultSweepGridContext(ctx context.Context, cells []FaultCell, 
 			if c.Storms > 0 {
 				return s.FaultStormSweep(c.Mode, c.Spec, c.N, c.Storms, c.StormSeed)
 			}
-			return s.FaultSweep(c.Mode, c.Spec, c.N, nil)
+			return s.FaultSweep(c.Mode, c.Spec, c.N)
 		})
 }

@@ -21,7 +21,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 			{Site: fault.SiteIPI, Rate: 0.05, Drop: true},
 		},
 	}
-	r := s.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := s.FaultSweep(hv.ModeSWSVt, spec, 400)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("fault sweep did not complete")
@@ -40,7 +40,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 	}
 	// The healthy run of the same workload finishes in ~3.5ms; the faulty
 	// run must cost more (watchdog waits) but still terminate promptly.
-	healthy := s.FaultSweep(hv.ModeSWSVt, nil, 400, nil)
+	healthy := s.FaultSweep(hv.ModeSWSVt, nil, 400)
 	if r.Total <= healthy.Total {
 		t.Fatalf("faulty run (%v) not slower than healthy run (%v)", r.Total, healthy.Total)
 	}
@@ -62,7 +62,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 			{Site: fault.SiteSVtWakeup, Every: 1, After: 50, Limit: 20, Drop: true},
 		},
 	}
-	r := s.FaultSweep(hv.ModeSWSVt, spec, 400, nil)
+	r := s.FaultSweep(hv.ModeSWSVt, spec, 400)
 	t.Logf("%s", r.StatsLine())
 	if !r.Completed {
 		t.Fatal("run did not complete")
@@ -104,8 +104,8 @@ func TestFaultSweepDeterminism(t *testing.T) {
 			},
 		}
 	}
-	a := s.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
-	b := s.FaultSweep(hv.ModeSWSVt, mk(), 300, nil)
+	a := s.FaultSweep(hv.ModeSWSVt, mk(), 300)
+	b := s.FaultSweep(hv.ModeSWSVt, mk(), 300)
 	if a.StatsLine() != b.StatsLine() {
 		t.Fatalf("same fault seed diverged:\n  %s\n  %s", a.StatsLine(), b.StatsLine())
 	}
@@ -113,7 +113,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	// or the determinism check above proves nothing.
 	c := mk()
 	c.Seed = 100
-	d := s.FaultSweep(hv.ModeSWSVt, c, 300, nil)
+	d := s.FaultSweep(hv.ModeSWSVt, c, 300)
 	if d.StatsLine() == a.StatsLine() {
 		t.Fatal("changing the fault seed changed nothing; injection looks seed-independent")
 	}
@@ -124,7 +124,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 func TestFaultSweepDisabledMatchesBaseline(t *testing.T) {
 	s := NewSession()
 	for _, mode := range []hv.Mode{hv.ModeSWSVt, hv.ModeBaseline} {
-		r := s.FaultSweep(mode, nil, 200, nil)
+		r := s.FaultSweep(mode, nil, 200)
 		plain := s.CPUIDNested(mode, 200)
 		if r.PerOp != plain.PerOp {
 			t.Fatalf("%v: fault harness perturbed a healthy run: %v != %v", mode, r.PerOp, plain.PerOp)

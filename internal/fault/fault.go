@@ -35,7 +35,7 @@ const (
 	SiteRingPush = "swsvt/ring-push"
 	// SiteRingPop guards command-ring pops (a spurious empty pop).
 	SiteRingPop = "swsvt/ring-pop"
-	// SiteIRQ guards host IRQ delivery in internal/apic.
+	// SiteIRQ guards interrupt delivery in the ports' controller.
 	SiteIRQ = "apic/irq"
 	// SiteIPI guards IPI delivery (the SVT_BLOCKED kick path).
 	SiteIPI = "apic/ipi"

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"svtsim/internal/apic"
 	"svtsim/internal/obs"
+	"svtsim/internal/ports"
 	"svtsim/internal/sim"
 )
 
@@ -39,7 +39,7 @@ func TestIPILatencyByDistance(t *testing.T) {
 			arrived = h.Eng.Now()
 			h.LAPIC(c.to).Ack(vec)
 		})
-		h.SendIPI(0, c.to, apic.VecIPI)
+		h.SendIPI(0, c.to, ports.VecIPI)
 		h.Eng.Drain(100)
 		if got := arrived - start; got != c.want {
 			t.Errorf("IPI 0->%d latency = %d, want %d", c.to, got, c.want)
@@ -64,9 +64,9 @@ func TestIPILatencyByDistance(t *testing.T) {
 // attributed to the target's core.
 func TestIPIOriginAttribution(t *testing.T) {
 	h := mustHost(t, Topology{1, 4, 2})
-	h.SendIPI(0, 6, apic.VecIPI) // ctx 6 = core 3
-	h.SendIPI(0, 2, apic.VecIPI) // ctx 2 = core 1
-	h.SendIPI(0, 3, apic.VecIPI) // ctx 3 = core 1
+	h.SendIPI(0, 6, ports.VecIPI) // ctx 6 = core 3
+	h.SendIPI(0, 2, ports.VecIPI) // ctx 2 = core 1
+	h.SendIPI(0, 3, ports.VecIPI) // ctx 3 = core 1
 	h.Eng.Drain(100)
 	ev := h.EventsByCore()
 	if ev[3] != 1 || ev[1] != 2 || ev[0] != 0 || ev[2] != 0 {
@@ -254,7 +254,7 @@ func TestHostObsTracks(t *testing.T) {
 			t.Errorf("trace lacks track name %s", want)
 		}
 	}
-	h.SendIPI(0, 2, apic.VecIPI)
+	h.SendIPI(0, 2, ports.VecIPI)
 	h.Eng.Drain(10)
 	if p.Tracer.Total() == 0 {
 		t.Error("no trace events after an IPI send+delivery")

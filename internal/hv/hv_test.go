@@ -9,6 +9,7 @@ import (
 	"svtsim/internal/isa"
 	"svtsim/internal/mem"
 	"svtsim/internal/obs"
+	"svtsim/internal/ports"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
 )
@@ -17,7 +18,7 @@ func testStack() (*Hypervisor, *cpu.Core, *sim.Engine) {
 	eng := sim.New()
 	m := cost.Baseline()
 	c := cpu.New(eng, &m, 1, mem.New(1<<30))
-	c.SetLAPIC(0, apic.New(0, eng))
+	c.SetLAPIC(0, ports.NewIRQ[apic.IRR](eng))
 	h := New("L0", NewRealPlatform(c), &m, 0, ModeBaseline)
 	return h, c, eng
 }
@@ -106,10 +107,10 @@ func TestTimerVirtualization(t *testing.T) {
 	}}
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
 	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline, true)
-	vc.VirtLAPIC = apic.New(1, eng)
+	vc.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
 	h.RunLoop(vc)
 	fired = g.irqs
-	if len(fired) != 1 || fired[0] != apic.VecTimer {
+	if len(fired) != 1 || fired[0] != ports.VecTimer {
 		t.Fatalf("guest timer irqs = %v", fired)
 	}
 	if eng.Now() < 20_000 {
@@ -127,7 +128,7 @@ func TestHLTWakesOnInterrupt(t *testing.T) {
 	}}
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
 	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline, true)
-	vc.VirtLAPIC = apic.New(1, eng)
+	vc.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
 	h.RunLoop(vc)
 	if h.DeadlockDetected {
 		t.Fatal("halt must wake on the timer")
@@ -176,7 +177,7 @@ func TestKernelIRQDispatch(t *testing.T) {
 	dev := &fakeDev{name: "d"}
 	h.VectorToDevice[0x40] = dev
 	target := NewVCPU("t", 0, guestVMCS(), nil, 1)
-	target.VirtLAPIC = apic.New(2, eng)
+	target.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
 	h.VectorRoute[0x41] = target
 
 	h.HandleKernelIRQ(0x40)
@@ -205,7 +206,7 @@ func TestProfileShare(t *testing.T) {
 func TestMaybeInjectOnlyOnce(t *testing.T) {
 	h, _, eng := testStack()
 	vc := NewVCPU("g", 0, guestVMCS(), nil, 1)
-	vc.VirtLAPIC = apic.New(1, eng)
+	vc.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
 	vc.VirtLAPIC.Deliver(0x31)
 	vc.VirtLAPIC.Deliver(0x32)
 	h.PrepareResume(vc)

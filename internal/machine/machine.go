@@ -376,13 +376,7 @@ func (m *Machine) buildSWSVt() {
 		Policy:          m.Cfg.WaitPolicy,
 		Placement:       m.Cfg.Placement,
 		BlockedProtocol: m.Cfg.BlockedProtocol,
-
-		// Recovery machinery. With no fault injector registered these
-		// never act, so healthy runs charge exactly what they used to.
-		Eng:              m.Eng,
-		WD:               fault.DefaultWatchdog(),
-		BreakerThreshold: 3,
-		BreakerCooldown:  200 * sim.Microsecond,
+		Eng:             m.Eng,
 	}
 	m.Eng.AddProbe("swsvt-channel", m.Chan.ProbeState)
 	m.SVtThread.Ch = m.Chan

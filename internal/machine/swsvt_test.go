@@ -3,10 +3,10 @@ package machine
 import (
 	"testing"
 
-	"svtsim/internal/apic"
 	"svtsim/internal/cpu"
 	"svtsim/internal/hv"
 	"svtsim/internal/isa"
+	"svtsim/internal/ports"
 	"svtsim/internal/sim"
 	"svtsim/internal/swsvt"
 )
@@ -38,7 +38,7 @@ func runBlockedScenario(t *testing.T, protocol bool) (handled bool, blockedEvent
 	// The L1 main vCPU's kernel IRQ handler: in the real scenario the
 	// sender spins until this runs (a TLB-shootdown acknowledgement).
 	cfg.L1IRQHook = func(vec int) {
-		if vec == apic.VecIPI {
+		if vec == ports.VecIPI {
 			ipiHandled = true
 		}
 	}
@@ -47,7 +47,7 @@ func runBlockedScenario(t *testing.T, protocol bool) (handled bool, blockedEvent
 	// to the L1 main vCPU, which is blocked inside its VMRESUME while the
 	// SVt-thread serves L2 traps.
 	m.Eng.At(50*sim.Microsecond, func() {
-		m.L0.InjectIRQ(m.VcpuL1, apic.VecIPI)
+		m.L0.InjectIRQ(m.VcpuL1, ports.VecIPI)
 	})
 	m.SetL2Workload(&ipiCpuidLoop{n: 100})
 	m.Run()

@@ -113,8 +113,8 @@ func (port) ExitName(r isa.ExitReason) string {
 // a trapped HLT, a stage-2 abort like an EPT violation.
 func (port) Classify(r isa.ExitReason) ports.Class { return ports.DefaultClassify(r) }
 
-func (port) NewIRQ(id int, eng *sim.Engine) ports.IRQController {
-	return NewVGIC(id, eng)
+func (port) NewIRQ(_ int, eng *sim.Engine) ports.IRQController {
+	return ports.NewIRQ[ListRegs](eng)
 }
 
 func (port) IRQSectionPrefix() string { return "vgic" }

@@ -1,19 +1,19 @@
 // Package ports defines the architecture-port boundary of the
 // simulator: everything ISA-specific — the exit-reason naming and
-// taxonomy, the world-switch/trap cost model, the interrupt-controller
-// implementation, and the snapshot section naming for
+// taxonomy, the world-switch/trap cost model, the interrupt
+// controller's pending-vector set, and the snapshot section naming for
 // interrupt-controller state — sits behind the Port interface, the way
 // hosted hypervisors abstract KVM/HVF/WHP backends or multiplex GIC
 // v2/v3 against the APIC.
 //
 // The rest of the engine (hv, cpu, machine, host, exp, snapshot) is
-// port-generic: it speaks isa.ExitReason values, ports.IRQController,
-// and the canonical vector numbers below, and never names a concrete
-// interrupt-controller type. internal/ports/x86 wraps the original
+// port-generic: it speaks isa.ExitReason values, the one interrupt
+// controller (IRQ) and the canonical vector numbers below, and never
+// names a port's pending set. internal/ports/x86 wraps the original
 // LAPIC/VT-x stack (byte-identical to the pre-ports behavior);
-// internal/ports/armlike models trap-to-EL2 costs and a vGIC-style
-// list-register controller, answering the ROADMAP question of whether
-// SVt's win survives on ISAs with cheaper world switches.
+// internal/ports/armlike models trap-to-EL2 costs and vGIC-style list
+// registers, answering the ROADMAP question of whether SVt's win
+// survives on ISAs with cheaper world switches.
 package ports
 
 import (
@@ -109,7 +109,9 @@ type Port interface {
 	Classify(r isa.ExitReason) Class
 
 	// NewIRQ builds one interrupt controller (a LAPIC, a vGIC CPU
-	// interface, ...) bound to the engine.
+	// interface, ...) bound to the engine: an IRQ over the port's
+	// pending set. id names the hardware context; the controller does
+	// not keep it.
 	NewIRQ(id int, eng *sim.Engine) IRQController
 	// IRQSectionPrefix names this port's interrupt-controller snapshot
 	// sections ("lapic" for x86, "vgic" for armlike). Snapshot digests

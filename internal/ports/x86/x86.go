@@ -1,6 +1,6 @@
 // Package x86 is the original architecture backend of the simulator,
 // repackaged behind ports.Port: VT-x exit vocabulary, the paper's
-// Table 1 cost calibration, and the LAPIC interrupt controller. It is
+// Table 1 cost calibration, and the LAPIC's pending set (the IRR). It is
 // the default port and its behavior is frozen — the determinism
 // goldens, the .sched differential corpus, and the svtbench digests
 // all pin it byte-for-byte to the pre-ports engine.
@@ -34,8 +34,8 @@ func (port) ExitName(r isa.ExitReason) string { return r.String() }
 
 func (port) Classify(r isa.ExitReason) ports.Class { return ports.DefaultClassify(r) }
 
-func (port) NewIRQ(id int, eng *sim.Engine) ports.IRQController {
-	return apic.New(id, eng)
+func (port) NewIRQ(_ int, eng *sim.Engine) ports.IRQController {
+	return ports.NewIRQ[apic.IRR](eng)
 }
 
 // IRQSectionPrefix is frozen: snapshot digests fold section names, and

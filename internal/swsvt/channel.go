@@ -48,16 +48,6 @@ type Channel struct {
 	// With no injector registered on it the fault consults are free, so
 	// a healthy run charges exactly what it did before the plane existed.
 	Eng *sim.Engine
-	// WD is the ring watchdog: how long L0₀ waits for the SVt-thread
-	// before re-sending a wakeup, and how many retries it gets before a
-	// reflection gives up and falls back.
-	WD *fault.Watchdog
-	// BreakerThreshold consecutive watchdog exhaustions trip a per-VCPU
-	// breaker that routes the vCPU to baseline trap/resume until
-	// BreakerCooldown of virtual time has passed. Zero disables breakers
-	// (each exhausted reflection still falls back individually).
-	BreakerThreshold int
-	BreakerCooldown  sim.Time
 
 	breakers map[*hv.VCPU]*fault.Breaker
 
@@ -96,6 +86,19 @@ func (ch *Channel) SetObs(t *obs.Tracer) {
 
 var _ hv.SWChannel = (*Channel)(nil)
 
+// watchdog is the ring watchdog: how long L0₀ waits for the SVt-thread
+// before re-sending a wakeup, and how many retries it gets before a
+// reflection gives up and falls back.
+var watchdog = fault.DefaultWatchdog()
+
+// breakerThreshold consecutive watchdog exhaustions trip a per-VCPU
+// breaker that routes the vCPU to baseline trap/resume until
+// breakerCooldown of virtual time has passed.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 200 * sim.Microsecond
+)
+
 func (ch *Channel) now() sim.Time { return ch.L0.P.Now() }
 
 // ReflectAndWait implements hv.SWChannel: steps 2 and 3 of Figure 5.
@@ -106,19 +109,15 @@ func (ch *Channel) now() sim.Time { return ch.L0.P.Now() }
 // less live than vanilla nesting.
 func (ch *Channel) ReflectAndWait(vc *hv.VCPU, e isa.Exit) bool {
 	br := ch.breakerFor(vc)
-	if br != nil && !br.Allow() {
+	if !br.Allow() {
 		ch.FallbackReflections.Inc()
 		return false
 	}
 	ok := ch.reflect(e)
-	if br != nil {
-		if ok {
-			br.Success()
-		} else {
-			br.Failure()
-		}
-	}
-	if !ok {
+	if ok {
+		br.Success()
+	} else {
+		br.Failure()
 		ch.Fallbacks.Inc()
 	}
 	return ok
@@ -126,15 +125,12 @@ func (ch *Channel) ReflectAndWait(vc *hv.VCPU, e isa.Exit) bool {
 
 // breakerFor lazily builds the per-VCPU breaker guarding the fast path.
 func (ch *Channel) breakerFor(vc *hv.VCPU) *fault.Breaker {
-	if ch.BreakerThreshold <= 0 || ch.Eng == nil {
-		return nil
-	}
 	if ch.breakers == nil {
 		ch.breakers = make(map[*hv.VCPU]*fault.Breaker)
 	}
 	b := ch.breakers[vc]
 	if b == nil {
-		b = fault.NewBreaker(ch.Eng, ch.BreakerThreshold, ch.BreakerCooldown)
+		b = fault.NewBreaker(ch.Eng, breakerThreshold, breakerCooldown)
 		ch.breakers[vc] = b
 	}
 	return b
@@ -216,17 +212,17 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 	// A spurious empty pop re-reads after a watchdog wait. The response
 	// is in the ring (the SVt-thread pushed before parking), so it can
 	// only be late, never lost: exhaustion falls through to a final read.
-	for attempt := 0; ch.Eng != nil; attempt++ {
+	for attempt := 0; ; attempt++ {
 		out := ch.Eng.Inject(fault.SiteRingPop)
 		if out.Delay > 0 {
 			ch.L0.P.Charge(out.Delay)
 		}
-		if !out.Drop || ch.WD == nil {
+		if !out.Drop {
 			break
 		}
 		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(ch.WD.TimeoutFor(attempt))
-		if attempt >= ch.WD.MaxRetries {
+		ch.L0.P.Charge(watchdog.TimeoutFor(attempt))
+		if attempt >= watchdog.MaxRetries {
 			break
 		}
 	}
@@ -267,15 +263,11 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 func (ch *Channel) pushTrap(e isa.Exit) bool {
 	m := ch.Costs
 	for attempt := 0; ; attempt++ {
-		stalled := false
-		if ch.Eng != nil {
-			out := ch.Eng.Inject(fault.SiteRingPush)
-			if out.Delay > 0 {
-				ch.L0.P.Charge(out.Delay)
-			}
-			stalled = out.Drop
+		out := ch.Eng.Inject(fault.SiteRingPush)
+		if out.Delay > 0 {
+			ch.L0.P.Charge(out.Delay)
 		}
-		if !stalled {
+		if !out.Drop {
 			ch.L0.P.Charge(m.RingCmd + sim.Time(int(isa.NumGPR))*m.RingPayloadReg)
 			if err := ch.ToSVt.Push(Cmd{Type: CmdVMTrap, Exit: uint64(e.Reason)}); err == nil {
 				if ch.Obs != nil {
@@ -291,12 +283,9 @@ func (ch *Channel) pushTrap(e isa.Exit) bool {
 			// ErrRingFull: the consumer is stuck; wait and retry rather
 			// than dropping the command or killing the run.
 		}
-		if ch.WD == nil {
-			return false
-		}
 		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(ch.WD.TimeoutFor(attempt))
-		if attempt >= ch.WD.MaxRetries {
+		ch.L0.P.Charge(watchdog.TimeoutFor(attempt))
+		if attempt >= watchdog.MaxRetries {
 			return false
 		}
 	}
@@ -306,9 +295,6 @@ func (ch *Channel) pushTrap(e isa.Exit) bool {
 // consult, and on a drop charge the backed-off timeout and try again, up
 // to MaxRetries. Reports whether the action eventually went through.
 func (ch *Channel) wakeRetry(site string) bool {
-	if ch.Eng == nil {
-		return true
-	}
 	for attempt := 0; ; attempt++ {
 		out := ch.Eng.Inject(site)
 		if out.Delay > 0 {
@@ -317,12 +303,9 @@ func (ch *Channel) wakeRetry(site string) bool {
 		if !out.Drop {
 			return true
 		}
-		if ch.WD == nil {
-			return false
-		}
 		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(ch.WD.TimeoutFor(attempt))
-		if attempt >= ch.WD.MaxRetries {
+		ch.L0.P.Charge(watchdog.TimeoutFor(attempt))
+		if attempt >= watchdog.MaxRetries {
 			return false
 		}
 	}
@@ -361,10 +344,7 @@ func (ch *Channel) runSVtThread() {
 		}
 		if stop := ch.L0.Handle(ch.VcpuSVt, e); stop {
 			msg := fmt.Sprintf("swsvt: SVt-thread session stopped on %v (deadlock=%v) at %v", e, ch.L0.DeadlockDetected, ch.L0.P.Now())
-			if ch.Eng != nil {
-				msg += "\n" + ch.Eng.Report(msg).String()
-			}
-			panic(msg)
+			panic(msg + "\n" + ch.Eng.Report(msg).String())
 		}
 	}
 }
@@ -465,15 +445,11 @@ func (t *SVtThread) pushResume(p *cpu.Port) {
 	ch := t.Ch
 	p.Charge(ch.Costs.RingCmd + sim.Time(int(isa.NumGPR))*ch.Costs.RingPayloadReg)
 	for attempt := 0; ; attempt++ {
-		stalled := false
-		if ch.Eng != nil {
-			out := ch.Eng.Inject(fault.SiteRingPush)
-			if out.Delay > 0 {
-				p.Charge(out.Delay)
-			}
-			stalled = out.Drop
+		out := ch.Eng.Inject(fault.SiteRingPush)
+		if out.Delay > 0 {
+			p.Charge(out.Delay)
 		}
-		if !stalled {
+		if !out.Drop {
 			if err := ch.FromSVt.Push(Cmd{Type: CmdVMResume}); err == nil {
 				if ch.Obs != nil {
 					ch.Obs.Instant(int(ch.VcpuSVt.Ctx), obs.KindRingPush, 1,
@@ -482,20 +458,13 @@ func (t *SVtThread) pushResume(p *cpu.Port) {
 				return
 			}
 		}
-		if ch.WD == nil {
-			panic("swsvt thread: response ring push failed with no watchdog")
-		}
 		ch.WatchdogFires.Inc()
-		p.Charge(ch.WD.TimeoutFor(attempt))
+		p.Charge(watchdog.TimeoutFor(attempt))
 		// The thread gets a much longer leash than a reflection (which
 		// can fall back): give up only when a fallback-less retry storm
 		// shows the ring is truly wedged.
-		if attempt >= 4*(ch.WD.MaxRetries+1) {
-			reason := "SVt-thread response push stalled beyond watchdog"
-			if ch.Eng != nil {
-				panic(ch.Eng.Report(reason).String())
-			}
-			panic("swsvt thread: " + reason)
+		if attempt >= 4*(watchdog.MaxRetries+1) {
+			panic(ch.Eng.Report("SVt-thread response push stalled beyond watchdog").String())
 		}
 	}
 }
