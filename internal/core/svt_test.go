@@ -7,14 +7,13 @@ import (
 	"svtsim/internal/cost"
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
-	"svtsim/internal/mem"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
 )
 
 func newCore(n int) *cpu.Core {
 	m := cost.Baseline()
-	return cpu.New(sim.New(), &m, n, mem.New(1<<30))
+	return cpu.New(sim.New(), &m, n)
 }
 
 func TestHierarchyValidate(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"svtsim/internal/cost"
 	"svtsim/internal/ept"
 	"svtsim/internal/isa"
-	"svtsim/internal/mem"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
 	"svtsim/internal/sim"
@@ -42,7 +41,6 @@ type Core struct {
 	n        int
 	rf       *RegFile
 	hostSave [][isa.NumGPR]uint64 // per-context host registers during guest execution
-	msrs     []map[uint32]uint64  // per-context architectural MSR state
 
 	lapics []ports.IRQController // physical interrupt controller per context
 
@@ -61,7 +59,6 @@ type Core struct {
 	// eptTables resolves the value of a VMCS EPT-pointer field to the
 	// table it names (the machine registers tables here).
 	eptTables map[uint64]*ept.Table
-	hostMem   *mem.Memory
 
 	Stats Stats
 
@@ -71,7 +68,7 @@ type Core struct {
 }
 
 // New returns a core with n hardware contexts.
-func New(eng *sim.Engine, costs *cost.Model, n int, hostMem *mem.Memory) *Core {
+func New(eng *sim.Engine, costs *cost.Model, n int) *Core {
 	if n < 1 {
 		panic("cpu: need at least one context")
 	}
@@ -81,18 +78,13 @@ func New(eng *sim.Engine, costs *cost.Model, n int, hostMem *mem.Memory) *Core {
 		n:         n,
 		rf:        NewRegFile(n, 2*int(isa.NumGPR)),
 		hostSave:  make([][isa.NumGPR]uint64, n),
-		msrs:      make([]map[uint32]uint64, n),
 		lapics:    make([]ports.IRQController, n),
 		loaded:    make([]*vmcs.VMCS, n),
 		eptTables: make(map[uint64]*ept.Table),
-		hostMem:   hostMem,
 		current:   0,
 		svtVisor:  NoContext,
 		svtVM:     NoContext,
 		svtNested: NoContext,
-	}
-	for i := range c.msrs {
-		c.msrs[i] = make(map[uint32]uint64)
 	}
 	return c
 }
@@ -132,12 +124,6 @@ func (c *Core) ReadGPR(ctx ContextID, r isa.Reg) uint64 { return c.rf.Read(int(c
 // RegFile exposes the register file (tests, SVt cross-context access,
 // snapshots).
 func (c *Core) RegFile() *RegFile { return c.rf }
-
-// ReadMSR reads architectural (non-exiting) MSR state of a context.
-func (c *Core) ReadMSR(ctx ContextID, addr uint32) uint64 { return c.msrs[ctx][addr] }
-
-// WriteMSR writes architectural MSR state of a context.
-func (c *Core) WriteMSR(ctx ContextID, addr uint32, v uint64) { c.msrs[ctx][addr] = v }
 
 // VMPtrLoad makes v the current VMCS of context ctx, charging the VMPTRLD
 // cost, caching the SVt fields into the µ-registers (§4 step B), and — in
@@ -208,7 +194,7 @@ func enterCat(v *vmcs.VMCS) sim.Category {
 		return sim.CatSwitchL2L0
 	}
 	switch isa.ExitReason(v.Read(vmcs.ExitReasonF)) {
-	case isa.ExitNone, isa.ExitVMResume, isa.ExitVMLaunch:
+	case isa.ExitNone, isa.ExitVMResume:
 		return sim.CatSwitchL0L1 // resuming L1 after a reflection
 	default:
 		return sim.CatL0 // re-entry after emulating an inner exit
@@ -219,7 +205,7 @@ func exitCat(v *vmcs.VMCS, e isa.Exit) sim.Category {
 	if v.VMLevel >= 2 {
 		return sim.CatSwitchL2L0
 	}
-	if e.Reason == isa.ExitVMResume || e.Reason == isa.ExitVMLaunch {
+	if e.Reason == isa.ExitVMResume {
 		return sim.CatSwitchL0L1
 	}
 	return sim.CatL0

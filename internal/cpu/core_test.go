@@ -10,7 +10,6 @@ import (
 	"svtsim/internal/cost"
 	"svtsim/internal/ept"
 	"svtsim/internal/isa"
-	"svtsim/internal/mem"
 	"svtsim/internal/ports"
 	"svtsim/internal/race"
 	"svtsim/internal/sim"
@@ -20,7 +19,7 @@ import (
 func testCore(n int) *Core {
 	eng := sim.New()
 	m := cost.Baseline()
-	return New(eng, &m, n, mem.New(1<<30))
+	return New(eng, &m, n)
 }
 
 func newVMCS(name string, level int) *vmcs.VMCS {
@@ -300,7 +299,7 @@ func TestInjectionDelivery(t *testing.T) {
 func TestHLTExit(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
-	g := &loopGuest{acts: []Action{{Kind: ActHalt}}}
+	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.HLT()}}}
 	e := c.RunGuest(0, v, g, &RunState{})
 	if e.Reason != isa.ExitHLT {
 		t.Fatalf("exit = %v", e)
@@ -320,25 +319,24 @@ func TestMMIOExitAndMappedAccess(t *testing.T) {
 	v := newVMCS("vmcs01", 1)
 	v.Write(vmcs.EPTPointer, 0xE000)
 
-	var rd uint64
-	g := &loopGuest{acts: []Action{
-		{Kind: ActInstr, Instr: isa.MMIOWrite(0x1008, 1234)}, // mapped RAM: no exit
-		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpMMIORead, Addr: 0x1008}, Dst: &rd},
-		{Kind: ActInstr, Instr: isa.MMIOWrite(0xFE000000, 1)}, // device: misconfig exit
-	}}
-	rs := &RunState{}
-	e := c.RunGuest(0, v, g, rs)
+	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.MMIOWrite(0xFE000000, 1)}}}
+	e := c.RunGuest(0, v, g, &RunState{})
 	if e.Reason != isa.ExitEPTMisconfig || e.GuestPA != 0xFE000000 || e.Qualification != 9 {
 		t.Fatalf("exit = %v", e)
 	}
-	if rd != 1234 {
-		t.Fatalf("mapped read = %d", rd)
+	// Outside a device window, mapped RAM or not, an access is an EPT
+	// violation carrying the address: guests reach memory through their
+	// drivers' views, never by an instruction the core executes.
+	for _, gpa := range []uint64{0x1008, 0x999000} {
+		r := c.Exec(0, v, isa.MMIOWrite(gpa, 1234))
+		if r.Exit.Reason != isa.ExitEPTViolation || r.Exit.GuestPA != gpa {
+			t.Errorf("write at %#x: exit = %v", gpa, &r.Exit)
+		}
 	}
-	// Unmapped -> violation.
-	g2 := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpMMIORead, Addr: 0x999000}}}}
-	e = c.RunGuest(0, v, g2, &RunState{})
-	if e.Reason != isa.ExitEPTViolation {
-		t.Fatalf("exit = %v", e)
+	// A VMCS whose EPT pointer names no table violates on every access.
+	v.Write(vmcs.EPTPointer, 0xF000)
+	if r := c.Exec(0, v, isa.MMIOWrite(0xFE000000, 1)); r.Exit.Reason != isa.ExitEPTViolation || r.Exit.GuestPA != 0xFE000000 {
+		t.Fatalf("unregistered EPT: exit = %v", &r.Exit)
 	}
 }
 
@@ -371,19 +369,50 @@ func TestMSRBitmapExits(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
 	v.SetMSRExit(isa.MSRTSCDeadline, true)
-	var got uint64
-	g := &loopGuest{acts: []Action{
-		{Kind: ActInstr, Instr: isa.WRMSR(isa.MSRFSBase, 0x7000)}, // not exiting
-		{Kind: ActInstr, Instr: isa.RDMSR(isa.MSRFSBase), Dst: &got},
-		{Kind: ActInstr, Instr: isa.WRMSR(isa.MSRTSCDeadline, 999)}, // exiting
-	}}
+	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.WRMSR(isa.MSRTSCDeadline, 999)}}}
 	e := c.RunGuest(0, v, g, &RunState{})
 	if e.Reason != isa.ExitMSRWrite || e.Qualification != uint64(isa.MSRTSCDeadline) || e.Value != 999 {
 		t.Fatalf("exit = %v", e)
 	}
-	if got != 0x7000 {
-		t.Fatalf("non-exiting MSR = %#x", got)
+	if r := c.Exec(0, v, isa.RDMSR(isa.MSRTSCDeadline)); r.Exit.Reason != isa.ExitMSRRead {
+		t.Fatalf("rdmsr exit = %v", &r.Exit)
 	}
+}
+
+// The core keeps no MSR state of its own, so an MSR access the bitmap
+// does not trap is a model bug and panics naming the MSR.
+func TestUntrappedMSRPanics(t *testing.T) {
+	c := testCore(1)
+	v := newVMCS("vmcs01", 1)
+	v.SetMSRExit(isa.MSRTSCDeadline, true)
+	for _, in := range []isa.Instr{isa.RDMSR(isa.MSRFSBase), isa.WRMSR(isa.MSRFSBase, 0x7000)} {
+		msg := panicOf(func() { c.Exec(0, v, in) })
+		want := fmt.Sprintf("%v of MSR %#x not trapped", in.Op, isa.MSRFSBase)
+		if !strings.Contains(msg, want) || !strings.Contains(msg, "vmcs01") {
+			t.Errorf("%v: panic %q, want it to contain %q and the VMCS", in.Op, msg, want)
+		}
+	}
+}
+
+// The zero Instr is no instruction at all.
+func TestZeroInstrPanics(t *testing.T) {
+	c := testCore(1)
+	msg := panicOf(func() { c.Exec(0, newVMCS("vmcs01", 1), isa.Instr{}) })
+	if !strings.Contains(msg, "unknown op") {
+		t.Fatalf("panic %q, want unknown op", msg)
+	}
+}
+
+// panicOf runs f and returns what it panicked with, formatted; "" when
+// it returned.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 func TestShadowedVMAccessNoExit(t *testing.T) {
@@ -394,18 +423,16 @@ func TestShadowedVMAccessNoExit(t *testing.T) {
 	v01.Shadow = v12
 	v12.Write(vmcs.GuestRIP, 0x1234)
 
-	var rip uint64
+	if r := c.Exec(0, v01, isa.Instr{Op: isa.OpVMRead, Addr: uint64(vmcs.GuestRIP)}); r.Exited() || r.Value != 0x1234 {
+		t.Fatalf("shadowed vmread = %#x (exit %v)", r.Value, &r.Exit)
+	}
 	g := &loopGuest{acts: []Action{
-		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpVMRead, Addr: uint64(vmcs.GuestRIP)}, Dst: &rip},
 		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpVMWrite, Addr: uint64(vmcs.GuestRSP), Val: 0x5678}},
 		{Kind: ActInstr, Instr: isa.Instr{Op: isa.OpVMRead, Addr: uint64(vmcs.EPTPointer)}}, // not shadowable: exit
 	}}
 	e := c.RunGuest(0, v01, g, &RunState{})
 	if e.Reason != isa.ExitVMRead || vmcs.Field(e.Qualification) != vmcs.EPTPointer {
 		t.Fatalf("exit = %v", e)
-	}
-	if rip != 0x1234 {
-		t.Fatalf("shadowed vmread = %#x", rip)
 	}
 	if v12.Read(vmcs.GuestRSP) != 0x5678 {
 		t.Fatal("shadowed vmwrite must land in the shadow VMCS")
@@ -452,8 +479,8 @@ func TestNativeGuestVirtualIRQ(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
 	g := NewNativeGuest("l1", c, 0, func(p *Port) {
-		p.Exec(isa.CPUID(0))             // trap so the hypervisor can inject
-		p.Exec(isa.Instr{Op: isa.OpNop}) // boundary where the IRQ lands
+		p.Exec(isa.CPUID(0))                 // trap so the hypervisor can inject
+		p.Exec(isa.Instr{Op: isa.OpMonitor}) // boundary where the IRQ lands
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 1})
 	})
 	var handled []int
@@ -502,7 +529,7 @@ func TestNativeGuestPhysicalIRQExit(t *testing.T) {
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
 	g := NewNativeGuest("l1", c, 0, func(p *Port) {
-		p.Exec(isa.Instr{Op: isa.OpNop})
+		p.Exec(isa.Instr{Op: isa.OpMonitor})
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 2})
 	})
 	l.Deliver(ports.VecTimer)

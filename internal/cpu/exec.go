@@ -1,10 +1,8 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"svtsim/internal/ept"
 	"svtsim/internal/isa"
 	"svtsim/internal/vmcs"
 )
@@ -28,9 +26,9 @@ func instrLen(op isa.Op) uint64 {
 		return 2
 	case isa.OpHLT:
 		return 1
-	case isa.OpMMIORead, isa.OpMMIOWrite:
+	case isa.OpMMIOWrite:
 		return 3
-	case isa.OpVMPtrLd, isa.OpVMRead, isa.OpVMWrite, isa.OpVMLaunch, isa.OpVMResume, isa.OpINVEPT, isa.OpVMCall:
+	case isa.OpVMPtrLd, isa.OpVMRead, isa.OpVMWrite, isa.OpVMResume, isa.OpINVEPT, isa.OpVMCall:
 		return 3
 	default:
 		return 2
@@ -46,89 +44,53 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 	eng := c.Eng
 	m := c.Costs
 	switch in.Op {
-	case isa.OpNop:
-		eng.Advance(m.InstrBase)
-		return ExecResult{}
-
-	case isa.OpCompute:
-		eng.Advance(in.Dur)
-		return ExecResult{}
-
 	case isa.OpCPUID:
 		eng.Advance(m.InstrCPUID)
 		return ExecResult{Exit: isa.Exit{Reason: isa.ExitCPUID, Qualification: uint64(in.Leaf), InstrLen: instrLen(in.Op)}}
 
 	case isa.OpRDMSR, isa.OpWRMSR:
 		eng.Advance(m.InstrMSR)
-		if v.MSRExits(in.MSRAddr) {
-			reason := isa.ExitMSRRead
-			if in.Op == isa.OpWRMSR {
-				reason = isa.ExitMSRWrite
-				if in.MSRAddr >= 0x800 && in.MSRAddr <= 0x8FF {
-					reason = isa.ExitAPICWrite // virtualize-x2APIC bucket
-				}
-			}
-			return ExecResult{Exit: isa.Exit{
-				Reason:        reason,
-				Qualification: uint64(in.MSRAddr),
-				Value:         in.Val,
-				InstrLen:      instrLen(in.Op),
-			}}
+		if !v.MSRExits(in.MSRAddr) {
+			// The model keeps no MSR state outside the hypervisors'
+			// emulation: every MSR a guest touches must trap.
+			panic(fmt.Sprintf("cpu: context %d: %v of MSR %#x not trapped by the MSR bitmap of VMCS %s",
+				ctx, in.Op, in.MSRAddr, v.Name))
 		}
+		reason := isa.ExitMSRRead
 		if in.Op == isa.OpWRMSR {
-			c.WriteMSR(ctx, in.MSRAddr, in.Val)
-			return ExecResult{}
-		}
-		return ExecResult{Value: c.ReadMSR(ctx, in.MSRAddr)}
-
-	case isa.OpMMIORead, isa.OpMMIOWrite:
-		eng.Advance(m.InstrMMIO)
-		eptp := v.Read(vmcs.EPTPointer)
-		tbl := c.eptTables[eptp]
-		if tbl == nil {
-			return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
-		}
-		if dev, ok := tbl.DeviceAt(in.Addr); ok {
-			return ExecResult{Exit: isa.Exit{
-				Reason:        isa.ExitEPTMisconfig,
-				GuestPA:       in.Addr,
-				Qualification: dev,
-				Value:         in.Val,
-				InstrLen:      instrLen(in.Op),
-			}}
-		}
-		need := ept.PermR
-		if in.Op == isa.OpMMIOWrite {
-			need = ept.PermW
-		}
-		hpa, err := tbl.Translate(in.Addr, need)
-		if err != nil {
-			return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
-		}
-		var b [8]byte
-		if in.Op == isa.OpMMIOWrite {
-			binary.LittleEndian.PutUint64(b[:], in.Val)
-			if err := c.hostMem.Write(hpa, b[:]); err != nil {
-				panic(fmt.Sprintf("cpu: mapped MMIO write failed: %v", err))
+			reason = isa.ExitMSRWrite
+			if in.MSRAddr >= 0x800 && in.MSRAddr <= 0x8FF {
+				reason = isa.ExitAPICWrite // virtualize-x2APIC bucket
 			}
-			return ExecResult{}
 		}
-		if err := c.hostMem.Read(hpa, b[:]); err != nil {
-			panic(fmt.Sprintf("cpu: mapped MMIO read failed: %v", err))
+		return ExecResult{Exit: isa.Exit{
+			Reason:        reason,
+			Qualification: uint64(in.MSRAddr),
+			Value:         in.Val,
+			InstrLen:      instrLen(in.Op),
+		}}
+
+	case isa.OpMMIOWrite:
+		// Guests touch memory-mapped devices only; any access outside a
+		// device window is an EPT violation, which L0 treats as fatal.
+		eng.Advance(m.InstrMMIO)
+		if tbl := c.eptTables[v.Read(vmcs.EPTPointer)]; tbl != nil {
+			if dev, ok := tbl.DeviceAt(in.Addr); ok {
+				return ExecResult{Exit: isa.Exit{
+					Reason:        isa.ExitEPTMisconfig,
+					GuestPA:       in.Addr,
+					Qualification: dev,
+					Value:         in.Val,
+					InstrLen:      instrLen(in.Op),
+				}}
+			}
 		}
-		return ExecResult{Value: binary.LittleEndian.Uint64(b[:])}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpHLT:
 		eng.Advance(m.InstrBase)
 		if v.Read(vmcs.ProcControls)&vmcs.ProcCtlHLTExit != 0 {
 			return ExecResult{Exit: isa.Exit{Reason: isa.ExitHLT, InstrLen: instrLen(in.Op)}}
-		}
-		return ExecResult{}
-
-	case isa.OpPause:
-		eng.Advance(m.InstrBase)
-		if v.Read(vmcs.ProcControls)&vmcs.ProcCtlPauseExit != 0 {
-			return ExecResult{Exit: isa.Exit{Reason: isa.ExitPause, InstrLen: instrLen(in.Op)}}
 		}
 		return ExecResult{}
 
@@ -140,13 +102,9 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 		eng.Advance(m.InstrBase)
 		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMPtrLd, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
 
-	case isa.OpVMLaunch, isa.OpVMResume:
+	case isa.OpVMResume:
 		eng.Advance(m.InstrBase)
-		r := isa.ExitVMResume
-		if in.Op == isa.OpVMLaunch {
-			r = isa.ExitVMLaunch
-		}
-		return ExecResult{Exit: isa.Exit{Reason: r, InstrLen: instrLen(in.Op)}}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMResume, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpINVEPT:
 		eng.Advance(m.InstrBase)
@@ -172,10 +130,10 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 		eng.Advance(m.InstrBase)
 		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMWrite, Qualification: in.Addr, Value: in.Val, InstrLen: instrLen(in.Op)}}
 
-	case isa.OpMonitor, isa.OpMwait:
+	case isa.OpMonitor:
 		// The SW SVt prototype configures mwait passthrough (§5.2); the
 		// waiting semantics are modelled by the swsvt channel, so here the
-		// instructions are architectural no-ops.
+		// instruction is an architectural no-op.
 		eng.Advance(m.InstrBase)
 		return ExecResult{}
 

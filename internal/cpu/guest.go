@@ -16,7 +16,6 @@ type ActionKind uint8
 const (
 	ActCompute ActionKind = iota // untrapped work for Dur
 	ActInstr                     // execute Instr (may trap)
-	ActHalt                      // idle until the next interrupt
 	ActDone                      // workload finished
 )
 
@@ -25,9 +24,6 @@ type Action struct {
 	Kind  ActionKind
 	Dur   sim.Time
 	Instr isa.Instr
-	// Dst, when non-nil on an ActInstr, receives the value the
-	// instruction produced (MMIO read data, RDMSR value, ...).
-	Dst *uint64
 }
 
 // Guest is anything that can receive injected interrupts.
@@ -71,7 +67,8 @@ func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) (e isa.Exit, ok bool) {
 
 // RunGuest enters the guest on ctx under v and executes it until a VM
 // exit, which it returns. This is the hardware side of VMRESUME: the
-// paper's hypervisors sit in a loop of RunGuest + handle.
+// paper's hypervisors sit in a loop of RunGuest + handle. A program
+// guest needs its vCPU's rs; a native guest ignores it.
 func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g Guest, rs *RunState) isa.Exit {
 	if ng, ok := g.(*NativeGuest); ok {
 		return c.runNative(ctx, v, ng)
@@ -80,9 +77,6 @@ func (c *Core) RunGuest(ctx ContextID, v *vmcs.VMCS, g Guest, rs *RunState) isa.
 }
 
 func (c *Core) runProgram(ctx ContextID, v *vmcs.VMCS, g ProgramGuest, rs *RunState) isa.Exit {
-	if rs == nil {
-		rs = &RunState{}
-	}
 	c.enterGuest(ctx, v, g)
 	for {
 		c.Eng.DispatchDue()
@@ -97,24 +91,12 @@ func (c *Core) runProgram(ctx ContextID, v *vmcs.VMCS, g ProgramGuest, rs *RunSt
 		switch act.Kind {
 		case ActCompute:
 			rs.ComputeLeft = act.Dur
-		case ActHalt:
-			res := c.Exec(ctx, v, isa.HLT())
-			if res.Exited() {
-				return c.exitGuest(ctx, v, res.Exit)
-			}
-			// HLT without HLT-exiting: idle in place until something happens.
-			if !c.Eng.Step() {
-				return c.exitGuest(ctx, v, isa.Exit{Reason: isa.ExitHLT})
-			}
 		case ActDone:
 			return c.exitGuest(ctx, v, isa.Exit{Reason: isa.ExitVMCall, Qualification: QualGuestDone})
 		case ActInstr:
 			res := c.Exec(ctx, v, act.Instr)
 			if res.Exited() {
 				return c.exitGuest(ctx, v, res.Exit)
-			}
-			if act.Dst != nil {
-				*act.Dst = res.Value
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"svtsim/internal/fault"
 	"svtsim/internal/host"
 )
 
@@ -61,18 +60,6 @@ func sweepCases() []sweepCase {
 		}},
 		{"lb", func(ctx context.Context, s *Session, pr ProgressFunc) ([]string, error) {
 			rs, err := s.LoadBalancerTableContext(ctx, modes[:3], 2, "steady", 42, 1000, pr)
-			return lines(len(rs), func(i int) string { return rs[i].StatsLine() }), err
-		}},
-		{"faultgrid", func(ctx context.Context, s *Session, pr ProgressFunc) ([]string, error) {
-			var cells []FaultCell
-			for i, rate := range []float64{0, 0.1, 0.3, 0.5} {
-				spec := &fault.Spec{Seed: int64(7 + i), Sites: []fault.SiteConfig{
-					{Site: fault.SiteSVtWakeup, Rate: rate, Drop: true},
-				}}
-				cells = append(cells, FaultCell{Mode: modes[1], Spec: spec, N: 60})
-			}
-			cells = append(cells, FaultCell{Mode: modes[0], N: 3, Storms: 4, StormSeed: 9})
-			rs, err := s.FaultSweepGridContext(ctx, cells, pr)
 			return lines(len(rs), func(i int) string { return rs[i].StatsLine() }), err
 		}},
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -63,10 +64,21 @@ func TestSizeAllocBudget(t *testing.T) {
 	}
 }
 
+// allocBytes measures the bytes one call of f allocates the way
+// testing.AllocsPerRun counts allocations: TotalAlloc is process-wide,
+// so it runs at GOMAXPROCS 1 after one warm-up call and keeps the least
+// of 5 runs, which a goroutine left over from another test cannot
+// inflate in every run.
 func allocBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"svtsim/internal/fault"
 	"svtsim/internal/host"
 	"svtsim/internal/hv"
 	"svtsim/internal/sim"
@@ -82,9 +81,11 @@ func BuildStormPlan(k, storms int, seed int64, first, span, fails int) *host.Sto
 }
 
 // MigrationStorm packs k VMs in one mode and replays them under a
-// seeded storm of storms live migrations.
+// seeded storm of storms live migrations spread over quanta 50..2049,
+// each with 0..4 forced failures. The session's fault spec is armed on
+// the host engine, so migrate/* and apic/ipi sites fire mid-storm.
 func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormResult {
-	f := s.stormFleet(mode, k, storms, seed, s.faultSpec())
+	f := s.densityFleet(mode, k, &vmCache{}, BuildStormPlan(k, storms, seed, 50, 2000, 5), s.faultSpec())
 	pt, res := f.point(mode), f.res
 	r := StormResult{
 		Mode: mode, K: k, Storms: storms, Seed: seed,
@@ -106,14 +107,6 @@ func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormR
 		r.MeanSlowdown = slow / float64(len(pt.VMs))
 	}
 	return r
-}
-
-// stormFleet packs k density VMs with spec armed on the host engine
-// (so migrate/* and apic/ipi sites fire mid-storm) under a seeded storm
-// of storms migrations spread over quanta 50..2049, each with 0..4
-// forced failures.
-func (s *Session) stormFleet(mode hv.Mode, k, storms int, seed int64, spec *fault.Spec) fleet {
-	return s.densityFleet(mode, k, &vmCache{}, BuildStormPlan(k, storms, seed, 50, 2000, 5), spec)
 }
 
 // StormTable runs MigrationStorm for every mode on the session's worker

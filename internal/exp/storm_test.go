@@ -75,59 +75,32 @@ func TestMigrationStormSlowsTheFleet(t *testing.T) {
 	}
 }
 
-// TestFaultSweepGridStormRow: a grid cell with Storms > 0 runs the
-// migration-storm sweep with its fault spec armed on the host engine,
-// so the migrate/* sites actually fire mid-migration; its stats line
-// carries the gang counters while plain rows keep the historical format.
-func TestFaultSweepGridStormRow(t *testing.T) {
+// TestMigrationStormArmedFaultsFire: a session fault spec is armed on
+// the storm's host engine, so the migrate/* sites fire mid-migration:
+// a 60% transfer drop adds retries or rollbacks to the same storm run
+// unarmed, and the armed table is the same at any pool width.
+func TestMigrationStormArmedFaultsFire(t *testing.T) {
 	spec := &fault.Spec{Seed: 11, Sites: []fault.SiteConfig{
 		{Site: fault.SiteMigrateTransfer, Rate: 0.6, Drop: true},
 	}}
-	s := NewSession()
-	rows := s.FaultSweepGrid([]FaultCell{
-		{Mode: hv.ModeSWSVt, N: 200},
-		{Mode: hv.ModeSWSVt, Spec: spec, N: 6, Storms: 16, StormSeed: 7},
-	})
-	plain, storm := rows[0], rows[1]
-	if plain.Storms != 0 || storm.Storms != 16 {
-		t.Fatalf("storm tagging wrong: plain=%d storm=%d", plain.Storms, storm.Storms)
+	modes := []hv.Mode{hv.ModeBaseline, hv.ModeSWSVt}
+	table := func(workers int, spec *fault.Spec) []StormResult {
+		s := NewSession()
+		s.SetParallelism(workers)
+		s.SetFaults(spec)
+		return s.StormTable(modes, 6, 16, 7)
 	}
-	if storm.FaultFires == 0 {
-		t.Error("armed migrate/transfer site never fired during the storm")
-	}
-	if storm.GangRetries == 0 && storm.GangRollbacks == 0 {
-		t.Error("a 60% transfer-drop storm produced neither retries nor rollbacks")
-	}
-	if got := plain.StatsLine(); len(got) == 0 || containsStormCounters(got) {
-		t.Errorf("plain row's stats line changed format: %s", got)
-	}
-	if got := storm.StatsLine(); !containsStormCounters(got) {
-		t.Errorf("storm row's stats line is missing gang counters: %s", got)
-	}
-
-	// Serial vs parallel grid determinism, storm rows included.
-	lines := func(workers int) []string {
-		sess := NewSession()
-		sess.SetParallelism(workers)
-		var out []string
-		for _, r := range sess.FaultSweepGrid([]FaultCell{
-			{Mode: hv.ModeBaseline, Spec: spec, N: 4, Storms: 8, StormSeed: 3},
-			{Mode: hv.ModeSWSVt, Spec: spec, N: 4, Storms: 8, StormSeed: 3},
-		}) {
-			out = append(out, r.StatsLine())
+	quiet, armed, wide := table(1, nil), table(1, spec), table(8, spec)
+	for i := range modes {
+		q, a := quiet[i], armed[i]
+		if a.GangRetries+a.GangRollbacks <= q.GangRetries+q.GangRollbacks {
+			t.Errorf("%s: armed transfer drops added no retries or rollbacks: armed %s, quiet %s",
+				modes[i], a.StatsLine(), q.StatsLine())
 		}
-		return out
-	}
-	a, b := lines(1), lines(8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("grid row %d diverges across pool widths:\n%s\nvs\n%s", i, a[i], b[i])
+		if got := wide[i].StatsLine(); got != a.StatsLine() {
+			t.Errorf("%s: armed row diverges across pool widths:\n%s\nvs\n%s", modes[i], a.StatsLine(), got)
 		}
 	}
-}
-
-func containsStormCounters(line string) bool {
-	return strings.Contains(line, " storms=")
 }
 
 // TestPhase1CacheReuse: density sweeps and load-balancer cells share

@@ -24,10 +24,9 @@ type Env struct {
 	Blk   *BlkDriver
 	Timer *TimerDriver
 
-	arena     uint64 // bump allocator over guest RAM
-	arenaEnd  uint64
-	allocated uint64
-	freeList  map[uint64][]uint64 // size-bucketed recycled buffers
+	arena    uint64 // bump allocator over guest RAM
+	arenaEnd uint64
+	freeList map[uint64][]uint64 // size-bucketed recycled buffers
 }
 
 // NewEnv builds an environment whose buffer arena covers
@@ -54,7 +53,6 @@ func (e *Env) Alloc(n uint64) uint64 {
 		panic(fmt.Sprintf("guest: arena exhausted (%d bytes requested)", n))
 	}
 	e.arena = a + n
-	e.allocated += n
 	return a
 }
 
@@ -116,7 +114,6 @@ type TimerDriver struct {
 	Vector int
 
 	fired   uint64
-	armedAt sim.Time
 	FiredAt []sim.Time // timestamps of handled timer interrupts
 	OnFire  func()
 }
@@ -130,7 +127,6 @@ func NewTimerDriver(e *Env, vector int) *TimerDriver {
 
 // Arm sets the deadline to absolute virtual time t.
 func (t *TimerDriver) Arm(deadline sim.Time) {
-	t.armedAt = deadline
 	t.Env.Port.Exec(isa.WRMSR(isa.MSRTSCDeadline, uint64(deadline)))
 }
 

@@ -10,7 +10,6 @@ import (
 	"svtsim/internal/cost"
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
-	"svtsim/internal/mem"
 	"svtsim/internal/sim"
 	"svtsim/internal/virtio"
 	"svtsim/internal/vmcs"
@@ -35,7 +34,7 @@ func (f failRXPosts) Write(gpa uint64, p []byte) error {
 // every trapped instruction, and returns what the body panicked with.
 func runNative(body func(p *cpu.Port)) (panicked any) {
 	m := cost.Baseline()
-	c := cpu.New(sim.New(), &m, 1, mem.New(1<<20))
+	c := cpu.New(sim.New(), &m, 1)
 	g := cpu.NewNativeGuest("l2", c, 0, body)
 	v := vmcs.New("vmcs")
 	defer func() { panicked = recover() }()

@@ -239,8 +239,6 @@ type Hypervisor struct {
 
 	obs *obs.Tracer
 
-	// Stopped is set when the run loop ends (guest done or deadlock).
-	Stopped bool
 	// DeadlockDetected is set when Idle found no further events.
 	DeadlockDetected bool
 	// SWFallbacks counts nested exits the SW-SVt channel declined
@@ -314,7 +312,6 @@ func (h *Hypervisor) RunLoop(vc *VCPU) {
 		h.Prof.Total += d
 		h.traceExit(vc, e, false, start)
 		if stop {
-			h.Stopped = true
 			return
 		}
 	}
@@ -354,7 +351,7 @@ func (h *Hypervisor) Handle(vc *VCPU, e isa.Exit) bool {
 	// Dispatch and lazy-switch costs (§2.3; Table 1 folds lazy context
 	// switching into the handler stages — SVt eliminates it).
 	if h.Level == 0 {
-		if e.Reason == isa.ExitVMResume || e.Reason == isa.ExitVMLaunch {
+		if e.Reason == isa.ExitVMResume {
 			h.P.Charge(h.Costs.DispatchNested)
 		} else {
 			h.P.Charge(h.Costs.DispatchSimple)
@@ -379,7 +376,7 @@ func (h *Hypervisor) Handle(vc *VCPU, e isa.Exit) bool {
 		return h.handleHalt(vc, e)
 	case isa.ExitExternalInterrupt:
 		h.handleExtInt(vc, e)
-	case isa.ExitVMResume, isa.ExitVMLaunch:
+	case isa.ExitVMResume:
 		return h.handleVMResume(vc, e)
 	case isa.ExitVMPtrLd:
 		h.handleVMPtrLd(vc, e)
@@ -393,7 +390,7 @@ func (h *Hypervisor) Handle(vc *VCPU, e isa.Exit) bool {
 		panic(fmt.Sprintf("%s: unexpected EPT violation at %#x from %s", h.Name, e.GuestPA, vc.Name))
 	case isa.ExitVMCall:
 		return h.handleVMCall(vc, e)
-	case isa.ExitPause, isa.ExitPreemptionTimer, isa.ExitSVTBlocked:
+	case isa.ExitSVTBlocked:
 		h.advanceRIP(vc, e)
 	default:
 		panic(fmt.Sprintf("%s: unhandled exit %s from %s", h.Name, e.String(), vc.Name))

@@ -7,7 +7,6 @@ import (
 	"svtsim/internal/cost"
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
-	"svtsim/internal/mem"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
 	"svtsim/internal/sim"
@@ -17,7 +16,7 @@ import (
 func testStack() (*Hypervisor, *cpu.Core, *sim.Engine) {
 	eng := sim.New()
 	m := cost.Baseline()
-	c := cpu.New(eng, &m, 1, mem.New(1<<30))
+	c := cpu.New(eng, &m, 1)
 	c.SetLAPIC(0, ports.NewIRQ[apic.IRR](eng))
 	h := New("L0", NewRealPlatform(c), &m, 0, ModeBaseline)
 	return h, c, eng
@@ -62,10 +61,7 @@ func TestCPUIDEmulationResultInRAX(t *testing.T) {
 	g := &scriptGuest{acts: []cpu.Action{{Kind: cpu.ActInstr, Instr: isa.CPUID(5)}}}
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
 	vc.VMCS.GPRs[isa.RAX] = 5 // the leaf the guest requested
-	h.RunLoop(vc)
-	if !h.Stopped {
-		t.Fatal("loop must stop on guest done")
-	}
+	h.RunLoop(vc)             // returns once the guest is done
 	if vc.VMCS.GPRs[isa.RAX] == 5 {
 		t.Fatal("cpuid emulation must replace RAX")
 	}
@@ -123,7 +119,7 @@ func TestHLTWakesOnInterrupt(t *testing.T) {
 	h, _, eng := testStack()
 	g := &scriptGuest{acts: []cpu.Action{
 		{Kind: cpu.ActInstr, Instr: isa.WRMSR(isa.MSRTSCDeadline, 3000)},
-		{Kind: cpu.ActHalt},
+		{Kind: cpu.ActInstr, Instr: isa.HLT()},
 		{Kind: cpu.ActCompute, Dur: 10},
 	}}
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
@@ -143,7 +139,7 @@ func TestHLTWakesOnInterrupt(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	h, _, _ := testStack()
-	g := &scriptGuest{acts: []cpu.Action{{Kind: cpu.ActHalt}}}
+	g := &scriptGuest{acts: []cpu.Action{{Kind: cpu.ActInstr, Instr: isa.HLT()}}}
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
 	h.RunLoop(vc)
 	if !h.DeadlockDetected {

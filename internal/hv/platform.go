@@ -28,7 +28,7 @@ type Platform interface {
 	Charge(d sim.Time)
 
 	// Run enters the guest of vc until a VM exit and returns it
-	// (VMLAUNCH/VMRESUME + exit retrieval).
+	// (VMRESUME + exit retrieval).
 	Run(vc *VCPU) isa.Exit
 
 	// VMRead/VMWrite access a field of a VMCS this hypervisor manages.
@@ -65,17 +65,13 @@ type Platform interface {
 type RealPlatform struct {
 	Core   *cpu.Core
 	timers map[cpu.ContextID]sim.EventRef
-	// TimerOwner records, per context, which vCPU armed the platform
-	// timer so the firing can be routed (KVM's hrtimer bookkeeping).
-	TimerOwner map[cpu.ContextID]*VCPU
 }
 
 // NewRealPlatform wraps a core.
 func NewRealPlatform(c *cpu.Core) *RealPlatform {
 	return &RealPlatform{
-		Core:       c,
-		timers:     make(map[cpu.ContextID]sim.EventRef),
-		TimerOwner: make(map[cpu.ContextID]*VCPU),
+		Core:   c,
+		timers: make(map[cpu.ContextID]sim.EventRef),
 	}
 }
 
@@ -149,10 +145,8 @@ func (p *RealPlatform) SetTimer(vc *VCPU, deadline sim.Time) {
 		delete(p.timers, ctx)
 	}
 	if deadline == 0 {
-		delete(p.TimerOwner, ctx)
 		return
 	}
-	p.TimerOwner[ctx] = vc
 	p.timers[ctx] = p.Core.Eng.At(deadline, func() {
 		delete(p.timers, ctx)
 		// Timer interrupts are steered to the boot context, where the host

@@ -1,38 +1,26 @@
 package isa
 
-import (
-	"fmt"
+import "fmt"
 
-	"svtsim/internal/sim"
-)
-
-// Op is an instruction opcode. Only the trap-relevant subset of the
-// architecture is modelled; everything else a guest does is folded into
-// OpCompute blocks with an explicit duration.
+// Op is an instruction opcode. Only the instructions the simulated
+// guests issue are modelled; untrapped guest work is charged as time by
+// the guest itself, never executed. The zero Op is invalid.
 type Op uint8
 
 const (
-	OpNop Op = iota
-	// OpCompute represents a block of untrapped guest work lasting Dur.
-	OpCompute
 	// OpCPUID unconditionally exits to the hypervisor (architecturally
 	// required to be emulated).
-	OpCPUID
+	OpCPUID Op = iota + 1
 	// OpRDMSR / OpWRMSR access the MSR in MSRAddr; exiting depends on the
 	// MSR bitmap of the controlling VMCS.
 	OpRDMSR
 	OpWRMSR
-	// OpMMIORead / OpMMIOWrite access guest-physical address Addr.
-	// They exit with EPT_MISCONFIG when Addr falls in a device region.
-	OpMMIORead
+	// OpMMIOWrite stores Val to guest-physical address Addr. It exits
+	// with EPT_MISCONFIG when Addr falls in a device region; guests
+	// drive their devices by writes only.
 	OpMMIOWrite
-	// OpIn / OpOut are port I/O (exit when the I/O bitmap says so).
-	OpIn
-	OpOut
 	// OpHLT idles the vCPU until the next interrupt.
 	OpHLT
-	// OpPause is the spin-wait hint (can exit under PAUSE-loop exiting).
-	OpPause
 	// OpVMCall is a hypercall.
 	OpVMCall
 	// VMX operations, executed by guest hypervisors; all trap when executed
@@ -40,12 +28,11 @@ const (
 	OpVMPtrLd
 	OpVMRead
 	OpVMWrite
-	OpVMLaunch
 	OpVMResume
 	OpINVEPT
-	// Monitor/mwait pair used by the SW SVt prototype's wait loops.
+	// OpMonitor arms the SW SVt prototype's wait loop; the wait itself
+	// is the channel's park, not an instruction.
 	OpMonitor
-	OpMwait
 	// SVt cross-context register access instructions (the paper's ISA
 	// extension, Table 2). Lvl selects the target context indirectly.
 	OpCtxtLd
@@ -53,13 +40,12 @@ const (
 )
 
 var opNames = [...]string{
-	"nop", "compute", "cpuid", "rdmsr", "wrmsr", "mmio-read", "mmio-write",
-	"in", "out", "hlt", "pause", "vmcall", "vmptrld", "vmread", "vmwrite",
-	"vmlaunch", "vmresume", "invept", "monitor", "mwait", "ctxtld", "ctxtst",
+	"", "cpuid", "rdmsr", "wrmsr", "mmio-write", "hlt", "vmcall", "vmptrld",
+	"vmread", "vmwrite", "vmresume", "invept", "monitor", "ctxtld", "ctxtst",
 }
 
 func (o Op) String() string {
-	if int(o) < len(opNames) {
+	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
@@ -68,13 +54,12 @@ func (o Op) String() string {
 // Instr is one architectural action taken by a guest.
 type Instr struct {
 	Op      Op
-	Dur     sim.Time // OpCompute: duration of the block
-	Reg     Reg      // register operand (ctxtld/ctxtst target, etc.)
-	MSRAddr uint32   // OpRDMSR/OpWRMSR
-	Addr    uint64   // guest-physical address (MMIO) or port (In/Out)
-	Val     uint64   // source value for writes
-	Lvl     int      // OpCtxtLd/OpCtxtSt virtualization-level argument
-	Leaf    uint32   // OpCPUID leaf
+	Reg     Reg    // register operand (ctxtld/ctxtst target, etc.)
+	MSRAddr uint32 // OpRDMSR/OpWRMSR
+	Addr    uint64 // guest-physical address (MMIO) or VMCS field/pointer
+	Val     uint64 // source value for writes
+	Lvl     int    // OpCtxtLd/OpCtxtSt virtualization-level argument
+	Leaf    uint32 // OpCPUID leaf
 }
 
 // CPUID returns a cpuid instruction for the given leaf.

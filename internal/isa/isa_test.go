@@ -31,7 +31,7 @@ func TestOpStrings(t *testing.T) {
 		OpMMIOWrite: "mmio-write",
 		OpVMResume:  "vmresume",
 		OpCtxtLd:    "ctxtld",
-		OpMwait:     "mwait",
+		OpMonitor:   "monitor",
 	}
 	for op, want := range cases {
 		if op.String() != want {

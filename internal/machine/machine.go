@@ -119,10 +119,9 @@ func DefaultConfig(mode hv.Mode) Config {
 type Machine struct {
 	Cfg Config
 
-	Eng       *sim.Engine
-	Core      *cpu.Core
-	HostMem   *mem.Memory
-	HostAlloc *mem.Allocator
+	Eng     *sim.Engine
+	Core    *cpu.Core
+	HostMem *mem.Memory
 
 	// Faults is the live fault plane (nil on healthy runs).
 	Faults *fault.Plane
@@ -184,8 +183,7 @@ func newBase(cfg Config, nctx int) *Machine {
 	// instead of hanging the process.
 	m.Eng.SetStallLimit(1_000_000)
 	m.HostMem = mem.New(HostMemSize)
-	m.HostAlloc = mem.NewAllocator(HostMemSize)
-	m.Core = cpu.New(m.Eng, &m.Cfg.Costs, nctx, m.HostMem)
+	m.Core = cpu.New(m.Eng, &m.Cfg.Costs, nctx)
 	for i := 0; i < nctx; i++ {
 		l := cfg.Port.NewIRQ(i, m.Eng)
 		m.Core.SetLAPIC(cpu.ContextID(i), l)
@@ -538,17 +536,13 @@ func RunNative(costs *cost.Model, w cpu.ProgramGuest) sim.Time {
 			return eng.Now()
 		case cpu.ActCompute:
 			eng.Advance(act.Dur)
-		case cpu.ActHalt:
-			if !eng.Step() {
-				return eng.Now()
-			}
 		case cpu.ActInstr:
 			switch act.Instr.Op {
 			case isa.OpCPUID:
 				eng.Advance(costs.InstrCPUID)
 			case isa.OpRDMSR, isa.OpWRMSR:
 				eng.Advance(costs.InstrMSR)
-			case isa.OpMMIORead, isa.OpMMIOWrite:
+			case isa.OpMMIOWrite:
 				eng.Advance(costs.InstrMMIO)
 			default:
 				eng.Advance(costs.InstrBase)

@@ -2,7 +2,9 @@
 // machine (host physical memory, each VM's guest-physical memory) are
 // sparse: the testbed in the paper's Table 4 has 128 GB of host RAM and
 // VMs with 50/35 GB, but workloads touch only a tiny fraction, so pages
-// are materialized on first write.
+// are materialized on first write. Where each VM's RAM and device
+// windows sit is a fixed layout (package machine's constants, mapped by
+// the EPTs); nothing allocates address ranges at run time.
 package mem
 
 import (

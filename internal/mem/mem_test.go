@@ -303,125 +303,3 @@ func TestZeroWriteAllocatesNoLine(t *testing.T) {
 		t.Fatalf("%d lines backed, want only the one holding the nonzero byte", len(lines))
 	}
 }
-
-func TestAllocatorBasic(t *testing.T) {
-	a := NewAllocator(1 << 20)
-	b1, err := a.Alloc(4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := a.Alloc(4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b1 == b2 {
-		t.Fatal("overlapping allocations")
-	}
-	if inUse(a) != 8192 {
-		t.Fatalf("in use = %d", inUse(a))
-	}
-	if err := a.Free(b1); err != nil {
-		t.Fatal(err)
-	}
-	if inUse(a) != 4096 {
-		t.Fatalf("in use after free = %d", inUse(a))
-	}
-	// Freed space is reusable.
-	b3, err := a.Alloc(4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b3 != b1 {
-		t.Fatalf("first-fit should reuse freed region: got %#x want %#x", b3, b1)
-	}
-}
-
-func TestAllocatorAlignment(t *testing.T) {
-	a := NewAllocator(1 << 30)
-	if _, err := a.Alloc(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	b, err := a.Alloc(4096, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b%(1<<20) != 0 {
-		t.Fatalf("misaligned: %#x", b)
-	}
-}
-
-func TestAllocatorErrors(t *testing.T) {
-	a := NewAllocator(8192)
-	if _, err := a.Alloc(0, 0); err == nil {
-		t.Fatal("zero-size alloc must fail")
-	}
-	if _, err := a.Alloc(4096, 3); err == nil {
-		t.Fatal("non-power-of-two align must fail")
-	}
-	if _, err := a.Alloc(1<<30, 0); err == nil {
-		t.Fatal("oversize alloc must fail")
-	}
-	if err := a.Free(12345); err == nil {
-		t.Fatal("freeing unallocated base must fail")
-	}
-}
-
-func TestAllocatorExhaustionAndGapFill(t *testing.T) {
-	a := NewAllocator(3 * 4096)
-	b0, _ := a.Alloc(4096, 0)
-	b1, _ := a.Alloc(4096, 0)
-	b2, _ := a.Alloc(4096, 0)
-	if _, err := a.Alloc(4096, 0); err == nil {
-		t.Fatal("space should be exhausted")
-	}
-	_ = b0
-	_ = b2
-	if err := a.Free(b1); err != nil {
-		t.Fatal(err)
-	}
-	nb, err := a.Alloc(4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb != b1 {
-		t.Fatalf("gap not reused: %#x vs %#x", nb, b1)
-	}
-}
-
-// Property: allocations never overlap.
-func TestAllocatorNoOverlapProperty(t *testing.T) {
-	prop := func(sizes []uint16) bool {
-		a := NewAllocator(1 << 24)
-		type reg struct{ base, size uint64 }
-		var regs []reg
-		for _, s := range sizes {
-			size := uint64(s)%8192 + 1
-			b, err := a.Alloc(size, 0)
-			if err != nil {
-				continue
-			}
-			regs = append(regs, reg{b, size})
-		}
-		for i := range regs {
-			for j := i + 1; j < len(regs); j++ {
-				x, y := regs[i], regs[j]
-				if x.base < y.base+y.size && y.base < x.base+x.size {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, qcheck.Config(t, 100)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// inUse reports the total bytes currently allocated.
-func inUse(a *Allocator) uint64 {
-	var s uint64
-	for _, r := range a.used {
-		s += r.size
-	}
-	return s
-}

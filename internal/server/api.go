@@ -31,13 +31,12 @@ import (
 
 // Request kinds.
 const (
-	KindDensity   = "density"   // fleet consolidation sweep (exp.DensitySweep)
-	KindStorm     = "storm"     // migration storm table (exp.StormTable)
-	KindFleet     = "fleet"     // fleet-scale engine replay (exp.FleetReplay)
-	KindCheck     = "check"     // differential cross-mode check (internal/check)
-	KindFaultGrid = "faultgrid" // fault-injection sweep grid (exp.FaultSweepGrid)
-	KindWorkload  = "workload"  // one single-machine figure workload per mode
-	KindLB        = "lb"        // load-balancer scenario table (exp.LoadBalancerTable)
+	KindDensity  = "density"  // fleet consolidation sweep (exp.DensitySweep)
+	KindStorm    = "storm"    // migration storm table (exp.StormTable)
+	KindFleet    = "fleet"    // fleet-scale engine replay (exp.FleetReplay)
+	KindCheck    = "check"    // differential cross-mode check (internal/check)
+	KindWorkload = "workload" // one single-machine figure workload per mode
+	KindLB       = "lb"       // load-balancer scenario table (exp.LoadBalancerTable)
 )
 
 // workloadNames lists the workloads KindWorkload accepts.
@@ -83,7 +82,7 @@ type Request struct {
 	// Differential-check knobs.
 	Schedules int `json:"schedules,omitempty"`
 
-	// Fault plane (workload, density, storm, faultgrid).
+	// Fault plane (workload, density, storm, lb).
 	Faults    string `json:"faults,omitempty"`
 	FaultSeed int64  `json:"fault_seed,omitempty"`
 
@@ -190,25 +189,6 @@ func (r *Request) Canonicalize() error {
 		r.VMs, r.SLOUs, r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0, 0, 0
 		r.Workload, r.N, r.Rate, r.FPS, r.Scenario = "", 0, 0, 0, ""
 		r.Faults, r.FaultSeed, r.Trace = "", 0, false
-	case KindFaultGrid:
-		if r.Faults == "" {
-			return uerr.New("faults", "", "a fault grid needs a fault spec",
-				"set faults (site:key=val,...)")
-		}
-		if r.N <= 0 {
-			r.N = 200
-		}
-		if r.Storms > 0 && r.VMs <= 0 {
-			r.VMs = 6
-		}
-		if r.Storms > 0 && r.Seed == 0 {
-			r.Seed = 42
-		}
-		if r.Storms <= 0 {
-			r.VMs, r.Seed = 0, 0
-		}
-		r.SLOUs, r.DurMs, r.CrossEvery = 0, 0, 0
-		r.Workload, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, ""
 	case KindWorkload:
 		if r.Workload == "" {
 			r.Workload = "cpuid"
@@ -265,10 +245,10 @@ func (r *Request) Canonicalize() error {
 		r.Workload, r.N, r.Rate, r.FPS, r.Schedules = "", 0, 0, 0, 0
 	case "":
 		return uerr.New("kind", "", "missing request kind",
-			"valid: density, storm, fleet, check, faultgrid, workload, lb")
+			"valid: density, storm, fleet, check, workload, lb")
 	default:
 		return uerr.New("kind", r.Kind, "unknown request kind",
-			"valid: density, storm, fleet, check, faultgrid, workload, lb")
+			"valid: density, storm, fleet, check, workload, lb")
 	}
 	return nil
 }

@@ -62,7 +62,6 @@ func TestCanonicalizeDistinct(t *testing.T) {
 		{"workload", Request{Kind: KindWorkload}},
 		{"workload-netrr", Request{Kind: KindWorkload, Workload: "netrr"}},
 		{"workload-trace", Request{Kind: KindWorkload, Trace: true}},
-		{"faultgrid", Request{Kind: KindFaultGrid, Faults: "swsvt/wakeup:rate=0.1,drop;apic/ipi:rate=0.1,drop"}},
 		{"lb", Request{Kind: KindLB}},
 		{"lb-overload", Request{Kind: KindLB, Scenario: "overload"}},
 		{"lb-k", Request{Kind: KindLB, VMs: 8}},
@@ -107,7 +106,7 @@ func TestCanonicalizeErrors(t *testing.T) {
 		{"bad mode", Request{Kind: KindStorm, Modes: []string{"vmx"}}, "mode"},
 		{"bad topology", Request{Kind: KindStorm, Topology: "2x8x9"}, "topology"},
 		{"bad workload", Request{Kind: KindWorkload, Workload: "doom"}, "workload"},
-		{"faultgrid no spec", Request{Kind: KindFaultGrid}, "faults"},
+		{"faultgrid is gone", Request{Kind: "faultgrid", Faults: "swsvt/wakeup:rate=0.1,drop"}, "kind"},
 		{"bad fault rate", Request{Kind: KindStorm, Faults: "swsvt/wakeup:rate=1.5,drop"}, "faults"},
 		{"NaN fault rate", Request{Kind: KindStorm, Faults: "swsvt/wakeup:rate=NaN,drop"}, "faults"},
 		{"overflowing topology", Request{Kind: KindDensity, Topology: "4294967296x4294967296x1"}, "topology"},

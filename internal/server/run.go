@@ -92,8 +92,6 @@ func Run(ctx context.Context, req *Request, simWorkers int, pr exp.ProgressFunc)
 		var b strings.Builder
 		_, err = check.RunBudgetOpts(ctx, &b, req.Schedules, req.Seed, "", &check.RunOpts{Port: es.Port()}, pr)
 		lines = strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
-	case KindFaultGrid:
-		lines, err = statsLines(es.FaultSweepGridContext(ctx, req.faultCells(), pr))
 	case KindWorkload:
 		lines, err = runWorkload(ctx, es, req, pr)
 	case KindLB:
@@ -125,19 +123,6 @@ func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
 	}
 	return &cacheEntry{digest: j.digest, body: body, artifacts: artifacts,
 		size: entrySize(body, artifacts)}, nil
-}
-
-// faultCells expands a faultgrid request into one cell per mode.
-func (r *Request) faultCells() []exp.FaultCell {
-	spec, _ := r.buildFaultSpec() // valid: SessionFor built it already
-	var cells []exp.FaultCell
-	for _, m := range r.parsedModes() {
-		cells = append(cells, exp.FaultCell{
-			Mode: m, Spec: spec, N: r.N,
-			Storms: r.Storms, StormSeed: r.Seed,
-		})
-	}
-	return cells
 }
 
 // statsLines renders a sweep's rows, one StatsLine each.

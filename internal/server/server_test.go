@@ -428,7 +428,7 @@ func TestBadRequests(t *testing.T) {
 	// otherwise be dropped without a word.
 	for _, body := range []string{
 		`{"kind":"storm","smt":"on"}`,
-		`{"kind":"faultgrid","fault_rate":0.1}`,
+		`{"kind":"storm","fault_rate":0.1}`,
 		`{"kind":"fleet","dur_ms":1} trailing`,
 		`{"kind":"fleet","dur_ms":1}{"kind":"fleet","dur_ms":2}`,
 		`{"kind":"fleet","dur_ms":1}}`,
@@ -613,13 +613,12 @@ func TestAllKindsServe(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
 	for name, req := range map[string]*Request{
-		"density":   smallDensity(),
-		"storm":     smallStorm(),
-		"fleet":     smallFleet(),
-		"check":     {Kind: KindCheck, Schedules: 2},
-		"faultgrid": {Kind: KindFaultGrid, Topology: "1x2x2", Faults: "swsvt/wakeup:rate=0.05,drop;apic/ipi:rate=0.05,drop", N: 10, Modes: []string{"hw"}},
-		"workload":  {Kind: KindWorkload, Workload: "netrr", N: 50, Topology: "1x2x2", Modes: []string{"sw", "hw"}},
-		"lb":        {Kind: KindLB, Topology: "1x2x2", VMs: 2, Modes: []string{"baseline", "hw"}},
+		"density":  smallDensity(),
+		"storm":    smallStorm(),
+		"fleet":    smallFleet(),
+		"check":    {Kind: KindCheck, Schedules: 2},
+		"workload": {Kind: KindWorkload, Workload: "netrr", N: 50, Topology: "1x2x2", Modes: []string{"sw", "hw"}},
+		"lb":       {Kind: KindLB, Topology: "1x2x2", VMs: 2, Modes: []string{"baseline", "hw"}},
 	} {
 		_, res, err := c.Run(ctx, req, nil)
 		if err != nil {

@@ -375,7 +375,7 @@ func (ch *Channel) serviceBlockedL1() {
 		ch.L0.PrepareResume(vc)
 		e := ch.L0.P.Run(vc)
 		switch e.Reason {
-		case isa.ExitVMResume, isa.ExitVMLaunch:
+		case isa.ExitVMResume:
 			// L1₀ yielded control back (step 5 of §5.3); we are still
 			// waiting for the SVt-thread, so absorb the resume.
 			if !vc.VirtLAPIC.HasPending() {

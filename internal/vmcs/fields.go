@@ -203,7 +203,6 @@ const (
 	ProcCtlMwaitExit    uint64 = 1 << 10
 	ProcCtlMonitorTrap  uint64 = 1 << 27
 	ProcCtlUseMSRBitmap uint64 = 1 << 28
-	ProcCtlPauseExit    uint64 = 1 << 30
 
 	Proc2CtlEnableEPT     uint64 = 1 << 1
 	Proc2CtlVMCSShadowing uint64 = 1 << 14
