@@ -28,7 +28,7 @@ func instrLen(op isa.Op) uint64 {
 		return 1
 	case isa.OpMMIOWrite:
 		return 3
-	case isa.OpVMPtrLd, isa.OpVMRead, isa.OpVMWrite, isa.OpVMResume, isa.OpINVEPT, isa.OpVMCall:
+	case isa.OpVMPtrLd, isa.OpVMRead, isa.OpVMWrite, isa.OpVMResume, isa.OpVMCall:
 		return 3
 	default:
 		return 2
@@ -105,10 +105,6 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 	case isa.OpVMResume:
 		eng.Advance(m.InstrBase)
 		return ExecResult{Exit: isa.Exit{Reason: isa.ExitVMResume, InstrLen: instrLen(in.Op)}}
-
-	case isa.OpINVEPT:
-		eng.Advance(m.InstrBase)
-		return ExecResult{Exit: isa.Exit{Reason: isa.ExitINVEPT, Qualification: in.Addr, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpVMRead:
 		f := vmcs.Field(in.Addr)

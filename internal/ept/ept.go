@@ -108,7 +108,6 @@ type Table struct {
 	runs    []run
 	mapped  int // Σ runs[i].n
 	devs    []devRegion
-	epoch   uint64 // bumped by Invalidate, lets cached walks detect staleness
 	walkCnt uint64
 }
 
@@ -116,9 +115,6 @@ type Table struct {
 func New(name string) *Table {
 	return &Table{name: name}
 }
-
-// Name returns the table's diagnostic name.
-func (t *Table) Name() string { return t.name }
 
 // Walks reports how many translations have been performed (for cost
 // accounting and tests).
@@ -199,21 +195,6 @@ func (t *Table) lookup(gfn uint64) (run, bool) {
 	return run{}, false
 }
 
-// Unmap removes mappings over [gpa, gpa+size). Only tests call it; it
-// stays as half of the map API that FuzzTableOps checks.
-func (t *Table) Unmap(gpa, size uint64) error {
-	if gpa%mem.PageSize != 0 || size%mem.PageSize != 0 {
-		return fmt.Errorf("ept %s: unaligned unmap", t.name)
-	}
-	if gpa+size < gpa {
-		return fmt.Errorf("ept %s: unmap gpa=%#x size=%#x wraps the address space", t.name, gpa, size)
-	}
-	if size > 0 {
-		t.cut(gpa/mem.PageSize, (gpa+size)/mem.PageSize)
-	}
-	return nil
-}
-
 // MapMisconfig marks [gpa, gpa+size) as a device window: any access exits
 // with EPT_MISCONFIG carrying dev.
 func (t *Table) MapMisconfig(gpa, size, dev uint64) error {
@@ -268,10 +249,6 @@ func (t *Table) Translate(gpa uint64, need Perm) (uint64, error) {
 	}
 	return (r.hostPage+gfn-r.gfn)*mem.PageSize + gpa%mem.PageSize, nil
 }
-
-// Invalidate models INVEPT: it bumps the epoch so that any cached
-// translations must be re-walked.
-func (t *Table) Invalidate() { t.epoch++ }
 
 // Compose builds the shadow table inner∘outer: for every page mapped by
 // inner (gpaInner→gpaOuter) it walks outer (gpaOuter→hpa) and installs

@@ -3,7 +3,9 @@ package ept
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -124,13 +126,20 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
-func TestInvalidateBumpsEpoch(t *testing.T) {
-	e := New("x")
-	before := e.epoch
-	e.Invalidate()
-	if e.epoch == before {
-		t.Fatal("epoch must change")
+// Unmap removes mappings over [gpa, gpa+size). The model never unmaps;
+// it lives here as the other half of the map API that FuzzTableOps
+// checks against the per-frame model.
+func (t *Table) Unmap(gpa, size uint64) error {
+	if gpa%mem.PageSize != 0 || size%mem.PageSize != 0 {
+		return fmt.Errorf("ept %s: unaligned unmap", t.name)
 	}
+	if gpa+size < gpa {
+		return fmt.Errorf("ept %s: unmap gpa=%#x size=%#x wraps the address space", t.name, gpa, size)
+	}
+	if size > 0 {
+		t.cut(gpa/mem.PageSize, (gpa+size)/mem.PageSize)
+	}
+	return nil
 }
 
 func TestWalkCount(t *testing.T) {
@@ -533,5 +542,29 @@ func TestViewErrors(t *testing.T) {
 	var m *MisconfigError
 	if !errors.As(err, &m) {
 		t.Fatalf("device read through view must misconfig, got %v", err)
+	}
+}
+
+// The snapshot format keeps a word for an invalidation epoch the model
+// no longer has: SaveWords writes it as zero, and a restore that finds
+// it nonzero fails and leaves the table as it was.
+func TestLoadWordsRejectsEpoch(t *testing.T) {
+	e := New("ept02")
+	if err := e.Map(0, 0x8000, 2*pg, PermRWX); err != nil {
+		t.Fatal(err)
+	}
+	st := stateOf(e)
+	if st.Epoch != 0 {
+		t.Fatalf("SaveWords wrote epoch %d, want 0", st.Epoch)
+	}
+	before := saveWords(e)
+	st.Pages = st.Pages[:1]
+	st.Epoch = 3
+	err := loadWords(e, st.words())
+	if err == nil || !strings.Contains(err.Error(), "invalidation epoch") {
+		t.Fatalf("LoadWords with epoch 3: err = %v, want an invalidation epoch error", err)
+	}
+	if !slices.Equal(saveWords(e), before) {
+		t.Fatal("rejected LoadWords changed the table")
 	}
 }

@@ -97,7 +97,6 @@ type refPage struct {
 type refTable struct {
 	pages map[uint64]refPage
 	devs  []devRow
-	epoch uint64
 }
 
 func newRef() *refTable { return &refTable{pages: map[uint64]refPage{}} }
@@ -132,7 +131,7 @@ func (m *refTable) gfns() []uint64 {
 }
 
 func (m *refTable) state() tableState {
-	s := tableState{Devs: m.devs, Epoch: m.epoch}
+	s := tableState{Devs: m.devs}
 	for _, g := range m.gfns() {
 		p := m.pages[g]
 		s.Pages = append(s.Pages, pageRow{GFN: g, HostPage: p.host, Perm: p.perm})
@@ -200,7 +199,7 @@ func checkTable(t *testing.T, step int, tb *Table, m *refTable) {
 const maxFuzzDevs = 32
 
 // FuzzTableOps drives two tables through random Map, Unmap,
-// MapMisconfig, Compose, Invalidate and SaveWords→LoadWords steps and
+// MapMisconfig, Compose and SaveWords→LoadWords steps and
 // checks both against the per-frame model after every step. A load of
 // the saved pages reversed must be rejected (pages ascend) and leave
 // its table untouched. Each step
@@ -284,9 +283,6 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatal(err)
 				}
 				tabs[k] = r
-			case 5: // Invalidate
-				tb.Invalidate()
-				m.epoch++
 			}
 			for i := range tabs {
 				checkTable(t, step, tabs[i], refs[i])

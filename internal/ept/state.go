@@ -9,7 +9,8 @@ import (
 
 // SaveWords writes the table content: the mapped pages in guest-frame
 // order, one (frame, host frame, permissions) row per page, the device
-// regions in installation order, and the invalidation epoch. Each run's
+// regions in installation order, and a zero word where the format keeps
+// an invalidation epoch the model no longer has. Each run's
 // rows are one ramp, since frame and host frame both step by one. The
 // walk counter is a performance tally, not architectural state, and is
 // not written.
@@ -26,7 +27,7 @@ func (t *Table) SaveWords(w *words.Writer) {
 			w.Word(d.dev)
 		}
 	})
-	w.Word(t.epoch)
+	w.Word(0)
 }
 
 // LoadWords replaces the table content with words SaveWords wrote,
@@ -35,7 +36,7 @@ func (t *Table) SaveWords(w *words.Writer) {
 // post-snapshot changes. Rows Map or MapMisconfig would refuse are
 // rejected: frames out of order or beyond the guest-physical range,
 // host frames past a 64-bit address, unknown permission bits, and empty
-// or wrapping device regions.
+// or wrapping device regions, and a nonzero invalidation epoch.
 func (t *Table) LoadWords(r *words.Reader) {
 	fresh := Table{name: t.name}
 	for i, n, next := 0, r.Count(3), uint64(0); i < n && r.Err() == nil; i++ {
@@ -52,9 +53,9 @@ func (t *Table) LoadWords(r *words.Reader) {
 		}
 		fresh.devs = append(fresh.devs, devRegion{base: base, size: size, dev: dev})
 	}
-	fresh.epoch = r.Word()
+	r.Range(0, 1, "invalidation epoch")
 	if r.Err() != nil {
 		return
 	}
-	t.runs, t.mapped, t.devs, t.epoch = fresh.runs, fresh.mapped, fresh.devs, fresh.epoch
+	t.runs, t.mapped, t.devs = fresh.runs, fresh.mapped, fresh.devs
 }

@@ -34,18 +34,6 @@ type FaultSweepResult struct {
 	IRQDelayed          uint64
 }
 
-// StatsLine renders the result as one deterministic line; two runs with
-// the same spec and seed must produce byte-identical lines (the
-// reproducibility contract the determinism test pins).
-func (r FaultSweepResult) StatsLine() string {
-	return fmt.Sprintf("mode=%s n=%d seed=%d spec=%q total=%v perop=%v completed=%v "+
-		"refl=%d wd=%d fallbacks=%d open-fallbacks=%d trips=%d recoveries=%d swfb=%d fires=%d irqdrop=%d irqdelay=%d",
-		r.Mode, r.N, r.Seed, r.Spec, r.Total, r.PerOp, r.Completed,
-		r.Reflections, r.WatchdogFires, r.Fallbacks, r.FallbackReflections,
-		r.BreakerTrips, r.BreakerRecoveries, r.SWFallbacks, r.FaultFires,
-		r.IRQDropped, r.IRQDelayed)
-}
-
 // FaultSweep runs the nested cpuid micro-benchmark with the given fault
 // spec armed and reports the recovery counters. The explicit spec
 // overrides the session's armed spec for this run; the session's obs

@@ -22,7 +22,7 @@ func TestFaultSweepLostWakeupsAndIPIs(t *testing.T) {
 		},
 	}
 	r := s.FaultSweep(hv.ModeSWSVt, spec, 400)
-	t.Logf("%s", r.StatsLine())
+	t.Logf("%+v", r)
 	if !r.Completed {
 		t.Fatal("fault sweep did not complete")
 	}
@@ -63,7 +63,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 		},
 	}
 	r := s.FaultSweep(hv.ModeSWSVt, spec, 400)
-	t.Logf("%s", r.StatsLine())
+	t.Logf("%+v", r)
 	if !r.Completed {
 		t.Fatal("run did not complete")
 	}
@@ -106,15 +106,15 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	}
 	a := s.FaultSweep(hv.ModeSWSVt, mk(), 300)
 	b := s.FaultSweep(hv.ModeSWSVt, mk(), 300)
-	if a.StatsLine() != b.StatsLine() {
-		t.Fatalf("same fault seed diverged:\n  %s\n  %s", a.StatsLine(), b.StatsLine())
+	if a != b {
+		t.Fatalf("same fault seed diverged:\n  %+v\n  %+v", a, b)
 	}
 	// A different seed must (for this config) actually change something,
 	// or the determinism check above proves nothing.
 	c := mk()
 	c.Seed = 100
 	d := s.FaultSweep(hv.ModeSWSVt, c, 300)
-	if d.StatsLine() == a.StatsLine() {
+	if d.Seed = a.Seed; d == a {
 		t.Fatal("changing the fault seed changed nothing; injection looks seed-independent")
 	}
 }
@@ -130,7 +130,7 @@ func TestFaultSweepDisabledMatchesBaseline(t *testing.T) {
 			t.Fatalf("%v: fault harness perturbed a healthy run: %v != %v", mode, r.PerOp, plain.PerOp)
 		}
 		if r.WatchdogFires != 0 || r.Fallbacks != 0 || r.FaultFires != 0 {
-			t.Fatalf("%v: healthy run shows fault activity: %s", mode, r.StatsLine())
+			t.Fatalf("%v: healthy run shows fault activity: %+v", mode, r)
 		}
 	}
 }
@@ -155,7 +155,7 @@ func TestFaultSweepDelayedIRQs(t *testing.T) {
 }
 
 // TestFaultSweepGridParallelDeterminism: the grid harness must produce
-// byte-identical stats lines whether cells run serially or fanned out —
+// identical results whether cells run serially or fanned out —
 // each cell owns its machine and seeded fault plane, and results are
 // ordered by cell index.
 func TestFaultSweepGridParallelDeterminism(t *testing.T) {
@@ -182,9 +182,9 @@ func TestFaultSweepGridParallelDeterminism(t *testing.T) {
 		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(par))
 	}
 	for i := range serial {
-		if serial[i].StatsLine() != par[i].StatsLine() {
-			t.Fatalf("cell %d diverged:\nserial:   %s\nparallel: %s",
-				i, serial[i].StatsLine(), par[i].StatsLine())
+		if serial[i] != par[i] {
+			t.Fatalf("cell %d diverged:\nserial:   %+v\nparallel: %+v",
+				i, serial[i], par[i])
 		}
 	}
 }

@@ -199,7 +199,7 @@ func annotatePanic(m *machine.Machine) {
 	faults, fseed := "none", int64(0)
 	if m.Faults != nil {
 		faults = m.Cfg.Faults.String()
-		fseed = m.Faults.Seed()
+		fseed = m.Cfg.Faults.Seed
 	}
 	panic(fmt.Sprintf("exp: run failed (seed=%d faults=%q fault-seed=%d): %v",
 		m.Cfg.Seed, faults, fseed, r))

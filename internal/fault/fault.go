@@ -13,11 +13,9 @@
 package fault
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"svtsim/internal/obs"
 	"svtsim/internal/sim"
@@ -107,20 +105,11 @@ type SiteConfig struct {
 	Jitter sim.Time
 }
 
-// SiteStats is one site's lifetime counters.
-type SiteStats struct {
-	Site     string
-	Consults uint64
-	Fires    uint64
-	Drops    uint64
-	Delays   uint64
-}
-
 type siteState struct {
-	cfg SiteConfig
-	rng *rand.Rand
-	SiteStats
-	obsLabel obs.Label
+	cfg             SiteConfig
+	rng             *rand.Rand
+	consults, fires uint64
+	obsLabel        obs.Label
 }
 
 // Plane is the fault injector. Construct with NewPlane, configure sites
@@ -154,9 +143,6 @@ func NewPlane(eng *sim.Engine, seed int64) *Plane {
 	return p
 }
 
-// Seed reports the seed the plane was built with, for failure logs.
-func (p *Plane) Seed() int64 { return p.seed }
-
 // Add arms a site. The site's RNG stream is derived from the plane seed
 // and the site name alone, so configuration order never changes
 // outcomes. Re-adding a site replaces its config and resets its stream.
@@ -164,9 +150,8 @@ func (p *Plane) Add(cfg SiteConfig) {
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Site))
 	st := &siteState{
-		cfg:       cfg,
-		rng:       sim.NewRand(p.seed ^ int64(h.Sum64())),
-		SiteStats: SiteStats{Site: cfg.Site},
+		cfg: cfg,
+		rng: sim.NewRand(p.seed ^ int64(h.Sum64())),
 	}
 	if p.obsT != nil {
 		st.obsLabel = p.obsT.Intern(cfg.Site)
@@ -180,18 +165,18 @@ func (p *Plane) InjectFault(site string) sim.FaultOutcome {
 	if st == nil {
 		return sim.FaultOutcome{}
 	}
-	st.Consults++
+	st.consults++
 	cfg := st.cfg
-	if st.Consults <= cfg.After {
+	if st.consults <= cfg.After {
 		return sim.FaultOutcome{}
 	}
-	if cfg.Limit > 0 && st.Fires >= cfg.Limit {
+	if cfg.Limit > 0 && st.fires >= cfg.Limit {
 		return sim.FaultOutcome{}
 	}
 	fire := false
 	switch {
 	case cfg.Every > 0:
-		fire = (st.Consults-cfg.After-1)%cfg.Every == 0
+		fire = (st.consults-cfg.After-1)%cfg.Every == 0
 	case cfg.Rate > 0:
 		fire = st.rng.Float64() < cfg.Rate
 	}
@@ -207,13 +192,7 @@ func (p *Plane) InjectFault(site string) sim.FaultOutcome {
 		// count the consult but record nothing.
 		return out
 	}
-	st.Fires++
-	if out.Drop {
-		st.Drops++
-	}
-	if out.Delay > 0 {
-		st.Delays++
-	}
+	st.fires++
 	p.fires.Inc()
 	if p.obsT != nil {
 		drop := uint64(0)
@@ -231,24 +210,3 @@ func (p *Plane) Fires() uint64 { return p.fires.Value() }
 
 // FiresCounter exposes the live fire tally for metric registration.
 func (p *Plane) FiresCounter() *obs.Counter { return &p.fires }
-
-// Stats returns per-site counters, sorted by site name.
-func (p *Plane) Stats() []SiteStats {
-	out := make([]SiteStats, 0, len(p.sites))
-	for _, st := range p.sites {
-		out = append(out, st.SiteStats)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
-}
-
-// String summarises the plane for logs: seed plus per-site counters.
-func (p *Plane) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fault plane seed=%d fires=%d", p.seed, p.fires.Value())
-	for _, s := range p.Stats() {
-		fmt.Fprintf(&b, "\n  %-16s consults=%-8d fires=%-6d drops=%-6d delays=%d",
-			s.Site, s.Consults, s.Fires, s.Drops, s.Delays)
-	}
-	return b.String()
-}

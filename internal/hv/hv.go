@@ -83,7 +83,6 @@ func ParseMode(s string) (Mode, error) {
 // trapped accesses to its window (kicks); OnIRQ runs completion
 // processing in the owning kernel's execution context.
 type Device interface {
-	Name() string
 	MMIOWrite(gpa, val uint64)
 	OnIRQ()
 }
@@ -176,8 +175,6 @@ type NestedState struct {
 	// OnEPTP is invoked when L1 writes the EPT pointer of vmcs12 so the
 	// machine can (re)build the composed shadow EPT for vmcs02.
 	OnEPTP func(eptp12 uint64)
-	// OnINVEPT is invoked when L1 executes INVEPT.
-	OnINVEPT func(eptp12 uint64)
 }
 
 // Profile accumulates per-exit-reason handling time, the measurement the
@@ -384,8 +381,6 @@ func (h *Hypervisor) Handle(vc *VCPU, e isa.Exit) bool {
 		h.handleVMRead(vc, e)
 	case isa.ExitVMWrite:
 		h.handleVMWrite(vc, e)
-	case isa.ExitINVEPT:
-		h.handleINVEPT(vc, e)
 	case isa.ExitEPTViolation:
 		panic(fmt.Sprintf("%s: unexpected EPT violation at %#x from %s", h.Name, e.GuestPA, vc.Name))
 	case isa.ExitVMCall:
@@ -455,10 +450,10 @@ func (h *Hypervisor) handleHalt(vc *VCPU, e isa.Exit) bool {
 			h.DeadlockDetected = true
 			return true
 		}
-		h.P.PollIRQs()
 		if h.Level == 0 {
 			break // a physical vector arrived; the run loop will surface it
 		}
+		h.P.(*VirtualPlatform).Port.PollIRQs()
 	}
 	h.advanceRIP(vc, e)
 	return false
@@ -470,11 +465,11 @@ func (h *Hypervisor) handleHalt(vc *VCPU, e isa.Exit) bool {
 // vector already sits in L1's virtual LAPIC.
 func (h *Hypervisor) handleExtInt(vc *VCPU, e isa.Exit) {
 	h.P.Charge(h.Costs.IRQAck)
-	h.P.AckIRQ(vc, e.Vector)
 	if h.Level == 0 {
+		h.P.(*RealPlatform).AckIRQ(vc, e.Vector)
 		h.HandleKernelIRQ(e.Vector)
 	} else {
-		h.P.PollIRQs()
+		h.P.(*VirtualPlatform).Port.PollIRQs()
 	}
 }
 

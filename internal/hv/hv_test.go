@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"strings"
 	"testing"
 
 	"svtsim/internal/apic"
@@ -158,19 +159,31 @@ func TestDeviceDispatchAndUnknownDevicePanics(t *testing.T) {
 	h.Handle(vc, isa.Exit{Reason: isa.ExitEPTMisconfig, Qualification: 99, GuestPA: 0xF000})
 }
 
+// The model has no INVEPT: a guest hypervisor never issues one, so an
+// INVEPT exit reaching L0 is unhandled and panics with its name.
+func TestUnhandledINVEPTPanics(t *testing.T) {
+	h, _, _ := testStack()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "unhandled exit") || !strings.Contains(msg, "INVEPT") {
+			t.Fatalf("recovered %q, want an unhandled-exit panic naming INVEPT", msg)
+		}
+	}()
+	vc := NewVCPU("g", 0, guestVMCS(), nil, 1)
+	h.Handle(vc, isa.Exit{Reason: isa.ExitINVEPT})
+}
+
 type fakeDev struct {
-	name   string
 	writes []uint64
 	irqs   int
 }
 
-func (d *fakeDev) Name() string              { return d.name }
 func (d *fakeDev) MMIOWrite(gpa, val uint64) { d.writes = append(d.writes, val) }
 func (d *fakeDev) OnIRQ()                    { d.irqs++ }
 
 func TestKernelIRQDispatch(t *testing.T) {
 	h, _, eng := testStack()
-	dev := &fakeDev{name: "d"}
+	dev := &fakeDev{}
 	h.VectorToDevice[0x40] = dev
 	target := NewVCPU("t", 0, guestVMCS(), nil, 1)
 	target.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)

@@ -49,17 +49,6 @@ func (h *Hypervisor) handleVMWrite(vc *VCPU, e isa.Exit) {
 	h.advanceRIP(vc, e)
 }
 
-// handleINVEPT emulates the guest hypervisor's INVEPT against the shadow
-// EPT structures.
-func (h *Hypervisor) handleINVEPT(vc *VCPU, e isa.Exit) {
-	ns := h.activeNested(vc)
-	h.P.Charge(h.Costs.EmulVMCSAccess)
-	if ns.OnINVEPT != nil {
-		ns.OnINVEPT(e.Qualification)
-	}
-	h.advanceRIP(vc, e)
-}
-
 func (h *Hypervisor) activeNested(vc *VCPU) *NestedState {
 	ns := vc.Nested
 	if ns == nil || !ns.Active {
@@ -175,7 +164,7 @@ func (h *Hypervisor) handleVMResume(vc *VCPU, e isa.Exit) bool {
 			// run host-side completion work, then decide whether L1 needs
 			// to see an interrupt exit.
 			h.P.Charge(h.Costs.IRQAck)
-			h.P.AckIRQ(ns.L2VCPU, e2.Vector)
+			h.P.(*RealPlatform).AckIRQ(ns.L2VCPU, e2.Vector)
 			h.HandleKernelIRQ(e2.Vector)
 			l1Wants := vc.VirtLAPIC != nil && vc.VirtLAPIC.HasPending()
 			if h.Mode == ModeSWSVt && h.SW != nil {

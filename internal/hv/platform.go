@@ -22,7 +22,6 @@ import (
 // operations plus guest register access. Costs are charged inside the
 // implementations.
 type Platform interface {
-	Name() string
 	Now() sim.Time
 	// Charge accounts hypervisor compute time.
 	Charge(d sim.Time)
@@ -46,15 +45,6 @@ type Platform interface {
 	// ports.VecTimer to the hypervisor owning vc.
 	SetTimer(vc *VCPU, deadline sim.Time)
 
-	// AckIRQ acknowledges a physical interrupt (no-op on the virtualized
-	// platform, whose "physical" interrupts are virtual vectors consumed by
-	// the kernel IRQ poll).
-	AckIRQ(vc *VCPU, vec int)
-
-	// PollIRQs gives the guest kernel a chance to run pending virtual
-	// interrupt handlers (no-op on the real platform).
-	PollIRQs()
-
 	// Idle blocks until an interrupt is pending for this hypervisor or
 	// one of vc's vectors (used for HLT handling). It reports false if
 	// the simulation has no more events (deadlock).
@@ -74,9 +64,6 @@ func NewRealPlatform(c *cpu.Core) *RealPlatform {
 		timers: make(map[cpu.ContextID]sim.EventRef),
 	}
 }
-
-// Name implements Platform.
-func (p *RealPlatform) Name() string { return "hw" }
 
 // Now implements Platform.
 func (p *RealPlatform) Now() sim.Time { return p.Core.Eng.Now() }
@@ -166,16 +153,14 @@ func irqCtx(c *cpu.Core, ctx cpu.ContextID) cpu.ContextID {
 	return ctx
 }
 
-// AckIRQ implements Platform: acknowledge on the physical LAPIC of the
-// context that received the vector.
+// AckIRQ acknowledges a physical interrupt on the LAPIC of the context
+// that received the vector. Only L0 takes physical interrupts; a guest
+// hypervisor's are virtual vectors its kernel IRQ poll consumes.
 func (p *RealPlatform) AckIRQ(vc *VCPU, vec int) {
 	if l := p.Core.LAPIC(irqCtx(p.Core, vc.Ctx)); l != nil {
 		l.Ack(vec)
 	}
 }
-
-// PollIRQs implements Platform (no-op: L0 is the kernel).
-func (p *RealPlatform) PollIRQs() {}
 
 // Idle implements Platform: advance virtual time until an interrupt shows
 // up on the hosting context's physical LAPIC or on vc's virtual LAPIC —

@@ -26,9 +26,6 @@ func NewVirtualPlatform(port *cpu.Port) *VirtualPlatform {
 	return &VirtualPlatform{Port: port}
 }
 
-// Name implements Platform.
-func (p *VirtualPlatform) Name() string { return "virtual" }
-
 // Load makes vc's VMCS current on the virtual CPU (VMPTRLD, trapping to
 // the host hypervisor, which activates shadowing on the first load).
 func (p *VirtualPlatform) Load(vc *VCPU) {
@@ -120,13 +117,6 @@ func (p *VirtualPlatform) WriteGuestGPR(vc *VCPU, r isa.Reg, val uint64) {
 func (p *VirtualPlatform) SetTimer(vc *VCPU, deadline sim.Time) {
 	p.Port.Exec(isa.WRMSR(isa.MSRTSCDeadline, uint64(deadline)))
 }
-
-// AckIRQ implements Platform: the guest hypervisor's "physical" vectors
-// are virtual ones consumed by PollIRQs, so nothing to acknowledge here.
-func (p *VirtualPlatform) AckIRQ(vc *VCPU, vec int) {}
-
-// PollIRQs implements Platform: run pending kernel interrupt handlers.
-func (p *VirtualPlatform) PollIRQs() { p.Port.PollIRQs() }
 
 // Idle implements Platform: deliver anything pending, and if still idle
 // execute HLT — which traps to L0, where the real idling happens.

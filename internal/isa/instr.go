@@ -29,7 +29,6 @@ const (
 	OpVMRead
 	OpVMWrite
 	OpVMResume
-	OpINVEPT
 	// OpMonitor arms the SW SVt prototype's wait loop; the wait itself
 	// is the channel's park, not an instruction.
 	OpMonitor
@@ -41,7 +40,7 @@ const (
 
 var opNames = [...]string{
 	"", "cpuid", "rdmsr", "wrmsr", "mmio-write", "hlt", "vmcall", "vmptrld",
-	"vmread", "vmwrite", "vmresume", "invept", "monitor", "ctxtld", "ctxtst",
+	"vmread", "vmwrite", "vmresume", "monitor", "ctxtld", "ctxtst",
 }
 
 func (o Op) String() string {

@@ -8,14 +8,14 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/netsim"
 	"svtsim/internal/ports"
-	armport "svtsim/internal/ports/armlike"
+	_ "svtsim/internal/ports/armlike"
 	x86port "svtsim/internal/ports/x86"
 	"svtsim/internal/race"
 	"svtsim/internal/sim"
 	"svtsim/internal/workload"
 )
 
-var allocPorts = []ports.Port{x86port.Port(), armport.Port()}
+var allocPorts = []ports.Port{x86port.Port(), ports.Get("armlike")}
 
 func portConfig(p ports.Port, mode hv.Mode) Config {
 	cfg := DefaultConfig(mode)

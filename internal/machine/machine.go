@@ -306,11 +306,6 @@ func NewNested(cfg Config) *Machine {
 		m.Core.RegisterEPT(EPTP02, shadow)
 		m.Ns.SetShadowEPTP(EPTP02)
 	}
-	m.Ns.OnINVEPT = func(eptp12 uint64) {
-		if m.Ept02 != nil {
-			m.Ept02.Invalidate()
-		}
-	}
 
 	// L1's vCPU record for L2: the guest hypervisor's own view.
 	m.VC12 = hv.NewVCPU("L1.vcpu-l2", 0, vmcs12, nil, 1)

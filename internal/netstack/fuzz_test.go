@@ -69,7 +69,7 @@ func FuzzSegmentReorder(f *testing.F) {
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("stream incomplete after in-order sweep: %d/%d bytes", len(got), len(msg))
 		}
-		fl := st.Flow(9)
+		fl := st.flows[9]
 		if fl.rcvNxt != uint32(len(msg)) {
 			t.Fatalf("rcvNxt=%d, want %d", fl.rcvNxt, len(msg))
 		}

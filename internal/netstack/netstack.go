@@ -37,7 +37,7 @@ func NewPipe(eng *sim.Engine, lat sim.Time) (*netsim.WireEnd, *netsim.WireEnd) {
 //
 //	[0:2]   magic 0xA5 0x17 — distinguishes netstack segments from raw
 //	        packets sharing a conduit (echo peers, netping payloads)
-//	[2]     flags (SYN | ACK | FIN | DATA)
+//	[2]     flags (SYN | ACK | DATA); bit 2 is unused
 //	[3]     reserved (zero)
 //	[4:8]   flow ID
 //	[8:12]  seq — first payload byte's offset in the flow's byte stream
@@ -53,7 +53,6 @@ const (
 
 	flagSYN  = 1 << 0
 	flagACK  = 1 << 1
-	flagFIN  = 1 << 2
 	flagDATA = 1 << 3
 )
 
@@ -203,9 +202,6 @@ func (st *Stack) Open(id uint32) *Flow {
 	return f
 }
 
-// Flow returns the flow with the given ID, or nil.
-func (st *Stack) Flow(id uint32) *Flow { return st.flows[id] }
-
 func (st *Stack) newFlow(id uint32) *Flow {
 	f := &Flow{
 		S:       st,
@@ -274,7 +270,6 @@ type Flow struct {
 	ID uint32
 
 	established bool
-	closed      bool // FIN seen from peer or sent by us
 
 	// Send side. sndBuf holds every byte from sndUna onward; the prefix
 	// [0, sndNxt-sndUna) is in flight, the rest is unsent backlog.
@@ -312,8 +307,6 @@ type Flow struct {
 	// OnAck fires whenever the peer acknowledges new data or opens its
 	// window — senders use it to learn that backlog drained.
 	OnAck func()
-	// OnClose fires once when the peer's FIN arrives in order.
-	OnClose func()
 }
 
 // Established reports whether the handshake completed.
@@ -323,20 +316,11 @@ func (f *Flow) Established() bool { return f.established }
 // respects the peer's window, and retransmits on loss. The bytes are
 // copied.
 func (f *Flow) Write(b []byte) {
-	if f.closed || len(b) == 0 {
+	if len(b) == 0 {
 		return
 	}
 	f.sndBuf = append(f.sndBuf, b...)
 	f.pump()
-}
-
-// Close sends a FIN after all queued data; further Writes are ignored.
-func (f *Flow) Close() {
-	if f.closed {
-		return
-	}
-	f.closed = true
-	f.sendCtl(flagFIN)
 }
 
 // window is the receive window this end advertises.
@@ -395,7 +379,7 @@ func (f *Flow) pump() {
 	}
 }
 
-// sendCtl emits a payload-free control segment (SYN / ACK / FIN).
+// sendCtl emits a payload-free control segment (SYN / ACK).
 func (f *Flow) sendCtl(flags byte) {
 	f.segsOut++
 	f.clearAck()
@@ -511,15 +495,6 @@ func (f *Flow) handle(seg Segment) {
 	}
 	if seg.Flags&flagDATA != 0 && len(seg.Payload) > 0 {
 		f.handleData(seg)
-	}
-	if seg.Flags&flagFIN != 0 && seg.Seq == f.rcvNxt {
-		if !f.closed {
-			f.closed = true
-			if f.OnClose != nil {
-				f.OnClose()
-			}
-		}
-		f.sendCtl(flagACK)
 	}
 }
 

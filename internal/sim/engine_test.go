@@ -37,9 +37,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := (2 * Second).Seconds(); got != 2 {
 		t.Errorf("Seconds = %v, want 2", got)
 	}
-	if got := (5 * Millisecond).Milliseconds(); got != 5 {
-		t.Errorf("Milliseconds = %v, want 5", got)
-	}
 }
 
 func TestAdvance(t *testing.T) {

@@ -21,9 +21,6 @@ const (
 // Microseconds reports t as a floating-point number of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
-// Milliseconds reports t as a floating-point number of milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
-
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

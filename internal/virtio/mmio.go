@@ -92,9 +92,6 @@ func (c *DeviceCommon) notify(fn func()) {
 	fn()
 }
 
-// Name implements hv.Device.
-func (c *DeviceCommon) Name() string { return c.DevName }
-
 // Queue returns the live device-side queue at index i (nil before ready).
 func (c *DeviceCommon) Queue(i int) *Queue {
 	if i < 0 || i >= MaxQueues {

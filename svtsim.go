@@ -102,9 +102,6 @@ type CostModel = cost.Model
 // DefaultConfig returns the calibrated configuration for a mode.
 func DefaultConfig(mode Mode) Config { return machine.DefaultConfig(mode) }
 
-// BaselineCosts returns the cost model calibrated to the paper's Table 1.
-func BaselineCosts() CostModel { return cost.Baseline() }
-
 // Machine is an assembled simulation of the full L0/L1/L2 stack.
 type Machine = machine.Machine
 

@@ -29,9 +29,10 @@ func TestFacadeMachineConstruction(t *testing.T) {
 }
 
 func TestFacadeCostModel(t *testing.T) {
-	c := BaselineCosts()
-	if c.ExitLeg() <= 0 || c.EntryLeg() <= 0 {
-		t.Fatal("cost model legs must be positive")
+	for _, mode := range AllModes() {
+		if c := DefaultConfig(mode).Costs; c.ExitLeg() <= 0 || c.EntryLeg() <= 0 {
+			t.Fatalf("mode %v: cost model legs must be positive", mode)
+		}
 	}
 }
 
