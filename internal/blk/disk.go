@@ -34,6 +34,10 @@ type Disk struct {
 	BytesPerSec float64
 
 	busyUntil sim.Time
+	// inService holds the requests between Submit and completion. They
+	// complete at busyUntil, which only moves forward, so they complete
+	// in submission order.
+	inService sim.FIFO[request]
 
 	Reads  uint64
 	Writes uint64
@@ -67,6 +71,16 @@ func NewDisk(eng *sim.Engine, name string, capacity uint64) *Disk {
 		WriteBase:   4 * sim.Microsecond,
 		BytesPerSec: 4e9, // tmpfs copy bandwidth
 	}
+}
+
+// request is a serviced operation awaiting its completion event.
+type request struct {
+	write bool
+	off   uint64
+	m     virtio.MemIO
+	gpa   uint64
+	n     uint32
+	done  func(ok bool)
 }
 
 func (d *Disk) svc(write bool, n int) sim.Time {
@@ -120,11 +134,23 @@ func (d *Disk) Submit(write bool, sector uint64, m virtio.MemIO, gpa uint64, n u
 	}
 	if write {
 		d.Writes++
-		d.Eng.At(finish, func() { done(d.dma.Copy(d.store, off, m, gpa, n) == nil) })
-		return
+	} else {
+		d.Reads++
 	}
-	d.Reads++
-	d.Eng.At(finish, func() { done(d.dma.Copy(m, gpa, d.store, off, n) == nil) })
+	d.inService.At(d.Eng, finish, d, request{write, off, m, gpa, n, done})
+}
+
+// Fire implements sim.Handler: the oldest request completes, moving its
+// data between the image and guest memory, and its callback runs.
+func (d *Disk) Fire(arg uint64) {
+	r := d.inService.Pop(arg, d.Name)
+	var err error
+	if r.write {
+		err = d.dma.Copy(d.store, r.off, r.m, r.gpa, r.n)
+	} else {
+		err = d.dma.Copy(r.m, r.gpa, d.store, r.off, r.n)
+	}
+	r.done(err == nil)
 }
 
 // span returns the byte offset of an n-byte access at sector, and false

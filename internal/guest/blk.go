@@ -18,7 +18,14 @@ type BlkDriver struct {
 
 	ops    []blkOp // in-flight requests by chain head
 	copier virtio.Copier
+	hdr    [virtio.BlkHeaderSize]byte
 	sts    [1]byte
+
+	// A synchronous request's completion: syncDone is bound to
+	// finishSync on first use and records the result in syncOK.
+	syncDone func(ok bool)
+	syncing  bool
+	syncOK   bool
 
 	Reads  uint64
 	Writes uint64
@@ -78,8 +85,8 @@ func (d *BlkDriver) submit(sector uint64, op blkOp) {
 	d.Env.Compute(d.PerRequestCPU)
 	op.live = true
 	op.hdrGPA = d.Env.Alloc(virtio.BlkHeaderSize)
-	hdr := virtio.EncodeBlkHeader(op.write, sector)
-	if err := d.Env.Mem.Write(op.hdrGPA, hdr[:]); err != nil {
+	d.hdr = virtio.EncodeBlkHeader(op.write, sector)
+	if err := d.Env.Mem.Write(op.hdrGPA, d.hdr[:]); err != nil {
 		panic(fmt.Sprintf("guest blk: %v", err))
 	}
 	op.dataGPA = d.Env.Alloc(uint64(op.n))
@@ -121,16 +128,22 @@ func (d *BlkDriver) Read(sector uint64, p []byte) bool { return d.sync(false, se
 // Write performs a synchronous write of p at sector.
 func (d *BlkDriver) Write(sector uint64, p []byte) bool { return d.sync(true, sector, p) }
 
+// sync submits one request and waits for it; the guest issues one
+// synchronous request at a time, so its completion lives in the driver.
 func (d *BlkDriver) sync(write bool, sector uint64, p []byte) bool {
-	okRes := false
-	doneFired := false
-	d.Submit(write, sector, p, func(ok bool) {
-		okRes = ok
-		doneFired = true
-	})
-	d.Env.WaitFor(func() bool { return doneFired })
-	return okRes
+	if d.syncing {
+		panic("guest blk: synchronous request while another is in flight")
+	}
+	if d.syncDone == nil {
+		d.syncDone = d.finishSync
+	}
+	d.syncing = true
+	d.Submit(write, sector, p, d.syncDone)
+	d.Env.WaitFor(func() bool { return !d.syncing })
+	return d.syncOK
 }
+
+func (d *BlkDriver) finishSync(ok bool) { d.syncOK, d.syncing = ok, false }
 
 // OnIRQ retires completed requests, first acknowledging the device
 // interrupt with a trapped MMIO write. A read's bytes leave the arena

@@ -149,8 +149,7 @@ func (h *Host) IPILatency(from, to CtxID) sim.Time {
 // fault plane, if armed, may still drop or delay it).
 func (h *Host) SendIPI(from, to CtxID, vec int) {
 	h.ipiSent[h.Topo.DistanceOf(from, to)]++
-	target := h.lapics[to]
-	h.Eng.After(h.IPILatency(from, to), func() { target.Deliver(vec) })
+	h.Eng.AtCall(h.Eng.Now()+h.IPILatency(from, to), h.lapics[to], uint64(vec))
 	if h.tracer != nil {
 		h.tracer.Instant(h.ctxTracks[from], obs.KindIPI, obs.LevelNone,
 			h.ipiLabel, h.Eng.Now(), uint64(to), uint64(vec))

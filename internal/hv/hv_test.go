@@ -10,6 +10,7 @@ import (
 	"svtsim/internal/isa"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
+	"svtsim/internal/race"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
 )
@@ -114,6 +115,32 @@ func TestTimerVirtualization(t *testing.T) {
 		t.Fatal("compute must have completed")
 	}
 	_ = c
+}
+
+// L0 emulates every TSC-deadline write by re-arming the platform timer,
+// so arming, re-arming and expiring it allocate nothing once warm.
+func TestTimerArmAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	_, c, eng := testStack()
+	p := NewRealPlatform(c)
+	vc := NewVCPU("g", 0, guestVMCS(), &scriptGuest{}, 1)
+	cycle := func() {
+		p.SetTimer(vc, eng.Now()+100)
+		p.SetTimer(vc, eng.Now()+200)
+		eng.RunUntil(eng.Now() + 200)
+		if !c.LAPIC(0).Ack(vecTimer) {
+			t.Fatal("the timer did not deliver its vector")
+		}
+		if c.LAPIC(0).HasPending() || len(p.timers) != 0 {
+			t.Fatal("the replaced arm fired too, or the expired timer is still listed")
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Fatalf("%.2f allocs per timer arm/re-arm/expiry, want 0", got)
+	}
 }
 
 func TestHLTWakesOnInterrupt(t *testing.T) {

@@ -134,14 +134,17 @@ func (p *RealPlatform) SetTimer(vc *VCPU, deadline sim.Time) {
 	if deadline == 0 {
 		return
 	}
-	p.timers[ctx] = p.Core.Eng.At(deadline, func() {
-		delete(p.timers, ctx)
-		// Timer interrupts are steered to the boot context, where the host
-		// hypervisor takes external interrupts (§3.1).
-		if l := p.Core.LAPIC(0); l != nil {
-			l.Deliver(vecTimer)
-		}
-	})
+	p.timers[ctx] = p.Core.Eng.AtCall(deadline, p, uint64(ctx))
+}
+
+// Fire implements sim.Handler: the timer armed for context arg expires.
+func (p *RealPlatform) Fire(arg uint64) {
+	delete(p.timers, cpu.ContextID(arg))
+	// Timer interrupts are steered to the boot context, where the host
+	// hypervisor takes external interrupts (§3.1).
+	if l := p.Core.LAPIC(0); l != nil {
+		l.Deliver(vecTimer)
+	}
 }
 
 // irqCtx returns the context external interrupts are steered to: under

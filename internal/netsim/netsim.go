@@ -35,6 +35,15 @@ type Link struct {
 	BitsPerSec float64  // line rate
 
 	busyUntil sim.Time
+	// onWire holds the packets between Send and their arrival. Arrivals
+	// are busyUntil plus a fixed latency, so they leave in send order.
+	onWire sim.FIFO[arrival]
+}
+
+// arrival is a packet on the wire and the endpoint it is bound for.
+type arrival struct {
+	pkt []byte
+	dst Endpoint
 }
 
 // NewLink builds a link; rate is in bits per second.
@@ -59,8 +68,14 @@ func (l *Link) Send(pkt []byte, dst Endpoint) sim.Time {
 	}
 	txDone := start + l.txTime(len(pkt))
 	l.busyUntil = txDone
-	l.Eng.At(txDone+l.Latency, func() { dst.Receive(pkt) })
+	l.onWire.At(l.Eng, txDone+l.Latency, l, arrival{pkt, dst})
 	return txDone
+}
+
+// Fire implements sim.Handler: the oldest packet on the wire arrives.
+func (l *Link) Fire(arg uint64) {
+	a := l.onWire.Pop(arg, "netsim link")
+	a.dst.Receive(a.pkt)
 }
 
 // nicDMADelay models descriptor fetch + PCIe DMA before the wire.
@@ -74,7 +89,20 @@ type NIC struct {
 	Peer Endpoint
 
 	recv func(pkt []byte)
+	// tx and rx hold the packets in DMA, each a fixed nicDMADelay long,
+	// so each leaves in the order it entered.
+	tx sim.FIFO[txDMA]
+	rx sim.FIFO[[]byte]
 }
+
+// txDMA is an outbound packet in DMA and its transmit-done callback.
+type txDMA struct {
+	pkt  []byte
+	done func()
+}
+
+// nicRx is the NIC's second event kind: an inbound DMA completing.
+type nicRx NIC
 
 // NewNIC builds a NIC transmitting on out.
 func NewNIC(eng *sim.Engine, out *Link, peer Endpoint) *NIC {
@@ -84,12 +112,17 @@ func NewNIC(eng *sim.Engine, out *Link, peer Endpoint) *NIC {
 // Send implements Conduit: DMA the packet, put it on the wire, and
 // report TX completion when the last bit leaves.
 func (n *NIC) Send(pkt []byte, done func()) {
-	n.Eng.After(nicDMADelay, func() {
-		txDone := n.Out.Send(pkt, n.Peer)
-		if done != nil {
-			n.Eng.At(txDone, done)
-		}
-	})
+	n.tx.At(n.Eng, n.Eng.Now()+nicDMADelay, n, txDMA{pkt, done})
+}
+
+// Fire implements sim.Handler: the oldest outbound DMA completes and
+// its packet goes on the wire.
+func (n *NIC) Fire(arg uint64) {
+	d := n.tx.Pop(arg, "netsim NIC transmit")
+	txDone := n.Out.Send(d.pkt, n.Peer)
+	if d.done != nil {
+		n.Eng.At(txDone, d.done)
+	}
 }
 
 // SetReceiver implements Conduit.
@@ -101,7 +134,13 @@ func (n *NIC) Receive(pkt []byte) {
 	if n.recv == nil {
 		return
 	}
-	n.Eng.After(nicDMADelay, func() { n.recv(pkt) })
+	n.rx.At(n.Eng, n.Eng.Now()+nicDMADelay, (*nicRx)(n), pkt)
+}
+
+// Fire implements sim.Handler: the oldest inbound DMA completes and its
+// packet goes to the receiver.
+func (r *nicRx) Fire(arg uint64) {
+	r.recv(r.rx.Pop(arg, "netsim NIC receive"))
 }
 
 // WireEnd is one end of a wire: a Conduit whose Send puts each packet

@@ -21,6 +21,9 @@ type EchoPeer struct {
 	// requests arriving on one ring kick is charged ServiceTime each, not
 	// ServiceTime once for the whole batch.
 	busyUntil sim.Time
+	// serving holds the responses in service; they finish at busyUntil,
+	// which only moves forward, so they leave in arrival order.
+	serving sim.FIFO[[]byte]
 }
 
 // Receive implements Endpoint. With RespSize <= 0 the peer sends the
@@ -40,8 +43,13 @@ func (p *EchoPeer) Receive(pkt []byte) {
 		start = p.busyUntil
 	}
 	p.busyUntil = start + p.ServiceTime
-	done := p.busyUntil
-	p.Eng.At(done, func() { p.Back.Send(resp, p.Dst) })
+	p.serving.At(p.Eng, p.busyUntil, p, resp)
+}
+
+// Fire implements sim.Handler: the oldest response leaves service and
+// goes on the return link.
+func (p *EchoPeer) Fire(arg uint64) {
+	p.Back.Send(p.serving.Pop(arg, "netsim echo peer"), p.Dst)
 }
 
 // AckPeer models the remote end of a netperf TCP_STREAM: it acknowledges

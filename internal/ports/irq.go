@@ -132,11 +132,22 @@ func (c *IRQ) Deliver(vec int) {
 	}
 	if out.Delay > 0 {
 		c.delayed.Inc()
-		c.eng.After(out.Delay, func() { c.deliverNow(vec) })
+		c.eng.AtCall(c.eng.Now()+out.Delay, (*redelivery)(c), uint64(vec))
 		return
 	}
 	c.deliverNow(vec)
 }
+
+// Fire implements sim.Handler: vector arg arrives from the interconnect
+// (a host IPI), through the fault plane like any Deliver.
+func (c *IRQ) Fire(arg uint64) { c.Deliver(int(arg)) }
+
+// redelivery is the controller's second event kind: a vector the fault
+// plane delayed lands, past the fault plane.
+type redelivery IRQ
+
+// Fire implements sim.Handler.
+func (r *redelivery) Fire(arg uint64) { (*IRQ)(r).deliverNow(int(arg)) }
 
 // DeliverDirect marks vec pending, bypassing the fault plane. It is for
 // VM-entry event injection: the vector already crossed the interconnect

@@ -4,16 +4,20 @@ package sim
 // discrete-event engine whose steady-state schedule/fire/cancel cycle
 // performs zero heap allocations.
 //
-// Events live in an engine-owned arena (fixed-size slabs, so addresses
-// are stable) and are recycled through an intrusive free-list: firing or
-// canceling an event releases its closure and returns the slot to the
-// list, and the next At/After reuses it. The priority queue is a
-// monomorphic 4-ary min-heap of slot pointers ordered by (time, seq) —
-// the exact total order the previous container/heap implementation used —
-// so dispatch order, and therefore every simulation result, is
-// bit-identical to the interface-based engine it replaced. 4-ary beats
-// binary here because sift-down does one compare-heavy level for every
-// two a binary heap needs, and the four children share a cache line.
+// Events live in an engine-owned arena (slabs that double from 8 to 256
+// slots, so addresses are stable and an engine that schedules little
+// carves little) and are recycled through an intrusive free-list: firing
+// or canceling an event releases its handler and returns the slot to the
+// list, and the next At/AtCall reuses it. A slot holds a Handler and a
+// word of argument, so a hop that keeps its in-flight state in its own
+// object schedules with no allocation at all; At's closure is one more
+// Handler. The priority queue is a monomorphic 4-ary min-heap of slot
+// pointers ordered by (time, seq) — the exact total order the previous
+// container/heap implementation used — so dispatch order, and therefore
+// every simulation result, is bit-identical to the interface-based
+// engine it replaced. 4-ary beats binary here because sift-down does
+// one compare-heavy level for every two a binary heap needs, and the
+// four children share a cache line.
 //
 // Callers hold EventRef value handles, not slot pointers. Each slot
 // carries a generation counter that is bumped on release; a ref snapshots
@@ -21,19 +25,40 @@ package sim
 // is inert: Pending reports false and Cancel is a no-op, even when the
 // slot has been reused for an unrelated event.
 
-// slabSize is the number of event slots allocated at once when the
-// free-list runs dry. Steady-state runs never outgrow their first few
-// slabs, so scheduling stops allocating after warm-up.
-const slabSize = 256
+// firstSlab and slabSize bound the event slabs: an engine's first slab
+// has firstSlab slots and each later one twice its predecessor's, up to
+// slabSize. Most engines never hold more than a few events at once, so
+// they carve one small slab; steady-state runs never outgrow their high-
+// water mark, so scheduling stops allocating after warm-up.
+const (
+	firstSlab = 8
+	slabSize  = 256
+)
+
+// Handler is an event target: when its event fires, the engine calls
+// Fire with the argument it was scheduled with. A pointer to the object
+// that owns the event's state schedules without allocating; a second
+// kind of event on the same object uses a named pointer type over it.
+type Handler interface {
+	Fire(arg uint64)
+}
+
+// funcHandler makes a closure a Handler; the conversion does not
+// allocate, as a func value fits the interface's data word.
+type funcHandler func()
+
+// Fire implements Handler.
+func (f funcHandler) Fire(uint64) { f() }
 
 // event is one arena slot. Slots are owned by their engine for its whole
-// lifetime and recycled through the free-list; the fn closure is released
+// lifetime and recycled through the free-list; the handler is released
 // (nilled) the moment the event fires or is canceled, so a retained
-// EventRef pins only the arena slot, never the callback's captures.
+// EventRef pins only the arena slot, never a closure's captures.
 type event struct {
 	at    Time
 	seq   uint64
-	fn    func()
+	h     Handler
+	arg   uint64
 	index int32 // heap index, -1 when not queued
 	gen   uint32
 	next  *event // free-list link
@@ -64,8 +89,8 @@ type Engine struct {
 	wakeEpoch  uint64
 	ledger     *Ledger
 
-	// Event arena: slots are carved from fixed slabs (stable addresses)
-	// and recycled through the free-list.
+	// Event arena: slots are carved from slabs (stable addresses) and
+	// recycled through the free-list.
 	free     *event
 	slab     []event
 	slabUsed int
@@ -127,7 +152,7 @@ func (e *Engine) Advance(d Time) {
 
 // alloc takes a slot from the free-list, or carves one from the current
 // slab (growing the arena only when the queue reaches a new high-water
-// mark).
+// mark). Each new slab doubles the last, from firstSlab up to slabSize.
 func (e *Engine) alloc() *event {
 	if ev := e.free; ev != nil {
 		e.free = ev.next
@@ -135,7 +160,7 @@ func (e *Engine) alloc() *event {
 		return ev
 	}
 	if e.slabUsed == len(e.slab) {
-		e.slab = make([]event, slabSize)
+		e.slab = make([]event, min(max(2*len(e.slab), firstSlab), slabSize))
 		e.slabUsed = 0
 	}
 	ev := &e.slab[e.slabUsed]
@@ -144,19 +169,19 @@ func (e *Engine) alloc() *event {
 	return ev
 }
 
-// release recycles a fired or canceled slot: the closure is dropped so
-// its captures become collectable, and the generation bump invalidates
-// every outstanding ref to the old event.
+// release recycles a fired or canceled slot: the handler is dropped so
+// a closure's captures become collectable, and the generation bump
+// invalidates every outstanding ref to the old event.
 func (e *Engine) release(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.gen++
 	ev.next = e.free
 	e.free = ev
 }
 
-// At schedules fn to run at absolute virtual time t. Times in the past are
-// clamped to "now" (they fire at the next dispatch point).
-func (e *Engine) At(t Time, fn func()) EventRef {
+// AtCall schedules h.Fire(arg) at absolute virtual time t. Times in the
+// past are clamped to "now" (they fire at the next dispatch point).
+func (e *Engine) AtCall(t Time, h Handler, arg uint64) EventRef {
 	if t < e.now {
 		t = e.now
 	}
@@ -164,9 +189,16 @@ func (e *Engine) At(t Time, fn func()) EventRef {
 	ev.at = t
 	ev.seq = e.seq
 	e.seq++
-	ev.fn = fn
+	ev.h = h
+	ev.arg = arg
 	e.heapPush(ev)
 	return EventRef{ev: ev, gen: ev.gen}
+}
+
+// At schedules fn to run at absolute virtual time t, clamped as AtCall
+// clamps it.
+func (e *Engine) At(t Time, fn func()) EventRef {
+	return e.AtCall(t, funcHandler(fn), 0)
 }
 
 // After schedules fn to run d after the current time.
@@ -205,8 +237,8 @@ func (e *Engine) DispatchDue() int {
 	n := 0
 	for len(e.queue) > 0 && e.queue[0].at <= e.now {
 		ev := e.heapPopMin()
-		fn := ev.fn
-		// Recycle before running: the callback may schedule follow-up
+		h, arg := ev.h, ev.arg
+		// Recycle before running: the handler may schedule follow-up
 		// events straight into the slot it just vacated.
 		e.release(ev)
 		e.dispatched++
@@ -215,7 +247,7 @@ func (e *Engine) DispatchDue() int {
 		if e.onDispatch != nil {
 			e.onDispatch(e.now)
 		}
-		fn()
+		h.Fire(arg)
 	}
 	return n
 }

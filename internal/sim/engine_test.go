@@ -3,10 +3,13 @@ package sim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"svtsim/internal/qcheck"
+	"svtsim/internal/race"
 )
 
 func TestTimeString(t *testing.T) {
@@ -331,19 +334,53 @@ func TestStaleCancelDoesNotKillRecycledSlot(t *testing.T) {
 	}
 }
 
-// TestFiredEventReleasesClosure: dispatch must drop the fn reference so
-// the closure's captures become collectable even while handles persist.
+// TestFiredEventReleasesClosure: dispatch and cancel must drop the
+// handler, a closure or an AtCall target alike, so what it references
+// becomes collectable even while handles persist.
 func TestFiredEventReleasesClosure(t *testing.T) {
 	e := New()
-	ev := e.At(5, func() {})
-	e.RunUntil(5)
-	if ev.ev.fn != nil {
-		t.Fatal("fired event still holds its closure")
+	var c counter
+	for _, r := range []EventRef{e.At(5, func() {}), e.AtCall(5, &c, 1)} {
+		e.RunUntil(5)
+		if r.ev.h != nil {
+			t.Fatal("fired event still holds its handler")
+		}
 	}
-	ev2 := e.At(7, func() {})
-	e.Cancel(ev2)
-	if ev2.ev.fn != nil {
-		t.Fatal("canceled event still holds its closure")
+	for _, r := range []EventRef{e.At(7, func() {}), e.AtCall(7, &c, 1)} {
+		e.Cancel(r)
+		if r.ev.h != nil {
+			t.Fatal("canceled event still holds its handler")
+		}
+	}
+	if c.sum != 1 {
+		t.Fatalf("AtCall target fired with sum %d, want 1", c.sum)
+	}
+}
+
+// counter is a Handler that sums the arguments it fires with.
+type counter struct{ n, sum uint64 }
+
+func (c *counter) Fire(arg uint64) { c.n++; c.sum += arg }
+
+// TestAtCallAllocFree: scheduling a pointer receiver and firing it
+// allocate nothing once the arena holds a slot, and the handler gets
+// its argument.
+func TestAtCallAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	e := New()
+	var c counter
+	cycle := func() {
+		e.AtCall(e.Now()+1, &c, 3)
+		e.Step()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("AtCall+Step: %.2f allocs, want 0", got)
+	}
+	if c.n != 102 || c.sum != 3*102 {
+		t.Fatalf("handler fired %d times with sum %d, want 102 and 306", c.n, c.sum)
 	}
 }
 
@@ -369,9 +406,76 @@ func TestArenaRecycling(t *testing.T) {
 	if len(e.queue) != 0 {
 		t.Fatalf("pending = %d, want 0", len(e.queue))
 	}
-	// Queue depth never exceeded 1, so a single slab suffices.
-	if e.slabUsed > 1 || len(e.slab) != slabSize {
+	// Queue depth never exceeded 1, so the first, smallest slab suffices.
+	if e.slabUsed > 1 || len(e.slab) != firstSlab {
 		t.Fatalf("arena grew beyond one slot: used %d of %d", e.slabUsed, len(e.slab))
+	}
+}
+
+// TestArenaGrowth: slabs double from firstSlab to slabSize and then stay
+// there, and slots handed out earlier keep their addresses.
+func TestArenaGrowth(t *testing.T) {
+	e := New()
+	var refs []EventRef
+	var sizes []int
+	for i := 0; i < 2000; i++ {
+		refs = append(refs, e.At(Time(i), func() {}))
+		if e.slabUsed == 1 { // this event carved a new slab
+			sizes = append(sizes, len(e.slab))
+		}
+	}
+	want := []int{8, 16, 32, 64, 128, 256, 256, 256, 256, 256, 256, 256}
+	if !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("slab sizes %v, want %v", sizes, want)
+	}
+	if len(e.slab) != slabSize || e.slabUsed != 2000-(8+16+32+64+128+6*256) {
+		t.Fatalf("last slab has %d of %d slots used", e.slabUsed, len(e.slab))
+	}
+	for i, r := range refs {
+		if !r.Pending() || r.ev.at != Time(i) {
+			t.Fatalf("event %d moved or was lost after the arena grew", i)
+		}
+	}
+}
+
+// TestSmallEngineArena: an engine that never holds more than 3 events
+// carves one small slab, not a 256-slot one.
+func TestSmallEngineArena(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const most = 1 << 10
+	var c counter
+	run := func() *Engine {
+		e := New()
+		for i := 0; i < 100; i++ {
+			for j := 0; j < 3; j++ {
+				e.AtCall(e.Now()+Time(j), &c, 0)
+			}
+			for e.Step() {
+			}
+		}
+		return e
+	}
+	if e := run(); len(e.slab)*int(unsafe.Sizeof(event{})) > most || e.slabUsed > 3 {
+		t.Fatalf("arena slab of %d slots, %d used; want one slab of at most %d B", len(e.slab), e.slabUsed, most)
+	}
+	// TotalAlloc is process-wide, so measure at GOMAXPROCS 1 and keep the
+	// least of 5 runs, as testing.AllocsPerRun does for counts.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	// Besides the arena: the engine and the heap's backing arrays (1, 2
+	// and 4 slot pointers as append grows it).
+	other := uint64(unsafe.Sizeof(Engine{})) + 8*(1+2+4)
+	if got > most+other {
+		t.Fatalf("an engine holding 3 events allocated %d B, want at most %d B of arena plus %d B", got, most, other)
 	}
 }
 
@@ -386,6 +490,11 @@ type refEvent struct {
 	dead bool
 }
 
+// appender is a Handler that appends its argument to a shared order.
+type appender struct{ order *[]int }
+
+func (a *appender) Fire(arg uint64) { *a.order = append(*a.order, int(arg)) }
+
 // TestDispatchOrderGolden drives a seeded schedule/cancel/advance workload
 // through the engine and through a brute-force reference model and demands
 // identical dispatch sequences, then pins the sequence's fingerprint so a
@@ -397,6 +506,7 @@ func TestDispatchOrderGolden(t *testing.T) {
 	var ref []refEvent
 	var refsByID []EventRef
 	var engineOrder, refOrder []int
+	orderLog := appender{&engineOrder}
 	id := 0
 	seq := uint64(0)
 
@@ -426,7 +536,14 @@ func TestDispatchOrderGolden(t *testing.T) {
 			at := e.Now() + Time(r.Intn(50))
 			myID := id
 			id++
-			refsByID = append(refsByID, e.At(at, func() { engineOrder = append(engineOrder, myID) }))
+			// Odd ids go through AtCall with the id as the argument.
+			var handle EventRef
+			if myID%2 == 0 {
+				handle = e.At(at, func() { engineOrder = append(engineOrder, myID) })
+			} else {
+				handle = e.AtCall(at, &orderLog, uint64(myID))
+			}
+			refsByID = append(refsByID, handle)
 			ref = append(ref, refEvent{at: at, seq: seq, id: myID})
 			seq++
 		case 6, 7: // cancel a random still-live event

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"svtsim/internal/guest"
 	"svtsim/internal/sim"
@@ -42,6 +43,7 @@ func (w *DiskBench) Run(env *guest.Env) {
 		data[i] = byte(i)
 	}
 	span := w.Sectors - uint64(w.Size)/512
+	w.Lat = slices.Grow(w.Lat, w.N)
 	start := env.Now()
 	for i := 0; i < w.N; i++ {
 		sector := uint64(0)

@@ -110,10 +110,13 @@ func (s *MemcachedServer) Run(env *guest.Env) {
 			if get {
 				env.Compute(s.LookupCPU)
 				v, ok := s.store[key]
-				if !ok {
-					v = make([]byte, vs) // cold miss served as if filled
+				if ok {
+					vs = len(v)
 				}
-				resp = append([]byte{1}, v...)
+				// A cold miss is served as if filled: vs zero bytes.
+				resp = make([]byte, 1+vs)
+				resp[0] = 1
+				copy(resp[1:], v)
 			} else {
 				env.Compute(s.StoreCPU)
 				s.store[key] = make([]byte, vs)

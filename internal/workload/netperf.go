@@ -7,6 +7,8 @@
 package workload
 
 import (
+	"slices"
+
 	"svtsim/internal/guest"
 	"svtsim/internal/isa"
 	"svtsim/internal/sim"
@@ -58,6 +60,7 @@ func (w *NetRR) Run(env *guest.Env) {
 		}
 	}
 	req := make([]byte, w.ReqSize)
+	w.Lat = slices.Grow(w.Lat, w.N)
 	for i := 0; i < w.N; i++ {
 		t0 := env.Now()
 		respReady = false
