@@ -28,6 +28,7 @@ var keepExports = map[string]string{
 	"exp.Session.CPUIDNestedNoShadowing":   "DESIGN §4 ablation reported in EXPERIMENTS.md",
 	"exp.Session.CPUIDNestedWithThunkRegs": "DESIGN §4 ablation reported in EXPERIMENTS.md",
 	"qcheck.Config":                        "the quick.Config the property tests of ten packages share",
+	"allocs.PerRun":                        "the exact malloc mean the allocation tests of eight packages share",
 
 	"Len":         "sort.Interface / heap.Interface",
 	"Less":        "sort.Interface / heap.Interface",

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/apic"
 	"svtsim/internal/cost"
 	"svtsim/internal/ept"
@@ -355,13 +356,13 @@ func TestTrappedMMIOWriteAllocFree(t *testing.T) {
 	v := newVMCS("vmcs01", 1)
 	v.Write(vmcs.EPTPointer, 0xE000)
 	in := isa.MMIOWrite(0xFE000008, 1)
-	allocs := testing.AllocsPerRun(100, func() {
+	got := allocs.PerRun(100, func() {
 		if r := c.Exec(0, v, in); r.Exit.Reason != isa.ExitEPTMisconfig || r.Exit.Qualification != 9 {
 			t.Fatalf("exit = %v", r.Exit)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("a trapped MMIO write allocates %.0f times, want 0", allocs)
+	if got != 0 {
+		t.Fatalf("a trapped MMIO write allocates %.2f times, want 0", got)
 	}
 }
 

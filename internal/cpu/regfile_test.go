@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/isa"
 	"svtsim/internal/qcheck"
 	"svtsim/internal/race"
@@ -157,15 +158,15 @@ func TestRegFileWriteAllocFree(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	rf := NewRegFile(3, 2*int(isa.NumGPR))
-	// AllocsPerRun rounds its average down, so each run makes enough
-	// writes that even an amortized reallocation shows.
+	// Each run makes many writes, so an amortized reallocation shows
+	// as a fraction of a malloc per run.
 	const writes = 1000
-	allocs := testing.AllocsPerRun(20, func() {
+	got := allocs.PerRun(20, func() {
 		for i := uint64(0); i < writes; i++ {
 			rf.Write(int(i%3), isa.Reg(i%uint64(isa.NumGPR)), i)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("%d RegFile.Writes allocate %.0f times, want 0", writes, allocs)
+	if got != 0 {
+		t.Fatalf("%d RegFile.Writes allocate %.2f times, want 0", writes, got)
 	}
 }

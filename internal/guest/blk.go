@@ -114,10 +114,7 @@ func (d *BlkDriver) submit(sector uint64, op blkOp) {
 	if err != nil {
 		panic(fmt.Sprintf("guest blk: %v", err))
 	}
-	for len(d.ops) <= int(head) {
-		d.ops = append(d.ops, blkOp{})
-	}
-	d.ops[head] = op
+	*entry(&d.ops, head) = op
 	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, 0))
 }
 

@@ -17,13 +17,32 @@ type NetDriver struct {
 	TX, RX *virtio.Queue
 
 	txInflight map[uint16]func()
-	txBufs     map[uint16]virtio.Buf
-	rxBufs     map[uint16]virtio.Buf
+	txBufs     []netBuf // arena buffers of packets in flight, by chain head
+	rxBufs     []netBuf // posted receive buffers, by chain head
 	// OnReceive is the protocol stack's inbound hook.
 	OnReceive func(pkt []byte)
 
 	// PerPacketCPU models the guest network stack's per-packet cost.
 	PerPacketCPU sim.Time
+}
+
+// netBuf is an arena buffer in one of the driver's per-head tables. live
+// marks an occupied entry, so a zero-length packet's buffer is still
+// freed.
+type netBuf struct {
+	gpa  uint64
+	n    uint32
+	live bool
+}
+
+// entry returns head's entry in a per-head table, growing the table as
+// the ring hands out higher heads.
+func entry[T any](t *[]T, head uint16) *T {
+	for len(*t) <= int(head) {
+		var zero T
+		*t = append(*t, zero)
+	}
+	return &(*t)[head]
 }
 
 // The driver's rings and buffers match a small virtio-net-pci device.
@@ -53,8 +72,7 @@ func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*NetDrive
 		TX:           tx,
 		RX:           rx,
 		txInflight:   make(map[uint16]func()),
-		txBufs:       make(map[uint16]virtio.Buf),
-		rxBufs:       make(map[uint16]virtio.Buf),
+		rxBufs:       make([]netBuf, netRXBuffers),
 		PerPacketCPU: 900, // ns: skb alloc + stack traversal
 	}
 	// Device probe: program the queue geometry through trapped MMIO
@@ -63,7 +81,7 @@ func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*NetDrive
 	virtio.ConfigureQueue(exec, mmio, virtio.NetQTX, txL)
 	virtio.ConfigureQueue(exec, mmio, virtio.NetQRX, rxL)
 	for i := 0; i < netRXBuffers; i++ {
-		if err := d.postRXBuffer(netBufSize); err != nil {
+		if err := d.postRX(netBuf{gpa: e.Alloc(netBufSize), n: netBufSize, live: true}); err != nil {
 			return nil, err
 		}
 	}
@@ -73,19 +91,23 @@ func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*NetDrive
 	return d, nil
 }
 
-func (d *NetDriver) postRXBuffer(size uint32) error {
-	gpa := d.Env.Alloc(uint64(size))
-	head, err := d.RX.Post([]virtio.Buf{{GPA: gpa, Len: size, DeviceWrite: true}})
+// postRX posts b on the RX ring and records it under its chain head. The
+// ring holds at most netRXBuffers chains and recycles the head it frees
+// last first, so heads stay inside the table.
+func (d *NetDriver) postRX(b netBuf) error {
+	head, err := d.RX.Post([]virtio.Buf{{GPA: b.gpa, Len: b.n, DeviceWrite: true}})
 	if err != nil {
 		return err
 	}
-	d.rxBufs[head] = virtio.Buf{GPA: gpa, Len: size}
+	d.rxBufs[head] = b
 	return nil
 }
 
 // Send implements netsim.Conduit: it transmits pkt, and done (may be
-// nil) runs when the TX buffer is reclaimed. The kick is a real MMIO
-// write that exits. A ring error panics naming the driver.
+// nil) runs when the TX buffer is reclaimed. Send copies pkt into guest
+// RAM before it returns, as a socket send copies into an skb, so the
+// caller may reuse pkt at once. The kick is a real MMIO write that
+// exits. A ring error panics naming the driver.
 func (d *NetDriver) Send(pkt []byte, done func()) {
 	d.Env.Compute(d.PerPacketCPU)
 	gpa := d.Env.Alloc(uint64(len(pkt)))
@@ -97,7 +119,7 @@ func (d *NetDriver) Send(pkt []byte, done func()) {
 		panic(fmt.Sprintf("guest net: %v", err))
 	}
 	d.txInflight[head] = done
-	d.txBufs[head] = virtio.Buf{GPA: gpa, Len: uint32(len(pkt))}
+	*entry(&d.txBufs, head) = netBuf{gpa: gpa, n: uint32(len(pkt)), live: true}
 	// Every send kicks the device. Kick suppression (virtio's EVENT_IDX)
 	// would need the full avail-event handshake to avoid lost wakeups; at
 	// 10 GbE the wire is slower than the exit path even nested, so the
@@ -130,9 +152,10 @@ func (d *NetDriver) OnIRQ() {
 		if !ok {
 			break
 		}
-		if b, ok := d.txBufs[head]; ok {
-			d.Env.Free(b.GPA, uint64(b.Len))
-			delete(d.txBufs, head)
+		if int(head) < len(d.txBufs) && d.txBufs[head].live {
+			b := d.txBufs[head]
+			d.txBufs[head] = netBuf{}
+			d.Env.Free(b.gpa, uint64(b.n))
 		}
 		if done := d.txInflight[head]; done != nil {
 			done()
@@ -147,19 +170,20 @@ func (d *NetDriver) OnIRQ() {
 		if !ok {
 			break
 		}
+		if int(head) >= len(d.rxBufs) || !d.rxBufs[head].live {
+			panic(fmt.Sprintf("guest net: driver at %#x: used rx head %d has no posted buffer", d.MMIO, head))
+		}
 		buf := d.rxBufs[head]
-		delete(d.rxBufs, head)
+		d.rxBufs[head] = netBuf{}
 		data := make([]byte, n)
-		if err := d.Env.Mem.Read(buf.GPA, data); err != nil {
+		if err := d.Env.Mem.Read(buf.gpa, data); err != nil {
 			panic(fmt.Sprintf("guest net: rx copy: %v", err))
 		}
 		d.Env.Compute(d.PerPacketCPU)
 		// Repost the same buffer for future packets.
-		nh, err := d.RX.Post([]virtio.Buf{{GPA: buf.GPA, Len: buf.Len, DeviceWrite: true}})
-		if err != nil {
+		if err := d.postRX(buf); err != nil {
 			panic(fmt.Sprintf("guest net: rx repost: %v", err))
 		}
-		d.rxBufs[nh] = buf
 		if d.OnReceive != nil {
 			d.OnReceive(data)
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/apic"
 	"svtsim/internal/cost"
 	"svtsim/internal/cpu"
@@ -138,7 +139,7 @@ func TestTimerArmAllocFree(t *testing.T) {
 		}
 	}
 	cycle()
-	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+	if got := allocs.PerRun(200, cycle); got != 0 {
 		t.Fatalf("%.2f allocs per timer arm/re-arm/expiry, want 0", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/qcheck"
 	"svtsim/internal/race"
 	"svtsim/internal/words"
@@ -280,12 +281,12 @@ func TestZeroWriteAllocatesNoLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	zeros := make([]byte, 3*PageSize)
-	if n := testing.AllocsPerRun(100, func() {
+	if n := allocs.PerRun(100, func() {
 		if err := m.Write(1, zeros[:PageSize-1]); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("zero write into a materialized page: %.1f allocs, want 0", n)
+		t.Errorf("zero write into a materialized page: %.2f allocs, want 0", n)
 	}
 	if err := m.Write(10*PageSize+7, zeros); err != nil {
 		t.Fatal(err)

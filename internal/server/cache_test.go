@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/race"
 )
 
@@ -43,7 +44,7 @@ func TestCacheGetHitAllocFree(t *testing.T) {
 	c.Put("a", []byte("body"), nil)
 	c.Put("b", []byte("other"), nil)
 	key := "a"
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := allocs.PerRun(1000, func() {
 		if c.Get(key) == nil {
 			t.Fatal("cache lost a fresh entry")
 		}

@@ -125,8 +125,10 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(ProgressEvent)) 
 		b, _ := io.ReadAll(resp.Body)
 		return apiError(resp, b)
 	}
+	// The scanner starts from bufio's small default buffer and grows it
+	// only for a long line, up to 1 MB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

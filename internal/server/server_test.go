@@ -494,6 +494,35 @@ func TestStreamAndStatus(t *testing.T) {
 	}
 }
 
+// TestStreamLongEvent: the client's scanner starts small and grows, so
+// an event line longer than 64 KB still decodes, beside short ones.
+func TestStreamLongEvent(t *testing.T) {
+	detail := strings.Repeat("x", 100<<10)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		for _, ev := range []ProgressEvent{
+			{Seq: 1, Stage: "run"},
+			{Seq: 2, Detail: detail},
+			{Seq: 3, State: StateDone},
+		} {
+			if err := enc.Encode(ev); err != nil {
+				t.Error(err)
+			}
+		}
+	}))
+	defer hs.Close()
+	var evs []ProgressEvent
+	if err := NewClient(hs.URL).Stream(context.Background(), "j", func(e ProgressEvent) { evs = append(evs, e) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 3 {
+		t.Fatalf("streamed %d events, want 3", len(evs))
+	}
+	if evs[1].Detail != detail || evs[2].State != StateDone {
+		t.Fatalf("second event carries %d B of detail, want %d; last state %q", len(evs[1].Detail), len(detail), evs[2].State)
+	}
+}
+
 // TestTerminalStateCarriesItsEvent races finish against a reader of the
 // log: a reader that finds the job terminal must also find the terminal
 // event at the log's end, or handleStream, which stops at the terminal

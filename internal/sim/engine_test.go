@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/qcheck"
 	"svtsim/internal/race"
 )
@@ -376,7 +377,7 @@ func TestAtCallAllocFree(t *testing.T) {
 		e.Step()
 	}
 	cycle()
-	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+	if got := allocs.PerRun(100, cycle); got != 0 {
 		t.Fatalf("AtCall+Step: %.2f allocs, want 0", got)
 	}
 	if c.n != 102 || c.sum != 3*102 {
@@ -438,9 +439,9 @@ func TestArenaGrowth(t *testing.T) {
 	}
 }
 
-// TestSmallEngineArena: an engine that never holds more than 3 events
-// carves one small slab, not a 256-slot one.
-func TestSmallEngineArena(t *testing.T) {
+// TestSmallEngineArenaAllocBudget: an engine that never holds more than
+// 3 events carves one small slab, not a 256-slot one.
+func TestSmallEngineArenaAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
@@ -461,7 +462,8 @@ func TestSmallEngineArena(t *testing.T) {
 		t.Fatalf("arena slab of %d slots, %d used; want one slab of at most %d B", len(e.slab), e.slabUsed, most)
 	}
 	// TotalAlloc is process-wide, so measure at GOMAXPROCS 1 and keep the
-	// least of 5 runs, as testing.AllocsPerRun does for counts.
+	// least of 5 runs: anything else the process allocates meanwhile
+	// only adds to a run's count.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	got := uint64(math.MaxUint64)
 	for i := 0; i < 5; i++ {

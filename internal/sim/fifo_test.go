@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/race"
 )
 
@@ -91,7 +92,7 @@ func TestFIFOAllocFree(t *testing.T) {
 		e.Drain(2)
 	}
 	cycle()
-	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+	if got := allocs.PerRun(100, cycle); got != 0 {
 		t.Fatalf("send/deliver: %.2f allocs, want 0", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/ept"
 	"svtsim/internal/mem"
 	"svtsim/internal/qcheck"
@@ -336,7 +337,7 @@ func TestVirtqueueRoundTripAllocFree(t *testing.T) {
 	drv, _ := NewQueue(l, m, true)
 	dev, _ := NewQueue(l, m, false)
 	chain := []Buf{{GPA: 0x8000, Len: 16}, {GPA: 0x8100, Len: 64}, {GPA: 0x8200, Len: 1, DeviceWrite: true}}
-	allocs := testing.AllocsPerRun(100, func() {
+	got := allocs.PerRun(100, func() {
 		if _, err := drv.Post(chain); err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +352,7 @@ func TestVirtqueueRoundTripAllocFree(t *testing.T) {
 			t.Fatalf("PopUsed: %v %v", ok, err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("a 3-buffer round trip allocates %.0f times, want 0", allocs)
+	if got != 0 {
+		t.Fatalf("a 3-buffer round trip allocates %.2f times, want 0", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"svtsim/internal/allocs"
 	"svtsim/internal/isa"
 	"svtsim/internal/qcheck"
 	"svtsim/internal/race"
@@ -328,12 +329,12 @@ func TestTransformsAllocFree(t *testing.T) {
 	v12.SetMSRExit(0x123, true)
 	forced := ForcedControls{Pin: PinCtlExtIntExit, ForceMSR: []uint32{isa.MSRTSCDeadline}}
 	xlat := xlatAdd(0x1000)
-	phys := testing.AllocsPerRun(200, func() {
+	phys := allocs.PerRun(200, func() {
 		if _, err := ToPhysical(v02, v12, xlat, forced); err != nil {
 			t.Fatal(err)
 		}
 	})
-	virt := testing.AllocsPerRun(200, func() { ToVirtual(v12, v02) })
+	virt := allocs.PerRun(200, func() { ToVirtual(v12, v02) })
 	if phys != 0 || virt != 0 {
 		t.Fatalf("allocs per call: ToPhysical %.2f, ToVirtual %.2f; want 0", phys, virt)
 	}

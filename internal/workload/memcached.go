@@ -81,6 +81,7 @@ func EncodeMemcachedReq(keyHash uint64, get bool, valueSize int) []byte {
 func (s *MemcachedServer) Run(env *guest.Env) {
 	s.store = make(map[uint64][]byte)
 	var pending [][]byte
+	var resp []byte
 	env.Net.OnReceive = func(pkt []byte) {
 		pending = append(pending, pkt)
 		if s.SMP {
@@ -106,7 +107,6 @@ func (s *MemcachedServer) Run(env *guest.Env) {
 			get := req[8] == 1
 			vs := int(binary.LittleEndian.Uint16(req[9:11]))
 			env.Compute(s.ParseCPU)
-			var resp []byte
 			if get {
 				env.Compute(s.LookupCPU)
 				v, ok := s.store[key]
@@ -114,16 +114,29 @@ func (s *MemcachedServer) Run(env *guest.Env) {
 					vs = len(v)
 				}
 				// A cold miss is served as if filled: vs zero bytes.
-				resp = make([]byte, 1+vs)
+				resp = grow(resp, 1+vs)
 				resp[0] = 1
-				copy(resp[1:], v)
+				n := copy(resp[1:], v)
+				clear(resp[1+n:])
 			} else {
 				env.Compute(s.StoreCPU)
 				s.store[key] = make([]byte, vs)
-				resp = []byte{2}
+				resp = grow(resp, 1)
+				resp[0] = 2
 			}
+			// Send copies the response into guest RAM, so the next
+			// request reuses its buffer.
 			env.Net.Send(resp, nil)
 			s.Served++
 		}
 	}
+}
+
+// grow returns b resized to n bytes, reallocating only when n exceeds
+// its capacity.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
 }
