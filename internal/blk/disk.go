@@ -42,9 +42,6 @@ type Disk struct {
 	Reads  uint64
 	Writes uint64
 	Errors uint64
-	// Faulted counts requests perturbed by the fault plane (dropped
-	// completions surfaced as errors, or delayed completions).
-	Faulted uint64
 
 	// obsT, when non-nil, receives one span per serviced request on
 	// obsTrack (the devices track, normally).
@@ -111,11 +108,9 @@ func (d *Disk) Submit(write bool, sector uint64, m virtio.MemIO, gpa uint64, n u
 	if out := d.Eng.Inject(fault.SiteBlkComplete); out.Faulty() {
 		if out.Drop {
 			d.Errors++
-			d.Faulted++
 			d.Eng.After(d.ReadBase+out.Delay, func() { done(false) })
 			return
 		}
-		d.Faulted++
 		faultDelay = out.Delay
 	}
 	start := d.Eng.Now()

@@ -79,12 +79,6 @@ type run struct {
 // end returns the first guest frame past the run.
 func (r run) end() uint64 { return r.gfn + r.n }
 
-// from returns the part of r at and after guest frame g (inside r).
-func (r run) from(g uint64) run {
-	d := g - r.gfn
-	return run{gfn: g, n: r.n - d, hostPage: r.hostPage + d, perm: r.perm}
-}
-
 // joins reports whether next continues r in both guest and host frames
 // with the same permissions, so the two are one extent.
 func (r run) joins(next run) bool {
@@ -121,7 +115,10 @@ func New(name string) *Table {
 func (t *Table) Walks() uint64 { return t.walkCnt }
 
 // Map installs a gpa→hpa mapping of size bytes with the given
-// permissions. All of gpa, hpa and size must be page aligned.
+// permissions, merging it with contiguous neighbours. All of gpa, hpa
+// and size must be page aligned, and the range must not overlap a
+// mapped run or a device window; a rejected map leaves the table as it
+// was.
 func (t *Table) Map(gpa, hpa, size uint64, perm Perm) error {
 	if gpa%mem.PageSize != 0 || hpa%mem.PageSize != 0 || size%mem.PageSize != 0 || size == 0 {
 		return fmt.Errorf("ept %s: unaligned map gpa=%#x hpa=%#x size=%#x", t.name, gpa, hpa, size)
@@ -129,14 +126,16 @@ func (t *Table) Map(gpa, hpa, size uint64, perm Perm) error {
 	if gpa >= maxGPA || size > maxGPA-gpa {
 		return fmt.Errorf("ept %s: map gpa=%#x size=%#x beyond the %#x guest-physical range", t.name, gpa, size, uint64(maxGPA))
 	}
-	t.put(run{gfn: gpa / mem.PageSize, n: size / mem.PageSize, hostPage: hpa / mem.PageSize, perm: perm})
-	return nil
-}
-
-// put installs r over whatever it overlaps, merging it with contiguous
-// neighbours.
-func (t *Table) put(r run) {
-	i := t.cut(r.gfn, r.end())
+	r := run{gfn: gpa / mem.PageSize, n: size / mem.PageSize, hostPage: hpa / mem.PageSize, perm: perm}
+	i := t.find(r.gfn)
+	if i < len(t.runs) && t.runs[i].gfn < r.end() {
+		return fmt.Errorf("ept %s: map gpa=%#x size=%#x overlaps the run mapped at gpa=%#x", t.name, gpa, size, t.runs[i].gfn*mem.PageSize)
+	}
+	for _, d := range t.devs {
+		if gpa < d.base+d.size && d.base < gpa+size {
+			return fmt.Errorf("ept %s: map gpa=%#x size=%#x overlaps device %d at gpa=%#x", t.name, gpa, size, d.dev, d.base)
+		}
+	}
 	t.mapped += int(r.n)
 	if i > 0 && t.runs[i-1].joins(r) {
 		i--
@@ -148,6 +147,7 @@ func (t *Table) put(r run) {
 		t.runs[i].n += t.runs[i+1].n
 		t.runs = slices.Delete(t.runs, i+1, i+2)
 	}
+	return nil
 }
 
 // find returns the index of the first run ending after frame gfn: the
@@ -163,28 +163,6 @@ func (t *Table) find(gfn uint64) int {
 		}
 	}
 	return lo
-}
-
-// cut removes frames [lo, hi), splitting the runs it cuts through, and
-// returns the index where a run starting at lo belongs.
-func (t *Table) cut(lo, hi uint64) int {
-	i := t.find(lo)
-	if i < len(t.runs) && t.runs[i].gfn < lo {
-		r := t.runs[i]
-		t.runs[i].n = lo - r.gfn
-		i++
-		t.runs = slices.Insert(t.runs, i, r.from(lo))
-	}
-	j := i
-	for ; j < len(t.runs) && t.runs[j].end() <= hi; j++ {
-		t.mapped -= int(t.runs[j].n)
-	}
-	if j < len(t.runs) && t.runs[j].gfn < hi {
-		t.mapped -= int(hi - t.runs[j].gfn)
-		t.runs[j] = t.runs[j].from(hi)
-	}
-	t.runs = slices.Delete(t.runs, i, j)
-	return i
 }
 
 // lookup returns the run holding frame gfn.

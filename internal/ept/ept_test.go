@@ -136,9 +136,29 @@ func (t *Table) Unmap(gpa, size uint64) error {
 	if gpa+size < gpa {
 		return fmt.Errorf("ept %s: unmap gpa=%#x size=%#x wraps the address space", t.name, gpa, size)
 	}
-	if size > 0 {
-		t.cut(gpa/mem.PageSize, (gpa+size)/mem.PageSize)
+	if size == 0 {
+		return nil
 	}
+	lo, hi := gpa/mem.PageSize, (gpa+size)/mem.PageSize
+	var kept []run
+	t.mapped = 0
+	for _, r := range t.runs {
+		pieces := []run{r}
+		if r.gfn < hi && lo < r.end() { // keep what lies outside [lo, hi)
+			pieces = nil
+			if r.gfn < lo {
+				pieces = append(pieces, run{gfn: r.gfn, n: lo - r.gfn, hostPage: r.hostPage, perm: r.perm})
+			}
+			if r.end() > hi {
+				pieces = append(pieces, run{gfn: hi, n: r.end() - hi, hostPage: r.hostPage + hi - r.gfn, perm: r.perm})
+			}
+		}
+		for _, p := range pieces {
+			kept = append(kept, p)
+			t.mapped += int(p.n)
+		}
+	}
+	t.runs = kept
 	return nil
 }
 
@@ -267,14 +287,14 @@ func TestStorageBounds(t *testing.T) {
 	if err := e.Map(2*pg, 0x9000, pg, PermR); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Map(2*pg, 0xA000, pg, PermRW); err != nil { // remap in place
-		t.Fatal(err)
+	if err := e.Map(2*pg, 0xA000, pg, PermRW); err == nil { // remap in place
+		t.Fatal("a remap in place must fail")
 	}
 	if e.mapped != 1 {
-		t.Fatalf("mapped = %d after a remap, want 1", e.mapped)
+		t.Fatalf("mapped = %d after a rejected remap, want 1", e.mapped)
 	}
-	if hpa, err := e.Translate(2*pg+8, PermW); err != nil || hpa != 0xA008 {
-		t.Fatalf("remapped translate = %#x, %v", hpa, err)
+	if hpa, err := e.Translate(2*pg+8, PermR); err != nil || hpa != 0x9008 {
+		t.Fatalf("translate after a rejected remap = %#x, %v", hpa, err)
 	}
 	if _, err := e.Translate(1<<30, PermR); err == nil {
 		t.Fatal("a frame past the table must violate")
@@ -389,32 +409,37 @@ func TestComposeSplitsAtOuterDevice(t *testing.T) {
 	}
 }
 
-// Remapping the middle of a run elsewhere leaves three runs; mapping it
-// back where it was merges them into one again.
-func TestRemapSplitsRun(t *testing.T) {
+// A map over a mapped run or a device window fails naming the table and
+// leaves the table as it was; a map next to a run extends it.
+func TestMapRejectsOverlap(t *testing.T) {
 	e := New("x")
 	if err := e.Map(0, 0x100000, 8*pg, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Map(3*pg, 0x900000, 2*pg, PermRW); err != nil {
+	if err := e.MapMisconfig(16*pg+0x800, 0x100, 5); err != nil {
 		t.Fatal(err)
 	}
-	want := []run{
-		{gfn: 0, n: 3, hostPage: 0x100, perm: PermRW},
-		{gfn: 3, n: 2, hostPage: 0x900, perm: PermRW},
-		{gfn: 5, n: 3, hostPage: 0x105, perm: PermRW},
+	before := append([]run(nil), e.runs...)
+	for _, c := range []struct{ gpa, size uint64 }{
+		{3 * pg, 2 * pg},  // inside the run
+		{7 * pg, 2 * pg},  // across its end
+		{0, 8 * pg},       // the same range again
+		{16 * pg, pg},     // the page holding the device window
+		{12 * pg, 8 * pg}, // a range around the window
+	} {
+		err := e.Map(c.gpa, 0x900000, c.size, PermRW)
+		if err == nil || !strings.Contains(err.Error(), "ept x:") || !strings.Contains(err.Error(), "overlaps") {
+			t.Fatalf("Map(%#x, %#x) = %v, want an overlap error naming table x", c.gpa, c.size, err)
+		}
+		if !reflect.DeepEqual(e.runs, before) || e.mapped != 8 {
+			t.Fatalf("rejected Map(%#x, %#x) changed the table: runs %+v mapped %d", c.gpa, c.size, e.runs, e.mapped)
+		}
 	}
-	if !reflect.DeepEqual(e.runs, want) || e.mapped != 8 {
-		t.Fatalf("runs %+v mapped %d, want %+v and 8", e.runs, e.mapped, want)
-	}
-	if hpa, err := e.Translate(4*pg+1, PermW); err != nil || hpa != 0x901001 {
-		t.Fatalf("translate = %#x, %v", hpa, err)
-	}
-	if err := e.Map(3*pg, 0x103000, 2*pg, PermRW); err != nil {
+	if err := e.Map(8*pg, 0x108000, 2*pg, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.runs) != 1 || e.mapped != 8 {
-		t.Fatalf("runs %+v mapped %d after mapping back, want one run of 8", e.runs, e.mapped)
+	if want := []run{{gfn: 0, n: 10, hostPage: 0x100, perm: PermRW}}; !reflect.DeepEqual(e.runs, want) || e.mapped != 10 {
+		t.Fatalf("runs %+v mapped %d, want %+v and 10", e.runs, e.mapped, want)
 	}
 }
 
@@ -436,12 +461,17 @@ func TestComposeMatchesSequentialWalk(t *testing.T) {
 		inner := New("i")
 		outer := New("o")
 		// Build inner gpa page i -> L1 page p, outer L1 page p -> host page p+100.
+		outerMapped := map[uint64]bool{}
 		for i, p := range pagePairs {
 			ip := uint64(i)
 			mp := uint64(p)
 			if err := inner.Map(ip*pg, mp*pg, pg, PermRW); err != nil {
 				return false
 			}
+			if outerMapped[mp] {
+				continue
+			}
+			outerMapped[mp] = true
 			if err := outer.Map(mp*pg, (mp+100)*pg, pg, PermRW); err != nil {
 				return false
 			}

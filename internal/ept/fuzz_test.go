@@ -200,12 +200,13 @@ const maxFuzzDevs = 32
 
 // FuzzTableOps drives two tables through random Map, Unmap,
 // MapMisconfig, Compose and SaveWords→LoadWords steps and
-// checks both against the per-frame model after every step. A load of
+// checks both against the per-frame model after every step. A Map over
+// a mapped frame or a device window must fail and change nothing. A load of
 // the saved pages reversed must be rejected (pages ascend) and leave
 // its table untouched. Each step
 // takes four bytes: an op (low three bits) and target table (bit 3),
-// then three arguments. Frames stay below 64 so runs overlap, split and
-// merge often.
+// then three arguments. Frames stay below 64 so maps collide and runs
+// split and merge often.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 16, 7, 0, 4, 20, 3, 1, 2, 3, 0})
 	f.Add([]byte{8, 0, 0, 7, 0, 0, 0, 7, 3, 0, 0, 0})
@@ -223,8 +224,18 @@ func FuzzTableOps(f *testing.F) {
 			switch op & 7 {
 			case 0: // Map
 				gfn, host, n, perm := x%64, y%64, 1+uint64(z>>3)%16, Perm(z&7)
-				if err := tb.Map(gfn*pg, host*pg, n*pg, perm); err != nil {
-					t.Fatal(err)
+				overlaps := false
+				for i := uint64(0); i < n; i++ {
+					_, mapped := m.pages[gfn+i]
+					overlaps = overlaps || mapped
+				}
+				for _, d := range m.devs {
+					overlaps = overlaps || gfn*pg < d.Base+d.Size && d.Base < (gfn+n)*pg
+				}
+				if err := tb.Map(gfn*pg, host*pg, n*pg, perm); (err != nil) != overlaps {
+					t.Fatalf("step %d: Map(frames %d+%d) = %v, overlap %v", step, gfn, n, err, overlaps)
+				} else if err != nil {
+					break // rejected: the table must match the untouched model
 				}
 				for i := uint64(0); i < n; i++ {
 					m.pages[gfn+i] = refPage{host: host + i, perm: perm}

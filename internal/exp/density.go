@@ -43,7 +43,6 @@ type DensityVM struct {
 	VM       int
 	Workload string
 	Ctxs     []host.CtxID
-	Place    swsvt.Placement // meaningful for SW-SVt gangs only
 	P50Us    float64
 	P99Us    float64
 	// Throughput is the VM's operation rate under contention, in
@@ -297,7 +296,6 @@ func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fau
 	demands := make([]host.Demand, k)
 	for i, r := range f.runs {
 		demands[i] = host.Demand{
-			VM:         i,
 			Ctxs:       f.assigns[i].Ctxs,
 			Busy:       r.busy,
 			Total:      r.total,
@@ -339,7 +337,6 @@ func (f fleet) point(mode hv.Mode) DensityPoint {
 			VM:       i,
 			Workload: densityWorkloadName(i),
 			Ctxs:     f.assigns[i].Ctxs,
-			Place:    f.assigns[i].Place,
 			P50Us:    stats.Percentile(r.latUs, 50) * S,
 			P99Us:    stats.Percentile(r.latUs, 99) * S,
 			Slowdown: S,

@@ -52,10 +52,8 @@ func TestConsolidationSmoke(t *testing.T) {
 			}
 		}
 		if mode == hv.ModeSWSVt {
-			pt := s.Consolidation(mode, 1)
-			if pt.VMs[0].Place != swsvt.PlaceSMT {
-				t.Errorf("sw-svt first gang placed %v, want SMT siblings on the empty host",
-					pt.VMs[0].Place)
+			if place := s.densityFleet(mode, 1, &vmCache{}, nil, nil).assigns[0].Place; place != swsvt.PlaceSMT {
+				t.Errorf("sw-svt first gang placed %v, want SMT siblings on the empty host", place)
 			}
 		}
 	}

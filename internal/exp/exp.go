@@ -51,11 +51,10 @@ type CPUIDResult struct {
 	Breakdown *sim.Ledger // Table 1 stages (nested runs only)
 }
 
-// CPUIDNative measures the Figure 6 "L0" bar.
+// CPUIDNative is the Figure 6 "L0" bar: with no virtualization nothing
+// traps, so each of the n cpuids costs the instruction's native latency.
 func (s *Session) CPUIDNative(n int) CPUIDResult {
-	costs := s.config(hv.ModeBaseline).Costs
-	total := machine.RunNative(&costs, &cpuidLoop{n: n})
-	return CPUIDResult{Label: "L0", PerOp: total / sim.Time(n)}
+	return CPUIDResult{Label: "L0", PerOp: s.config(hv.ModeBaseline).Costs.InstrCPUID}
 }
 
 // CPUIDSingleLevel measures the Figure 6 "L1" bar.
@@ -117,8 +116,7 @@ func (s *Session) CPUIDNestedWithThunkRegs(mode hv.Mode, regs, n int) CPUIDResul
 type TraceEntry struct {
 	At       sim.Time
 	VCPU     string
-	Reason   isa.ExitReason
-	Name     string // Reason in the port's vocabulary
+	Name     string // the exit reason in the port's vocabulary
 	Qual     uint64
 	Nested   bool // an L2 exit L0 handled on the nested flow
 	Duration sim.Time
@@ -164,7 +162,7 @@ func (s *Session) TraceNestedCPUID(mode hv.Mode, n, ring int) []TraceEntry {
 			}
 			r := isa.ExitReason(ev.Arg1)
 			out = append(out, TraceEntry{
-				At: ev.At, VCPU: tr.Lookup(ev.Label), Reason: r, Name: tr.ExitName(r),
+				At: ev.At, VCPU: tr.Lookup(ev.Label), Name: tr.ExitName(r),
 				Qual: ev.Arg2, Nested: ev.Kind == obs.KindNestedExit, Duration: ev.Dur,
 			})
 		})
@@ -178,7 +176,6 @@ func (s *Session) TraceNestedCPUID(mode hv.Mode, n, ring int) []TraceEntry {
 
 // IOResult is one Figure 7 measurement.
 type IOResult struct {
-	Mode      hv.Mode
 	MeanUs    float64
 	P50Us     float64
 	P99Us     float64
@@ -219,7 +216,7 @@ func (s *Session) NetLatency(mode hv.Mode, n int) IOResult {
 	s.run(m)
 	m.Shutdown()
 	sum, _ := stats.Summarize(w.Lat)
-	return IOResult{Mode: mode, MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
+	return IOResult{MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
 }
 
 // NetBandwidth runs netperf TCP_STREAM (Figure 7 "Network bandwidth"):
@@ -227,7 +224,7 @@ func (s *Session) NetLatency(mode hv.Mode, n int) IOResult {
 func (s *Session) NetBandwidth(mode hv.Mode, d sim.Time) IOResult {
 	m, io := s.netMachine(mode)
 	peer := &netsim.AckPeer{
-		Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
+		Back: io.LinkIn, Dst: io.NIC,
 		AckEvery: workload.StreamAckEvery, AckSize: 64,
 	}
 	io.NIC.Peer = peer
@@ -238,7 +235,7 @@ func (s *Session) NetBandwidth(mode hv.Mode, d sim.Time) IOResult {
 	s.run(m)
 	m.Shutdown()
 	mbps := float64(peer.Received) * 8 / d.Seconds() / 1e6
-	return IOResult{Mode: mode, Mbps: mbps, ExitStats: &m.L0.NestedProf}
+	return IOResult{Mbps: mbps, ExitStats: &m.L0.NestedProf}
 }
 
 // DiskLatency runs ioping (Figure 7 "Disk randrd/randwr latency"):
@@ -253,7 +250,7 @@ func (s *Session) DiskLatency(mode hv.Mode, write bool, n int) IOResult {
 	s.run(m)
 	m.Shutdown()
 	sum, _ := stats.Summarize(w.Lat)
-	return IOResult{Mode: mode, MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
+	return IOResult{MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
 }
 
 // DiskBandwidth runs fio (Figure 7 "Disk randrd/randwr bandwidth"):
@@ -267,16 +264,14 @@ func (s *Session) DiskBandwidth(mode hv.Mode, write bool, n int) IOResult {
 	m.InstallL2(io, false, true, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
 	m.Shutdown()
-	return IOResult{Mode: mode, KBs: w.ThroughputKBs(), ExitStats: &m.L0.NestedProf}
+	return IOResult{KBs: w.ThroughputKBs(), ExitStats: &m.L0.NestedProf}
 }
 
 // MemcachedResult is one point of Figure 8's load sweep.
 type MemcachedResult struct {
-	Mode      hv.Mode
-	TargetQPS float64
-	AvgUs     float64
-	P99Us     float64
-	Served    uint64
+	AvgUs  float64
+	P99Us  float64
+	Served uint64
 }
 
 // memcachedMachine builds a nested machine serving memcached to an
@@ -310,7 +305,7 @@ func (s *Session) Memcached(mode hv.Mode, rate float64, d sim.Time) MemcachedRes
 	m, _, srv, client := memcachedMachine(s.config(mode), nil, rate, d, 7)
 	s.run(m)
 	m.Shutdown()
-	res := MemcachedResult{Mode: mode, TargetQPS: rate, Served: srv.Served}
+	res := MemcachedResult{Served: srv.Served}
 	if len(client.Lat) > 0 {
 		res.AvgUs = stats.Mean(client.Lat)
 		res.P99Us = stats.Percentile(client.Lat, 99)
@@ -330,8 +325,6 @@ func (s *Session) TPCC(mode hv.Mode, d sim.Time) float64 {
 
 // VideoResult is one Figure 10 bar.
 type VideoResult struct {
-	Mode    hv.Mode
-	FPS     int
 	Dropped int
 	Played  int
 }
@@ -345,5 +338,5 @@ func (s *Session) VideoN(mode hv.Mode, fps, frames int) VideoResult {
 	m.InstallL2(io, false, true, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
 	m.Shutdown()
-	return VideoResult{Mode: mode, FPS: fps, Dropped: w.Dropped, Played: w.Played}
+	return VideoResult{Dropped: w.Dropped, Played: w.Played}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"svtsim/internal/cpu"
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
@@ -14,11 +13,6 @@ import (
 // FaultSweepResult is one fault-injection run: the workload outcome plus
 // every recovery counter the fault plane exercised.
 type FaultSweepResult struct {
-	Mode      hv.Mode
-	Spec      string
-	Seed      int64
-	N         int
-	Total     sim.Time
 	PerOp     sim.Time
 	Completed bool
 
@@ -28,10 +22,6 @@ type FaultSweepResult struct {
 	FallbackReflections uint64
 	BreakerTrips        uint64
 	BreakerRecoveries   uint64
-	SWFallbacks         uint64
-	FaultFires          uint64
-	IRQDropped          uint64
-	IRQDelayed          uint64
 }
 
 // FaultSweep runs the nested cpuid micro-benchmark with the given fault
@@ -47,32 +37,15 @@ func (s *Session) FaultSweep(mode hv.Mode, spec *fault.Spec, n int) FaultSweepRe
 	m.Shutdown()
 
 	r := FaultSweepResult{
-		Mode:      mode,
-		N:         n,
-		Total:     m.Now(),
 		PerOp:     m.Now() / sim.Time(n),
 		Completed: !m.L0.DeadlockDetected,
 	}
-	if spec != nil {
-		r.Spec = spec.String()
-		r.Seed = spec.Seed
-	}
-	r.SWFallbacks = m.L0.SWFallbacks.Value()
 	if m.Chan != nil {
 		r.Reflections = m.Chan.Reflections.Value()
 		r.WatchdogFires = m.Chan.WatchdogFires.Value()
 		r.Fallbacks = m.Chan.Fallbacks.Value()
 		r.FallbackReflections = m.Chan.FallbackReflections.Value()
 		r.BreakerTrips, r.BreakerRecoveries = m.Chan.BreakerStats()
-	}
-	if m.Faults != nil {
-		r.FaultFires = m.Faults.Fires()
-	}
-	for i := 0; i < m.Core.Contexts(); i++ {
-		if l := m.Core.LAPIC(cpu.ContextID(i)); l != nil {
-			r.IRQDropped += l.Dropped()
-			r.IRQDelayed += l.Delayed()
-		}
 	}
 	return r
 }

@@ -254,7 +254,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	// service is its phase-1 samples dilated by the replay's contention
 	// slowdown; the fleet capacity those imply sets the offered rates.
 	sp := &lbSpray{
-		h: h, balCtx: balCtx, k: k, sloUs: sloUs,
+		h: h, balCtx: balCtx, k: k,
 		slow:   make([]float64, k),
 		pauses: make([][][2]sim.Time, k),
 	}
@@ -336,7 +336,6 @@ type lbSpray struct {
 	h      *host.Host
 	balCtx host.CtxID
 	k      int
-	sloUs  float64
 	slow   []float64
 	pauses [][][2]sim.Time // per-VM storm pause windows
 

@@ -25,10 +25,9 @@ type PortCell struct {
 }
 
 // PortComparison is the full cross-ISA grid: one row per port, cells in
-// Modes order.
+// hv.AllModes order.
 type PortComparison struct {
-	Modes []hv.Mode
-	Rows  [][]PortCell
+	Rows [][]PortCell
 }
 
 // withPort derives a session that shares this session's configuration
@@ -83,7 +82,7 @@ func (s *Session) ComparePorts(portNames []string, n int) (*PortComparison, erro
 		}
 		return c
 	})
-	cmp := &PortComparison{Modes: modes}
+	cmp := &PortComparison{}
 	for pi := range resolved {
 		row := cells[pi*len(modes) : (pi+1)*len(modes)]
 		base := row[0].MeanUs

@@ -205,8 +205,5 @@ func (p *Plane) InjectFault(site string) sim.FaultOutcome {
 	return out
 }
 
-// Fires reports the total number of faults fired across all sites.
-func (p *Plane) Fires() uint64 { return p.fires.Value() }
-
 // FiresCounter exposes the live fire tally for metric registration.
 func (p *Plane) FiresCounter() *obs.Counter { return &p.fires }

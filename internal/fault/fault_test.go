@@ -63,8 +63,8 @@ func TestPlaneScheduledFaults(t *testing.T) {
 	if !reflect.DeepEqual(fired, []int{11, 12, 13}) {
 		t.Fatalf("scheduled faults fired at %v, want [11 12 13]", fired)
 	}
-	if p.Fires() != 3 {
-		t.Fatalf("plane fired %d faults, want 3", p.Fires())
+	if p.FiresCounter().Value() != 3 {
+		t.Fatalf("plane fired %d faults, want 3", p.FiresCounter().Value())
 	}
 }
 
@@ -92,8 +92,8 @@ func TestPlaneUnarmedSiteNeverFires(t *testing.T) {
 			t.Fatal("unarmed site fired")
 		}
 	}
-	if p.Fires() != 0 {
-		t.Fatalf("fires = %d, want 0", p.Fires())
+	if p.FiresCounter().Value() != 0 {
+		t.Fatalf("fires = %d, want 0", p.FiresCounter().Value())
 	}
 }
 
@@ -111,8 +111,8 @@ func TestPlaneTrace(t *testing.T) {
 	}
 	var got []obs.Event
 	tr.Ring(0).Do(func(e obs.Event) { got = append(got, e) })
-	if len(got) != 2 || p.Fires() != 2 {
-		t.Fatalf("traced %d faults, plane fired %d; want 2 and 2", len(got), p.Fires())
+	if len(got) != 2 || p.FiresCounter().Value() != 2 {
+		t.Fatalf("traced %d faults, plane fired %d; want 2 and 2", len(got), p.FiresCounter().Value())
 	}
 	for _, e := range got {
 		if e.Kind != obs.KindFault || e.At != 5*sim.Microsecond || e.Arg1 != 1 ||

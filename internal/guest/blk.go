@@ -27,8 +27,6 @@ type BlkDriver struct {
 	syncing  bool
 	syncOK   bool
 
-	Reads  uint64
-	Writes uint64
 	// PerRequestCPU models the guest block layer's per-request cost.
 	PerRequestCPU sim.Time
 }
@@ -100,9 +98,6 @@ func (d *BlkDriver) submit(sector uint64, op blkOp) {
 		if err != nil {
 			panic(fmt.Sprintf("guest blk: %v", err))
 		}
-		d.Writes++
-	} else {
-		d.Reads++
 	}
 	op.stsGPA = d.Env.Alloc(1)
 	chain := [3]virtio.Buf{

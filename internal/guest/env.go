@@ -113,9 +113,7 @@ type TimerDriver struct {
 	Env    *Env
 	Vector int
 
-	fired   uint64
-	FiredAt []sim.Time // timestamps of handled timer interrupts
-	OnFire  func()
+	fired uint64
 }
 
 // NewTimerDriver wires the timer to the environment.
@@ -140,10 +138,6 @@ func (t *TimerDriver) Fired() uint64 { return t.fired }
 
 func (t *TimerDriver) onIRQ() {
 	t.fired++
-	t.FiredAt = append(t.FiredAt, t.Env.Now())
-	if t.OnFire != nil {
-		t.OnFire()
-	}
 }
 
 // WaitUntil arms the timer for the deadline and halts until it fires (or

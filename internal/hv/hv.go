@@ -215,9 +215,6 @@ type Hypervisor struct {
 	// SW is the SW SVt channel; set only on L0 in ModeSWSVt.
 	SW SWChannel
 
-	// OnPairHypercall handles the SW SVt thread-pairing hypercall (§5.2).
-	OnPairHypercall func(vc *VCPU, arg uint64)
-
 	// NoVMCSShadowing disables hardware VMCS shadowing (ablation): every
 	// guest-hypervisor VMREAD/VMWRITE then traps.
 	NoVMCSShadowing bool
@@ -478,8 +475,11 @@ func (h *Hypervisor) handleVMCall(vc *VCPU, e isa.Exit) bool {
 	case cpu.QualGuestDone:
 		return true
 	case cpu.QualPairThreads:
-		if h.OnPairHypercall != nil {
-			h.OnPairHypercall(vc, h.P.ReadGuestGPR(vc, isa.RAX))
+		// The SW SVt thread-pairing hypercall (§5.2): the channel's
+		// wiring already records the pairing, so L0 only reads the
+		// argument register, which costs a register access.
+		if h.SW != nil {
+			h.P.ReadGuestGPR(vc, isa.RAX)
 		}
 		h.advanceRIP(vc, e)
 		return false

@@ -52,8 +52,6 @@ func DefaultIOParams() IOParams {
 
 // IOStack is the assembled I/O plumbing of a nested machine.
 type IOStack struct {
-	P IOParams
-
 	// Physical substrate.
 	LinkOut *netsim.Link // NIC -> peer
 	LinkIn  *netsim.Link // peer -> NIC
@@ -69,7 +67,6 @@ type IOStack struct {
 	L1Blk *virtio.BlkBackend
 
 	// Guest-side environments and drivers, populated as the stack boots.
-	L1Env    *guest.Env
 	L1NetDrv *guest.NetDriver
 	L1BlkDrv *guest.BlkDriver
 
@@ -115,7 +112,7 @@ func (m *Machine) L1IRQTarget() *hv.VCPU {
 // WireNestedIO installs the full I/O stack into cfg; the returned IOStack
 // is populated during machine construction and guest boot.
 func WireNestedIO(cfg *Config, p IOParams) *IOStack {
-	io := &IOStack{P: p}
+	io := &IOStack{}
 
 	cfg.WireL0 = func(m *Machine) {
 		eng := m.Eng
@@ -158,7 +155,6 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 		// backends that serve L2's devices through them.
 		view01 := ept.NewView(m.HostMem, m.Ept01)
 		env1 := guest.NewEnv(port, view01, l1ArenaBase, l1ArenaSize)
-		io.L1Env = env1
 
 		nd, err := guest.NewNetDriver(env1, ports.VecVirtioNet, L1NetMMIO, l1NetLayout)
 		if err != nil {

@@ -87,7 +87,7 @@ func TestNestedNetRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("baseline TCP_RR: mean=%.1fus p50=%.1f p99=%.1f (n=%d)", s.Mean, s.P50, s.P99, s.N)
+	t.Logf("baseline TCP_RR: mean=%.1fus p50=%.1f p99=%.1f (n=%d)", s.Mean, s.P50, s.P99, len(w.Lat))
 	t.Logf("L0 profile: misconfig=%.1f%% msr=%.1f%% extint=%.1f%%",
 		100*m.L0.NestedProf.Share(isa.ExitEPTMisconfig), 100*m.L0.NestedProf.Share(isa.ExitMSRWrite), 100*m.L0.NestedProf.Share(isa.ExitExternalInterrupt))
 	if s.Mean < 50 || s.Mean > 400 {

@@ -14,7 +14,6 @@ import (
 	"svtsim/internal/ept"
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
-	"svtsim/internal/isa"
 	"svtsim/internal/mem"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
@@ -138,7 +137,6 @@ type Machine struct {
 	L1HV    *hv.Hypervisor
 	VC12    *hv.VCPU
 	Ns      *hv.NestedState
-	L1Plat  *hv.VirtualPlatform
 
 	Ept01 *ept.Table
 	Ept12 *ept.Table
@@ -211,16 +209,14 @@ func (m *Machine) wireObs(o obs.Options) {
 	m.Obs = obs.New(m.nctx, o)
 	tr, reg := m.Obs.Tracer, m.Obs.Metrics
 
-	if sample := o.EffectiveDispatchSample(); sample > 0 {
-		et := tr.EngineTrack()
-		n := 0
-		m.Eng.SetDispatchHook(func(t sim.Time) {
-			n++
-			if n%sample == 0 {
-				tr.Instant(et, obs.KindDispatch, obs.LevelNone, 0, t, uint64(n), 0)
-			}
-		})
-	}
+	et := tr.EngineTrack()
+	n := 0
+	m.Eng.SetDispatchHook(func(t sim.Time) {
+		n++
+		if n%obs.DispatchSample == 0 {
+			tr.Instant(et, obs.KindDispatch, obs.LevelNone, 0, t, uint64(n), 0)
+		}
+	})
 	tr.SetExitNamer(m.Cfg.Port.ExitName)
 	m.Core.Obs = tr
 	for i := 0; i < m.nctx; i++ {
@@ -374,7 +370,6 @@ func (m *Machine) buildSWSVt() {
 	m.Eng.AddProbe("swsvt-channel", m.Chan.ProbeState)
 	m.SVtThread.Ch = m.Chan
 	m.L0.SW = m.Chan
-	m.L0.OnPairHypercall = func(vc *hv.VCPU, arg uint64) {} // pairing recorded implicitly
 
 	if m.Obs != nil {
 		m.Chan.SetObs(m.Obs.Tracer)
@@ -425,7 +420,6 @@ func (m *Machine) l1Body(p *cpu.Port) {
 		h1.SetObs(m.Obs.Tracer)
 	}
 	m.L1HV = h1
-	m.L1Plat = plat
 	p.IRQHandler = h1.HandleKernelIRQ
 	if hook := m.Cfg.L1IRQHook; hook != nil {
 		p.IRQHandler = func(vec int) {
@@ -517,31 +511,4 @@ func (m *Machine) SetGuestWorkload(w cpu.ProgramGuest) { m.VcpuGuest.Guest = w }
 func (m *Machine) RunSingle() *hv.Profile {
 	m.L0.RunLoop(m.VcpuGuest)
 	return &m.L0.Prof
-}
-
-// RunNative executes a workload with no virtualization at all (the
-// Figure 6 "L0" bar): instructions cost their native latency and nothing
-// traps.
-func RunNative(costs *cost.Model, w cpu.ProgramGuest) sim.Time {
-	eng := sim.New()
-	for {
-		act := w.Step()
-		switch act.Kind {
-		case cpu.ActDone:
-			return eng.Now()
-		case cpu.ActCompute:
-			eng.Advance(act.Dur)
-		case cpu.ActInstr:
-			switch act.Instr.Op {
-			case isa.OpCPUID:
-				eng.Advance(costs.InstrCPUID)
-			case isa.OpRDMSR, isa.OpWRMSR:
-				eng.Advance(costs.InstrMSR)
-			case isa.OpMMIOWrite:
-				eng.Advance(costs.InstrMMIO)
-			default:
-				eng.Advance(costs.InstrBase)
-			}
-		}
-	}
 }

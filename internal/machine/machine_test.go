@@ -117,9 +117,9 @@ func TestNestedCPUIDSpeedups(t *testing.T) {
 
 func TestFigure6Hierarchy(t *testing.T) {
 	// L0 (native) < L1 (single level) < SVt variants < L2 (baseline).
+	// Natively nothing traps, so a cpuid costs its instruction latency.
 	const n = 500
-	costs := DefaultConfig(hv.ModeBaseline).Costs
-	native := RunNative(&costs, &cpuidLoop{n: n}) / n
+	native := DefaultConfig(hv.ModeBaseline).Costs.InstrCPUID
 
 	cfg := DefaultConfig(hv.ModeBaseline)
 	ms := NewSingleLevel(cfg)
@@ -212,11 +212,12 @@ func TestProfileCoversCPUID(t *testing.T) {
 	}
 }
 
-func ExampleRunNative() {
-	costs := DefaultConfig(hv.ModeBaseline).Costs
-	total := RunNative(&costs, &cpuidLoop{n: 3})
-	fmt.Println(total)
-	// Output: 150ns
+func ExampleNewSingleLevel() {
+	m := NewSingleLevel(DefaultConfig(hv.ModeBaseline))
+	m.SetGuestWorkload(&cpuidLoop{n: 3})
+	m.RunSingle()
+	fmt.Println(m.Now())
+	// Output: 5.97us
 }
 
 func TestHWSVtBypassExtension(t *testing.T) {

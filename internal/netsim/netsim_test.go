@@ -156,7 +156,7 @@ func TestAckPeerGranularity(t *testing.T) {
 	eng := sim.New()
 	back := NewLink(eng, 0, 10e9)
 	dst := &sink{eng: eng}
-	p := &AckPeer{Eng: eng, Back: back, Dst: dst, AckEvery: 1000, AckSize: 10}
+	p := &AckPeer{Back: back, Dst: dst, AckEvery: 1000, AckSize: 10}
 	p.Receive(make([]byte, 900)) // below threshold: no ack
 	eng.Drain(100)
 	if len(dst.pkts) != 0 {
@@ -176,21 +176,22 @@ func TestOpenLoopClient(t *testing.T) {
 	eng := sim.New()
 	back := NewLink(eng, sim.Microsecond, 10e9)
 	// Echo server loops requests straight back.
-	c := &OpenLoopClient{Eng: eng, Back: back, ReqSize: 8}
+	sent := 0
+	c := &OpenLoopClient{Eng: eng, Back: back, Payload: func() []byte { sent++; return make([]byte, 8) }}
 	echo := &EchoPeer{Eng: eng, Back: back, Dst: c, ServiceTime: 2 * sim.Microsecond}
 	c.Dst = echo
 	rng := sim.NewRand(3)
 	c.Start(100000, 2*sim.Millisecond, rng.Float64)
 	eng.Drain(100000)
-	if c.Sent == 0 || c.Responses == 0 {
-		t.Fatalf("sent=%d responses=%d", c.Sent, c.Responses)
+	if sent == 0 || len(c.Lat) == 0 {
+		t.Fatalf("sent=%d responses=%d", sent, len(c.Lat))
 	}
-	if c.Responses > c.Sent {
+	if len(c.Lat) > sent {
 		t.Fatal("more responses than requests")
 	}
 	// ~100k req/s for 2 ms is ~200 requests; allow wide slack.
-	if c.Sent < 100 || c.Sent > 400 {
-		t.Fatalf("sent = %d, want ≈200", c.Sent)
+	if sent < 100 || sent > 400 {
+		t.Fatalf("sent = %d, want ≈200", sent)
 	}
 	for _, l := range c.Lat {
 		if l <= 0 {

@@ -56,7 +56,6 @@ func (p *EchoPeer) Fire(arg uint64) {
 // every AckEvery bytes with a small ACK packet, which is what closes the
 // sender's window.
 type AckPeer struct {
-	Eng      *sim.Engine
 	Back     *Link
 	Dst      Endpoint
 	AckEvery int
@@ -93,15 +92,10 @@ type OpenLoopClient struct {
 	Eng     *sim.Engine
 	Back    *Link
 	Dst     Endpoint
-	ReqSize int
-	// Payload, when set, generates each request's bytes (overrides ReqSize).
-	Payload func() []byte
+	Payload func() []byte // generates each request's bytes
 
 	inflight []sim.Time // send timestamps, FIFO
 	Lat      []float64  // response latencies in microseconds
-
-	Sent      uint64
-	Responses uint64
 }
 
 // Start begins issuing requests at rate req/s until stopAt, using the
@@ -138,15 +132,8 @@ func expSample(rnd func() float64, mean float64) float64 {
 func ln(x float64) float64 { return math.Log(x) }
 
 func (c *OpenLoopClient) send() {
-	c.Sent++
 	c.inflight = append(c.inflight, c.Eng.Now())
-	var req []byte
-	if c.Payload != nil {
-		req = c.Payload()
-	} else {
-		req = make([]byte, c.ReqSize)
-	}
-	c.Back.Send(req, c.Dst)
+	c.Back.Send(c.Payload(), c.Dst)
 }
 
 // Receive implements Endpoint: a response closes the oldest request.
@@ -156,6 +143,5 @@ func (c *OpenLoopClient) Receive(pkt []byte) {
 	}
 	t0 := c.inflight[0]
 	c.inflight = c.inflight[1:]
-	c.Responses++
 	c.Lat = append(c.Lat, (c.Eng.Now() - t0).Microseconds())
 }

@@ -145,12 +145,9 @@ func (p Params) withDefaults() Params {
 type Stats struct {
 	SegsSent    uint64 // segments handed to the conduit (incl. retransmits)
 	SegsRecv    uint64 // well-formed segments received
-	DataBytes   uint64 // in-order payload bytes delivered to flows
 	Retransmits uint64 // RTO-driven resends
 	Dropped     uint64 // segments lost to the fault plane at this sender
-	Delayed     uint64 // segments deferred by the fault plane
 	OutOfOrder  uint64 // DATA segments buffered past a gap
-	Duplicates  uint64 // DATA segments at or below the in-order point
 	Malformed   uint64 // packets with the magic but an invalid header
 }
 
@@ -256,7 +253,6 @@ func (st *Stack) send(seg Segment) {
 			return
 		}
 		if out.Delay > 0 {
-			st.Delayed++
 			st.Eng.After(out.Delay, func() { st.c.Send(raw, nil) })
 			return
 		}
@@ -304,9 +300,6 @@ type Flow struct {
 	// OnData receives each in-order chunk as it becomes deliverable
 	// (automatic mode only).
 	OnData func(b []byte)
-	// OnAck fires whenever the peer acknowledges new data or opens its
-	// window — senders use it to learn that backlog drained.
-	OnAck func()
 }
 
 // Established reports whether the handshake completed.
@@ -499,23 +492,13 @@ func (f *Flow) handle(seg Segment) {
 }
 
 func (f *Flow) handleAck(seg Segment) {
-	progressed := false
 	if d := seg.Ack - f.sndUna; d > 0 && d <= f.inflight() {
 		f.sndBuf = append([]byte(nil), f.sndBuf[d:]...)
 		f.sndUna = seg.Ack
-		progressed = true
 		f.cancelRTO()
 	}
-	if seg.Wnd != f.peerWnd {
-		if seg.Wnd > f.peerWnd {
-			progressed = true
-		}
-		f.peerWnd = seg.Wnd
-	}
+	f.peerWnd = seg.Wnd
 	f.pump()
-	if progressed && f.OnAck != nil {
-		f.OnAck()
-	}
 }
 
 func (f *Flow) handleData(seg Segment) {
@@ -538,13 +521,10 @@ func (f *Flow) handleData(seg Segment) {
 			f.S.OutOfOrder++
 			f.ooo[seg.Seq] = append([]byte(nil), seg.Payload...)
 			f.oooBytes += len(seg.Payload)
-		} else {
-			f.S.Duplicates++
 		}
-	default: // at or below rcvNxt: retransmit of data we already have
-		f.S.Duplicates++
 	}
-	// By default every DATA segment is acknowledged immediately, telling
+	// A segment at or below rcvNxt retransmits data we already have and
+	// is only acknowledged. By default every DATA segment is acknowledged immediately, telling
 	// the sender both the cumulative in-order point and the current
 	// window. Under AckDelay the ack piggybacks instead: if delivering
 	// the payload already pushed a segment out (OnData wrote a response,
@@ -560,7 +540,6 @@ func (f *Flow) handleData(seg Segment) {
 // ingest advances rcvNxt over an in-order chunk and delivers it.
 func (f *Flow) ingest(p []byte) {
 	f.rcvNxt += uint32(len(p))
-	f.S.DataBytes += uint64(len(p))
 	if f.Manual {
 		f.rcvQ = append(f.rcvQ, p...)
 		return

@@ -50,34 +50,20 @@ type Options struct {
 	// RingCap is the per-track event capacity (default 16384). Small
 	// caps drop the oldest events but never change simulation results.
 	RingCap int
-	// DispatchSample emits an engine-track marker every N event
-	// dispatches; 0 uses the default (4096), negative disables.
-	DispatchSample int
 }
 
 // DefaultRingCap is the per-track ring capacity when Options leaves it 0.
 const DefaultRingCap = 16384
 
-// DefaultDispatchSample is the dispatch-marker sampling period when
-// Options leaves it 0.
-const DefaultDispatchSample = 4096
+// DispatchSample is the dispatch-marker period: the engine track gets
+// one marker every DispatchSample event dispatches.
+const DispatchSample = 4096
 
 func (o Options) ringCap() int {
 	if o.RingCap > 0 {
 		return o.RingCap
 	}
 	return DefaultRingCap
-}
-
-// EffectiveDispatchSample resolves the sampling period (0 = disabled).
-func (o Options) EffectiveDispatchSample() int {
-	if o.DispatchSample < 0 {
-		return 0
-	}
-	if o.DispatchSample == 0 {
-		return DefaultDispatchSample
-	}
-	return o.DispatchSample
 }
 
 // Tracer records events over virtual time into per-track rings. Tracks

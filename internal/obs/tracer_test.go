@@ -113,15 +113,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if (Options{RingCap: 7}).ringCap() != 7 {
 		t.Fatal("explicit RingCap ignored")
 	}
-	if (Options{}).EffectiveDispatchSample() != DefaultDispatchSample {
-		t.Fatal("zero DispatchSample must default")
-	}
-	if (Options{DispatchSample: -1}).EffectiveDispatchSample() != 0 {
-		t.Fatal("negative DispatchSample must disable")
-	}
-	if (Options{DispatchSample: 64}).EffectiveDispatchSample() != 64 {
-		t.Fatal("explicit DispatchSample ignored")
-	}
 }
 
 func TestNewPlane(t *testing.T) {

@@ -1,6 +1,6 @@
-// Package stats summarises sample sets: mean, standard deviation,
-// min/max and percentiles. Every experiment cell is one deterministic
-// run, so there is no repeat-until-stable loop and no outlier filter.
+// Package stats summarises sample sets: mean and percentiles. Every
+// experiment cell is one deterministic run, so there is no
+// repeat-until-stable loop and no outlier filter.
 package stats
 
 import (
@@ -22,22 +22,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator) of xs.
-// It returns 0 for fewer than two samples.
-func Stddev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
@@ -70,14 +54,9 @@ func percentileSorted(s []float64, p float64) float64 {
 
 // Summary condenses a sample set.
 type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-	P99    float64
+	Mean float64
+	P50  float64
+	P99  float64
 }
 
 // Summarize computes a Summary over xs. It returns ErrNoSamples for an
@@ -89,13 +68,8 @@ func Summarize(xs []float64) (Summary, error) {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return Summary{
-		N:      len(s),
-		Mean:   Mean(s),
-		Stddev: Stddev(s),
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		P50:    percentileSorted(s, 50),
-		P95:    percentileSorted(s, 95),
-		P99:    percentileSorted(s, 99),
+		Mean: Mean(s),
+		P50:  percentileSorted(s, 50),
+		P99:  percentileSorted(s, 99),
 	}, nil
 }

@@ -57,10 +57,6 @@ type BlkBackend struct {
 	completed []uint16        // heads awaiting their used entry
 	hdr       [BlkHeaderSize]byte
 	sts       [1]byte
-
-	Reads  uint64
-	Writes uint64
-	Errors uint64
 }
 
 // NewBlkBackend builds a block backend over the device window at base.
@@ -123,12 +119,10 @@ func (b *BlkBackend) kick(qi int) {
 		}
 		p.dataLen = data.Len
 		if p.write {
-			b.Writes++
 			if err := b.Mem.Probe(data.GPA, data.Len, false); err != nil {
 				panic(fmt.Sprintf("virtio-blk %s: data read: %v", b.DevName, err))
 			}
 		} else {
-			b.Reads++
 			if err := b.Mem.Probe(data.GPA, data.Len, true); err != nil {
 				panic(fmt.Sprintf("virtio-blk %s: data write: %v", b.DevName, err))
 			}
@@ -177,9 +171,6 @@ func (b *BlkBackend) OnIRQ() {
 		total := uint32(1)
 		if !p.write && p.status == BlkSOK {
 			total += p.dataLen
-		}
-		if p.status == BlkSIOErr {
-			b.Errors++
 		}
 		b.sts[0] = p.status
 		if err := b.Mem.Write(p.stsGPA, b.sts[:]); err != nil {

@@ -13,8 +13,6 @@ type PointerXlat func(f Field, gpa uint64) (uint64, error)
 // regardless of the configuration set by L1").
 type ForcedControls struct {
 	Pin      uint64
-	Proc     uint64
-	Proc2    uint64
 	ForceMSR []uint32 // MSRs that must keep trapping even if L1 allows them
 }
 
@@ -44,13 +42,8 @@ func ToPhysical(dst, src *VMCS, xlat PointerXlat, forced ForcedControls) (Transf
 	}
 	for _, f := range FieldsOfClass(ClassControl) {
 		v := src.Read(f)
-		switch f {
-		case PinControls:
+		if f == PinControls {
 			v |= forced.Pin
-		case ProcControls:
-			v |= forced.Proc
-		case Proc2Controls:
-			v |= forced.Proc2
 		}
 		dst.Write(f, v)
 		st.Fields++

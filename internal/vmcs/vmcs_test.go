@@ -248,7 +248,6 @@ func TestToPhysicalForcedControls(t *testing.T) {
 	v12.SetMSRExit(0x123, true)
 	forced := ForcedControls{
 		Pin:      PinCtlExtIntExit,
-		Proc:     ProcCtlHLTExit,
 		ForceMSR: []uint32{isa.MSRTSCDeadline},
 	}
 	if _, err := ToPhysical(v02, v12, xlatAdd(0), forced); err != nil {
@@ -257,8 +256,8 @@ func TestToPhysicalForcedControls(t *testing.T) {
 	if v02.Read(PinControls)&PinCtlExtIntExit == 0 {
 		t.Fatal("forced pin control lost")
 	}
-	if v02.Read(ProcControls)&ProcCtlHLTExit == 0 || v02.Read(ProcControls)&ProcCtlUseMSRBitmap == 0 {
-		t.Fatal("proc controls must be the union")
+	if v02.Read(ProcControls) != ProcCtlUseMSRBitmap {
+		t.Fatal("L1's proc controls must pass through unchanged")
 	}
 	if !v02.MSRExits(0x123) {
 		t.Fatal("L1's trapped MSR must keep trapping")

@@ -87,8 +87,6 @@ type NetStream struct {
 	MsgSize  int
 	Window   int
 	SMP      bool
-
-	Sent uint64 // bytes handed to the driver
 }
 
 // Run is the guest body.
@@ -115,6 +113,5 @@ func (w *NetStream) Run(env *guest.Env) {
 		}
 		env.Net.Send(msg, nil)
 		sent += w.MsgSize
-		w.Sent += uint64(w.MsgSize)
 	}
 }
