@@ -144,3 +144,39 @@ func TestResultEncodeDeterministic(t *testing.T) {
 		t.Errorf("unexpected body:\n%s", b1)
 	}
 }
+
+// TestCanonicalDigestsGolden pins the absolute digest of each kind's
+// default request and of one non-default request per kind. A digest is
+// a cache address that outlives the process, so a change to
+// canonicalization must leave these bytes alone.
+func TestCanonicalDigestsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"density", Request{Kind: KindDensity}, "060e0fea38d773ae400ac64c354ea06cb35d09d51b2cf27ccfbbf7957244ea5e"},
+		{"density-custom", Request{Kind: KindDensity, Modes: []string{"hw"}, Topology: "1x2x2", VMs: 3, SLOUs: 250,
+			Port: "armlike", Faults: "swsvt/wakeup:rate=0.1,drop", FaultSeed: 5, Trace: true}, "f7e72b1b8d6a2e952185af49b8cc52bbcd67734e25635c24be72a7922320540a"},
+		{"storm", Request{Kind: KindStorm}, "d81068225575da71430f2383701fe41930ffce9feb6490104b512751ada23fe2"},
+		{"storm-custom", Request{Kind: KindStorm, Modes: []string{"sw", "baseline"}, Topology: "1x4x2", VMs: 6, Storms: 3, Seed: 9,
+			Faults: "apic/ipi:rate=0.2,drop"}, "9f75cb0a76b64929e3a1c31676f837843f0284de8a814fff5564df8b750a17ef"},
+		{"fleet", Request{Kind: KindFleet}, "755492f26d7f0551f55f252843f9f41d10b5cb874df625c0457de7bcfda4aa5f"},
+		{"fleet-custom", Request{Kind: KindFleet, Topology: "2x2x2", DurMs: 5, CrossEvery: 16}, "41c22312c92622ba5b59544a8bb7b42118a9ef4db30a801292b4b7dc84868a6a"},
+		{"check", Request{Kind: KindCheck}, "7eb61f621fa48f661c59eda7986c10bdf7ae61cb924166e2abd45b6724cef62e"},
+		{"check-custom", Request{Kind: KindCheck, Schedules: 5, Seed: 3, Port: "armlike"}, "dd503182c16baa763adfffc1a4775a5ba754126afe021c708caa888e9690c68d"},
+		{"workload", Request{Kind: KindWorkload}, "4bfe2479686d8eebdcaafc95f5a3d32b7e1307ba6d9bc18c3d896b0d7f4cc082"},
+		{"workload-custom", Request{Kind: KindWorkload, Workload: "memcached", Modes: []string{"bypass"}, DurMs: 50, Rate: 2000,
+			Faults: "swsvt/wakeup:rate=0.3,drop", FaultSeed: 11, Trace: true}, "679f967f85b3c20e7eff3921591c63f7f7e9fbd79fed44457c50f30cd036a614"},
+		{"lb", Request{Kind: KindLB}, "95eede3e64b0f06b109aa4104e659a68e1b02c45d3bd621669a9d74601052bc6"},
+		{"lb-custom", Request{Kind: KindLB, Scenario: "overload", Topology: "2x2x2", VMs: 3, SLOUs: 800, Seed: 4}, "11ab4c275a44f53570c92ccd7deef6a7ac62e9b7b597fab15c6b598e61220be6"},
+	} {
+		r := tc.req
+		if err := r.Canonicalize(); err != nil {
+			t.Fatalf("%s: Canonicalize: %v", tc.name, err)
+		}
+		if got := r.Digest(); got != tc.want {
+			t.Errorf("%s: digest = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
