@@ -294,9 +294,7 @@ func runLocalOnly(o *options) (int, error) {
 		if err != nil {
 			return 2, err
 		}
-		if err := report.NewRenderer(es).Ports(os.Stdout, nil, req.N); err != nil {
-			return 1, err
-		}
+		report.NewRenderer(es).Ports(os.Stdout, req.N)
 	}
 	return 0, nil
 }

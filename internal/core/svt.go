@@ -97,6 +97,6 @@ func (h Hierarchy) Enable(c *cpu.Core) error {
 	if err := h.Validate(c); err != nil {
 		return err
 	}
-	c.EnableSVt(true)
+	c.EnableSVt()
 	return nil
 }

@@ -94,7 +94,7 @@ func (c *Core) Contexts() int { return c.n }
 
 // EnableSVt switches the core into SVt mode: transitions become
 // stall/resume events and registers stay resident per context.
-func (c *Core) EnableSVt(on bool) { c.svtOn = on }
+func (c *Core) EnableSVt() { c.svtOn = true }
 
 // SVtEnabled reports whether SVt mode is active.
 func (c *Core) SVtEnabled() bool { return c.svtOn }

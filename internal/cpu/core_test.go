@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"svtsim/internal/allocs"
-	"svtsim/internal/apic"
 	"svtsim/internal/cost"
 	"svtsim/internal/ept"
 	"svtsim/internal/isa"
 	"svtsim/internal/ports"
+	x86port "svtsim/internal/ports/x86"
 	"svtsim/internal/race"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
@@ -69,7 +69,7 @@ func TestVMPtrLoadLevelSwapCost(t *testing.T) {
 
 func TestVMPtrLoadNoSwapUnderSVt(t *testing.T) {
 	c := testCore(3)
-	c.EnableSVt(true)
+	c.EnableSVt()
 	c.VMPtrLoad(0, newVMCS("vmcs01", 1))
 	before := c.Eng.Now()
 	c.VMPtrLoad(0, newVMCS("vmcs02", 2))
@@ -158,7 +158,7 @@ func TestBaselineRegisterSwap(t *testing.T) {
 
 func TestSVtTransitionsStallResume(t *testing.T) {
 	c := testCore(3)
-	c.EnableSVt(true)
+	c.EnableSVt()
 	v := newVMCS("vmcs01", 1)
 	v.Write(vmcs.SVtVisor, 0)
 	v.Write(vmcs.SVtVM, 1)
@@ -192,7 +192,7 @@ func TestSVtTransitionsStallResume(t *testing.T) {
 
 func TestCtxtAccessResolution(t *testing.T) {
 	c := testCore(3)
-	c.EnableSVt(true)
+	c.EnableSVt()
 	v := newVMCS("vmcs01", 1)
 	v.Write(vmcs.SVtVisor, 0)
 	v.Write(vmcs.SVtVM, 1)
@@ -242,7 +242,7 @@ func TestCtxtAccessWithoutSVtTraps(t *testing.T) {
 func TestExternalInterruptExit(t *testing.T) {
 	c := testCore(1)
 	eng := c.Eng
-	l := ports.NewIRQ[apic.IRR](eng)
+	l := x86port.Port().NewIRQ(0, eng)
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
 	eng.At(5000, func() { l.Deliver(ports.VecVirtioNet) })
@@ -268,7 +268,7 @@ func TestExternalInterruptExit(t *testing.T) {
 
 func TestInterruptExitMasksWhenPinControlOff(t *testing.T) {
 	c := testCore(1)
-	l := ports.NewIRQ[apic.IRR](c.Eng)
+	l := x86port.Port().NewIRQ(0, c.Eng)
 	c.SetLAPIC(0, l)
 	v := vmcs.New("vmcs01") // no ext-int exiting
 	v.Write(vmcs.ProcControls, vmcs.ProcCtlHLTExit)
@@ -369,7 +369,7 @@ func TestTrappedMMIOWriteAllocFree(t *testing.T) {
 func TestMSRBitmapExits(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
-	v.SetMSRExit(isa.MSRTSCDeadline, true)
+	v.SetMSRExit(isa.MSRTSCDeadline)
 	g := &loopGuest{acts: []Action{{Kind: ActInstr, Instr: isa.WRMSR(isa.MSRTSCDeadline, 999)}}}
 	e := c.RunGuest(0, v, g, &RunState{})
 	if e.Reason != isa.ExitMSRWrite || e.Qualification != uint64(isa.MSRTSCDeadline) || e.Value != 999 {
@@ -385,7 +385,7 @@ func TestMSRBitmapExits(t *testing.T) {
 func TestUntrappedMSRPanics(t *testing.T) {
 	c := testCore(1)
 	v := newVMCS("vmcs01", 1)
-	v.SetMSRExit(isa.MSRTSCDeadline, true)
+	v.SetMSRExit(isa.MSRTSCDeadline)
 	for _, in := range []isa.Instr{isa.RDMSR(isa.MSRFSBase), isa.WRMSR(isa.MSRFSBase, 0x7000)} {
 		msg := panicOf(func() { c.Exec(0, v, in) })
 		want := fmt.Sprintf("%v of MSR %#x not trapped", in.Op, isa.MSRFSBase)
@@ -485,7 +485,7 @@ func TestNativeGuestVirtualIRQ(t *testing.T) {
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 1})
 	})
 	var handled []int
-	g.Port().VirtLAPIC = ports.NewIRQ[apic.IRR](c.Eng)
+	g.Port().VirtLAPIC = x86port.Port().NewIRQ(0, c.Eng)
 	g.Port().IRQHandler = func(vec int) { handled = append(handled, vec) }
 
 	e := c.RunGuest(0, v, g, nil)
@@ -526,7 +526,7 @@ func TestNativeGuestKill(t *testing.T) {
 
 func TestNativeGuestPhysicalIRQExit(t *testing.T) {
 	c := testCore(1)
-	l := ports.NewIRQ[apic.IRR](c.Eng)
+	l := x86port.Port().NewIRQ(0, c.Eng)
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
 	g := NewNativeGuest("l1", c, 0, func(p *Port) {

@@ -258,9 +258,9 @@ type Port struct {
 // the driver with a QualSVtIdle marker; no transition costs are charged
 // (mwait keeps the SMT thread from consuming execution cycles — the whole
 // point of §6.1's channel study).
-func (p *Port) Park(qual uint64) {
+func (p *Port) Park() {
 	p.guest.parkedIdle = true
-	p.trap(isa.Exit{Reason: isa.ExitVMCall, Qualification: qual})
+	p.trap(isa.Exit{Reason: isa.ExitVMCall, Qualification: QualSVtIdle})
 	p.guest.parkedIdle = false
 }
 

@@ -3,15 +3,15 @@ package cpu
 import (
 	"testing"
 
-	"svtsim/internal/apic"
 	"svtsim/internal/isa"
 	"svtsim/internal/ports"
+	x86port "svtsim/internal/ports/x86"
 	"svtsim/internal/sim"
 )
 
 func TestPortComputeInterruptible(t *testing.T) {
 	c := testCore(1)
-	l := ports.NewIRQ[apic.IRR](c.Eng)
+	l := x86port.Port().NewIRQ(0, c.Eng)
 	c.SetLAPIC(0, l)
 	v := newVMCS("vmcs01", 1)
 	c.Eng.At(5_000, func() { l.Deliver(ports.VecTimer) })
@@ -50,7 +50,7 @@ func TestPortComputeRunsVirtualHandlers(t *testing.T) {
 		p.Compute(10_000)
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 1})
 	})
-	g.Port().VirtLAPIC = ports.NewIRQ[apic.IRR](c.Eng)
+	g.Port().VirtLAPIC = x86port.Port().NewIRQ(0, c.Eng)
 	g.Port().IRQHandler = func(vec int) { handled = append(handled, vec) }
 	c.Eng.At(3_000, func() { g.Port().VirtLAPIC.Deliver(7) })
 	e := c.RunGuest(0, v, g, nil)
@@ -71,7 +71,7 @@ func TestExecHLTSkipsWhenPending(t *testing.T) {
 		p.ExecHLT()            // must NOT sleep or exit
 		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: 2})
 	})
-	g.Port().VirtLAPIC = ports.NewIRQ[apic.IRR](c.Eng)
+	g.Port().VirtLAPIC = x86port.Port().NewIRQ(0, c.Eng)
 	e := c.RunGuest(0, v, g, nil)
 	if e.Reason != isa.ExitVMCall || e.Qualification != 2 {
 		t.Fatalf("exit = %v — the HLT must have completed immediately", e)
@@ -84,7 +84,7 @@ func TestParkIsFree(t *testing.T) {
 	v := newVMCS("vmcs01", 1)
 	g := NewNativeGuest("g", c, 0, func(p *Port) {
 		for {
-			p.Park(QualSVtIdle)
+			p.Park()
 		}
 	})
 	// Enter once (pays the entry leg), then park/resume cycles are free.

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"svtsim/internal/cpu"
 	"svtsim/internal/hv"
-	"svtsim/internal/isa"
 	"svtsim/internal/machine"
 	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
@@ -19,29 +17,6 @@ type ChannelPoint struct {
 	Workload  sim.Time // compute between cpuid instructions
 	PerOp     sim.Time // per-iteration latency
 }
-
-// computeCpuidLoop interleaves compute blocks with cpuid instructions
-// (the paper's "dependent register increments that simulate a variable
-// workload").
-type computeCpuidLoop struct {
-	n, i    int
-	compute sim.Time
-}
-
-func (g *computeCpuidLoop) Step() cpu.Action {
-	if g.i >= 2*g.n {
-		return cpu.Action{Kind: cpu.ActDone}
-	}
-	g.i++
-	if g.i%2 == 1 {
-		if g.compute > 0 {
-			return cpu.Action{Kind: cpu.ActCompute, Dur: g.compute}
-		}
-		g.i++
-	}
-	return cpu.Action{Kind: cpu.ActInstr, Instr: isa.CPUID(1)}
-}
-func (g *computeCpuidLoop) DeliverIRQ(int) {}
 
 // ChannelStudy sweeps the SW SVt channel configurations of §6.1: polling,
 // mwait and mutex waiters at SMT, cross-core and cross-NUMA placements,
@@ -60,7 +35,7 @@ func (s *Session) ChannelStudy(n int, workloads []sim.Time) []ChannelPoint {
 		cfg.WaitPolicy = pol
 		cfg.Placement = place
 		m := machine.NewNested(cfg)
-		m.SetL2Workload(&computeCpuidLoop{n: n, compute: wl})
+		m.SetL2Workload(&cpuidLoop{n: n, compute: wl})
 		s.run(m)
 		m.Shutdown()
 		return ChannelPoint{

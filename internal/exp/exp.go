@@ -29,17 +29,26 @@ func AllModes() []hv.Mode {
 	return []hv.Mode{hv.ModeBaseline, hv.ModeSWSVt, hv.ModeHWSVt}
 }
 
-// cpuidLoop is the §6.1 micro-benchmark program (used at every
-// virtualization level).
+// cpuidLoop is the §6.1 micro-benchmark program: n cpuid
+// instructions, each preceded by a compute block when compute > 0 (the
+// paper's "dependent register increments that simulate a variable
+// workload").
 type cpuidLoop struct {
-	n, i int
+	n, i    int
+	compute sim.Time
 }
 
 func (g *cpuidLoop) Step() cpu.Action {
-	if g.i >= g.n {
+	if g.i >= 2*g.n {
 		return cpu.Action{Kind: cpu.ActDone}
 	}
 	g.i++
+	if g.i%2 == 1 {
+		if g.compute > 0 {
+			return cpu.Action{Kind: cpu.ActCompute, Dur: g.compute}
+		}
+		g.i++
+	}
 	return cpu.Action{Kind: cpu.ActInstr, Instr: isa.CPUID(1)}
 }
 func (g *cpuidLoop) DeliverIRQ(int) {}
@@ -230,7 +239,7 @@ func (s *Session) NetBandwidth(mode hv.Mode, d sim.Time) IOResult {
 	io.NIC.Peer = peer
 	io.L0Net.TxCoalesce = 16
 	io.SetL1NetTxCoalesce(16)
-	w := &workload.NetStream{Duration: d, MsgSize: 16 * 1024, Window: 2 << 20, SMP: false}
+	w := &workload.NetStream{Duration: d, MsgSize: 16 * 1024, Window: 2 << 20}
 	m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
 	m.Shutdown()
@@ -316,7 +325,7 @@ func (s *Session) Memcached(mode hv.Mode, rate float64, d sim.Time) MemcachedRes
 // TPCC runs the §6.3.2 experiment for duration d, returning ktpm.
 func (s *Session) TPCC(mode hv.Mode, d sim.Time) float64 {
 	m, io := s.netMachine(mode)
-	w := &workload.TPCC{Duration: d, Rng: sim.NewRand(17), SMP: true}
+	w := &workload.TPCC{Duration: d, Rng: sim.NewRand(17)}
 	m.InstallL2(io, false, true, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
 	m.Shutdown()

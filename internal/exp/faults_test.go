@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"strconv"
 	"testing"
 
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
+	"svtsim/internal/obs"
 	"svtsim/internal/sim"
 )
 
@@ -77,15 +79,22 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 	if r.FallbackReflections == 0 {
 		t.Fatal("open breaker never short-circuited a reflection to trap/resume")
 	}
-	// The hypervisor counts the same fallbacks the channel reports.
+	// The hypervisor's fallback metric sums both channel counters.
 	cfg := s.config(hv.ModeSWSVt)
 	cfg.Faults = spec
+	cfg.Obs = &obs.Options{}
 	m := machine.NewNested(cfg)
 	m.SetL2Workload(&cpuidLoop{n: 400})
 	s.run(m)
 	m.Shutdown()
-	if got := m.L0.SWFallbacks.Value(); got != r.Fallbacks+r.FallbackReflections {
-		t.Fatalf("hv counted %d fallbacks, channel counted %d+%d",
+	var got string
+	for _, row := range m.Obs.Metrics.Rows() {
+		if row.Name == "hv.l0.sw_fallbacks" {
+			got = row.Value
+		}
+	}
+	if want := strconv.FormatUint(r.Fallbacks+r.FallbackReflections, 10); got != want {
+		t.Fatalf("hv.l0.sw_fallbacks = %q, channel counted %d+%d",
 			got, r.Fallbacks, r.FallbackReflections)
 	}
 	// After recovery the fast path must carry the rest of the run: most

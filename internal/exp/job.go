@@ -95,19 +95,16 @@ const fleetReplayWindows = 16
 
 // FleetReplayJob runs the fleet-scale engine macro on the session's
 // topology and host params, with cancellation and progress between
-// simulated-time windows. dur and tick <= 0 keep the
-// DefaultFleetReplaySpec values; crossEvery < 0 keeps the default
-// (0 disables cross-socket IPIs). An uncancelled job's result is
-// byte-identical to FleetReplay on the same spec.
-func (s *Session) FleetReplayJob(ctx context.Context, dur, tick sim.Time, crossEvery int, pr ProgressFunc) (FleetReplayResult, error) {
+// simulated-time windows. dur <= 0 keeps the DefaultFleetReplaySpec
+// value; crossEvery < 0 keeps the default (0 disables cross-socket
+// IPIs). An uncancelled job's result is byte-identical to FleetReplay
+// on the same spec.
+func (s *Session) FleetReplayJob(ctx context.Context, dur sim.Time, crossEvery int, pr ProgressFunc) (FleetReplayResult, error) {
 	spec := DefaultFleetReplaySpec()
 	spec.Topo = s.Topology()
 	spec.P = s.HostParams()
 	if dur > 0 {
 		spec.Dur = dur
-	}
-	if tick > 0 {
-		spec.Tick = tick
 	}
 	if crossEvery >= 0 {
 		spec.CrossEvery = crossEvery

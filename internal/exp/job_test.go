@@ -128,7 +128,7 @@ func TestJobCancellation(t *testing.T) {
 	}
 	already, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := jobTestSession(t).FleetReplayJob(already, 0, 0, -1, nil); !errors.Is(err, context.Canceled) {
+	if _, err := jobTestSession(t).FleetReplayJob(already, 0, -1, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FleetReplayJob err = %v, want context.Canceled", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestFleetReplayJobMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events int
-	job, err := s.FleetReplayJob(context.Background(), spec.Dur, spec.Tick, spec.CrossEvery,
+	job, err := s.FleetReplayJob(context.Background(), spec.Dur, spec.CrossEvery,
 		func(ProgressEvent) { events++ })
 	if err != nil {
 		t.Fatal(err)

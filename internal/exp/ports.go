@@ -47,24 +47,13 @@ func (s *Session) withPort(p ports.Port) *Session {
 }
 
 // ComparePorts runs the nested TCP_RR latency workload (n transactions)
-// for every named port across all four system variants and returns the
-// comparison grid. Port names resolve through the ports registry; an
-// empty list means every registered port.
-func (s *Session) ComparePorts(portNames []string, n int) (*PortComparison, error) {
-	if len(portNames) == 0 {
-		portNames = ports.Names()
-	}
-	resolved := make([]ports.Port, len(portNames))
-	for i, name := range portNames {
-		p, err := ports.Parse(name)
-		if err != nil {
-			return nil, err
-		}
-		resolved[i] = p
-	}
+// for every registered port across all four system variants and returns
+// the comparison grid, one row per port in name order.
+func (s *Session) ComparePorts(n int) *PortComparison {
+	names := ports.Names()
 	modes := hv.AllModes()
-	cells := parallel.MapN(s.Parallelism(), len(resolved)*len(modes), func(i int) PortCell {
-		p := resolved[i/len(modes)]
+	cells := parallel.MapN(s.Parallelism(), len(names)*len(modes), func(i int) PortCell {
+		p := ports.Get(names[i/len(modes)])
 		mode := modes[i%len(modes)]
 		res := s.withPort(p).NetLatency(mode, n)
 		c := PortCell{
@@ -83,7 +72,7 @@ func (s *Session) ComparePorts(portNames []string, n int) (*PortComparison, erro
 		return c
 	})
 	cmp := &PortComparison{}
-	for pi := range resolved {
+	for pi := range names {
 		row := cells[pi*len(modes) : (pi+1)*len(modes)]
 		base := row[0].MeanUs
 		for mi := range row {
@@ -93,5 +82,5 @@ func (s *Session) ComparePorts(portNames []string, n int) (*PortComparison, erro
 		}
 		cmp.Rows = append(cmp.Rows, row)
 	}
-	return cmp, nil
+	return cmp
 }

@@ -49,8 +49,8 @@ type blkOp struct {
 }
 
 // NewBlkDriver initializes the request queue in guest memory.
-func NewBlkDriver(e *Env, vector int, mmio uint64, layoutBase uint64, qsize uint16) (*BlkDriver, error) {
-	l := virtio.NewLayout(layoutBase, qsize)
+func NewBlkDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*BlkDriver, error) {
+	l := virtio.NewLayout(layoutBase, blkQueueSize)
 	q, err := virtio.NewQueue(l, e.Mem, true)
 	if err != nil {
 		return nil, err

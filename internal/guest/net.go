@@ -45,9 +45,11 @@ func entry[T any](t *[]T, head uint16) *T {
 	return &(*t)[head]
 }
 
-// The driver's rings and buffers match a small virtio-net-pci device.
+// The drivers' rings and buffers match small virtio-net-pci and
+// virtio-blk-pci devices.
 const (
 	netQueueSize = 256
+	blkQueueSize = 64
 	netRXBuffers = 64
 	netBufSize   = 2048
 )

@@ -25,7 +25,7 @@ func NewVisorVMCS(name string, eptp uint64, mode Mode) *vmcs.VMCS {
 	v.Write(vmcs.PinControls, vmcs.PinCtlExtIntExit)
 	v.Write(vmcs.ProcControls, vmcs.ProcCtlHLTExit|vmcs.ProcCtlUseMSRBitmap)
 	v.Write(vmcs.EPTPointer, eptp)
-	v.SetMSRExit(isa.MSRTSCDeadline, true)
+	v.SetMSRExit(isa.MSRTSCDeadline)
 	v.Write(vmcs.HostRIP, HostEntryRIP)
 	if mode == ModeHWSVt || mode == ModeHWSVtBypass {
 		core.DefaultHierarchy().ConfigureVisorVMCS(v)
@@ -50,9 +50,7 @@ func NewNestedVMCSPair(mode Mode) (v12, v02 *vmcs.VMCS) {
 // NewNestedState wires the nested-virtualization state: the vmcs12/
 // vmcs02 pair, the guest-physical address L1 believes vmcs12 lives at,
 // L2's vCPU, and the L1-physical pointer translation used by the
-// vmcs12→vmcs02 transform. The forced controls are the ones L0 always
-// keeps set on vmcs02 regardless of what L1 asks for: external-
-// interrupt exiting and the trapped timer-deadline MSR.
+// vmcs12→vmcs02 transform.
 func NewNestedState(v12, v02 *vmcs.VMCS, v12addr uint64, l2 *VCPU,
 	xlat func(gpa uint64) (uint64, error)) *NestedState {
 	return &NestedState{
@@ -63,11 +61,15 @@ func NewNestedState(v12, v02 *vmcs.VMCS, v12addr uint64, l2 *VCPU,
 		Xlat: func(_ vmcs.Field, gpa uint64) (uint64, error) {
 			return xlat(gpa)
 		},
-		Forced: vmcs.ForcedControls{
-			Pin:      vmcs.PinCtlExtIntExit,
-			ForceMSR: []uint32{isa.MSRTSCDeadline},
-		},
 	}
+}
+
+// forcedControls are the controls L0 always keeps set on every vmcs02
+// regardless of what L1 asks for: external-interrupt exiting and the
+// trapped timer-deadline MSR.
+var forcedControls = vmcs.ForcedControls{
+	Pin:      vmcs.PinCtlExtIntExit,
+	ForceMSR: []uint32{isa.MSRTSCDeadline},
 }
 
 // SetShadowEPTP installs the composed shadow EPT pointer into vmcs02
@@ -87,9 +89,9 @@ func BootNestedVM(plat *VirtualPlatform, vc *VCPU, msrBitmapGPA, eptp12, entryRI
 	plat.Load(vc)
 	plat.VMWrite(v12, vmcs.PinControls, vmcs.PinCtlExtIntExit)
 	plat.VMWrite(v12, vmcs.ProcControls, vmcs.ProcCtlHLTExit|vmcs.ProcCtlUseMSRBitmap)
-	v12.SetMSRExit(isa.MSRTSCDeadline, true)
-	v12.SetMSRExit(isa.MSRX2APICEOI, true)
-	v12.SetMSRExit(isa.MSRX2APICICR, true)
+	v12.SetMSRExit(isa.MSRTSCDeadline)
+	v12.SetMSRExit(isa.MSRX2APICEOI)
+	v12.SetMSRExit(isa.MSRX2APICICR)
 	plat.VMWrite(v12, vmcs.MSRBitmapAddr, msrBitmapGPA)
 	plat.VMWrite(v12, vmcs.EPTPointer, eptp12)
 	plat.VMWrite(v12, vmcs.GuestRIP, entryRIP)

@@ -168,9 +168,8 @@ type NestedState struct {
 	Active     bool // VMPTRLD seen, shadowing on
 
 	// Xlat translates L1-physical pointers for the vmcs12→vmcs02
-	// transform; Forced are the controls L0 imposes on vmcs02.
-	Xlat   vmcs.PointerXlat
-	Forced vmcs.ForcedControls
+	// transform.
+	Xlat vmcs.PointerXlat
 
 	// OnEPTP is invoked when L1 writes the EPT pointer of vmcs12 so the
 	// machine can (re)build the composed shadow EPT for vmcs02.
@@ -235,10 +234,6 @@ type Hypervisor struct {
 
 	// DeadlockDetected is set when Idle found no further events.
 	DeadlockDetected bool
-	// SWFallbacks counts nested exits the SW-SVt channel declined
-	// (watchdog exhaustion or open breaker) that were serviced on the
-	// baseline trap/resume path instead.
-	SWFallbacks obs.Counter
 }
 
 // New builds a hypervisor instance.

@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"svtsim/internal/allocs"
-	"svtsim/internal/apic"
 	"svtsim/internal/cost"
 	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
 	"svtsim/internal/obs"
 	"svtsim/internal/ports"
+	x86port "svtsim/internal/ports/x86"
 	"svtsim/internal/race"
 	"svtsim/internal/sim"
 	"svtsim/internal/vmcs"
@@ -20,7 +20,7 @@ func testStack() (*Hypervisor, *cpu.Core, *sim.Engine) {
 	eng := sim.New()
 	m := cost.Baseline()
 	c := cpu.New(eng, &m, 1)
-	c.SetLAPIC(0, ports.NewIRQ[apic.IRR](eng))
+	c.SetLAPIC(0, x86port.Port().NewIRQ(0, eng))
 	h := New("L0", NewRealPlatform(c), &m, 0, ModeBaseline)
 	return h, c, eng
 }
@@ -86,7 +86,7 @@ func TestMSRStoreRoundTrip(t *testing.T) {
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
 	// Without a configured bitmap entry both accesses exit... the VMCS has
 	// UseMSRBitmap, so mark this MSR as exiting.
-	vc.VMCS.SetMSRExit(isa.MSRSpecCtrl, true)
+	vc.VMCS.SetMSRExit(isa.MSRSpecCtrl)
 	h.RunLoop(vc)
 	readBack = vc.VMCS.GPRs[isa.RAX]
 	if readBack != 0x42 {
@@ -105,8 +105,8 @@ func TestTimerVirtualization(t *testing.T) {
 		{Kind: cpu.ActCompute, Dur: 20_000},
 	}}
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
-	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline, true)
-	vc.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
+	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline)
+	vc.VirtLAPIC = x86port.Port().NewIRQ(0, eng)
 	h.RunLoop(vc)
 	fired = g.irqs
 	if len(fired) != 1 || fired[0] != ports.VecTimer {
@@ -152,8 +152,8 @@ func TestHLTWakesOnInterrupt(t *testing.T) {
 		{Kind: cpu.ActCompute, Dur: 10},
 	}}
 	vc := NewVCPU("g", 0, guestVMCS(), g, 1)
-	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline, true)
-	vc.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
+	vc.VMCS.SetMSRExit(isa.MSRTSCDeadline)
+	vc.VirtLAPIC = x86port.Port().NewIRQ(0, eng)
 	h.RunLoop(vc)
 	if h.DeadlockDetected {
 		t.Fatal("halt must wake on the timer")
@@ -214,7 +214,7 @@ func TestKernelIRQDispatch(t *testing.T) {
 	dev := &fakeDev{}
 	h.VectorToDevice[0x40] = dev
 	target := NewVCPU("t", 0, guestVMCS(), nil, 1)
-	target.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
+	target.VirtLAPIC = x86port.Port().NewIRQ(0, eng)
 	h.VectorRoute[0x41] = target
 
 	h.HandleKernelIRQ(0x40)
@@ -243,7 +243,7 @@ func TestProfileShare(t *testing.T) {
 func TestMaybeInjectOnlyOnce(t *testing.T) {
 	h, _, eng := testStack()
 	vc := NewVCPU("g", 0, guestVMCS(), nil, 1)
-	vc.VirtLAPIC = ports.NewIRQ[apic.IRR](eng)
+	vc.VirtLAPIC = x86port.Port().NewIRQ(0, eng)
 	vc.VirtLAPIC.Deliver(0x31)
 	vc.VirtLAPIC.Deliver(0x32)
 	h.PrepareResume(vc)

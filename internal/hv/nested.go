@@ -65,7 +65,7 @@ func (h *Hypervisor) nestedEntry(ns *NestedState) {
 	if led != nil {
 		prev = led.Swap(sim.CatTransform)
 	}
-	st, err := vmcs.ToPhysical(ns.Vmcs02, ns.Vmcs12, ns.Xlat, ns.Forced)
+	st, err := vmcs.ToPhysical(ns.Vmcs02, ns.Vmcs12, ns.Xlat, forcedControls)
 	if err != nil {
 		panic(fmt.Sprintf("%s: vmcs12→vmcs02 transform failed: %v", h.Name, err))
 	}
@@ -226,10 +226,7 @@ func (h *Hypervisor) deliverToL1(vc *VCPU, ns *NestedState, e2 isa.Exit) bool {
 		if h.SW == nil {
 			panic(h.Name + ": SW SVt mode without a command channel")
 		}
-		if h.SW.ReflectAndWait(vc, e2) {
-			return true
-		}
-		h.SWFallbacks.Inc()
+		return h.SW.ReflectAndWait(vc, e2)
 	}
 	return false
 }

@@ -118,7 +118,7 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 		eng := m.Eng
 		io.LinkOut = netsim.NewLink(eng, p.LinkLatency, p.LinkRate)
 		io.LinkIn = netsim.NewLink(eng, p.LinkLatency, p.LinkRate)
-		io.NIC = netsim.NewNIC(eng, io.LinkOut, nil)
+		io.NIC = netsim.NewNIC(eng, io.LinkOut)
 		io.Disk = blk.NewDisk(eng, "l1-image", p.DiskSize)
 
 		view01 := ept.NewView(m.HostMem, m.Ept01)
@@ -161,7 +161,7 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 			panic(fmt.Sprintf("machine: L1 net driver: %v", err))
 		}
 		io.L1NetDrv = nd
-		bd, err := guest.NewBlkDriver(env1, ports.VecVirtioBlk, L1BlkMMIO, l1BlkLayout, 64)
+		bd, err := guest.NewBlkDriver(env1, ports.VecVirtioBlk, L1BlkMMIO, l1BlkLayout)
 		if err != nil {
 			panic(fmt.Sprintf("machine: L1 blk driver: %v", err))
 		}
@@ -222,7 +222,7 @@ func (m *Machine) InstallL2(io *IOStack, withNet, withBlk bool, body L2Body) {
 			}
 		}
 		if withBlk {
-			if _, err := guest.NewBlkDriver(env, ports.VecVirtioBlk, L2BlkMMIO, l2BlkLayout, 64); err != nil {
+			if _, err := guest.NewBlkDriver(env, ports.VecVirtioBlk, L2BlkMMIO, l2BlkLayout); err != nil {
 				panic(fmt.Sprintf("machine: L2 blk driver: %v", err))
 			}
 		}

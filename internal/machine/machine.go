@@ -232,7 +232,14 @@ func (m *Machine) wireObs(o obs.Options) {
 		m.Faults.SetObs(tr, tr.DeviceTrack())
 		reg.RegisterCounter("fault.fires", m.Faults.FiresCounter())
 	}
-	reg.RegisterCounter("hv.l0.sw_fallbacks", &m.L0.SWFallbacks)
+	// Nested exits the SW-SVt channel declined (watchdog exhaustion or
+	// open breaker) and L0 serviced on the trap/resume path instead.
+	reg.RegisterFunc("hv.l0.sw_fallbacks", func() float64 {
+		if m.Chan == nil {
+			return 0
+		}
+		return float64(m.Chan.Fallbacks.Value() + m.Chan.FallbackReflections.Value())
+	})
 	reg.RegisterFunc("hv.l0.handle_ns", func() float64 { return float64(m.L0.Prof.Total) })
 	reg.RegisterFunc("hv.l0.nested_handle_ns", func() float64 { return float64(m.L0.NestedProf.Total) })
 	reg.RegisterFunc("sim.dispatched", func() float64 { return float64(m.Eng.Dispatched()) })

@@ -104,9 +104,9 @@ type txDMA struct {
 // nicRx is the NIC's second event kind: an inbound DMA completing.
 type nicRx NIC
 
-// NewNIC builds a NIC transmitting on out.
-func NewNIC(eng *sim.Engine, out *Link, peer Endpoint) *NIC {
-	return &NIC{Eng: eng, Out: out, Peer: peer}
+// NewNIC builds a NIC transmitting on out; the caller sets Peer.
+func NewNIC(eng *sim.Engine, out *Link) *NIC {
+	return &NIC{Eng: eng, Out: out}
 }
 
 // Send implements Conduit: DMA the packet, put it on the wire, and

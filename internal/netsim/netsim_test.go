@@ -81,7 +81,7 @@ func TestNICTransport(t *testing.T) {
 	eng := sim.New()
 	peer := &sink{eng: eng}
 	out := NewLink(eng, 2*sim.Microsecond, 10e9)
-	nic := NewNIC(eng, out, peer)
+	nic := NewNIC(eng, out)
 	nic.Peer = peer
 
 	doneAt := sim.Time(-1)

@@ -1,4 +1,4 @@
-package apic
+package x86
 
 import (
 	"testing"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestDeliverAck(t *testing.T) {
-	l := ports.NewIRQ[IRR](sim.New())
+	l := Port().NewIRQ(0, sim.New())
 	if l.HasPending() {
 		t.Fatal("fresh LAPIC must be idle")
 	}
@@ -29,7 +29,7 @@ func TestDeliverAck(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	l := ports.NewIRQ[IRR](sim.New())
+	l := Port().NewIRQ(0, sim.New())
 	l.Deliver(ports.VecVirtioNet) // 0x24
 	l.Deliver(ports.VecTimer)     // 0xEC — higher
 	v, _ := l.PendingVector()

@@ -7,7 +7,6 @@
 package x86
 
 import (
-	"svtsim/internal/apic"
 	"svtsim/internal/cost"
 	"svtsim/internal/isa"
 	"svtsim/internal/ports"
@@ -35,7 +34,7 @@ func (port) ExitName(r isa.ExitReason) string { return r.String() }
 func (port) Classify(r isa.ExitReason) ports.Class { return ports.DefaultClassify(r) }
 
 func (port) NewIRQ(_ int, eng *sim.Engine) ports.IRQController {
-	return ports.NewIRQ[apic.IRR](eng)
+	return ports.NewIRQ[irr](eng)
 }
 
 // IRQSectionPrefix is frozen: snapshot digests fold section names, and

@@ -76,7 +76,7 @@ func (rr *Renderer) Table3(w io.Writer, root string) {
 	}{
 		{"QEMU analogue (device backends, rings)", []string{"internal/virtio", "internal/swsvt"}, 654, 10},
 		{"Linux/KVM analogue (hypervisor, SVt core)", []string{"internal/hv", "internal/cpu", "internal/vmcs"}, 2432, 51},
-		{"Linux/other analogue (guest kernel, drivers)", []string{"internal/guest", "internal/apic"}, 227, 2},
+		{"Linux/other analogue (guest kernel, drivers)", []string{"internal/guest", "internal/ports/x86"}, 227, 2},
 	}
 	fmt.Fprintf(w, "%-46s %10s | %10s %10s\n", "Codebase", "sim LOC", "paper add", "paper del")
 	for _, r := range rows {
@@ -335,15 +335,12 @@ func (rr *Renderer) Profiles(w io.Writer) {
 }
 
 // Ports renders the cross-ISA comparison: the nested TCP_RR workload
-// under every requested architecture port (empty = all registered) and
-// all four system variants, one table from one invocation. Exit counts
-// are bucketed by each port's own taxonomy, so the rows stay comparable
-// even though the ports speak different exit vocabularies.
-func (rr *Renderer) Ports(w io.Writer, portNames []string, n int) error {
-	cmp, err := rr.s.ComparePorts(portNames, n)
-	if err != nil {
-		return err
-	}
+// under every registered architecture port and all four system
+// variants, one table from one invocation. Exit counts are bucketed by
+// each port's own taxonomy, so the rows stay comparable even though the
+// ports speak different exit vocabularies.
+func (rr *Renderer) Ports(w io.Writer, n int) {
+	cmp := rr.s.ComparePorts(n)
 	hr(w, "Cross-ISA comparison: nested netperf TCP_RR per port and mode")
 	fmt.Fprintf(w, "%-8s %-14s %8s %9s %9s %9s %8s  %s\n",
 		"port", "mode", "exits", "mean(us)", "p50(us)", "p99(us)", "speedup", "exits by class")
@@ -360,5 +357,4 @@ func (rr *Renderer) Ports(w io.Writer, portNames []string, n int) error {
 				strings.Join(classes, ", "))
 		}
 	}
-	return nil
 }

@@ -84,7 +84,7 @@ func Run(ctx context.Context, req *Request, simWorkers int, pr exp.ProgressFunc)
 		lines, err = statsLines(es.StormTableContext(ctx, req.parsedModes(), req.VMs, req.Storms, req.Seed, pr))
 	case KindFleet:
 		var r exp.FleetReplayResult
-		r, err = es.FleetReplayJob(ctx, sim.Time(req.DurMs)*sim.Millisecond, 0, req.CrossEvery, pr)
+		r, err = es.FleetReplayJob(ctx, sim.Time(req.DurMs)*sim.Millisecond, req.CrossEvery, pr)
 		lines = []string{r.FleetReplayLine()}
 	case KindCheck:
 		// The daemon reports verdicts; shrinking and repro files stay

@@ -181,7 +181,7 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 	}
 	// A lost mwait wakeup is invisible to L0₀ until the watchdog expires;
 	// each expiry charges the backed-off timeout and re-sends the wakeup.
-	if !ch.wakeRetry(fault.SiteSVtWakeup) {
+	if !ch.wakeRetry() {
 		// Retries exhausted: reclaim the unconsumed CMD_VM_TRAP so the
 		// SVt-thread does not serve a stale command after re-arm, and
 		// let the caller fall back to trap/resume.
@@ -232,10 +232,6 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 			panic("swsvt: reflection after the SVt-thread stopped")
 		}
 		panic("swsvt: SVt-thread went idle without answering CMD_VM_RESUME")
-	}
-	if cmd.Type == CmdShutdown {
-		ch.stopped = true
-		return true
 	}
 	if cmd.Type != CmdVMResume {
 		panic(fmt.Sprintf("swsvt: unexpected response %v", cmd.Type))
@@ -291,12 +287,13 @@ func (ch *Channel) pushTrap(e isa.Exit) bool {
 	}
 }
 
-// wakeRetry drives one drop-capable fault site under the watchdog:
-// consult, and on a drop charge the backed-off timeout and try again, up
-// to MaxRetries. Reports whether the action eventually went through.
-func (ch *Channel) wakeRetry(site string) bool {
+// wakeRetry sends the SVt-thread's wakeup under the watchdog: consult
+// the wakeup fault site, and on a drop charge the backed-off timeout and
+// try again, up to MaxRetries. Reports whether the wakeup eventually
+// went through.
+func (ch *Channel) wakeRetry() bool {
 	for attempt := 0; ; attempt++ {
-		out := ch.Eng.Inject(site)
+		out := ch.Eng.Inject(fault.SiteSVtWakeup)
 		if out.Delay > 0 {
 			ch.L0.P.Charge(out.Delay)
 		}
@@ -422,9 +419,6 @@ func (t *SVtThread) Body(p *cpu.Port) {
 	p.Exec(isa.Instr{Op: isa.OpVMPtrLd, Addr: t.VC12.VMCSAddr})
 	for {
 		cmd := t.waitPop(p)
-		if cmd.Type == CmdShutdown {
-			return
-		}
 		if cmd.Type != CmdVMTrap {
 			panic(fmt.Sprintf("swsvt thread: unexpected command %v", cmd.Type))
 		}
@@ -482,6 +476,6 @@ func (t *SVtThread) waitPop(p *cpu.Port) Cmd {
 			return cmd
 		}
 		p.Exec(isa.Instr{Op: isa.OpMonitor})
-		p.Park(cpu.QualSVtIdle)
+		p.Park()
 	}
 }

@@ -19,7 +19,6 @@ const (
 	CmdNone CmdType = iota
 	CmdVMTrap
 	CmdVMResume
-	CmdShutdown
 )
 
 func (c CmdType) String() string {
@@ -28,8 +27,6 @@ func (c CmdType) String() string {
 		return "CMD_VM_TRAP"
 	case CmdVMResume:
 		return "CMD_VM_RESUME"
-	case CmdShutdown:
-		return "CMD_SHUTDOWN"
 	default:
 		return fmt.Sprintf("CMD(%d)", uint8(c))
 	}

@@ -43,7 +43,7 @@ func (r *Ring) LoadWords(rd *words.Reader) {
 	}
 	buf := make([]Cmd, len(r.buf))
 	for i := head; i != tail; i++ {
-		typ := CmdType(rd.Range(0, uint64(CmdShutdown)+1, "command type"))
+		typ := CmdType(rd.Range(0, uint64(CmdVMResume)+1, "command type"))
 		buf[i%uint64(len(buf))] = Cmd{Type: typ, Seq: rd.Word(), Exit: rd.Word()}
 	}
 	if rd.Err() == nil {

@@ -86,14 +86,8 @@ func (v *VMCS) MSRExits(addr uint32) bool {
 	return v.ExitingMSRs[addr]
 }
 
-// SetMSRExit configures whether MSR addr traps.
-func (v *VMCS) SetMSRExit(addr uint32, exits bool) {
-	if exits {
-		v.ExitingMSRs[addr] = true
-	} else {
-		delete(v.ExitingMSRs, addr)
-	}
-}
+// SetMSRExit makes MSR addr trap.
+func (v *VMCS) SetMSRExit(addr uint32) { v.ExitingMSRs[addr] = true }
 
 // ShadowedAccess reports whether a VMREAD/VMWRITE of f performed by the
 // guest hypervisor running under this VMCS is absorbed by hardware

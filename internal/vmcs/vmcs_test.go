@@ -139,13 +139,9 @@ func TestMSRBitmap(t *testing.T) {
 	if v.MSRExits(isa.MSRTSCDeadline) {
 		t.Fatal("clean bitmap should not exit")
 	}
-	v.SetMSRExit(isa.MSRTSCDeadline, true)
+	v.SetMSRExit(isa.MSRTSCDeadline)
 	if !v.MSRExits(isa.MSRTSCDeadline) {
 		t.Fatal("configured MSR must exit")
-	}
-	v.SetMSRExit(isa.MSRTSCDeadline, false)
-	if v.MSRExits(isa.MSRTSCDeadline) {
-		t.Fatal("cleared MSR must not exit")
 	}
 }
 
@@ -245,7 +241,7 @@ func TestToPhysicalForcedControls(t *testing.T) {
 	v12, v02 := New("vmcs12"), New("vmcs02")
 	v12.Write(PinControls, 0)
 	v12.Write(ProcControls, ProcCtlUseMSRBitmap)
-	v12.SetMSRExit(0x123, true)
+	v12.SetMSRExit(0x123)
 	forced := ForcedControls{
 		Pin:      PinCtlExtIntExit,
 		ForceMSR: []uint32{isa.MSRTSCDeadline},
@@ -325,7 +321,7 @@ func TestTransformsAllocFree(t *testing.T) {
 	v12, v02 := New("vmcs12"), New("vmcs02")
 	v12.Write(MSRBitmapAddr, 0x2000)
 	v12.Write(VirtualAPICPage, 0x3000)
-	v12.SetMSRExit(0x123, true)
+	v12.SetMSRExit(0x123)
 	forced := ForcedControls{Pin: PinCtlExtIntExit, ForceMSR: []uint32{isa.MSRTSCDeadline}}
 	xlat := xlatAdd(0x1000)
 	phys := allocs.PerRun(200, func() {

@@ -40,7 +40,6 @@ func (e *ETC) IsGet() bool { return e.rng.Float64() < 0.97 }
 // spending per-request CPU on parsing, hashing and response assembly.
 type MemcachedServer struct {
 	Duration sim.Time
-	SMP      bool
 
 	// Per-request CPU costs.
 	ParseCPU  sim.Time
@@ -55,7 +54,6 @@ type MemcachedServer struct {
 func DefaultMemcached(d sim.Time) *MemcachedServer {
 	return &MemcachedServer{
 		Duration:  d,
-		SMP:       true,
 		ParseCPU:  1200,
 		LookupCPU: 900,
 		StoreCPU:  1600,
@@ -84,9 +82,7 @@ func (s *MemcachedServer) Run(env *guest.Env) {
 	var resp []byte
 	env.Net.OnReceive = func(pkt []byte) {
 		pending = append(pending, pkt)
-		if s.SMP {
-			SMPWake(env)
-		}
+		SMPWake(env)
 	}
 	deadline := env.Now() + s.Duration
 	for env.Now() < deadline {

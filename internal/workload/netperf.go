@@ -86,7 +86,6 @@ type NetStream struct {
 	Duration sim.Time
 	MsgSize  int
 	Window   int
-	SMP      bool
 }
 
 // Run is the guest body.
@@ -95,9 +94,6 @@ func (w *NetStream) Run(env *guest.Env) {
 	ackedBytes := 0
 	env.Net.OnReceive = func(pkt []byte) {
 		ackedBytes += StreamAckEvery
-		if w.SMP {
-			SMPWake(env)
-		}
 	}
 	deadline := env.Now() + w.Duration
 	msg := make([]byte, w.MsgSize)

@@ -15,7 +15,6 @@ import (
 type TPCC struct {
 	Duration sim.Time
 	Rng      *rand.Rand
-	SMP      bool
 
 	Committed uint64
 	Elapsed   sim.Time
@@ -55,12 +54,10 @@ func (w *TPCC) pick() txnProfile {
 
 // Run is the guest body.
 func (w *TPCC) Run(env *guest.Env) {
-	if w.SMP {
-		prev := env.Port.IRQHandler
-		env.Port.IRQHandler = func(vec int) {
-			prev(vec)
-			SMPWake(env)
-		}
+	prev := env.Port.IRQHandler
+	env.Port.IRQHandler = func(vec int) {
+		prev(vec)
+		SMPWake(env)
 	}
 	const pages = 8192 // database pages addressable by the benchmark
 	start := env.Now()

@@ -21,7 +21,6 @@ type Video struct {
 	FPS    int
 	Frames int
 	Rng    *rand.Rand
-	SMP    bool
 
 	// MeanDecode is the mean per-frame decode cost (roughly constant
 	// across the HFR repackagings: the same pixels per frame).
@@ -47,7 +46,6 @@ func NewVideo(fps int, rng *rand.Rand) *Video {
 		FPS:         fps,
 		Frames:      fps * 300, // 5 minutes
 		Rng:         rng,
-		SMP:         true,
 		MeanDecode:  7900 * sim.Microsecond,
 		JitterFrac:  0.002,
 		SpikeProb:   0.008,
@@ -76,12 +74,10 @@ func mathLog(x float64) float64 { return math.Log(x) }
 
 // Run is the guest body.
 func (w *Video) Run(env *guest.Env) {
-	if w.SMP {
-		prev := env.Port.IRQHandler
-		env.Port.IRQHandler = func(vec int) {
-			prev(vec)
-			SMPWake(env)
-		}
+	prev := env.Port.IRQHandler
+	env.Port.IRQHandler = func(vec int) {
+		prev(vec)
+		SMPWake(env)
 	}
 	period := sim.Second / sim.Time(w.FPS)
 
