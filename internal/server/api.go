@@ -14,6 +14,7 @@
 package server
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -47,10 +48,10 @@ var workloadNames = []string{"cpuid", "netrr", "stream", "diskrd", "diskwr", "me
 func WorkloadNames() []string { return slices.Clone(workloadNames) }
 
 // Request is one experiment submission. The JSON shape doubles as the
-// canonical digest preimage: Canonicalize validates the fields, fills
-// every default, and zeroes everything the kind does not consume, so
-// two requests that mean the same experiment digest identically no
-// matter how sparsely they were written.
+// canonical digest preimage: Canonicalize validates the fields and
+// rebuilds the request from only what its kind consumes, defaults
+// filled, so two requests that mean the same experiment digest
+// identically no matter how sparsely they were written.
 type Request struct {
 	Kind     string   `json:"kind"`
 	Modes    []string `json:"modes,omitempty"`
@@ -97,152 +98,109 @@ type Request struct {
 // shape, so stale caches can never serve bytes from another era.
 const digestSchema = "svtsimd-req-v1"
 
-// Canonicalize validates the request in place, fills defaults, zeroes
-// fields the kind ignores, and rewrites modes and topology into their
-// canonical spellings. All errors are structured *uerr.E values, which
-// the HTTP layer returns as 400 bodies.
+// Canonicalize validates the request and replaces it with its canonical
+// form: a fresh request holding the kind, the canonical topology, port
+// and shard count, and the fields the kind reads with every default
+// filled. A field the kind ignores is zero by construction, so requests
+// that mean the same experiment digest identically however sparsely
+// they were written. All errors are structured *uerr.E values, which the
+// HTTP layer returns as 400 bodies.
 func (r *Request) Canonicalize() error {
-	if r.Topology == "" {
-		r.Topology = host.DefaultTopology.String()
-	}
-	topo, err := host.ParseTopology(r.Topology)
+	topo, err := host.ParseTopology(cmp.Or(r.Topology, host.DefaultTopology.String()))
 	if err != nil {
 		return err
 	}
-	r.Topology = topo.String()
-
-	// The host has one engine, so shards selects nothing. Pinning it to
-	// 1 keeps "shards":1 in every preimage: digests minted when it chose
-	// an engine shard count still address the same results, and requests
-	// that differ only in shards share one cache entry.
-	r.Shards = 1
-
+	var modes []string
 	if len(r.Modes) == 0 {
 		for _, m := range hv.AllModes() {
-			r.Modes = append(r.Modes, m.String())
+			modes = append(modes, m.String())
 		}
 	}
-	for i, name := range r.Modes {
+	for _, name := range r.Modes {
 		m, err := hv.ParseMode(name)
 		if err != nil {
 			return err
 		}
-		r.Modes[i] = m.String()
+		modes = append(modes, m.String())
 	}
-
-	// The default port's canonical spelling is "": requests minted
-	// before the ports layer existed carried no port field, and their
-	// digests must keep addressing the same cached results forever.
 	p, err := ports.Parse(r.Port)
 	if err != nil {
 		return err
 	}
-	if r.Port = p.Name(); r.Port == ports.DefaultName {
-		r.Port = ""
+	// A malformed fault spec is rejected on every kind, even the ones
+	// that run no fault plane.
+	faultSeed := int64(0)
+	if r.Faults != "" {
+		faultSeed = cmp.Or(r.FaultSeed, 1)
+		if _, err := fault.ParseSpec(r.Faults, faultSeed); err != nil {
+			return uerr.New("faults", r.Faults, err.Error(), "")
+		}
 	}
 
-	if err := r.canonFaults(); err != nil {
-		return err
+	// The host has one engine, so shards selects nothing. Pinning it to
+	// 1 keeps "shards":1 in every preimage: digests minted when it chose
+	// an engine shard count still address the same results. The default
+	// port's canonical spelling is "": requests minted before the ports
+	// layer existed carried no port field, and their digests must keep
+	// addressing the same cached results forever.
+	c := Request{Kind: r.Kind, Topology: topo.String(), Shards: 1, Port: p.Name()}
+	if c.Port == ports.DefaultName {
+		c.Port = ""
 	}
-
+	// The kinds that run nested machines read the modes, the fault
+	// plane and the trace flag.
+	machineFields := func() {
+		c.Modes, c.Faults, c.FaultSeed, c.Trace = modes, r.Faults, faultSeed, r.Trace
+	}
 	switch r.Kind {
 	case KindDensity:
-		if r.VMs <= 0 {
-			r.VMs = topo.Contexts()
-		}
-		if r.SLOUs <= 0 {
-			r.SLOUs = 500
-		}
-		r.Seed, r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0, 0
-		r.Workload, r.N, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, 0, ""
+		machineFields()
+		c.VMs = positiveOr(r.VMs, topo.Contexts())
+		c.SLOUs = positiveOr(r.SLOUs, 500)
 	case KindStorm:
-		if r.VMs <= 0 {
-			r.VMs = 8
-		}
-		if r.Storms <= 0 {
-			r.Storms = 12
-		}
-		if r.Seed == 0 {
-			r.Seed = 42
-		}
-		r.SLOUs, r.DurMs, r.CrossEvery = 0, 0, 0
-		r.Workload, r.N, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, 0, ""
+		machineFields()
+		c.VMs = positiveOr(r.VMs, 8)
+		c.Storms = positiveOr(r.Storms, 12)
+		c.Seed = cmp.Or(r.Seed, 42)
 	case KindFleet:
-		if r.DurMs <= 0 {
-			r.DurMs = 20
-		}
-		if r.CrossEvery <= 0 {
-			r.CrossEvery = 64
-		}
-		r.Modes = nil // the replay is mode-free: pure engine + IPIs
-		r.Seed, r.VMs, r.SLOUs, r.Storms = 0, 0, 0, 0
-		r.Workload, r.N, r.Rate, r.FPS, r.Schedules, r.Scenario = "", 0, 0, 0, 0, ""
-		r.Faults, r.FaultSeed, r.Trace = "", 0, false
+		// The replay is mode-free: pure engine and IPIs.
+		c.DurMs = positiveOr(r.DurMs, 20)
+		c.CrossEvery = positiveOr(r.CrossEvery, 64)
 	case KindCheck:
-		if r.Schedules <= 0 {
-			r.Schedules = 25
-		}
-		if r.Seed == 0 {
-			r.Seed = 1
-		}
-		r.Modes = nil // the oracle always runs the full mode set
-		r.VMs, r.SLOUs, r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0, 0, 0
-		r.Workload, r.N, r.Rate, r.FPS, r.Scenario = "", 0, 0, 0, ""
-		r.Faults, r.FaultSeed, r.Trace = "", 0, false
+		// The oracle always runs the full mode set on its own machines,
+		// whatever the session topology.
+		c.Topology = host.DefaultTopology.String()
+		c.Schedules = positiveOr(r.Schedules, 25)
+		c.Seed = cmp.Or(r.Seed, 1)
 	case KindWorkload:
-		if r.Workload == "" {
-			r.Workload = "cpuid"
-		}
-		if !slices.Contains(workloadNames, r.Workload) {
+		// Single-machine workloads never read the session topology.
+		machineFields()
+		c.Topology = host.DefaultTopology.String()
+		c.Workload = cmp.Or(r.Workload, "cpuid")
+		switch c.Workload {
+		case "cpuid", "netrr", "diskrd", "diskwr":
+			c.N = positiveOr(r.N, 500)
+		case "stream", "tpcc":
+			c.DurMs = positiveOr(r.DurMs, 1000)
+		case "memcached":
+			c.DurMs = positiveOr(r.DurMs, 1000)
+			c.Rate = positiveOr(r.Rate, 10000)
+		case "video":
+			c.FPS = positiveOr(r.FPS, 120)
+		default:
 			return uerr.New("workload", r.Workload, "unknown workload",
 				"valid: "+strings.Join(workloadNames, ", "))
 		}
-		switch r.Workload {
-		case "cpuid", "netrr", "diskrd", "diskwr":
-			if r.N <= 0 {
-				r.N = 500
-			}
-			r.DurMs, r.Rate, r.FPS = 0, 0, 0
-		case "stream", "tpcc":
-			if r.DurMs <= 0 {
-				r.DurMs = 1000
-			}
-			r.N, r.Rate, r.FPS = 0, 0, 0
-		case "memcached":
-			if r.DurMs <= 0 {
-				r.DurMs = 1000
-			}
-			if r.Rate <= 0 {
-				r.Rate = 10000
-			}
-			r.N, r.FPS = 0, 0
-		case "video":
-			if r.FPS <= 0 {
-				r.FPS = 120
-			}
-			r.N, r.DurMs, r.Rate = 0, 0, 0
-		}
-		r.Seed, r.VMs, r.SLOUs, r.Storms, r.CrossEvery, r.Schedules = 0, 0, 0, 0, 0, 0
-		r.Scenario = ""
 	case KindLB:
-		if r.Scenario == "" {
-			r.Scenario = "steady"
-		}
-		if !slices.Contains(exp.LBScenarios(), r.Scenario) {
+		machineFields()
+		c.Scenario = cmp.Or(r.Scenario, "steady")
+		if !slices.Contains(exp.LBScenarios(), c.Scenario) {
 			return uerr.New("scenario", r.Scenario, "unknown lb scenario",
 				"valid: "+strings.Join(exp.LBScenarios(), ", "))
 		}
-		if r.VMs <= 0 {
-			r.VMs = 4
-		}
-		if r.SLOUs <= 0 {
-			r.SLOUs = 1000
-		}
-		if r.Seed == 0 {
-			r.Seed = 42
-		}
-		r.Storms, r.DurMs, r.CrossEvery = 0, 0, 0
-		r.Workload, r.N, r.Rate, r.FPS, r.Schedules = "", 0, 0, 0, 0
+		c.VMs = positiveOr(r.VMs, 4)
+		c.SLOUs = positiveOr(r.SLOUs, 1000)
+		c.Seed = cmp.Or(r.Seed, 42)
 	case "":
 		return uerr.New("kind", "", "missing request kind",
 			"valid: density, storm, fleet, check, workload, lb")
@@ -250,22 +208,16 @@ func (r *Request) Canonicalize() error {
 		return uerr.New("kind", r.Kind, "unknown request kind",
 			"valid: density, storm, fleet, check, workload, lb")
 	}
+	*r = c
 	return nil
 }
 
-// canonFaults validates the fault-plane fields shared by several kinds.
-func (r *Request) canonFaults() error {
-	if r.Faults == "" {
-		r.FaultSeed = 0
-		return nil
+// positiveOr returns v, or def when v is not positive.
+func positiveOr[T int | float64](v, def T) T {
+	if v <= 0 {
+		return def
 	}
-	if r.FaultSeed == 0 {
-		r.FaultSeed = 1
-	}
-	if _, err := fault.ParseSpec(r.Faults, r.FaultSeed); err != nil {
-		return uerr.New("faults", r.Faults, err.Error(), "")
-	}
-	return nil
+	return v
 }
 
 // buildFaultSpec assembles the armed fault spec from the canonical

@@ -28,6 +28,11 @@ func TestCanonicalizeEquivalence(t *testing.T) {
 		}},
 		// The host has one engine: a shard count selects nothing.
 		{"fleet-shards", Request{Kind: KindFleet}, Request{Kind: KindFleet, Shards: 4}},
+		// The differential check and the single-machine workloads never
+		// read the session topology.
+		{"check-topology", Request{Kind: KindCheck}, Request{Kind: KindCheck, Topology: "1x4x2"}},
+		{"workload-topology", Request{Kind: KindWorkload, Workload: "netrr"},
+			Request{Kind: KindWorkload, Workload: "netrr", Topology: "1x4x2"}},
 	} {
 		sparse, explicit := tc.sparse, tc.explicit
 		for _, r := range []*Request{&sparse, &explicit} {
