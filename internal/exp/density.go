@@ -275,7 +275,7 @@ type fleet struct {
 // (fanned out on the pool), and phase 2 replays their demands on the
 // shared host engine with plan's storm (nil for none) overlaid.
 func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fault.Spec, oplane *obs.Plane, run func(i int, place swsvt.Placement) vmRun) fleet {
-	h, err := host.New(s.Topology(), s.HostParams())
+	h, err := host.New(s.Topology(), s.Port())
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
@@ -301,7 +301,6 @@ func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fau
 			Total:      r.total,
 			HelperPoll: r.poll,
 			HelperFrac: r.frac,
-			Pinned:     nthreads == 2,
 			ImageBytes: r.imageBytes,
 		}
 	}

@@ -55,7 +55,7 @@ func TestFaultSweepBreakerTripsAndRecovers(t *testing.T) {
 	spec := &fault.Spec{
 		Seed: 1,
 		Sites: []fault.SiteConfig{
-			// Consults 51..70 all drop: with MaxRetries=3 each reflection
+			// Consults 51..70 all drop: with 3 watchdog retries each reflection
 			// burns 4 consults, so ~5 consecutive reflections fail — enough
 			// to trip the breaker (threshold 3) and fail one or two
 			// half-open probes before the burst ends and recovery succeeds.

@@ -21,7 +21,8 @@ import (
 // FleetReplaySpec parameterizes the macro.
 type FleetReplaySpec struct {
 	Topo host.Topology
-	P    host.Params
+	// Port supplies the host's interrupt controllers (nil = x86).
+	Port ports.Port
 	// Shards is ignored: the host has one engine. It stays until the
 	// benchmark under bench/ stops setting it.
 	Shards int
@@ -40,7 +41,6 @@ type FleetReplaySpec struct {
 func DefaultFleetReplaySpec() FleetReplaySpec {
 	return FleetReplaySpec{
 		Topo:       host.DefaultTopology,
-		P:          host.DefaultParams(),
 		Shards:     1,
 		Dur:        20 * sim.Millisecond,
 		Tick:       250 * sim.Nanosecond,
@@ -74,7 +74,7 @@ func FleetReplay(spec FleetReplaySpec) FleetReplayResult {
 // (events fire at their virtual times regardless of how the advance is
 // chopped), so the digest is independent of the window count.
 func fleetReplay(ctx context.Context, spec FleetReplaySpec, pr ProgressFunc) (FleetReplayResult, error) {
-	h, err := host.New(spec.Topo, spec.P)
+	h, err := host.New(spec.Topo, spec.Port)
 	if err != nil {
 		panic("exp: " + err.Error())
 	}

@@ -94,7 +94,7 @@ func sweep[T any](ctx context.Context, s *Session, n int, pr ProgressFunc, stage
 const fleetReplayWindows = 16
 
 // FleetReplayJob runs the fleet-scale engine macro on the session's
-// topology and host params, with cancellation and progress between
+// topology and port, with cancellation and progress between
 // simulated-time windows. dur <= 0 keeps the DefaultFleetReplaySpec
 // value; crossEvery < 0 keeps the default (0 disables cross-socket
 // IPIs). An uncancelled job's result is byte-identical to FleetReplay
@@ -102,7 +102,7 @@ const fleetReplayWindows = 16
 func (s *Session) FleetReplayJob(ctx context.Context, dur sim.Time, crossEvery int, pr ProgressFunc) (FleetReplayResult, error) {
 	spec := DefaultFleetReplaySpec()
 	spec.Topo = s.Topology()
-	spec.P = s.HostParams()
+	spec.Port = s.Port()
 	if dur > 0 {
 		spec.Dur = dur
 	}

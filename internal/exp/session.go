@@ -138,15 +138,6 @@ func (s *Session) Topology() host.Topology {
 	return s.topo
 }
 
-// HostParams reports the host cost model, host.DefaultParams stamped
-// with the session's port so fleet-scale hosts build their controllers
-// from it.
-func (s *Session) HostParams() host.Params {
-	p := host.DefaultParams()
-	p.Port = s.Port()
-	return p
-}
-
 // config is the session-wide machine configuration: the calibrated
 // defaults for the session's port plus whatever fault plane and
 // observability are armed.

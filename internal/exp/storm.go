@@ -55,11 +55,11 @@ func (r StormResult) StatsLine() string {
 // BuildStormPlan derives a deterministic storm from a seed: storms
 // events at quanta first..first+span-1, each targeting a VM in [0,k)
 // with 0..fails-1 forced failures (>= 3 forces a rollback under the
-// default attempt budget). Events are sorted by quantum then VM so the
+// host's 3-attempt budget). Events are sorted by quantum then VM so the
 // plan replays identically regardless of how it was built.
 func BuildStormPlan(k, storms int, seed int64, first, span, fails int) *host.StormPlan {
 	rng := sim.NewRand(seed)
-	plan := &host.StormPlan{P: host.DefaultMigrationParams()}
+	plan := &host.StormPlan{}
 	for i := 0; i < storms; i++ {
 		plan.Events = append(plan.Events, host.StormEvent{
 			Quantum: uint64(first + rng.Intn(span)),

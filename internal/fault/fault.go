@@ -7,9 +7,9 @@
 // seen by another.
 //
 // The package also carries the recovery machinery the plane exercises: a
-// virtual-time Watchdog with bounded retry and exponential backoff (see
-// watchdog.go) and a per-VCPU circuit Breaker that degrades a vCPU from
-// the SW-SVt fast path back to baseline trap/resume (see breaker.go).
+// per-VCPU circuit Breaker that degrades a vCPU from the SW-SVt fast path
+// back to baseline trap/resume (see breaker.go). The ring watchdog whose
+// exhaustion feeds it lives with its only user, the SW-SVt channel.
 package fault
 
 import (

@@ -122,22 +122,6 @@ func TestPlaneTrace(t *testing.T) {
 	}
 }
 
-func TestWatchdogBackoff(t *testing.T) {
-	w := DefaultWatchdog()
-	want := []sim.Time{
-		10 * sim.Microsecond, 20 * sim.Microsecond,
-		40 * sim.Microsecond, 80 * sim.Microsecond,
-	}
-	for i, exp := range want {
-		if got := w.TimeoutFor(i); got != exp {
-			t.Fatalf("TimeoutFor(%d) = %v, want %v", i, got, exp)
-		}
-	}
-	if got := w.TimeoutFor(20); got != sim.Millisecond {
-		t.Fatalf("TimeoutFor(20) = %v, want clamp at %v", got, sim.Millisecond)
-	}
-}
-
 func TestBreakerLifecycle(t *testing.T) {
 	eng := sim.New()
 	b := NewBreaker(eng, 3, 100*sim.Microsecond)

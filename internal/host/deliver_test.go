@@ -11,7 +11,7 @@ import (
 // sockets IPICrossNUMA, and a self-IPI IPISelf.
 func TestDeliverPricesTopologyDistance(t *testing.T) {
 	topo := Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
-	h, err := New(topo, DefaultParams())
+	h, err := New(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,10 +19,10 @@ func TestDeliverPricesTopologyDistance(t *testing.T) {
 		from, to CtxID
 		want     sim.Time
 	}{
-		{0, 1, h.P.IPISMT},
-		{0, 2, h.P.IPICrossCore},
-		{0, 4, h.P.IPICrossNUMA},
-		{3, 3, h.P.IPISelf},
+		{0, 1, ipiSMT},
+		{0, 2, ipiCrossCore},
+		{0, 4, ipiCrossNUMA},
+		{3, 3, ipiSelf},
 	}
 	for _, tc := range cases {
 		if got := h.IPILatency(tc.from, tc.to); got != tc.want {

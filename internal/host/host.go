@@ -9,43 +9,32 @@ import (
 	"svtsim/internal/sim"
 )
 
-// Params are the host-level cost knobs: IPI latency by topological
-// distance (self-IPIs short-circuit in the LAPIC, sibling IPIs stay
-// on-die, cross-core hops cross the ring, cross-socket hops cross the
-// interconnect), the scheduler quantum, and the SMT throughput share —
-// the fraction of a core's single-thread throughput each sibling
-// retains when both hardware contexts issue at once (§6.4's
-// sibling-cycle-stealing discussion; ~0.7 is the usual 1.4x SMT
-// speedup split two ways).
-type Params struct {
-	IPISelf      sim.Time
-	IPISMT       sim.Time
-	IPICrossCore sim.Time
-	IPICrossNUMA sim.Time
+// The host cost model: IPI latency by topological distance (self-IPIs
+// short-circuit in the LAPIC, sibling IPIs stay on-die, cross-core hops
+// cross the ring, cross-socket hops cross the interconnect), the
+// scheduler quantum, and the number of quanta between L0 load-balancer
+// passes.
+const (
+	ipiSelf        sim.Time = 200
+	ipiSMT         sim.Time = 450
+	ipiCrossCore   sim.Time = 900
+	ipiCrossNUMA   sim.Time = 4500
+	quantum        sim.Time = 50_000 // 50us scheduler tick
+	rebalanceEvery          = 20
+)
 
-	Quantum  sim.Time
-	SMTShare float64
-	// Port supplies the per-context interrupt controllers (nil = the
-	// default x86 port). It is identity, not a cost knob, so the
-	// svtsimd digest fingerprint carries the port name separately.
-	Port ports.Port
-	// RebalanceEvery is the number of quanta between L0 load-balancer
-	// passes (0 disables migration).
-	RebalanceEvery int
-}
+// smtShare is the fraction of a core's single-thread throughput each
+// sibling retains when both hardware contexts issue at once (§6.4's
+// sibling-cycle-stealing discussion; ~0.7 is the usual 1.4x SMT speedup
+// split two ways). It is a variable, not a constant: Go would fold the
+// constant 1-0.7 to exactly 0.3, where the replay has always computed
+// 0.30000000000000004 at run time.
+var smtShare = 0.7
 
-// DefaultParams returns the host cost model used by the experiments.
-func DefaultParams() Params {
-	return Params{
-		IPISelf:        200,
-		IPISMT:         450,
-		IPICrossCore:   900,
-		IPICrossNUMA:   4500,
-		Quantum:        50_000, // 50us scheduler tick
-		SMTShare:       0.7,
-		RebalanceEvery: 20,
-	}
-}
+// Fingerprint names the host cost model in svtsimd's digest preimage,
+// so a changed constant invalidates every cached fleet result.
+var Fingerprint = fmt.Sprintf("hostparams:%d,%d,%d,%d,%d,%g,%d",
+	ipiSelf, ipiSMT, ipiCrossCore, ipiCrossNUMA, quantum, smtShare, rebalanceEvery)
 
 // Host is the fleet-scale machine: every hardware context of the
 // topology owns a LAPIC on the apic plane and is a placement target for
@@ -54,7 +43,6 @@ func DefaultParams() Params {
 // guest stack and a multi-core host on the same clock).
 type Host struct {
 	Topo Topology
-	P    Params
 	// Eng is the one engine every context's events, the host's clock and
 	// its fault plane live on.
 	Eng *sim.Engine
@@ -77,23 +65,23 @@ type Host struct {
 	Sched *Scheduler
 }
 
-// New builds a host with its own engine.
-func New(t Topology, p Params) (*Host, error) {
-	return NewOn(sim.New(), t, p)
+// New builds a host with its own engine. The port supplies the
+// per-context interrupt controllers (nil = the default x86 port).
+func New(t Topology, port ports.Port) (*Host, error) {
+	return NewOn(sim.New(), t, port)
 }
 
 // NewOn builds a host sharing an existing engine (and therefore clock
 // and fault plane) with whatever else runs on it.
-func NewOn(eng *sim.Engine, t Topology, p Params) (*Host, error) {
+func NewOn(eng *sim.Engine, t Topology, port ports.Port) (*Host, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Port == nil {
-		p.Port = x86port.Port()
+	if port == nil {
+		port = x86port.Port()
 	}
 	h := &Host{
 		Topo:    t,
-		P:       p,
 		Eng:     eng,
 		lapics:  make([]ports.IRQController, t.Contexts()),
 		onIPI:   make([]func(int), t.Contexts()),
@@ -101,7 +89,7 @@ func NewOn(eng *sim.Engine, t Topology, p Params) (*Host, error) {
 	}
 	for c := range h.lapics {
 		c := CtxID(c)
-		l := p.Port.NewIRQ(int(c), eng)
+		l := port.NewIRQ(int(c), eng)
 		l.SetOnDeliver(func(vec int) { h.ipiArrived(c, vec) })
 		h.lapics[c] = l
 	}
@@ -133,13 +121,13 @@ func (h *Host) ipiArrived(c CtxID, vec int) {
 func (h *Host) IPILatency(from, to CtxID) sim.Time {
 	switch h.Topo.DistanceOf(from, to) {
 	case DistSelf:
-		return h.P.IPISelf
+		return ipiSelf
 	case DistSMT:
-		return h.P.IPISMT
+		return ipiSMT
 	case DistCore:
-		return h.P.IPICrossCore
+		return ipiCrossCore
 	default:
-		return h.P.IPICrossNUMA
+		return ipiCrossNUMA
 	}
 }
 

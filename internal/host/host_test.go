@@ -11,7 +11,7 @@ import (
 
 func mustHost(t *testing.T, topo Topology) *Host {
 	t.Helper()
-	h, err := New(topo, DefaultParams())
+	h, err := New(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +27,10 @@ func TestIPILatencyByDistance(t *testing.T) {
 		to   CtxID
 		want sim.Time
 	}{
-		{0, h.P.IPISelf},      // self
-		{1, h.P.IPISMT},       // sibling
-		{2, h.P.IPICrossCore}, // other core, same socket
-		{4, h.P.IPICrossNUMA}, // other socket
+		{0, ipiSelf},      // self
+		{1, ipiSMT},       // sibling
+		{2, ipiCrossCore}, // other core, same socket
+		{4, ipiCrossNUMA}, // other socket
 	}
 	for _, c := range cases {
 		start := h.Eng.Now()
@@ -75,15 +75,14 @@ func TestIPIOriginAttribution(t *testing.T) {
 }
 
 // TestReplaySMTInterference: two all-busy VMs on sibling contexts run at
-// SMTShare throughput; the same two VMs on separate cores don't.
+// smtShare throughput; the same two VMs on separate cores don't.
 func TestReplaySMTInterference(t *testing.T) {
 	const total = sim.Time(1_000_000)
 	run := func(ctxA, ctxB CtxID) []VMOutcome {
 		h := mustHost(t, Topology{1, 2, 2})
-		h.P.RebalanceEvery = 0 // isolate the contention model
 		demands := []Demand{
-			{Ctxs: []CtxID{ctxA}, Busy: total, Total: total, Pinned: true},
-			{Ctxs: []CtxID{ctxB}, Busy: total, Total: total, Pinned: true},
+			{Ctxs: []CtxID{ctxA}, Busy: total, Total: total},
+			{Ctxs: []CtxID{ctxB}, Busy: total, Total: total},
 		}
 		return h.Sched.ReplayStorm(demands, nil).VMs
 	}
@@ -94,7 +93,7 @@ func TestReplaySMTInterference(t *testing.T) {
 		}
 	}
 	siblings := run(0, 1)
-	wantSlow := 1 / DefaultParams().SMTShare // ~1.43
+	wantSlow := 1 / smtShare // ~1.43
 	for i, vm := range siblings {
 		if vm.Slowdown < wantSlow*0.95 || vm.Slowdown > wantSlow*1.1 {
 			t.Errorf("smt siblings: vm%d slowdown %.3f, want ~%.2f", i, vm.Slowdown, wantSlow)
@@ -109,14 +108,12 @@ func TestReplayPollingStealsSiblingCycles(t *testing.T) {
 	const total = sim.Time(2_000_000)
 	run := func(poll bool) ReplayResult {
 		h := mustHost(t, Topology{1, 1, 2})
-		h.P.RebalanceEvery = 0
 		return h.Sched.ReplayStorm([]Demand{{
 			Ctxs:       []CtxID{0, 1},
 			Busy:       total,
 			Total:      total,
 			HelperPoll: poll,
 			HelperFrac: 0.05,
-			Pinned:     true,
 		}}, nil)
 	}
 	polling := run(true)
@@ -134,11 +131,10 @@ func TestReplayPollingStealsSiblingCycles(t *testing.T) {
 }
 
 // TestReplayOversubscriptionAndUtilization: four all-busy VMs on one
-// 2-context core finish ~4x/SMTShare late, and core utilization is full.
+// 2-context core finish ~4x/smtShare late, and core utilization is full.
 func TestReplayOversubscription(t *testing.T) {
 	const total = sim.Time(1_000_000)
 	h := mustHost(t, Topology{1, 1, 2})
-	h.P.RebalanceEvery = 0
 	var demands []Demand
 	for i := 0; i < 4; i++ {
 		demands = append(demands, Demand{
@@ -146,8 +142,8 @@ func TestReplayOversubscription(t *testing.T) {
 		})
 	}
 	res := h.Sched.ReplayStorm(demands, nil)
-	// Two per context at SMTShare speed: slowdown ~ 2/0.7 ~ 2.86.
-	want := 2 / DefaultParams().SMTShare
+	// Two per context at smtShare speed: slowdown ~ 2/0.7 ~ 2.86.
+	want := 2 / smtShare
 	for i, vm := range res.VMs {
 		if vm.Slowdown < want*0.9 || vm.Slowdown > want*1.1 {
 			t.Errorf("vm%d slowdown %.3f, want ~%.2f", i, vm.Slowdown, want)
@@ -215,7 +211,6 @@ func TestReplayDeterministic(t *testing.T) {
 				Total:      sim.Time(900_000 + 211_000*i),
 				HelperPoll: i%4 == 1,
 				HelperFrac: 0.1,
-				Pinned:     nthreads == 2,
 			})
 		}
 		return h.Sched.ReplayStorm(demands, nil)

@@ -9,55 +9,41 @@ import (
 	"svtsim/internal/sim"
 )
 
-// MigrationParams prices a live gang migration. A migration is
-// pause→capture→transfer→restore→resume: the VM is stopped for the whole
-// window (pre-copy is a non-goal — the snapshot layer's canonical form is
-// captured atomically at a quiescent boundary), so the sum of the phases
-// is guest-visible downtime. Capture and restore scale with image size;
-// transfer additionally scales with topological distance — moving a gang
-// to the SMT sibling is a cache handoff, moving it across sockets drags
-// the image over the interconnect.
-type MigrationParams struct {
-	// MaxAttempts bounds the retry loop; attempt N failing with N ==
-	// MaxAttempts triggers the atomic rollback to the source placement.
-	MaxAttempts int
-	// BackoffBase is the delay charged after a failed attempt, doubled
-	// each retry (BackoffBase, 2×, 4×, ...).
-	BackoffBase sim.Time
+// A live gang migration is pause→capture→transfer→restore→resume: the
+// VM is stopped for the whole window (pre-copy is a non-goal — the
+// snapshot layer's canonical form is captured atomically at a quiescent
+// boundary), so the sum of the phases is guest-visible downtime. Capture
+// and restore scale with image size; transfer additionally scales with
+// topological distance — moving a gang to the SMT sibling is a cache
+// handoff, moving it across sockets drags the image over the
+// interconnect. Every base cost exceeds the worst-case reschedule-IPI
+// latency, so the downtime charge always drains the kick IPIs a
+// migration sends.
+const (
+	// maxAttempts bounds the retry loop; attempt N failing with N ==
+	// maxAttempts triggers the atomic rollback to the source placement.
+	maxAttempts = 3
+	// backoffBase is the delay charged after a failed attempt, doubled
+	// each retry (backoffBase, 2×, 4×, ...).
+	backoffBase = 20 * sim.Microsecond
 
-	CaptureBase  sim.Time
-	CapturePerKB sim.Time
-	// TransferPerKB is the per-KB wire cost at distance factor 1 (SMT
+	captureBase  = 15 * sim.Microsecond
+	capturePerKB = 150 * sim.Nanosecond
+	// transferPerKB is the per-KB wire cost at distance factor 1 (SMT
 	// sibling); cross-core doubles it and cross-NUMA quadruples it.
-	TransferPerKB sim.Time
-	RestoreBase   sim.Time
-	RestorePerKB  sim.Time
+	transferPerKB = 250 * sim.Nanosecond
+	restoreBase   = 10 * sim.Microsecond
+	restorePerKB  = 150 * sim.Nanosecond
 
-	// BreakerThreshold consecutive rollbacks open the VM's placement
-	// breaker; while open, migration requests for that VM are skipped at
-	// zero cost until Cooldown elapses and a half-open probe is allowed.
-	BreakerThreshold int
-	BreakerCooldown  sim.Time
-}
+	// breakerThreshold consecutive rollbacks open the VM's placement
+	// breaker; while open, migration requests for that VM are skipped
+	// at zero cost until breakerCooldown elapses and a half-open probe
+	// is allowed.
+	breakerThreshold = 3
+	breakerCooldown  = 2 * sim.Millisecond
+)
 
-// DefaultMigrationParams returns the model's defaults. Every base cost
-// exceeds the worst-case reschedule-IPI latency, so the downtime charge
-// always drains the kick IPIs a migration sends.
-func DefaultMigrationParams() MigrationParams {
-	return MigrationParams{
-		MaxAttempts:      3,
-		BackoffBase:      20 * sim.Microsecond,
-		CaptureBase:      15 * sim.Microsecond,
-		CapturePerKB:     150 * sim.Nanosecond,
-		TransferPerKB:    250 * sim.Nanosecond,
-		RestoreBase:      10 * sim.Microsecond,
-		RestorePerKB:     150 * sim.Nanosecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  2 * sim.Millisecond,
-	}
-}
-
-// transferFactor scales TransferPerKB by how far the image travels: the
+// transferFactor scales transferPerKB by how far the image travels: the
 // maximum distance any thread of the gang moves.
 func transferFactor(d Distance) sim.Time {
 	switch d {
@@ -107,13 +93,13 @@ func (r MigrationResult) String() string {
 // use. This lifts the per-vCPU SW-SVt degradation breaker pattern to
 // placements: a VM whose migrations keep rolling back stops being asked
 // to move until the cooldown re-arms it.
-func (s *Scheduler) placeBreaker(vm int, p MigrationParams) *fault.Breaker {
+func (s *Scheduler) placeBreaker(vm int) *fault.Breaker {
 	if s.placeBreakers == nil {
 		s.placeBreakers = make(map[int]*fault.Breaker)
 	}
 	b := s.placeBreakers[vm]
 	if b == nil {
-		b = fault.NewBreaker(s.h.Eng, p.BreakerThreshold, p.BreakerCooldown)
+		b = fault.NewBreaker(s.h.Eng, breakerThreshold, breakerCooldown)
 		s.placeBreakers[vm] = b
 	}
 	return b
@@ -125,7 +111,7 @@ func (s *Scheduler) placeBreaker(vm int, p MigrationParams) *fault.Breaker {
 // distance-priced rate, and restored; each phase consults the fault
 // plane (migrate/capture, migrate/transfer, migrate/restore) — a Drop
 // fails the attempt, a Delay stretches the pause. Failed attempts retry
-// with exponential backoff up to p.MaxAttempts, after which the gang
+// with exponential backoff up to maxAttempts, after which the gang
 // rolls back atomically to the source placement: load counts, the
 // assignment, and the resident threads are exactly as before, only
 // downtime was spent. extraFail forces the first extraFail attempts to
@@ -137,7 +123,7 @@ func (s *Scheduler) placeBreaker(vm int, p MigrationParams) *fault.Breaker {
 // charges the paused vCPU; the storm replay parks the VM's demand for
 // the window). On success a.Ctxs/a.Place are updated in place and both
 // placements' contexts are kicked with reschedule IPIs.
-func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int, p MigrationParams) MigrationResult {
+func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int) MigrationResult {
 	h := s.h
 	t := h.Topo
 	res := MigrationResult{VM: a.VM, From: append([]CtxID(nil), a.Ctxs...), To: append([]CtxID(nil), dst...), Bytes: bytes}
@@ -145,7 +131,7 @@ func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int
 		panic(fmt.Sprintf("host: MigrateGang(vm=%d): %d dst contexts for a %d-thread gang", a.VM, len(dst), len(a.Ctxs)))
 	}
 
-	br := s.placeBreaker(a.VM, p)
+	br := s.placeBreaker(a.VM)
 	if !br.Allow() {
 		res.SkippedBreakerOpen = true
 		s.gangSkipped++
@@ -161,9 +147,9 @@ func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int
 		}
 	}
 	kb := sim.Time((bytes + 1023) / 1024)
-	captureCost := p.CaptureBase + kb*p.CapturePerKB
-	transferCost := kb * p.TransferPerKB * transferFactor(far)
-	restoreCost := p.RestoreBase + kb*p.RestorePerKB
+	captureCost := captureBase + kb*capturePerKB
+	transferCost := kb * transferPerKB * transferFactor(far)
+	restoreCost := restoreBase + kb*restorePerKB
 
 	start := h.Eng.Now()
 	phases := []struct {
@@ -175,7 +161,7 @@ func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int
 		{fault.SiteMigrateRestore, restoreCost},
 	}
 
-	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		res.Attempts = attempt
 		failed := attempt <= extraFail
 		for _, ph := range phases {
@@ -216,8 +202,8 @@ func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int
 			s.traceMigrate(a.Ctxs[0], "migrate", start, start+res.Downtime, a.VM, attempt)
 			return res
 		}
-		if attempt < p.MaxAttempts {
-			res.Downtime += p.BackoffBase << (attempt - 1)
+		if attempt < maxAttempts {
+			res.Downtime += backoffBase << (attempt - 1)
 			s.gangRetries++
 		}
 	}

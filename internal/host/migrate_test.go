@@ -11,11 +11,11 @@ import (
 
 // migCost computes the expected no-fault single-attempt downtime for an
 // image of the given size moving at the given distance factor.
-func migCost(p MigrationParams, bytes int, factor sim.Time) sim.Time {
+func migCost(bytes int, factor sim.Time) sim.Time {
 	kb := sim.Time((bytes + 1023) / 1024)
-	return (p.CaptureBase + kb*p.CapturePerKB) +
-		kb*p.TransferPerKB*factor +
-		(p.RestoreBase + kb*p.RestorePerKB)
+	return (captureBase + kb*capturePerKB) +
+		kb*transferPerKB*factor +
+		(restoreBase + kb*restorePerKB)
 }
 
 func TestMigrateGangSuccess(t *testing.T) {
@@ -26,9 +26,8 @@ func TestMigrateGangSuccess(t *testing.T) {
 	// Move the pair to a sibling pair on the far socket: distance NUMA,
 	// transfer factor 4.
 	dst := []CtxID{h.Topo.Ctx(1, 0, 0), h.Topo.Ctx(1, 0, 1)}
-	p := DefaultMigrationParams()
 	const bytes = 64 << 10
-	res := h.Sched.MigrateGang(&a, dst, bytes, 0, p)
+	res := h.Sched.MigrateGang(&a, dst, bytes, 0)
 
 	if !res.Completed || res.RolledBack || res.Attempts != 1 {
 		t.Fatalf("want clean first-attempt completion, got %+v", res)
@@ -36,7 +35,7 @@ func TestMigrateGangSuccess(t *testing.T) {
 	if !reflect.DeepEqual(a.Ctxs, dst) {
 		t.Fatalf("assignment not moved: %v", a.Ctxs)
 	}
-	if want := migCost(p, bytes, 4); res.Downtime != want {
+	if want := migCost(bytes, 4); res.Downtime != want {
 		t.Fatalf("downtime %v, want %v", res.Downtime, want)
 	}
 	loads := h.Sched.load
@@ -59,15 +58,14 @@ func TestMigrateGangRetryThenSucceed(t *testing.T) {
 	h := mustHost(t, DefaultTopology)
 	a := h.Sched.Admit(0, 1)
 	dst := []CtxID{h.Topo.Ctx(1, 2, 0)}
-	p := DefaultMigrationParams()
 	const bytes = 8 << 10
-	res := h.Sched.MigrateGang(&a, dst, bytes, 1, p)
+	res := h.Sched.MigrateGang(&a, dst, bytes, 1)
 
 	if !res.Completed || res.Attempts != 2 {
 		t.Fatalf("want success on attempt 2, got %+v", res)
 	}
 	// Attempt 1 pays all phases then backs off; attempt 2 pays them again.
-	if want := 2*migCost(p, bytes, 4) + p.BackoffBase; res.Downtime != want {
+	if want := 2*migCost(bytes, 4) + backoffBase; res.Downtime != want {
 		t.Fatalf("downtime %v, want %v", res.Downtime, want)
 	}
 	if h.Sched.gangRetries != 1 {
@@ -81,11 +79,10 @@ func TestMigrateGangRollbackIsAtomic(t *testing.T) {
 	from := append([]CtxID(nil), a.Ctxs...)
 	loadsBefore := append([]int(nil), h.Sched.load...)
 	dst := []CtxID{h.Topo.Ctx(1, 0, 0), h.Topo.Ctx(1, 0, 1)}
-	p := DefaultMigrationParams()
 
-	res := h.Sched.MigrateGang(&a, dst, 8<<10, p.MaxAttempts, p)
-	if !res.RolledBack || res.Completed || res.Attempts != p.MaxAttempts {
-		t.Fatalf("want rollback after %d attempts, got %+v", p.MaxAttempts, res)
+	res := h.Sched.MigrateGang(&a, dst, 8<<10, maxAttempts)
+	if !res.RolledBack || res.Completed || res.Attempts != maxAttempts {
+		t.Fatalf("want rollback after %d attempts, got %+v", maxAttempts, res)
 	}
 	if !reflect.DeepEqual(a.Ctxs, from) {
 		t.Fatalf("rollback moved the gang: %v, want %v", a.Ctxs, from)
@@ -111,9 +108,8 @@ func TestMigrateGangFaultPlane(t *testing.T) {
 	plane := spec.Build(h.Eng)
 	a := h.Sched.Admit(0, 1)
 	dst := []CtxID{h.Topo.Ctx(1, 2, 0)}
-	p := DefaultMigrationParams()
 
-	res := h.Sched.MigrateGang(&a, dst, 4<<10, 0, p)
+	res := h.Sched.MigrateGang(&a, dst, 4<<10, 0)
 	if !res.RolledBack {
 		t.Fatalf("certain transfer drop must roll back, got %+v", res)
 	}
@@ -130,25 +126,22 @@ func TestPlacementBreakerReArmsAfterCooldown(t *testing.T) {
 	h := mustHost(t, DefaultTopology)
 	a := h.Sched.Admit(0, 1)
 	dst := []CtxID{h.Topo.Ctx(1, 2, 0)}
-	p := DefaultMigrationParams()
-	p.BreakerThreshold = 2
-	p.BreakerCooldown = 1 * sim.Millisecond
 
-	for i := 0; i < p.BreakerThreshold; i++ {
-		if res := h.Sched.MigrateGang(&a, dst, 4<<10, p.MaxAttempts, p); !res.RolledBack {
+	for i := 0; i < breakerThreshold; i++ {
+		if res := h.Sched.MigrateGang(&a, dst, 4<<10, maxAttempts); !res.RolledBack {
 			t.Fatalf("rollback %d: got %+v", i, res)
 		}
 	}
 	br := h.Sched.placeBreakers[0]
 	if br == nil || !strings.HasPrefix(br.String(), "breaker open ") {
-		t.Fatalf("breaker not open after %d rollbacks: %v", p.BreakerThreshold, br)
+		t.Fatalf("breaker not open after %d rollbacks: %v", breakerThreshold, br)
 	}
 	if br.Trips() != 1 {
 		t.Fatalf("trips = %d, want 1", br.Trips())
 	}
 
 	// While open: skipped, zero downtime, no attempts.
-	res := h.Sched.MigrateGang(&a, dst, 4<<10, 0, p)
+	res := h.Sched.MigrateGang(&a, dst, 4<<10, 0)
 	if !res.SkippedBreakerOpen || res.Downtime != 0 || res.Attempts != 0 {
 		t.Fatalf("open breaker must skip at zero cost, got %+v", res)
 	}
@@ -158,8 +151,8 @@ func TestPlacementBreakerReArmsAfterCooldown(t *testing.T) {
 
 	// Past the cooldown the half-open probe runs — and a healthy attempt
 	// re-closes the breaker.
-	h.Eng.Advance(p.BreakerCooldown + sim.Microsecond)
-	res = h.Sched.MigrateGang(&a, dst, 4<<10, 0, p)
+	h.Eng.Advance(breakerCooldown + sim.Microsecond)
+	res = h.Sched.MigrateGang(&a, dst, 4<<10, 0)
 	if !res.Completed {
 		t.Fatalf("half-open probe should have migrated, got %+v", res)
 	}
@@ -184,7 +177,6 @@ func stormDemands(h *Host, k int) []Demand {
 			Busy:       sim.Time(400_000 + 97_000*i),
 			Total:      sim.Time(800_000 + 131_000*i),
 			HelperFrac: 0.1,
-			Pinned:     nthreads == 2,
 			ImageBytes: 32 << 10,
 		})
 	}
@@ -214,7 +206,6 @@ func TestReplayStormMigratesAndRollsBack(t *testing.T) {
 		h := mustHost(t, Topology{1, 4, 2})
 		demands := stormDemands(h, 4)
 		plan := &StormPlan{
-			P: DefaultMigrationParams(),
 			Events: []StormEvent{
 				{Quantum: 2, VM: 0, Fails: 0},
 				{Quantum: 4, VM: 2, Fails: 3}, // == MaxAttempts: forced rollback
@@ -235,7 +226,7 @@ func TestReplayStormMigratesAndRollsBack(t *testing.T) {
 	}
 	// The replay leaves its loop early only once every VM has finished;
 	// otherwise it runs to the safety valve.
-	if limit := maxQuanta * DefaultParams().Quantum; res.Elapsed >= limit {
+	if limit := maxQuanta * quantum; res.Elapsed >= limit {
 		t.Errorf("storm replay ran to its %v safety valve: a VM never finished", limit)
 	}
 	if again := run(); !reflect.DeepEqual(res, again) {
@@ -250,12 +241,11 @@ func TestReplayStormMigratesAndRollsBack(t *testing.T) {
 func TestCrossSocketMigrateGang(t *testing.T) {
 	topo := Topology{2, 2, 2}
 	h := mustHost(t, topo)
-	p := DefaultMigrationParams()
 
 	a := h.Sched.Admit(0, 2)
 	src := append([]CtxID(nil), a.Ctxs...)
 	dst := []CtxID{topo.Ctx(1, 0, 0), topo.Ctx(1, 0, 1)}
-	clean := h.Sched.MigrateGang(&a, dst, 64<<10, 0, p)
+	clean := h.Sched.MigrateGang(&a, dst, 64<<10, 0)
 	if !clean.Completed {
 		t.Fatalf("clean cross-socket migration failed: %+v", clean)
 	}
@@ -263,7 +253,7 @@ func TestCrossSocketMigrateGang(t *testing.T) {
 
 	b := h.Sched.Admit(1, 2)
 	rbDst := []CtxID{topo.Ctx(1, 1, 0), topo.Ctx(1, 1, 1)}
-	rb := h.Sched.MigrateGang(&b, rbDst, 32<<10, p.MaxAttempts, p)
+	rb := h.Sched.MigrateGang(&b, rbDst, 32<<10, maxAttempts)
 	if !rb.RolledBack || rb.Completed {
 		t.Fatalf("forced mid-transfer failure did not roll back: %+v", rb)
 	}
@@ -314,7 +304,7 @@ func TestCrossSocketMigrateGangFaultPlane(t *testing.T) {
 		}}
 		plane := spec.Build(h.Eng)
 		a := h.Sched.Admit(0, 2)
-		res := h.Sched.MigrateGang(&a, []CtxID{topo.Ctx(1, 0, 0), topo.Ctx(1, 0, 1)}, 16<<10, 0, DefaultMigrationParams())
+		res := h.Sched.MigrateGang(&a, []CtxID{topo.Ctx(1, 0, 0), topo.Ctx(1, 0, 1)}, 16<<10, 0)
 		h.Eng.RunUntil(1 * sim.Millisecond)
 		return outcome{Res: res, Fires: plane.FiresCounter().Value(), Recv: append([]uint64(nil), h.IPIsReceived()...)}
 	}

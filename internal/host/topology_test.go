@@ -162,7 +162,7 @@ func TestTopologyGolden1x4x2(t *testing.T) {
 // absent, and cross-NUMA when each socket has one core.
 func TestPlacementEmergesFromTopology(t *testing.T) {
 	place := func(topo Topology) swsvt.Placement {
-		h, err := New(topo, DefaultParams())
+		h, err := New(topo, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestPlacementEmergesFromTopology(t *testing.T) {
 // TestAdmissionFillsIdleCoresFirst: gangs take whole idle cores until
 // none remain, then degrade to cross-core pairs, then share.
 func TestAdmissionFillsIdleCoresFirst(t *testing.T) {
-	h, err := New(Topology{1, 2, 2}, DefaultParams())
+	h, err := New(Topology{1, 2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"slices"
 	"strings"
 
@@ -247,10 +246,7 @@ func (r *Request) parsedModes() []hv.Mode {
 // JSON encoding. Call Canonicalize first — digesting a non-canonical
 // request would fracture the cache keyspace.
 func (r *Request) Digest() string {
-	p := host.DefaultParams()
-	preimage := fmt.Sprintf("%s\nhostparams:%d,%d,%d,%d,%d,%g,%d\n",
-		digestSchema, p.IPISelf, p.IPISMT, p.IPICrossCore, p.IPICrossNUMA,
-		p.Quantum, p.SMTShare, p.RebalanceEvery)
+	preimage := digestSchema + "\n" + host.Fingerprint + "\n"
 	b, err := json.Marshal(r)
 	if err != nil {
 		panic("server: request not marshalable: " + err.Error())

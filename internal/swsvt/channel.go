@@ -86,10 +86,29 @@ func (ch *Channel) SetObs(t *obs.Tracer) {
 
 var _ hv.SWChannel = (*Channel)(nil)
 
-// watchdog is the ring watchdog: how long L0₀ waits for the SVt-thread
-// before re-sending a wakeup, and how many retries it gets before a
-// reflection gives up and falls back.
-var watchdog = fault.DefaultWatchdog()
+// The ring watchdog: how long L0₀ waits for the SVt-thread before
+// re-sending a wakeup — a 10us base (comfortably above any healthy
+// reflection round-trip, which is under 2us), doubling per retry up to
+// 1ms — and how many retries it gets before a reflection gives up and
+// falls back; a reflection makes watchdogRetries+1 attempts in all.
+const (
+	watchdogTimeout    = 10 * sim.Microsecond
+	watchdogMaxTimeout = sim.Millisecond
+	watchdogRetries    = 3
+)
+
+// watchdogWait reports the wait budget for the given zero-based attempt,
+// doubling per attempt and clamped to watchdogMaxTimeout.
+func watchdogWait(attempt int) sim.Time {
+	t := watchdogTimeout
+	for i := 0; i < attempt; i++ {
+		t *= 2
+		if t >= watchdogMaxTimeout {
+			return watchdogMaxTimeout
+		}
+	}
+	return t
+}
 
 // breakerThreshold consecutive watchdog exhaustions trip a per-VCPU
 // breaker that routes the vCPU to baseline trap/resume until
@@ -221,8 +240,8 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 			break
 		}
 		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(watchdog.TimeoutFor(attempt))
-		if attempt >= watchdog.MaxRetries {
+		ch.L0.P.Charge(watchdogWait(attempt))
+		if attempt >= watchdogRetries {
 			break
 		}
 	}
@@ -280,8 +299,8 @@ func (ch *Channel) pushTrap(e isa.Exit) bool {
 			// than dropping the command or killing the run.
 		}
 		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(watchdog.TimeoutFor(attempt))
-		if attempt >= watchdog.MaxRetries {
+		ch.L0.P.Charge(watchdogWait(attempt))
+		if attempt >= watchdogRetries {
 			return false
 		}
 	}
@@ -289,7 +308,7 @@ func (ch *Channel) pushTrap(e isa.Exit) bool {
 
 // wakeRetry sends the SVt-thread's wakeup under the watchdog: consult
 // the wakeup fault site, and on a drop charge the backed-off timeout and
-// try again, up to MaxRetries. Reports whether the wakeup eventually
+// try again, up to watchdogRetries. Reports whether the wakeup eventually
 // went through.
 func (ch *Channel) wakeRetry() bool {
 	for attempt := 0; ; attempt++ {
@@ -301,8 +320,8 @@ func (ch *Channel) wakeRetry() bool {
 			return true
 		}
 		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(watchdog.TimeoutFor(attempt))
-		if attempt >= watchdog.MaxRetries {
+		ch.L0.P.Charge(watchdogWait(attempt))
+		if attempt >= watchdogRetries {
 			return false
 		}
 	}
@@ -453,11 +472,11 @@ func (t *SVtThread) pushResume(p *cpu.Port) {
 			}
 		}
 		ch.WatchdogFires.Inc()
-		p.Charge(watchdog.TimeoutFor(attempt))
+		p.Charge(watchdogWait(attempt))
 		// The thread gets a much longer leash than a reflection (which
 		// can fall back): give up only when a fallback-less retry storm
 		// shows the ring is truly wedged.
-		if attempt >= 4*(watchdog.MaxRetries+1) {
+		if attempt >= 4*(watchdogRetries+1) {
 			panic(ch.Eng.Report("SVt-thread response push stalled beyond watchdog").String())
 		}
 	}

@@ -130,3 +130,18 @@ func TestPollStolenCyclesScalesWithFrac(t *testing.T) {
 		t.Errorf("frac=0.75: got %d, want 27000", high)
 	}
 }
+
+func TestWatchdogBackoff(t *testing.T) {
+	want := []sim.Time{
+		10 * sim.Microsecond, 20 * sim.Microsecond,
+		40 * sim.Microsecond, 80 * sim.Microsecond,
+	}
+	for i, exp := range want {
+		if got := watchdogWait(i); got != exp {
+			t.Fatalf("watchdogWait(%d) = %v, want %v", i, got, exp)
+		}
+	}
+	if got := watchdogWait(20); got != sim.Millisecond {
+		t.Fatalf("watchdogWait(20) = %v, want clamp at %v", got, sim.Millisecond)
+	}
+}

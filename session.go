@@ -42,9 +42,6 @@ type (
 	HostTopology = host.Topology
 	// HostCtxID is a hardware context index on a host topology.
 	HostCtxID = host.CtxID
-	// HostParams is the host-level cost model: IPI latencies by
-	// distance, the scheduler quantum, and the SMT throughput share.
-	HostParams = host.Params
 
 	// CPUIDResult is one Figure 6 bar (with the Table 1 breakdown
 	// attached for nested runs).
