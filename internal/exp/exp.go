@@ -77,12 +77,8 @@ func (s *Session) CPUIDSingleLevel(n int) CPUIDResult {
 // CPUIDNested measures a nested cpuid run (Figure 6 "L2", "SW SVt" and
 // "HW SVt" bars, and the Table 1 breakdown for the baseline).
 func (s *Session) CPUIDNested(mode hv.Mode, n int) CPUIDResult {
-	m := machine.NewNested(s.config(mode))
 	led := &sim.Ledger{}
-	m.Eng.SetLedger(led)
-	m.SetL2Workload(&cpuidLoop{n: n})
-	s.run(m)
-	m.Shutdown()
+	m := s.nestedCPUID(s.config(mode), n, led)
 	label := "L2"
 	switch mode {
 	case hv.ModeSWSVt:
@@ -93,16 +89,25 @@ func (s *Session) CPUIDNested(mode hv.Mode, n int) CPUIDResult {
 	return CPUIDResult{Label: label, PerOp: m.Now() / sim.Time(n), Breakdown: led}
 }
 
+// nestedCPUID runs n nested cpuids on a machine built from cfg, with
+// led (nil for none) accounting its time, and returns the shut-down
+// machine.
+func (s *Session) nestedCPUID(cfg machine.Config, n int, led *sim.Ledger) *machine.Machine {
+	m := machine.NewNested(cfg)
+	m.Eng.SetLedger(led)
+	m.SetL2Workload(&cpuidLoop{n: n})
+	s.run(m)
+	m.Shutdown()
+	return m
+}
+
 // CPUIDNestedNoShadowing runs the baseline nested cpuid with hardware
 // VMCS shadowing disabled (the §2.1 ablation). Only tests call it; it
 // stays as a DESIGN §4 ablation that EXPERIMENTS.md reports.
 func (s *Session) CPUIDNestedNoShadowing(n int) CPUIDResult {
 	cfg := s.config(hv.ModeBaseline)
 	cfg.DisableVMCSShadowing = true
-	m := machine.NewNested(cfg)
-	m.SetL2Workload(&cpuidLoop{n: n})
-	s.run(m)
-	m.Shutdown()
+	m := s.nestedCPUID(cfg, n, nil)
 	return CPUIDResult{Label: "L2 (no shadowing)", PerOp: m.Now() / sim.Time(n)}
 }
 
@@ -113,10 +118,7 @@ func (s *Session) CPUIDNestedNoShadowing(n int) CPUIDResult {
 func (s *Session) CPUIDNestedWithThunkRegs(mode hv.Mode, regs, n int) CPUIDResult {
 	cfg := s.config(mode)
 	cfg.Costs.ThunkRegs = regs
-	m := machine.NewNested(cfg)
-	m.SetL2Workload(&cpuidLoop{n: n})
-	s.run(m)
-	m.Shutdown()
+	m := s.nestedCPUID(cfg, n, nil)
 	return CPUIDResult{Label: "thunk-sweep", PerOp: m.Now() / sim.Time(n)}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
-	"svtsim/internal/machine"
 	"svtsim/internal/sim"
 )
 
@@ -31,10 +30,7 @@ type FaultSweepResult struct {
 func (s *Session) FaultSweep(mode hv.Mode, spec *fault.Spec, n int) FaultSweepResult {
 	cfg := s.config(mode)
 	cfg.Faults = spec
-	m := machine.NewNested(cfg)
-	m.SetL2Workload(&cpuidLoop{n: n})
-	s.run(m)
-	m.Shutdown()
+	m := s.nestedCPUID(cfg, n, nil)
 
 	r := FaultSweepResult{
 		PerOp:     m.Now() / sim.Time(n),
