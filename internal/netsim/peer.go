@@ -69,18 +69,9 @@ type AckPeer struct {
 func (p *AckPeer) Receive(pkt []byte) {
 	p.Received += uint64(len(pkt))
 	p.unackedLen += len(pkt)
-	every := p.AckEvery
-	if every <= 0 {
-		every = 1
-	}
-	for p.unackedLen >= every {
-		p.unackedLen -= every
-		size := p.AckSize
-		if size <= 0 {
-			size = 64
-		}
-		ack := make([]byte, size)
-		p.Back.Send(ack, p.Dst)
+	for p.unackedLen >= p.AckEvery {
+		p.unackedLen -= p.AckEvery
+		p.Back.Send(make([]byte, p.AckSize), p.Dst)
 	}
 }
 

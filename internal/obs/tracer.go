@@ -99,14 +99,8 @@ func (t *Tracer) ExitName(r isa.ExitReason) string {
 }
 
 // NewTracer builds a tracer for a machine with nctx hardware contexts
-// and the given per-track ring capacity (<= 0 uses DefaultRingCap).
+// and the given per-track ring capacity.
 func NewTracer(nctx, ringCap int) *Tracer {
-	if nctx < 1 {
-		nctx = 1
-	}
-	if ringCap <= 0 {
-		ringCap = DefaultRingCap
-	}
 	t := &Tracer{nctx: nctx}
 	for i := 0; i < nctx; i++ {
 		t.names = append(t.names, fmt.Sprintf("hw-context-%d", i))

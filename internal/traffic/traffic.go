@@ -43,8 +43,7 @@ type Spec struct {
 	Rate float64
 	// BurstRate is the on-phase rate for OnOff.
 	BurstRate float64
-	// OnDur/OffDur are the OnOff phase lengths. Zero defaults to 1 ms
-	// on, 4 ms off.
+	// OnDur/OffDur are the OnOff phase lengths.
 	OnDur, OffDur sim.Time
 	// Seed drives every random draw.
 	Seed int64
@@ -54,23 +53,9 @@ func (s Spec) String() string {
 	switch s.Kind {
 	case OnOff:
 		return fmt.Sprintf("burst(%.0f/%.0f req/s, on=%v off=%v, seed=%d)",
-			s.BurstRate, s.Rate, s.onDur(), s.offDur(), s.Seed)
+			s.BurstRate, s.Rate, s.OnDur, s.OffDur, s.Seed)
 	}
 	return fmt.Sprintf("poisson(%.0f req/s, seed=%d)", s.Rate, s.Seed)
-}
-
-func (s Spec) onDur() sim.Time {
-	if s.OnDur > 0 {
-		return s.OnDur
-	}
-	return sim.Millisecond
-}
-
-func (s Spec) offDur() sim.Time {
-	if s.OffDur > 0 {
-		return s.OffDur
-	}
-	return 4 * sim.Millisecond
 }
 
 // generator returns the incremental form of the schedule; Source uses
@@ -79,7 +64,7 @@ func (s Spec) generator() *gen {
 	g := &gen{spec: s, rnd: sim.NewRand(s.Seed).Float64}
 	if s.Kind == OnOff {
 		g.on = true
-		g.phaseEnd = s.onDur()
+		g.phaseEnd = s.OnDur
 	}
 	return g
 }
@@ -137,9 +122,9 @@ func (g *gen) next() (sim.Time, bool) {
 func (g *gen) flip() {
 	g.on = !g.on
 	if g.on {
-		g.phaseEnd += g.spec.onDur()
+		g.phaseEnd += g.spec.OnDur
 	} else {
-		g.phaseEnd += g.spec.offDur()
+		g.phaseEnd += g.spec.OffDur
 	}
 }
 
