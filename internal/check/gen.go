@@ -74,7 +74,7 @@ func Generate(seed int64) *Schedule {
 	// the core count, the point and the forced-failure budget derive from
 	// the seed value, not the rng stream, so pre-existing seeds keep
 	// their exact op sequences. Fails cycles through a clean move, one
-	// retry, and (Fails = 3 = MaxAttempts) a forced rollback.
+	// retry, and (Fails = 3, the host's attempt budget) a forced rollback.
 	if s.Cores > 1 {
 		// seed%9 is 0, 3, or 6 for multi-core seeds; map to 0, 1, 3.
 		fails := 0
