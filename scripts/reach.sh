@@ -105,6 +105,8 @@ for p in x86 armlike; do
 done
 quiet "$sim" -workload cpuid -mode sw-svt -fault-seed 11 \
 	-faults 'swsvt/wakeup:rate=0.3,drop;apic/ipi:rate=0.3,drop'
+quiet "$sim" -workload cpuid -mode sw-svt -fault-seed 7 \
+	-faults 'swsvt/ring-push:rate=0.2,drop,delay=1us;swsvt/ring-pop:rate=0.2,drop,delay=1us'
 quiet "$sim" -workload diskrd -mode sw-svt -faults 'apic/irq:rate=0.5,delay=20us,jitter=10us' \
 	-trace fault-trace.json -metrics fault-metrics.csv
 
