@@ -92,9 +92,30 @@ func New(eng *sim.Engine, costs *cost.Model, n int) *Core {
 // Contexts reports the number of hardware contexts.
 func (c *Core) Contexts() int { return c.n }
 
+// The SVt layout: the host hypervisor gives hardware context n to
+// virtualization level n (§4), so L0 (the visor) runs on context 0, its
+// guest on 1 and the nested VM on 2. The visor context is also where L0
+// takes external interrupts (§3.1).
+const (
+	VisorContext  ContextID = 0
+	GuestContext  ContextID = 1
+	NestedContext ContextID = 2
+)
+
 // EnableSVt switches the core into SVt mode: transitions become
-// stall/resume events and registers stay resident per context.
+// stall/resume events, registers stay resident per context, and
+// external interrupts steer to the visor context.
 func (c *Core) EnableSVt() { c.svtOn = true }
+
+// IRQContext reports the context whose interrupt controller takes the
+// external interrupts of ctx: under SVt every one is steered to the
+// visor context (§3.1); otherwise each hardware thread takes its own.
+func (c *Core) IRQContext(ctx ContextID) ContextID {
+	if c.svtOn {
+		return VisorContext
+	}
+	return ctx
+}
 
 // SVtEnabled reports whether SVt mode is active.
 func (c *Core) SVtEnabled() bool { return c.svtOn }

@@ -600,3 +600,20 @@ func TestNativeGuestPanicReachesRunGuest(t *testing.T) {
 	}
 	g.Kill() // the body is gone; Kill must not block
 }
+
+// TestEnableSVtInvariants: a 3-context core enters SVt mode only when
+// asked, and its register file's rename maps are consistent once it has
+// (the §3.4 promise that makes cross-context accesses well-defined).
+func TestEnableSVtInvariants(t *testing.T) {
+	c := testCore(3)
+	if c.SVtEnabled() {
+		t.Fatal("core must start outside SVt mode")
+	}
+	c.EnableSVt()
+	if !c.SVtEnabled() {
+		t.Fatal("core must be in SVt mode")
+	}
+	if err := c.RegFile().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -48,13 +48,7 @@ type RunState struct {
 // physical LAPIC has a pending vector and the VMCS asks for
 // external-interrupt exiting; ok reports whether it did.
 func (c *Core) physIRQExit(ctx ContextID, v *vmcs.VMCS) (e isa.Exit, ok bool) {
-	// Under SVt, external interrupts are steered to the visor context
-	// (§3.1); otherwise each hardware thread takes its own.
-	irq := ctx
-	if c.svtOn {
-		irq = 0
-	}
-	l := c.lapics[irq]
+	l := c.lapics[c.IRQContext(ctx)]
 	if l == nil || !l.HasPending() {
 		return e, false
 	}

@@ -1,7 +1,7 @@
 package hv
 
 import (
-	"svtsim/internal/core"
+	"svtsim/internal/cpu"
 	"svtsim/internal/isa"
 	"svtsim/internal/vmcs"
 )
@@ -28,7 +28,12 @@ func NewVisorVMCS(name string, eptp uint64, mode Mode) *vmcs.VMCS {
 	v.SetMSRExit(isa.MSRTSCDeadline)
 	v.Write(vmcs.HostRIP, HostEntryRIP)
 	if mode == ModeHWSVt || mode == ModeHWSVtBypass {
-		core.DefaultHierarchy().ConfigureVisorVMCS(v)
+		// Where the visor runs, where the guest runs, and which context
+		// the guest's cross-context accesses are virtualized onto once it
+		// hosts a nested VM (§4 step A).
+		v.Write(vmcs.SVtVisor, uint64(cpu.VisorContext))
+		v.Write(vmcs.SVtVM, uint64(cpu.GuestContext))
+		v.Write(vmcs.SVtNested, uint64(cpu.NestedContext))
 	}
 	return v
 }
@@ -42,7 +47,11 @@ func NewNestedVMCSPair(mode Mode) (v12, v02 *vmcs.VMCS) {
 	v02.VMLevel = 2
 	v02.Write(vmcs.HostRIP, HostEntryRIP)
 	if mode == ModeHWSVt || mode == ModeHWSVtBypass {
-		core.DefaultHierarchy().ConfigureNestedVMCS(v02)
+		// Exits from the nested context resume the visor directly, with
+		// no software context switch in between.
+		v02.Write(vmcs.SVtVisor, uint64(cpu.VisorContext))
+		v02.Write(vmcs.SVtVM, uint64(cpu.NestedContext))
+		v02.Write(vmcs.SVtNested, vmcs.InvalidContext)
 	}
 	return v12, v02
 }

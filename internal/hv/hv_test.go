@@ -307,3 +307,59 @@ func TestTraceExitEmitsToObs(t *testing.T) {
 		t.Fatal("no CPUID vmexit span on the vCPU's context track")
 	}
 }
+
+// TestSVtVMCSFields checks the SVt fields the two VMCS constructors
+// write in every mode: under HW SVt vmcs01 names the visor, guest and
+// nested contexts and vmcs02 resumes the visor from the nested context
+// with SVt_nested invalid (§4); the other modes leave every field
+// invalid.
+func TestSVtVMCSFields(t *testing.T) {
+	for _, mode := range AllModes() {
+		hw := mode == ModeHWSVt || mode == ModeHWSVtBypass
+		v01 := NewVisorVMCS("vmcs01", 0, mode)
+		_, v02 := NewNestedVMCSPair(mode)
+		got := [...]uint64{
+			v01.Read(vmcs.SVtVisor), v01.Read(vmcs.SVtVM), v01.Read(vmcs.SVtNested),
+			v02.Read(vmcs.SVtVisor), v02.Read(vmcs.SVtVM), v02.Read(vmcs.SVtNested),
+		}
+		const none = vmcs.InvalidContext
+		want := [...]uint64{none, none, none, none, none, none}
+		if hw {
+			want = [...]uint64{0, 1, 2, 0, 2, none}
+		}
+		if got != want {
+			t.Errorf("%v: vmcs01/vmcs02 SVt fields %v, want %v", mode, got, want)
+		}
+	}
+}
+
+// TestCrossContextAccessThroughSVtLayout: with vmcs01 built for HW SVt,
+// the visor reaches both subordinate contexts' registers via
+// ctxtld/ctxtst with the virtualized level argument (§4's "Configuring
+// L1 and Cross-Context Register Access" walk-through).
+func TestCrossContextAccessThroughSVtLayout(t *testing.T) {
+	m := cost.Baseline()
+	c := cpu.New(sim.New(), &m, 3)
+	c.EnableSVt()
+	c.VMPtrLoad(cpu.VisorContext, NewVisorVMCS("vmcs01", 0, ModeHWSVt))
+
+	c.RegFile().Write(int(cpu.GuestContext), isa.RDX, 0x11)
+	c.RegFile().Write(int(cpu.NestedContext), isa.RDX, 0x22)
+	got, exit := c.CtxtAccess(1, isa.RDX, false, 0)
+	if exit.Reason != isa.ExitNone || got != 0x11 {
+		t.Fatalf("lvl1 read = %#x / %v", got, exit)
+	}
+	got, exit = c.CtxtAccess(2, isa.RDX, false, 0)
+	if exit.Reason != isa.ExitNone || got != 0x22 {
+		t.Fatalf("lvl2 read = %#x / %v", got, exit)
+	}
+	if _, exit = c.CtxtAccess(1, isa.RDX, true, 0x99); exit.Reason != isa.ExitNone {
+		t.Fatalf("lvl1 write trapped: %v", exit)
+	}
+	if c.ReadGPR(cpu.GuestContext, isa.RDX) != 0x99 {
+		t.Fatal("ctxtst did not land in the guest context")
+	}
+	if err := c.RegFile().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -140,27 +140,18 @@ func (p *RealPlatform) SetTimer(vc *VCPU, deadline sim.Time) {
 // Fire implements sim.Handler: the timer armed for context arg expires.
 func (p *RealPlatform) Fire(arg uint64) {
 	delete(p.timers, cpu.ContextID(arg))
-	// Timer interrupts are steered to the boot context, where the host
+	// Timer interrupts are steered to the visor context, where the host
 	// hypervisor takes external interrupts (§3.1).
-	if l := p.Core.LAPIC(0); l != nil {
+	if l := p.Core.LAPIC(cpu.VisorContext); l != nil {
 		l.Deliver(vecTimer)
 	}
-}
-
-// irqCtx returns the context external interrupts are steered to: under
-// SVt everything goes to the visor context (context 0), per §3.1.
-func irqCtx(c *cpu.Core, ctx cpu.ContextID) cpu.ContextID {
-	if c.SVtEnabled() {
-		return 0
-	}
-	return ctx
 }
 
 // AckIRQ acknowledges a physical interrupt on the LAPIC of the context
 // that received the vector. Only L0 takes physical interrupts; a guest
 // hypervisor's are virtual vectors its kernel IRQ poll consumes.
 func (p *RealPlatform) AckIRQ(vc *VCPU, vec int) {
-	if l := p.Core.LAPIC(irqCtx(p.Core, vc.Ctx)); l != nil {
+	if l := p.Core.LAPIC(p.Core.IRQContext(vc.Ctx)); l != nil {
 		l.Ack(vec)
 	}
 }

@@ -124,14 +124,14 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 		view01 := ept.NewView(m.HostMem, m.Ept01)
 		io.L0Net = virtio.NewNetBackend("l0-virtio-net", L1NetMMIO, view01, io.NIC)
 		io.L0Net.Eng = eng
-		io.L0Net.NotifyHost = func() { m.Core.LAPIC(0).Deliver(HostNetVec) }
+		io.L0Net.NotifyHost = func() { m.Core.LAPIC(cpu.VisorContext).Deliver(HostNetVec) }
 		io.L0Net.RaiseGuestIRQ = func() { m.L0.InjectIRQ(m.L1IRQTarget(), ports.VecVirtioNet) }
 		m.L0.Devices[DevL1Net] = io.L0Net
 		m.L0.VectorToDevice[HostNetVec] = io.L0Net
 
 		io.L0Blk = virtio.NewBlkBackend("l0-virtio-blk", L1BlkMMIO, view01, io.Disk)
 		io.L0Blk.Eng = eng
-		io.L0Blk.NotifyHost = func() { m.Core.LAPIC(0).Deliver(HostBlkVec) }
+		io.L0Blk.NotifyHost = func() { m.Core.LAPIC(cpu.VisorContext).Deliver(HostBlkVec) }
 		io.L0Blk.RaiseGuestIRQ = func() { m.L0.InjectIRQ(m.L1IRQTarget(), ports.VecVirtioBlk) }
 		m.L0.Devices[DevL1Blk] = io.L0Blk
 		m.L0.VectorToDevice[HostBlkVec] = io.L0Blk

@@ -8,7 +8,6 @@ package machine
 import (
 	"fmt"
 
-	"svtsim/internal/core"
 	"svtsim/internal/cost"
 	"svtsim/internal/cpu"
 	"svtsim/internal/ept"
@@ -188,9 +187,7 @@ func newBase(cfg Config, nctx int) *Machine {
 		m.Eng.AddProbe(fmt.Sprintf("%s%d", cfg.Port.IRQSectionPrefix(), i), l.ProbeState)
 	}
 	if cfg.Mode == hv.ModeHWSVt || cfg.Mode == hv.ModeHWSVtBypass {
-		if err := core.DefaultHierarchy().Enable(m.Core); err != nil {
-			panic(err)
-		}
+		m.Core.EnableSVt()
 	}
 	m.Real = hv.NewRealPlatform(m.Core)
 	m.L0 = hv.New("L0", m.Real, &m.Cfg.Costs, 0, cfg.Mode)
@@ -283,11 +280,11 @@ func NewNested(cfg Config) *Machine {
 	vmcs01 := hv.NewVisorVMCS("vmcs01", EPTP01, cfg.Mode)
 	vmcs12, vmcs02 := hv.NewNestedVMCSPair(cfg.Mode)
 
-	// L2 runs on the last context (0 baseline/SW SVt, 2 HW SVt).
-	l2ctx := cpu.ContextID(0)
-	l1ctx := cpu.ContextID(0)
+	// Without HW SVt, L1 and L2 share the visor's context; with it each
+	// level gets its own.
+	l1ctx, l2ctx := cpu.VisorContext, cpu.VisorContext
 	if cfg.Mode == hv.ModeHWSVt || cfg.Mode == hv.ModeHWSVtBypass {
-		l1ctx, l2ctx = 1, 2
+		l1ctx, l2ctx = cpu.GuestContext, cpu.NestedContext
 	}
 
 	l2vcpu := hv.NewVCPU("L2.vcpu0", l2ctx, vmcs02, nil, 2)
@@ -363,7 +360,6 @@ func (m *Machine) buildSWSVt() {
 	m.Chan = &swsvt.Channel{
 		L0:              m.L0,
 		Core:            m.Core,
-		Costs:           &m.Cfg.Costs,
 		VcpuSVt:         m.VcpuSVt,
 		VcpuL1Main:      m.VcpuL1,
 		Ns:              m.Ns,
@@ -372,7 +368,6 @@ func (m *Machine) buildSWSVt() {
 		Policy:          m.Cfg.WaitPolicy,
 		Placement:       m.Cfg.Placement,
 		BlockedProtocol: m.Cfg.BlockedProtocol,
-		Eng:             m.Eng,
 	}
 	m.Eng.AddProbe("swsvt-channel", m.Chan.ProbeState)
 	m.SVtThread.Ch = m.Chan

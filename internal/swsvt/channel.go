@@ -3,7 +3,6 @@ package swsvt
 import (
 	"fmt"
 
-	"svtsim/internal/cost"
 	"svtsim/internal/cpu"
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
@@ -18,10 +17,14 @@ import (
 // SVt-thread on the sibling SMT context wakes, handles the trap using the
 // pre-existing L1 handler code, answers CMD_VM_RESUME, and L0₀ — which
 // was itself mwaiting on the response ring — resumes L2 directly.
+//
+// The channel charges virtual time and consults the fault plane through
+// Core's engine and prices its steps from Core's cost model; with no
+// injector registered on the engine the fault consults are free, so a
+// healthy run charges exactly what it did before the plane existed.
 type Channel struct {
-	L0    *hv.Hypervisor
-	Core  *cpu.Core
-	Costs *cost.Model
+	L0   *hv.Hypervisor
+	Core *cpu.Core
 
 	// VcpuSVt is L0's vCPU record for L1's SVt-thread (vCPU 1 of the L1
 	// VM, pinned to the sibling hardware context).
@@ -43,11 +46,6 @@ type Channel struct {
 	// interrupts destined to the (blocked) L1 main vCPU and lets it run
 	// its handler.
 	BlockedProtocol bool
-
-	// Eng gives the channel access to the fault plane and virtual clock.
-	// With no injector registered on it the fault consults are free, so
-	// a healthy run charges exactly what it did before the plane existed.
-	Eng *sim.Engine
 
 	breakers map[*hv.VCPU]*fault.Breaker
 
@@ -120,6 +118,34 @@ const (
 
 func (ch *Channel) now() sim.Time { return ch.L0.P.Now() }
 
+// watchdog runs one step of the ring protocol under the ring watchdog.
+// Each attempt consults site, charges any injected delay and, unless
+// the consult dropped it, tries the step. A drop or a failed try is a
+// watchdog expiry: it is counted and charged the backed-off wait, and
+// the step is retried until attempt limit has expired. It reports
+// whether a try succeeded. Both sides of the channel run on Core, so
+// charging its engine is charging L0₀ and the SVt-thread alike.
+func (ch *Channel) watchdog(site string, limit int, try func() bool) bool {
+	eng := ch.Core.Eng
+	for attempt := 0; ; attempt++ {
+		out := eng.Inject(site)
+		if out.Delay > 0 {
+			eng.Advance(out.Delay)
+		}
+		if !out.Drop && try() {
+			return true
+		}
+		ch.WatchdogFires.Inc()
+		eng.Advance(watchdogWait(attempt))
+		if attempt >= limit {
+			return false
+		}
+	}
+}
+
+// proceed is the try of a watchdog step that only a fault can stall.
+func proceed() bool { return true }
+
 // ReflectAndWait implements hv.SWChannel: steps 2 and 3 of Figure 5.
 // It reports whether the exit was handled over the channel; false means
 // the fast path is degraded (watchdog retries exhausted, or the per-VCPU
@@ -149,7 +175,7 @@ func (ch *Channel) breakerFor(vc *hv.VCPU) *fault.Breaker {
 	}
 	b := ch.breakers[vc]
 	if b == nil {
-		b = fault.NewBreaker(ch.Eng, breakerThreshold, breakerCooldown)
+		b = fault.NewBreaker(ch.Core.Eng, breakerThreshold, breakerCooldown)
 		ch.breakers[vc] = b
 	}
 	return b
@@ -177,7 +203,7 @@ func (ch *Channel) ProbeState() string {
 // plane implementation: every consult below returns the zero outcome for
 // free when no injector is registered.
 func (ch *Channel) reflect(e isa.Exit) bool {
-	m := ch.Costs
+	m := ch.Core.Costs
 	reflStart := ch.now()
 
 	// Under a polling policy at SMT placement, L0₀'s spinning since the
@@ -200,7 +226,7 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 	}
 	// A lost mwait wakeup is invisible to L0₀ until the watchdog expires;
 	// each expiry charges the backed-off timeout and re-sends the wakeup.
-	if !ch.wakeRetry() {
+	if !ch.watchdog(fault.SiteSVtWakeup, watchdogRetries, proceed) {
 		// Retries exhausted: reclaim the unconsumed CMD_VM_TRAP so the
 		// SVt-thread does not serve a stale command after re-arm, and
 		// let the caller fall back to trap/resume.
@@ -231,20 +257,7 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 	// A spurious empty pop re-reads after a watchdog wait. The response
 	// is in the ring (the SVt-thread pushed before parking), so it can
 	// only be late, never lost: exhaustion falls through to a final read.
-	for attempt := 0; ; attempt++ {
-		out := ch.Eng.Inject(fault.SiteRingPop)
-		if out.Delay > 0 {
-			ch.L0.P.Charge(out.Delay)
-		}
-		if !out.Drop {
-			break
-		}
-		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(watchdogWait(attempt))
-		if attempt >= watchdogRetries {
-			break
-		}
-	}
+	ch.watchdog(fault.SiteRingPop, watchdogRetries, proceed)
 	cmd, ok := ch.FromSVt.Pop()
 	if !ok {
 		if ch.stopped {
@@ -259,10 +272,7 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 	ch.L0.P.Charge(WakeLatency(m, ch.Policy, ch.Placement, ch.now()-sent))
 	ch.lastReturn = ch.now()
 	if ch.Obs != nil {
-		l0Track := 0
-		if ch.Ns != nil && ch.Ns.L2VCPU != nil {
-			l0Track = int(ch.Ns.L2VCPU.Ctx)
-		}
+		l0Track := int(ch.Ns.L2VCPU.Ctx)
 		ch.Obs.Instant(l0Track, obs.KindRingPop, 1, ch.labFromSVt,
 			ch.lastReturn, uint64(cmd.Type), 0)
 		// The whole reflection round trip, on the context that trapped.
@@ -276,55 +286,20 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 // stalled pushes (fault-injected or a genuinely full ring) under the
 // watchdog. It reports false when the retries are exhausted.
 func (ch *Channel) pushTrap(e isa.Exit) bool {
-	m := ch.Costs
-	for attempt := 0; ; attempt++ {
-		out := ch.Eng.Inject(fault.SiteRingPush)
-		if out.Delay > 0 {
-			ch.L0.P.Charge(out.Delay)
-		}
-		if !out.Drop {
-			ch.L0.P.Charge(m.RingCmd + sim.Time(int(isa.NumGPR))*m.RingPayloadReg)
-			if err := ch.ToSVt.Push(Cmd{Type: CmdVMTrap, Exit: uint64(e.Reason)}); err == nil {
-				if ch.Obs != nil {
-					l0Track := 0
-					if ch.Ns != nil && ch.Ns.L2VCPU != nil {
-						l0Track = int(ch.Ns.L2VCPU.Ctx)
-					}
-					ch.Obs.Instant(l0Track, obs.KindRingPush, 1, ch.labToSVt,
-						ch.now(), uint64(e.Reason), uint64(ch.ToSVt.Len()))
-				}
-				return true
-			}
+	m := ch.Core.Costs
+	return ch.watchdog(fault.SiteRingPush, watchdogRetries, func() bool {
+		ch.L0.P.Charge(m.RingCmd + sim.Time(int(isa.NumGPR))*m.RingPayloadReg)
+		if ch.ToSVt.Push(Cmd{Type: CmdVMTrap, Exit: uint64(e.Reason)}) != nil {
 			// ErrRingFull: the consumer is stuck; wait and retry rather
 			// than dropping the command or killing the run.
-		}
-		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(watchdogWait(attempt))
-		if attempt >= watchdogRetries {
 			return false
 		}
-	}
-}
-
-// wakeRetry sends the SVt-thread's wakeup under the watchdog: consult
-// the wakeup fault site, and on a drop charge the backed-off timeout and
-// try again, up to watchdogRetries. Reports whether the wakeup eventually
-// went through.
-func (ch *Channel) wakeRetry() bool {
-	for attempt := 0; ; attempt++ {
-		out := ch.Eng.Inject(fault.SiteSVtWakeup)
-		if out.Delay > 0 {
-			ch.L0.P.Charge(out.Delay)
+		if ch.Obs != nil {
+			ch.Obs.Instant(int(ch.Ns.L2VCPU.Ctx), obs.KindRingPush, 1, ch.labToSVt,
+				ch.now(), uint64(e.Reason), uint64(ch.ToSVt.Len()))
 		}
-		if !out.Drop {
-			return true
-		}
-		ch.WatchdogFires.Inc()
-		ch.L0.P.Charge(watchdogWait(attempt))
-		if attempt >= watchdogRetries {
-			return false
-		}
-	}
+		return true
+	})
 }
 
 // runSVtThread drives the SVt-thread's context until it parks in its
@@ -335,11 +310,11 @@ func (ch *Channel) wakeRetry() bool {
 // gone): acknowledge and run the kernel dispatch so wake vectors reach
 // the SVt-thread's virtual LAPIC.
 func (ch *Channel) serviceHostIRQs() {
-	l := ch.Core.LAPIC(0)
+	l := ch.Core.LAPIC(cpu.VisorContext)
 	for l != nil && l.HasPending() {
 		vec, _ := l.PendingVector()
 		l.Ack(vec)
-		ch.L0.P.Charge(ch.Costs.IRQAck)
+		ch.L0.P.Charge(ch.Core.Costs.IRQAck)
 		ch.L0.HandleKernelIRQ(vec)
 	}
 }
@@ -360,7 +335,7 @@ func (ch *Channel) runSVtThread() {
 		}
 		if stop := ch.L0.Handle(ch.VcpuSVt, e); stop {
 			msg := fmt.Sprintf("swsvt: SVt-thread session stopped on %v (deadlock=%v) at %v", e, ch.L0.DeadlockDetected, ch.L0.P.Now())
-			panic(msg + "\n" + ch.Eng.Report(msg).String())
+			panic(msg + "\n" + ch.Core.Eng.Report(msg).String())
 		}
 	}
 }
@@ -386,7 +361,7 @@ func (ch *Channel) serviceBlockedL1() {
 	ch.BlockedEvents.Inc()
 	// Present the blocked trap through the shadow VMCS.
 	ch.Ns.Vmcs12.RecordExit(isa.Exit{Reason: isa.ExitSVTBlocked})
-	ch.L0.P.Charge(ch.Costs.InjectExit)
+	ch.L0.P.Charge(ch.Core.Costs.InjectExit)
 	for vc.VirtLAPIC.HasPending() {
 		ch.L0.PrepareResume(vc)
 		e := ch.L0.P.Run(vc)
@@ -456,29 +431,23 @@ func (t *SVtThread) Body(p *cpu.Port) {
 // with the engine's structured report instead of deadlocking the rings.
 func (t *SVtThread) pushResume(p *cpu.Port) {
 	ch := t.Ch
-	p.Charge(ch.Costs.RingCmd + sim.Time(int(isa.NumGPR))*ch.Costs.RingPayloadReg)
-	for attempt := 0; ; attempt++ {
-		out := ch.Eng.Inject(fault.SiteRingPush)
-		if out.Delay > 0 {
-			p.Charge(out.Delay)
+	m := ch.Core.Costs
+	p.Charge(m.RingCmd + sim.Time(int(isa.NumGPR))*m.RingPayloadReg)
+	// The thread gets a much longer leash than a reflection (which can
+	// fall back): give up only when a fallback-less retry storm shows the
+	// ring is truly wedged.
+	pushed := ch.watchdog(fault.SiteRingPush, 4*(watchdogRetries+1), func() bool {
+		if ch.FromSVt.Push(Cmd{Type: CmdVMResume}) != nil {
+			return false
 		}
-		if !out.Drop {
-			if err := ch.FromSVt.Push(Cmd{Type: CmdVMResume}); err == nil {
-				if ch.Obs != nil {
-					ch.Obs.Instant(int(ch.VcpuSVt.Ctx), obs.KindRingPush, 1,
-						ch.labFromSVt, ch.now(), 0, uint64(ch.FromSVt.Len()))
-				}
-				return
-			}
+		if ch.Obs != nil {
+			ch.Obs.Instant(int(ch.VcpuSVt.Ctx), obs.KindRingPush, 1,
+				ch.labFromSVt, ch.now(), 0, uint64(ch.FromSVt.Len()))
 		}
-		ch.WatchdogFires.Inc()
-		p.Charge(watchdogWait(attempt))
-		// The thread gets a much longer leash than a reflection (which
-		// can fall back): give up only when a fallback-less retry storm
-		// shows the ring is truly wedged.
-		if attempt >= 4*(watchdogRetries+1) {
-			panic(ch.Eng.Report("SVt-thread response push stalled beyond watchdog").String())
-		}
+		return true
+	})
+	if !pushed {
+		panic(ch.Core.Eng.Report("SVt-thread response push stalled beyond watchdog").String())
 	}
 }
 
