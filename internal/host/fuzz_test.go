@@ -35,6 +35,9 @@ func FuzzReplayStorm(f *testing.F) {
 			CoresPerSocket: 1 + int(data[0]>>1&1),
 			ThreadsPerCore: 1 + int(data[0]>>2&1),
 		}
+		if topo.Contexts() < 2 {
+			topo.ThreadsPerCore = 2 // a host has at least two contexts
+		}
 		nvm := 1 + int(data[1]&7)
 		storm := data[1]&8 != 0
 		faulty := data[1]&16 != 0
@@ -87,15 +90,12 @@ func FuzzReplayStorm(f *testing.F) {
 			for i := range demands {
 				b := vms[4*i : 4*i+4]
 				nthreads := 1 + int(b[0]&1)
-				if topo.Contexts() < 2 {
-					nthreads = 1 // a gang needs two contexts
-				}
 				total := sim.Time(1+int(b[1])) * 20 * sim.Microsecond
 				a := h.Sched.Admit(i, nthreads)
 				demands[i] = Demand{
 					Ctxs:       a.Ctxs,
 					Total:      total,
-					Busy:       total * sim.Time(1+int(b[2])) / 256,
+					Busy:       total * sim.Time(b[2]) / 256,
 					HelperPoll: b[0]&2 != 0,
 					HelperFrac: float64(b[3]) / 255,
 					ImageBytes: int(b[0]>>2) << 12,

@@ -130,6 +130,27 @@ func TestReplayPollingStealsSiblingCycles(t *testing.T) {
 	}
 }
 
+// TestReplayZeroBusyFinishes: a VM idle throughout (Busy 0) finishes
+// within one quantum of its Total, even beside a busy neighbour on its
+// helper's context, instead of running to the replay's safety valve.
+// Total is not a whole number of quanta, so finishing at end-of-quantum
+// granularity reads a slowdown above 1, which the never-finished
+// default of exactly 1 cannot pass for.
+func TestReplayZeroBusyFinishes(t *testing.T) {
+	const total = sim.Time(2_010_000)
+	h := mustHost(t, Topology{1, 1, 2})
+	res := h.Sched.ReplayStorm([]Demand{
+		{Ctxs: []CtxID{0, 1}, Busy: 0, Total: total, HelperFrac: 0.05},
+		{Ctxs: []CtxID{1}, Busy: total, Total: total},
+	}, nil)
+	if limit := maxQuanta * quantum; res.Elapsed >= limit {
+		t.Fatalf("replay ran to its %v safety valve", limit)
+	}
+	if s, limit := res.VMs[0].Slowdown, float64(total+quantum)/float64(total); s <= 1 || s > limit {
+		t.Fatalf("idle VM slowdown %.4f, want within (1, %.4f]", s, limit)
+	}
+}
+
 // TestReplayOversubscriptionAndUtilization: four all-busy VMs on one
 // 2-context core finish ~4x/smtShare late, and core utilization is full.
 func TestReplayOversubscription(t *testing.T) {

@@ -298,6 +298,7 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 	residents := make([][]*thread, nctx)
 	vmThreads := make([][]*thread, len(demands)) // per-VM gang, main first
 	progress := make([]float64, len(demands))
+	duty := make([]float64, len(demands)) // share of each quantum the main thread asks for
 	done := make([]bool, len(demands))
 	remaining := 0
 	for i := range demands {
@@ -308,6 +309,7 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 			continue
 		}
 		remaining++
+		duty[i] = min(float64(d.Busy)/float64(d.Total), 1)
 		gang := len(d.Ctxs) > 1
 		main := &thread{vm: i, ctx: d.Ctxs[0], pinned: gang}
 		residents[main.ctx] = append(residents[main.ctx], main)
@@ -359,11 +361,7 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 			}
 			return d.HelperFrac * q
 		}
-		u := float64(d.Busy) / float64(d.Total)
-		if u > 1 {
-			u = 1
-		}
-		return u * q
+		return duty[th.vm] * q
 	}
 
 	for remaining > 0 && quanta < maxQuanta {
@@ -454,17 +452,7 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 				if td == 0 || th.helper {
 					continue
 				}
-				service := td * share * speed
-				d := &demands[th.vm]
-				u := float64(d.Busy) / float64(d.Total)
-				if u <= 0 {
-					progress[th.vm] += q
-				} else {
-					if u > 1 {
-						u = 1
-					}
-					progress[th.vm] += service / u
-				}
+				progress[th.vm] += td * share * speed / duty[th.vm]
 			}
 			// Sibling cycles stolen by a polling SVt-thread: wall time
 			// the sibling loses because this context's poller keeps its
@@ -483,10 +471,15 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 			}
 		}
 
-		// Pass 3: completions (end-of-quantum granularity).
+		// Pass 3: completions (end-of-quantum granularity). A zero-duty VM
+		// is idle throughout, so contention cannot slow it: outside a
+		// migration's downtime it advances one full quantum per quantum.
 		for i := range demands {
 			if done[i] {
 				continue
+			}
+			if duty[i] == 0 && qNow >= pausedUntil[i] {
+				progress[i] += q
 			}
 			if progress[i] >= float64(demands[i].Total) {
 				done[i] = true

@@ -91,6 +91,10 @@ func (t Topology) Validate() error {
 			fmt.Sprintf("%d hardware contexts exceeds the %d cap", t.Contexts(), maxContexts),
 			"shrink sockets, cores, or threads")
 	}
+	if t.Contexts() < 2 {
+		return uerr.New("topology", t.String(), "1 hardware context",
+			"a SW-SVt gang needs two hardware contexts, e.g. 1x1x2")
+	}
 	return nil
 }
 

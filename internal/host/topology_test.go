@@ -55,6 +55,7 @@ func TestParseTopologyMalformed(t *testing.T) {
 		{"2x0x2", "must be >= 1", "2x8x2"},
 		{"2x8x-1", "must be >= 1", "2x8x2"},
 		{"2x8x3", "3 SMT contexts per core", "2-way SMT"},
+		{"1x1x1", "1 hardware context", "two hardware contexts"},
 		{"64x64x2", "8192 hardware contexts exceeds the 4096 cap", "shrink"},
 		{"4294967296x4294967296x1", "more than 4096 hardware contexts", "shrink"},
 		{"2x9223372036854775807x2", "more than 4096 hardware contexts", "shrink"},
