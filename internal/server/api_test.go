@@ -115,6 +115,7 @@ func TestCanonicalizeErrors(t *testing.T) {
 		{"bad fault rate", Request{Kind: KindStorm, Faults: "swsvt/wakeup:rate=1.5,drop"}, "faults"},
 		{"NaN fault rate", Request{Kind: KindStorm, Faults: "swsvt/wakeup:rate=NaN,drop"}, "faults"},
 		{"overflowing topology", Request{Kind: KindDensity, Topology: "4294967296x4294967296x1"}, "topology"},
+		{"one-context host", Request{Kind: KindDensity, Topology: "1x1x1"}, "topology"},
 		{"bad fault spec", Request{Kind: KindStorm, Faults: "nonsense"}, "faults"},
 		{"bad lb scenario", Request{Kind: KindLB, Scenario: "sinusoid"}, "scenario"},
 	} {

@@ -18,7 +18,9 @@ package server
 // with Retry-After rather than letting latency grow without bound, and
 // a draining server answers 503. Accepted jobs are never dropped by a
 // drain — Shutdown stops admission, lets the workers finish the queue,
-// and only cancels in-flight work when its deadline expires.
+// and only cancels in-flight work when its deadline expires. The job
+// table keeps every queued and running job but only the newest
+// keepJobs terminal ones.
 
 import (
 	"context"
@@ -77,6 +79,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	inflight map[string]*job // digest → job not yet terminal
+	retired  []string        // IDs of the terminal jobs in jobs, oldest first
 	draining bool
 	nextID   int
 
@@ -183,15 +186,30 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.finish(StateFailed, nil, err.Error())
 	}
-	s.clearInflight(j)
-}
-
-func (s *Server) clearInflight(j *job) {
 	s.mu.Lock()
 	if s.inflight[j.digest] == j {
 		delete(s.inflight, j.digest)
 	}
+	s.retireLocked(j)
 	s.mu.Unlock()
+}
+
+// keepJobs bounds the terminal jobs the server remembers. Each holds
+// its progress log and its result, which outlives the result's cache
+// entry, so without a bound the cache's byte budget would not bound the
+// daemon's memory.
+const keepJobs = 256
+
+// retireLocked records that j has reached a terminal state and forgets
+// the oldest terminal jobs beyond keepJobs; a forgotten job's ID answers
+// 404 like an unknown one. Queued and running jobs are never forgotten.
+// s.mu must be held.
+func (s *Server) retireLocked(j *job) {
+	s.retired = append(s.retired, j.id)
+	for len(s.retired) > keepJobs {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
+	}
 }
 
 // routes is the whole wire surface: each pattern with the endpoint name
@@ -318,6 +336,7 @@ func (s *Server) admit(req *Request, digest string) (JobStatus, int, error) {
 		j := s.addJobLocked(req, digest)
 		j.cached = true
 		j.finish(StateDone, e, "")
+		s.retireLocked(j)
 		return j.snapshot(), http.StatusOK, nil
 	}
 	if twin, ok := s.inflight[digest]; ok {

@@ -604,6 +604,42 @@ func TestTraceArtifacts(t *testing.T) {
 	}
 }
 
+// TestJobTableBounded: terminal jobs are forgotten oldest first beyond
+// keepJobs, so cache hits cannot grow the job table without bound; a
+// forgotten ID answers 404 like an unknown one.
+func TestJobTableBounded(t *testing.T) {
+	ctx := context.Background()
+	s, c := newTestServer(t, Config{Workers: 1})
+	cold, err := c.Submit(ctx, smallStorm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Stream(ctx, cold.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	var last *SubmitResponse
+	for i := 0; i <= keepJobs; i++ {
+		if last, err = c.Submit(ctx, smallStorm()); err != nil {
+			t.Fatal(err)
+		}
+		if !last.Cached {
+			t.Fatalf("submission %d was not a cache hit", i)
+		}
+	}
+	if _, err := c.Job(ctx, cold.ID); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("oldest job %s: want 404, got %v", cold.ID, err)
+	}
+	if _, err := c.ResultBytes(ctx, last.ID); err != nil {
+		t.Errorf("newest job %s: %v", last.ID, err)
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n != keepJobs {
+		t.Errorf("job table holds %d jobs after %d terminal ones, want %d", n, keepJobs+2, keepJobs)
+	}
+}
+
 // TestConcurrentDistinctRequests floods the server with distinct
 // requests; all must finish done with correct per-request digests.
 // Meaningful under -race (CI runs this package with the detector on).
