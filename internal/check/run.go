@@ -176,7 +176,7 @@ func RunSchedule(s *Schedule, mode hv.Mode, opts *RunOpts) Outcome {
 		hst.OnIPI(0, func(vec int) {
 			hst.LAPIC(0).Ack(vec)
 			if it.expectIPI {
-				m.Core.LAPIC(cpu.ContextID(0)).Deliver(vec)
+				m.Core.LAPIC(cpu.VisorContext).Deliver(vec)
 			}
 		})
 		it.host = hst
