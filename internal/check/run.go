@@ -164,11 +164,7 @@ func RunSchedule(s *Schedule, mode hv.Mode, opts *RunOpts) Outcome {
 		// same chain the virtualized timer rides. Injecting into a virtual
 		// LAPIC straight from event context would be invisible to the idle
 		// loops, which only watch the physical interrupt plane.
-		target := m.VcpuL1
-		if mode == hv.ModeSWSVt {
-			target = m.VcpuSVt
-		}
-		m.L0.VectorRoute[ports.VecIPI] = target
+		m.L0.VectorRoute[ports.VecIPI] = m.L1IRQTarget()
 		// Only OpIPI's own send is routed into the machine: migration
 		// reschedule kicks also land on ctx 0 (the guest stack's core)
 		// and must be consumed by the host plane alone, or transparency
@@ -185,11 +181,7 @@ func RunSchedule(s *Schedule, mode hv.Mode, opts *RunOpts) Outcome {
 			// a placement to move: the vCPU plus, under SW-SVt, its
 			// SVt-thread. The first admission deterministically lands the
 			// fully idle core 0.
-			gang := 1
-			if mode == hv.ModeSWSVt {
-				gang = 2
-			}
-			a := hst.Sched.Admit(0, gang)
+			a := hst.Sched.Admit(0, mode.Threads())
 			it.assign = &a
 			if opts != nil {
 				it.sabotage = opts.Sabotage
@@ -229,14 +221,14 @@ func RunSchedule(s *Schedule, mode hv.Mode, opts *RunOpts) Outcome {
 	// Mode-conditional DESIGN §6 invariants: the SVt mechanisms must not
 	// leak into modes that don't own them.
 	st := &m.Core.Stats
-	switch mode {
-	case hv.ModeBaseline:
+	switch {
+	case mode == hv.ModeBaseline:
 		if st.StallResumes != 0 || st.CtxtAccesses != 0 {
 			out.Invariants = append(out.Invariants, fmt.Sprintf(
 				"end: baseline run used SVt hardware (stall-resumes=%d ctxt-accesses=%d)",
 				st.StallResumes, st.CtxtAccesses))
 		}
-	case hv.ModeHWSVt, hv.ModeHWSVtBypass:
+	case mode.HWSVt():
 		if st.ThunkRegMoves != 0 {
 			out.Invariants = append(out.Invariants, fmt.Sprintf(
 				"end: HW SVt run thunked registers through memory (%d moves)", st.ThunkRegMoves))

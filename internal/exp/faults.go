@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"context"
-	"fmt"
-
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
+	"svtsim/internal/parallel"
 	"svtsim/internal/sim"
 )
 
@@ -59,8 +57,7 @@ type FaultCell struct {
 // running the cells serially (pinned by
 // TestFaultSweepGridParallelDeterminism).
 func (s *Session) FaultSweepGrid(cells []FaultCell) []FaultSweepResult {
-	out, _ := sweep(context.Background(), s, len(cells), nil, "faultgrid",
-		func(i int) string { return fmt.Sprintf("mode=%s", cells[i].Mode) },
-		func(i int) FaultSweepResult { return s.FaultSweep(cells[i].Mode, cells[i].Spec, cells[i].N) })
-	return out
+	return parallel.MapN(s.Parallelism(), len(cells), func(i int) FaultSweepResult {
+		return s.FaultSweep(cells[i].Mode, cells[i].Spec, cells[i].N)
+	})
 }

@@ -31,11 +31,7 @@ type StormResult struct {
 	AggThroughput float64
 	MeanSlowdown  float64
 
-	GangMigrations    uint64
-	GangRollbacks     uint64
-	GangRetries       uint64
-	GangSkipped       uint64
-	MigrationDowntime sim.Time
+	host.GangTally
 
 	// Events is the replay's engine dispatch count — byte-identical at
 	// any pool width.
@@ -89,15 +85,11 @@ func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormR
 	pt, res := f.point(mode), f.res
 	r := StormResult{
 		Mode: mode, K: k, Storms: storms, Seed: seed,
-		Elapsed:           res.Elapsed,
-		WorstP99Us:        pt.WorstP99Us,
-		AggThroughput:     pt.AggThroughput,
-		GangMigrations:    res.GangMigrations,
-		GangRollbacks:     res.GangRollbacks,
-		GangRetries:       res.GangRetries,
-		GangSkipped:       res.GangSkipped,
-		MigrationDowntime: res.MigrationDowntime,
-		Events:            res.Events,
+		Elapsed:       res.Elapsed,
+		WorstP99Us:    pt.WorstP99Us,
+		AggThroughput: pt.AggThroughput,
+		GangTally:     res.GangTally,
+		Events:        res.Events,
 	}
 	var slow float64
 	for _, v := range pt.VMs {

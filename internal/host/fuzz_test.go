@@ -21,6 +21,8 @@ import (
 // whether a storm plan and a fault plane are armed, data[2..3] the
 // fault sites and seed, then four bytes per VM (shape, Total, Busy,
 // HelperFrac), then three bytes per storm event (quantum, VM, fails).
+// A VM's shape byte picks a 1- or 2-thread gang in bit 0 and the image
+// size in bits 2..7; bit 1 is unused.
 func FuzzReplayStorm(f *testing.F) {
 	f.Add([]byte{0x07, 0x1b, 0x07, 0x09, 1, 40, 128, 30, 0, 60, 255, 0, 3, 20, 10, 200, 2, 0, 0, 4, 1, 3, 6, 0, 1})
 	f.Add([]byte{0x00, 0x00, 0, 0, 0, 10, 0, 0})
@@ -96,7 +98,6 @@ func FuzzReplayStorm(f *testing.F) {
 					Ctxs:       a.Ctxs,
 					Total:      total,
 					Busy:       total * sim.Time(b[2]) / 256,
-					HelperPoll: b[0]&2 != 0,
 					HelperFrac: float64(b[3]) / 255,
 					ImageBytes: int(b[0]>>2) << 12,
 				}

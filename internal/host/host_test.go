@@ -101,35 +101,6 @@ func TestReplaySMTInterference(t *testing.T) {
 	}
 }
 
-// TestReplayPollingStealsSiblingCycles: a polling SVt-thread on the
-// sibling context slows its vCPU neighbour and the stolen cycles are
-// accounted to the core; an mwait helper (tiny duty cycle) steals none.
-func TestReplayPollingStealsSiblingCycles(t *testing.T) {
-	const total = sim.Time(2_000_000)
-	run := func(poll bool) ReplayResult {
-		h := mustHost(t, Topology{1, 1, 2})
-		return h.Sched.ReplayStorm([]Demand{{
-			Ctxs:       []CtxID{0, 1},
-			Busy:       total,
-			Total:      total,
-			HelperPoll: poll,
-			HelperFrac: 0.05,
-		}}, nil)
-	}
-	polling := run(true)
-	mwait := run(false)
-	if polling.StolenTotal == 0 {
-		t.Fatal("polling helper stole no sibling cycles")
-	}
-	if mwait.StolenTotal != 0 {
-		t.Fatalf("mwait helper stole %d sibling cycles, want 0", mwait.StolenTotal)
-	}
-	if polling.VMs[0].Slowdown <= mwait.VMs[0].Slowdown {
-		t.Errorf("polling slowdown %.3f <= mwait slowdown %.3f",
-			polling.VMs[0].Slowdown, mwait.VMs[0].Slowdown)
-	}
-}
-
 // TestReplayZeroBusyFinishes: a VM idle throughout (Busy 0) finishes
 // within one quantum of its Total, even beside a busy neighbour on its
 // helper's context, instead of running to the replay's safety valve.
@@ -230,14 +201,13 @@ func TestReplayDeterministic(t *testing.T) {
 				Ctxs:       a.Ctxs,
 				Busy:       sim.Time(500_000 + 137_000*i),
 				Total:      sim.Time(900_000 + 211_000*i),
-				HelperPoll: i%4 == 1,
 				HelperFrac: 0.1,
 			})
 		}
 		return h.Sched.ReplayStorm(demands, nil)
 	}
 	a, b := run(), run()
-	if a.Elapsed != b.Elapsed || a.Events != b.Events || a.StolenTotal != b.StolenTotal {
+	if a.Elapsed != b.Elapsed || a.Events != b.Events {
 		t.Fatalf("replays diverged: %+v vs %+v", a, b)
 	}
 	for i := range a.VMs {

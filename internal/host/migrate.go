@@ -134,7 +134,7 @@ func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int
 	br := s.placeBreaker(a.VM)
 	if !br.Allow() {
 		res.SkippedBreakerOpen = true
-		s.gangSkipped++
+		s.gang.GangSkipped++
 		s.traceMigrate(a.Ctxs[0], "migrate-skip", h.Eng.Now(), h.Eng.Now(), a.VM, 0)
 		return res
 	}
@@ -197,14 +197,14 @@ func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int
 			}
 			res.Completed = true
 			br.Success()
-			s.gangMigrations++
-			s.migDowntime += res.Downtime
+			s.gang.GangMigrations++
+			s.gang.MigrationDowntime += res.Downtime
 			s.traceMigrate(a.Ctxs[0], "migrate", start, start+res.Downtime, a.VM, attempt)
 			return res
 		}
 		if attempt < maxAttempts {
 			res.Downtime += backoffBase << (attempt - 1)
-			s.gangRetries++
+			s.gang.GangRetries++
 		}
 	}
 
@@ -214,8 +214,8 @@ func (s *Scheduler) MigrateGang(a *Assignment, dst []CtxID, bytes, extraFail int
 	res.Downtime += restoreCost
 	res.RolledBack = true
 	br.Failure()
-	s.gangRollbacks++
-	s.migDowntime += res.Downtime
+	s.gang.GangRollbacks++
+	s.gang.MigrationDowntime += res.Downtime
 	s.traceMigrate(a.Ctxs[0], "migrate-rollback", start, start+res.Downtime, a.VM, res.Attempts)
 	return res
 }

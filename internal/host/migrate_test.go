@@ -49,8 +49,8 @@ func TestMigrateGangSuccess(t *testing.T) {
 			t.Errorf("dest ctx%d load %d, want 1", c, loads[c])
 		}
 	}
-	if h.Sched.gangMigrations != 1 || h.Sched.migDowntime != res.Downtime {
-		t.Errorf("tallies: migrations=%d downtime=%v", h.Sched.gangMigrations, h.Sched.migDowntime)
+	if g := h.Sched.gang; g.GangMigrations != 1 || g.MigrationDowntime != res.Downtime {
+		t.Errorf("tallies: migrations=%d downtime=%v", g.GangMigrations, g.MigrationDowntime)
 	}
 }
 
@@ -68,8 +68,8 @@ func TestMigrateGangRetryThenSucceed(t *testing.T) {
 	if want := 2*migCost(bytes, 4) + backoffBase; res.Downtime != want {
 		t.Fatalf("downtime %v, want %v", res.Downtime, want)
 	}
-	if h.Sched.gangRetries != 1 {
-		t.Errorf("retries %d, want 1", h.Sched.gangRetries)
+	if h.Sched.gang.GangRetries != 1 {
+		t.Errorf("retries %d, want 1", h.Sched.gang.GangRetries)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestMigrateGangRollbackIsAtomic(t *testing.T) {
 	if res.Downtime == 0 {
 		t.Fatal("rollback must still cost downtime")
 	}
-	if h.Sched.gangRollbacks != 1 || h.Sched.gangMigrations != 0 {
-		t.Errorf("tallies: rollbacks=%d migrations=%d", h.Sched.gangRollbacks, h.Sched.gangMigrations)
+	if g := h.Sched.gang; g.GangRollbacks != 1 || g.GangMigrations != 0 {
+		t.Errorf("tallies: rollbacks=%d migrations=%d", g.GangRollbacks, g.GangMigrations)
 	}
 }
 
@@ -145,8 +145,8 @@ func TestPlacementBreakerReArmsAfterCooldown(t *testing.T) {
 	if !res.SkippedBreakerOpen || res.Downtime != 0 || res.Attempts != 0 {
 		t.Fatalf("open breaker must skip at zero cost, got %+v", res)
 	}
-	if h.Sched.gangSkipped != 1 {
-		t.Errorf("skipped tally %d, want 1", h.Sched.gangSkipped)
+	if h.Sched.gang.GangSkipped != 1 {
+		t.Errorf("skipped tally %d, want 1", h.Sched.gang.GangSkipped)
 	}
 
 	// Past the cooldown the half-open probe runs — and a healthy attempt

@@ -16,14 +16,13 @@ import (
 //   - Admission: when a VM arrives it is placed onto hardware contexts.
 //     A baseline or HW-SVt VM is one runnable thread (HW-SVt's extra
 //     contexts are per-core front-end state, not extra fetch targets);
-//     a SW-SVt VM is a gang of two — the vCPU and its polling/mwaiting
+//     a SW-SVt VM is a gang of two — the vCPU and its mwaiting
 //     SVt-thread — whose relative placement (sibling-SMT, cross-core,
 //     cross-NUMA) falls out of which contexts were free.
 //
 //   - Steady state: a quantum-driven run loop on the shared engine
 //     divides each context's cycles among its resident threads, halves
-//     throughput when SMT siblings contend (smtShare), accounts the
-//     sibling cycles polling SVt-threads steal, and periodically
+//     throughput when SMT siblings contend (smtShare), and periodically
 //     migrates movable threads from the busiest context to the idlest,
 //     kicking the affected cores with reschedule IPIs through the apic
 //     plane.
@@ -38,12 +37,17 @@ type Scheduler struct {
 
 	// Live-migration state (migrate.go): per-VM placement breakers and
 	// gang-migration counters.
-	placeBreakers  map[int]*fault.Breaker
-	gangMigrations uint64
-	gangRollbacks  uint64
-	gangRetries    uint64
-	gangSkipped    uint64
-	migDowntime    sim.Time
+	placeBreakers map[int]*fault.Breaker
+	gang          GangTally
+}
+
+// GangTally counts live gang migrations (migrate.go) by outcome.
+type GangTally struct {
+	GangMigrations    uint64
+	GangRollbacks     uint64
+	GangRetries       uint64
+	GangSkipped       uint64
+	MigrationDowntime sim.Time
 }
 
 func newScheduler(h *Host) *Scheduler {
@@ -166,15 +170,12 @@ func (s *Scheduler) placePair() (main, helper CtxID) {
 
 // Demand is one VM's execution demand presented to the replay: the
 // uncontended virtual runtime of the run (Total), the share of it the
-// vCPU thread spent executing rather than idle (Busy), and the
-// SVt-thread's behaviour — a polling helper occupies its context every
-// cycle regardless of work; an mwait/mutex helper only runs its
-// HelperFrac share.
+// vCPU thread spent executing rather than idle (Busy), and the share
+// its mwaiting SVt-thread runs (HelperFrac; §5.2, §6.1).
 type Demand struct {
 	Ctxs       []CtxID // from the VM's Assignment
 	Busy       sim.Time
 	Total      sim.Time
-	HelperPoll bool
 	HelperFrac float64
 	// ImageBytes is the VM's snapshot image size, pricing the transfer
 	// phase of storm-driven live migrations (0 = a trivial image).
@@ -196,23 +197,15 @@ type ReplayResult struct {
 	// CoreUtil is each physical core's busy fraction over Elapsed,
 	// averaged across its SMT contexts.
 	CoreUtil []float64
-	// StolenTotal is sibling wall time lost to SMT contention caused
-	// by polling SVt-threads — cycles the vCPU thread on the sibling
-	// context would have used had the helper mwaited instead (§6.4).
-	StolenTotal sim.Time
 
 	Migrations  uint64
 	ReschedIPIs uint64
 	// Events is how many engine events the replay dispatched.
 	Events uint64
 
-	// Gang-migration tallies, populated by storm replays (zero when no
-	// storm plan fired).
-	GangMigrations    uint64
-	GangRollbacks     uint64
-	GangRetries       uint64
-	GangSkipped       uint64
-	MigrationDowntime sim.Time
+	// The gang-migration tally, populated by storm replays (zero when
+	// no storm plan fired).
+	GangTally
 
 	// StormLog records each storm event that reached a migration
 	// attempt, in fire order — downstream consumers (the load-balancer
@@ -356,9 +349,6 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 			return 0 // paused in a migration's downtime window
 		}
 		if th.helper {
-			if d.HelperPoll {
-				return q // a polling SVt-thread never yields
-			}
 			return d.HelperFrac * q
 		}
 		return duty[th.vm] * q
@@ -454,21 +444,6 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 				}
 				progress[th.vm] += td * share * speed / duty[th.vm]
 			}
-			// Sibling cycles stolen by a polling SVt-thread: wall time
-			// the sibling loses because this context's poller keeps its
-			// issue ports busy the entire quantum.
-			if sib >= 0 && occupied[sib] {
-				for _, th := range residents[c] {
-					if th.helper && demands[th.vm].HelperPoll && !done[th.vm] {
-						sibWall := demand[sib]
-						if sibWall > q {
-							sibWall = q
-						}
-						res.StolenTotal += sim.Time(sibWall * (1 - smtShare))
-						break
-					}
-				}
-			}
 		}
 
 		// Pass 3: completions (end-of-quantum granularity). A zero-duty VM
@@ -508,11 +483,7 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 	res.Events = h.Eng.Dispatched() - startEvents
 	res.Migrations = s.migrations
 	res.ReschedIPIs = s.reschedIPIs
-	res.GangMigrations = s.gangMigrations
-	res.GangRollbacks = s.gangRollbacks
-	res.GangRetries = s.gangRetries
-	res.GangSkipped = s.gangSkipped
-	res.MigrationDowntime = s.migDowntime
+	res.GangTally = s.gang
 	if res.Elapsed > 0 {
 		for core := 0; core < t.Cores(); core++ {
 			var busy sim.Time

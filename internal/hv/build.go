@@ -27,7 +27,7 @@ func NewVisorVMCS(name string, eptp uint64, mode Mode) *vmcs.VMCS {
 	v.Write(vmcs.EPTPointer, eptp)
 	v.SetMSRExit(isa.MSRTSCDeadline)
 	v.Write(vmcs.HostRIP, HostEntryRIP)
-	if mode == ModeHWSVt || mode == ModeHWSVtBypass {
+	if mode.HWSVt() {
 		// Where the visor runs, where the guest runs, and which context
 		// the guest's cross-context accesses are virtualized onto once it
 		// hosts a nested VM (§4 step A).
@@ -46,7 +46,7 @@ func NewNestedVMCSPair(mode Mode) (v12, v02 *vmcs.VMCS) {
 	v02 = vmcs.New("vmcs02")
 	v02.VMLevel = 2
 	v02.Write(vmcs.HostRIP, HostEntryRIP)
-	if mode == ModeHWSVt || mode == ModeHWSVtBypass {
+	if mode.HWSVt() {
 		// Exits from the nested context resume the visor directly, with
 		// no software context switch in between.
 		v02.Write(vmcs.SVtVisor, uint64(cpu.VisorContext))

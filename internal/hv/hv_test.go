@@ -59,6 +59,26 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+// TestModeShape pins each mode's answers to "HW SVt?" and "how many
+// host threads?".
+func TestModeShape(t *testing.T) {
+	for _, c := range []struct {
+		mode    Mode
+		hw      bool
+		threads int
+	}{
+		{ModeBaseline, false, 1},
+		{ModeSWSVt, false, 2},
+		{ModeHWSVt, true, 1},
+		{ModeHWSVtBypass, true, 1},
+	} {
+		if c.mode.HWSVt() != c.hw || c.mode.Threads() != c.threads {
+			t.Errorf("%v: HWSVt()=%v Threads()=%d, want %v, %d",
+				c.mode, c.mode.HWSVt(), c.mode.Threads(), c.hw, c.threads)
+		}
+	}
+}
+
 func TestCPUIDEmulationResultInRAX(t *testing.T) {
 	h, _, _ := testStack()
 	g := &scriptGuest{acts: []cpu.Action{{Kind: cpu.ActInstr, Instr: isa.CPUID(5)}}}

@@ -21,17 +21,17 @@ func (rr *Renderer) Density(w io.Writer, kmax int, sloUs float64) {
 	// Note: the sweep's output is identical at any -parallel width (the
 	// CI determinism golden byte-compares it), and the events column is
 	// a simulation quantity, not a perf one.
-	fmt.Fprintf(w, "%-10s %4s %12s %12s %14s %10s %8s %8s %8s %8s\n",
-		"mode", "k", "worst-p50", "worst-p99", "agg-thruput", "core-util", "stolen", "migr", "ipis", "events")
+	fmt.Fprintf(w, "%-10s %4s %12s %12s %14s %10s %8s %8s %8s\n",
+		"mode", "k", "worst-p50", "worst-p99", "agg-thruput", "core-util", "migr", "ipis", "events")
 	for _, res := range results {
 		for _, pt := range res.Points {
 			slo := " "
 			if pt.WorstP99Us > sloUs {
 				slo = "*"
 			}
-			fmt.Fprintf(w, "%-10s %4d %10.1fus %10.1fus%s %11.0fop/s %9.2f %8v %8d %8d %8d\n",
+			fmt.Fprintf(w, "%-10s %4d %10.1fus %10.1fus%s %11.0fop/s %9.2f %8d %8d %8d\n",
 				res.Mode, pt.K, pt.WorstP50Us, pt.WorstP99Us, slo,
-				pt.AggThroughput, pt.CoreUtilMean, pt.StolenCycles,
+				pt.AggThroughput, pt.CoreUtilMean,
 				pt.Migrations, pt.IPIsSMT+pt.IPIsCore+pt.IPIsNUMA, pt.Events)
 		}
 	}
