@@ -8,6 +8,7 @@ import (
 	"svtsim/internal/hv"
 	"svtsim/internal/machine"
 	"svtsim/internal/obs"
+	"svtsim/internal/ports"
 	"svtsim/internal/sim"
 )
 
@@ -199,6 +200,46 @@ func TestFaultSweepGridParallelDeterminism(t *testing.T) {
 		if serial[i] != par[i] {
 			t.Fatalf("cell %d diverged:\nserial:   %+v\nparallel: %+v",
 				i, serial[i], par[i])
+		}
+	}
+}
+
+// TestSWSVtFirstReflectionFallsBack: the first four wakeups are lost, so
+// the very first reflection exhausts the watchdog and falls back to
+// trap/resume before the SVt-thread has ever run. The main L1 instance
+// then services L2's device exit through the device map the SVt-thread
+// wires on its first run; the fallback must boot the thread so that map
+// is wired, on both ports, for the network and the disk device alike.
+func TestSWSVtFirstReflectionFallsBack(t *testing.T) {
+	spec, err := fault.ParseSpec("swsvt/wakeup:every=1,limit=4,drop", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"x86", "armlike"} {
+		p, err := ports.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession()
+		s.SetPort(p)
+		s.SetFaults(spec)
+		for _, w := range []struct {
+			name string
+			run  func() IOResult
+		}{
+			{"netrr", func() IOResult { return s.NetLatency(hv.ModeSWSVt, 50) }},
+			{"diskrd", func() IOResult { return s.DiskLatency(hv.ModeSWSVt, false, 50) }},
+		} {
+			t.Run(name+"/"+w.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("run panicked: %v", r)
+					}
+				}()
+				if r := w.run(); r.MeanUs <= 0 {
+					t.Fatalf("mean latency %vus, want > 0", r.MeanUs)
+				}
+			})
 		}
 	}
 }
