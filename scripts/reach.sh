@@ -9,8 +9,9 @@
 #   bash scripts/reach.sh
 #
 # The traffic is `svtbench -all -quick`; every svtsim command CI runs;
-# each workload x mode x port; a traced load-balancer run and a traced,
-# metered fault run with a delay site; every example; svtsimd driven by
+# each workload x mode x port; density on hosts without SMT; a traced
+# load-balancer run, a traced, metered fault run with a delay site and a
+# run whose first reflection falls back; every example; svtsimd driven by
 # examples/serve and `svtsim -submit`; each bench workload for one
 # second, and one traced bench run. A fresh temporary directory keeps
 # the binaries, the raw counters and the merged profile, cover.out,
@@ -93,6 +94,10 @@ for p in x86 armlike; do
 	quiet "$sim" -port=$p -check 10 -check-seed 1
 	quiet "$sim" -port=$p -host 1x2x2 -vms 3 -density -slo 500 -parallel=1
 done
+# Hosts without SMT: SW-SVt gangs land on idle contexts of distinct cores
+# of one socket, or of distinct sockets.
+quiet "$sim" -host 1x4x1 -vms 3 -density -slo 500
+quiet "$sim" -host 2x1x1 -vms 2 -density -slo 500
 
 echo "reach: svtsim, each workload x mode x port" >&2
 for p in x86 armlike; do
@@ -109,6 +114,11 @@ quiet "$sim" -workload cpuid -mode sw-svt -fault-seed 7 \
 	-faults 'swsvt/ring-push:rate=0.2,drop,delay=1us;swsvt/ring-pop:rate=0.2,drop,delay=1us'
 quiet "$sim" -workload diskrd -mode sw-svt -faults 'apic/irq:rate=0.5,delay=20us,jitter=10us' \
 	-trace fault-trace.json -metrics fault-metrics.csv
+# The first reflection falls back before the SVt-thread has ever run.
+for p in x86 armlike; do
+	quiet "$sim" -port=$p -workload netrr -mode sw-svt -n 50 \
+		-faults 'swsvt/wakeup:every=1,limit=4,drop'
+done
 
 echo "reach: examples" >&2
 for d in "$root"/examples/*/; do
