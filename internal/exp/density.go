@@ -27,8 +27,9 @@ import (
 // that storms and the load balancer share. Phase 1 simulates each VM's
 // workload uncontended on its own machine, with the scheduler-chosen
 // placement class feeding the SW-SVt cost model; these runs are
-// independent, so they fan out on the worker pool and are cached per
-// (workload class, size, placement). Phase 2 replays all VMs' execution
+// independent, so they fan out on the worker pool and are memoized on
+// the session per (mode, workload class, size, placement) until SetPort,
+// SetFaults or SetObs drops the memo. Phase 2 replays all VMs' execution
 // demands on the shared host engine (host.Scheduler.ReplayStorm):
 // quantum-based CPU sharing, SMT sibling interference from the
 // mwaiting SVt-threads, periodic migrations with cross-core reschedule
@@ -107,7 +108,7 @@ func (r DensityResult) SummaryLine() string {
 
 // vmRun is one VM's phase-1 (uncontended) measurement; an lb backend's
 // latUs are its per-request service samples. It is immutable once
-// computed, so a cache hit hands the same value to every VM it serves.
+// computed: the session memo hands it to every VM and call it serves.
 type vmRun struct {
 	latUs []float64
 	ops   float64
@@ -120,31 +121,32 @@ type vmRun struct {
 	imageBytes int
 }
 
-// vmKey identifies a cacheable phase-1 run. The cpuid, netrr and lb
+// vmKey identifies a memoizable phase-1 run. The cpuid, netrr and lb
 // workloads depend on the VM index only through the size class (i%4),
-// so any two such VMs with equal class, size, and placement share one
-// run; memcached VMs draw per-index RNG streams and stay keyed by index.
+// so VMs with equal mode, class, size, and placement share one run;
+// memcached VMs draw per-index RNG streams and stay keyed by index.
 type vmKey struct {
+	mode  hv.Mode
 	class string
 	size  int
 	vm    int // -1 for shareable classes
 	place swsvt.Placement
 }
 
-func densityKey(i int, place swsvt.Placement) vmKey {
-	k := vmKey{class: densityWorkloadName(i), size: i % 4, vm: -1, place: place}
+func densityKey(mode hv.Mode, i int, place swsvt.Placement) vmKey {
+	k := vmKey{mode: mode, class: densityWorkloadName(i), size: i % 4, vm: -1, place: place}
 	if k.class == "memcached" {
 		k.vm = i
 	}
 	return k
 }
 
-// vmCache memoizes phase-1 runs across packing levels and VM indices:
-// a sweep over k simulates each distinct key once and reuses its vmRun
-// for every other VM, instead of resimulating O(k²) machines. Duplicate
-// concurrent computes are harmless — both produce the identical value.
-// The sims/reuses counters are exact only under a serial pool. The zero
-// value is an empty cache.
+// vmCache is a session's phase-1 memo: each distinct key is simulated
+// once and its vmRun reused by every VM and call, instead of O(k²)
+// machines per sweep. The key space bounds it (a few hundred floats per
+// entry). Duplicate concurrent computes are harmless — both produce the
+// identical value. The sims/reuses counters are exact only under a
+// serial pool.
 type vmCache struct {
 	mu     sync.Mutex
 	m      map[vmKey]vmRun
@@ -165,9 +167,6 @@ func (c *vmCache) get(key vmKey, run func() vmRun) vmRun {
 	}
 	r = run()
 	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[vmKey]vmRun)
-	}
 	c.m[key] = r
 	c.sims++
 	c.mu.Unlock()
@@ -193,11 +192,10 @@ func densityWorkloadName(i int) string {
 // operation count once the machine has run for total.
 type vmBuilder func(cfg machine.Config, i int, led *sim.Ledger) (m *machine.Machine, io *machine.IOStack, measure func(total sim.Time) ([]float64, float64))
 
-// runVM simulates VM i uncontended with the given SVt-thread placement
-// class and reads its demand off the ledger. A sized VM also measures
-// its migration image before teardown; storms price transfers from it.
-func (s *Session) runVM(mode hv.Mode, i int, place swsvt.Placement, build vmBuilder, sized bool) vmRun {
-	cfg := s.config(mode)
+// runVM simulates VM i uncontended on cfg with placement class place
+// and reads its demand off the ledger. A sized VM also measures its
+// migration image before teardown; storms price transfers from it.
+func (s *Session) runVM(cfg machine.Config, i int, place swsvt.Placement, build vmBuilder, sized bool) vmRun {
 	cfg.Placement = place
 	led := &sim.Ledger{}
 	m, io, measure := build(cfg, i, led)
@@ -257,11 +255,12 @@ type fleet struct {
 // its engine, plus oplane when non-nil — before admission, so the
 // reschedule IPIs Admit sends are traced. The L0 scheduler then places
 // k gangs of mode's footprint (SW-SVt placement class falls out of the
-// topology occupancy), phase 1 runs each VM uncontended through run
-// (fanned out on the pool), and phase 2 replays their demands on the
-// shared host engine with plan's storm (nil for none) overlaid.
-func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fault.Spec, oplane *obs.Plane, run func(i int, place swsvt.Placement) vmRun) fleet {
-	h, err := host.New(s.Topology(), s.Port())
+// topology occupancy), phase 1 serves each VM's key from the session
+// memo, running build uncontended on a miss (fanned out on the pool),
+// and phase 2 replays their demands with plan's storm (nil for none).
+func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fault.Spec, oplane *obs.Plane, key func(hv.Mode, int, swsvt.Placement) vmKey, build vmBuilder, sized bool) fleet {
+	cfg, memo := s.phase1(mode)
+	h, err := host.New(s.Topology(), cfg.Port)
 	if err != nil {
 		panic("exp: " + err.Error())
 	}
@@ -277,7 +276,8 @@ func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fau
 		f.assigns[i] = h.Sched.Admit(i, mode.Threads())
 	}
 	f.runs = parallel.MapN(s.Parallelism(), k, func(i int) vmRun {
-		return run(i, f.assigns[i].Place)
+		place := f.assigns[i].Place
+		return memo.get(key(mode, i, place), func() vmRun { return s.runVM(cfg, i, place, build, sized) })
 	})
 	demands := make([]host.Demand, k)
 	for i, r := range f.runs {
@@ -296,18 +296,14 @@ func (s *Session) packFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fau
 // Consolidation packs k nested VMs onto the session's topology in one
 // mode and measures them under contention (one DensitySweep point).
 func (s *Session) Consolidation(mode hv.Mode, k int) DensityPoint {
-	return s.densityFleet(mode, k, &vmCache{}, nil, nil).point(mode)
+	return s.densityFleet(mode, k, nil, nil).point(mode)
 }
 
-// densityFleet packs k density VMs, serving phase 1 through cache, with
-// an optional migration storm and fault spec (armed on the host engine,
-// so migrate/* and apic/ipi sites fire during the storm).
-func (s *Session) densityFleet(mode hv.Mode, k int, cache *vmCache, plan *host.StormPlan, spec *fault.Spec) fleet {
-	return s.packFleet(mode, k, plan, spec, nil, func(i int, place swsvt.Placement) vmRun {
-		return cache.get(densityKey(i, place), func() vmRun {
-			return s.runVM(mode, i, place, buildDensityVM, true)
-		})
-	})
+// densityFleet packs k density VMs with an optional migration storm and
+// fault spec (armed on the host engine, so migrate/* and apic/ipi sites
+// fire during the storm).
+func (s *Session) densityFleet(mode hv.Mode, k int, plan *host.StormPlan, spec *fault.Spec) fleet {
+	return s.packFleet(mode, k, plan, spec, nil, densityKey, buildDensityVM, true)
 }
 
 // point reads a density fleet's DensityPoint: each VM's phase-1
@@ -357,7 +353,7 @@ func (s *Session) DensitySweep(modes []hv.Mode, kmax int, sloUs float64) []Densi
 
 // DensitySweepContext is DensitySweep with cancellation checked and
 // progress reported between packing levels. The levels of one mode run
-// in order, sharing the mode's phase-1 cache; each level fans its VMs
+// in order, sharing the session's phase-1 memo; each level fans its VMs
 // out on the session's pool.
 func (s *Session) DensitySweepContext(ctx context.Context, modes []hv.Mode, kmax int, sloUs float64, pr ProgressFunc) ([]DensityResult, error) {
 	topo := s.Topology()
@@ -369,12 +365,11 @@ func (s *Session) DensitySweepContext(ctx context.Context, modes []hv.Mode, kmax
 	out := make([]DensityResult, len(modes))
 	for mi, mode := range modes {
 		res := DensityResult{Mode: mode, Topo: topo, SLOUs: sloUs}
-		cache := &vmCache{}
 		for k := 1; k <= kmax; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			pt := s.densityFleet(mode, k, cache, nil, nil).point(mode)
+			pt := s.densityFleet(mode, k, nil, nil).point(mode)
 			res.Points = append(res.Points, pt)
 			if pt.WorstP99Us <= sloUs {
 				res.MaxDensity = k

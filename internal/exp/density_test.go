@@ -52,7 +52,7 @@ func TestConsolidationSmoke(t *testing.T) {
 			}
 		}
 		if mode == hv.ModeSWSVt {
-			if place := s.densityFleet(mode, 1, &vmCache{}, nil, nil).assigns[0].Place; place != swsvt.PlaceSMT {
+			if place := s.densityFleet(mode, 1, nil, nil).assigns[0].Place; place != swsvt.PlaceSMT {
 				t.Errorf("sw-svt first gang placed %v, want SMT siblings on the empty host", place)
 			}
 		}
@@ -121,6 +121,7 @@ func TestSessionConfigRace(t *testing.T) {
 		{Mode: hv.ModeHWSVt, N: 50},
 	}
 	res := s.FaultSweepGrid(cells)
+	s.Consolidation(hv.ModeSWSVt, 3) // phase-1 memo reads race its resets
 	close(done)
 	wg.Wait()
 	if len(res) != len(cells) {

@@ -173,6 +173,11 @@ func buildLBVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *m
 	return m, io, func(sim.Time) ([]float64, float64) { return svcUs, float64(len(svcUs)) }
 }
 
+// lbKey is a backend's phase-1 memo key: its size class and placement.
+func lbKey(mode hv.Mode, i int, place swsvt.Placement) vmKey {
+	return vmKey{mode: mode, class: "lb", size: i % 4, vm: -1, place: place}
+}
+
 // lbFaultSpec is the default injection for the "faults" scenario when
 // the session has none armed: seeded segment loss on the wire.
 func lbFaultSpec(seed int64) *fault.Spec {
@@ -188,10 +193,6 @@ func lbFaultSpec(seed int64) *fault.Spec {
 // migration storm), faults (steady + net/segment loss). sloUs <= 0
 // defaults to 1000 µs.
 func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64) LBResult {
-	return s.loadBalancer(mode, k, scenario, seed, sloUs, &vmCache{})
-}
-
-func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64, sloUs float64, cache *vmCache) LBResult {
 	if !slices.Contains(LBScenarios(), scenario) {
 		panic(fmt.Sprintf("exp: unknown lb scenario %q (want one of %v)", scenario, LBScenarios()))
 	}
@@ -227,11 +228,7 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	if scenario == "storm" {
 		plan = BuildStormPlan(k, max(k, 3), seed, 5, 60, 4)
 	}
-	f := s.packFleet(mode, k, plan, spec, oplane, func(i int, place swsvt.Placement) vmRun {
-		return cache.get(vmKey{class: "lb", size: i % 4, vm: -1, place: place}, func() vmRun {
-			return s.runVM(mode, i, place, buildLBVM, false)
-		})
-	})
+	f := s.packFleet(mode, k, plan, spec, oplane, lbKey, buildLBVM, false)
 	h, assigns, runs, res := f.h, f.assigns, f.runs, f.res
 
 	// Balancer placement: the context with the fewest admitted backend
@@ -253,16 +250,13 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	// Phase 2b: the open-loop spray on the host engine. Each backend's
 	// service is its phase-1 samples dilated by the replay's contention
 	// slowdown; the fleet capacity those imply sets the offered rates.
-	sp := &lbSpray{
-		h: h, balCtx: balCtx,
-		slow:   make([]float64, k),
-		pauses: make([][][2]sim.Time, k),
-	}
+	sp := &lbSpray{h: h, balCtx: balCtx, backends: make([]*lbBackend, k)}
 	var capRPS float64
 	for i, r := range runs {
-		sp.slow[i] = max(res.VMs[i].Slowdown, 1)
+		b := &lbBackend{ctx: assigns[i].Ctxs[0], svc: r.latUs, slow: max(res.VMs[i].Slowdown, 1)}
+		sp.backends[i] = b
 		if m := stats.Mean(r.latUs); m > 0 {
-			capRPS += 1e6 / (m * sp.slow[i])
+			capRPS += 1e6 / (m * b.slow)
 		}
 	}
 	dur := 4 * sim.Millisecond
@@ -288,9 +282,9 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 			continue
 		}
 		at := t0 + rec.At%dur
-		sp.pauses[rec.VM] = append(sp.pauses[rec.VM], [2]sim.Time{at, at + rec.Downtime})
+		sp.backends[rec.VM].pauses = append(sp.backends[rec.VM].pauses, [2]sim.Time{at, at + rec.Downtime})
 	}
-	sp.run(assigns, runs, spec2, t0, dur, oplane)
+	sp.run(spec2, t0, dur, oplane)
 
 	// Assemble the cell.
 	out := LBResult{
@@ -330,13 +324,12 @@ func (s *Session) loadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	return out
 }
 
-// lbSpray is the phase-2b state: balancer-side and backend-side flows,
-// per-backend fluid service queues, and the latency record.
+// lbSpray is the phase-2b state: one record per backend VM, the
+// balancer-side and backend-side stacks, and the latency record.
 type lbSpray struct {
-	h      *host.Host
-	balCtx host.CtxID
-	slow   []float64
-	pauses [][][2]sim.Time // per-VM storm pause windows
+	h        *host.Host
+	balCtx   host.CtxID
+	backends []*lbBackend
 
 	stacks  []*netstack.Stack
 	offered uint64
@@ -344,29 +337,41 @@ type lbSpray struct {
 	doneAt  []sim.Time
 }
 
-func (sp *lbSpray) run(assigns []host.Assignment, runs []vmRun, tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
+// lbBackend is all of one backend VM's phase-2b state: its service
+// samples, slowdown and storm pauses, its queue, and both ends of its
+// flow (the balancer side's pending send times are requests in flight).
+type lbBackend struct {
+	ctx    host.CtxID
+	svc    []float64 // phase-1 service samples (us), shared with the memo
+	slow   float64
+	pauses [][2]sim.Time
+
+	fl        *netstack.Flow
+	rx        int
+	busyUntil sim.Time
+	svcIdx    int
+	qdepth    int
+
+	balFl   *netstack.Flow
+	balRx   int
+	pending []sim.Time
+}
+
+// afterPauses advances a service start time past any of b's storm
+// pause windows it lands in.
+func (b *lbBackend) afterPauses(t sim.Time) sim.Time {
+	for _, p := range b.pauses {
+		if t >= p[0] && t < p[1] {
+			t = p[1]
+		}
+	}
+	return t
+}
+
+func (sp *lbSpray) run(tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
 	h := sp.h
 	eng := h.Eng
-
-	// backend is one VM's service queue and both ends of its flow: the
-	// backend side (set on passive open) and the balancer side, whose
-	// pending send times are the requests still outstanding.
-	type backend struct {
-		ctx       host.CtxID
-		fl        *netstack.Flow
-		rx        int
-		busyUntil sim.Time
-		svcIdx    int
-		qdepth    int
-
-		balFl   *netstack.Flow
-		balRx   int
-		pending []sim.Time
-	}
-	backends := make([]*backend, len(assigns))
-	for j := range backends {
-		backends[j] = &backend{ctx: assigns[j].Ctxs[0]}
-	}
+	backends := sp.backends
 
 	var flowLabel obs.Label
 	if oplane != nil {
@@ -378,22 +383,10 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []vmRun, tspec traffic.Sp
 		}
 	}
 
-	// shiftPauses advances a service start time past any of the
-	// backend's storm pause windows it lands in.
-	shiftPauses := func(vm int, t sim.Time) sim.Time {
-		for _, p := range sp.pauses[vm] {
-			if t >= p[0] && t < p[1] {
-				t = p[1]
-			}
-		}
-		return t
-	}
-
 	setup := func() {
 		for j, b := range backends {
 			cBal, cBk := netstack.NewPipe(eng, h.IPILatency(sp.balCtx, b.ctx)+lbWireLat)
 			bkSt := netstack.New(eng, cBk, netstack.Params{})
-			svc := runs[j].latUs
 			bkSt.OnFlow = func(f *netstack.Flow) {
 				b.fl = f
 				f.OnData = func(p []byte) {
@@ -407,13 +400,13 @@ func (sp *lbSpray) run(assigns []host.Assignment, runs []vmRun, tspec traffic.Sp
 						if b.busyUntil > start {
 							start = b.busyUntil
 						}
-						start = shiftPauses(j, start)
+						start = b.afterPauses(start)
 						us := 1.0
-						if len(svc) > 0 {
-							us = svc[b.svcIdx%len(svc)]
+						if len(b.svc) > 0 {
+							us = b.svc[b.svcIdx%len(b.svc)]
 						}
 						b.svcIdx++
-						b.busyUntil = start + sim.Time(us*sp.slow[j]*1000)
+						b.busyUntil = start + sim.Time(us*b.slow*1000)
 						b.qdepth++
 						eng.At(b.busyUntil, func() {
 							b.qdepth--

@@ -25,6 +25,9 @@ import (
 // state. Every experiment is a method on Session, and a Session is the
 // only way to run one.
 //
+// A session memoizes its fleet experiments' phase-1 VM runs across calls;
+// SetPort, SetFaults and SetObs change those runs' inputs and drop them.
+//
 // All accessors are safe to call concurrently with experiment runs on
 // the parallel pool: configuration reads and writes share one mutex.
 type Session struct {
@@ -35,6 +38,7 @@ type Session struct {
 	workers int
 	topo    host.Topology
 	port    ports.Port
+	memo    *vmCache // phase-1 runs under port, faults and obsOpts; nil when empty
 }
 
 // NewSession returns a session with the calibrated defaults: no faults,
@@ -52,7 +56,7 @@ func (s *Session) SetPort(p ports.Port) {
 		p = x86port.Port()
 	}
 	s.mu.Lock()
-	s.port = p
+	s.port, s.memo = p, nil
 	s.mu.Unlock()
 }
 
@@ -67,7 +71,7 @@ func (s *Session) Port() ports.Port {
 // machines assembled by this session's subsequent experiment runs.
 func (s *Session) SetFaults(spec *fault.Spec) {
 	s.mu.Lock()
-	s.faults = spec
+	s.faults, s.memo = spec, nil
 	s.mu.Unlock()
 }
 
@@ -83,8 +87,7 @@ func (s *Session) faultSpec() *fault.Spec {
 // results — the plane only records, it never charges virtual time.
 func (s *Session) SetObs(o *obs.Options) {
 	s.mu.Lock()
-	s.obsOpts = o
-	s.obsLast = nil
+	s.obsOpts, s.obsLast, s.memo = o, nil, nil
 	s.mu.Unlock()
 }
 
@@ -142,16 +145,26 @@ func (s *Session) Topology() host.Topology {
 // defaults for the session's port plus whatever fault plane and
 // observability are armed.
 func (s *Session) config(mode hv.Mode) machine.Config {
+	cfg, _ := s.phase1(mode)
+	return cfg
+}
+
+// phase1 returns config(mode) and the phase-1 memo in one s.mu section,
+// so a memo never serves a run computed under another configuration.
+func (s *Session) phase1(mode hv.Mode) (machine.Config, *vmCache) {
 	cfg := machine.DefaultConfig(mode)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.port != nil {
 		cfg.Port = s.port
 		cfg.Costs = s.port.Costs()
 	}
 	cfg.Faults = s.faults
 	cfg.Obs = s.obsOpts
-	s.mu.Unlock()
-	return cfg
+	if s.memo == nil {
+		s.memo = &vmCache{m: make(map[vmKey]vmRun)}
+	}
+	return cfg, s.memo
 }
 
 // publishObs makes p, when non-nil, the session's latest plane.

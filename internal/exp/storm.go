@@ -81,7 +81,7 @@ func BuildStormPlan(k, storms int, seed int64, first, span, fails int) *host.Sto
 // each with 0..4 forced failures. The session's fault spec is armed on
 // the host engine, so migrate/* and apic/ipi sites fire mid-storm.
 func (s *Session) MigrationStorm(mode hv.Mode, k, storms int, seed int64) StormResult {
-	f := s.densityFleet(mode, k, &vmCache{}, BuildStormPlan(k, storms, seed, 50, 2000, 5), s.faultSpec())
+	f := s.densityFleet(mode, k, BuildStormPlan(k, storms, seed, 50, 2000, 5), s.faultSpec())
 	pt, res := f.point(mode), f.res
 	r := StormResult{
 		Mode: mode, K: k, Storms: storms, Seed: seed,

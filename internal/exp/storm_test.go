@@ -7,6 +7,8 @@ import (
 
 	"svtsim/internal/fault"
 	"svtsim/internal/hv"
+	"svtsim/internal/obs"
+	"svtsim/internal/ports"
 )
 
 // TestMigrationStormDeterministicAcrossPool: the storm table built on a
@@ -103,52 +105,52 @@ func TestMigrationStormArmedFaultsFire(t *testing.T) {
 	}
 }
 
-// TestPhase1CacheReuse: density sweeps and load-balancer cells share
-// one phase-1 cache. Across repeated fleets it serves most VMs from
-// cached runs instead of cold simulations, and a cache-served result is
-// bit-identical to a cold one.
+// TestPhase1CacheReuse: density fleets and load-balancer cells share
+// the session's phase-1 memo. Across repeated fleets it serves most VMs
+// from memoized runs instead of cold simulations, and a memo-served
+// result is bit-identical to a fresh session's.
 func TestPhase1CacheReuse(t *testing.T) {
 	const k = 8
 	cases := []struct {
 		name    string
 		lookups uint64
-		// run drives the cached fleets and returns the last result
-		// alongside the same result computed cold.
-		run     func(s *Session, c *vmCache) (cached, cold any)
+		// warm drives the earlier fleets; last is the final call, made
+		// once on the warmed session and once on a fresh one.
+		warm    func(s *Session)
+		last    func(s *Session) any
 		classes []string
 		sized   bool // whether runs carry a migration-image size
 	}{
-		{"density", k * (k + 1) / 2, func(s *Session, c *vmCache) (any, any) {
-			var last DensityPoint
-			for n := 1; n <= k; n++ {
-				last = s.densityFleet(hv.ModeSWSVt, n, c, nil, nil).point(hv.ModeSWSVt)
+		{"density", k * (k + 1) / 2, func(s *Session) {
+			for n := 1; n < k; n++ {
+				s.Consolidation(hv.ModeSWSVt, n)
 			}
-			return last, s.Consolidation(hv.ModeSWSVt, k)
-		}, []string{"cpuid", "netrr", "memcached"}, true},
-		{"lb", 2 * k, func(s *Session, c *vmCache) (any, any) {
-			s.loadBalancer(hv.ModeSWSVt, k, "steady", 42, 1000, c)
-			last := s.loadBalancer(hv.ModeSWSVt, k, "storm", 42, 1000, c)
-			return last, s.LoadBalancer(hv.ModeSWSVt, k, "storm", 42, 1000)
-		}, []string{"lb"}, false},
+		}, func(s *Session) any { return s.Consolidation(hv.ModeSWSVt, k) },
+			[]string{"cpuid", "netrr", "memcached"}, true},
+		{"lb", 2 * k, func(s *Session) {
+			s.LoadBalancer(hv.ModeSWSVt, k, "steady", 42, 1000)
+		}, func(s *Session) any { return s.LoadBalancer(hv.ModeSWSVt, k, "storm", 42, 1000) },
+			[]string{"lb"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewSession()
 			s.SetParallelism(1) // sims/reuses are exact only under a serial pool
-			cache := &vmCache{}
-			cached, cold := tc.run(s, cache)
-			if total := cache.sims + cache.reuses; total != tc.lookups {
-				t.Fatalf("cache saw %d lookups, want %d", total, tc.lookups)
+			tc.warm(s)
+			cached := tc.last(s)
+			memo := s.memo
+			if total := memo.sims + memo.reuses; total != tc.lookups {
+				t.Fatalf("memo saw %d lookups, want %d", total, tc.lookups)
 			}
-			if cache.reuses == 0 {
-				t.Fatal("never reused a cached run")
+			if memo.reuses == 0 {
+				t.Fatal("never reused a memoized run")
 			}
-			if !reflect.DeepEqual(cold, cached) {
-				t.Fatalf("cache-served result diverges from cold run:\n%+v\nvs\n%+v", cached, cold)
+			if cold := tc.last(NewSession()); !reflect.DeepEqual(cold, cached) {
+				t.Fatalf("memo-served result diverges from a fresh session's:\n%+v\nvs\n%+v", cached, cold)
 			}
 			for _, class := range tc.classes {
 				found := false
-				for key, r := range cache.m {
+				for key, r := range memo.m {
 					if key.class == class {
 						found = true
 						if sized := r.imageBytes > 0; sized != tc.sized {
@@ -157,8 +159,92 @@ func TestPhase1CacheReuse(t *testing.T) {
 					}
 				}
 				if !found {
-					t.Errorf("no %s run cached", class)
+					t.Errorf("no %s run memoized", class)
 				}
+			}
+		})
+	}
+}
+
+// TestPhase1MemoTransparent: one session running density, storm and
+// load-balancer experiments back to back, all served by one phase-1
+// memo across modes and calls, reports exactly what fresh sessions
+// report running one mode each, and simulates every distinct VM once.
+func TestPhase1MemoTransparent(t *testing.T) {
+	fresh := func() *Session {
+		s := NewSession()
+		if err := s.SetTopology(testTopo2x2x2()); err != nil {
+			t.Fatal(err)
+		}
+		s.SetParallelism(1) // sims are exact only under a serial pool
+		return s
+	}
+	steps := []struct {
+		name string
+		run  func(s *Session, modes []hv.Mode) any
+	}{
+		{"density", func(s *Session, modes []hv.Mode) any { return s.DensitySweep(modes, 4, 500) }},
+		{"storm", func(s *Session, modes []hv.Mode) any { return s.StormTable(modes, 4, 6, 42) }},
+		{"lb steady", func(s *Session, modes []hv.Mode) any { return s.LoadBalancerTable(modes, 3, "steady", 42, 1000) }},
+		{"lb storm", func(s *Session, modes []hv.Mode) any { return s.LoadBalancerTable(modes, 3, "storm", 42, 1000) }},
+	}
+	s := fresh()
+	for _, st := range steps {
+		got := st.run(s, AllModes())
+		want := reflect.MakeSlice(reflect.TypeOf(got), 0, 0)
+		for _, m := range AllModes() {
+			want = reflect.AppendSlice(want, reflect.ValueOf(st.run(fresh(), []hv.Mode{m})))
+		}
+		if !reflect.DeepEqual(got, want.Interface()) {
+			t.Errorf("%s on a shared session diverges from fresh sessions:\n%+v\nvs\n%+v", st.name, got, want)
+		}
+	}
+	if s.memo.sims != uint64(len(s.memo.m)) {
+		t.Errorf("memo simulated %d runs for %d distinct keys", s.memo.sims, len(s.memo.m))
+	}
+	if s.memo.reuses == 0 {
+		t.Error("no call reused another's phase-1 run")
+	}
+}
+
+// TestPhase1MemoDroppedBySetters: SetFaults, SetPort and SetObs change
+// what a phase-1 machine is built from, so each drops the memo: a run
+// after the setter matches a fresh session configured the same way,
+// never the memoized runs of the old configuration.
+func TestPhase1MemoDroppedBySetters(t *testing.T) {
+	armlike, err := ports.Parse("armlike")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mode, k = hv.ModeSWSVt, 3
+	setters := []struct {
+		name string
+		set  func(s *Session)
+	}{
+		{"SetFaults", func(s *Session) {
+			s.SetFaults(&fault.Spec{Seed: 3, Sites: []fault.SiteConfig{
+				{Site: fault.SiteSVtWakeup, Rate: 0.05, Drop: true},
+			}})
+		}},
+		{"SetPort", func(s *Session) { s.SetPort(armlike) }},
+		{"SetObs", func(s *Session) { s.SetObs(&obs.Options{}) }},
+	}
+	for _, st := range setters {
+		t.Run(st.name, func(t *testing.T) {
+			s := NewSession()
+			before := s.Consolidation(mode, k)
+			st.set(s)
+			got := s.Consolidation(mode, k)
+			ref := NewSession()
+			st.set(ref)
+			if want := ref.Consolidation(mode, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("run after %s diverges from a fresh session's:\n%+v\nvs\n%+v", st.name, got, want)
+			}
+			switch {
+			case st.name == "SetObs" && s.LastObs() == nil:
+				t.Error("no phase-1 machine ran under the armed plane")
+			case st.name != "SetObs" && reflect.DeepEqual(got, before):
+				t.Errorf("%s left the fleet unchanged; the test cannot tell a stale memo", st.name)
 			}
 		})
 	}

@@ -327,9 +327,6 @@ func (s *Scheduler) ReplayStorm(demands []Demand, plan *StormPlan) ReplayResult 
 		asg = make([]Assignment, len(demands))
 		for i := range demands {
 			asg[i] = Assignment{VM: i, Ctxs: append([]CtxID(nil), demands[i].Ctxs...)}
-			if len(asg[i].Ctxs) > 1 {
-				asg[i].Place = t.PlacementOf(asg[i].Ctxs[0], asg[i].Ctxs[1])
-			}
 		}
 	}
 

@@ -4,8 +4,8 @@ package server
 // exact bytes the cold run produced (result body plus rendered
 // artifacts). Entries are immutable after insertion, so readers hold no
 // lock while serving; the map+list under one mutex implement plain LRU
-// over a byte budget. This generalizes the phase-1 memoization the
-// density sweep proved in-process (exp.vmCache) to the serving tier:
+// over a byte budget. This generalizes the phase-1 memoization each
+// experiment session keeps in-process (exp.vmCache) to the serving tier:
 // determinism makes a simulation's output a pure function of its
 // request, so "have I run this before" is just a map lookup.
 

@@ -176,7 +176,10 @@ func (s *Server) runJob(j *job) {
 	}()
 
 	// The result enters the cache before the job leaves s.inflight, so
-	// admission always finds a finished digest in one or the other.
+	// admission always finds a finished digest in one or the other. One
+	// s.mu section turns the job terminal and retires it, so no client
+	// sees it terminal while later jobs retire ahead of it.
+	s.mu.Lock()
 	switch {
 	case err == nil:
 		s.cache.Put(j.digest, entry.body, entry.artifacts)
@@ -186,7 +189,6 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.finish(StateFailed, nil, err.Error())
 	}
-	s.mu.Lock()
 	if s.inflight[j.digest] == j {
 		delete(s.inflight, j.digest)
 	}

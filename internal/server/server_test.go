@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -637,6 +639,45 @@ func TestJobTableBounded(t *testing.T) {
 	s.mu.Unlock()
 	if n != keepJobs {
 		t.Errorf("job table holds %d jobs after %d terminal ones, want %d", n, keepJobs+2, keepJobs)
+	}
+}
+
+// TestJobTerminalOnlyOnceRetired: a job turns terminal in the same s.mu
+// section that retires it. While the test holds s.mu, a job whose run
+// has returned (here failed by its hook) must still read running; once
+// s.mu is free it is terminal and on the retired list. Otherwise a client could see a
+// cold job done while later cache hits retire ahead of it, and the
+// job-table bound would forget the wrong job first.
+func TestJobTerminalOnlyOnceRetired(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	s, c := newTestServer(t, Config{Workers: 1})
+	s.runHook = func(ctx context.Context, req *Request) error {
+		close(entered)
+		<-release
+		return errors.New("stop before simulating")
+	}
+	sub, err := c.Submit(context.Background(), smallStorm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	j := s.jobByID(sub.ID)
+	s.mu.Lock()
+	close(release)
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); {
+		if st := j.snapshot().State; st != StateRunning {
+			s.mu.Unlock()
+			t.Fatalf("job %s turned %s while s.mu was held, before it could retire", sub.ID, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Unlock()
+	c.Stream(context.Background(), sub.ID, nil) // the job's error ends the stream
+	s.mu.Lock()
+	retired := slices.Contains(s.retired, sub.ID)
+	s.mu.Unlock()
+	if st := j.snapshot().State; st != StateFailed || !retired {
+		t.Fatalf("job %s: state %s, retired %v; want failed and retired", sub.ID, st, retired)
 	}
 }
 
