@@ -43,7 +43,6 @@ func main() {
 		env.Blk.Read(64, readBack)
 	})
 	m.Run()
-	defer m.Shutdown()
 
 	snap := svtsim.CaptureSnapshot(m, io)
 	fmt.Printf("  captured %d sections, %d bytes, digest %#016x\n",

@@ -198,7 +198,6 @@ func RunSchedule(s *Schedule, mode hv.Mode, opts *RunOpts) Outcome {
 		}()
 		m.Run()
 	}()
-	m.Shutdown()
 
 	out.Completed = out.Panic == "" && it.finished && !m.L0.DeadlockDetected
 	out.OpDigest = it.dig

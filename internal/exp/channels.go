@@ -37,7 +37,6 @@ func (s *Session) ChannelStudy(n int, workloads []sim.Time) []ChannelPoint {
 		m := machine.NewNested(cfg)
 		m.SetL2Workload(&cpuidLoop{n: n, compute: wl})
 		s.run(m)
-		m.Shutdown()
 		return ChannelPoint{
 			Policy:    pol,
 			Placement: place,

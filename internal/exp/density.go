@@ -194,7 +194,7 @@ type vmBuilder func(cfg machine.Config, i int, led *sim.Ledger) (m *machine.Mach
 
 // runVM simulates VM i uncontended on cfg with placement class place
 // and reads its demand off the ledger. A sized VM also measures its
-// migration image before teardown; storms price transfers from it.
+// migration image after the run; storms price transfers from it.
 func (s *Session) runVM(cfg machine.Config, i int, place swsvt.Placement, build vmBuilder, sized bool) vmRun {
 	cfg.Placement = place
 	led := &sim.Ledger{}
@@ -204,7 +204,6 @@ func (s *Session) runVM(cfg machine.Config, i int, place swsvt.Placement, build 
 	if sized {
 		r.imageBytes = snapshot.Size(m, io)
 	}
-	m.Shutdown()
 	r.total = m.Now()
 	r.busy = led.Total()
 	if r.total > 0 {

@@ -70,7 +70,7 @@ func (s *Session) CPUIDNative(n int) CPUIDResult {
 func (s *Session) CPUIDSingleLevel(n int) CPUIDResult {
 	m := machine.NewSingleLevel(s.config(hv.ModeBaseline))
 	m.SetGuestWorkload(&cpuidLoop{n: n})
-	s.runSingle(m)
+	s.run(m)
 	return CPUIDResult{Label: "L1", PerOp: m.Now() / sim.Time(n)}
 }
 
@@ -90,14 +90,13 @@ func (s *Session) CPUIDNested(mode hv.Mode, n int) CPUIDResult {
 }
 
 // nestedCPUID runs n nested cpuids on a machine built from cfg, with
-// led (nil for none) accounting its time, and returns the shut-down
+// led (nil for none) accounting its time, and returns the finished
 // machine.
 func (s *Session) nestedCPUID(cfg machine.Config, n int, led *sim.Ledger) *machine.Machine {
 	m := machine.NewNested(cfg)
 	m.Eng.SetLedger(led)
 	m.SetL2Workload(&cpuidLoop{n: n})
 	s.run(m)
-	m.Shutdown()
 	return m
 }
 
@@ -159,7 +158,6 @@ func (s *Session) TraceNestedCPUID(mode hv.Mode, n, ring int) []TraceEntry {
 		defer annotatePanic(m)
 		m.Run()
 	}()
-	m.Shutdown()
 
 	tr := m.Obs.Tracer
 	// Exit spans on L1's vCPU for L2 are the guest hypervisor's own
@@ -195,12 +193,12 @@ type IOResult struct {
 	ExitStats *hv.Profile // L0's nested-exit profile
 }
 
-// netMachine builds a nested machine with the network stack and a peer
-// factory hook.
-func (s *Session) netMachine(mode hv.Mode) (*machine.Machine, *machine.IOStack) {
-	cfg := s.config(mode)
+// ioMachine builds a nested machine from cfg with the full I/O stack
+// wired and led (nil for none) accounting its time.
+func ioMachine(cfg machine.Config, led *sim.Ledger) (*machine.Machine, *machine.IOStack) {
 	io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
 	m := machine.NewNested(cfg)
+	m.Eng.SetLedger(led)
 	return m, io
 }
 
@@ -208,9 +206,7 @@ func (s *Session) netMachine(mode hv.Mode) (*machine.Machine, *machine.IOStack) 
 // transactions (1-byte requests) against an echoing peer, with led
 // attached (nil for none).
 func netRRMachine(cfg machine.Config, led *sim.Ledger, n int) (*machine.Machine, *machine.IOStack, *workload.NetRR) {
-	io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
-	m := machine.NewNested(cfg)
-	m.Eng.SetLedger(led)
+	m, io := ioMachine(cfg, led)
 	io.NIC.Peer = &netsim.EchoPeer{
 		Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
 		ServiceTime: 5 * sim.Microsecond, RespSize: 1,
@@ -225,7 +221,6 @@ func netRRMachine(cfg machine.Config, led *sim.Ledger, n int) (*machine.Machine,
 func (s *Session) NetLatency(mode hv.Mode, n int) IOResult {
 	m, _, w := netRRMachine(s.config(mode), nil, n)
 	s.run(m)
-	m.Shutdown()
 	sum, _ := stats.Summarize(w.Lat)
 	return IOResult{MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
 }
@@ -233,7 +228,7 @@ func (s *Session) NetLatency(mode hv.Mode, n int) IOResult {
 // NetBandwidth runs netperf TCP_STREAM (Figure 7 "Network bandwidth"):
 // 16 KB messages for the given duration; throughput measured at the peer.
 func (s *Session) NetBandwidth(mode hv.Mode, d sim.Time) IOResult {
-	m, io := s.netMachine(mode)
+	m, io := ioMachine(s.config(mode), nil)
 	peer := &netsim.AckPeer{
 		Back: io.LinkIn, Dst: io.NIC,
 		AckEvery: workload.StreamAckEvery, AckSize: 64,
@@ -244,7 +239,6 @@ func (s *Session) NetBandwidth(mode hv.Mode, d sim.Time) IOResult {
 	w := &workload.NetStream{Duration: d, MsgSize: 16 * 1024, Window: 2 << 20}
 	m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
-	m.Shutdown()
 	mbps := float64(peer.Received) * 8 / d.Seconds() / 1e6
 	return IOResult{Mbps: mbps, ExitStats: &m.L0.NestedProf}
 }
@@ -252,14 +246,13 @@ func (s *Session) NetBandwidth(mode hv.Mode, d sim.Time) IOResult {
 // DiskLatency runs ioping (Figure 7 "Disk randrd/randwr latency"):
 // n synchronous 512-byte random accesses.
 func (s *Session) DiskLatency(mode hv.Mode, write bool, n int) IOResult {
-	m, io := s.netMachine(mode)
+	m, io := ioMachine(s.config(mode), nil)
 	w := &workload.DiskBench{
 		N: n, Size: 512, Write: write, Sectors: 1 << 20,
 		Rng: sim.NewRand(42), SMP: true,
 	}
 	m.InstallL2(io, false, true, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
-	m.Shutdown()
 	sum, _ := stats.Summarize(w.Lat)
 	return IOResult{MeanUs: sum.Mean, P50Us: sum.P50, P99Us: sum.P99, ExitStats: &m.L0.NestedProf}
 }
@@ -267,14 +260,13 @@ func (s *Session) DiskLatency(mode hv.Mode, write bool, n int) IOResult {
 // DiskBandwidth runs fio (Figure 7 "Disk randrd/randwr bandwidth"):
 // n synchronous 4 KB random accesses, reporting KB/s.
 func (s *Session) DiskBandwidth(mode hv.Mode, write bool, n int) IOResult {
-	m, io := s.netMachine(mode)
+	m, io := ioMachine(s.config(mode), nil)
 	w := &workload.DiskBench{
 		N: n, Size: 4096, Write: write, Sectors: 1 << 20,
 		Rng: sim.NewRand(43), SMP: true,
 	}
 	m.InstallL2(io, false, true, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
-	m.Shutdown()
 	return IOResult{KBs: w.ThroughputKBs(), ExitStats: &m.L0.NestedProf}
 }
 
@@ -290,9 +282,7 @@ type MemcachedResult struct {
 // for none). The client's arrival, key and request streams split from
 // one RNG seeded with seed.
 func memcachedMachine(cfg machine.Config, led *sim.Ledger, rate float64, d sim.Time, seed int64) (*machine.Machine, *machine.IOStack, *workload.MemcachedServer, *netsim.OpenLoopClient) {
-	io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
-	m := machine.NewNested(cfg)
-	m.Eng.SetLedger(led)
+	m, io := ioMachine(cfg, led)
 	srv := workload.DefaultMemcached(d + 100*sim.Millisecond)
 	m.InstallL2(io, true, false, func(env *guest.Env) { srv.Run(env) })
 
@@ -315,7 +305,6 @@ func memcachedMachine(cfg machine.Config, led *sim.Ledger, rate float64, d sim.T
 func (s *Session) Memcached(mode hv.Mode, rate float64, d sim.Time) MemcachedResult {
 	m, _, srv, client := memcachedMachine(s.config(mode), nil, rate, d, 7)
 	s.run(m)
-	m.Shutdown()
 	res := MemcachedResult{Served: srv.Served}
 	if len(client.Lat) > 0 {
 		res.AvgUs = stats.Mean(client.Lat)
@@ -326,11 +315,10 @@ func (s *Session) Memcached(mode hv.Mode, rate float64, d sim.Time) MemcachedRes
 
 // TPCC runs the §6.3.2 experiment for duration d, returning ktpm.
 func (s *Session) TPCC(mode hv.Mode, d sim.Time) float64 {
-	m, io := s.netMachine(mode)
+	m, io := ioMachine(s.config(mode), nil)
 	w := &workload.TPCC{Duration: d, Rng: sim.NewRand(17)}
 	m.InstallL2(io, false, true, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
-	m.Shutdown()
 	return w.KTpm()
 }
 
@@ -343,11 +331,10 @@ type VideoResult struct {
 // VideoN runs the §6.3.3 video experiment at the given frame rate over
 // a chosen number of frames (the paper plays five minutes: fps*300).
 func (s *Session) VideoN(mode hv.Mode, fps, frames int) VideoResult {
-	m, io := s.netMachine(mode)
+	m, io := ioMachine(s.config(mode), nil)
 	w := workload.NewVideo(fps, sim.NewRand(23))
 	w.Frames = frames
 	m.InstallL2(io, false, true, func(env *guest.Env) { w.Run(env) })
 	s.run(m)
-	m.Shutdown()
 	return VideoResult{Dropped: w.Dropped, Played: w.Played}
 }

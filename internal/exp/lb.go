@@ -139,9 +139,7 @@ func buildLBVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *m
 	n := 40 + 10*size
 	svcCPU := sim.Time(8+2*size) * sim.Microsecond
 
-	io := machine.WireNestedIO(&cfg, machine.DefaultIOParams())
-	m := machine.NewNested(cfg)
-	m.Eng.SetLedger(led)
+	m, io := ioMachine(cfg, led)
 	m.InstallL2(io, true, false, func(env *guest.Env) { lbServe(m.Eng, env, n, svcCPU) })
 
 	// The L0 client's wire: transmit rides the inbound link to the NIC,

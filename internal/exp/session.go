@@ -177,21 +177,12 @@ func (s *Session) publishObs(p *obs.Plane) {
 	s.mu.Unlock()
 }
 
-// run executes a nested machine, stamping any panic with the seeds
-// needed to replay the failing run from its log line alone.
-func (s *Session) run(m *machine.Machine) *hv.Profile {
+// run executes a machine, stamping any panic with the seeds needed to
+// replay the failing run from its log line alone.
+func (s *Session) run(m *machine.Machine) {
 	defer annotatePanic(m)
-	p := m.Run()
+	m.Run()
 	s.publishObs(m.Obs)
-	return p
-}
-
-// runSingle is run for single-level machines.
-func (s *Session) runSingle(m *machine.Machine) *hv.Profile {
-	defer annotatePanic(m)
-	p := m.RunSingle()
-	s.publishObs(m.Obs)
-	return p
 }
 
 func annotatePanic(m *machine.Machine) {
@@ -199,7 +190,6 @@ func annotatePanic(m *machine.Machine) {
 	if r == nil {
 		return
 	}
-	m.Shutdown() // release the guest bodies still parked mid-run
 	faults, fseed := "none", int64(0)
 	if m.Faults != nil {
 		faults = m.Cfg.Faults.String()

@@ -14,7 +14,7 @@ import (
 )
 
 // warmDensityVM builds and runs density VM i (0 cpuid, 1 netrr, 2
-// memcached) on port p in mode, uncontended. The caller owns Shutdown.
+// memcached) on port p in mode, uncontended.
 func warmDensityVM(t *testing.T, p ports.Port, mode hv.Mode, i int) (*machine.Machine, *machine.IOStack) {
 	t.Helper()
 	s := NewSession()
@@ -39,7 +39,6 @@ func TestSizeMatchesCapture(t *testing.T) {
 				if got, want := snapshot.Size(m, nil), snapshot.Capture(m, nil).Bytes(); got != want {
 					t.Errorf("%s/%s/%s without I/O: Size %d, Capture bytes %d", p.Name(), mode, name, got, want)
 				}
-				m.Shutdown()
 			}
 		}
 	}
@@ -60,7 +59,6 @@ func TestSizeAllocBudget(t *testing.T) {
 		if sizeBytes*50 >= captureBytes {
 			t.Errorf("%s: Size allocated %d B, Capture %d B; want under 1/50", p.Name(), sizeBytes, captureBytes)
 		}
-		m.Shutdown()
 	}
 }
 

@@ -30,7 +30,6 @@ func portConfig(p ports.Port, mode hv.Mode) Config {
 func runCounted(t *testing.T, cfg Config, n int) (mallocs, exits uint64) {
 	t.Helper()
 	m := NewNested(cfg)
-	defer m.Shutdown()
 	m.SetL2Workload(&cpuidLoop{n: n})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -85,9 +84,8 @@ func TestNewNestedAllocBudget(t *testing.T) {
 			cfg := portConfig(p, mode)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			m := NewNested(cfg)
+			NewNested(cfg)
 			runtime.ReadMemStats(&after)
-			m.Shutdown()
 			got := after.TotalAlloc - before.TotalAlloc
 			t.Logf("%s/%s: NewNested allocated %d bytes", p.Name(), mode, got)
 			if got > budget {
@@ -103,7 +101,6 @@ func runReads(t *testing.T, cfg Config, size, n int) uint64 {
 	t.Helper()
 	io := WireNestedIO(&cfg, DefaultIOParams())
 	m := NewNested(cfg)
-	defer m.Shutdown()
 	done := 0
 	m.InstallL2(io, false, true, func(env *guest.Env) {
 		buf := make([]byte, size)
@@ -183,7 +180,6 @@ func runRR(t *testing.T, cfg Config, size, n int) uint64 {
 	t.Helper()
 	io := WireNestedIO(&cfg, DefaultIOParams())
 	m := NewNested(cfg)
-	defer m.Shutdown()
 	io.NIC.Peer = &netsim.EchoPeer{
 		Eng: m.Eng, Back: io.LinkIn, Dst: io.NIC,
 		ServiceTime: 5 * sim.Microsecond, RespSize: 64,
@@ -267,7 +263,6 @@ func bringUpNetDrivers(t *testing.T, cfg Config) (l1, l2 uint64) {
 		l1 = allocatedBy(func() { wire(m, h1, plat, port) })
 	}
 	m := NewNested(cfg)
-	defer m.Shutdown()
 	var err error
 	m.InstallL2(io, false, false, func(env *guest.Env) {
 		inL2 = true

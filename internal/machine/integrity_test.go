@@ -41,7 +41,6 @@ func TestNestedDiskDataIntegrity(t *testing.T) {
 				}
 			})
 			m.Run()
-			m.Shutdown()
 			if !bytes.Equal(readBack, pattern) {
 				t.Fatal("data corrupted through the nested stack")
 			}
@@ -81,7 +80,6 @@ func TestNestedNetworkDataIntegrity(t *testing.T) {
 				env.WaitFor(func() bool { return done })
 			})
 			m.Run()
-			m.Shutdown()
 			if !bytes.Equal(got, msg) {
 				t.Fatalf("echo mismatch: got %q want %q", got, msg)
 			}
@@ -101,7 +99,6 @@ func TestNestedExitMixForDiskIO(t *testing.T) {
 		}
 	})
 	m.Run()
-	m.Shutdown()
 	p := &m.L0.NestedProf
 	// Every nested disk op must show EPT_MISCONFIG (kick + intr-ack),
 	// interrupt traffic, and x2APIC writes in the nested profile.
@@ -157,7 +154,6 @@ func TestBlkPageCrossingRoundTrip(t *testing.T) {
 				}
 			})
 			m.Run()
-			m.Shutdown()
 			if !bytes.Equal(readBack, pattern) {
 				t.Fatal("page-crossing read returned different bytes")
 			}

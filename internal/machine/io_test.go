@@ -15,9 +15,9 @@ import (
 	"svtsim/internal/workload"
 )
 
-// runNetRR runs netperf TCP_RR on the full nested stack and shuts the
-// machine down.
-func runNetRR(mode hv.Mode, n int) (*workload.NetRR, *Machine) {
+// runNetRR runs netperf TCP_RR on the full nested stack; then, when
+// set, the L2 body calls after.
+func runNetRR(mode hv.Mode, n int, after func()) (*workload.NetRR, *Machine) {
 	cfg := DefaultConfig(mode)
 	io := WireNestedIO(&cfg, DefaultIOParams())
 	m := NewNested(cfg)
@@ -30,16 +30,20 @@ func runNetRR(mode hv.Mode, n int) (*workload.NetRR, *Machine) {
 		RespSize:    1,
 	}
 	w := &workload.NetRR{N: n, ReqSize: 1, TCPModel: true, SMP: true}
-	m.InstallL2(io, true, false, func(env *guest.Env) { w.Run(env) })
+	m.InstallL2(io, true, false, func(env *guest.Env) {
+		w.Run(env)
+		if after != nil {
+			after()
+		}
+	})
 	m.Run()
-	m.Shutdown()
 	return w, m
 }
 
 // netRRMachine is runNetRR checked for completion.
 func netRRMachine(t *testing.T, mode hv.Mode, n int) (*workload.NetRR, *Machine) {
 	t.Helper()
-	w, m := runNetRR(mode, n)
+	w, m := runNetRR(mode, n, nil)
 	if m.L0.DeadlockDetected {
 		t.Fatal("deadlock")
 	}
@@ -49,22 +53,33 @@ func netRRMachine(t *testing.T, mode hv.Mode, n int) (*workload.NetRR, *Machine)
 	return w, m
 }
 
-// TestShutdownReleasesGuestGoroutines: once a machine has run to
-// completion, Shutdown must unwind every native guest goroutine, wherever
-// it is parked, so a finished machine holds no goroutine (and no heap)
-// behind it. Machines run two at a time, as a width-2 sweep runs them:
-// a guest that has handed off its last exit but not yet parked on its
-// resume channel is then common at Shutdown.
-func TestShutdownReleasesGuestGoroutines(t *testing.T) {
+// TestRunReleasesGuestGoroutines: Run unwinds every native guest
+// goroutine before it returns, wherever the guest is parked, so a
+// finished machine holds no goroutine (and no heap) behind it. That
+// holds for a run whose L2 body panics too: the panic reaches Run's
+// caller unchanged, with L1's two vCPUs parked mid-run. Machines run
+// two at a time, as a width-2 sweep runs them: a guest that has handed
+// off its last exit but not yet parked on its resume channel is then
+// common when Run releases it.
+func TestRunReleasesGuestGoroutines(t *testing.T) {
 	start := runtime.NumGoroutine()
+	const planted = "planted L2 panic"
+	panicking := func() (r any) {
+		defer func() { r = recover() }()
+		runNetRR(hv.ModeSWSVt, 5, func() { panic(planted) })
+		return nil
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				runNetRR(hv.ModeSWSVt, 20)
+				runNetRR(hv.ModeSWSVt, 20, nil)
 				runCPUID(hv.ModeBaseline, 50)
+				if r := panicking(); r != planted {
+					t.Errorf("Run panicked with %v, want %q", r, planted)
+				}
 			}
 		}()
 	}
@@ -73,7 +88,7 @@ func TestShutdownReleasesGuestGoroutines(t *testing.T) {
 	for runtime.NumGoroutine() > start {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines left after Shutdown, started with %d:\n%s",
+			t.Fatalf("%d goroutines left after Run, started with %d:\n%s",
 				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)

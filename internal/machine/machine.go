@@ -445,14 +445,22 @@ func (m *Machine) SetL2Workload(w cpu.ProgramGuest) {
 	m.Ns.L2VCPU.Guest = w
 }
 
-// Run executes the machine until the L2 workload reports done (or the
-// simulation deadlocks). It returns the L0 hypervisor's profile.
-func (m *Machine) Run() *hv.Profile {
-	m.L0.RunLoop(m.VcpuL1)
-	return &m.L0.Prof
+// Run executes the machine until its workload reports done (or the
+// simulation deadlocks): the L1 vCPU of a nested machine, the guest vCPU
+// of a single-level one. Every guest body is released before Run
+// returns, whether it returns or panics, so a finished machine holds no
+// goroutine behind it.
+func (m *Machine) Run() {
+	defer m.Shutdown()
+	vc := m.VcpuL1
+	if vc == nil {
+		vc = m.VcpuGuest
+	}
+	m.L0.RunLoop(vc)
 }
 
-// Shutdown unwinds any parked native-guest goroutines.
+// Shutdown unwinds any parked native-guest goroutines. Run already
+// calls it; after Run it returns at once.
 func (m *Machine) Shutdown() {
 	if m.L1Guest != nil {
 		m.L1Guest.Kill()
@@ -507,9 +515,3 @@ func NewSingleLevel(cfg Config) *Machine {
 
 // SetGuestWorkload installs the single-level guest workload.
 func (m *Machine) SetGuestWorkload(w cpu.ProgramGuest) { m.VcpuGuest.Guest = w }
-
-// RunSingle executes the single-level machine to completion.
-func (m *Machine) RunSingle() *hv.Profile {
-	m.L0.RunLoop(m.VcpuGuest)
-	return &m.L0.Prof
-}

@@ -51,7 +51,6 @@ func runBlockedScenario(t *testing.T, protocol bool) (handled bool, blockedEvent
 	})
 	m.SetL2Workload(&ipiCpuidLoop{n: 100})
 	m.Run()
-	m.Shutdown()
 	return ipiHandled, m.Chan.BlockedEvents.Value()
 }
 
@@ -87,7 +86,6 @@ func TestSWSVtWaitPolicies(t *testing.T) {
 			m := NewNested(cfg)
 			m.SetL2Workload(&ipiCpuidLoop{n: 100})
 			m.Run()
-			m.Shutdown()
 			if m.L0.DeadlockDetected {
 				t.Fatalf("pol=%v place=%v deadlocked", pol, place)
 			}

@@ -246,7 +246,6 @@ func testMachineSnapshot(t *testing.T, p ports.Port) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			m, io := portMachine(t, p, mode)
-			defer m.Shutdown()
 			snap := snapshot.Capture(m, io)
 			prefix := p.IRQSectionPrefix()
 			found := false

@@ -31,9 +31,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
-// diskMachine builds, runs, and returns (without shutting down) a nested
-// machine whose L2 guest wrote n patterned sectors to disk. The caller
-// owns Shutdown.
+// diskMachine builds, runs, and returns a nested machine whose L2 guest
+// wrote n patterned sectors to disk.
 func diskMachine(t testing.TB, mode hv.Mode, pat byte, n int) (*machine.Machine, *machine.IOStack) {
 	t.Helper()
 	return portDiskMachine(t, nil, mode, pat, n)
@@ -123,7 +122,6 @@ func TestCaptureGolden(t *testing.T) {
 		for _, mode := range hv.AllModes() {
 			m, io := portDiskMachine(t, ports.Get(name), mode, 0x5a, 3)
 			snap := snapshot.Capture(m, io)
-			m.Shutdown()
 			fmt.Fprintf(&b, "port=%s mode=%s digest=%#016x bytes=%d\n", name, mode, snap.Digest(), snap.Bytes())
 		}
 	}
@@ -157,7 +155,6 @@ func TestCaptureAllocBudget(t *testing.T) {
 		byteBudget  = 100_000 // bytes per capture; 66,080 measured on go1.24, 868,038 before ramps
 	)
 	m, io := diskMachine(t, hv.ModeSWSVt, 0x5a, 3)
-	defer m.Shutdown()
 	snapshot.Capture(m, io)
 	const reps = 20
 	var before, after runtime.MemStats
@@ -178,7 +175,6 @@ func TestCaptureAllocBudget(t *testing.T) {
 // sw-svt mode.
 func BenchmarkCapture(b *testing.B) {
 	m, io := diskMachine(b, hv.ModeSWSVt, 0x5a, 3)
-	defer m.Shutdown()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -190,7 +186,6 @@ func TestRoundTripAllModes(t *testing.T) {
 	for _, mode := range hv.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			m, io := diskMachine(t, mode, 0x5a, 3)
-			defer m.Shutdown()
 			before, after, err := snapshot.RoundTrip(m, io)
 			if err != nil {
 				t.Fatalf("round trip: %v", err)
@@ -210,7 +205,6 @@ func TestRoundTripQuick(t *testing.T) {
 	prop := func(pat byte, nOps, modeSel uint8) bool {
 		mode := modes[int(modeSel)%len(modes)]
 		m, io := diskMachine(t, mode, pat, 1+int(nOps)%4)
-		defer m.Shutdown()
 		before, after, err := snapshot.RoundTrip(m, io)
 		return err == nil && before == after
 	}
@@ -224,9 +218,7 @@ func TestRoundTripQuick(t *testing.T) {
 // carries A's state bit-for-bit — including the disk image.
 func TestTransplant(t *testing.T) {
 	ma, ioa := diskMachine(t, hv.ModeSWSVt, 0x11, 2)
-	defer ma.Shutdown()
 	mb, iob := diskMachine(t, hv.ModeSWSVt, 0xee, 2)
-	defer mb.Shutdown()
 
 	snap := snapshot.Capture(ma, ioa)
 	if got := snapshot.Capture(mb, iob).Digest(); got == snap.Digest() {
@@ -253,7 +245,6 @@ func TestTransplant(t *testing.T) {
 
 func TestCloneIsCopyOnWrite(t *testing.T) {
 	m, io := diskMachine(t, hv.ModeBaseline, 0x33, 1)
-	defer m.Shutdown()
 	snap := snapshot.Capture(m, io)
 	base := snap.Digest()
 
@@ -331,7 +322,6 @@ func TestCloneIsCopyOnWrite(t *testing.T) {
 
 func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	m, io := diskMachine(t, hv.ModeSWSVt, 0x44, 1)
-	defer m.Shutdown()
 	snap := snapshot.Capture(m, io)
 
 	t.Run("mode-mismatch", func(t *testing.T) {
@@ -417,7 +407,6 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 // it was.
 func TestRestoreRejectsMalformedWords(t *testing.T) {
 	m, io := diskMachine(t, hv.ModeSWSVt, 0x44, 1)
-	defer m.Shutdown()
 	snap := snapshot.Capture(m, io)
 
 	at := func(i int) func([]uint64) int { return func([]uint64) int { return i } }
@@ -472,9 +461,7 @@ func TestRestoreRejectsMalformedWords(t *testing.T) {
 // twin it was restored into keeps its own state exactly.
 func TestRestoreStructuralMismatchLeavesMachineUntouched(t *testing.T) {
 	ma, ioa := diskMachine(t, hv.ModeSWSVt, 0x21, 2)
-	defer ma.Shutdown()
 	mb, iob := diskMachine(t, hv.ModeSWSVt, 0xd4, 2)
-	defer mb.Shutdown()
 
 	snap := snapshot.Capture(ma, ioa)
 	last := len(snap.Sections) - 1
@@ -493,7 +480,6 @@ func TestRestoreStructuralMismatchLeavesMachineUntouched(t *testing.T) {
 // even when no memory backs the page's bytes.
 func TestZeroWriteCountsInSize(t *testing.T) {
 	m, io := diskMachine(t, hv.ModeSWSVt, 0x33, 1)
-	defer m.Shutdown()
 	before := snapshot.Size(m, io)
 	if err := m.HostMem.Write(machine.HostMemSize-mem.PageSize, make([]byte, 64)); err != nil {
 		t.Fatal(err)
@@ -515,7 +501,6 @@ func TestZeroWriteCountsInSize(t *testing.T) {
 // yield the original digest instead.
 func FuzzRestore(f *testing.F) {
 	m, io := diskMachine(f, hv.ModeSWSVt, 0x5a, 2)
-	f.Cleanup(m.Shutdown)
 	snap := snapshot.Capture(m, io)
 	f.Add(uint16(0), uint32(0), uint64(hv.ModeBaseline))
 	f.Add(uint16(1), uint32(3), uint64(42))

@@ -45,7 +45,6 @@ func TestIOCaptureGolden(t *testing.T) {
 			})
 			m.Run()
 			snap := snapshot.Capture(m, io)
-			m.Shutdown()
 			for i, w := range runs {
 				if len(w.Lat) != w.N {
 					t.Fatalf("%s/%s: run %d completed %d of %d ops", name, mode, i, len(w.Lat), w.N)

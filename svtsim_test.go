@@ -24,7 +24,6 @@ func TestFacadeMachineConstruction(t *testing.T) {
 		if m == nil || io == nil {
 			t.Fatalf("mode %v: construction failed", mode)
 		}
-		m.Shutdown()
 	}
 }
 
