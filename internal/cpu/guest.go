@@ -261,6 +261,10 @@ func (p *Port) Park() {
 // Core returns the core the port executes on.
 func (p *Port) Core() *Core { return p.core }
 
+// Running reports whether the port's body holds the handoff, so that
+// actions issued on the port can trap.
+func (p *Port) Running() bool { return p.guest.running }
+
 // Now reports virtual time.
 func (p *Port) Now() sim.Time { return p.core.Eng.Now() }
 
