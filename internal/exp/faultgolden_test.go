@@ -16,7 +16,7 @@ import (
 // for byte: lost, delayed and jittered wakeups, stalled ring pushes on
 // both sides of the channel, spurious ring pops and dropped IPIs, at
 // three fault seeds on both ports, plus one wakeup rate high enough to
-// trip and re-arm the per-VCPU breaker. Every watchdog retry charges
+// trip and re-arm the channel breaker. Every watchdog retry charges
 // virtual time, so any change to the order of consults, charges and
 // counts in the retry loops moves a number here. Rewrite with -update
 // only when the change to the numbers is intended.

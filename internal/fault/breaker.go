@@ -32,10 +32,10 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int(s))
 }
 
-// Breaker degrades a per-VCPU fast path after consecutive failures and
-// re-arms it after a virtual-time cooldown. In svtsim it guards the
-// SW-SVt reflection channel: when the ring watchdog exhausts its retries
-// Threshold times in a row, the vCPU falls back to baseline trap/resume,
+// Breaker degrades a fast path after consecutive failures and re-arms
+// it after a virtual-time cooldown. In svtsim it guards the SW-SVt
+// reflection channel: when the ring watchdog exhausts its retries
+// Threshold times in a row, reflections fall back to baseline trap/resume,
 // mirroring the paper's requirement that SVt never be less live than
 // vanilla nesting.
 type Breaker struct {

@@ -7,8 +7,8 @@
 // seen by another.
 //
 // The package also carries the recovery machinery the plane exercises: a
-// per-VCPU circuit Breaker that degrades a vCPU from the SW-SVt fast path
-// back to baseline trap/resume (see breaker.go). The ring watchdog whose
+// circuit Breaker that degrades the SW-SVt fast path back to baseline
+// trap/resume (see breaker.go). The ring watchdog whose
 // exhaustion feeds it lives with its only user, the SW-SVt channel.
 package fault
 

@@ -90,7 +90,7 @@ func (r MigrationResult) String() string {
 }
 
 // placeBreaker returns the VM's placement breaker, creating it on first
-// use. This lifts the per-vCPU SW-SVt degradation breaker pattern to
+// use. This lifts the SW-SVt channel's degradation breaker pattern to
 // placements: a VM whose migrations keep rolling back stops being asked
 // to move until the cooldown re-arms it.
 func (s *Scheduler) placeBreaker(vm int) *fault.Breaker {

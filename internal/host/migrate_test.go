@@ -121,7 +121,7 @@ func TestMigrateGangFaultPlane(t *testing.T) {
 // TestPlacementBreakerReArmsAfterCooldown: consecutive rollbacks trip
 // the VM's placement breaker, an open breaker skips migrations at zero
 // cost, and after the cooldown a half-open probe that succeeds re-closes
-// it — the per-vCPU SW-SVt breaker lifecycle, lifted to placements.
+// it — the SW-SVt channel breaker's lifecycle, lifted to placements.
 func TestPlacementBreakerReArmsAfterCooldown(t *testing.T) {
 	h := mustHost(t, DefaultTopology)
 	a := h.Sched.Admit(0, 1)

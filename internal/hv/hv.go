@@ -110,7 +110,7 @@ type SWChannel interface {
 	// ReflectAndWait reports whether the exit was serviced over the
 	// channel; false degrades this exit to the baseline trap/resume path
 	// (the channel's watchdog gave up or its breaker is open).
-	ReflectAndWait(vc *VCPU, e isa.Exit) bool
+	ReflectAndWait(e isa.Exit) bool
 	// PendingForL1 reports whether the SVt-thread has interrupts waiting,
 	// so external-interrupt exits get reflected even though the (blocked)
 	// L1 main vCPU shows nothing pending.

@@ -169,7 +169,7 @@ func (h *Hypervisor) handleVMResume(vc *VCPU, e isa.Exit) bool {
 			l1Wants := vc.VirtLAPIC != nil && vc.VirtLAPIC.HasPending() ||
 				h.SW != nil && h.SW.PendingForL1()
 			if l1Wants && ns.Vmcs12.Read(vmcs.PinControls)&vmcs.PinCtlExtIntExit != 0 {
-				handled := h.deliverToL1(vc, ns, e2)
+				handled := h.deliverToL1(ns, e2)
 				h.recordNested(ns.L2VCPU, e2, tHandle)
 				if handled {
 					continue
@@ -180,7 +180,7 @@ func (h *Hypervisor) handleVMResume(vc *VCPU, e isa.Exit) bool {
 			h.recordNested(ns.L2VCPU, e2, tHandle)
 
 		case h.ownedByL1(ns, e2) && !h.dropOwned(e2):
-			handled := h.deliverToL1(vc, ns, e2)
+			handled := h.deliverToL1(ns, e2)
 			h.recordNested(ns.L2VCPU, e2, tHandle)
 			if handled {
 				continue // the SVt-thread already handled it; re-enter L2
@@ -219,9 +219,9 @@ func (h *Hypervisor) recordNested(l2 *VCPU, e2 isa.Exit, start sim.Time) {
 // is handled on the baseline trap/resume path — either because no
 // channel is wired, or because the channel degraded (watchdog exhausted,
 // breaker open).
-func (h *Hypervisor) deliverToL1(vc *VCPU, ns *NestedState, e2 isa.Exit) bool {
+func (h *Hypervisor) deliverToL1(ns *NestedState, e2 isa.Exit) bool {
 	h.reflectExit(ns, e2)
-	return h.SW != nil && h.SW.ReflectAndWait(vc, e2)
+	return h.SW != nil && h.SW.ReflectAndWait(e2)
 }
 
 // dropOwned consults the DropOwnedExit test hook; a dropped exit falls

@@ -47,7 +47,9 @@ type Channel struct {
 	// its handler.
 	BlockedProtocol bool
 
-	breakers map[*hv.VCPU]*fault.Breaker
+	// breaker guards the fast path. Only L1's main vCPU reflects, so one
+	// breaker serves the channel; it is built on the first reflection.
+	breaker *fault.Breaker
 
 	// Stats (obs counters so the observability registry can export the
 	// live values; read them with .Value()).
@@ -109,8 +111,8 @@ func watchdogWait(attempt int) sim.Time {
 	return t
 }
 
-// breakerThreshold consecutive watchdog exhaustions trip a per-VCPU
-// breaker that routes the vCPU to baseline trap/resume until
+// breakerThreshold consecutive watchdog exhaustions trip the channel's
+// breaker, which routes reflections to baseline trap/resume until
 // breakerCooldown of virtual time has passed.
 const (
 	breakerThreshold = 3
@@ -149,12 +151,15 @@ func proceed() bool { return true }
 
 // ReflectAndWait implements hv.SWChannel: steps 2 and 3 of Figure 5.
 // It reports whether the exit was handled over the channel; false means
-// the fast path is degraded (watchdog retries exhausted, or the per-VCPU
-// breaker is open) and the caller must service the exit on the baseline
+// the fast path is degraded (watchdog retries exhausted, or the breaker
+// is open) and the caller must service the exit on the baseline
 // trap/resume path instead — the paper's requirement that SVt never be
 // less live than vanilla nesting.
-func (ch *Channel) ReflectAndWait(vc *hv.VCPU, e isa.Exit) bool {
-	br := ch.breakerFor(vc)
+func (ch *Channel) ReflectAndWait(e isa.Exit) bool {
+	if ch.breaker == nil {
+		ch.breaker = fault.NewBreaker(ch.Core.Eng, breakerThreshold, breakerCooldown)
+	}
+	br := ch.breaker
 	if !br.Allow() {
 		ch.FallbackReflections.Inc()
 		return false
@@ -176,26 +181,12 @@ func (ch *Channel) ReflectAndWait(vc *hv.VCPU, e isa.Exit) bool {
 	return ok
 }
 
-// breakerFor lazily builds the per-VCPU breaker guarding the fast path.
-func (ch *Channel) breakerFor(vc *hv.VCPU) *fault.Breaker {
-	if ch.breakers == nil {
-		ch.breakers = make(map[*hv.VCPU]*fault.Breaker)
-	}
-	b := ch.breakers[vc]
-	if b == nil {
-		b = fault.NewBreaker(ch.Core.Eng, breakerThreshold, breakerCooldown)
-		ch.breakers[vc] = b
-	}
-	return b
-}
-
-// BreakerStats sums trips and recoveries across all per-VCPU breakers.
+// BreakerStats reports the breaker's trips and recoveries.
 func (ch *Channel) BreakerStats() (trips, recoveries uint64) {
-	for _, b := range ch.breakers {
-		trips += b.Trips()
-		recoveries += b.Recoveries()
+	if ch.breaker == nil {
+		return 0, 0
 	}
-	return
+	return ch.breaker.Trips(), ch.breaker.Recoveries()
 }
 
 // ProbeState dumps ring occupancy and channel counters for stall reports.
