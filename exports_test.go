@@ -105,7 +105,6 @@ var keepFields = map[string]string{
 	"netstack.Flow.Manual":        "the only way to close a receive window, so the zero-window probe stays tested",
 
 	// Counters only tests read, each the evidence a test asserts on.
-	"cpu.Stats.ExitsByReason":   "cpu and machine tests count exits by reason below any hypervisor",
 	"exp.vmCache.sims":          "TestPhase1CacheReuse counts every phase-1 lookup",
 	"exp.vmCache.reuses":        "TestPhase1CacheReuse counts every phase-1 lookup",
 	"netstack.Stats.SegsRecv":   "netstack tests check a malformed packet is not counted as a segment",

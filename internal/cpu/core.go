@@ -20,7 +20,6 @@ const NoContext ContextID = -1
 
 // Stats aggregates core-level counters.
 type Stats struct {
-	ExitsByReason [isa.NumExitReasons]uint64
 	Entries       uint64
 	StallResumes  uint64 // SVt fetch-target switches
 	ThunkRegMoves uint64 // registers moved by the software thunk
@@ -299,7 +298,6 @@ func (c *Core) exitGuest(ctx ContextID, v *vmcs.VMCS, e isa.Exit) isa.Exit {
 		c.isVM = false
 		return e
 	}
-	c.Stats.ExitsByReason[e.Reason]++
 	if led := c.Eng.Ledger(); led != nil {
 		led.Swap(exitCat(v, e))
 		defer led.Swap(sim.CatL0)

@@ -107,9 +107,6 @@ func TestRunProgramCPUIDExit(t *testing.T) {
 	if v.Read(vmcs.ExitReasonF) != uint64(isa.ExitCPUID) {
 		t.Fatal("exit not recorded in VMCS")
 	}
-	if c.Stats.ExitsByReason[isa.ExitCPUID] != 1 {
-		t.Fatal("exit stats not counted")
-	}
 }
 
 func TestRunProgramDone(t *testing.T) {

@@ -22,7 +22,6 @@ func FuzzSegmentReorder(f *testing.F) {
 		eng := sim.New()
 		ca, _ := NewPipe(eng, 0)
 		st := New(eng, ca, Params{MSS: 16, Window: 1 << 16})
-		st.FaultSite = "" // the fuzzer is the chaos source here
 		var got []byte
 		st.OnFlow = func(fl *Flow) {
 			fl.OnData = func(p []byte) { got = append(got, p...) }

@@ -164,23 +164,18 @@ type Stack struct {
 	// SYN for an unknown ID) before any of its data is delivered.
 	OnFlow func(*Flow)
 
-	// FaultSite, when non-empty, is consulted on every outbound segment
-	// (fault.SiteNetSegment normally). Empty disables injection.
-	FaultSite string
-
 	Stats
 }
 
 // New builds a stack over the conduit and registers as its receiver.
-// Loss/delay injection at fault.SiteNetSegment is on by default; it is
-// inert until a fault plane arms that site.
+// Every outbound segment consults fault.SiteNetSegment, which is inert
+// until a fault plane arms that site.
 func New(eng *sim.Engine, c netsim.Conduit, p Params) *Stack {
 	st := &Stack{
-		Eng:       eng,
-		P:         p.withDefaults(),
-		c:         c,
-		flows:     make(map[uint32]*Flow),
-		FaultSite: fault.SiteNetSegment,
+		Eng:   eng,
+		P:     p.withDefaults(),
+		c:     c,
+		flows: make(map[uint32]*Flow),
 	}
 	c.SetReceiver(st.Deliver)
 	return st
@@ -246,16 +241,14 @@ func (st *Stack) Deliver(pkt []byte) {
 func (st *Stack) send(seg Segment) {
 	st.SegsSent++
 	raw := seg.Encode()
-	if st.FaultSite != "" {
-		out := st.Eng.Inject(st.FaultSite)
-		if out.Drop {
-			st.Dropped++
-			return
-		}
-		if out.Delay > 0 {
-			st.Eng.After(out.Delay, func() { st.c.Send(raw, nil) })
-			return
-		}
+	out := st.Eng.Inject(fault.SiteNetSegment)
+	if out.Drop {
+		st.Dropped++
+		return
+	}
+	if out.Delay > 0 {
+		st.Eng.After(out.Delay, func() { st.c.Send(raw, nil) })
+		return
 	}
 	st.c.Send(raw, nil)
 }
