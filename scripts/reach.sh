@@ -10,13 +10,13 @@
 #
 # The traffic is `svtbench -all -quick`; every svtsim command CI runs;
 # each workload x mode x port; density on hosts without SMT; a traced
-# load-balancer run, a traced, metered fault run with a delay site and a
-# run whose first reflection falls back; every example; svtsimd driven by
-# examples/serve and `svtsim -submit`; each bench workload for one
-# second, and one traced bench run. A fresh temporary directory keeps
-# the binaries, the raw counters and the merged profile, cover.out,
-# whose blocks show which branches inside a reached function never ran;
-# stderr names it. The daemon listens on 127.0.0.1:8941.
+# load-balancer run, a traced, metered fault run with a delay site, a
+# run whose first reflection falls back and runs under heavy wakeup
+# loss; every example; svtsimd driven by examples/serve and `svtsim
+# -submit`; each bench workload for one second, and one traced bench
+# run. A fresh temporary directory keeps the binaries, the raw counters
+# and the merged profile, cover.out, whose blocks show which branches
+# inside a reached function never ran; stderr names it. The daemon listens on 127.0.0.1:8941.
 #
 # scripts/reach.allow lists every function the traffic may leave at 0%,
 # one per line: the file (from the repository root), the function as
@@ -118,6 +118,12 @@ quiet "$sim" -workload diskrd -mode sw-svt -faults 'apic/irq:rate=0.5,delay=20us
 for p in x86 armlike; do
 	quiet "$sim" -port=$p -workload netrr -mode sw-svt -n 50 \
 		-faults 'swsvt/wakeup:every=1,limit=4,drop'
+done
+# Heavy wakeup loss: reflections fall back mid-run, and L1's main vCPU
+# drives the drivers the SVt-thread wired.
+for p in x86 armlike; do
+	quiet "$sim" -port=$p -workload netrr -mode sw-svt \
+		-faults 'swsvt/wakeup:rate=0.3,drop' -fault-seed 11
 done
 
 echo "reach: examples" >&2
