@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"svtsim/internal/isa"
@@ -105,6 +107,49 @@ func TestParkIsFree(t *testing.T) {
 		t.Fatalf("mwait park/resume cost time: %v", c.Eng.Now()-before)
 	}
 	g.Kill()
+}
+
+// Two vCPUs of one guest kernel: an action issued on the parked one's
+// port runs on the sibling that holds the handoff, and with both bodies
+// parked it stays on its own port and fails naming it.
+func TestPortSiblingForwarding(t *testing.T) {
+	c := testCore(2)
+	va, vb := newVMCS("vmcs-a", 1), newVMCS("vmcs-b", 1)
+	var a, b *NativeGuest
+	a = NewNativeGuest("a", c, 0, func(p *Port) {
+		for {
+			p.Park()
+		}
+	})
+	b = NewNativeGuest("b", c, 1, func(p *Port) {
+		a.Port().Exec(isa.Instr{Op: isa.OpVMCall, Val: 7})
+		var handled []int
+		p.IRQHandler = func(vec int) { handled = append(handled, vec) }
+		p.VirtLAPIC.Deliver(9)
+		a.Port().PollIRQs()
+		p.Exec(isa.Instr{Op: isa.OpVMCall, Val: uint64(len(handled))})
+	})
+	a.Port().Sibling, b.Port().Sibling = b.Port(), a.Port()
+	b.Port().VirtLAPIC = x86port.Port().NewIRQ(1, c.Eng)
+	if e := c.RunGuest(0, va, a, nil); e.Qualification != QualSVtIdle {
+		t.Fatalf("a did not park: %v", e)
+	}
+	if e := c.RunGuest(1, vb, b, nil); e.Reason != isa.ExitVMCall || e.Qualification != 7 {
+		t.Fatalf("b's session exit = %v, want the VMCALL issued on a's port", e)
+	}
+	if e := c.RunGuest(1, vb, b, nil); e.Reason != isa.ExitVMCall || e.Qualification != 1 {
+		t.Fatalf("b handled %d vectors polled on a's port, want 1 (exit %v)", e.Qualification, e)
+	}
+	msg := func() (r any) {
+		defer func() { r = recover() }()
+		a.Port().Exec(isa.Instr{Op: isa.OpVMCall})
+		return nil
+	}()
+	if s := fmt.Sprint(msg); !strings.Contains(s, "cpu: a traps") {
+		t.Fatalf("action with both bodies parked: panic %q, want one naming a", s)
+	}
+	a.Kill()
+	b.Kill()
 }
 
 func TestCoreString(t *testing.T) {

@@ -63,7 +63,7 @@ func NewBlkDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*BlkDrive
 		PerRequestCPU: 1500, // ns: block layer + fs shim
 	}
 	virtio.ConfigureQueue(func(addr, val uint64) {
-		e.port().Exec(isa.MMIOWrite(addr, val))
+		e.Port.Exec(isa.MMIOWrite(addr, val))
 	}, mmio, 0, l)
 	e.Blk = d
 	return d, nil
@@ -110,7 +110,7 @@ func (d *BlkDriver) submit(sector uint64, op blkOp) {
 		panic(fmt.Sprintf("guest blk: %v", err))
 	}
 	*entry(&d.ops, head) = op
-	d.Env.port().Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, 0))
+	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, 0))
 }
 
 // Read fills p from sector with a synchronous request, as io.ReaderAt
@@ -142,7 +142,7 @@ func (d *BlkDriver) finishSync(ok bool) { d.syncOK, d.syncing = ok, false }
 // buffer before it is freed: the Compute that follows can run interrupt
 // handlers, and those may reuse the buffer.
 func (d *BlkDriver) OnIRQ() {
-	d.Env.port().Exec(isa.MMIOWrite(d.MMIO+virtio.RegIntrAck, 1))
+	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegIntrAck, 1))
 	for {
 		head, _, ok, err := d.Q.PopUsed()
 		if err != nil {

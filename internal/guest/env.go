@@ -18,10 +18,7 @@ import (
 // Env is the environment handed to a workload body.
 type Env struct {
 	Port *cpu.Port
-	// Sibling, when set, is another vCPU of the same kernel. The kernel's
-	// actions run on it while Port's body is parked.
-	Sibling *cpu.Port
-	Mem     virtio.MemIO // the guest's own physical memory
+	Mem  virtio.MemIO // the guest's own physical memory
 
 	Net   *NetDriver
 	Blk   *BlkDriver
@@ -40,15 +37,6 @@ func NewEnv(port *cpu.Port, m virtio.MemIO, arenaBase, arenaSize uint64) *Env {
 		arena: arenaBase, arenaEnd: arenaBase + arenaSize,
 		freeList: make(map[uint64][]uint64),
 	}
-}
-
-// port returns the vCPU the kernel runs on now: Port, or Sibling while
-// Port's body is parked.
-func (e *Env) port() *cpu.Port {
-	if e.Sibling != nil && !e.Port.Running() {
-		return e.Sibling
-	}
-	return e.Port
 }
 
 // Alloc reserves n bytes of guest RAM (8-byte aligned), reusing
@@ -84,18 +72,18 @@ func (e *Env) Now() sim.Time {
 }
 
 // Compute burns d of interruptible guest work.
-func (e *Env) Compute(d sim.Time) { e.port().Compute(d) }
+func (e *Env) Compute(d sim.Time) { e.Port.Compute(d) }
 
 // WaitFor halts the vCPU until cond holds, waking on each interrupt.
 // It panics if the simulation runs out of events while waiting.
 func (e *Env) WaitFor(cond func() bool) {
 	for !cond() {
-		e.port().PollIRQs()
+		e.Port.PollIRQs()
 		if cond() {
 			return
 		}
-		e.port().ExecHLT()
-		e.port().PollIRQs()
+		e.Port.ExecHLT()
+		e.Port.PollIRQs()
 	}
 }
 
@@ -137,12 +125,12 @@ func NewTimerDriver(e *Env, vector int) *TimerDriver {
 
 // Arm sets the deadline to absolute virtual time t.
 func (t *TimerDriver) Arm(deadline sim.Time) {
-	t.Env.port().Exec(isa.WRMSR(isa.MSRTSCDeadline, uint64(deadline)))
+	t.Env.Port.Exec(isa.WRMSR(isa.MSRTSCDeadline, uint64(deadline)))
 }
 
 // Disarm cancels the deadline (a zero write, which also traps).
 func (t *TimerDriver) Disarm() {
-	t.Env.port().Exec(isa.WRMSR(isa.MSRTSCDeadline, 0))
+	t.Env.Port.Exec(isa.WRMSR(isa.MSRTSCDeadline, 0))
 }
 
 // Fired reports how many timer interrupts the guest handled.

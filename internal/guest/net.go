@@ -79,7 +79,7 @@ func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*NetDrive
 	}
 	// Device probe: program the queue geometry through trapped MMIO
 	// registers (a realistic boot-time exit storm for nested guests).
-	exec := func(addr, val uint64) { e.port().Exec(isa.MMIOWrite(addr, val)) }
+	exec := func(addr, val uint64) { e.Port.Exec(isa.MMIOWrite(addr, val)) }
 	virtio.ConfigureQueue(exec, mmio, virtio.NetQTX, txL)
 	virtio.ConfigureQueue(exec, mmio, virtio.NetQRX, rxL)
 	for i := 0; i < netRXBuffers; i++ {
@@ -88,7 +88,7 @@ func NewNetDriver(e *Env, vector int, mmio uint64, layoutBase uint64) (*NetDrive
 		}
 	}
 	// Publish the pre-posted RX buffers to the device.
-	e.port().Exec(isa.MMIOWrite(mmio+virtio.RegQueueNotify, virtio.NetQRX))
+	e.Port.Exec(isa.MMIOWrite(mmio+virtio.RegQueueNotify, virtio.NetQRX))
 	e.Net = d
 	return d, nil
 }
@@ -126,7 +126,7 @@ func (d *NetDriver) Send(pkt []byte, done func()) {
 	// would need the full avail-event handshake to avoid lost wakeups; at
 	// 10 GbE the wire is slower than the exit path even nested, so the
 	// benchmark shapes are unaffected.
-	d.Env.port().Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, virtio.NetQTX))
+	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegQueueNotify, virtio.NetQTX))
 }
 
 // SetReceiver implements netsim.Conduit: fn runs on each inbound
@@ -145,7 +145,7 @@ func (d *NetDriver) SetReceiver(fn func(pkt []byte)) {
 // Per the virtio-mmio contract the driver first acknowledges the device
 // interrupt — a trapped MMIO write.
 func (d *NetDriver) OnIRQ() {
-	d.Env.port().Exec(isa.MMIOWrite(d.MMIO+virtio.RegIntrAck, 1))
+	d.Env.Port.Exec(isa.MMIOWrite(d.MMIO+virtio.RegIntrAck, 1))
 	for {
 		head, _, ok, err := d.TX.PopUsed()
 		if err != nil {

@@ -258,9 +258,9 @@ func bringUpNetDrivers(t *testing.T, cfg Config) (l1, l2 uint64) {
 	io := WireNestedIO(&cfg, DefaultIOParams())
 	wire := cfg.WireL1
 	var inL2, nested bool
-	cfg.WireL1 = func(m *Machine, h1 *hv.Hypervisor, plat *hv.VirtualPlatform, port *cpu.Port) {
+	cfg.WireL1 = func(m *Machine, h1 *hv.Hypervisor, port *cpu.Port) {
 		nested = inL2
-		l1 = allocatedBy(func() { wire(m, h1, plat, port) })
+		l1 = allocatedBy(func() { wire(m, h1, port) })
 	}
 	m := NewNested(cfg)
 	var err error

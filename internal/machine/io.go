@@ -150,17 +150,11 @@ func WireNestedIO(cfg *Config, p IOParams) *IOStack {
 		}
 	}
 
-	cfg.WireL1 = func(m *Machine, h1 *hv.Hypervisor, plat *hv.VirtualPlatform, port *cpu.Port) {
+	cfg.WireL1 = func(m *Machine, h1 *hv.Hypervisor, port *cpu.Port) {
 		// The guest hypervisor's kernel: its own drivers plus the vhost
 		// backends that serve L2's devices through them.
 		view01 := ept.NewView(m.HostMem, m.Ept01)
 		env1 := guest.NewEnv(port, view01, l1ArenaBase, l1ArenaSize)
-		if m.SVtGuest != nil {
-			// SW SVt wires the kernel on the SVt-thread's port, but when
-			// a reflection falls back to trap/resume the main vCPU
-			// services L2's device exits and drives these drivers.
-			env1.Sibling = m.L1Guest.Port()
-		}
 
 		nd, err := guest.NewNetDriver(env1, ports.VecVirtioNet, L1NetMMIO, l1NetLayout)
 		if err != nil {
