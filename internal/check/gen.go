@@ -27,9 +27,10 @@ var genMix = []opWeight{
 }
 
 // Generate emits the deterministic schedule for a seed: same seed, same
-// schedule, forever. Roughly one schedule in seven also enables a low
-// recoverable wakeup-drop fault rate, because transparency must survive
-// the watchdog/breaker recovery machinery too.
+// schedule, forever. Roughly one even seed in seven enables a low
+// recoverable wakeup-drop fault rate, and every odd seed a heavy one,
+// because transparency must survive the watchdog/breaker recovery
+// machinery too.
 func Generate(seed int64) *Schedule {
 	r := rand.New(rand.NewSource(seed))
 	s := &Schedule{Seed: seed, VCPUs: 1 + r.Intn(2)}
@@ -41,6 +42,12 @@ func Generate(seed int64) *Schedule {
 	}
 	if r.Intn(7) == 0 {
 		s.WakeupDropRate = 0.05 + 0.15*r.Float64()
+	}
+	// Like the core count, the heavy rate derives from the seed value:
+	// 0.3 (DESIGN §8's acceptance rate) up to 0.9, which trips the
+	// breaker within a few reflections.
+	if seed&1 == 1 {
+		s.WakeupDropRate = float64(3+uint64(seed)/2%7) / 10
 	}
 	total := 0
 	for _, w := range genMix {
