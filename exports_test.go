@@ -100,7 +100,6 @@ var keepFields = map[string]string{
 	"check.RunOpts.Modes":         "lets oracle tests run a subset of modes",
 	"check.RunOpts.Mutate":        "how oracle tests sabotage one mode's machine",
 	"check.RunOpts.Sabotage":      "how oracle tests corrupt a snapshot at a migrate point",
-	"machine.Config.L1IRQHook":    "drives the §5.3 L1 interrupt scenario tests",
 	"server.Server.runHook":       "how server tests block or fail a job on cue",
 	"netstack.Flow.Manual":        "the only way to close a receive window, so the zero-window probe stays tested",
 
