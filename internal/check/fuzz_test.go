@@ -12,8 +12,9 @@ import (
 func FuzzScenario(f *testing.F) {
 	f.Add([]byte{0, byte(OpCPUID), 3, 1})
 	f.Add([]byte{1, byte(OpSMPWake), 0, 0, byte(OpTimer), 9, 0})
-	f.Add([]byte{2, byte(OpHypercall), 12, 0, byte(OpMSR), 5, 5})
-	f.Add([]byte{3, byte(OpIPI), 0, 0, byte(OpCompute), 200, 0})
+	f.Add([]byte{2, 5, byte(OpHypercall), 12, 0, byte(OpMSR), 5, 5})
+	f.Add([]byte{3, 19, byte(OpIPI), 0, 0, byte(OpCompute), 200, 0})
+	f.Add([]byte{2, 16, byte(OpNetPing), 1, 0, byte(OpTimer), 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			data = data[:64] // keep per-input machine runs cheap
@@ -51,13 +52,16 @@ func fromBytes(data []byte) *Schedule {
 	if data[0]&1 != 0 {
 		s.VCPUs = 2
 	}
-	if data[0]&2 != 0 {
-		s.WakeupDropRate = 0.25
-	}
 	if data[0]&4 != 0 {
 		s.Cores = 2 + int(data[0]>>3)%3
 	}
 	data = data[1:]
+	// With faults on, the next byte draws the wakeup-drop rate, from
+	// 0.05 up to 1, where every wakeup is lost.
+	if ctl&2 != 0 && len(data) > 0 {
+		s.WakeupDropRate = float64(1+data[0]%20) / 20
+		data = data[1:]
+	}
 	const maxOps = 12
 	for len(data) >= 3 && len(s.Ops) < maxOps {
 		kind := OpKind(data[0]) % numOpKinds
