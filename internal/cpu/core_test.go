@@ -560,9 +560,11 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 
 // TestNativeGuestTrapFromEngineContext: a guest action that traps while
 // the guest's body is parked — as from an engine timer callback —
-// panics naming the guest instead of waiting forever for a handoff.
+// panics naming the guest instead of waiting forever for a handoff, with
+// the engine's stall report appended.
 func TestNativeGuestTrapFromEngineContext(t *testing.T) {
 	c := testCore(1)
+	c.Eng.AddProbe("probe", func() string { return "probed" })
 	v := newVMCS("vmcs01", 1)
 	g := NewNativeGuest("l2", c, 0, func(p *Port) {
 		for {
@@ -576,6 +578,9 @@ func TestNativeGuestTrapFromEngineContext(t *testing.T) {
 	msg := mustPanic(t, func() { g.Port().Exec(isa.CPUID(1)) })
 	if !strings.Contains(msg, "l2") || !strings.Contains(msg, "engine context") {
 		t.Fatalf("panic %q must name the guest and the engine context", msg)
+	}
+	if !strings.Contains(msg, "[probe] probed") {
+		t.Fatalf("panic %q carries no stall report", msg)
 	}
 }
 
