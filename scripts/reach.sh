@@ -92,6 +92,7 @@ quiet "$sim" -lb 3 -lb-scenario steady -host 2x2x2 -trace lb-trace.json
 quiet "$sim" -portcmp -n 200
 for p in x86 armlike; do
 	quiet "$sim" -port=$p -check 10 -check-seed 1
+	quiet "$sim" -port=$p -check 150 -check-seed 1
 	quiet "$sim" -port=$p -host 1x2x2 -vms 3 -density -slo 500 -parallel=1
 done
 # Hosts without SMT: SW-SVt gangs land on idle contexts of distinct cores
