@@ -25,11 +25,7 @@ type tableState struct {
 }
 
 // save returns tb's SaveWords output as stored, ramps and all.
-func save(tb *Table) words.Stream {
-	var w words.Writer
-	tb.SaveWords(&w)
-	return w.Stream()
-}
+func save(tb *Table) words.Stream { return new(words.Writer).Record(tb.SaveWords) }
 
 // saveWords returns tb's SaveWords output as flat logical words.
 func saveWords(tb *Table) []uint64 {
@@ -62,21 +58,21 @@ func stateOf(tb *Table) tableState {
 // words encodes s the way SaveWords writes it, one literal word at a
 // time.
 func (s tableState) words() words.Stream {
-	var w words.Writer
-	w.Word(uint64(len(s.Pages)))
-	for _, p := range s.Pages {
-		w.Word(p.GFN)
-		w.Word(p.HostPage)
-		w.Word(uint64(p.Perm))
-	}
-	w.Word(uint64(len(s.Devs)))
-	for _, d := range s.Devs {
-		w.Word(d.Base)
-		w.Word(d.Size)
-		w.Word(d.Dev)
-	}
-	w.Word(s.Epoch)
-	return w.Stream()
+	return new(words.Writer).Record(func(w *words.Writer) {
+		w.Word(uint64(len(s.Pages)))
+		for _, p := range s.Pages {
+			w.Word(p.GFN)
+			w.Word(p.HostPage)
+			w.Word(uint64(p.Perm))
+		}
+		w.Word(uint64(len(s.Devs)))
+		for _, d := range s.Devs {
+			w.Word(d.Base)
+			w.Word(d.Size)
+			w.Word(d.Dev)
+		}
+		w.Word(s.Epoch)
+	})
 }
 
 // loadWords runs tb.LoadWords over ws and returns the reader's verdict.

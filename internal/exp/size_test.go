@@ -45,19 +45,20 @@ func TestSizeMatchesCapture(t *testing.T) {
 }
 
 // TestSizeAllocBudget: sizing a warmed netrr machine's image reads
-// counts, not state, so it allocates a small fraction of what capturing
-// the image does.
+// counts, not state, so it allocates little more than the section plan,
+// where capturing the image allocates about 38 KB. The budget is 1/50 of
+// the 144 KB a capture allocated before sections were counted first,
+// the bound this test held Size to as a share of Capture.
 func TestSizeAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
+	const sizeBudget = 2_880 // bytes; 2,592 measured on go1.24
 	for _, n := range ports.Names() {
 		p := ports.Get(n)
 		m, io := warmDensityVM(t, p, hv.ModeSWSVt, 1)
-		sizeBytes := allocBytes(func() { snapshot.Size(m, io) })
-		captureBytes := allocBytes(func() { snapshot.Capture(m, io) })
-		if sizeBytes*50 >= captureBytes {
-			t.Errorf("%s: Size allocated %d B, Capture %d B; want under 1/50", p.Name(), sizeBytes, captureBytes)
+		if got := allocBytes(func() { snapshot.Size(m, io) }); got > sizeBudget {
+			t.Errorf("%s: Size allocated %d B, budget %d", p.Name(), got, sizeBudget)
 		}
 	}
 }

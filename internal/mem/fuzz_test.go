@@ -11,11 +11,7 @@ import (
 )
 
 // save returns m's SaveWords output as stored, ramps and all.
-func save(m *Memory) words.Stream {
-	var w words.Writer
-	m.SaveWords(&w)
-	return w.Stream()
-}
+func save(m *Memory) words.Stream { return new(words.Writer).Record(m.SaveWords) }
 
 // saveWords returns m's SaveWords output as flat logical words.
 func saveWords(m *Memory) []uint64 {
@@ -30,11 +26,11 @@ func saveWords(m *Memory) []uint64 {
 
 // literal stores ws as literal words only.
 func literal(ws []uint64) words.Stream {
-	var w words.Writer
-	for _, x := range ws {
-		w.Word(x)
-	}
-	return w.Stream()
+	return new(words.Writer).Record(func(w *words.Writer) {
+		for _, x := range ws {
+			w.Word(x)
+		}
+	})
 }
 
 // naiveSave encodes the given pages of ref the way SaveWords would if

@@ -139,10 +139,9 @@ func testIRQSnapshot(t *testing.T, p ports.Port) {
 
 // saveIRQ returns c's SaveWords output as flat logical words.
 func saveIRQ(c ports.IRQController) []uint64 {
-	var w words.Writer
-	c.SaveWords(&w)
-	r := words.NewReader("irq", w.Stream())
-	ws := make([]uint64, w.Len())
+	s := new(words.Writer).Record(c.SaveWords)
+	r := words.NewReader("irq", s)
+	ws := make([]uint64, s.Len())
 	for i := range ws {
 		ws[i] = r.Word()
 	}
@@ -152,11 +151,11 @@ func saveIRQ(c ports.IRQController) []uint64 {
 // loadIRQ runs c.LoadWords over ws and returns the reader's verdict,
 // trailing words included.
 func loadIRQ(c ports.IRQController, ws []uint64) error {
-	var w words.Writer
-	for _, x := range ws {
-		w.Word(x)
-	}
-	r := words.NewReader("irq", w.Stream())
+	r := words.NewReader("irq", new(words.Writer).Record(func(w *words.Writer) {
+		for _, x := range ws {
+			w.Word(x)
+		}
+	}))
 	c.LoadWords(r)
 	return r.Fin()
 }

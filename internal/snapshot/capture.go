@@ -170,32 +170,17 @@ func (mt meta) LoadWords(r *words.Reader) {
 	}
 }
 
-// size runs the entry's save on sizer, a sizing writer, and returns its
-// word count.
-func (e entry) size(sizer *words.Writer) int {
-	sizer.Reset()
-	e.c.SaveWords(sizer)
-	return sizer.Len()
-}
-
 // Capture serializes the machine's architectural state. io may be nil
-// (or an empty stack) for machines without wired I/O. Every section is
-// written into one scratch writer and copied out exactly sized; its
-// logical word count must equal what sizing counts, so Size stays equal
-// to Bytes.
+// (or an empty stack) for machines without wired I/O. Each section is
+// recorded once into exactly sized storage (words.Writer.Record), whose
+// logical word count equals what sizing counts, so Size stays equal to
+// Bytes.
 func Capture(m *machine.Machine, io *machine.IOStack) *Snapshot {
 	es := plan(m, io)
-	snap := &Snapshot{Sections: make([]Section, 0, len(es))}
+	snap := &Snapshot{Sections: make([]Section, len(es))}
 	var w words.Writer
-	sizer := words.NewSizer()
-	for _, e := range es {
-		n := e.size(sizer)
-		w.Reset()
-		e.c.SaveWords(&w)
-		if w.Len() != n {
-			panic(fmt.Sprintf("snapshot: section %q sized %d words, wrote %d", e.name, n, w.Len()))
-		}
-		snap.Sections = append(snap.Sections, Section{Name: e.name, Words: w.Stream()})
+	for i, e := range es {
+		snap.Sections[i] = Section{Name: e.name, Words: w.Record(e.c.SaveWords)}
 	}
 	return snap
 }
@@ -208,7 +193,9 @@ func Size(m *machine.Machine, io *machine.IOStack) int {
 	n := 0
 	sizer := words.NewSizer()
 	for _, e := range plan(m, io) {
-		n += sectionBytes(e.name, e.size(sizer))
+		sizer.Reset()
+		e.c.SaveWords(sizer)
+		n += sectionBytes(e.name, sizer.Len())
 	}
 	return n
 }

@@ -80,11 +80,11 @@ func flat(sec *snapshot.Section) []uint64 {
 
 // literal stores ws as literal words only.
 func literal(ws []uint64) words.Stream {
-	var w words.Writer
-	for _, x := range ws {
-		w.Word(x)
-	}
-	return w.Stream()
+	return new(words.Writer).Record(func(w *words.Writer) {
+		for _, x := range ws {
+			w.Word(x)
+		}
+	})
 }
 
 // eptPermWord returns the index of the permission word in the middle row
@@ -144,15 +144,16 @@ func TestCaptureGolden(t *testing.T) {
 }
 
 // TestCaptureAllocBudget: capturing the disk machine allocates the
-// section table and each section's literal words and ramps, not a copy
-// of every logical word: EPT runs and zero memory lines are ramps.
+// section table and each section's literal words and ramps, once and
+// exactly sized, not a copy of every logical word: EPT runs and zero
+// memory lines are ramps.
 func TestCaptureAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	const (
-		allocBudget = 135     // mallocs per capture; 90 measured on go1.24
-		byteBudget  = 100_000 // bytes per capture; 66,080 measured on go1.24, 868,038 before ramps
+		allocBudget = 135    // mallocs per capture; 79 measured on go1.24
+		byteBudget  = 40_000 // bytes per capture; 25,624 measured on go1.24, 66,080 before counted sections, 868,038 before ramps
 	)
 	m, io := diskMachine(t, hv.ModeSWSVt, 0x5a, 3)
 	snapshot.Capture(m, io)

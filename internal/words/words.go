@@ -103,41 +103,67 @@ func (s Stream) Set(i int, x uint64) Stream {
 	return Stream{lit: lit, n: s.n}
 }
 
-// Writer builds one section's word stream. A sizing writer only counts
-// the words it is given, so sizing and capturing walk the same save
-// code; bulk tables write through Table, which a sizing writer counts in
-// O(1). The zero Writer is ready to write.
+// Writer builds one section's word stream. A Writer runs in one of three
+// passes over the same save code: Record counts a section's literal
+// words and ramps, then writes them into storage of exactly that size;
+// a sizing writer (NewSizer) counts only logical words, and bulk tables
+// written through Table count themselves in O(1) there. The zero Writer
+// is ready to Record.
 type Writer struct {
-	s      Stream
-	sizing bool // count only; the stream stays empty
+	s    Stream
+	pass pass
+	// A counting pass tallies the literal words and ramps the stream
+	// will hold, keeping only the last ramp so merges count exactly.
+	lits, ramps int
+	last        ramp
 }
 
-// NewSizer returns a writer that only counts words.
-func NewSizer() *Writer { return &Writer{sizing: true} }
+// pass is what a Writer does with the words it is given.
+type pass uint8
+
+const (
+	writing  pass = iota // store them
+	counting             // count literal words and ramps
+	sizing               // count logical words only
+)
+
+// NewSizer returns a writer that only counts logical words.
+func NewSizer() *Writer { return &Writer{pass: sizing} }
+
+// Record returns the section save writes, using w as its scratch
+// writer. A counting pass sizes the section's literal words and ramps,
+// and the writing pass fills slices of exactly that size, which the
+// stream keeps without a copy. save must write the same words on both
+// passes.
+func (w *Writer) Record(save func(w *Writer)) Stream {
+	*w = Writer{pass: counting}
+	save(w)
+	n, lits, ramps := w.s.n, w.lits, w.ramps
+	*w = Writer{s: Stream{lit: make([]uint64, 0, lits), ramps: make([]ramp, 0, ramps)}}
+	save(w)
+	s := w.s
+	*w = Writer{}
+	if s.n != n || len(s.lit) != lits || len(s.ramps) != ramps {
+		panic(fmt.Sprintf("words: counted %d words (%d literal, %d ramps), wrote %d (%d literal, %d ramps)",
+			n, lits, ramps, s.n, len(s.lit), len(s.ramps)))
+	}
+	return s
+}
 
 // Len reports the number of logical words written (or counted).
 func (w *Writer) Len() int { return w.s.n }
 
-// Reset empties the writer, keeping its buffers for the next section.
-func (w *Writer) Reset() {
-	w.s = Stream{lit: w.s.lit[:0], ramps: w.s.ramps[:0]}
-}
-
-// Stream returns an exactly sized copy of what was written, which later
-// writes do not change.
-func (w *Writer) Stream() Stream {
-	return Stream{
-		lit:   append([]uint64(nil), w.s.lit...),
-		ramps: append([]ramp(nil), w.s.ramps...),
-		n:     w.s.n,
-	}
-}
+// Reset empties the writer for the next section.
+func (w *Writer) Reset() { *w = Writer{pass: w.pass} }
 
 // Word writes one word.
 func (w *Writer) Word(x uint64) {
 	w.s.n++
-	if !w.sizing {
+	switch w.pass {
+	case writing:
 		w.s.lit = append(w.s.lit, x)
+	case counting:
+		w.lits++
 	}
 }
 
@@ -151,14 +177,20 @@ func (w *Writer) Bool(b bool) {
 }
 
 // Table writes a count word and then n rows of per words each, all
-// produced by rows. A sizing writer counts the rows without calling rows.
+// produced by rows. A sizing writer counts the rows without calling rows;
+// the other passes check that rows wrote n·per words, which keeps a
+// sizing writer's count exact.
 func (w *Writer) Table(n, per int, rows func()) {
 	w.Word(uint64(n))
-	if w.sizing {
+	if w.pass == sizing {
 		w.s.n += n * per
 		return
 	}
+	at := w.s.n
 	rows()
+	if got := w.s.n - at; got != n*per {
+		panic(fmt.Sprintf("words: a table of %d rows of %d words wrote %d words", n, per, got))
+	}
 }
 
 // Ramp writes n rows of len(first) words; column c of row i is
@@ -171,16 +203,34 @@ func (w *Writer) Ramp(n int, first, step []uint64) {
 		panic(fmt.Sprintf("words: ramp of %d rows, %d first and %d step words", n, k, len(step)))
 	}
 	w.s.n += n * k
-	if w.sizing || n == 0 {
+	if w.pass == sizing || n == 0 {
 		return
 	}
-	if j := len(w.s.ramps) - 1; j >= 0 && w.s.ramps[j].continuedBy(len(w.s.lit), first, step) {
-		w.s.ramps[j].rows += n
+	var at int
+	var last *ramp // the ramp this one may continue
+	if w.pass == counting {
+		at = w.lits
+		if w.ramps > 0 {
+			last = &w.last
+		}
+	} else {
+		at = len(w.s.lit)
+		if j := len(w.s.ramps) - 1; j >= 0 {
+			last = &w.s.ramps[j]
+		}
+	}
+	if last != nil && last.continuedBy(at, first, step) {
+		last.rows += n
 		return
 	}
-	r := ramp{at: len(w.s.lit), rows: n, k: k}
+	r := ramp{at: at, rows: n, k: k}
 	copy(r.first[:], first)
 	copy(r.step[:], step)
+	if w.pass == counting {
+		w.last = r
+		w.ramps++
+		return
+	}
 	w.s.ramps = append(w.s.ramps, r)
 }
 

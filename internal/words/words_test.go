@@ -34,17 +34,60 @@ func TestSizerMatchesWriter(t *testing.T) {
 	}
 	s := NewSizer()
 	save(s)
-	var w Writer
-	save(&w)
+	rec := new(Writer).Record(save)
 	want := []uint64{7, 1, 3, 0, 1, 2, 3, 4, 5, 10, 20, 30, 11, 20, 32, 12, 20, 34, 13, 20, 36}
-	if s.Len() != len(want) || w.Len() != len(want) || s.Stream().Len() != len(want) {
-		t.Fatalf("sizer %d, writer %d words, want %d", s.Len(), w.Len(), len(want))
+	if s.Len() != len(want) || rec.Len() != len(want) {
+		t.Fatalf("sizer %d, recorded %d words, want %d", s.Len(), rec.Len(), len(want))
 	}
-	if got := flat(w.Stream()); !slices.Equal(got, want) {
+	if got := flat(rec); !slices.Equal(got, want) {
 		t.Fatalf("words %v, want %v", got, want)
 	}
-	if got := s.Stream(); len(got.lit) != 0 || len(got.ramps) != 0 {
-		t.Fatalf("a sizing writer stored %d words and %d ramps", len(got.lit), len(got.ramps))
+	if len(s.s.lit) != 0 || len(s.s.ramps) != 0 {
+		t.Fatalf("a sizing writer stored %d words and %d ramps", len(s.s.lit), len(s.s.ramps))
+	}
+	checkExact(t, rec)
+}
+
+// checkExact checks that a recorded stream's storage is exactly sized.
+func checkExact(t *testing.T, s Stream) {
+	t.Helper()
+	if len(s.lit) != cap(s.lit) || len(s.ramps) != cap(s.ramps) {
+		t.Fatalf("stored %d of %d literal words and %d of %d ramps, want exactly sized",
+			len(s.lit), cap(s.lit), len(s.ramps), cap(s.ramps))
+	}
+}
+
+// A table whose rows write other than n·per words, and a save that
+// writes other words on its second pass, panic instead of recording a
+// section that sizing would count differently.
+func TestRecordRejectsMiscountedSaves(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		save func() func(w *Writer)
+		want string
+	}{
+		{"short table", func() func(w *Writer) {
+			return func(w *Writer) { w.Table(2, 2, func() { w.Word(1); w.Word(2); w.Word(3) }) }
+		}, "a table of 2 rows of 2 words wrote 3 words"},
+		{"second pass differs", func() func(w *Writer) {
+			calls := 0
+			return func(w *Writer) {
+				calls++
+				w.Word(1)
+				if calls == 2 {
+					w.Ramp(2, []uint64{0}, []uint64{0})
+				}
+			}
+		}, "counted 1 words (1 literal, 0 ramps), wrote 3 (1 literal, 1 ramps)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("panic %v, want one containing %q", r, tc.want)
+				}
+			}()
+			new(Writer).Record(tc.save())
+		})
 	}
 }
 
@@ -92,14 +135,13 @@ func TestRampMerges(t *testing.T) {
 		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var w Writer
 			var ref flatSink
-			tc.write(&w)
+			s := new(Writer).Record(func(w *Writer) { tc.write(w) })
 			tc.write(&ref)
-			if got := len(w.s.ramps); got != tc.ramps {
+			if got := len(s.ramps); got != tc.ramps {
 				t.Fatalf("%d ramps, want %d", got, tc.ramps)
 			}
-			if got := flat(w.Stream()); !slices.Equal(got, ref.ws) {
+			if got := flat(s); !slices.Equal(got, ref.ws) {
 				t.Fatalf("words %v, want %v", got, ref.ws)
 			}
 		})
@@ -109,12 +151,12 @@ func TestRampMerges(t *testing.T) {
 // Set copies: the copy holds the new word and expands the ramps, and the
 // original is unchanged.
 func TestSetExpandsRamps(t *testing.T) {
-	var w Writer
-	w.Word(42)
-	w.Ramp(4, []uint64{10, 20}, []uint64{1, 2})
-	w.Word(43)
-	w.Ramp(2, []uint64{0}, []uint64{0})
-	s := w.Stream()
+	s := new(Writer).Record(func(w *Writer) {
+		w.Word(42)
+		w.Ramp(4, []uint64{10, 20}, []uint64{1, 2})
+		w.Word(43)
+		w.Ramp(2, []uint64{0}, []uint64{0})
+	})
 	want := []uint64{42, 10, 20, 11, 22, 12, 24, 13, 26, 43, 0, 0}
 	if got := flat(s); !slices.Equal(got, want) {
 		t.Fatalf("words %v, want %v", got, want)
@@ -137,9 +179,10 @@ func TestSetExpandsRamps(t *testing.T) {
 }
 
 func TestReaderRejects(t *testing.T) {
-	var zeros Writer
-	zeros.Word(1)
-	zeros.Ramp(3, []uint64{0}, []uint64{0})
+	zeros := new(Writer).Record(func(w *Writer) {
+		w.Word(1)
+		w.Ramp(3, []uint64{0}, []uint64{0})
+	})
 	for _, tc := range []struct {
 		name string
 		s    Stream
@@ -147,15 +190,15 @@ func TestReaderRejects(t *testing.T) {
 		want string
 	}{
 		{"truncated", literal([]uint64{1}), func(r *Reader) { r.Word(); r.Word() }, "truncated at word 1"},
-		{"truncated after a ramp", zeros.Stream(), func(r *Reader) {
+		{"truncated after a ramp", zeros, func(r *Reader) {
 			for i := 0; i < 5; i++ {
 				r.Word()
 			}
 		}, "truncated at word 4"},
 		{"trailing", literal([]uint64{1, 2}), func(r *Reader) { r.Word() }, "1 trailing words"},
-		{"trailing inside a ramp", zeros.Stream(), func(r *Reader) { r.Word(); r.Word() }, "2 trailing words"},
+		{"trailing inside a ramp", zeros, func(r *Reader) { r.Word(); r.Word() }, "2 trailing words"},
 		{"length bomb", literal([]uint64{1 << 40, 0}), func(r *Reader) { r.Count(1) }, "claims 1099511627776 elements"},
-		{"count past a ramp", zeros.Stream(), func(r *Reader) { r.Count(4) }, "claims 1 elements with 3 words left"},
+		{"count past a ramp", zeros, func(r *Reader) { r.Count(4) }, "claims 1 elements with 3 words left"},
 		{"bool", literal([]uint64{2}), func(r *Reader) { r.Bool() }, "bool word 2"},
 		{"below range", literal([]uint64{3}), func(r *Reader) { r.Range(4, 9, "x") }, "x 0x3 outside [0x4, 0x9)"},
 		{"above range", literal([]uint64{9}), func(r *Reader) { r.Range(4, 9, "x") }, "x 0x9 outside"},
@@ -290,8 +333,10 @@ func play(data []byte, w sink) {
 }
 
 // FuzzWords plays a random sequence of Word, Bool, Table and Ramp calls
-// into a Writer, a sizing Writer and a plain per-word reference, and
-// checks that the stored stream is the reference word for word: its
+// into Record, a sizing Writer and a plain per-word reference, and
+// checks that the recorded stream is exactly sized, stores what one
+// writing pass stores (the counting pass merged the same ramps), and is
+// the reference word for word: its
 // Reader yields exactly the reference, its Len and FNV fold match, Set
 // and Equal agree with the reference, and Count, truncation and Fin's
 // trailing-word errors fire at the same logical positions as on the
@@ -309,18 +354,24 @@ func FuzzWords(f *testing.F) {
 		}
 		at, per, val := int(data[0]), int(data[1]%4), uint64(data[2])
 		data = data[3:]
+		s := new(Writer).Record(func(w *Writer) { play(data, w) })
 		var w Writer
 		play(data, &w)
 		sizer := NewSizer()
 		play(data, sizer)
 		var ref flatSink
 		play(data, &ref)
-		s, n := w.Stream(), len(ref.ws)
+		n := len(ref.ws)
 
 		if w.Len() != n || s.Len() != n || sizer.Len() != n {
 			t.Fatalf("Len: writer %d, stream %d, sizer %d; reference %d", w.Len(), s.Len(), sizer.Len(), n)
 		}
 		checkStream(t, s)
+		checkExact(t, s)
+		if !slices.Equal(s.lit, w.s.lit) || !slices.Equal(s.ramps, w.s.ramps) {
+			t.Fatalf("recorded %d literal words and ramps %+v; one writing pass stored %d and %+v",
+				len(s.lit), s.ramps, len(w.s.lit), w.s.ramps)
+		}
 		if got := flat(s); !slices.Equal(got, ref.ws) {
 			t.Fatalf("read %v\nwant %v", got, ref.ws)
 		}
