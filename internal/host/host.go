@@ -37,17 +37,19 @@ var Fingerprint = fmt.Sprintf("hostparams:%d,%d,%d,%d,%d,%g,%d",
 	ipiSelf, ipiSMT, ipiCrossCore, ipiCrossNUMA, quantum, smtShare, rebalanceEvery)
 
 // Host is the fleet-scale machine: every hardware context of the
-// topology owns a LAPIC on the apic plane and is a placement target for
-// the L0 scheduler. A Host either owns its engine (New) or grafts onto an
-// existing machine's engine (NewOn — the differential harness runs a
-// guest stack and a multi-core host on the same clock).
+// topology owns a LAPIC on the apic plane, built when first used, and is
+// a placement target for the L0 scheduler. A Host either owns its engine
+// (New) or grafts onto an existing machine's engine (NewOn — the
+// differential harness runs a guest stack and a multi-core host on the
+// same clock).
 type Host struct {
 	Topo Topology
 	// Eng is the one engine every context's events, the host's clock and
 	// its fault plane live on.
 	Eng *sim.Engine
 
-	lapics []ports.IRQController
+	port   ports.Port
+	lapics []ports.IRQController // nil until the context's first use
 
 	// OnIPI, when set for a context, handles reschedule-IPI arrival
 	// there instead of the default (count and ack). The differential
@@ -83,22 +85,27 @@ func NewOn(eng *sim.Engine, t Topology, port ports.Port) (*Host, error) {
 	h := &Host{
 		Topo:    t,
 		Eng:     eng,
+		port:    port,
 		lapics:  make([]ports.IRQController, t.Contexts()),
 		onIPI:   make([]func(int), t.Contexts()),
 		ipiRecv: make([]uint64, t.Contexts()),
-	}
-	for c := range h.lapics {
-		c := CtxID(c)
-		l := port.NewIRQ(int(c), eng)
-		l.SetOnDeliver(func(vec int) { h.ipiArrived(c, vec) })
-		h.lapics[c] = l
 	}
 	h.Sched = newScheduler(h)
 	return h, nil
 }
 
-// LAPIC returns the interrupt controller of a hardware context.
-func (h *Host) LAPIC(c CtxID) ports.IRQController { return h.lapics[c] }
+// LAPIC returns the interrupt controller of a hardware context, building
+// it on first use: a density point's host delivers IPIs to only a few of
+// its contexts.
+func (h *Host) LAPIC(c CtxID) ports.IRQController {
+	if l := h.lapics[c]; l != nil {
+		return l
+	}
+	l := h.port.NewIRQ(int(c), h.Eng)
+	l.SetOnDeliver(func(vec int) { h.ipiArrived(c, vec) })
+	h.lapics[c] = l
+	return l
+}
 
 // OnIPI installs a per-context IPI arrival handler (nil restores the
 // default count-and-ack behaviour).
@@ -114,7 +121,7 @@ func (h *Host) ipiArrived(c CtxID, vec int) {
 	}
 	// Default: the target core's scheduler tick consumes the resched
 	// IPI immediately.
-	h.lapics[c].Ack(vec)
+	h.LAPIC(c).Ack(vec)
 }
 
 // IPILatency reports the delivery latency between two contexts.
@@ -137,7 +144,7 @@ func (h *Host) IPILatency(from, to CtxID) sim.Time {
 // fault plane, if armed, may still drop or delay it).
 func (h *Host) SendIPI(from, to CtxID, vec int) {
 	h.ipiSent[h.Topo.DistanceOf(from, to)]++
-	h.Eng.AtCall(h.Eng.Now()+h.IPILatency(from, to), h.lapics[to], uint64(vec))
+	h.Eng.AtCall(h.Eng.Now()+h.IPILatency(from, to), h.LAPIC(to), uint64(vec))
 	if h.tracer != nil {
 		h.tracer.Instant(h.ctxTracks[from], obs.KindIPI, obs.LevelNone,
 			h.ipiLabel, h.Eng.Now(), uint64(to), uint64(vec))
@@ -175,11 +182,12 @@ func (h *Host) SetObs(p *obs.Plane) {
 	h.tracer = p.Tracer
 	h.ctxTracks = make([]int, h.Topo.Contexts())
 	h.ipiLabel = p.Tracer.Intern("host.ipi")
-	for c, l := range h.lapics {
+	for c := range h.ctxTracks {
 		h.ctxTracks[c] = c
 		id := CtxID(c)
 		p.Tracer.SetTrackName(c, fmt.Sprintf("socket%d/core%d/smt%d",
 			h.Topo.SocketOf(id), h.Topo.CoreOf(id), h.Topo.ThreadOf(id)))
+		l := h.LAPIC(id)
 		l.SetObs(p.Tracer, c, fmt.Sprintf("host.lapic%d", c))
 		l.Metrics(p.Metrics, fmt.Sprintf("host.apic.ctx%d", c))
 	}
