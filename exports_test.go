@@ -104,8 +104,8 @@ var keepFields = map[string]string{
 	"netstack.Flow.Manual":        "the only way to close a receive window, so the zero-window probe stays tested",
 
 	// Counters only tests read, each the evidence a test asserts on.
-	"exp.vmCache.sims":          "TestPhase1CacheReuse counts every phase-1 lookup",
-	"exp.vmCache.reuses":        "TestPhase1CacheReuse counts every phase-1 lookup",
+	"exp.Memo.sims":             "TestPhase1CacheReuse counts every phase-1 lookup",
+	"exp.Memo.reuses":           "TestPhase1CacheReuse counts every phase-1 lookup",
 	"netstack.Stats.SegsRecv":   "netstack tests check a malformed packet is not counted as a segment",
 	"netstack.Stats.OutOfOrder": "netstack tests check reordering reached the out-of-order buffer",
 	"netstack.Stats.Malformed":  "netstack tests check a bad header is rejected and counted",

@@ -27,10 +27,11 @@ import (
 // that storms and the load balancer share. Phase 1 simulates each VM's
 // workload uncontended on its own machine, with the scheduler-chosen
 // placement class feeding the SW-SVt cost model; these runs are
-// independent, so they fan out on the worker pool and are memoized on
-// the session per (mode, workload class, size, placement) until SetPort,
-// SetFaults or SetObs drops the memo. Phase 2 replays all VMs' execution
-// demands on the shared host engine (host.Scheduler.ReplayStorm):
+// independent, so they fan out on the worker pool and are memoized per
+// (mode, workload class, size, placement) in a phase-1 memo: the
+// session's own until SetPort, SetFaults or SetObs drops it, or one that
+// svtsimd shares across requests (SetMemo). Phase 2 replays all VMs'
+// execution demands on the shared host engine (host.Scheduler.ReplayStorm):
 // quantum-based CPU sharing, SMT sibling interference from the
 // mwaiting SVt-threads, periodic migrations with cross-core reschedule
 // IPIs. The per-VM slowdown from phase 2 dilates the phase-1 latency
@@ -108,13 +109,16 @@ func (r DensityResult) SummaryLine() string {
 
 // vmRun is one VM's phase-1 (uncontended) measurement; an lb backend's
 // latUs are its per-request service samples. It is immutable once
-// computed: the session memo hands it to every VM and call it serves.
+// computed: the memo hands it to every VM, call and session it serves.
 type vmRun struct {
 	latUs []float64
-	ops   float64
-	busy  sim.Time
-	total sim.Time
-	frac  float64
+	// p50 and p99 are latUs's percentiles, read once when the run is
+	// measured; a density point scales them by the VM's slowdown.
+	p50, p99 float64
+	ops      float64
+	busy     sim.Time
+	total    sim.Time
+	frac     float64
 	// imageBytes is the encoded size of the VM's post-run migration
 	// image (snapshot.Size); it prices storm-driven migrations. lb
 	// backends are not sized and migrate as empty images.
@@ -141,13 +145,18 @@ func densityKey(mode hv.Mode, i int, place swsvt.Placement) vmKey {
 	return k
 }
 
-// vmCache is a session's phase-1 memo: each distinct key is simulated
-// once and its vmRun reused by every VM and call, instead of O(k²)
-// machines per sweep. The key space bounds it (a few hundred floats per
-// entry). Duplicate concurrent computes are harmless — both produce the
-// identical value. The sims/reuses counters are exact only under a
-// serial pool.
-type vmCache struct {
+// Memo is a phase-1 memo: each distinct VM run is simulated once and
+// reused by every VM and call it serves, instead of O(k²) machines per
+// sweep. A session builds its own on first use; Session.SetMemo shares
+// one across sessions. Its keys hold the mode, workload class, size and
+// placement, and memcached VMs add their index, so the key space plus
+// one memcached entry per VM index up to the largest k served bounds it
+// (a few hundred floats per entry). The port, fault spec and obs plane
+// are not in the key: a memo serves one configuration. Duplicate
+// concurrent computes are harmless — both produce the identical value.
+// The sims/reuses counters are exact only under a serial pool. The
+// zero Memo is empty and ready.
+type Memo struct {
 	mu     sync.Mutex
 	m      map[vmKey]vmRun
 	sims   uint64
@@ -155,7 +164,7 @@ type vmCache struct {
 }
 
 // get returns key's run, computing it with run on a miss.
-func (c *vmCache) get(key vmKey, run func() vmRun) vmRun {
+func (c *Memo) get(key vmKey, run func() vmRun) vmRun {
 	c.mu.Lock()
 	r, ok := c.m[key]
 	if ok {
@@ -167,6 +176,9 @@ func (c *vmCache) get(key vmKey, run func() vmRun) vmRun {
 	}
 	r = run()
 	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[vmKey]vmRun)
+	}
 	c.m[key] = r
 	c.sims++
 	c.mu.Unlock()
@@ -210,6 +222,8 @@ func (s *Session) runVM(cfg machine.Config, i int, place swsvt.Placement, build 
 		r.frac = float64(led.T[sim.CatTransform]+led.T[sim.CatL1]) / float64(r.total)
 	}
 	r.latUs, r.ops = measure(r.total)
+	q := stats.Percentiles(r.latUs, 50, 99)
+	r.p50, r.p99 = q[0], q[1]
 	return r
 }
 
@@ -316,8 +330,8 @@ func (f fleet) point(mode hv.Mode) DensityPoint {
 			VM:       i,
 			Workload: densityWorkloadName(i),
 			Ctxs:     f.assigns[i].Ctxs,
-			P50Us:    stats.Percentile(r.latUs, 50) * S,
-			P99Us:    stats.Percentile(r.latUs, 99) * S,
+			P50Us:    r.p50 * S,
+			P99Us:    r.p99 * S,
 			Slowdown: S,
 		}
 		if r.total > 0 {

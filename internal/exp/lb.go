@@ -285,12 +285,13 @@ func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	sp.run(spec2, t0, dur, oplane)
 
 	// Assemble the cell.
+	q := stats.Percentiles(sp.latUs, 50, 99, 99.9)
 	out := LBResult{
 		Mode: mode, K: k, Scenario: scenario, Seed: seed, SLOUs: sloUs,
 		Offered: sp.offered, Completed: uint64(len(sp.latUs)),
-		P50Us:  stats.Percentile(sp.latUs, 50),
-		P99Us:  stats.Percentile(sp.latUs, 99),
-		P999Us: stats.Percentile(sp.latUs, 99.9),
+		P50Us:  q[0],
+		P99Us:  q[1],
+		P999Us: q[2],
 
 		GangMigrations: res.GangMigrations,
 		Downtime:       res.MigrationDowntime,

@@ -25,8 +25,9 @@ import (
 // state. Every experiment is a method on Session, and a Session is the
 // only way to run one.
 //
-// A session memoizes its fleet experiments' phase-1 VM runs across calls;
-// SetPort, SetFaults and SetObs change those runs' inputs and drop them.
+// A session memoizes its fleet experiments' phase-1 VM runs across calls
+// in a Memo, its own or one shared with SetMemo; SetPort, SetFaults and
+// SetObs change those runs' inputs and drop it.
 //
 // All accessors are safe to call concurrently with experiment runs on
 // the parallel pool: configuration reads and writes share one mutex.
@@ -38,7 +39,7 @@ type Session struct {
 	workers int
 	topo    host.Topology
 	port    ports.Port
-	memo    *vmCache // phase-1 runs under port, faults and obsOpts; nil when empty
+	memo    *Memo // phase-1 runs under port, faults and obsOpts; nil when none yet
 }
 
 // NewSession returns a session with the calibrated defaults: no faults,
@@ -141,30 +142,48 @@ func (s *Session) Topology() host.Topology {
 	return s.topo
 }
 
+// SetMemo makes m the memo of the session's phase-1 runs, so sessions
+// sharing m simulate each VM once between them. m must only ever serve
+// sessions of one port and fault spec with no observability plane:
+// its keys hold neither. Set it after SetPort, SetFaults and SetObs,
+// which drop it.
+func (s *Session) SetMemo(m *Memo) {
+	s.mu.Lock()
+	s.memo = m
+	s.mu.Unlock()
+}
+
 // config is the session-wide machine configuration: the calibrated
 // defaults for the session's port plus whatever fault plane and
 // observability are armed.
 func (s *Session) config(mode hv.Mode) machine.Config {
-	cfg, _ := s.phase1(mode)
-	return cfg
-}
-
-// phase1 returns config(mode) and the phase-1 memo in one s.mu section,
-// so a memo never serves a run computed under another configuration.
-func (s *Session) phase1(mode hv.Mode) (machine.Config, *vmCache) {
-	cfg := machine.DefaultConfig(mode)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.configLocked(mode)
+}
+
+// configLocked is config with s.mu held.
+func (s *Session) configLocked(mode hv.Mode) machine.Config {
+	cfg := machine.DefaultConfig(mode)
 	if s.port != nil {
 		cfg.Port = s.port
 		cfg.Costs = s.port.Costs()
 	}
 	cfg.Faults = s.faults
 	cfg.Obs = s.obsOpts
+	return cfg
+}
+
+// phase1 returns config(mode) and the phase-1 memo, built on first use,
+// in one s.mu section, so a memo never serves a run computed under
+// another configuration.
+func (s *Session) phase1(mode hv.Mode) (machine.Config, *Memo) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.memo == nil {
-		s.memo = &vmCache{m: make(map[vmKey]vmRun)}
+		s.memo = new(Memo)
 	}
-	return cfg, s.memo
+	return s.configLocked(mode), s.memo
 }
 
 // publishObs makes p, when non-nil, the session's latest plane.

@@ -207,8 +207,32 @@ func TestPhase1MemoTransparent(t *testing.T) {
 	}
 }
 
+// TestSetMemoSharesRuns: sessions sharing one memo simulate each VM
+// once between them, and a session served entirely from another's runs
+// reports what a fresh session reports.
+func TestSetMemoSharesRuns(t *testing.T) {
+	const mode, k = hv.ModeSWSVt, 4
+	shared := new(Memo)
+	first := NewSession()
+	first.SetParallelism(1) // sims are exact only under a serial pool
+	first.SetMemo(shared)
+	first.Consolidation(mode, k)
+	sims := shared.sims
+	second := NewSession()
+	second.SetParallelism(1)
+	second.SetMemo(shared)
+	got := second.Consolidation(mode, k)
+	if shared.sims != sims {
+		t.Errorf("the second session simulated %d VMs its memo already held", shared.sims-sims)
+	}
+	if want := NewSession().Consolidation(mode, k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("memo-served fleet diverges from a fresh session's:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
 // TestPhase1MemoDroppedBySetters: SetFaults, SetPort and SetObs change
-// what a phase-1 machine is built from, so each drops the memo: a run
+// what a phase-1 machine is built from, so each drops the memo, a shared
+// one too: a run
 // after the setter matches a fresh session configured the same way,
 // never the memoized runs of the old configuration.
 func TestPhase1MemoDroppedBySetters(t *testing.T) {
@@ -232,9 +256,14 @@ func TestPhase1MemoDroppedBySetters(t *testing.T) {
 	for _, st := range setters {
 		t.Run(st.name, func(t *testing.T) {
 			s := NewSession()
+			shared := new(Memo)
+			s.SetMemo(shared)
 			before := s.Consolidation(mode, k)
 			st.set(s)
 			got := s.Consolidation(mode, k)
+			if s.memo == shared {
+				t.Errorf("%s kept the shared memo", st.name)
+			}
 			ref := NewSession()
 			st.set(ref)
 			if want := ref.Consolidation(mode, k); !reflect.DeepEqual(got, want) {

@@ -1,10 +1,12 @@
 package server
 
-// Request execution: one canonical request, one fresh exp.Session, one
-// deterministic line-oriented result. Every branch funnels through the
-// context-aware experiment bodies so cancellation (per-job timeout,
-// drain-deadline) and progress streaming work uniformly, and sweeps fan
-// their cells out on the session's SimWorkers-wide pool. Nothing here
+// Request execution: one canonical request, one exp.Session, one
+// deterministic line-oriented result. The session is fresh but for its
+// phase-1 memo, which the daemon shares across requests (memo.go).
+// Every branch funnels through the context-aware experiment bodies so
+// cancellation (per-job timeout, drain-deadline) and progress streaming
+// work uniformly, and sweeps fan their cells out on the session's
+// SimWorkers-wide pool. Nothing here
 // may read wall-clock time into the result — the output must be a pure
 // function of the canonical request, or the content-addressed cache
 // would lie.
@@ -63,9 +65,18 @@ func SessionFor(req *Request, simWorkers int) (*exp.Session, error) {
 // surfaces as an error between simulation steps; pr (nil for none)
 // receives a progress event after each step.
 func Run(ctx context.Context, req *Request, simWorkers int, pr exp.ProgressFunc) ([]string, *obs.Plane, error) {
+	return run(ctx, req, simWorkers, nil, pr)
+}
+
+// run is Run with the session's phase-1 memo set to memo when it is not
+// nil.
+func run(ctx context.Context, req *Request, simWorkers int, memo *exp.Memo, pr exp.ProgressFunc) ([]string, *obs.Plane, error) {
 	es, err := SessionFor(req, simWorkers)
 	if err != nil {
 		return nil, nil, err
+	}
+	if memo != nil {
+		es.SetMemo(memo)
 	}
 	var lines []string
 	switch req.Kind {
@@ -109,7 +120,7 @@ func Run(ctx context.Context, req *Request, simWorkers int, pr exp.ProgressFunc)
 // execute runs a job's request and returns the cache entry its bytes
 // live in.
 func (s *Server) execute(ctx context.Context, j *job) (*cacheEntry, error) {
-	lines, plane, err := Run(ctx, j.req, s.cfg.SimWorkers, j.progressFunc())
+	lines, plane, err := run(ctx, j.req, s.cfg.SimWorkers, s.memos.get(j.req), j.progressFunc())
 	if err != nil {
 		return nil, err
 	}

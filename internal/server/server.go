@@ -72,6 +72,7 @@ type Server struct {
 	cfg   Config
 	cache *Cache
 	stats *obs.EndpointStats
+	memos memoSet // phase-1 memos shared by density, storm and lb jobs
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc

@@ -26,13 +26,21 @@ func Mean(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
+func Percentile(xs []float64, p float64) float64 { return Percentiles(xs, p)[0] }
+
+// Percentiles returns the p-th percentile of xs for each p in ps, as
+// Percentile does, from one sorted copy of xs.
+func Percentiles(xs []float64, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	if len(xs) == 0 {
-		return 0
+		return out
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return percentileSorted(s, p)
+	for i, p := range ps {
+		out[i] = percentileSorted(s, p)
+	}
+	return out
 }
 
 func percentileSorted(s []float64, p float64) float64 {

@@ -49,6 +49,25 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
+// Percentiles reads each percentile exactly as Percentile does, leaves
+// its input alone and answers zeros for no samples.
+func TestPercentilesMatchPercentile(t *testing.T) {
+	xs := []float64{40, 10, 50, 30, 20, 35}
+	ps := []float64{0, 25, 50, 90, 99, 99.9, 100}
+	got := Percentiles(xs, ps...)
+	for i, p := range ps {
+		if want := Percentile(xs, p); got[i] != want {
+			t.Errorf("P%v = %v, Percentile says %v", p, got[i], want)
+		}
+	}
+	if xs[0] != 40 || xs[1] != 10 {
+		t.Fatal("Percentiles mutated its input")
+	}
+	if q := Percentiles(nil, 50, 99); len(q) != 2 || q[0] != 0 || q[1] != 0 {
+		t.Fatalf("Percentiles of no samples = %v, want [0 0]", q)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	if _, err := Summarize(nil); err != ErrNoSamples {
 		t.Fatal("expected ErrNoSamples")
