@@ -32,9 +32,9 @@
 // Some paths run in-process only: -check N differentially checks N
 // generated schedules across all modes and writes shrunk repro files
 // (-submit -check reports verdicts only); -replay FILE re-runs one
-// schedule file; -migrate overlays live-migration points on a schedule;
-// -portcmp prints the per-port comparison table; -dump-exits lists the
-// newest exits of a cpuid run.
+// schedule file on the port it names; -migrate overlays live-migration
+// points on a schedule; -portcmp prints the per-port comparison table;
+// -dump-exits lists the newest exits of a cpuid run.
 //
 //	svtsim -check 25 -check-seed 1
 //	svtsim -replay repro-7.sched
@@ -264,6 +264,9 @@ func runLocalOnly(o *options) (int, error) {
 	}
 	switch {
 	case o.replay != "":
+		if o.port != "" {
+			return 2, errors.New("-replay runs a schedule on the port its file names; drop -port")
+		}
 		if err := svtsim.ReplaySchedule(os.Stdout, o.replay); err != nil {
 			return 1, err
 		}

@@ -111,3 +111,18 @@ func deref(rs []*server.Request) []server.Request {
 	}
 	return out
 }
+
+// TestReplayRefusesPort: a schedule file names its own port, so -replay
+// refuses a -port that could contradict it (exit 2) before reading the
+// file.
+func TestReplayRefusesPort(t *testing.T) {
+	fs := flag.NewFlagSet("svtsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o, err := parseFlags(fs, []string{"-replay", "missing.sched", "-port", "armlike"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, err := run(o); code != 2 || err == nil || !strings.Contains(err.Error(), "-port") {
+		t.Fatalf("run = %d, %v; want exit 2 naming -port", code, err)
+	}
+}

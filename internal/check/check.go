@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"svtsim/internal/exp"
+	"svtsim/internal/ports"
 )
 
 // RunBudgetOpts generates and checks n schedules from consecutive seeds
@@ -26,6 +27,9 @@ func RunBudgetOpts(ctx context.Context, w io.Writer, n int, seed int64, dir stri
 			return failures, err
 		}
 		s := Generate(seed + int64(i))
+		if opts != nil {
+			s.Port = portName(opts.Port)
+		}
 		v := CheckSchedule(s, opts)
 		fmt.Fprintf(w, "%s\n", v)
 		if v.Failed() {
@@ -63,10 +67,14 @@ func WriteRepro(dir string, s *Schedule) (string, error) {
 }
 
 // ReplayFile re-runs a repro (or corpus) schedule file under the full
-// mode set and reports the verdict to w. The returned error is non-nil
-// for unreadable/invalid files AND for failing verdicts, so callers can
-// exit nonzero on either.
-func ReplayFile(w io.Writer, path string) error {
+// mode set on the port the file names and reports the verdict to w. The
+// returned error is non-nil for unreadable/invalid files AND for failing
+// verdicts, so callers can exit nonzero on either.
+func ReplayFile(w io.Writer, path string) error { return replayFile(w, path, nil) }
+
+// replayFile is ReplayFile under opts, whose Port the file's port
+// replaces.
+func replayFile(w io.Writer, path string, opts *RunOpts) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -76,12 +84,27 @@ func ReplayFile(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	v := CheckSchedule(s, nil)
+	var o RunOpts
+	if opts != nil {
+		o = *opts
+	}
+	if o.Port, err = ports.Parse(s.Port); err != nil {
+		return err
+	}
+	v := CheckSchedule(s, &o)
 	fmt.Fprintf(w, "%s\n", v)
 	if v.Failed() {
 		return fmt.Errorf("check: %s: schedule is inequivalent across modes", path)
 	}
 	return nil
+}
+
+// portName is a schedule's spelling of port p: "" for the default.
+func portName(p ports.Port) string {
+	if p == nil || p.Name() == ports.DefaultName {
+		return ""
+	}
+	return p.Name()
 }
 
 // withMigrations generates the seeded schedule and overlays the given

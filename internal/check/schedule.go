@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"svtsim/internal/ports"
 )
 
 // OpKind enumerates the workload operations a schedule interleaves. Each
@@ -108,6 +110,10 @@ type Schedule struct {
 	// be invariant to this: transparency cannot depend on how far the
 	// interrupt travelled.
 	Cores int
+	// Port names the architecture port the schedule runs on; "" is the
+	// default x86 port. A repro keeps the port its failure was found
+	// and shrunk on, so its replay fails there too.
+	Port string
 	// WakeupDropRate, when nonzero, enables recoverable SVt wakeup-drop
 	// fault injection at this rate. Transparency must hold regardless:
 	// the watchdog/breaker machinery recovers without the nested guest
@@ -161,6 +167,10 @@ func (s *Schedule) Encode() []byte {
 	// so pre-existing corpus files round-trip byte-identically.
 	if s.Cores > 1 {
 		fmt.Fprintf(&b, "cores %d\n", s.Cores)
+	}
+	// Likewise only for a port other than the default.
+	if s.Port != "" {
+		fmt.Fprintf(&b, "port %s\n", s.Port)
 	}
 	if s.WakeupDropRate > 0 {
 		fmt.Fprintf(&b, "faults wakeup-drop %s\n", strconv.FormatFloat(s.WakeupDropRate, 'g', -1, 64))
@@ -226,6 +236,15 @@ func Decode(r io.Reader) (*Schedule, error) {
 				return nil, fmt.Errorf("check: line %d: cores must be in 1..8", line)
 			}
 			s.Cores = v
+		case "port":
+			if len(f) != 2 {
+				return nil, fmt.Errorf("check: line %d: port wants 1 argument", line)
+			}
+			p, err := ports.Parse(f[1])
+			if err != nil {
+				return nil, fmt.Errorf("check: line %d: %v", line, err)
+			}
+			s.Port = portName(p)
 		case "faults":
 			if len(f) != 3 || f[1] != "wakeup-drop" {
 				return nil, fmt.Errorf("check: line %d: only \"faults wakeup-drop <rate>\" is supported", line)

@@ -50,6 +50,8 @@ func TestDecodeRejects(t *testing.T) {
 		{"bad rate", "svtsched v1\nfaults wakeup-drop 1.5\nop cpuid 1 0\n"},
 		{"bad directive", "svtsched v1\nspeed 9\nop cpuid 1 0\n"},
 		{"op arity", "svtsched v1\nop cpuid 1\n"},
+		{"unknown port", "svtsched v1\nport vax\nop cpuid 1 0\n"},
+		{"port arity", "svtsched v1\nport\nop cpuid 1 0\n"},
 	}
 	for _, c := range cases {
 		if _, err := Decode(strings.NewReader(c.in)); err == nil {
@@ -81,6 +83,32 @@ func TestFromBytesAlwaysValid(t *testing.T) {
 // TestReproRoundTrip pins the -replay contract end to end: a shrunk
 // schedule written by WriteRepro decodes and re-encodes byte-identically,
 // and ReplayFile accepts it.
+// A schedule names its port only when it is not the default: an armlike
+// schedule round-trips its port line, and an x86 one, however spelled,
+// encodes without one, as every corpus file was written.
+func TestSchedulePortLine(t *testing.T) {
+	s := Generate(77)
+	s.Port = "armlike"
+	enc := s.Encode()
+	if !bytes.Contains(enc, []byte("\nport armlike\n")) {
+		t.Fatalf("armlike schedule encodes without its port:\n%s", enc)
+	}
+	dec, err := Decode(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Port != "armlike" || !bytes.Equal(dec.Encode(), enc) {
+		t.Fatalf("decoded port %q; re-encoding:\n%s\nvs\n%s", dec.Port, dec.Encode(), enc)
+	}
+	x86, err := Decode(strings.NewReader("svtsched v1\nport x86\nop cpuid 1 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x86.Port != "" || strings.Contains(x86.String(), "port") {
+		t.Fatalf("x86 schedule kept port %q:\n%s", x86.Port, x86)
+	}
+}
+
 func TestReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := Generate(77)

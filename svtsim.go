@@ -184,7 +184,7 @@ func CheckSchedulesPort(w io.Writer, n int, seed int64, dir string, port Port) i
 
 // ReplaySchedule decodes a schedule file (as written by
 // CheckSchedulesPort or shipped in the regression corpus) and re-runs the differential
-// check on it, reporting any divergence.
+// check on it, on the port the file names, reporting any divergence.
 func ReplaySchedule(w io.Writer, path string) error { return check.ReplayFile(w, path) }
 
 // MigratePoint schedules one live migration inside a differential
