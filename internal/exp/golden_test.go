@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"svtsim/internal/fault"
 	"svtsim/internal/host"
 	"svtsim/internal/hv"
 )
@@ -35,6 +36,19 @@ func TestFleetGolden(t *testing.T) {
 				for _, r := range s.LoadBalancerTable(hv.AllModes(), 3, sc, 42, 1000) {
 					b.WriteString(r.StatsLine() + "\n")
 				}
+			}
+		}},
+		// A delayed segment is held by its stack across virtual time
+		// while the stack reuses its encode buffers; the CI step of the
+		// same name runs this cell through the CLI at two pool widths.
+		{"lb-delay", host.Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}, func(s *Session, b *strings.Builder) {
+			spec, err := fault.ParseSpec("net/segment:rate=0.05,delay=20us", 1)
+			if err != nil {
+				panic(err)
+			}
+			s.SetFaults(spec)
+			for _, r := range s.LoadBalancerTable(hv.AllModes(), 3, "steady", 42, 1000) {
+				b.WriteString(r.StatsLine() + "\n")
 			}
 		}},
 		{"density", host.Topology{Sockets: 1, CoresPerSocket: 2, ThreadsPerCore: 2}, func(s *Session, b *strings.Builder) {

@@ -88,6 +88,7 @@ quiet "$sim" -migrate 2:0,5:3 -check-seed 7
 quiet "$sim" -storm 12 -vms 6 -host 1x4x2 -storm-seed 42 -parallel=8
 quiet "$sim" -lb 3 -lb-scenario all -host 2x2x2 -parallel=8
 tolerate "$sim" -lb 3 -lb-scenario steady -host 2x2x2 -faults 'net/segment:rate=0.05,drop'
+quiet "$sim" -lb 3 -lb-scenario steady -host 2x2x2 -faults 'net/segment:rate=0.05,delay=20us' -parallel=8
 quiet "$sim" -lb 3 -lb-scenario steady -host 2x2x2 -trace lb-trace.json
 quiet "$sim" -portcmp -n 200
 for p in x86 armlike; do
