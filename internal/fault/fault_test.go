@@ -198,6 +198,47 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecStringRoundTrip holds String to ParseSpec's syntax exactly:
+// the text a failed run prints as its replay line must parse back to the
+// spec that ran, delays and jitters to the nanosecond.
+func TestSpecStringRoundTrip(t *testing.T) {
+	specs := []*Spec{{Seed: 5, Sites: []SiteConfig{
+		{Site: SiteIRQ, Rate: 0.5, Delay: 1234, Jitter: 1999},
+	}}}
+	keys := []SiteConfig{
+		{Rate: 0.123456789, Drop: true},
+		{Every: 7, Drop: true},
+		{Every: 3, After: 11, Drop: true},
+		{Rate: 1, Limit: 4, Drop: true},
+		{Rate: 0.25, Delay: 20 * sim.Microsecond},
+		{Rate: 0.25, Delay: 1_000_001},
+		{Rate: 0.25, Delay: 3 * sim.Second, Jitter: 1},
+		{Rate: 0.25, Drop: true, Jitter: 999_999_999},
+	}
+	for _, site := range Sites() {
+		for _, c := range keys {
+			c.Site = site
+			specs = append(specs, &Spec{Seed: 9, Sites: []SiteConfig{c}})
+		}
+	}
+	for _, s := range specs {
+		back, err := ParseSpec(s.String(), s.Seed)
+		if err != nil {
+			t.Fatalf("re-parse of %q: %v", s, err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Errorf("%q parses back as %+v, want %+v", s, back.Sites, s.Sites)
+		}
+	}
+	if got, want := specs[0].String(), "apic/irq:rate=0.5,delay=1234ns,jitter=1999ns"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	exact := &Spec{Sites: []SiteConfig{{Site: SiteNetSegment, Rate: 0.05, Delay: 20 * sim.Microsecond}}}
+	if got, want := exact.String(), "net/segment:rate=0.05,delay=20.00us"; got != want {
+		t.Errorf("String() = %q, want today's exact text %q", got, want)
+	}
+}
+
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
 		"nosuch/site:rate=0.1,drop",  // unknown site

@@ -55,14 +55,25 @@ func (s *Spec) String() string {
 			kv = append(kv, "drop")
 		}
 		if c.Delay > 0 {
-			kv = append(kv, "delay="+c.Delay.String())
+			kv = append(kv, "delay="+durationString(c.Delay))
 		}
 		if c.Jitter > 0 {
-			kv = append(kv, "jitter="+c.Jitter.String())
+			kv = append(kv, "jitter="+durationString(c.Jitter))
 		}
 		parts = append(parts, c.Site+":"+strings.Join(kv, ","))
 	}
 	return strings.Join(parts, ";")
+}
+
+// durationString renders d so that ParseDuration reads back d: as
+// sim.Time prints it when that text is exact, in nanoseconds otherwise
+// (sim.Time rounds to two decimals, so 1234ns would print as 1.23us).
+func durationString(d sim.Time) string {
+	s := d.String()
+	if back, err := ParseDuration(s); err == nil && back == d {
+		return s
+	}
+	return strconv.FormatInt(int64(d), 10) + "ns"
 }
 
 // ParseSpec parses a CLI fault spec of the form
