@@ -40,6 +40,10 @@ var zeroLine line
 type Memory struct {
 	size  uint64
 	pages map[uint64]*page
+	// order holds the page indices ascending when it is as long as
+	// pages. Pages are only ever added, so a capture sorts at most
+	// once, and only after a page was added since the last one.
+	order []uint64
 	// Slabs that lines and page headers are carved from, so a first
 	// touch costs a fraction of a malloc.
 	lines []line

@@ -14,13 +14,15 @@ const wordsPerPage = PageSize / 8
 // ramp of zero words, so the logical encoding does not depend on line
 // backing.
 func (m *Memory) SaveWords(w *words.Writer) {
-	w.Table(len(m.pages), 1+wordsPerPage, func() {
-		idxs := make([]uint64, 0, len(m.pages))
+	if len(m.order) != len(m.pages) {
+		m.order = m.order[:0]
 		for i := range m.pages {
-			idxs = append(idxs, i)
+			m.order = append(m.order, i)
 		}
-		slices.Sort(idxs)
-		for _, i := range idxs {
+		slices.Sort(m.order)
+	}
+	w.Table(len(m.order), 1+wordsPerPage, func() {
+		for _, i := range m.order {
 			w.Word(i)
 			for _, ln := range m.pages[i] {
 				if ln == nil {

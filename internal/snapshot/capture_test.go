@@ -152,8 +152,8 @@ func TestCaptureAllocBudget(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	const (
-		allocBudget = 135    // mallocs per capture; 79 measured on go1.24
-		byteBudget  = 40_000 // bytes per capture; 25,624 measured on go1.24, 66,080 before counted sections, 868,038 before ramps
+		allocBudget = 77     // mallocs per capture; 67 measured on go1.24, 79 before the sorted indices were kept
+		byteBudget  = 40_000 // bytes per capture; 25,368 measured on go1.24, 66,080 before counted sections, 868,038 before ramps
 	)
 	m, io := diskMachine(t, hv.ModeSWSVt, 0x5a, 3)
 	snapshot.Capture(m, io)

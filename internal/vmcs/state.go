@@ -2,7 +2,6 @@ package vmcs
 
 import (
 	"math/bits"
-	"slices"
 
 	"svtsim/internal/isa"
 	"svtsim/internal/words"
@@ -21,12 +20,8 @@ func (v *VMCS) SaveWords(w *words.Writer) {
 		w.Word(g)
 	}
 	w.Bool(v.ShadowEnabled)
-	w.Table(len(v.ExitingMSRs), 1, func() {
-		addrs := make([]uint32, 0, len(v.ExitingMSRs))
-		for a := range v.ExitingMSRs {
-			addrs = append(addrs, a)
-		}
-		slices.Sort(addrs)
+	addrs := *v.exitMSRs
+	w.Table(len(addrs), 1, func() {
 		for _, a := range addrs {
 			w.Word(uint64(a))
 		}
@@ -70,8 +65,5 @@ func (v *VMCS) LoadWords(r *words.Reader) {
 		return
 	}
 	v.fields, v.GPRs, v.ShadowEnabled, v.dirty = fields, gprs, shadow, dirty
-	clear(v.ExitingMSRs)
-	for _, a := range msrs {
-		v.ExitingMSRs[a] = true
-	}
+	*v.exitMSRs = msrs // read ascending
 }

@@ -66,12 +66,9 @@ func ToPhysical(dst, src *VMCS, xlat PointerXlat, forced ForcedControls) (Transf
 	}
 	// MSR bitmap semantics: union of what L1 wants trapped and what L0
 	// forces (L0 needs these exits for its own virtualization).
-	clear(dst.ExitingMSRs)
-	for a := range src.ExitingMSRs {
-		dst.ExitingMSRs[a] = true
-	}
+	*dst.exitMSRs = append((*dst.exitMSRs)[:0], *src.exitMSRs...)
 	for _, a := range forced.ForceMSR {
-		dst.ExitingMSRs[a] = true
+		dst.exitMSRs.add(a)
 	}
 	src.ClearDirty()
 	return st, nil

@@ -2,6 +2,7 @@ package vmcs
 
 import (
 	"fmt"
+	"slices"
 
 	"svtsim/internal/isa"
 )
@@ -36,18 +37,21 @@ type VMCS struct {
 	// writes on non-trapping accesses (L0 links vmcs12 under vmcs01).
 	Shadow *VMCS
 
-	// ExitingMSRs models the MSR bitmap contents: the MSR addresses whose
+	// exitMSRs models the MSR bitmap contents: the MSR addresses whose
 	// access traps. The MSRBitmapAddr field still carries a (translated)
 	// pointer value so transforms exercise pointer translation; the
-	// semantic content lives here for directness.
-	ExitingMSRs map[uint32]bool
+	// semantic content lives here for directness. The set is kept
+	// ascending, the order snapshots write it in, so a capture never
+	// sorts it; it sits behind a pointer, which keeps the VMCS inside
+	// its allocation size class.
+	exitMSRs *msrSet
 
 	dirty [(NumFields + 63) / 64]uint64 // one bit per field
 }
 
 // New returns an empty VMCS with the given diagnostic name.
 func New(name string) *VMCS {
-	v := &VMCS{Name: name, ExitingMSRs: make(map[uint32]bool)}
+	v := &VMCS{Name: name, exitMSRs: new(msrSet)}
 	v.fields[SVtVisor] = InvalidContext
 	v.fields[SVtVM] = InvalidContext
 	v.fields[SVtNested] = InvalidContext
@@ -83,11 +87,25 @@ func (v *VMCS) MSRExits(addr uint32) bool {
 	if v.Read(ProcControls)&ProcCtlUseMSRBitmap == 0 {
 		return true // without a bitmap, all MSR accesses exit
 	}
-	return v.ExitingMSRs[addr]
+	return v.exitMSRs.has(addr)
 }
 
 // SetMSRExit makes MSR addr trap.
-func (v *VMCS) SetMSRExit(addr uint32) { v.ExitingMSRs[addr] = true }
+func (v *VMCS) SetMSRExit(addr uint32) { v.exitMSRs.add(addr) }
+
+// msrSet is a set of MSR addresses, ascending.
+type msrSet []uint32
+
+func (s msrSet) has(addr uint32) bool {
+	_, ok := slices.BinarySearch(s, addr)
+	return ok
+}
+
+func (s *msrSet) add(addr uint32) {
+	if i, ok := slices.BinarySearch(*s, addr); !ok {
+		*s = slices.Insert(*s, i, addr)
+	}
+}
 
 // ShadowedAccess reports whether a VMREAD/VMWRITE of f performed by the
 // guest hypervisor running under this VMCS is absorbed by hardware
