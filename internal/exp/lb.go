@@ -48,6 +48,10 @@ const (
 	lbVector   = 0xB1 // resched-style kick accompanying each dispatch
 )
 
+// lbZeros backs every request and response: their bytes are zeros, and
+// Flow.Write copies what it is given.
+var lbZeros = make([]byte, max(lbReqSize, lbRespSize))
+
 // LBScenarios lists the supported scenario names in report order.
 func LBScenarios() []string {
 	return []string{"steady", "overload", "burst", "storm", "faults"}
@@ -117,7 +121,7 @@ func lbServe(eng *sim.Engine, env *guest.Env, n int, svcCPU sim.Time) {
 		env.WaitFor(func() bool { return rx >= lbReqSize })
 		rx -= lbReqSize
 		env.Compute(svcCPU)
-		fl.Write(make([]byte, lbRespSize))
+		fl.Write(lbZeros[:lbRespSize])
 	}
 }
 
@@ -155,7 +159,7 @@ func buildLBVM(cfg machine.Config, i int, led *sim.Ledger) (*machine.Machine, *m
 	send := func() {
 		t0 = m.Eng.Now()
 		sent++
-		fl.Write(make([]byte, lbReqSize))
+		fl.Write(lbZeros[:lbReqSize])
 	}
 	fl.OnData = func(p []byte) {
 		rx += len(p)
@@ -367,6 +371,14 @@ func (b *lbBackend) afterPauses(t sim.Time) sim.Time {
 	return t
 }
 
+// Fire implements sim.Handler: the backend's oldest request leaves
+// service and its response goes out. Completions are due at busyUntil,
+// which only moves forward, so they fire in the order they were queued.
+func (b *lbBackend) Fire(uint64) {
+	b.qdepth--
+	b.fl.Write(lbZeros[:lbRespSize])
+}
+
 func (sp *lbSpray) run(tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) {
 	h := sp.h
 	eng := h.Eng
@@ -407,10 +419,7 @@ func (sp *lbSpray) run(tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) 
 						b.svcIdx++
 						b.busyUntil = start + sim.Time(us*b.slow*1000)
 						b.qdepth++
-						eng.At(b.busyUntil, func() {
-							b.qdepth--
-							b.fl.Write(make([]byte, lbRespSize))
-						})
+						eng.AtCall(b.busyUntil, b, 0)
 					}
 				}
 			}
@@ -436,7 +445,7 @@ func (sp *lbSpray) run(tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) 
 			}
 		}
 
-		src := &traffic.Source{Eng: eng, Spec: tspec, Fire: func(i uint64) {
+		src := &traffic.Source{Eng: eng, Spec: tspec, OnArrival: func(i uint64) {
 			sp.offered++
 			// Least-outstanding dispatch, lowest index on ties.
 			j := 0
@@ -447,7 +456,7 @@ func (sp *lbSpray) run(tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) 
 			}
 			b := backends[j]
 			b.pending = append(b.pending, eng.Now())
-			b.balFl.Write(make([]byte, lbReqSize))
+			b.balFl.Write(lbZeros[:lbReqSize])
 			// The dispatch kick crosses the apic plane like a resched.
 			h.SendIPI(sp.balCtx, b.ctx, lbVector)
 		}}

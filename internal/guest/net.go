@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"svtsim/internal/isa"
+	"svtsim/internal/netsim"
 	"svtsim/internal/sim"
 	"svtsim/internal/virtio"
 )
@@ -19,7 +20,11 @@ type NetDriver struct {
 	txInflight map[uint16]func()
 	txBufs     []netBuf // arena buffers of packets in flight, by chain head
 	rxBufs     []netBuf // posted receive buffers, by chain head
-	// OnReceive is the protocol stack's inbound hook.
+	// rxCopies holds the received packets OnIRQ reads out of guest RAM.
+	rxCopies netsim.Buffers
+	// OnReceive is the protocol stack's inbound hook. The packet is
+	// borrowed for the call (netsim.Conduit); a hook that keeps it
+	// copies it.
 	OnReceive func(pkt []byte)
 
 	// PerPacketCPU models the guest network stack's per-packet cost.
@@ -177,7 +182,7 @@ func (d *NetDriver) OnIRQ() {
 		}
 		buf := d.rxBufs[head]
 		d.rxBufs[head] = netBuf{}
-		data := make([]byte, n)
+		data := d.rxCopies.Get(int(n))
 		if err := d.Env.Mem.Read(buf.gpa, data); err != nil {
 			panic(fmt.Sprintf("guest net: rx copy: %v", err))
 		}
@@ -189,5 +194,6 @@ func (d *NetDriver) OnIRQ() {
 		if d.OnReceive != nil {
 			d.OnReceive(data)
 		}
+		d.rxCopies.Put(data)
 	}
 }

@@ -197,15 +197,15 @@ func runRR(t *testing.T, cfg Config, size, n int) uint64 {
 }
 
 // A nested TCP_RR request leaves simulated memory twice: L1's vhost
-// backend reads it out of L2's memory into a Go buffer, and L0's backend
-// reads it out of L1's. From there every hop (L1's driver, the NIC, the
-// link, the echo peer) passes the same slice on. So a 1 KB request costs
-// at most two request-sized buffers more than a 64 B one, on every port
-// and in every mode, and both stay under a fixed per-transaction budget.
-// The NIC, link and peer hold in-flight packets in FIFOs beside their
-// events, so what remains is the per-packet buffers the conduit
-// ownership rule keeps: the two backends' request buffers, the peer's
-// response, and L1's and L2's driver receive buffers on its way in.
+// backend reads it out of L2's memory, and L0's backend reads it out of
+// L1's. Every hop borrows the packet for the call, and each one that
+// keeps it longer (the NIC's DMA, the link, the echo peer, a backend's
+// receive queue) copies it into storage it recycles, as the backends'
+// and drivers' reads out of guest memory do. After the first packet
+// grows that storage, a transaction allocates no packet bytes at all: a
+// 1 KB request costs at most 64 B more than a 64 B one, on every port
+// and in every mode. What remains per transaction is the workload's own
+// latency sample (8 B, grown once to n), under a fixed budget.
 func TestNetRoundTripAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -213,7 +213,7 @@ func TestNetRoundTripAllocBudget(t *testing.T) {
 	const (
 		n1, n2     = 100, 200
 		small, big = 64, 1024
-		budget     = 2560 // bytes per transaction; 2249 measured on go1.24
+		budget     = 10 // bytes per transaction; 9 measured on go1.24, 2,249 before packets were borrowed
 	)
 	runRR(t, portConfig(allocPorts[0], hv.ModeBaseline), small, 1)
 	for _, p := range allocPorts {
@@ -226,8 +226,8 @@ func TestNetRoundTripAllocBudget(t *testing.T) {
 				per[i] = (float64(b2) - float64(b1)) / (n2 - n1)
 			}
 			t.Logf("%s/%s: %.0f B per 64 B transaction, %.0f B per 1 KB transaction", p.Name(), mode, per[0], per[1])
-			if d, most := per[1]-per[0], float64(2*(big-small)+64); d > most {
-				t.Errorf("%s/%s: a 1 KB request allocates %.0f B more than a 64 B one, want at most two request buffers (%.0f B)", p.Name(), mode, d, most)
+			if d := per[1] - per[0]; d > 64 {
+				t.Errorf("%s/%s: a 1 KB request allocates %.0f B more than a 64 B one, want at most 64 B", p.Name(), mode, d)
 			}
 			for i, b := range per {
 				if b > budget {

@@ -13,8 +13,10 @@ import "svtsim/internal/sim"
 // how the nested I/O amplification of §6.2 arises), or a WireEnd under
 // a netstack.Stack.
 //
-// Ownership: once a packet is handed to Send or to a receiver, nobody
-// writes to it again. Every hop passes the same slice on; none copies.
+// Ownership: a packet is borrowed for the call. A slice passed to Send
+// or to a receiver is valid only until that call returns; the caller may
+// then overwrite it. A hop that keeps a packet longer (on the wire, in
+// DMA, in a queue) copies it into storage it owns and reuses: a Buffers.
 type Conduit interface {
 	// Send transmits pkt; done (may be nil) runs when the local transmit
 	// completes, not when the peer receives it.
@@ -23,10 +25,47 @@ type Conduit interface {
 	SetReceiver(fn func(pkt []byte))
 }
 
-// Endpoint receives packets from a link.
+// Endpoint receives packets from a link. The packet is borrowed for the
+// call, as in Conduit.
 type Endpoint interface {
 	Receive(pkt []byte)
 }
+
+// Buffers is the recycled packet storage of one hop: a hop that keeps
+// packets across virtual time copies each into a buffer from Copy and
+// returns it with Put once the packet has left, and a hop that creates
+// packets writes each into a buffer from Get. Every buffer is made as
+// large as the largest packet the hop has seen, so after warm-up the
+// hop allocates nothing. A buffer is off the free list while its packet
+// is lent, so a receiver that sends on the same hop during the call is
+// handed another one.
+type Buffers struct {
+	free [][]byte
+	size int // the largest packet seen
+}
+
+// Get returns a buffer of n bytes, with unspecified contents.
+func (b *Buffers) Get(n int) []byte {
+	b.size = max(b.size, n)
+	if k := len(b.free); k > 0 {
+		buf := b.free[k-1]
+		b.free = b.free[:k-1]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]byte, n, b.size)
+}
+
+// Copy returns a copy of pkt in a buffer from Get.
+func (b *Buffers) Copy(pkt []byte) []byte {
+	buf := b.Get(len(pkt))
+	copy(buf, pkt)
+	return buf
+}
+
+// Put returns a buffer from Get or Copy to the free list.
+func (b *Buffers) Put(buf []byte) { b.free = append(b.free, buf) }
 
 // Link is one direction of a full-duplex cable.
 type Link struct {
@@ -35,9 +74,11 @@ type Link struct {
 	BitsPerSec float64  // line rate
 
 	busyUntil sim.Time
-	// onWire holds the packets between Send and their arrival. Arrivals
-	// are busyUntil plus a fixed latency, so they leave in send order.
+	// onWire holds copies of the packets between Send and their
+	// arrival. Arrivals are busyUntil plus a fixed latency, so they
+	// leave in send order.
 	onWire sim.FIFO[arrival]
+	bufs   Buffers
 }
 
 // arrival is a packet on the wire and the endpoint it is bound for.
@@ -68,7 +109,7 @@ func (l *Link) Send(pkt []byte, dst Endpoint) sim.Time {
 	}
 	txDone := start + l.txTime(len(pkt))
 	l.busyUntil = txDone
-	l.onWire.At(l.Eng, txDone+l.Latency, l, arrival{pkt, dst})
+	l.onWire.At(l.Eng, txDone+l.Latency, l, arrival{l.bufs.Copy(pkt), dst})
 	return txDone
 }
 
@@ -76,6 +117,7 @@ func (l *Link) Send(pkt []byte, dst Endpoint) sim.Time {
 func (l *Link) Fire(arg uint64) {
 	a := l.onWire.Pop(arg, "netsim link")
 	a.dst.Receive(a.pkt)
+	l.bufs.Put(a.pkt)
 }
 
 // nicDMADelay models descriptor fetch + PCIe DMA before the wire.
@@ -89,10 +131,11 @@ type NIC struct {
 	Peer Endpoint
 
 	recv func(pkt []byte)
-	// tx and rx hold the packets in DMA, each a fixed nicDMADelay long,
-	// so each leaves in the order it entered.
-	tx sim.FIFO[txDMA]
-	rx sim.FIFO[[]byte]
+	// tx and rx hold copies of the packets in DMA, each a fixed
+	// nicDMADelay long, so each leaves in the order it entered.
+	tx   sim.FIFO[txDMA]
+	rx   sim.FIFO[[]byte]
+	bufs Buffers
 }
 
 // txDMA is an outbound packet in DMA and its transmit-done callback.
@@ -112,7 +155,7 @@ func NewNIC(eng *sim.Engine, out *Link) *NIC {
 // Send implements Conduit: DMA the packet, put it on the wire, and
 // report TX completion when the last bit leaves.
 func (n *NIC) Send(pkt []byte, done func()) {
-	n.tx.At(n.Eng, n.Eng.Now()+nicDMADelay, n, txDMA{pkt, done})
+	n.tx.At(n.Eng, n.Eng.Now()+nicDMADelay, n, txDMA{n.bufs.Copy(pkt), done})
 }
 
 // Fire implements sim.Handler: the oldest outbound DMA completes and
@@ -120,6 +163,7 @@ func (n *NIC) Send(pkt []byte, done func()) {
 func (n *NIC) Fire(arg uint64) {
 	d := n.tx.Pop(arg, "netsim NIC transmit")
 	txDone := n.Out.Send(d.pkt, n.Peer)
+	n.bufs.Put(d.pkt)
 	if d.done != nil {
 		n.Eng.At(txDone, d.done)
 	}
@@ -134,13 +178,15 @@ func (n *NIC) Receive(pkt []byte) {
 	if n.recv == nil {
 		return
 	}
-	n.rx.At(n.Eng, n.Eng.Now()+nicDMADelay, (*nicRx)(n), pkt)
+	n.rx.At(n.Eng, n.Eng.Now()+nicDMADelay, (*nicRx)(n), n.bufs.Copy(pkt))
 }
 
 // Fire implements sim.Handler: the oldest inbound DMA completes and its
 // packet goes to the receiver.
 func (r *nicRx) Fire(arg uint64) {
-	r.recv(r.rx.Pop(arg, "netsim NIC receive"))
+	pkt := r.rx.Pop(arg, "netsim NIC receive")
+	r.recv(pkt)
+	r.bufs.Put(pkt)
 }
 
 // WireEnd is one end of a wire: a Conduit whose Send puts each packet
@@ -153,19 +199,31 @@ type WireEnd struct {
 	Think sim.Time
 
 	recv func(pkt []byte)
+	// thinking holds copies of the packets in their think delay, which
+	// is fixed, so they leave in the order they were sent.
+	thinking sim.FIFO[[]byte]
+	bufs     Buffers
 }
 
 // Send implements Conduit.
 func (w *WireEnd) Send(pkt []byte, done func()) {
 	eng := w.Out.Eng
 	if w.Think > 0 {
-		eng.After(w.Think, func() { w.Out.Send(pkt, w.Dst) })
+		w.thinking.At(eng, eng.Now()+w.Think, w, w.bufs.Copy(pkt))
 	} else {
 		w.Out.Send(pkt, w.Dst)
 	}
 	if done != nil {
 		eng.After(0, done)
 	}
+}
+
+// Fire implements sim.Handler: the oldest packet ends its think delay
+// and goes on the wire.
+func (w *WireEnd) Fire(arg uint64) {
+	pkt := w.thinking.Pop(arg, "netsim wire end")
+	w.Out.Send(pkt, w.Dst)
+	w.bufs.Put(pkt)
 }
 
 // SetReceiver implements Conduit.

@@ -13,8 +13,9 @@ type sink struct {
 	eng   *sim.Engine
 }
 
+// Receive keeps a copy: the packet is borrowed for the call.
 func (s *sink) Receive(pkt []byte) {
-	s.pkts = append(s.pkts, pkt)
+	s.pkts = append(s.pkts, append([]byte(nil), pkt...))
 	s.times = append(s.times, s.eng.Now())
 }
 
@@ -41,19 +42,34 @@ func TestLinkLatencyAndSerialization(t *testing.T) {
 	}
 }
 
-// A link hands the receiver the sender's packet itself: by the Conduit
-// ownership rule nobody writes to it after Send, so no hop copies it.
-func TestLinkPassesPacketByReference(t *testing.T) {
+// A packet is borrowed for the call: the sender may overwrite its
+// buffer once Send returns, so the link keeps a copy on the wire. The
+// copy's storage is recycled, not the sender's.
+func TestLinkCopiesBorrowedPacket(t *testing.T) {
 	eng := sim.New()
-	l := NewLink(eng, 0, 10e9)
-	dst := &sink{eng: eng}
-	buf := []byte{1, 2, 3}
+	l := NewLink(eng, sim.Microsecond, 10e9)
+	buf := []byte("abc")
+	var got []byte
+	dst := endpointFunc(func(pkt []byte) {
+		if &pkt[0] == &buf[0] {
+			t.Error("link delivered the sender's buffer, not its own copy")
+		}
+		got = append(got, pkt...)
+	})
 	l.Send(buf, dst)
+	copy(buf, "xyz") // the sender reuses its buffer at once
+	l.Send(buf[:2], dst)
+	clear(buf)
 	eng.Drain(10)
-	if len(dst.pkts) != 1 || &dst.pkts[0][0] != &buf[0] {
-		t.Fatal("link must deliver the sent slice, not a copy")
+	if string(got) != "abcxy" {
+		t.Fatalf("delivered %q, want %q", got, "abcxy")
 	}
 }
+
+// endpointFunc adapts a function to an Endpoint.
+type endpointFunc func(pkt []byte)
+
+func (f endpointFunc) Receive(pkt []byte) { f(pkt) }
 
 func TestWireEnd(t *testing.T) {
 	eng := sim.New()
@@ -70,7 +86,7 @@ func TestWireEnd(t *testing.T) {
 	}
 	var got [][]byte
 	w.Receive([]byte("dropped: no receiver yet"))
-	w.SetReceiver(func(pkt []byte) { got = append(got, pkt) })
+	w.SetReceiver(func(pkt []byte) { got = append(got, append([]byte(nil), pkt...)) })
 	w.Receive([]byte("resp"))
 	if len(got) != 1 || string(got[0]) != "resp" {
 		t.Fatalf("receiver got %q", got)
@@ -95,7 +111,7 @@ func TestNICTransport(t *testing.T) {
 	}
 	// Inbound: packets reach the registered receiver after DMA.
 	var got [][]byte
-	nic.SetReceiver(func(pkt []byte) { got = append(got, pkt) })
+	nic.SetReceiver(func(pkt []byte) { got = append(got, append([]byte(nil), pkt...)) })
 	nic.Receive([]byte("resp"))
 	eng.Drain(100)
 	if len(got) != 1 || !bytes.Equal(got[0], []byte("resp")) {
@@ -209,5 +225,63 @@ func TestOpenLoopClientPayload(t *testing.T) {
 	eng.Drain(10000)
 	if len(dst.pkts) == 0 || dst.pkts[0][0] != 0xAB {
 		t.Fatal("payload generator not used")
+	}
+}
+
+// A receiver that sends on the same hop while it still holds its packet,
+// and lets time run until that send arrives (as a guest's Compute does),
+// must still read its own bytes: a hop never recycles storage it has
+// lent until the call that lent it returns.
+func TestReentrantSendKeepsLentPacket(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hop  func(eng *sim.Engine, dst Endpoint) (send func(pkt []byte))
+	}{
+		{"link", func(eng *sim.Engine, dst Endpoint) func([]byte) {
+			l := NewLink(eng, sim.Microsecond, 10e9)
+			return func(pkt []byte) { l.Send(pkt, dst) }
+		}},
+		{"NIC transmit", func(eng *sim.Engine, dst Endpoint) func([]byte) {
+			nic := NewNIC(eng, NewLink(eng, 0, 0))
+			nic.Peer = dst
+			return func(pkt []byte) { nic.Send(pkt, nil) }
+		}},
+		{"NIC receive", func(eng *sim.Engine, dst Endpoint) func([]byte) {
+			nic := NewNIC(eng, NewLink(eng, 0, 0))
+			nic.SetReceiver(dst.Receive)
+			return nic.Receive
+		}},
+		{"wire end think", func(eng *sim.Engine, dst Endpoint) func([]byte) {
+			w := &WireEnd{Out: NewLink(eng, 0, 0), Dst: dst, Think: 3 * sim.Microsecond}
+			return func(pkt []byte) { w.Send(pkt, nil) }
+		}},
+		{"echo peer", func(eng *sim.Engine, dst Endpoint) func([]byte) {
+			p := &EchoPeer{Eng: eng, Back: NewLink(eng, 0, 0), Dst: dst, ServiceTime: sim.Microsecond}
+			return p.Receive
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			var got []string
+			var send func([]byte)
+			send = tc.hop(eng, endpointFunc(func(pkt []byte) {
+				got = append(got, string(pkt))
+				if len(got) > 1 {
+					return
+				}
+				held := string(pkt)
+				send([]byte("second"))
+				eng.Advance(10 * sim.Microsecond)
+				eng.DispatchDue()
+				if string(pkt) != held {
+					t.Errorf("held packet reads %q after a nested delivery, want %q", pkt, held)
+				}
+			}))
+			send([]byte("first!"))
+			eng.Drain(100)
+			if len(got) != 2 || got[0] != "first!" || got[1] != "second" {
+				t.Fatalf("delivered %q, want [first! second]", got)
+			}
+		})
 	}
 }

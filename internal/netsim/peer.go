@@ -24,6 +24,7 @@ type EchoPeer struct {
 	// serving holds the responses in service; they finish at busyUntil,
 	// which only moves forward, so they leave in arrival order.
 	serving sim.FIFO[[]byte]
+	bufs    Buffers
 }
 
 // Receive implements Endpoint. With RespSize <= 0 the peer sends the
@@ -34,9 +35,12 @@ type EchoPeer struct {
 // t+ServiceTime and t+2*ServiceTime, as a real single-threaded endpoint
 // would.
 func (p *EchoPeer) Receive(pkt []byte) {
-	resp := pkt
+	var resp []byte
 	if p.RespSize > 0 {
-		resp = make([]byte, p.RespSize)
+		resp = p.bufs.Get(p.RespSize)
+		clear(resp)
+	} else {
+		resp = p.bufs.Copy(pkt)
 	}
 	start := p.Eng.Now()
 	if p.busyUntil > start {
@@ -49,7 +53,9 @@ func (p *EchoPeer) Receive(pkt []byte) {
 // Fire implements sim.Handler: the oldest response leaves service and
 // goes on the return link.
 func (p *EchoPeer) Fire(arg uint64) {
-	p.Back.Send(p.serving.Pop(arg, "netsim echo peer"), p.Dst)
+	resp := p.serving.Pop(arg, "netsim echo peer")
+	p.Back.Send(resp, p.Dst)
+	p.bufs.Put(resp)
 }
 
 // AckPeer models the remote end of a netperf TCP_STREAM: it acknowledges
@@ -63,6 +69,7 @@ type AckPeer struct {
 
 	Received   uint64
 	unackedLen int
+	ack        []byte // AckSize zero bytes, which Send copies
 }
 
 // Receive implements Endpoint.
@@ -71,7 +78,10 @@ func (p *AckPeer) Receive(pkt []byte) {
 	p.unackedLen += len(pkt)
 	for p.unackedLen >= p.AckEvery {
 		p.unackedLen -= p.AckEvery
-		p.Back.Send(make([]byte, p.AckSize), p.Dst)
+		if len(p.ack) != p.AckSize {
+			p.ack = make([]byte, p.AckSize)
+		}
+		p.Back.Send(p.ack, p.Dst)
 	}
 }
 

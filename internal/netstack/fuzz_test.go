@@ -38,10 +38,10 @@ func FuzzSegmentReorder(f *testing.F) {
 			segs = append(segs, Segment{
 				Flags: flagDATA, FlowID: 9, Seq: uint32(off),
 				Payload: msg[off : off+chunk],
-			}.Encode())
+			}.Append(nil))
 		}
 
-		st.Deliver(Segment{Flags: flagSYN, FlowID: 9}.Encode())
+		st.Deliver(Segment{Flags: flagSYN, FlowID: 9}.Append(nil))
 		eng.Drain(1000)
 		// Deliver in fuzz-chosen order (indexes past the segment count
 		// become raw-garbage injections of the order bytes themselves).

@@ -72,18 +72,16 @@ func IsSegment(pkt []byte) bool {
 	return len(pkt) >= HeaderSize && pkt[0] == magic0 && pkt[1] == magic1
 }
 
-// Encode serialises the segment (header + payload copy).
-func (s Segment) Encode() []byte {
-	buf := make([]byte, HeaderSize+len(s.Payload))
-	buf[0], buf[1] = magic0, magic1
-	buf[2] = s.Flags
-	binary.BigEndian.PutUint32(buf[4:8], s.FlowID)
-	binary.BigEndian.PutUint32(buf[8:12], s.Seq)
-	binary.BigEndian.PutUint32(buf[12:16], s.Ack)
-	binary.BigEndian.PutUint32(buf[16:20], s.Wnd)
-	binary.BigEndian.PutUint16(buf[20:22], uint16(len(s.Payload)))
-	copy(buf[HeaderSize:], s.Payload)
-	return buf
+// Append appends the encoded segment (header + payload copy) to b and
+// returns the extended slice.
+func (s Segment) Append(b []byte) []byte {
+	b = append(b, magic0, magic1, s.Flags, 0)
+	b = binary.BigEndian.AppendUint32(b, s.FlowID)
+	b = binary.BigEndian.AppendUint32(b, s.Seq)
+	b = binary.BigEndian.AppendUint32(b, s.Ack)
+	b = binary.BigEndian.AppendUint32(b, s.Wnd)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(s.Payload)))
+	return append(b, s.Payload...)
 }
 
 // Decode parses a segment; the payload aliases pkt.
@@ -159,6 +157,9 @@ type Stack struct {
 
 	c     netsim.Conduit
 	flows map[uint32]*Flow
+	// bufs holds the segments the stack encodes and the out-of-order
+	// payloads its flows keep.
+	bufs netsim.Buffers
 
 	// OnFlow, when set, is invoked for each passively opened flow (a
 	// SYN for an unknown ID) before any of its data is delivered.
@@ -238,19 +239,28 @@ func (st *Stack) Deliver(pkt []byte) {
 }
 
 // send pushes one segment through the fault plane and onto the conduit.
+// The conduit borrows the encoded segment for the call; a delayed one is
+// kept in the stack's buffer until it goes out.
 func (st *Stack) send(seg Segment) {
 	st.SegsSent++
-	raw := seg.Encode()
+	raw := seg.Append(st.bufs.Get(HeaderSize + len(seg.Payload))[:0])
 	out := st.Eng.Inject(fault.SiteNetSegment)
 	if out.Drop {
 		st.Dropped++
+		st.bufs.Put(raw)
 		return
 	}
 	if out.Delay > 0 {
-		st.Eng.After(out.Delay, func() { st.c.Send(raw, nil) })
+		st.Eng.After(out.Delay, func() { st.transmit(raw) })
 		return
 	}
+	st.transmit(raw)
+}
+
+// transmit lends raw to the conduit and recycles it.
+func (st *Stack) transmit(raw []byte) {
 	st.c.Send(raw, nil)
+	st.bufs.Put(raw)
 }
 
 // Flow is one connection's endpoint state within a Stack.
@@ -270,7 +280,7 @@ type Flow struct {
 	rtoSet  bool
 
 	// Receive side. rcvQ is in-order payload not yet consumed; ooo
-	// buffers segments past a gap, keyed by seq.
+	// buffers copies of segments past a gap, keyed by seq.
 	rcvNxt   uint32
 	rcvQ     []byte
 	ooo      map[uint32][]byte
@@ -291,7 +301,8 @@ type Flow struct {
 	// never closes.
 	Manual bool
 	// OnData receives each in-order chunk as it becomes deliverable
-	// (automatic mode only).
+	// (automatic mode only). The chunk is borrowed for the call, as
+	// packets are (netsim.Conduit); a handler that keeps it copies it.
 	OnData func(b []byte)
 }
 
@@ -378,12 +389,29 @@ func (f *Flow) sendCtl(flags byte) {
 	})
 }
 
+// flowRTO and flowAck are a flow's two timers, sim.Handlers over it.
+type (
+	flowRTO Flow
+	flowAck Flow
+)
+
+// Fire runs the retransmission timeout.
+func (r *flowRTO) Fire(uint64) { (*Flow)(r).fireRTO() }
+
+// Fire sends the delayed pure ACK.
+func (a *flowAck) Fire(uint64) {
+	f := (*Flow)(a)
+	f.ackSet = false
+	f.sendCtl(flagACK)
+}
+
 func (f *Flow) armRTO() {
 	if f.rtoSet {
 		return
 	}
 	f.rtoSet = true
-	f.rto = f.S.Eng.After(f.S.P.RTO, f.fireRTO)
+	eng := f.S.Eng
+	f.rto = eng.AtCall(eng.Now()+f.S.P.RTO, (*flowRTO)(f), 0)
 }
 
 func (f *Flow) cancelRTO() {
@@ -401,10 +429,8 @@ func (f *Flow) armAck() {
 		return
 	}
 	f.ackSet = true
-	f.ackTimer = f.S.Eng.After(f.S.P.AckDelay, func() {
-		f.ackSet = false
-		f.sendCtl(flagACK)
-	})
+	eng := f.S.Eng
+	f.ackTimer = eng.AtCall(eng.Now()+f.S.P.AckDelay, (*flowAck)(f), 0)
 }
 
 func (f *Flow) clearAck() {
@@ -486,7 +512,8 @@ func (f *Flow) handle(seg Segment) {
 
 func (f *Flow) handleAck(seg Segment) {
 	if d := seg.Ack - f.sndUna; d > 0 && d <= f.inflight() {
-		f.sndBuf = append([]byte(nil), f.sndBuf[d:]...)
+		// Slide the unacknowledged bytes to the front, keeping the array.
+		f.sndBuf = f.sndBuf[:copy(f.sndBuf, f.sndBuf[d:])]
 		f.sndUna = seg.Ack
 		f.cancelRTO()
 	}
@@ -508,11 +535,12 @@ func (f *Flow) handleData(seg Segment) {
 			delete(f.ooo, f.rcvNxt)
 			f.oooBytes -= len(p)
 			f.ingest(p)
+			f.S.bufs.Put(p)
 		}
 	case seg.Seq-f.rcvNxt < uint32(f.S.P.Window): // ahead, within window
 		if _, dup := f.ooo[seg.Seq]; !dup {
 			f.S.OutOfOrder++
-			f.ooo[seg.Seq] = append([]byte(nil), seg.Payload...)
+			f.ooo[seg.Seq] = f.S.bufs.Copy(seg.Payload)
 			f.oooBytes += len(seg.Payload)
 		}
 	}
@@ -530,7 +558,8 @@ func (f *Flow) handleData(seg Segment) {
 	}
 }
 
-// ingest advances rcvNxt over an in-order chunk and delivers it.
+// ingest advances rcvNxt over an in-order chunk and delivers it; p is
+// borrowed for the call.
 func (f *Flow) ingest(p []byte) {
 	f.rcvNxt += uint32(len(p))
 	if f.Manual {
@@ -538,6 +567,6 @@ func (f *Flow) ingest(p []byte) {
 		return
 	}
 	if f.OnData != nil {
-		f.OnData(append([]byte(nil), p...))
+		f.OnData(p)
 	}
 }

@@ -142,36 +142,44 @@ func expGap(rnd func() float64, rate float64) sim.Time {
 	return gap
 }
 
-// Source drives a Spec on an engine: Fire runs at each arrival instant
-// until stopAt. All scheduling happens one arrival ahead, so a source
-// never floods the event heap.
+// Source drives a Spec on an engine: OnArrival runs at each arrival
+// instant until stopAt. All scheduling happens one arrival ahead, so a
+// source never floods the event heap, and the source itself is the
+// event's sim.Handler.
 type Source struct {
 	Eng  *sim.Engine
 	Spec Spec
-	// Fire receives the arrival ordinal (0-based).
-	Fire func(i uint64)
+	// OnArrival receives the arrival ordinal (0-based).
+	OnArrival func(i uint64)
 
 	Issued uint64
+
+	gen          *gen
+	base, stopAt sim.Time
 }
 
 // Start schedules the arrival process until stopAt (exclusive).
 func (s *Source) Start(stopAt sim.Time) {
-	g := s.Spec.generator()
-	base := s.Eng.Now()
-	var step func()
-	step = func() {
-		t, ok := g.next()
-		if !ok || base+t >= stopAt {
-			return
-		}
-		s.Eng.At(base+t, func() {
-			i := s.Issued
-			s.Issued++
-			if s.Fire != nil {
-				s.Fire(i)
-			}
-			step()
-		})
+	s.gen = s.Spec.generator()
+	s.base, s.stopAt = s.Eng.Now(), stopAt
+	s.next()
+}
+
+// next schedules the following arrival, if it falls before stopAt.
+func (s *Source) next() {
+	t, ok := s.gen.next()
+	if !ok || s.base+t >= s.stopAt {
+		return
 	}
-	step()
+	s.Eng.AtCall(s.base+t, s, 0)
+}
+
+// Fire implements sim.Handler: one arrival.
+func (s *Source) Fire(uint64) {
+	i := s.Issued
+	s.Issued++
+	if s.OnArrival != nil {
+		s.OnArrival(i)
+	}
+	s.next()
 }

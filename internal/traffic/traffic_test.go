@@ -89,7 +89,7 @@ func TestSourceMatchesArrivals(t *testing.T) {
 
 	eng := sim.New()
 	var got []sim.Time
-	src := &Source{Eng: eng, Spec: spec, Fire: func(i uint64) {
+	src := &Source{Eng: eng, Spec: spec, OnArrival: func(i uint64) {
 		got = append(got, eng.Now())
 	}}
 	src.Start(stop)
@@ -111,7 +111,7 @@ func TestSourceOffsetBase(t *testing.T) {
 	spec := Spec{Kind: Poisson, Rate: 1e6, Seed: 2}
 	eng := sim.New()
 	var first sim.Time
-	src := &Source{Eng: eng, Spec: spec, Fire: func(i uint64) {
+	src := &Source{Eng: eng, Spec: spec, OnArrival: func(i uint64) {
 		if i == 0 {
 			first = eng.Now()
 		}

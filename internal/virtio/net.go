@@ -31,7 +31,11 @@ type NetBackend struct {
 
 	txDone    []uint16
 	txDoneFns []func() // by chain head, made once per head
+	// rxArrived holds copies of the packets the transport lent, until
+	// OnIRQ writes them into posted buffers; drainTX reads each packet
+	// out of guest memory into a buffer from bufs too.
 	rxArrived [][]byte
+	bufs      netsim.Buffers
 
 	// TxCoalesce batches TX-completion interrupts, as real NICs do: the
 	// host is notified once this many completions are pending (any other
@@ -84,14 +88,15 @@ func (b *NetBackend) drainTX() {
 			return
 		}
 		// The packet is the chain's driver-readable segments, read
-		// straight into one buffer of their total length.
+		// straight into one buffer of their total length, which the
+		// transport borrows for the call.
 		n := 0
 		for _, buf := range bufs {
 			if !buf.DeviceWrite {
 				n += int(buf.Len)
 			}
 		}
-		pkt := make([]byte, n)
+		pkt := b.bufs.Get(n)
 		off := 0
 		for _, buf := range bufs {
 			if buf.DeviceWrite {
@@ -103,6 +108,7 @@ func (b *NetBackend) drainTX() {
 			off += int(buf.Len)
 		}
 		b.Transport.Send(pkt, b.txDoneFn(head))
+		b.bufs.Put(pkt)
 	}
 }
 
@@ -122,10 +128,10 @@ func (b *NetBackend) txDoneFn(head uint16) func() {
 	return b.txDoneFns[head]
 }
 
-// receive is the transport's inbound callback (event context): queue the
-// packet and ask for kernel-context processing.
+// receive is the transport's inbound callback (event context): queue a
+// copy of the packet and ask for kernel-context processing.
 func (b *NetBackend) receive(pkt []byte) {
-	b.rxArrived = append(b.rxArrived, pkt)
+	b.rxArrived = append(b.rxArrived, b.bufs.Copy(pkt))
 	if b.NotifyHost != nil {
 		b.notify(b.NotifyHost)
 	}
@@ -178,6 +184,7 @@ func (b *NetBackend) OnIRQ() {
 			if err := rx.PushUsed(head, written); err != nil {
 				panic(fmt.Sprintf("virtio-net %s: %v", b.DevName, err))
 			}
+			b.bufs.Put(pkt)
 			b.RxPackets++
 			raised = true
 		}

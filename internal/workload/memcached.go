@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"svtsim/internal/guest"
+	"svtsim/internal/netsim"
 	"svtsim/internal/sim"
 )
 
@@ -78,10 +79,13 @@ func EncodeMemcachedReq(keyHash uint64, get bool, valueSize int) []byte {
 // Run is the guest body: an event-driven server loop.
 func (s *MemcachedServer) Run(env *guest.Env) {
 	s.store = make(map[uint64][]byte)
+	// pending holds copies of the requests not yet served: a received
+	// packet is borrowed for the call.
 	var pending [][]byte
+	var reqs netsim.Buffers
 	var resp []byte
 	env.Net.OnReceive = func(pkt []byte) {
-		pending = append(pending, pkt)
+		pending = append(pending, reqs.Copy(pkt))
 		SMPWake(env)
 	}
 	deadline := env.Now() + s.Duration
@@ -93,15 +97,18 @@ func (s *MemcachedServer) Run(env *guest.Env) {
 			env.Timer.Arm(deadline)
 			env.WaitFor(func() bool { return len(pending) > 0 || env.Now() >= deadline })
 		}
-		for len(pending) > 0 {
-			req := pending[0]
-			pending = pending[1:]
+		// Serving computes, which runs interrupt handlers that may
+		// append more requests; the loop serves those too.
+		for i := 0; i < len(pending); i++ {
+			req := pending[i]
 			if len(req) < memcachedReqSize {
+				reqs.Put(req)
 				continue
 			}
 			key := binary.LittleEndian.Uint64(req[0:8])
 			get := req[8] == 1
 			vs := int(binary.LittleEndian.Uint16(req[9:11]))
+			reqs.Put(req)
 			env.Compute(s.ParseCPU)
 			if get {
 				env.Compute(s.LookupCPU)
@@ -125,6 +132,7 @@ func (s *MemcachedServer) Run(env *guest.Env) {
 			env.Net.Send(resp, nil)
 			s.Served++
 		}
+		pending = pending[:0]
 	}
 }
 
