@@ -252,7 +252,7 @@ func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 	// Phase 2b: the open-loop spray on the host engine. Each backend's
 	// service is its phase-1 samples dilated by the replay's contention
 	// slowdown; the fleet capacity those imply sets the offered rates.
-	sp := &lbSpray{h: h, balCtx: balCtx, backends: make([]*lbBackend, k)}
+	sp := &lbSpray{h: h, balCtx: balCtx, backends: make([]*lbBackend, k), sloUs: sloUs, lastViol: -1}
 	var capRPS float64
 	for i, r := range runs {
 		b := &lbBackend{ctx: assigns[i].Ctxs[0], svc: r.latUs, slow: max(res.VMs[i].Slowdown, 1)}
@@ -301,23 +301,9 @@ func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 		Downtime:       res.MigrationDowntime,
 		Events:         h.Eng.Dispatched(),
 	}
-	okCount := 0
-	viol := make(map[int]bool)
-	maxWin := 0
-	for i, l := range sp.latUs {
-		w := int((sp.doneAt[i] - t0) / sim.Millisecond)
-		if w > maxWin {
-			maxWin = w
-		}
-		if l <= sloUs {
-			okCount++
-		} else {
-			viol[w] = true
-		}
-	}
-	out.GoodputRPS = float64(okCount) / (float64(dur) / float64(sim.Second))
-	out.Windows = maxWin + 1
-	out.ViolWindows = len(viol)
+	out.GoodputRPS = float64(sp.ok) / (float64(dur) / float64(sim.Second))
+	out.Windows = sp.maxWin + 1
+	out.ViolWindows = sp.violWins
 	for _, st := range sp.stacks {
 		out.SegsSent += st.SegsSent
 		out.Retransmits += st.Retransmits
@@ -328,16 +314,38 @@ func (s *Session) LoadBalancer(mode hv.Mode, k int, scenario string, seed int64,
 }
 
 // lbSpray is the phase-2b state: one record per backend VM, the
-// balancer-side and backend-side stacks, and the latency record.
+// balancer-side and backend-side stacks, the latency record and the SLO
+// tally.
 type lbSpray struct {
 	h        *host.Host
 	balCtx   host.CtxID
 	backends []*lbBackend
+	sloUs    float64
 
 	stacks  []*netstack.Stack
 	offered uint64
 	latUs   []float64
-	doneAt  []sim.Time
+
+	// The SLO tally, kept as completions land in time order: those
+	// within sloUs, the latest completion's 1 ms window since t0, and
+	// the windows holding a violation (lastViol is the latest of them).
+	ok                 int
+	maxWin             int
+	violWins, lastViol int
+}
+
+// complete records a completion of latency lat (us) landing at now.
+func (sp *lbSpray) complete(lat float64, now, t0 sim.Time) {
+	sp.latUs = append(sp.latUs, lat)
+	w := int((now - t0) / sim.Millisecond)
+	sp.maxWin = max(sp.maxWin, w)
+	switch {
+	case lat <= sp.sloUs:
+		sp.ok++
+	case w != sp.lastViol:
+		sp.violWins++
+		sp.lastViol = w
+	}
 }
 
 // lbBackend is all of one backend VM's phase-2b state: its service
@@ -434,9 +442,7 @@ func (sp *lbSpray) run(tspec traffic.Spec, t0, dur sim.Time, oplane *obs.Plane) 
 					sent := b.pending[0]
 					b.pending = b.pending[1:]
 					now := eng.Now()
-					lat := (now - sent).Microseconds()
-					sp.latUs = append(sp.latUs, lat)
-					sp.doneAt = append(sp.doneAt, now)
+					sp.complete((now - sent).Microseconds(), now, t0)
 					if oplane != nil {
 						oplane.Tracer.Span(int(sp.balCtx), obs.KindNetFlow, obs.LevelNone,
 							flowLabel, sent, now, uint64(j), uint64(now-sent))

@@ -51,10 +51,13 @@ func naiveSave(ref []byte, pages []uint64) []uint64 {
 // backedLines returns the index (address / lineSize) of every line m backs.
 func backedLines(m *Memory) map[uint64]bool {
 	got := map[uint64]bool{}
-	for p, pg := range m.pages {
-		for l, ln := range pg {
-			if ln != nil {
-				got[p*linesPerPage+uint64(l)] = true
+	for p, h := range m.pages {
+		if h == 0 {
+			continue
+		}
+		for l, ln := range m.head(h) {
+			if ln != 0 {
+				got[uint64(p)*linesPerPage+uint64(l)] = true
 			}
 		}
 	}
@@ -67,7 +70,8 @@ func backedLines(m *Memory) map[uint64]bool {
 //   - the page set is exactly the pages some Write touched, zero-only
 //     writes included (a round trip keeps the set);
 //   - a line is backed exactly when a write put a nonzero byte in it
-//     (after a round trip: exactly when it holds a nonzero byte);
+//     (after a round trip: exactly when it holds a nonzero byte), and a
+//     page has a header exactly when one of its lines is backed;
 //   - SaveWords equals a naive 4 KB-per-page encoding of the reference.
 //
 // Each op is 6 bytes: kind, address (2), length (2), fill.
@@ -78,6 +82,7 @@ func FuzzMemory(f *testing.F) {
 	f.Add(slices.Concat(op(0, PageSize-3, 10, 0), op(3, 0, 0, 0), op(2, 0, PageSize*2, 0)))
 	f.Add(slices.Concat(op(1, 250, 20, 3), op(0, 240, 40, 0), op(4, PageSize-1, 2*PageSize, 1), op(3, 0, 0, 0)))
 	f.Add(slices.Concat(op(1, 9*PageSize, 300, 5), op(3, 0, 0, 0), op(0, 9*PageSize, 300, 0), op(3, 0, 0, 0)))
+	f.Add(slices.Concat(op(0, 2*PageSize, PageSize, 0), op(3, 0, 0, 0), op(4, 2*PageSize+10, 50, 7), op(3, 0, 0, 0)))
 
 	const space = 9*PageSize + 300 // the last page is partial
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -143,10 +148,18 @@ func FuzzMemory(f *testing.F) {
 			if !bytes.Equal(got, ref) {
 				t.Fatal("memory differs from the reference")
 			}
+			headed := map[uint64]bool{}
+			for l := range backed {
+				headed[l/linesPerPage] = true
+			}
 			var pages []uint64
 			for p := range touched {
-				if m.pages[p] == nil {
+				h, ok := m.pages[uint32(p)]
+				if !ok {
 					t.Fatalf("written page %d is not materialized", p)
+				}
+				if (h != 0) != headed[p] {
+					t.Fatalf("page %d: header %v, want one exactly when a line is backed", p, h)
 				}
 				pages = append(pages, p)
 			}
