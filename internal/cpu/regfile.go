@@ -131,29 +131,40 @@ func (rf *RegFile) LoadWords(r *words.Reader) {
 
 // CheckInvariants verifies the rename maps form an injection into the
 // physical file and that free list entries are disjoint from mapped ones.
-// Tests call it; it returns an error describing the first violation.
+// Tests and machine.CheckInvariants call it; it returns an error
+// describing the first violation.
 func (rf *RegFile) CheckInvariants() error {
-	seen := make(map[int]string)
+	// owner holds, per physical register, 0 while unclaimed, -1 once on
+	// the free list, or 1 + c*NumGPR + r once context c's register r
+	// maps to it.
+	owner := make([]int, len(rf.phys))
+	name := func(o int) string {
+		if o < 0 {
+			return "free"
+		}
+		o--
+		return fmt.Sprintf("ctx%d/%s", o/int(isa.NumGPR), isa.Reg(o%int(isa.NumGPR)))
+	}
 	for c := range rf.rmap {
 		for r, p := range rf.rmap[c] {
 			if p < 0 || p >= len(rf.phys) {
 				return fmt.Errorf("ctx %d reg %d maps outside file: %d", c, r, p)
 			}
-			key := fmt.Sprintf("ctx%d/%s", c, isa.Reg(r))
-			if prev, dup := seen[p]; dup {
-				return fmt.Errorf("physical reg %d mapped twice: %s and %s", p, prev, key)
+			o := 1 + c*int(isa.NumGPR) + r
+			if owner[p] != 0 {
+				return fmt.Errorf("physical reg %d mapped twice: %s and %s", p, name(owner[p]), name(o))
 			}
-			seen[p] = key
+			owner[p] = o
 		}
 	}
 	for _, p := range rf.free {
-		if owner, dup := seen[p]; dup {
-			return fmt.Errorf("free physical reg %d also mapped by %s", p, owner)
-		}
 		if p < 0 || p >= len(rf.phys) {
 			return fmt.Errorf("free list entry outside file: %d", p)
 		}
-		seen[p] = "free"
+		if owner[p] != 0 {
+			return fmt.Errorf("free physical reg %d also mapped by %s", p, name(owner[p]))
+		}
+		owner[p] = -1
 	}
 	return nil
 }

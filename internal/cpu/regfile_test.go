@@ -170,3 +170,45 @@ func TestRegFileWriteAllocFree(t *testing.T) {
 		t.Fatalf("%d RegFile.Writes allocate %.2f times, want 0", writes, got)
 	}
 }
+
+// Each broken rename state reads as the first violation, named as it
+// always has been.
+func TestRegFileCheckInvariantsMessages(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(rf *RegFile)
+		want    string
+	}{
+		{"mapped outside", func(rf *RegFile) { rf.rmap[1][isa.RDX] = 99 }, "ctx 1 reg 3 maps outside file: 99"},
+		{"mapped twice", func(rf *RegFile) { rf.rmap[1][isa.RCX] = rf.rmap[0][isa.RBX] },
+			"physical reg 1 mapped twice: ctx0/rbx and ctx1/rcx"},
+		{"free and mapped", func(rf *RegFile) { rf.free[2] = rf.rmap[1][isa.RSI] },
+			"free physical reg 19 also mapped by ctx1/rsi"},
+		{"free twice", func(rf *RegFile) { rf.free[3] = rf.free[0] }, "free physical reg 30 also mapped by free"},
+		{"free outside", func(rf *RegFile) { rf.free[1] = -1 }, "free list entry outside file: -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rf := NewRegFile(2, 4)
+			tc.corrupt(rf)
+			if err := rf.CheckInvariants(); err == nil || err.Error() != tc.want {
+				t.Fatalf("CheckInvariants = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// The machine checks its register file at every op boundary of a
+// checked schedule, so a clean check makes one small block.
+func TestRegFileCheckInvariantsAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	rf := NewRegFile(3, 2*int(isa.NumGPR))
+	if got := allocs.PerRun(100, func() {
+		if err := rf.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Fatalf("CheckInvariants on a clean file allocates %.2f times, want at most 1", got)
+	}
+}

@@ -72,6 +72,9 @@ func backedLines(m *Memory) map[uint64]bool {
 //   - a line is backed exactly when a write put a nonzero byte in it
 //     (after a round trip: exactly when it holds a nonzero byte), and a
 //     page has a header exactly when one of its lines is backed;
+//   - a shared line is never written in place: its bytes stay those it
+//     was made with, whichever slots name it, and a round trip restores
+//     every line as a private one;
 //   - SaveWords equals a naive 4 KB-per-page encoding of the reference.
 //
 // Each op is 6 bytes: kind, address (2), length (2), fill.
@@ -83,6 +86,9 @@ func FuzzMemory(f *testing.F) {
 	f.Add(slices.Concat(op(1, 250, 20, 3), op(0, 240, 40, 0), op(4, PageSize-1, 2*PageSize, 1), op(3, 0, 0, 0)))
 	f.Add(slices.Concat(op(1, 9*PageSize, 300, 5), op(3, 0, 0, 0), op(0, 9*PageSize, 300, 0), op(3, 0, 0, 0)))
 	f.Add(slices.Concat(op(0, 2*PageSize, PageSize, 0), op(3, 0, 0, 0), op(4, 2*PageSize+10, 50, 7), op(3, 0, 0, 0)))
+	// Same-fill whole lines in two pages share a line; a partial write
+	// to one copies it.
+	f.Add(slices.Concat(op(1, PageSize, lineSize, 3), op(1, 5*PageSize+lineSize, 2*lineSize, 3), op(4, PageSize+10, 5, 9), op(3, 0, 0, 0), op(4, 5*PageSize+lineSize, lineSize, 2)))
 
 	const space = 9*PageSize + 300 // the last page is partial
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -90,6 +96,7 @@ func FuzzMemory(f *testing.F) {
 		ref := make([]byte, space)
 		touched := map[uint64]bool{}
 		backed := map[uint64]bool{}
+		shared := map[uint32]line{} // each shared slot seen, with its bytes then
 		for ; len(ops) >= 6; ops = ops[6:] {
 			kind := ops[0] % 5
 			addr := uint64(binary.LittleEndian.Uint16(ops[1:])) % space
@@ -126,13 +133,13 @@ func FuzzMemory(f *testing.F) {
 					t.Fatalf("read [%#x,+%d) differs from the reference", addr, n)
 				}
 			case 3: // SaveWords → LoadWords into a fresh memory
-				loaded := New(space)
-				r := words.NewReader("mem", save(m))
-				loaded.LoadWords(r)
-				if err := r.Fin(); err != nil {
-					t.Fatal(err)
+				m = roundTrip(t, m)
+				for _, h := range m.pages {
+					if h != 0 && slices.ContainsFunc(m.head(h)[:], func(l uint32) bool { return l&sharedBit != 0 }) {
+						t.Fatal("a round trip restored a shared line")
+					}
 				}
-				m = loaded
+				clear(shared)
 				clear(backed)
 				for a, b := range ref {
 					if b != 0 {
@@ -165,6 +172,21 @@ func FuzzMemory(f *testing.F) {
 			}
 			if len(m.pages) != len(touched) {
 				t.Fatalf("page set has %d pages, %d were written", len(m.pages), len(touched))
+			}
+			for _, h := range m.pages {
+				if h == 0 {
+					continue
+				}
+				for _, l := range m.head(h) {
+					if l&sharedBit == 0 {
+						continue
+					}
+					if was, ok := shared[l]; !ok {
+						shared[l] = *m.line(l)
+					} else if was != *m.line(l) {
+						t.Fatalf("shared line %#x was written in place", l)
+					}
+				}
 			}
 			if lines := backedLines(m); !maps.Equal(lines, backed) {
 				t.Fatalf("%d lines backed, want %d", len(lines), len(backed))

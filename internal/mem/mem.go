@@ -25,9 +25,15 @@ const (
 type line [lineSize]byte
 
 // page is the header of a page that holds a nonzero byte: for each line,
-// 1 + its index in the line store, or 0 for an absent line, which reads
-// as zeros. It holds no pointers, so the GC never scans it.
+// 1 + its index in the line store, with sharedBit set when the line is
+// shared, or 0 for an absent line, which reads as zeros. It holds no
+// pointers, so the GC never scans it.
 type page [linesPerPage]uint32
+
+// sharedBit marks a header slot whose line is shared: other slots may
+// name the same line, so nothing writes to it. A write that changes a
+// shared slot's bytes copies the line into a private one first.
+const sharedBit = 1 << 31
 
 // zeroLine is what an absent line reads as. Nothing writes to it.
 var zeroLine line
@@ -43,7 +49,11 @@ const chunkLen = 16
 // Any Write materializes the pages it touches: the page set is simulated
 // state, which snapshots carry and migration prices. A page gets a
 // header only once a nonzero byte is written to it, and inside a page a
-// 256-byte line is backed only once a nonzero byte is written to it.
+// 256-byte line is backed only once a nonzero byte is written to it. An
+// absent line that receives a whole nonzero line at once becomes a
+// shared line, the same one as the last shared line made if that holds
+// the same bytes, and is copied on its first change, so a slot backs at
+// most two lines in its life.
 type Memory struct {
 	size uint64
 	// pages maps each materialized page's index to 1 + its header's
@@ -58,6 +68,8 @@ type Memory struct {
 	// and never moved, so an index into a store stays valid.
 	heads [][]page
 	lines [][]line
+	// lastShared is the slot of the last shared line made, or 0.
+	lastShared uint32
 }
 
 // New returns a memory of the given size in bytes. It panics if the
@@ -81,10 +93,23 @@ func add[T any](s *[][]T) uint32 {
 	return uint32((n-1)*chunkLen + len(*c))
 }
 
-// head returns the header with index h-1; line returns the line with
-// index l-1.
+// head returns the header with index h-1; line returns the line slot l
+// names, shared or not.
 func (m *Memory) head(h uint32) *page { h--; return &m.heads[h/chunkLen][h%chunkLen] }
-func (m *Memory) line(l uint32) *line { l--; return &m.lines[l/chunkLen][l%chunkLen] }
+func (m *Memory) line(l uint32) *line {
+	l = l&^sharedBit - 1
+	return &m.lines[l/chunkLen][l%chunkLen]
+}
+
+// shared returns the slot of a shared line holding b: the last one made
+// if its bytes are b's, else a new one.
+func (m *Memory) shared(b *line) uint32 {
+	if m.lastShared == 0 || *m.line(m.lastShared) != *b {
+		m.lastShared = add(&m.lines) | sharedBit
+		*m.line(m.lastShared) = *b
+	}
+	return m.lastShared
+}
 
 // newHead gives page idx a header and returns it.
 func (m *Memory) newHead(idx uint32) *page {
@@ -159,14 +184,33 @@ func (m *Memory) Write(addr uint64, p []byte) error {
 		off := addr % lineSize
 		n := min(lineSize-off, uint64(len(p)))
 		l := addr % PageSize / lineSize
-		if (pg == nil || pg[l] == 0) && !bytes.Equal(p[:n], zeroLine[:n]) {
+		var slot uint32
+		if pg != nil {
+			slot = pg[l]
+		}
+		switch {
+		case slot == 0:
+			if bytes.Equal(p[:n], zeroLine[:n]) {
+				break
+			}
 			if pg == nil {
 				pg = m.newHead(idx)
 			}
-			pg[l] = add(&m.lines)
-		}
-		if pg != nil && pg[l] != 0 {
-			copy(m.line(pg[l])[off:], p[:n])
+			if n == lineSize {
+				pg[l] = m.shared((*line)(p))
+			} else {
+				pg[l] = add(&m.lines)
+				copy(m.line(pg[l])[off:], p[:n])
+			}
+		case slot&sharedBit != 0:
+			if old := m.line(slot); !bytes.Equal(old[off:off+n], p[:n]) {
+				pg[l] = add(&m.lines)
+				ln := m.line(pg[l])
+				*ln = *old
+				copy(ln[off:], p[:n])
+			}
+		default:
+			copy(m.line(slot)[off:], p[:n])
 		}
 		p = p[n:]
 		addr += n

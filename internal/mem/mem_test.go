@@ -347,3 +347,156 @@ func TestZeroWriteAllocatesNoLine(t *testing.T) {
 		t.Fatalf("%d lines backed, want only the one holding the nonzero byte", len(lines))
 	}
 }
+
+// Two pages that receive the same whole line share one backing line.
+// A partial write to one copies it first, so the other page keeps its
+// bytes, and a SaveWords→LoadWords round trip keeps both pages, each in
+// a private line of its own.
+func TestSharedLineCopyOnWrite(t *testing.T) {
+	const space = 4 * PageSize
+	m := New(space)
+	fill := bytes.Repeat([]byte{0x5a}, lineSize)
+	for _, at := range []uint64{PageSize, 3*PageSize + lineSize} {
+		if err := m.Write(at, fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot := func(page uint32, l int) uint32 { return m.head(m.pages[page])[l] }
+	a, b := slot(1, 0), slot(3, 1)
+	if a != b || a&sharedBit == 0 {
+		t.Fatalf("same-fill lines have slots %#x and %#x, want one shared slot", a, b)
+	}
+	if n := allocs.PerRun(10, func() {
+		if err := m.Write(3*PageSize+lineSize+7, fill[:9]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || slot(3, 1) != b {
+		t.Fatalf("a write of the bytes a shared line holds: %.2f allocs, slot %#x, want 0 and %#x", n, slot(3, 1), b)
+	}
+	if err := m.Write(PageSize+10, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if slot(1, 0)&sharedBit != 0 || slot(3, 1) != b {
+		t.Fatalf("after a partial write: slots %#x and %#x, want a private line and %#x", slot(1, 0), slot(3, 1), b)
+	}
+	want := make([]byte, space)
+	copy(want[PageSize:], fill)
+	copy(want[3*PageSize+lineSize:], fill)
+	copy(want[PageSize+10:], []byte{1, 2, 3})
+	restored := roundTrip(t, m)
+	for _, h := range restored.pages {
+		for l, slot := range restored.head(h) {
+			if slot&sharedBit != 0 {
+				t.Fatalf("restored line %d has shared slot %#x, want a private line", l, slot)
+			}
+		}
+	}
+	for _, mm := range []*Memory{m, restored} {
+		got := make([]byte, space)
+		if err := mm.Read(0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("memory differs from what was written")
+		}
+		if !slices.Equal(saveWords(mm), naiveSave(want, []uint64{1, 3})) {
+			t.Fatal("SaveWords differs from the naive encoding")
+		}
+	}
+}
+
+// roundTrip loads m's SaveWords output into a fresh memory.
+func roundTrip(t *testing.T, m *Memory) *Memory {
+	t.Helper()
+	loaded := New(m.size)
+	r := words.NewReader("mem", save(m))
+	loaded.LoadWords(r)
+	if err := r.Fin(); err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// A slot backs at most two lines: a shared one on its first whole-line
+// write and a private one on its first change. Rewriting one 4 KB
+// buffer with new whole-line contents on every pass backs 16 shared
+// lines, then copies each into a private line, then allocates nothing.
+func TestSharedLineAllocBound(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	m := New(PageSize)
+	buf := make([]byte, PageSize)
+	pass := 0
+	write := func() {
+		pass++
+		for i := range buf {
+			buf[i] = byte(i/lineSize + 1)
+		}
+		for l := 0; l < PageSize; l += lineSize {
+			buf[l] = byte(pass) // every line changes on every pass
+		}
+		if err := m.Write(0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(wantLines int, wantShared bool) {
+		t.Helper()
+		if n := storedLines(m); n != wantLines {
+			t.Fatalf("after pass %d: %d lines backed, want %d", pass, n, wantLines)
+		}
+		for l, slot := range m.head(m.pages[0]) {
+			if slot&sharedBit != 0 != wantShared {
+				t.Fatalf("after pass %d: line %d slot %#x, want shared %v", pass, l, slot, wantShared)
+			}
+		}
+	}
+	write()
+	check(linesPerPage, true)
+	write()
+	check(2*linesPerPage, false)
+	if n := allocs.PerRun(98, write); n != 0 {
+		t.Errorf("whole-line rewrites after the second pass: %.2f allocs per pass, want 0", n)
+	}
+	check(2*linesPerPage, false)
+}
+
+// storedLines reports how many lines m's line store holds.
+func storedLines(m *Memory) int {
+	if len(m.lines) == 0 {
+		return 0
+	}
+	return (len(m.lines)-1)*chunkLen + len(m.lines[len(m.lines)-1])
+}
+
+// A restore backs private lines, so a memory that runs on after one
+// writes its restored lines in place: changing every line of a page of
+// shared lines after a round trip backs no line and allocates nothing.
+func TestRestoredLineAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	m := New(PageSize)
+	for l := range linesPerPage {
+		if err := m.Write(uint64(l*lineSize), bytes.Repeat([]byte{byte(l + 1)}, lineSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored := roundTrip(t, m)
+	buf := make([]byte, PageSize)
+	pass := 0
+	if n := allocs.PerRun(10, func() {
+		pass++
+		for i := range buf {
+			buf[i] = byte(pass)
+		}
+		if err := restored.Write(0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("whole-line rewrites of restored lines: %.2f allocs per pass, want 0", n)
+	}
+	if n := storedLines(restored); n != linesPerPage {
+		t.Errorf("%d lines backed after rewriting a restored page, want %d", n, linesPerPage)
+	}
+}

@@ -47,8 +47,9 @@ func (m *Memory) SaveWords(w *words.Writer) {
 // LoadWords replaces the entire contents of memory with the pages
 // SaveWords wrote: pages materialized after the capture are dropped
 // (they read as zeros again). Page indices must ascend and lie inside
-// the address space. Only lines holding a nonzero byte are backed, and
-// only pages holding one get a header.
+// the address space. Only lines holding a nonzero byte are backed, each
+// as a private line that later writes change in place, and only pages
+// holding one get a header.
 func (m *Memory) LoadWords(r *words.Reader) {
 	n := r.Count(1 + wordsPerPage)
 	nm := Memory{size: m.size, pages: make(map[uint32]uint32, n)}
