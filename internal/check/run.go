@@ -361,15 +361,8 @@ func (it *interp) boundary(env *guest.Env, i int) {
 	for _, err := range it.m.CheckInvariants() {
 		it.violate(where, err)
 	}
-	if env.Net != nil {
-		for _, q := range []*virtio.Queue{env.Net.TX, env.Net.RX} {
-			if err := q.CheckInvariants(); err != nil {
-				it.violate(where, err)
-			}
-		}
-	}
-	if env.Blk != nil {
-		if err := env.Blk.Q.CheckInvariants(); err != nil {
+	for _, q := range it.queues(env) {
+		if err := q.CheckInvariants(); err != nil {
 			it.violate(where, err)
 		}
 	}
@@ -378,6 +371,33 @@ func (it *interp) boundary(env *guest.Env, i int) {
 			it.migrate(env, pt)
 		}
 	}
+}
+
+// queues lists every live virtqueue of the nested I/O stack: the driver
+// side of L2's and L1's drivers, and the device side of all four
+// backends.
+func (it *interp) queues(env *guest.Env) []*virtio.Queue {
+	var qs []*virtio.Queue
+	if env.Net != nil {
+		qs = append(qs, env.Net.TX, env.Net.RX)
+	}
+	if env.Blk != nil {
+		qs = append(qs, env.Blk.Q)
+	}
+	io := it.io
+	if io.L0Net == nil {
+		return qs // the schedule does no I/O, so the stack is not wired
+	}
+	qs = append(qs, io.L1NetDrv.TX, io.L1NetDrv.RX, io.L1BlkDrv.Q)
+	for _, dev := range []*virtio.DeviceCommon{&io.L1Net.DeviceCommon, &io.L1Blk.DeviceCommon,
+		&io.L0Net.DeviceCommon, &io.L0Blk.DeviceCommon} {
+		for i := 0; i < virtio.MaxQueues; i++ {
+			if q := dev.Queue(i); q != nil {
+				qs = append(qs, q)
+			}
+		}
+	}
+	return qs
 }
 
 // migrate executes one MigratePoint at an op boundary: the full state is

@@ -128,14 +128,8 @@ func (c *Core) SetLAPIC(ctx ContextID, l ports.IRQController) { c.lapics[ctx] = 
 func (c *Core) LAPIC(ctx ContextID) ports.IRQController { return c.lapics[ctx] }
 
 // RegisterEPT associates an EPT-pointer value with a table so guest MMIO
-// accesses can be translated. Passing nil unregisters.
-func (c *Core) RegisterEPT(eptp uint64, t *ept.Table) {
-	if t == nil {
-		delete(c.eptTables, eptp)
-		return
-	}
-	c.eptTables[eptp] = t
-}
+// accesses can be translated.
+func (c *Core) RegisterEPT(eptp uint64, t *ept.Table) { c.eptTables[eptp] = t }
 
 // ReadGPR reads a guest GPR for context ctx while the guest is *running*
 // (registers resident in the file).

@@ -20,19 +20,12 @@ func (r ExecResult) Exited() bool { return r.Exit.Reason != isa.ExitNone }
 // instruction lengths for RIP advancing after emulation.
 func instrLen(op isa.Op) uint64 {
 	switch op {
-	case isa.OpCPUID:
-		return 2
-	case isa.OpRDMSR, isa.OpWRMSR:
-		return 2
 	case isa.OpHLT:
 		return 1
-	case isa.OpMMIOWrite:
+	case isa.OpMMIOWrite, isa.OpVMPtrLd, isa.OpVMRead, isa.OpVMWrite, isa.OpVMResume, isa.OpVMCall:
 		return 3
-	case isa.OpVMPtrLd, isa.OpVMRead, isa.OpVMWrite, isa.OpVMResume, isa.OpVMCall:
-		return 3
-	default:
-		return 2
 	}
+	return 2 // CPUID, RDMSR, WRMSR
 }
 
 // Exec executes one instruction for context ctx running in guest mode
@@ -88,11 +81,9 @@ func (c *Core) Exec(ctx ContextID, v *vmcs.VMCS, in isa.Instr) ExecResult {
 		return ExecResult{Exit: isa.Exit{Reason: isa.ExitEPTViolation, GuestPA: in.Addr, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpHLT:
+		// Every VMCS the hypervisors build sets HLT exiting.
 		eng.Advance(m.InstrBase)
-		if v.Read(vmcs.ProcControls)&vmcs.ProcCtlHLTExit != 0 {
-			return ExecResult{Exit: isa.Exit{Reason: isa.ExitHLT, InstrLen: instrLen(in.Op)}}
-		}
-		return ExecResult{}
+		return ExecResult{Exit: isa.Exit{Reason: isa.ExitHLT, InstrLen: instrLen(in.Op)}}
 
 	case isa.OpVMCall:
 		eng.Advance(m.InstrBase)

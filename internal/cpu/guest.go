@@ -171,22 +171,17 @@ func (g *NativeGuest) DeliverIRQ(vec int) {
 	}
 }
 
-// Kill unwinds a native guest's goroutine and waits until it is gone. It
-// accepts the guest at either side of its handoff: parked on resume, or
-// still blocked on yield with an exit nobody will take (which Kill takes
-// before delivering the kill). A guest that has finished, or is about to,
-// exits on its own. It is a no-op for guests that never started.
+// Kill unwinds a native guest's goroutine and waits until it is gone. A
+// guest that is not running is parked on resume: every yield has a
+// receiver, because RunGuest waits for it. A guest that has finished, or
+// is about to, exits on its own. It is a no-op for guests that never
+// started.
 func (g *NativeGuest) Kill() {
 	if !g.started {
 		return
 	}
 	select {
 	case g.resume <- resumeMsg{kill: true}:
-	case <-g.yield:
-		select {
-		case g.resume <- resumeMsg{kill: true}:
-		case <-g.port.dead: // that was its final exit
-		}
 	case <-g.port.dead:
 	}
 	<-g.port.dead
@@ -325,11 +320,8 @@ func (p *Port) Compute(d sim.Time) {
 			eng.Advance(chunk)
 			d -= chunk
 		}
-		if eng.DispatchDue() == 0 && chunk == 0 {
-			// No events fired and no time to burn against them: finish.
-			eng.Advance(d)
-			return
-		}
+		// chunk is 0 only with an event due now, which this dispatches.
+		eng.DispatchDue()
 		if e, ok := p.core.physIRQExit(p.Ctx, p.VM); ok {
 			p.trap(e)
 		}

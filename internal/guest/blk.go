@@ -152,7 +152,7 @@ func (d *BlkDriver) OnIRQ() {
 			return
 		}
 		if int(head) >= len(d.ops) || !d.ops[head].live {
-			continue
+			panic(fmt.Sprintf("guest blk: driver at %#x: used head %d has no request in flight", d.MMIO, head))
 		}
 		op := d.ops[head]
 		d.ops[head] = blkOp{}

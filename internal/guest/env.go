@@ -62,14 +62,8 @@ func (e *Env) Free(gpa, n uint64) {
 	e.freeList[n] = append(e.freeList[n], gpa)
 }
 
-// Now reports virtual time (zero when the environment has no port, as in
-// unit tests of the non-executing parts).
-func (e *Env) Now() sim.Time {
-	if e.Port == nil {
-		return 0
-	}
-	return e.Port.Now()
-}
+// Now reports virtual time.
+func (e *Env) Now() sim.Time { return e.Port.Now() }
 
 // Compute burns d of interruptible guest work.
 func (e *Env) Compute(d sim.Time) { e.Port.Compute(d) }
@@ -141,11 +135,9 @@ func (t *TimerDriver) onIRQ() {
 }
 
 // WaitUntil arms the timer for the deadline and halts until it fires (or
-// the deadline has passed).
+// the deadline has passed). Its one caller, the video player, passes a
+// deadline that has not passed yet.
 func (t *TimerDriver) WaitUntil(deadline sim.Time) {
-	if t.Env.Now() >= deadline {
-		return
-	}
 	before := t.fired
 	t.Arm(deadline)
 	t.Env.WaitFor(func() bool { return t.fired > before || t.Env.Now() >= deadline })

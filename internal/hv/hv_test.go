@@ -383,3 +383,28 @@ func TestCrossContextAccessThroughSVtLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGuestGPRAccessUsesCtxtUnderSVt: under SVt, L0 reaches a stopped
+// guest's registers with ctxtld/ctxtst on the guest's live context, not
+// through the save area the baseline exit thunk fills (§4).
+func TestGuestGPRAccessUsesCtxtUnderSVt(t *testing.T) {
+	m := cost.Baseline()
+	c := cpu.New(sim.New(), &m, 3)
+	c.EnableSVt()
+	c.VMPtrLoad(cpu.VisorContext, NewVisorVMCS("vmcs01", 0, ModeHWSVt))
+	p := NewRealPlatform(c)
+	vc := NewVCPU("L1.vcpu0", cpu.GuestContext, guestVMCS(), nil, 1)
+
+	c.RegFile().Write(int(cpu.GuestContext), isa.RDX, 0x11)
+	vc.VMCS.GPRs[isa.RDX] = 0x99 // a stale save area
+	if got := p.ReadGuestGPR(vc, isa.RDX); got != 0x11 {
+		t.Fatalf("ctxtld read = %#x, want the live register 0x11", got)
+	}
+	p.WriteGuestGPR(vc, isa.RBX, 0x22)
+	if got := c.ReadGPR(cpu.GuestContext, isa.RBX); got != 0x22 || vc.VMCS.GPRs[isa.RBX] != 0 {
+		t.Fatalf("ctxtst: live register %#x, save area %#x", got, vc.VMCS.GPRs[isa.RBX])
+	}
+	if c.Stats.CtxtAccesses != 2 {
+		t.Fatalf("ctxt accesses = %d, want 2", c.Stats.CtxtAccesses)
+	}
+}

@@ -89,16 +89,13 @@ func (h *Hypervisor) nestedEntry(ns *NestedState) {
 	h.P.Charge(h.Costs.ResumePrep)
 }
 
+// ledger is the host engine's time ledger. Only L0, on the real
+// platform, runs the nested paths that charge it.
+func (h *Hypervisor) ledger() *sim.Ledger { return h.P.(*RealPlatform).Core.Eng.Ledger() }
+
 // reflectExit makes a nested VM exit visible to the guest hypervisor:
 // vmcs02→vmcs12 state reflection, register copy-back, and exit-info
 // injection (lines 3–5 of Algorithm 1).
-func (h *Hypervisor) ledger() *sim.Ledger {
-	if rp, ok := h.P.(*RealPlatform); ok {
-		return rp.Core.Eng.Ledger()
-	}
-	return nil
-}
-
 func (h *Hypervisor) reflectExit(ns *NestedState, e2 isa.Exit) {
 	led := h.ledger()
 	var prev sim.Category
@@ -192,12 +189,11 @@ func (h *Hypervisor) handleVMResume(vc *VCPU, e isa.Exit) bool {
 
 		default:
 			// An exit L0 handles itself against vmcs02 (the guest
-			// hypervisor never learns about it).
-			stop := h.Handle(ns.L2VCPU, e2)
+			// hypervisor never learns about it). L1 owns every VMCALL and,
+			// through vmcs12's HLT exiting, every HLT, so none of these
+			// stops the run.
+			h.Handle(ns.L2VCPU, e2)
 			h.recordNested(ns.L2VCPU, e2, tHandle)
-			if stop {
-				return true
-			}
 		}
 	}
 }
@@ -237,8 +233,6 @@ func (h *Hypervisor) dropOwned(e2 isa.Exit) bool {
 // exit had it controlled the hardware — i.e. whether vmcs12 asks for it.
 func (h *Hypervisor) ownedByL1(ns *NestedState, e2 isa.Exit) bool {
 	switch e2.Reason {
-	case isa.ExitCPUID, isa.ExitVMCall:
-		return true // architecturally unconditional
 	case isa.ExitMSRRead, isa.ExitMSRWrite, isa.ExitAPICWrite:
 		return ns.Vmcs12.MSRExits(uint32(e2.Qualification))
 	case isa.ExitEPTMisconfig:
@@ -247,11 +241,10 @@ func (h *Hypervisor) ownedByL1(ns *NestedState, e2 isa.Exit) bool {
 		return h.Devices[e2.Qualification] == nil
 	case isa.ExitHLT:
 		return ns.Vmcs12.Read(vmcs.ProcControls)&vmcs.ProcCtlHLTExit != 0
-	case isa.ExitEPTViolation:
-		return false
-	default:
-		return true
 	}
+	// CPUID and VMCALL are architecturally unconditional. An EPT violation
+	// stays with L0, which treats it as fatal.
+	return e2.Reason != isa.ExitEPTViolation
 }
 
 // HandleKernelIRQ is the host kernel's interrupt dispatch: completion

@@ -157,21 +157,17 @@ func (p *RealPlatform) AckIRQ(vc *VCPU, vec int) {
 }
 
 // Idle implements Platform: advance virtual time until an interrupt shows
-// up on the hosting context's physical LAPIC or on vc's virtual LAPIC —
-// or until an event dispatch delivers an interrupt anywhere else (wake
-// epoch). The epoch check matters for nested HLT chains: L0 idles on
-// behalf of a guest hypervisor whose own wait condition is a *different*
-// virtual LAPIC, so any delivery fired from event context (a fault-delayed
-// re-delivery, for instance) must unwind the sleeper and let every level
-// re-check. In healthy runs event-context deliveries land on physical
-// LAPICs, where AnyPendingIRQ already catches them, so the epoch check
-// changes nothing.
-func (p *RealPlatform) Idle(vc *VCPU) bool {
+// up on a physical LAPIC, or until an event dispatch delivers an
+// interrupt anywhere else (wake epoch). The caller has just seen vc's
+// virtual LAPIC empty, so a vector for vc arrives only by a delivery,
+// which moves the epoch. The epoch check matters for nested HLT chains:
+// L0 idles on behalf of a guest hypervisor whose own wait condition is a
+// *different* virtual LAPIC, so any delivery fired from event context (a
+// fault-delayed re-delivery, for instance) must unwind the sleeper and
+// let every level re-check.
+func (p *RealPlatform) Idle(*VCPU) bool {
 	for {
 		if p.Core.AnyPendingIRQ() {
-			return true
-		}
-		if vc.VirtLAPIC != nil && vc.VirtLAPIC.HasPending() {
 			return true
 		}
 		mark := p.Core.Eng.WakeEpoch()

@@ -15,10 +15,6 @@ import (
 // implementation rather than being modelled explicitly.
 type VirtualPlatform struct {
 	Port *cpu.Port
-
-	// loaded tracks which of the hypervisor's own VMCS objects the virtual
-	// CPU currently has loaded (vmcs01' in the paper's naming).
-	loaded *vmcs.VMCS
 }
 
 // NewVirtualPlatform wraps the native guest's port.
@@ -30,7 +26,6 @@ func NewVirtualPlatform(port *cpu.Port) *VirtualPlatform {
 // the host hypervisor, which activates shadowing on the first load).
 func (p *VirtualPlatform) Load(vc *VCPU) {
 	p.Port.Exec(isa.Instr{Op: isa.OpVMPtrLd, Addr: vc.VMCSAddr})
-	p.loaded = vc.VMCS
 }
 
 // Now implements Platform.
@@ -39,16 +34,13 @@ func (p *VirtualPlatform) Now() sim.Time { return p.Port.Now() }
 // Charge implements Platform.
 func (p *VirtualPlatform) Charge(d sim.Time) { p.Port.Charge(d) }
 
-// Run implements Platform: VMPTRLD (if needed) + VMRESUME, both trapping
-// to L0, then exit-information retrieval. Shadowable exit fields are read
-// without traps; the interrupt-window check on the execution controls is
-// not shadowable and costs one genuine exit (the "L1 exits during VM-exit
-// handling" of §2.3).
+// Run implements Platform: VMRESUME, trapping to L0, then
+// exit-information retrieval. L1 runs one nested VM, whose VMCS it loads
+// at boot (Load), so no VMPTRLD precedes the resume. Shadowable exit
+// fields are read without traps; the interrupt-window check on the
+// execution controls is not shadowable and costs one genuine exit (the
+// "L1 exits during VM-exit handling" of §2.3).
 func (p *VirtualPlatform) Run(vc *VCPU) isa.Exit {
-	if p.loaded != vc.VMCS {
-		p.Port.Exec(isa.Instr{Op: isa.OpVMPtrLd, Addr: vc.VMCSAddr})
-		p.loaded = vc.VMCS
-	}
 	p.Port.Exec(isa.Instr{Op: isa.OpVMResume})
 	return p.ReadExitInfo()
 }

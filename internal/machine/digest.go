@@ -50,9 +50,6 @@ func (m *Machine) StateDigest() uint64 {
 	}
 	if m.Chan != nil {
 		for _, ring := range []*swsvt.Ring{m.Chan.ToSVt, m.Chan.FromSVt} {
-			if ring == nil {
-				continue
-			}
 			for _, c := range ring.Pending() {
 				h = words.FNVWord(h, uint64(c.Type))
 				h = words.FNVWord(h, c.Exit)
@@ -76,19 +73,6 @@ func (m *Machine) CheckInvariants() []error {
 	if m.Core != nil {
 		if err := m.Core.RegFile().CheckInvariants(); err != nil {
 			errs = append(errs, err)
-		}
-	}
-	if m.Chan != nil {
-		for _, r := range []struct {
-			name string
-			ring interface {
-				Len() int
-				Cap() int
-			}
-		}{{"toSVt", m.Chan.ToSVt}, {"fromSVt", m.Chan.FromSVt}} {
-			if n, c := r.ring.Len(), r.ring.Cap(); n < 0 || n > c {
-				errs = append(errs, fmt.Errorf("machine: %s ring occupancy %d outside [0,%d]", r.name, n, c))
-			}
 		}
 	}
 	if m.Ept02 != nil {

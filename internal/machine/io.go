@@ -76,13 +76,9 @@ type IOStack struct {
 }
 
 // SetL1NetTxCoalesce configures TX interrupt coalescing on the guest
-// hypervisor's vhost-net backend (applied when L1 boots).
-func (io *IOStack) SetL1NetTxCoalesce(n int) {
-	io.l1NetTxCoalesce = n
-	if io.L1Net != nil {
-		io.L1Net.TxCoalesce = n
-	}
-}
+// hypervisor's vhost-net backend. It must be called before L1 boots,
+// which applies it.
+func (io *IOStack) SetL1NetTxCoalesce(n int) { io.l1NetTxCoalesce = n }
 
 // l2View resolves L2 guest-physical addresses through the composed
 // shadow EPT, which exists only once L1 has installed its EPT pointer.

@@ -75,7 +75,8 @@ type Config struct {
 	BlockedProtocol bool
 
 	// WireL0 attaches workload devices to the host hypervisor at build
-	// time (virtio backends for L1's devices).
+	// time (virtio backends for L1's devices). Only nested machines have
+	// them.
 	WireL0 func(m *Machine)
 	// WireL1 attaches workload devices to the guest hypervisor; it runs
 	// inside L1 on the vCPU that takes L1's device interrupts: the main
@@ -163,9 +164,6 @@ func contextsFor(mode hv.Mode) int {
 }
 
 func newBase(cfg Config, nctx int) *Machine {
-	if cfg.Port == nil {
-		cfg.Port = x86port.Port()
-	}
 	m := &Machine{Cfg: cfg, nctx: nctx}
 	m.Eng = sim.New()
 	m.Faults = cfg.Faults.Build(m.Eng)
@@ -456,7 +454,7 @@ func (m *Machine) L2LAPIC() ports.IRQController {
 }
 
 // NewSingleLevel assembles an L0 + single guest machine (the paper's
-// Figure 6 "L1" configuration).
+// Figure 6 "L1" configuration), with no devices.
 func NewSingleLevel(cfg Config) *Machine {
 	cfg.Mode = hv.ModeBaseline
 	m := newBase(cfg, 1)
@@ -466,9 +464,6 @@ func NewSingleLevel(cfg Config) *Machine {
 	if m.Obs != nil {
 		m.VcpuGuest.VirtLAPIC.SetObs(m.Obs.Tracer, 0, "L1.vcpu0.apic")
 		m.VcpuGuest.VirtLAPIC.Metrics(m.Obs.Metrics, "apic.l1")
-	}
-	if cfg.WireL0 != nil {
-		cfg.WireL0(m)
 	}
 	return m
 }

@@ -2,11 +2,13 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"svtsim/internal/cpu"
 	"svtsim/internal/hv"
 	"svtsim/internal/isa"
+	"svtsim/internal/obs"
 	"svtsim/internal/sim"
 )
 
@@ -139,6 +141,30 @@ func TestFigure6Hierarchy(t *testing.T) {
 	// Single-level guest: one exit round trip, a few µs — far below nested.
 	if single > base/2 {
 		t.Errorf("single-level (%v) should be far cheaper than nested (%v)", single, base)
+	}
+}
+
+// TestSingleLevelObs: an armed plane gets the single-level guest's
+// virtual APIC and, since it only records, leaves the run's time alone.
+func TestSingleLevelObs(t *testing.T) {
+	run := func(o *obs.Options) *Machine {
+		cfg := DefaultConfig(hv.ModeBaseline)
+		cfg.Obs = o
+		m := NewSingleLevel(cfg)
+		m.SetGuestWorkload(&cpuidLoop{n: 50})
+		m.Run()
+		return m
+	}
+	plain, traced := run(nil), run(&obs.Options{})
+	if plain.Now() != traced.Now() {
+		t.Fatalf("tracing moved the run: %v vs %v", plain.Now(), traced.Now())
+	}
+	found := false
+	for _, n := range traced.Obs.Metrics.Names() {
+		found = found || strings.HasPrefix(n, "apic.l1.")
+	}
+	if !found {
+		t.Fatalf("no apic.l1 metrics in %v", traced.Obs.Metrics.Names())
 	}
 }
 

@@ -107,3 +107,63 @@ func TestSWSVtOneL1Hypervisor(t *testing.T) {
 		t.Fatal("the SVt-thread served no trap")
 	}
 }
+
+// TestSVtBlockedServiceLoop drives the rest of §5.3's service loop.
+// While L1₀ runs its IPI handler, a physical interrupt arrives on its
+// context, so it exits to L0₀ mid-service. L0₀ routes that vector to
+// L1₀, which then yields with it still pending, and L0₀ presents
+// SVT_BLOCKED again.
+func TestSVtBlockedServiceLoop(t *testing.T) {
+	const vec = 0x33
+	cfg := DefaultConfig(hv.ModeSWSVt)
+	sent := false
+	cfg.WireL1 = func(m *Machine, _ *hv.Hypervisor, _ *cpu.Port) {
+		main := m.L1Guest.Port()
+		handler := main.IRQHandler
+		main.IRQHandler = func(v int) {
+			handler(v)
+			if v == ports.VecIPI && !sent {
+				sent = true
+				// A physical vector every 10 ns for 100 µs: every
+				// instruction boundary of the service run finds one due,
+				// the boundary of its VMRESUME included.
+				phys := m.Core.LAPIC(m.Core.IRQContext(m.VcpuL1.Ctx))
+				for d := sim.Time(10); d <= 100*sim.Microsecond; d += 10 {
+					m.Eng.After(d, func() { phys.Deliver(vec) })
+				}
+			}
+		}
+		m.L0.VectorRoute[vec] = m.VcpuL1
+	}
+	m := NewNested(cfg)
+	m.Eng.At(50*sim.Microsecond, func() {
+		m.L0.InjectIRQ(m.VcpuL1, ports.VecIPI)
+	})
+	m.SetL2Workload(&ipiCpuidLoop{n: 100})
+	m.Run()
+	if !sent || m.VcpuL1.VirtLAPIC.HasPending() {
+		t.Fatalf("sent=%v: the blocked vCPU must run both handlers", sent)
+	}
+	// Each service presents SVT_BLOCKED once, and once more per yield
+	// with a vector still pending.
+	services, presented := m.Chan.BlockedEvents.Value(), m.L1HV.Prof.Count[isa.ExitSVTBlocked]
+	if services == 0 || presented <= services {
+		t.Fatalf("%d services presented SVT_BLOCKED %d times, want more", services, presented)
+	}
+}
+
+// TestStateDigestFoldsStrandedCommands: a command left on a reflection
+// ring is protocol state the digest must see, though every run ends, and
+// every op boundary falls, with both rings empty.
+func TestStateDigestFoldsStrandedCommands(t *testing.T) {
+	m := NewNested(DefaultConfig(hv.ModeSWSVt))
+	m.SetL2Workload(&ipiCpuidLoop{n: 10})
+	m.Run()
+	before := m.StateDigest()
+	if err := m.Chan.ToSVt.Push(swsvt.Cmd{Type: swsvt.CmdVMTrap, Exit: uint64(isa.ExitCPUID)}); err != nil {
+		t.Fatal(err)
+	}
+	if m.StateDigest() == before {
+		t.Fatal("a stranded CMD_VM_TRAP left the digest unchanged")
+	}
+}

@@ -436,6 +436,7 @@ func TestRestoreRejectsMalformedWords(t *testing.T) {
 		{"bool word", "vmcs/12", at(shadowFlag), 2},
 		{"16-bit queue index", "vq/l2-blk", at(virtio.QWordAvailIdx), 1 << 16},
 		{"free count past the queue size", "vq/l2-blk", at(virtio.QWordNumFree), 1 << 15},
+		{"nonzero used event", "vq/l2-blk", at(virtio.QWordUsedEvent), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sec := snap.Section(tc.section)

@@ -48,7 +48,7 @@ type Channel struct {
 	BlockedProtocol bool
 
 	// breaker guards the fast path. Only L1's main vCPU reflects, so one
-	// breaker serves the channel; it is built on the first reflection.
+	// breaker serves the channel; brk builds it on first use.
 	breaker *fault.Breaker
 
 	// Stats (obs counters so the observability registry can export the
@@ -66,7 +66,6 @@ type Channel struct {
 	// baseline path by an open breaker (no SW-SVt attempt at all).
 	FallbackReflections obs.Counter
 	lastReturn          sim.Time
-	stopped             bool
 	booted              bool // the SVt-thread has run (wired L1's devices)
 
 	// Obs, when non-nil, receives reflection-protocol events: ring
@@ -156,10 +155,7 @@ func proceed() bool { return true }
 // trap/resume path instead — the paper's requirement that SVt never be
 // less live than vanilla nesting.
 func (ch *Channel) ReflectAndWait(e isa.Exit) bool {
-	if ch.breaker == nil {
-		ch.breaker = fault.NewBreaker(ch.Core.Eng, breakerThreshold, breakerCooldown)
-	}
-	br := ch.breaker
+	br := ch.brk()
 	if !br.Allow() {
 		ch.FallbackReflections.Inc()
 		return false
@@ -181,20 +177,26 @@ func (ch *Channel) ReflectAndWait(e isa.Exit) bool {
 	return ok
 }
 
+// brk returns the channel's breaker, built on first use.
+func (ch *Channel) brk() *fault.Breaker {
+	if ch.breaker == nil {
+		ch.breaker = fault.NewBreaker(ch.Core.Eng, breakerThreshold, breakerCooldown)
+	}
+	return ch.breaker
+}
+
 // BreakerStats reports the breaker's trips and recoveries.
 func (ch *Channel) BreakerStats() (trips, recoveries uint64) {
-	if ch.breaker == nil {
-		return 0, 0
-	}
-	return ch.breaker.Trips(), ch.breaker.Recoveries()
+	br := ch.brk()
+	return br.Trips(), br.Recoveries()
 }
 
 // ProbeState dumps ring occupancy and channel counters for stall reports.
 func (ch *Channel) ProbeState() string {
-	return fmt.Sprintf("toSVt=%d/%d fromSVt=%d/%d reflections=%d watchdog=%d fallbacks=%d+%d stopped=%v",
-		ch.ToSVt.Len(), ch.ToSVt.Cap(), ch.FromSVt.Len(), ch.FromSVt.Cap(),
+	return fmt.Sprintf("toSVt=%d/%d fromSVt=%d/%d reflections=%d watchdog=%d fallbacks=%d+%d",
+		ch.ToSVt.Len(), len(ch.ToSVt.buf), ch.FromSVt.Len(), len(ch.FromSVt.buf),
 		ch.Reflections.Value(), ch.WatchdogFires.Value(), ch.Fallbacks.Value(),
-		ch.FallbackReflections.Value(), ch.stopped)
+		ch.FallbackReflections.Value())
 }
 
 // reflect performs one fault-aware reflection round trip. On a healthy
@@ -259,9 +261,6 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 	ch.watchdog(fault.SiteRingPop, watchdogRetries, proceed)
 	cmd, ok := ch.FromSVt.Pop()
 	if !ok {
-		if ch.stopped {
-			panic("swsvt: reflection after the SVt-thread stopped")
-		}
 		panic("swsvt: SVt-thread went idle without answering CMD_VM_RESUME")
 	}
 	if cmd.Type != CmdVMResume {
@@ -282,16 +281,16 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 }
 
 // pushTrap pushes CMD_VM_TRAP with the register payload, retrying
-// stalled pushes (fault-injected or a genuinely full ring) under the
-// watchdog. It reports false when the retries are exhausted.
+// fault-stalled pushes under the watchdog. It reports false when the
+// retries are exhausted. The ring is empty here: each reflection's trap
+// is consumed by the SVt-thread or reclaimed on fallback, so a full ring
+// is a broken protocol.
 func (ch *Channel) pushTrap(e isa.Exit) bool {
 	m := ch.Core.Costs
 	return ch.watchdog(fault.SiteRingPush, watchdogRetries, func() bool {
 		ch.L0.P.Charge(m.RingCmd + sim.Time(int(isa.NumGPR))*m.RingPayloadReg)
-		if ch.ToSVt.Push(Cmd{Type: CmdVMTrap, Exit: uint64(e.Reason)}) != nil {
-			// ErrRingFull: the consumer is stuck; wait and retry rather
-			// than dropping the command or killing the run.
-			return false
+		if err := ch.ToSVt.Push(Cmd{Type: CmdVMTrap, Exit: uint64(e.Reason)}); err != nil {
+			panic(fmt.Sprintf("swsvt: CMD_VM_TRAP push: %v", err))
 		}
 		if ch.Obs != nil {
 			ch.Obs.Instant(int(ch.Ns.L2VCPU.Ctx), obs.KindRingPush, 1, ch.labToSVt,
@@ -324,14 +323,9 @@ func (ch *Channel) runSVtThread() {
 		ch.serviceHostIRQs()
 		ch.L0.PrepareResume(ch.VcpuSVt)
 		e := ch.L0.P.Run(ch.VcpuSVt)
-		if e.Reason == isa.ExitVMCall {
-			switch e.Qualification {
-			case cpu.QualSVtIdle:
-				return
-			case cpu.QualGuestDone:
-				ch.stopped = true
-				return
-			}
+		// The SVt-thread's body never returns, so the thread only parks.
+		if e.Reason == isa.ExitVMCall && e.Qualification == cpu.QualSVtIdle {
+			return
 		}
 		if stop := ch.L0.Handle(ch.VcpuSVt, e); stop {
 			msg := fmt.Sprintf("swsvt: SVt-thread session stopped on %v (deadlock=%v) at %v", e, ch.L0.DeadlockDetected, ch.L0.P.Now())
@@ -395,14 +389,12 @@ func (ch *Channel) serviceBlockedL1() bool {
 				return true
 			}
 			ch.Ns.Vmcs12.RecordExit(isa.Exit{Reason: isa.ExitSVTBlocked})
-		case isa.ExitVMCall:
-			if e.Qualification == cpu.QualGuestDone {
-				ch.stopped = true
-				return true
-			}
-			ch.L0.Handle(vc, e)
 		default:
-			ch.L0.Handle(vc, e)
+			// L1₀ is inside its VMRESUME of L2, whose trap is still
+			// outstanding, so it cannot finish here.
+			if ch.L0.Handle(vc, e) {
+				panic(fmt.Sprintf("swsvt: L1's main vCPU stopped on %v during SVT_BLOCKED service", e))
+			}
 		}
 	}
 }
@@ -447,10 +439,11 @@ func (t *SVtThread) Body(p *cpu.Port) {
 	}
 }
 
-// pushResume answers CMD_VM_RESUME, retrying stalled pushes under the
-// watchdog. Unlike the L0 side there is no fallback here — L0₀ is
-// parked on the response ring — so exhausting the retries fails loudly
-// with the engine's structured report instead of deadlocking the rings.
+// pushResume answers CMD_VM_RESUME, retrying fault-stalled pushes under
+// the watchdog; like the trap ring, the response ring is empty here.
+// Unlike the L0 side there is no fallback here — L0₀ is parked on the
+// response ring — so exhausting the retries fails loudly with the
+// engine's structured report instead of deadlocking the rings.
 func (t *SVtThread) pushResume(p *cpu.Port) {
 	ch := t.Ch
 	m := ch.Core.Costs
@@ -459,8 +452,8 @@ func (t *SVtThread) pushResume(p *cpu.Port) {
 	// fall back): give up only when a fallback-less retry storm shows the
 	// ring is truly wedged.
 	pushed := ch.watchdog(fault.SiteRingPush, 4*(watchdogRetries+1), func() bool {
-		if ch.FromSVt.Push(Cmd{Type: CmdVMResume}) != nil {
-			return false
+		if err := ch.FromSVt.Push(Cmd{Type: CmdVMResume}); err != nil {
+			panic(fmt.Sprintf("swsvt: CMD_VM_RESUME push: %v", err))
 		}
 		if ch.Obs != nil {
 			ch.Obs.Instant(int(ch.VcpuSVt.Ctx), obs.KindRingPush, 1,

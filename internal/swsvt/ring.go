@@ -53,16 +53,10 @@ type Ring struct {
 	pushes     uint64
 }
 
-// NewRing returns a ring with capacity entries (rounded up to 1 minimum).
+// NewRing returns a ring with capacity entries.
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Ring{buf: make([]Cmd, capacity)}
 }
-
-// Cap reports the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
 
 // Len reports the number of queued commands. head and tail are free-
 // running uint64 counters, so tail-head is the occupancy only while the

@@ -7,6 +7,7 @@ import (
 	"svtsim/internal/cost"
 	"svtsim/internal/qcheck"
 	"svtsim/internal/sim"
+	"svtsim/internal/words"
 )
 
 func TestRingFIFO(t *testing.T) {
@@ -51,6 +52,40 @@ func TestRingPeek(t *testing.T) {
 	}
 }
 
+// TestRingWordsRoundTrip: commands queued on a wrapped ring survive a
+// save and load at their slots, sequence numbers included. The rings are
+// empty wherever the simulator captures a machine; this pins the words
+// of a ring that is not.
+func TestRingWordsRoundTrip(t *testing.T) {
+	r := NewRing(3)
+	for i := 0; i < 4; i++ {
+		if err := r.Push(Cmd{Type: CmdVMTrap, Exit: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			r.Pop()
+		}
+	}
+	var w words.Writer
+	s := w.Record(r.SaveWords)
+	got := NewRing(3)
+	rd := words.NewReader("ring", s)
+	got.LoadWords(rd)
+	if err := rd.Fin(); err != nil {
+		t.Fatal(err)
+	}
+	want, have := r.Pending(), got.Pending()
+	if len(have) != 2 || have[0] != want[0] || have[1] != want[1] {
+		t.Fatalf("loaded %+v, want %+v", have, want)
+	}
+	if err := got.Push(Cmd{}); err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := got.Pop(); c != want[0] {
+		t.Fatalf("first pop %+v, want %+v", c, want[0])
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(3)
 	for round := 0; round < 10; round++ {
@@ -64,13 +99,6 @@ func TestRingWraparound(t *testing.T) {
 	}
 	if r.pushes != 10 {
 		t.Fatalf("pushes = %d", r.pushes)
-	}
-}
-
-func TestRingMinCapacity(t *testing.T) {
-	r := NewRing(0)
-	if r.Cap() != 1 {
-		t.Fatalf("cap = %d, want clamped to 1", r.Cap())
 	}
 }
 

@@ -70,8 +70,9 @@ func (r *Ring) Pending() []Cmd {
 
 // SaveWords writes the reflection protocol's state: both rings of the
 // thread's channel, the virtual time of the SVt-thread's last return
-// (it feeds stolen-cycle accounting), the terminal stopped flag, and
-// the thread's handled-trap tallies the differential oracle reads.
+// (it feeds stolen-cycle accounting), a stopped flag that is always
+// false, and the thread's handled-trap tallies the differential oracle
+// reads.
 // Watchdog and breaker internals are recovery machinery, re-armed fresh
 // after a restore, and the obs counters are diagnostics; neither is
 // written.
@@ -80,7 +81,7 @@ func (t *SVtThread) SaveWords(w *words.Writer) {
 	ch.ToSVt.SaveWords(w)
 	ch.FromSVt.SaveWords(w)
 	w.Word(uint64(ch.lastReturn))
-	w.Bool(ch.stopped)
+	w.Bool(false) // stopped: the SVt-thread never stops, nor L1₀ mid-service
 	w.Word(t.Handled)
 	for _, n := range t.HandledByReason {
 		w.Word(n)
@@ -96,7 +97,8 @@ func (t *SVtThread) LoadWords(r *words.Reader) {
 	to, from := *ch.ToSVt, *ch.FromSVt
 	to.LoadWords(r)
 	from.LoadWords(r)
-	last, stopped := sim.Time(r.Word()), r.Bool()
+	last := sim.Time(r.Word())
+	r.Range(0, 1, "stopped flag")
 	handled := r.Word()
 	var byReason [isa.NumExitReasons]uint64
 	for i := range byReason {
@@ -106,6 +108,6 @@ func (t *SVtThread) LoadWords(r *words.Reader) {
 		return
 	}
 	*ch.ToSVt, *ch.FromSVt = to, from
-	ch.lastReturn, ch.stopped = last, stopped
+	ch.lastReturn = last
 	t.Handled, t.HandledByReason = handled, byReason
 }

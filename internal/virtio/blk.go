@@ -77,9 +77,6 @@ func NewBlkBackend(name string, base uint64, mem MemIO, tr BlkTransport) *BlkBac
 // neither the transport nor the data buffer.
 func (b *BlkBackend) kick(qi int) {
 	q := b.Queue(0)
-	if q == nil {
-		return
-	}
 	for {
 		head, bufs, ok, err := q.PopAvail()
 		if err != nil {
@@ -162,9 +159,6 @@ func (b *BlkBackend) complete(head uint16, ok bool) {
 // completed the request.
 func (b *BlkBackend) OnIRQ() {
 	q := b.Queue(0)
-	if q == nil {
-		return
-	}
 	raised := false
 	for _, head := range b.completed {
 		p := &b.pending[head]

@@ -92,13 +92,9 @@ func (c *DeviceCommon) notify(fn func()) {
 	fn()
 }
 
-// Queue returns the live device-side queue at index i (nil before ready).
-func (c *DeviceCommon) Queue(i int) *Queue {
-	if i < 0 || i >= MaxQueues {
-		return nil
-	}
-	return c.queues[i]
-}
+// Queue returns the live device-side queue at index i < MaxQueues (nil
+// before ready).
+func (c *DeviceCommon) Queue(i int) *Queue { return c.queues[i] }
 
 // MMIOWrite implements hv.Device.
 func (c *DeviceCommon) MMIOWrite(gpa, val uint64) {

@@ -87,21 +87,19 @@ func (b *NetBackend) drainTX() {
 		if !ok {
 			return
 		}
-		// The packet is the chain's driver-readable segments, read
+		// The packet is the chain's segments, all driver-readable, read
 		// straight into one buffer of their total length, which the
 		// transport borrows for the call.
 		n := 0
 		for _, buf := range bufs {
-			if !buf.DeviceWrite {
-				n += int(buf.Len)
+			if buf.DeviceWrite {
+				panic(fmt.Sprintf("virtio-net %s: device-writable buffer in a TX chain", b.DevName))
 			}
+			n += int(buf.Len)
 		}
 		pkt := b.bufs.Get(n)
 		off := 0
 		for _, buf := range bufs {
-			if buf.DeviceWrite {
-				continue
-			}
 			if err := b.Mem.Read(buf.GPA, pkt[off:off+int(buf.Len)]); err != nil {
 				panic(fmt.Sprintf("virtio-net %s: tx read: %v", b.DevName, err))
 			}
@@ -167,8 +165,8 @@ func (b *NetBackend) OnIRQ() {
 			written := uint32(0)
 			left := pkt
 			for _, buf := range bufs {
-				if !buf.DeviceWrite || len(left) == 0 {
-					continue
+				if !buf.DeviceWrite {
+					panic(fmt.Sprintf("virtio-net %s: driver-readable buffer in an RX chain", b.DevName))
 				}
 				n := int(buf.Len)
 				if n > len(left) {

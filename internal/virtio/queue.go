@@ -86,10 +86,9 @@ type Queue struct {
 	driver bool
 
 	// Driver-side state (private to the driver in real implementations).
-	freeHead  uint16
-	numFree   uint16
-	availIdx  uint16 // shadow of the published avail index
-	usedEvent uint16
+	freeHead uint16
+	numFree  uint16
+	availIdx uint16 // shadow of the published avail index
 
 	// Device-side state.
 	lastAvail uint16 // next avail entry the device will consume
@@ -348,9 +347,6 @@ func (q *Queue) CheckInvariants() error {
 	if inflight := pa - pu; inflight > q.L.Size {
 		return fmt.Errorf("virtio: %d chains in flight exceeds queue size %d (avail=%d used=%d)",
 			inflight, q.L.Size, pa, pu)
-	}
-	if q.numFree > q.L.Size {
-		return fmt.Errorf("virtio: free count %d exceeds queue size %d", q.numFree, q.L.Size)
 	}
 	// Device side: consumed available entries must have been published.
 	if !q.driver {

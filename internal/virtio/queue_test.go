@@ -273,23 +273,28 @@ func TestDescriptorIndexOutOfTable(t *testing.T) {
 // driver's ring position and free list as they were.
 func TestPopUsedRejectsCorruptEntries(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		id      uint32
-		selfRef bool // the chain's descriptor links to itself with NEXT set
+		name string
+		id   uint32
+		next int // with next >= 0, the chain's descriptor links to next with NEXT set
 	}{
-		{"id past the table", 7, false},
-		{"id past 16 bits", 1 << 16, false},
-		{"descriptor loop", 0, true},
+		{"id past the table", 7, -1},
+		{"id past 16 bits", 1 << 16, -1},
+		{"descriptor loop", 0, 0},
+		// Three chains are in flight, so the in-flight bound alone would
+		// let the walk read a descriptor past the table.
+		{"next past the table", 0, 9},
 	} {
 		m := testMem(t)
 		l := NewLayout(0, 4)
 		drv, _ := NewQueue(l, m, true)
 		dev, _ := NewQueue(l, m, false)
-		head, err := drv.Post([]Buf{{GPA: 0x100, Len: 8}})
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 3; i++ {
+			if _, err := drv.Post([]Buf{{GPA: 0x100, Len: 8}}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, _, _, err := dev.PopAvail(); err != nil {
+		head, _, _, err := dev.PopAvail()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := dev.PushUsed(head, 8); err != nil {
@@ -298,8 +303,8 @@ func TestPopUsedRejectsCorruptEntries(t *testing.T) {
 		if err := m.Write(l.Used+4, binary.LittleEndian.AppendUint32(nil, tc.id)); err != nil {
 			t.Fatal(err)
 		}
-		if tc.selfRef {
-			d := []byte{byte(DescFNext), 0, byte(tc.id), 0} // flags, next
+		if tc.next >= 0 {
+			d := []byte{byte(DescFNext), 0, byte(tc.next), 0} // flags, next
 			if err := m.Write(l.Desc+16*uint64(tc.id)+12, d); err != nil {
 				t.Fatal(err)
 			}
@@ -321,6 +326,68 @@ func TestPopUsedRejectsCorruptEntries(t *testing.T) {
 		if drv.lastUsed != lastUsed || drv.freeHead != freeHead || drv.numFree != numFree {
 			t.Errorf("%s: rejected entry moved the driver: last used %d→%d, free head %d→%d, free %d→%d",
 				tc.name, lastUsed, drv.lastUsed, freeHead, drv.freeHead, numFree, drv.numFree)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesBrokenIndices builds each state through the
+// ring indices in guest memory, as a misbehaving other side would write
+// them: a queue with exactly Size chains in flight passes, while one
+// more published chain, a device that consumed past the published avail
+// index and a driver that reaped past the published used index each fail
+// on the handle that sees them, and only through their own check.
+func TestCheckInvariantsCatchesBrokenIndices(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		avail, used uint16 // the published indices written over the rings
+		driver      bool   // which handle must see the violation
+	}{
+		{"Size+1 chains in flight", 5, 0, false},
+		{"device past the published avail index", 2, 2, false},
+		{"driver past the published used index", 4, 1, true},
+	} {
+		// The driver posts all four chains, the device pops three and
+		// completes two, and the driver reaps those two: avail 4, used 2,
+		// last avail 3, last used 2.
+		m := testMem(t)
+		l := NewLayout(0, 4)
+		drv, _ := NewQueue(l, m, true)
+		dev, _ := NewQueue(l, m, false)
+		for i := 0; i < 4; i++ {
+			if _, err := drv.Post([]Buf{{GPA: 0x100, Len: 8}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range []*Queue{drv, dev} {
+			if err := q.CheckInvariants(); err != nil {
+				t.Fatalf("4 of 4 chains in flight: %v", err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			head, _, _, err := dev.PopAvail()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i < 2 {
+				if err := dev.PushUsed(head, 8); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, _, err := drv.PopUsed(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for gpa, v := range map[uint64]uint16{l.Avail + 2: tc.avail, l.Used + 2: tc.used} {
+			if err := m.Write(gpa, binary.LittleEndian.AppendUint16(nil, v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := dev
+		if tc.driver {
+			q = drv
+		}
+		if err := q.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", tc.name)
 		}
 	}
 }
