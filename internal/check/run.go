@@ -50,7 +50,7 @@ type Outcome struct {
 	IRQs [256]uint64
 	// Exits is the L1-visible exit multiset over ComparableExits: the
 	// guest hypervisor's run-loop profile plus (under SW SVt) the exits
-	// its SVt-thread serviced off the command ring.
+	// its SVt-thread serviced off the command slot.
 	Exits [isa.NumExitReasons]uint64
 	// Invariants lists DESIGN §6 violations observed at op boundaries.
 	Invariants []string

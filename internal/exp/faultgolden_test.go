@@ -45,9 +45,6 @@ func TestFaultedSWSVtGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := s.FaultSweep(hv.ModeSWSVt, spec, 200)
-			if !res.Completed {
-				t.Fatalf("%s seed %d: run did not complete", name, r.seed)
-			}
 			fmt.Fprintf(&b, "port=%s seed=%d perop=%dns reflections=%d watchdog=%d fallbacks=%d fallback_reflections=%d breaker_trips=%d breaker_recoveries=%d faults=%s\n",
 				name, r.seed, int64(res.PerOp), res.Reflections, res.WatchdogFires,
 				res.Fallbacks, res.FallbackReflections, res.BreakerTrips,

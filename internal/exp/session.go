@@ -196,12 +196,22 @@ func (s *Session) publishObs(p *obs.Plane) {
 	s.mu.Unlock()
 }
 
-// run executes a machine, stamping any panic with the seeds needed to
-// replay the failing run from its log line alone.
+// run executes a machine through runMachine and publishes its plane.
 func (s *Session) run(m *machine.Machine) {
+	runMachine(m)
+	s.publishObs(m.Obs)
+}
+
+// runMachine executes a machine, failing loudly on a run that ends on
+// deadlock detection: its numbers describe a run that wedged. A failed
+// run's panic carries the seeds needed to replay it from its log line
+// alone.
+func runMachine(m *machine.Machine) {
 	defer annotatePanic(m)
 	m.Run()
-	s.publishObs(m.Obs)
+	if m.L0.DeadlockDetected {
+		panic("L0 detected a deadlock: a vCPU halted with no event left to wake it")
+	}
 }
 
 func annotatePanic(m *machine.Machine) {

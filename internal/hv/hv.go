@@ -103,7 +103,7 @@ type Device interface {
 	OnIRQ()
 }
 
-// SWChannel is the SW SVt command-ring path: Reflect delivers a nested
+// SWChannel is the SW SVt command-slot path: Reflect delivers a nested
 // exit to the SVt-thread on the sibling SMT context and blocks (in
 // virtual time) until the thread answers with a VM-resume command.
 type SWChannel interface {
@@ -231,7 +231,7 @@ type Hypervisor struct {
 	VectorToDevice map[int]Device
 
 	// SW is the SW SVt channel; set only on L0 in ModeSWSVt. Its
-	// presence is what sends L1-owned nested exits over the ring.
+	// presence is what sends L1-owned nested exits over the channel.
 	SW SWChannel
 
 	// NoVMCSShadowing disables hardware VMCS shadowing (ablation): every

@@ -123,7 +123,7 @@ func sTime(n int) sim.Time { return sim.Time(n) }
 // handleVMResume is the nested-entry flow (lines 13–15 of Algorithm 1)
 // plus the dispatch of the resulting nested exits (lines 2–5): it runs L2
 // until an exit the guest hypervisor must see, reflects it, and — except
-// under SW SVt, where the SVt-thread answers over the command ring — lets
+// under SW SVt, where the SVt-thread answers over the command slots — lets
 // the run loop resume L1 with the injected exit.
 func (h *Hypervisor) handleVMResume(vc *VCPU, e isa.Exit) bool {
 	ns := h.activeNested(vc)
@@ -209,7 +209,7 @@ func (h *Hypervisor) recordNested(l2 *VCPU, e2 isa.Exit, start sim.Time) {
 }
 
 // deliverToL1 reflects e2 and, when a SW SVt channel is wired, round-trips
-// it through the command ring to the SVt-thread (§5.2). It reports whether
+// it through the command slots to the SVt-thread (§5.2). It reports whether
 // the exit was fully serviced over the channel; false means the caller
 // must resume L1 so the exit (already recorded in vmcs12 by reflectExit)
 // is handled on the baseline trap/resume path — either because no
@@ -222,9 +222,12 @@ func (h *Hypervisor) deliverToL1(ns *NestedState, e2 isa.Exit) bool {
 
 // dropOwned consults the DropOwnedExit test hook; a dropped exit falls
 // through to the default arm of the nested dispatch, where L0 emulates it
-// against vmcs02 and the guest hypervisor never sees it. The guest's
-// register results stay identical (the emulation code is shared), so only
-// a whole-machine equivalence check can notice the lost delivery.
+// against vmcs02 and the guest hypervisor never sees it. L0's results land
+// in vmcs02's register copy, which L2 never reads back: without HW SVt
+// the next nested entry overwrites it with vmcs12's registers, and under
+// HW SVt L2's registers stay resident in the nested context. So L2 sees a
+// dropped CPUID leave its result registers unchanged, and the lost
+// delivery shows in the guest's results as well as in the exit counts.
 func (h *Hypervisor) dropOwned(e2 isa.Exit) bool {
 	return h.DropOwnedExit != nil && h.DropOwnedExit(e2)
 }

@@ -17,10 +17,10 @@ import (
 
 // StateDigest summarizes the nested guest's time-invariant architectural
 // end state: the guest hypervisor's emulated MSR store for its nested VM,
-// plus any commands stranded on the SW-SVt reflection rings. Two runs of
+// plus any command stranded in the SW-SVt reflection slots. Two runs of
 // the same schedule under different modes must produce the same digest —
 // that is the paper's transparency claim. A healthy run always drains
-// both rings (the protocol is strictly request/response), so residual
+// both slots (the protocol is strictly request/response), so residual
 // commands contribute nothing across modes; a stranded CMD_VM_TRAP or
 // CMD_VM_RESUME is protocol state a broken restore dropped or duplicated,
 // and folding it here is what makes restore-transparency digest-checkable
@@ -29,8 +29,8 @@ import (
 // vmcs12 GuestRIP (it advances once per reflected exit, and the number of
 // HLT wakeup spins a wait loop takes differs legitimately between modes)
 // and the TSC-deadline MSR (it stores an absolute virtual-time deadline).
-// Command Seq numbers are excluded for the same reason the push counters
-// are: they count protocol round trips, which differ across modes.
+// The slots' push counters are excluded too: they count protocol round
+// trips, which differ across modes.
 func (m *Machine) StateDigest() uint64 {
 	h := words.FNVOffset
 	if m.VC12 != nil {
@@ -49,10 +49,10 @@ func (m *Machine) StateDigest() uint64 {
 		}
 	}
 	if m.Chan != nil {
-		for _, ring := range []*swsvt.Ring{m.Chan.ToSVt, m.Chan.FromSVt} {
-			for _, c := range ring.Pending() {
-				h = words.FNVWord(h, uint64(c.Type))
-				h = words.FNVWord(h, c.Exit)
+		for _, slot := range []*swsvt.Slot{&m.Chan.ToSVt, &m.Chan.FromSVt} {
+			if cmd, exit, ok := slot.Queued(); ok {
+				h = words.FNVWord(h, cmd)
+				h = words.FNVWord(h, exit)
 			}
 		}
 	}

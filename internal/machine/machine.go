@@ -170,7 +170,7 @@ func newBase(cfg Config, nctx int) *Machine {
 	// Livelock guard: no healthy simulation dispatches anywhere near this
 	// many events at a single virtual instant, so tripping it means two
 	// components are waking each other without time advancing. The engine
-	// panics with a structured report (rings, LAPICs, channel state)
+	// panics with a structured report (slots, LAPICs, channel state)
 	// instead of hanging the process.
 	m.Eng.SetStallLimit(1_000_000)
 	m.HostMem = mem.New(HostMemSize)
@@ -333,7 +333,7 @@ func must(err error) {
 	}
 }
 
-// buildSWSVt creates the SVt-thread vCPU, the command rings and the
+// buildSWSVt creates the SVt-thread vCPU, the command slots and the
 // reflection channel (Figure 5). The SVt-thread is L1's second vCPU: it
 // serves traps with L1's one hypervisor instance, whose platform acts
 // through the main vCPU's port and so runs on the SVt-thread's while
@@ -364,8 +364,8 @@ func (m *Machine) buildSWSVt() {
 		VcpuSVt:         m.VcpuSVt,
 		VcpuL1Main:      m.VcpuL1,
 		Ns:              m.Ns,
-		ToSVt:           swsvt.NewRing(64),
-		FromSVt:         swsvt.NewRing(64),
+		ToSVt:           swsvt.TrapSlot(),
+		FromSVt:         swsvt.ResumeSlot(),
 		Policy:          m.Cfg.WaitPolicy,
 		Placement:       m.Cfg.Placement,
 		BlockedProtocol: m.Cfg.BlockedProtocol,

@@ -197,7 +197,7 @@ func TestSWSVtBehaviour(t *testing.T) {
 		t.Errorf("SVt-thread handled %d traps, want >= %d", m.SVtThread.Handled, n)
 	}
 	// The main L1 vCPU enters its VMRESUME once and never comes back: all
-	// reflections go over the ring.
+	// reflections go over the channel.
 	if got := m.L0.Prof.Count[isa.ExitVMResume]; got > 3 {
 		t.Errorf("L1-main VMRESUME exits = %d, want ~1 (SVt-thread serves the rest)", got)
 	}

@@ -13,10 +13,10 @@ import (
 
 // Channel is the SW SVt reflection path (Figure 5): it implements
 // hv.SWChannel for the L0 hypervisor. When a nested exit belongs to L1,
-// L0₀ pushes CMD_VM_TRAP (with the register payload) onto the ring, the
-// SVt-thread on the sibling SMT context wakes, handles the trap using the
-// pre-existing L1 handler code, answers CMD_VM_RESUME, and L0₀ — which
-// was itself mwaiting on the response ring — resumes L2 directly.
+// L0₀ pushes CMD_VM_TRAP (with the register payload) into the trap slot,
+// the SVt-thread on the sibling SMT context wakes, handles the trap using
+// the pre-existing L1 handler code, answers CMD_VM_RESUME, and L0₀ —
+// which was itself mwaiting on the response slot — resumes L2 directly.
 //
 // The channel charges virtual time and consults the fault plane through
 // Core's engine and prices its steps from Core's cost model; with no
@@ -35,8 +35,8 @@ type Channel struct {
 	// Ns is the nested state of the L2 VM the channel serves.
 	Ns *hv.NestedState
 
-	ToSVt   *Ring // L0₀ → SVt-thread (CMD_VM_TRAP)
-	FromSVt *Ring // SVt-thread → L0₀ (CMD_VM_RESUME)
+	ToSVt   Slot // L0₀ → SVt-thread (CMD_VM_TRAP)
+	FromSVt Slot // SVt-thread → L0₀ (CMD_VM_RESUME)
 
 	Policy    Policy
 	Placement Placement
@@ -68,7 +68,7 @@ type Channel struct {
 	lastReturn          sim.Time
 	booted              bool // the SVt-thread has run (wired L1's devices)
 
-	// Obs, when non-nil, receives reflection-protocol events: ring
+	// Obs, when non-nil, receives reflection-protocol events: slot
 	// push/pop instants and the mwait-wake span, keyed to the hardware
 	// contexts the protocol actually runs on.
 	Obs        *obs.Tracer
@@ -77,7 +77,7 @@ type Channel struct {
 }
 
 // SetObs attaches the observability tracer (nil detaches) and interns
-// the ring labels once so the emit paths stay allocation-free.
+// the slot labels once so the emit paths stay allocation-free.
 func (ch *Channel) SetObs(t *obs.Tracer) {
 	ch.Obs = t
 	ch.labToSVt = t.Intern("to-svt")
@@ -86,7 +86,7 @@ func (ch *Channel) SetObs(t *obs.Tracer) {
 
 var _ hv.SWChannel = (*Channel)(nil)
 
-// The ring watchdog: how long L0₀ waits for the SVt-thread before
+// The channel watchdog: how long L0₀ waits for the SVt-thread before
 // re-sending a wakeup — a 10us base (comfortably above any healthy
 // reflection round-trip, which is under 2us), doubling per retry up to
 // 1ms — and how many retries it gets before a reflection gives up and
@@ -120,7 +120,7 @@ const (
 
 func (ch *Channel) now() sim.Time { return ch.L0.P.Now() }
 
-// watchdog runs one step of the ring protocol under the ring watchdog.
+// watchdog runs one step of the channel protocol under its watchdog.
 // Each attempt consults site, charges any injected delay and, unless
 // the consult dropped it, tries the step. A drop or a failed try is a
 // watchdog expiry: it is counted and charged the backed-off wait, and
@@ -191,10 +191,10 @@ func (ch *Channel) BreakerStats() (trips, recoveries uint64) {
 	return br.Trips(), br.Recoveries()
 }
 
-// ProbeState dumps ring occupancy and channel counters for stall reports.
+// ProbeState dumps slot occupancy and channel counters for stall reports.
 func (ch *Channel) ProbeState() string {
-	return fmt.Sprintf("toSVt=%d/%d fromSVt=%d/%d reflections=%d watchdog=%d fallbacks=%d+%d",
-		ch.ToSVt.Len(), len(ch.ToSVt.buf), ch.FromSVt.Len(), len(ch.FromSVt.buf),
+	return fmt.Sprintf("toSVt=%d/1 fromSVt=%d/1 reflections=%d watchdog=%d fallbacks=%d+%d",
+		ch.ToSVt.Len(), ch.FromSVt.Len(),
 		ch.Reflections.Value(), ch.WatchdogFires.Value(), ch.Fallbacks.Value(),
 		ch.FallbackReflections.Value())
 }
@@ -256,23 +256,19 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 	}
 
 	// A spurious empty pop re-reads after a watchdog wait. The response
-	// is in the ring (the SVt-thread pushed before parking), so it can
+	// is in its slot (the SVt-thread pushed before parking), so it can
 	// only be late, never lost: exhaustion falls through to a final read.
 	ch.watchdog(fault.SiteRingPop, watchdogRetries, proceed)
-	cmd, ok := ch.FromSVt.Pop()
-	if !ok {
+	if _, ok := ch.FromSVt.Pop(); !ok {
 		panic("swsvt: SVt-thread went idle without answering CMD_VM_RESUME")
 	}
-	if cmd.Type != CmdVMResume {
-		panic(fmt.Sprintf("swsvt: unexpected response %v", cmd.Type))
-	}
-	// L0₀ was waiting on the response ring with the same policy.
+	// L0₀ was waiting on the response slot with the same policy.
 	ch.L0.P.Charge(WakeLatency(m, ch.Policy, ch.Placement, ch.now()-sent))
 	ch.lastReturn = ch.now()
 	if ch.Obs != nil {
 		l0Track := int(ch.Ns.L2VCPU.Ctx)
 		ch.Obs.Instant(l0Track, obs.KindRingPop, 1, ch.labFromSVt,
-			ch.lastReturn, uint64(cmd.Type), 0)
+			ch.lastReturn, cmdVMResume, 0)
 		// The whole reflection round trip, on the context that trapped.
 		ch.Obs.Span(l0Track, obs.KindReflect, 1, 0,
 			reflStart, ch.lastReturn, uint64(e.Reason), 0)
@@ -282,16 +278,13 @@ func (ch *Channel) reflect(e isa.Exit) bool {
 
 // pushTrap pushes CMD_VM_TRAP with the register payload, retrying
 // fault-stalled pushes under the watchdog. It reports false when the
-// retries are exhausted. The ring is empty here: each reflection's trap
-// is consumed by the SVt-thread or reclaimed on fallback, so a full ring
-// is a broken protocol.
+// retries are exhausted. The slot is empty here: each reflection's trap
+// is consumed by the SVt-thread or reclaimed on fallback.
 func (ch *Channel) pushTrap(e isa.Exit) bool {
 	m := ch.Core.Costs
 	return ch.watchdog(fault.SiteRingPush, watchdogRetries, func() bool {
 		ch.L0.P.Charge(m.RingCmd + sim.Time(int(isa.NumGPR))*m.RingPayloadReg)
-		if err := ch.ToSVt.Push(Cmd{Type: CmdVMTrap, Exit: uint64(e.Reason)}); err != nil {
-			panic(fmt.Sprintf("swsvt: CMD_VM_TRAP push: %v", err))
-		}
+		ch.ToSVt.Push(uint64(e.Reason))
 		if ch.Obs != nil {
 			ch.Obs.Instant(int(ch.Ns.L2VCPU.Ctx), obs.KindRingPush, 1, ch.labToSVt,
 				ch.now(), uint64(e.Reason), uint64(ch.ToSVt.Len()))
@@ -301,7 +294,7 @@ func (ch *Channel) pushTrap(e isa.Exit) bool {
 }
 
 // serviceHostIRQs is L0₀'s host kernel taking external interrupts on the
-// boot context while it waits on the response ring (it is mwaiting, not
+// boot context while it waits on the response slot (it is mwaiting, not
 // gone): acknowledge and run the kernel dispatch so wake vectors reach
 // the SVt-thread's virtual LAPIC.
 func (ch *Channel) serviceHostIRQs() {
@@ -426,10 +419,7 @@ func (t *SVtThread) Body(p *cpu.Port) {
 	p.Exec(isa.Instr{Op: isa.OpVMPtrLd, Addr: t.VC12.VMCSAddr})
 	plat := t.H1.P.(*hv.VirtualPlatform)
 	for {
-		cmd := t.waitPop(p)
-		if cmd.Type != CmdVMTrap {
-			panic(fmt.Sprintf("swsvt thread: unexpected command %v", cmd.Type))
-		}
+		t.waitPop(p)
 		e := plat.ReadExitInfo()
 		t.H1.Handle(t.VC12, e)
 		t.H1.PrepareResume(t.VC12)
@@ -440,21 +430,19 @@ func (t *SVtThread) Body(p *cpu.Port) {
 }
 
 // pushResume answers CMD_VM_RESUME, retrying fault-stalled pushes under
-// the watchdog; like the trap ring, the response ring is empty here.
+// the watchdog; like the trap slot, the response slot is empty here.
 // Unlike the L0 side there is no fallback here — L0₀ is parked on the
-// response ring — so exhausting the retries fails loudly with the
-// engine's structured report instead of deadlocking the rings.
+// response slot — so exhausting the retries fails loudly with the
+// engine's structured report instead of deadlocking the channel.
 func (t *SVtThread) pushResume(p *cpu.Port) {
 	ch := t.Ch
 	m := ch.Core.Costs
 	p.Charge(m.RingCmd + sim.Time(int(isa.NumGPR))*m.RingPayloadReg)
 	// The thread gets a much longer leash than a reflection (which can
 	// fall back): give up only when a fallback-less retry storm shows the
-	// ring is truly wedged.
+	// channel is truly wedged.
 	pushed := ch.watchdog(fault.SiteRingPush, 4*(watchdogRetries+1), func() bool {
-		if err := ch.FromSVt.Push(Cmd{Type: CmdVMResume}); err != nil {
-			panic(fmt.Sprintf("swsvt: CMD_VM_RESUME push: %v", err))
-		}
+		ch.FromSVt.Push(0)
 		if ch.Obs != nil {
 			ch.Obs.Instant(int(ch.VcpuSVt.Ctx), obs.KindRingPush, 1,
 				ch.labFromSVt, ch.now(), 0, uint64(ch.FromSVt.Len()))
@@ -466,17 +454,17 @@ func (t *SVtThread) pushResume(p *cpu.Port) {
 	}
 }
 
-// waitPop is the §5.2 wait loop: monitor the command ring, mwait until it
+// waitPop is the §5.2 wait loop: monitor the trap slot, mwait until it
 // changes, run any virtual interrupt handlers that arrived meanwhile.
-func (t *SVtThread) waitPop(p *cpu.Port) Cmd {
+func (t *SVtThread) waitPop(p *cpu.Port) {
 	for {
 		p.PollIRQs()
-		if cmd, ok := t.Ch.ToSVt.Pop(); ok {
+		if exit, ok := t.Ch.ToSVt.Pop(); ok {
 			if ch := t.Ch; ch.Obs != nil {
 				ch.Obs.Instant(int(ch.VcpuSVt.Ctx), obs.KindRingPop, 1,
-					ch.labToSVt, ch.now(), uint64(cmd.Exit), uint64(ch.ToSVt.Len()))
+					ch.labToSVt, ch.now(), exit, uint64(ch.ToSVt.Len()))
 			}
-			return cmd
+			return
 		}
 		p.Exec(isa.Instr{Op: isa.OpMonitor})
 		p.Park()

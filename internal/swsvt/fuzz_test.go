@@ -2,59 +2,50 @@ package swsvt
 
 import "testing"
 
-// FuzzRing drives a command ring with a fuzzer-chosen push/pop sequence
-// and checks it against a plain slice model: same accept/reject
-// decisions, same FIFO contents, occupancy always within bounds, and
-// sequence numbers strictly increasing in push order.
+// FuzzRing drives a trap slot with a fuzzer-chosen push/pop script and
+// checks it against a one-command model: a push onto an empty slot
+// queues its trap identifier, a push onto a full one panics, a pop takes
+// the queued identifier or reports an empty slot. After every step the
+// slot's words must load back into an equal slot.
 func FuzzRing(f *testing.F) {
-	f.Add(uint8(4), []byte{0, 0, 1, 0, 1, 1})
-	f.Add(uint8(1), []byte{0, 0, 0, 1, 1, 1, 1})
-	f.Add(uint8(16), []byte{1, 1, 0, 1})
-	f.Fuzz(func(t *testing.T, capacity uint8, script []byte) {
-		capQ := int(capacity%32) + 1
-		r := NewRing(capQ)
-		var model []Cmd
-		var lastSeq uint64
-		seqSeen := false
+	f.Add([]byte{0, 1, 0, 1, 1})
+	f.Add([]byte{0, 0, 1})
+	f.Add([]byte{1, 1, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		s := TrapSlot()
+		var full bool
+		var exit, pushes uint64
 		for i, b := range script {
 			if b&1 == 0 { // push
-				c := Cmd{Type: CmdVMTrap, Exit: uint64(i)}
-				err := r.Push(c)
-				if len(model) == capQ {
-					if err != ErrRingFull {
-						t.Fatalf("step %d: push on full ring: err=%v", i, err)
+				id := uint64(b >> 1)
+				if full {
+					if !panics(func() { s.Push(id) }) {
+						t.Fatalf("step %d: push onto a full slot did not panic", i)
 					}
-					continue
+				} else {
+					s.Push(id)
+					full, exit = true, id
+					pushes++
 				}
-				if err != nil {
-					t.Fatalf("step %d: push on non-full ring failed: %v", i, err)
-				}
-				c.Seq = r.pushes - 1
-				model = append(model, c)
-				if seqSeen && c.Seq <= lastSeq {
-					t.Fatalf("step %d: sequence numbers not increasing: %d after %d", i, c.Seq, lastSeq)
-				}
-				lastSeq, seqSeen = c.Seq, true
 			} else { // pop
-				got, ok := r.Pop()
-				if len(model) == 0 {
-					if ok {
-						t.Fatalf("step %d: pop on empty ring returned %+v", i, got)
-					}
-					continue
+				got, ok := s.Pop()
+				if ok != full || ok && got != exit {
+					t.Fatalf("step %d: pop = %d,%v, model %d,%v", i, got, ok, exit, full)
 				}
-				if !ok {
-					t.Fatalf("step %d: pop on non-empty ring returned nothing", i)
-				}
-				want := model[0]
-				model = model[1:]
-				if got != want {
-					t.Fatalf("step %d: FIFO order broken: got %+v, want %+v", i, got, want)
-				}
+				full = false
 			}
-			if n := r.Len(); n != len(model) || n < 0 || n > capQ {
-				t.Fatalf("step %d: occupancy %d, model %d, cap %d", i, n, len(model), capQ)
+			if cmd, id, ok := s.Queued(); ok != full || cmd != cmdVMTrap || ok && id != exit || s.pushes != pushes {
+				t.Fatalf("step %d: slot %+v, model full=%v exit=%d pushes=%d", i, s, full, exit, pushes)
+			}
+			if got, err := loadSlot(TrapSlot(), saveSlot(&s)); err != nil || got != s {
+				t.Fatalf("step %d: words round trip gave %+v (%v), want %+v", i, got, err, s)
 			}
 		}
 	})
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

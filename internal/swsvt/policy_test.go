@@ -145,3 +145,72 @@ func TestWatchdogBackoff(t *testing.T) {
 		t.Fatalf("watchdogWait(20) = %v, want clamp at %v", got, sim.Millisecond)
 	}
 }
+
+func TestWakeLatencyOrdering(t *testing.T) {
+	m := cost.Baseline()
+	// §6.1: polling has the lowest latency at workload size zero; mwait
+	// has slightly longer delay than mutex for small waits (mutex spins
+	// first) and beats mutex for long waits.
+	poll := WakeLatency(&m, PolicyPoll, PlaceSMT, 0)
+	mwait := WakeLatency(&m, PolicyMwait, PlaceSMT, 0)
+	mutexShort := WakeLatency(&m, PolicyMutex, PlaceSMT, 0)
+	mutexLong := WakeLatency(&m, PolicyMutex, PlaceSMT, m.MutexSpinGrace*10)
+	if !(poll < mwait) {
+		t.Fatalf("poll (%v) must beat mwait (%v) at size 0", poll, mwait)
+	}
+	if !(mutexShort < mwait) {
+		t.Fatalf("mutex short-wait (%v) must beat mwait (%v)", mutexShort, mwait)
+	}
+	if !(mwait < mutexLong) {
+		t.Fatalf("mwait (%v) must beat mutex long-wait (%v)", mwait, mutexLong)
+	}
+}
+
+func TestWakeLatencyPlacement(t *testing.T) {
+	m := cost.Baseline()
+	smt := WakeLatency(&m, PolicyMwait, PlaceSMT, 0)
+	core := WakeLatency(&m, PolicyMwait, PlaceCrossCore, 0)
+	numa := WakeLatency(&m, PolicyMwait, PlaceCrossNUMA, 0)
+	if !(smt < core && core < numa) {
+		t.Fatalf("placement ordering violated: %v / %v / %v", smt, core, numa)
+	}
+	// §6.1: NUMA is up to an order of magnitude worse.
+	if float64(numa) < 5*float64(smt) {
+		t.Fatalf("NUMA (%v) should be far worse than SMT (%v)", numa, smt)
+	}
+}
+
+func TestPollStealsOnlyOnSMT(t *testing.T) {
+	m := cost.Baseline()
+	busy := 10 * sim.Microsecond
+	if PollStolenCycles(&m, PolicyPoll, PlaceSMT, busy) == 0 {
+		t.Fatal("polling on SMT must steal sibling cycles")
+	}
+	if PollStolenCycles(&m, PolicyPoll, PlaceCrossCore, busy) != 0 {
+		t.Fatal("cross-core polling must not steal")
+	}
+	if PollStolenCycles(&m, PolicyMwait, PlaceSMT, busy) != 0 {
+		t.Fatal("mwait must not steal")
+	}
+	if PollStolenCycles(&m, PolicyPoll, PlaceSMT, 0) != 0 {
+		t.Fatal("no busy time, nothing stolen")
+	}
+}
+
+func TestPollStealGrowsWithWork(t *testing.T) {
+	m := cost.Baseline()
+	small := PollStolenCycles(&m, PolicyPoll, PlaceSMT, sim.Microsecond)
+	large := PollStolenCycles(&m, PolicyPoll, PlaceSMT, 100*sim.Microsecond)
+	if !(small < large) {
+		t.Fatal("stolen cycles must grow with workload (§6.1)")
+	}
+}
+
+func TestPolicyPlacementStrings(t *testing.T) {
+	if PolicyMwait.String() != "mwait" || PolicyPoll.String() != "poll" || PolicyMutex.String() != "mutex" {
+		t.Fatal("policy names")
+	}
+	if PlaceSMT.String() != "smt" || PlaceCrossCore.String() != "cross-core" || PlaceCrossNUMA.String() != "cross-numa" {
+		t.Fatal("placement names")
+	}
+}

@@ -8,67 +8,48 @@ import (
 	"svtsim/internal/words"
 )
 
-// SaveWords writes the ring: the free-running head, tail and push
-// counters, then the queued commands oldest first, each its type,
-// sequence number and trap identifier.
-func (r *Ring) SaveWords(w *words.Writer) {
-	w.Word(r.head)
-	w.Word(r.tail)
-	w.Word(r.pushes)
-	w.Table(r.Len(), 3, func() {
-		for i := r.head; i != r.tail; i++ {
-			c := r.buf[i%uint64(len(r.buf))]
-			w.Word(uint64(c.Type))
-			w.Word(c.Seq)
-			w.Word(c.Exit)
+// SaveWords writes the slot in the snapshot's command-ring format, kept
+// so that every capture digest stays: a free-running head (pushes less
+// the occupancy), tail and push counter, then the occupancy, 0 or 1, and
+// a queued command as its type word, a sequence number equal to head,
+// and its trap identifier.
+func (s *Slot) SaveWords(w *words.Writer) {
+	n := uint64(s.Len())
+	w.Word(s.pushes - n)
+	w.Word(s.pushes)
+	w.Word(s.pushes)
+	w.Table(int(n), 3, func() {
+		if s.full {
+			w.Word(s.cmd)
+			w.Word(s.pushes - 1)
+			w.Word(s.exit)
 		}
 	})
 }
 
-// LoadWords overwrites the ring with words SaveWords wrote, placing the
-// commands back at their original slots so the head/tail arithmetic
-// (and the Seq numbers already assigned) replays exactly. The occupancy
-// must agree with head and tail and fit the capacity, which is fixed at
-// machine construction. The ring gets a fresh buffer, never writing
-// into the one it had.
-func (r *Ring) LoadWords(rd *words.Reader) {
+// LoadWords overwrites the slot with words SaveWords wrote. It rejects
+// any set a slot cannot hold: a tail other than the push count, more
+// than one command, an occupancy other than tail less head, a command
+// not of the slot's direction, or a sequence number other than head.
+func (s *Slot) LoadWords(rd *words.Reader) {
 	head, tail, pushes := rd.Word(), rd.Word(), rd.Word()
 	n := rd.Count(3)
+	var cmd, seq, exit uint64
+	if n == 1 {
+		cmd, seq, exit = rd.Word(), rd.Word(), rd.Word()
+	}
 	if rd.Err() != nil {
 		return
 	}
-	if tail-head != uint64(n) || n > len(r.buf) {
-		rd.Fail(fmt.Errorf("ring state inconsistent: head=%d tail=%d cmds=%d cap=%d", head, tail, n, len(r.buf)))
+	if tail != pushes || n > 1 || tail-head != uint64(n) || n == 1 && (cmd != s.cmd || seq != head) {
+		rd.Fail(fmt.Errorf("slot state inconsistent: head=%d tail=%d pushes=%d cmds=%d type=%d seq=%d (want type %d)",
+			head, tail, pushes, n, cmd, seq, s.cmd))
 		return
 	}
-	buf := make([]Cmd, len(r.buf))
-	for i := head; i != tail; i++ {
-		typ := CmdType(rd.Range(0, uint64(CmdVMResume)+1, "command type"))
-		buf[i%uint64(len(buf))] = Cmd{Type: typ, Seq: rd.Word(), Exit: rd.Word()}
-	}
-	if rd.Err() == nil {
-		r.buf, r.head, r.tail, r.pushes = buf, head, tail, pushes
-	}
+	s.pushes, s.full, s.exit = pushes, n == 1, exit
 }
 
-// Pending returns the queued commands oldest-first without consuming
-// them. It is what lets whole-machine digests fold residual protocol
-// state: a command stranded in a ring is architecturally meaningful —
-// an exit the SVt-thread never serviced, or a resume the vCPU never
-// reaped — and must not be invisible to restore-transparency checks.
-func (r *Ring) Pending() []Cmd {
-	n := r.Len()
-	if n == 0 {
-		return nil
-	}
-	cmds := make([]Cmd, 0, n)
-	for i := r.head; i != r.tail; i++ {
-		cmds = append(cmds, r.buf[i%uint64(len(r.buf))])
-	}
-	return cmds
-}
-
-// SaveWords writes the reflection protocol's state: both rings of the
+// SaveWords writes the reflection protocol's state: both slots of the
 // thread's channel, the virtual time of the SVt-thread's last return
 // (it feeds stolen-cycle accounting), a stopped flag that is always
 // false, and the thread's handled-trap tallies the differential oracle
@@ -89,12 +70,11 @@ func (t *SVtThread) SaveWords(w *words.Writer) {
 }
 
 // LoadWords overwrites the protocol state with words SaveWords wrote.
-// The rings load into copies (Ring.LoadWords swaps in a fresh buffer, so
-// a copy shares nothing it writes), which replace the live rings only
-// once the whole section has parsed.
+// The slots load into copies, which replace the live slots only once the
+// whole section has parsed.
 func (t *SVtThread) LoadWords(r *words.Reader) {
 	ch := t.Ch
-	to, from := *ch.ToSVt, *ch.FromSVt
+	to, from := ch.ToSVt, ch.FromSVt
 	to.LoadWords(r)
 	from.LoadWords(r)
 	last := sim.Time(r.Word())
@@ -107,7 +87,7 @@ func (t *SVtThread) LoadWords(r *words.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	*ch.ToSVt, *ch.FromSVt = to, from
+	ch.ToSVt, ch.FromSVt = to, from
 	ch.lastReturn = last
 	t.Handled, t.HandledByReason = handled, byReason
 }

@@ -132,7 +132,8 @@ quiet "$sim" -workload cpuid -mode sw-svt -fault-seed 7 \
 quiet "$sim" -workload diskrd -mode sw-svt -faults 'apic/irq:rate=0.5,delay=20us,jitter=10us' \
 	-trace fault-trace.json -metrics fault-metrics.csv
 # Lost and late device completions. A lost completion leaves the guest
-# waiting for good, so that run ends on deadlock detection.
+# waiting for good, so that run ends on deadlock detection, which fails
+# it and loses its counters; reach.blocks lists what only it would reach.
 tolerate "$sim" -workload diskrd -mode hw-svt -faults 'virtio/complete:rate=0.3,drop'
 quiet "$sim" -workload diskrd -mode sw-svt -faults 'virtio/complete:rate=0.3,delay=20us'
 # A traced run long enough for the engine track's sampled dispatch
